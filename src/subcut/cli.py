@@ -12,12 +12,12 @@ import numpy as np
 
 from . import harness
 from .envelope import envelope_eval
-from .errors import CapacityError
+from .errors import CAPACITY, CapacityError
 from .harness import RunConfig
 from .models import BmpInstance
 from .oracles import (
     Graph,
-    _cube_bits,
+    cube_chunks,
     cut_oracle,
     is_submodular_bruteforce,
     ss_decompose,
@@ -29,7 +29,6 @@ def _add_root(sub):
     p.add_argument("instance", help="instance file (.mc or .pol)")
     p.add_argument("--cuts", default="submodular", choices=harness.MODES, help="cut mode")
     p.add_argument("--rounds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-cuts", type=int, default=50, help="cuts per round cap")
     p.add_argument("--primal", type=float, default=None, help="reference optimum override")
     p.add_argument("--validate", default="auto", choices=("auto", "on", "off"))
@@ -72,7 +71,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def cmd_root(args) -> int:
-    config = RunConfig(mode=args.cuts, rounds=args.rounds, seed=args.seed,
+    config = RunConfig(mode=args.cuts, rounds=args.rounds,
                        max_cuts_per_round=args.max_cuts, primal=args.primal,
                        validate_cuts=args.validate)
     report = harness.run_instance(args.instance, config)
@@ -91,21 +90,26 @@ def _check(name, ok, detail="") -> bool:
     return ok
 
 
+def _fits(name, capacity, n) -> bool:
+    """Whether n is within CAPACITY[capacity]; prints a SKIP line for check ``name`` if not."""
+    limit = CAPACITY[capacity]
+    if n > limit:
+        print(f"SKIP {name} (n > {limit})")
+    return n <= limit
+
+
 def _verify_graph(graph: Graph) -> bool:
     ok = True
     oracle = cut_oracle(graph)
     ok &= _check("normalized(f(0)=0)", abs(oracle.value(np.zeros(graph.n))) <= 1e-12)
-    if graph.n <= 12:
+    if _fits("submodular", "verify submodular", graph.n):
         ok &= _check("submodular", is_submodular_bruteforce(oracle))
-    else:
-        print("SKIP submodular (n > 12)")
-    if graph.n <= 10:
+    if _fits("extension_identity", "verify extension identity", graph.n):
         worst = 0.0
-        for x in _cube_bits(graph.n):
-            worst = max(worst, abs(envelope_eval(oracle, x).value - oracle.value(x)))
+        for bits in cube_chunks(graph.n):
+            for x in bits.astype(float):
+                worst = max(worst, abs(envelope_eval(oracle, x).value - oracle.value(x)))
         ok &= _check("extension_identity", worst <= 1e-9, f"max |F(x)-f(x)| = {worst:.3g}")
-    else:
-        print("SKIP extension_identity (n > 10)")
     ok &= _verify_bound(graph)
     return ok
 
@@ -117,19 +121,16 @@ def _verify_poly(instance: BmpInstance) -> bool:
     funcs += [(f"constraint{i + 1}", c) for i, c in enumerate(instance.constraints)]
     for label, func in funcs:
         ss = ss_decompose(func, level=1)
-        if n <= 10:
+        if _fits(f"{label}_parts_submodular", "verify parts submodular", n):
             ok &= _check(f"{label}_parts_submodular",
                          is_submodular_bruteforce(ss.f1) and is_submodular_bruteforce(ss.f2))
-        else:
-            print(f"SKIP {label}_parts_submodular (n > 10)")
-        if n <= 14:
+        if _fits(f"{label}_decomposition_identity", "verify decomposition identity", n):
             worst = 0.0
-            for x in _cube_bits(n):
-                worst = max(worst, abs(ss.f1.value(x) - ss.f2.value(x) - func.evaluate(x)))
+            for bits in cube_chunks(n):
+                for x in bits.astype(float):
+                    worst = max(worst, abs(ss.f1.value(x) - ss.f2.value(x) - func.evaluate(x)))
             ok &= _check(f"{label}_decomposition_identity", worst <= 1e-12,
                          f"max error = {worst:.3g}")
-        else:
-            print(f"SKIP {label}_decomposition_identity (n > 14)")
     ok &= _verify_bound(instance)
     return ok
 
@@ -137,8 +138,7 @@ def _verify_poly(instance: BmpInstance) -> bool:
 def _verify_bound(problem) -> bool:
     from . import simplex
 
-    if problem.n > harness.BRUTE_FORCE_PRIMAL_LIMIT:
-        print("SKIP bound_dominates_optimum (n > 20)")
+    if not _fits("bound_dominates_optimum", "brute force", problem.n):
         return True
     best = harness.brute_force_primal(problem)
     model, _, _ = harness.build_model(problem)
@@ -188,9 +188,9 @@ def cmd_bench(args) -> int:
     for r in reports:
         print(r.csv_row())
     summary = harness.aggregate(reports)
-    print("mode,closed,relative,time_s,cuts,runs")
+    print("mode,closed,time_s,cuts,runs")
     for mode, row in summary.items():
-        print(f"{mode},{row['closed']:.4f},{row['relative']:.4f},"
+        print(f"{mode},{row['closed']:.4f},"
               f"{row['time']:.3f},{row['cuts']:.2f},{row['runs']}")
     return 0
 

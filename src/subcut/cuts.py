@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .envelope import envelope_eval
-from .errors import CapacityError, SeparationBudget
-from .oracles import SSFunction, _cube_bits
+from .errors import SeparationBudget, check_capacity
+from .oracles import SSFunction, cube_chunks
 from .sfree import STRICT_INTERIOR, SFreeSet, interiority
 
 NEWTON_START = 0.2
@@ -60,10 +60,6 @@ class ZetaFunction:
         zeta = lvl * (self.apex_t + eta * self.ray_t) - value
         slope = lvl * self.ray_t - float(grad @ self.ray_x)
         return zeta, slope
-
-
-def zeta_eval(zf: ZetaFunction, eta: float):
-    return zf.eval(eta)
 
 
 class StepResult(NamedTuple):
@@ -227,24 +223,6 @@ def gradient_cut(ss: SSFunction, x_ref, t_ref: float = 0.0, lift=None, tol: floa
 # brute-force validity
 
 
-def _eta_bounds_in_t(corner, z, t_col, tol):
-    """Range of t keeping z (all else fixed) inside the corner; (lo, hi)."""
-    lo, hi = -math.inf, math.inf
-    for ray in corner.rays:
-        a = float(ray.eta_coef[t_col])
-        rest = float(ray.eta_coef @ z) - a * float(z[t_col]) + ray.eta_off
-        if abs(a) <= 1e-14:
-            if rest < -tol:
-                return math.inf, -math.inf  # empty
-            continue
-        bound = -rest / a
-        if a > 0:
-            lo = max(lo, bound)
-        else:
-            hi = min(hi, bound)
-    return lo, hi
-
-
 def validate_cut_bruteforce(cut: IntersectionCut, target, lift, corner=None, tol: float = CUT_TOL) -> bool:
     """Check the cut against every binary point on the target's side.
 
@@ -253,22 +231,16 @@ def validate_cut_bruteforce(cut: IntersectionCut, target, lift, corner=None, tol
     (where only sign-feasible x count), and clipped to the corner when one
     is given.  The cut is affine in t, so only the worse endpoint needs
     evaluating; an empty interval exempts the point, and a cut leaning on
-    an unbounded t direction fails.  Guarded at n <= 12.
+    an unbounded t direction fails.  Guarded.
     """
+    check_capacity("cut validation", target.n)
     if isinstance(target, SSFunction):
-        n, level = target.n, target.level
+        level = target.level
         vals = target.f1.values_on_cube() - target.f2.values_on_cube()
     else:
-        n, level = target.n, 1
+        level = 1
         vals = target.values_on_cube()
-    if n > 12:
-        raise CapacityError(f"cut validation limited to n <= 12, got n = {n}")
-
-    bits = _cube_bits(n)
-    z_pts = np.zeros((bits.shape[0], lift.ncols))
-    z_pts[:, lift.x_cols] = bits
-    for support, col in lift.y_cols.items():
-        z_pts[:, col] = bits[:, sorted(support)].prod(axis=1)
+    z_pts = lift.full_point(np.concatenate(list(cube_chunks(target.n))), 0.0)
 
     if level == 1:
         cap = vals

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import check_capacity
 from .oracles import SubmodularOracle
-
-ENUMERATION_LIMIT = 8
 
 
 def sort_permutation(x) -> np.ndarray:
@@ -102,17 +100,16 @@ def envelope_eval(oracle: SubmodularOracle, x) -> EnvelopeEvaluation:
     return EnvelopeEvaluation(float(sigma @ x), sigma, order)
 
 
-def enumerate_vertices(oracle: SubmodularOracle, limit: int = ENUMERATION_LIMIT) -> list:
+def enumerate_vertices(oracle: SubmodularOracle) -> list:
     """Greedy vertices of all n! orders (testing utility, guarded)."""
-    if oracle.n > limit:
-        raise CapacityError(f"vertex enumeration limited to n <= {limit}, got n = {oracle.n}")
+    check_capacity("vertex enumeration", oracle.n)
     return [greedy_vertex(oracle, order) for order in itertools.permutations(range(oracle.n))]
 
 
-def envelope_max_bruteforce(oracle: SubmodularOracle, x, limit: int = ENUMERATION_LIMIT) -> float:
+def envelope_max_bruteforce(oracle: SubmodularOracle, x) -> float:
     """max_s s . x over all greedy vertices, by enumeration (guarded)."""
     x = np.asarray(x, dtype=float)
-    return max(float(s @ x) for s in enumerate_vertices(oracle, limit=limit))
+    return max(float(s @ x) for s in enumerate_vertices(oracle))
 
 
 def _check_order(n: int, order) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import simplex
 from .cuts import gradient_cut, intersection_cut, validate_cut_bruteforce
-from .errors import CapacityError, ModelError, NumericError
+from .errors import CAPACITY, ModelError, NumericError
 from .models import (
     BmpInstance,
     build_maxcut_model,
@@ -31,6 +31,9 @@ from .models import (
 from .oracles import (
     Graph,
     MultilinearFunction,
+    cube_chunks,
+    cut_oracle,
+    multilinear_oracle,
     read_graph,
     read_polynomial,
     write_graph,
@@ -42,7 +45,6 @@ logger = logging.getLogger(__name__)
 
 MODES = ("none", "split", "submodular", "ss", "both")
 CSV_HEADER = "instance,mode,d1,d2,p,closed,cuts,sep_time_ms,total_time_ms"
-BRUTE_FORCE_PRIMAL_LIMIT = 20
 
 
 @dataclass
@@ -61,9 +63,8 @@ class RunConfig:
     efficacy_min: float = 1e-4
     range_max: float = 1e8
     binary_tol: float = 1e-6
-    seed: int = 0
     primal: float = None  # reference optimum; None = sidecar file or brute force
-    validate_cuts: str = "auto"  # "auto" (n <= 12), "on", "off"
+    validate_cuts: str = "auto"  # "auto" (up to the cut validation capacity), "on", "off"
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -182,7 +183,7 @@ def _want_validation(config: RunConfig, n: int) -> bool:
         return True
     if config.validate_cuts == "off":
         return False
-    return n <= 12
+    return n <= CAPACITY["cut validation"]
 
 
 def root_loop(model, targets, lift, config: RunConfig, instance: str = "", primal=None) -> RootNodeReport:
@@ -308,9 +309,7 @@ def shifted_geomean(values, shift: float = 1.0) -> float:
 def aggregate(reports, shift: float = 1.0) -> dict:
     """Per-mode shifted geometric means: closed gap, time (s), cut count.
 
-    `relative` is the ratio of a mode's mean closed gap to the `none`
-    mode's; with no cuts that baseline is 0, in which case the ratio is
-    reported as nan.  Failed runs are left out.
+    Failed runs are left out.
     """
     live = [r for r in reports if not r.failed]
     if not live:
@@ -318,22 +317,13 @@ def aggregate(reports, shift: float = 1.0) -> dict:
     by_mode: dict = {}
     for r in live:
         by_mode.setdefault(r.mode, []).append(r)
-    baseline = None
-    if "none" in by_mode:
-        baseline = shifted_geomean([r.closed for r in by_mode["none"]], shift)
     out = {}
     for mode in MODES:
         if mode not in by_mode:
             continue
         rs = by_mode[mode]
-        closed = shifted_geomean([r.closed for r in rs], shift)
-        if baseline is None or baseline <= 0.0:
-            relative = math.nan
-        else:
-            relative = closed / baseline
         out[mode] = {
-            "closed": closed,
-            "relative": relative,
+            "closed": shifted_geomean([r.closed for r in rs], shift),
             "time": shifted_geomean([r.total_time_ms / 1000.0 for r in rs], shift),
             "cuts": shifted_geomean([float(r.cuts) for r in rs], shift),
             "runs": len(rs),
@@ -350,49 +340,25 @@ def write_report_csv(reports, path) -> None:
 # reference optima
 
 
-def _binary_chunks(n: int, chunk: int = 1 << 14):
-    total = 1 << n
-    cols = np.arange(n, dtype=np.uint32)
-    for lo in range(0, total, chunk):
-        masks = np.arange(lo, min(lo + chunk, total), dtype=np.uint32)
-        yield (masks[:, None] >> cols) & 1
-
-
-def brute_force_primal(problem, limit: int = BRUTE_FORCE_PRIMAL_LIMIT) -> float:
-    """Exact optimum by enumeration of {0,1}^n, chunked to bound memory."""
-    n = problem.n
-    if n > limit:
-        raise CapacityError(f"brute force limited to n <= {limit}, got n = {n}")
-    best = -math.inf
+def brute_force_primal(problem) -> float:
+    """Exact optimum by enumeration of {0,1}^n, chunked to bound memory. Guarded."""
     if isinstance(problem, Graph):
-        if problem.m == 0:
-            return 0.0
-        ei = np.array([e[0] for e in problem.edges])
-        ej = np.array([e[1] for e in problem.edges])
-        w = np.array([e[2] for e in problem.edges])
-        for bits in _binary_chunks(n):
-            vals = (bits[:, ei] != bits[:, ej]) @ w
-            best = max(best, float(vals.max()))
-        return best
-    if not isinstance(problem, BmpInstance):
+        objective, constraints, cardinality = cut_oracle(problem), [], None
+    elif isinstance(problem, BmpInstance):
+        objective = multilinear_oracle(problem.objective)
+        constraints = [multilinear_oracle(c) for c in problem.constraints]
+        cardinality = problem.cardinality
+    else:
         raise ModelError(f"no brute force for {type(problem).__name__}")
-
-    def poly_values(func: MultilinearFunction, bits) -> np.ndarray:
-        vals = np.zeros(bits.shape[0])
-        for a, s in func.terms:
-            vals += a * bits[:, sorted(s)].prod(axis=1)
-        return vals
-
-    for bits in _binary_chunks(n):
+    best = -math.inf
+    for bits in cube_chunks(problem.n):
         ok = np.ones(bits.shape[0], dtype=bool)
-        for c in problem.constraints:
-            ok &= poly_values(c, bits) >= 0.0
-        if problem.cardinality is not None:
-            ok &= bits.sum(axis=1) == problem.cardinality
-        if not ok.any():
-            continue
-        vals = poly_values(problem.objective, bits[ok])
-        best = max(best, float(vals.max()))
+        for c in constraints:
+            ok &= c.values_at(bits) >= 0.0
+        if cardinality is not None:
+            ok &= bits.sum(axis=1) == cardinality
+        if ok.any():
+            best = max(best, float(objective.values_at(bits[ok]).max()))
     if best == -math.inf:
         raise ModelError("no feasible binary point")
     return best
@@ -409,16 +375,13 @@ def sidecar_primal(instance_path):
     return float(tokens[0])
 
 
-def reference_primal(problem, instance_path=None, limit: int = BRUTE_FORCE_PRIMAL_LIMIT) -> float:
+def reference_primal(problem, instance_path=None) -> float:
+    """The instance's .sol sidecar value when there is one, else brute force."""
     if instance_path is not None:
         value = sidecar_primal(instance_path)
         if value is not None:
             return value
-    if problem.n <= limit:
-        return brute_force_primal(problem, limit)
-    raise CapacityError(
-        f"n = {problem.n} is beyond brute force and no .sol sidecar was found"
-    )
+    return brute_force_primal(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +478,7 @@ def generate_instances(
             problem = BmpInstance(poly)
             path = out / f"autocorr_n{n}_s{s}.pol"
             write_polynomial(poly, path)
-        if n <= BRUTE_FORCE_PRIMAL_LIMIT:
+        if n <= CAPACITY["brute force"]:
             value = brute_force_primal(problem)
             path.with_suffix(".sol").write_text(f"{value:.12g}\n")
         paths.append(path)

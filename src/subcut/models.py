@@ -38,16 +38,17 @@ class LiftMap:
     ncols: int
 
     def full_point(self, x, t) -> np.ndarray:
-        """Embed binary x (products made exact) and a t value into column space."""
+        """Embed binary x (products made exact) and a t value into column space.
+
+        x is one point (n,) or a block of points (k, n); t is a scalar or
+        one value per point.
+        """
         x = np.asarray(x, dtype=float)
-        z = np.zeros(self.ncols)
-        z[self.x_cols] = x
-        z[self.t_col] = float(t)
+        z = np.zeros(x.shape[:-1] + (self.ncols,))
+        z[..., self.x_cols] = x
+        z[..., self.t_col] = t
         for support, col in self.y_cols.items():
-            prod = 1.0
-            for j in support:
-                prod *= x[j]
-            z[col] = prod
+            z[..., col] = x[..., sorted(support)].prod(axis=-1)
         return z
 
 

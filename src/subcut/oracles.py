@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ModelError, NumericError
+from .errors import ModelError, NumericError, check_capacity
 
 SUBMODULARITY_TOL = 1e-9
-BRUTE_FORCE_LIMIT = 14
+CUBE_CHUNK = 1 << 14
 
 
 class SubmodularOracle:
@@ -63,21 +63,31 @@ class SubmodularOracle:
             out[i + 1] = self.value(x)
         return out
 
+    def values_at(self, bits) -> np.ndarray:
+        """Values at the rows of a boolean (k, n) block; subclasses batch this."""
+        return np.array([self.value(row) for row in bits])
+
     def values_on_cube(self) -> np.ndarray:
         """All 2^n values indexed by bitmask (bit i <-> variable i). Guarded."""
-        if self.n > BRUTE_FORCE_LIMIT:
-            raise CapacityError(f"cube enumeration limited to n <= {BRUTE_FORCE_LIMIT}, got n = {self.n}")
-        bits = _cube_bits(self.n)
-        return np.array([self.value(row) for row in bits])
+        check_capacity("cube enumeration", self.n)
+        return np.concatenate([self.values_at(bits) for bits in cube_chunks(self.n)])
 
     def __repr__(self):
         return f"<{type(self).__name__} n={self.n} name={self.name!r}>"
 
 
-def _cube_bits(n: int) -> np.ndarray:
-    """(2^n, n) float matrix whose row m is the binary point for bitmask m."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+def cube_chunks(n: int):
+    """{0,1}^n as boolean (k, n) blocks of CUBE_CHUNK rows, in bitmask order.
+
+    Row m of the concatenated blocks is the point with x_i = bit i of m.
+    Guarded when the first block is requested.
+    """
+    check_capacity("brute force", n)
+    total = 1 << n
+    cols = np.arange(n, dtype=np.uint32)
+    for lo in range(0, total, CUBE_CHUNK):
+        masks = np.arange(lo, min(lo + CUBE_CHUNK, total), dtype=np.uint32)
+        yield ((masks[:, None] >> cols) & 1).astype(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +145,6 @@ class GraphCutOracle(SubmodularOracle):
         super().__init__(graph.n, self._cut_raw, name="cut")
 
     def _cut_raw(self, x):
-        if self._ew.size == 0:
-            return 0.0
         xi = x[self._ei]
         xj = x[self._ej]
         return float(np.dot(self._ew, xi + xj - 2.0 * xi * xj))
@@ -152,12 +160,7 @@ class GraphCutOracle(SubmodularOracle):
         np.cumsum(gains, out=out[1:])
         return out
 
-    def values_on_cube(self) -> np.ndarray:
-        if self.n > BRUTE_FORCE_LIMIT:
-            raise CapacityError(f"cube enumeration limited to n <= {BRUTE_FORCE_LIMIT}, got n = {self.n}")
-        bits = _cube_bits(self.n).astype(bool)
-        if self._ew.size == 0:
-            return np.zeros(1 << self.n)
+    def values_at(self, bits) -> np.ndarray:
         crossing = bits[:, self._ei] ^ bits[:, self._ej]
         return crossing @ self._ew
 
@@ -234,6 +237,7 @@ class MultilinearOracle(SubmodularOracle):
         self._supmasks = np.array(
             [sum(1 << j for j in s) for s in supports], dtype=np.int64
         )
+        self._bitvals = 1 << np.arange(poly.n, dtype=np.int64)
         super().__init__(poly.n, poly.evaluate, name="multilinear")
         self.trivially_zero = not poly.terms
 
@@ -253,10 +257,8 @@ class MultilinearOracle(SubmodularOracle):
         out[0] = 0.0
         return out
 
-    def values_on_cube(self) -> np.ndarray:
-        if self.n > BRUTE_FORCE_LIMIT:
-            raise CapacityError(f"cube enumeration limited to n <= {BRUTE_FORCE_LIMIT}, got n = {self.n}")
-        masks = np.arange(1 << self.n, dtype=np.int64)
+    def values_at(self, bits) -> np.ndarray:
+        masks = bits @ self._bitvals
         vals = np.zeros(masks.size)
         for a, m in zip(self._coefs, self._supmasks):
             vals += a * ((masks & m) == m)
@@ -279,12 +281,8 @@ def modular_oracle(weights) -> SubmodularOracle:
             np.cumsum(c[np.asarray(order, dtype=int)], out=out[1:])
             return out
 
-        def values_on_cube(self):
-            if self.n > BRUTE_FORCE_LIMIT:
-                raise CapacityError(
-                    f"cube enumeration limited to n <= {BRUTE_FORCE_LIMIT}, got n = {self.n}"
-                )
-            return _cube_bits(self.n) @ c
+        def values_at(self, bits):
+            return bits @ c
 
     oracle = _Modular(c.size, lambda x: float(np.dot(c, x)), name="modular")
     oracle.weights = c
@@ -393,10 +391,6 @@ def logdet_oracle(design: LogDetDesign) -> SubmodularOracle:
 
 def is_submodular_bruteforce(oracle: SubmodularOracle, tol: float = SUBMODULARITY_TOL) -> bool:
     """Check f(x) + f(y) >= f(x | y) + f(x & y) over all 4^n pairs. Guarded."""
-    if oracle.n > BRUTE_FORCE_LIMIT:
-        raise CapacityError(
-            f"submodularity check limited to n <= {BRUTE_FORCE_LIMIT}, got n = {oracle.n}"
-        )
     vals = oracle.values_on_cube()
     size = vals.size
     ymasks = np.arange(size, dtype=np.int64)

@@ -17,11 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from .envelope import chain_to_permutation, enumerate_vertices, envelope_eval, greedy_vertex
-from .errors import CapacityError
-from .oracles import SSFunction, SubmodularOracle, _cube_bits
+from .errors import check_capacity
+from .oracles import SSFunction, SubmodularOracle, cube_chunks
 
 INTERIOR_TOL = 1e-7
-COVER_LIMIT = 8
 
 STRICT_INTERIOR = "strict_interior"
 BOUNDARY = "boundary"
@@ -172,8 +171,7 @@ def _chain_masks(order) -> set:
 
 def is_cover(n: int, orders) -> bool:
     """Do the prefix chains of ``orders`` visit every binary point? Guarded."""
-    if n > COVER_LIMIT:
-        raise CapacityError(f"cover check limited to n <= {COVER_LIMIT}, got n = {n}")
+    check_capacity("cover check", n)
     visited = set()
     for order in orders:
         visited |= _chain_masks(order)
@@ -200,19 +198,17 @@ def verify_free_bruteforce(sfree: SFreeSet, target, tol: float = INTERIOR_TOL) -
 
     Hypograph targets (level 1) are checked at (x, f(x)) for every binary
     x; superlevel targets (level 0) at every sign-feasible binary x.
+    Guarded.
     """
-    if isinstance(target, SSFunction):
-        n, level, value = target.n, target.level, target.value
-    else:
-        n, level, value = target.n, 1, target.value
-    if n > 14:
-        raise CapacityError(f"freeness check limited to n <= 14, got n = {n}")
-    for x in _cube_bits(n):
-        fx = value(x)
-        if level == 0 and fx < -1e-12:
-            continue
-        if sfree.margin(x, fx) > tol:
-            return False
+    check_capacity("freeness check", target.n)
+    level = target.level if isinstance(target, SSFunction) else 1
+    for bits in cube_chunks(target.n):
+        for x in bits.astype(float):
+            fx = target.value(x)
+            if level == 0 and fx < -1e-12:
+                continue
+            if sfree.margin(x, fx) > tol:
+                return False
     return True
 
 
@@ -280,16 +276,14 @@ def containment_witness(relaxation: CoverRelaxation, tol: float = 1e-9):
 def maximality_diagnostic(relaxation: CoverRelaxation, tol: float = 1e-9) -> bool:
     """Each kept facet carries a binary graph point lying on no other kept facet.
 
-    Exact facet/point incidence on n <= 5; a diagnostic for non-degenerate
+    Exact facet/point incidence (guarded); a diagnostic for non-degenerate
     oracles, not a production path (coinciding facets fail it by design).
     """
     oracle = relaxation.oracle
-    n = oracle.n
-    if n > 5:
-        raise CapacityError(f"maximality diagnostic limited to n <= 5, got n = {n}")
+    check_capacity("maximality diagnostic", oracle.n)
     kept = relaxation.vertices
-    points = _cube_bits(n)
-    values = np.array([oracle.value(x) for x in points])
+    points = np.concatenate(list(cube_chunks(oracle.n)))
+    values = oracle.values_on_cube()
     scores = kept @ points.T  # (orders, 2^n)
     on_facet = np.abs(scores - values[None, :]) <= tol
     for p in range(kept.shape[0]):

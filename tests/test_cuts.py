@@ -13,7 +13,6 @@ from subcut.cuts import (
     intersection_cut,
     step_length,
     validate_cut_bruteforce,
-    zeta_eval,
 )
 from subcut.errors import CapacityError, SeparationBudget
 from subcut.models import LiftMap, build_maxcut_model, project_corner
@@ -69,7 +68,7 @@ class TestZetaEval:
             EnvelopeEpigraph(k3_cut), np.array([0.5, 0.5, 0.5]), 1.5,
             np.array([1.0, 0.0, 0.0]), 0.0,
         )
-        value, slope = zeta_eval(zf, 0.2)
+        value, slope = zf.eval(0.2)
         assert value == pytest.approx(1.1, abs=1e-12)
         assert slope == pytest.approx(-2.0, abs=1e-12)
 
@@ -78,7 +77,7 @@ class TestZetaEval:
             EnvelopeEpigraph(k3_cut), np.array([0.5, 0.5, 0.5]), 1.5,
             np.array([1.0, 0.0, 0.0]), 0.0,
         )
-        value, _ = zeta_eval(zf, 0.0)
+        value, _ = zf.eval(0.0)
         assert value == pytest.approx(1.5, abs=1e-12)
 
     def test_t_recession_direction(self, k3_cut):
@@ -87,7 +86,7 @@ class TestZetaEval:
             np.zeros(3), 1.0,
         )
         for eta in (0.0, 1.0, 7.5):
-            value, slope = zeta_eval(zf, eta)
+            value, slope = zf.eval(eta)
             assert value == pytest.approx(1.5 + eta, abs=1e-12)
             assert slope == pytest.approx(1.0, abs=1e-12)
 
@@ -112,7 +111,7 @@ class TestZetaEval:
             if e3 - e1 < 1e-9:
                 continue
             lam = (e2 - e1) / (e3 - e1)
-            v1, v2, v3 = (zeta_eval(zf, e)[0] for e in (e1, e2, e3))
+            v1, v2, v3 = (zf.eval(e)[0] for e in (e1, e2, e3))
             assert v2 >= (1 - lam) * v1 + lam * v3 - 1e-9
 
 
@@ -193,8 +192,8 @@ class TestStepLength:
         for ray_x, ray_t, apex_t, apex_x in cases:
             zf = ZetaFunction(EnvelopeEpigraph(k3_cut), apex_x, apex_t, ray_x, ray_t)
             eta = step_length(zf).eta
-            assert zeta_eval(zf, eta - 1e-4)[0] > 0
-            assert zeta_eval(zf, eta + 1e-4)[0] < 0
+            assert zf.eval(eta - 1e-4)[0] > 0
+            assert zf.eval(eta + 1e-4)[0] < 0
 
     def test_agreement_with_bisection(self):
         rng = np.random.default_rng(7)
@@ -424,6 +423,16 @@ class TestValidateCut:
         lift = LiftMap(n=n, x_cols=np.arange(n), t_col=n, y_cols={}, ncols=n + 1)
         cut = IntersectionCut(coef=np.zeros(n + 1), rhs=0.0, kind="env", efficacy=1.0)
         with pytest.raises(CapacityError):
+            validate_cut_bruteforce(cut, modular_oracle(np.ones(n)), lift)
+
+    def test_capacity_checked_before_enumeration(self):
+        # n = 15 is past the cube enumeration limit too; the validation
+        # guard must answer first, before any value is computed
+        n = 15
+        lift = LiftMap(n=n, x_cols=np.arange(n), t_col=n, y_cols={}, ncols=n + 1)
+        cut = IntersectionCut(coef=np.zeros(n + 1), rhs=0.0, kind="env", efficacy=1.0)
+        message = r"cut validation limited to n <= 12, got n = 15"
+        with pytest.raises(CapacityError, match=message):
             validate_cut_bruteforce(cut, modular_oracle(np.ones(n)), lift)
 
     def test_emitted_cuts_always_validate(self):

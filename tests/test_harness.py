@@ -77,6 +77,8 @@ class TestRunConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             RunConfig.from_dict({"mode": "none", "cleverness": 11})
+        with pytest.raises(ValueError):
+            RunConfig.from_dict({"mode": "none", "seed": 0})
 
     def test_from_dict_ignores_benchmark_modes_key(self):
         cfg = RunConfig.from_dict({"rounds": 4, "modes": ["none", "split"]})
@@ -135,19 +137,6 @@ def fake_report(mode, closed, cuts=1, failed=False):
 
 
 class TestAggregate:
-    def test_relative_against_baseline(self):
-        reports = [fake_report("none", 0.5), fake_report("submodular", 1.0)]
-        out = aggregate(reports)
-        assert out["none"]["relative"] == pytest.approx(1.0)
-        assert out["submodular"]["relative"] == pytest.approx(
-            out["submodular"]["closed"] / out["none"]["closed"]
-        )
-
-    def test_zero_baseline_gives_nan(self):
-        reports = [fake_report("none", 0.0), fake_report("split", 0.4)]
-        out = aggregate(reports)
-        assert math.isnan(out["split"]["relative"])
-
     def test_failed_runs_excluded(self):
         reports = [fake_report("split", 0.4), fake_report("split", 0.9, failed=True)]
         out = aggregate(reports)
@@ -161,7 +150,7 @@ class TestAggregate:
     def test_columns(self):
         out = aggregate([fake_report("ss", 0.25, cuts=3)])
         row = out["ss"]
-        assert set(row) == {"closed", "relative", "time", "cuts", "runs"}
+        assert set(row) == {"closed", "time", "cuts", "runs"}
         assert row["cuts"] == pytest.approx(3.0)
 
 
@@ -504,7 +493,7 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert CSV_HEADER in out
-        assert "mode,closed,relative,time_s,cuts,runs" in out
+        assert "mode,closed,time_s,cuts,runs" in out
         lines = report.read_text().strip().split("\n")
         assert len(lines) == 5  # header + 2 instances x 2 modes
 

@@ -104,11 +104,31 @@ class TestCutOracle:
                 x = rng.integers(0, 2, size=n)
                 assert f.value(x) == pytest.approx(ref.cut_value(edges, x), abs=1e-12)
 
-    def test_values_on_cube_matches_pointwise(self, k3_cut):
-        vals = k3_cut.values_on_cube()
-        for mask in range(8):
-            x = [(mask >> i) & 1 for i in range(3)]
-            assert vals[mask] == k3_cut.value(x)
+
+
+CUBE_ORACLES = {
+    "cut": lambda: cut_oracle(Graph(
+        5, [(0, 1, 2.0), (0, 3, 0.5), (1, 2, 3.0), (2, 4, 1.25), (3, 4, 4.0)],
+    )),
+    "multilinear": lambda: multilinear_oracle(MultilinearFunction(
+        5, [(1.5, {0}), (-2.0, {1, 3}), (0.25, {0, 2, 4}), (3.0, {1, 2, 3, 4})],
+    )),
+    "modular": lambda: modular_oracle([1.5, -2.0, 0.25, 3.0, -0.5]),
+    "logdet": lambda: logdet_oracle(LogDetDesign(
+        [np.array([[1.0], [0.5]]), np.array([[0.0], [2.0]]), np.array([[1.0, -1.0], [1.0, 1.0]])],
+        eps=0.5,
+    )),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CUBE_ORACLES))
+def test_values_on_cube_matches_pointwise(family):
+    f = CUBE_ORACLES[family]()
+    vals = f.values_on_cube()
+    assert vals.shape == (1 << f.n,)
+    for mask in range(1 << f.n):
+        x = [(mask >> i) & 1 for i in range(f.n)]
+        assert vals[mask] == f.value(x)
 
 
 class TestMultilinearFunction:
