@@ -223,7 +223,24 @@ def gradient_cut(ss: SSFunction, x_ref, t_ref: float = 0.0, lift=None, tol: floa
 # brute-force validity
 
 
-def validate_cut_bruteforce(cut: IntersectionCut, target, lift, corner=None, tol: float = CUT_TOL) -> bool:
+def _lifted_cube(target, lift):
+    """The binary points on the target's side, lifted (t = 0), and their t caps."""
+    if isinstance(target, SSFunction):
+        level = target.level
+        vals = target.f1.values_on_cube() - target.f2.values_on_cube()
+    else:
+        level = 1
+        vals = target.values_on_cube()
+    z_pts = lift.full_point(np.concatenate(list(cube_chunks(target.n))), 0.0)
+    if level == 1:
+        return z_pts, vals
+    keep = vals >= -1e-12
+    return z_pts[keep], np.full(int(keep.sum()), math.inf)
+
+
+def validate_cut_bruteforce(
+    cut: IntersectionCut, target, lift, corner=None, tol: float = CUT_TOL, cubes: dict = None
+) -> bool:
     """Check the cut against every binary point on the target's side.
 
     For each binary x the relevant t values form an interval: bounded above
@@ -232,22 +249,18 @@ def validate_cut_bruteforce(cut: IntersectionCut, target, lift, corner=None, tol
     is given.  The cut is affine in t, so only the worse endpoint needs
     evaluating; an empty interval exempts the point, and a cut leaning on
     an unbounded t direction fails.  Guarded.
+
+    ``cubes`` is an optional dict that a caller checking many cuts under
+    one lift keeps across calls: the lifted points of each target are
+    computed on its first call and reused after that.
     """
     check_capacity("cut validation", target.n)
-    if isinstance(target, SSFunction):
-        level = target.level
-        vals = target.f1.values_on_cube() - target.f2.values_on_cube()
+    if cubes is None:
+        z_pts, cap = _lifted_cube(target, lift)
     else:
-        level = 1
-        vals = target.values_on_cube()
-    z_pts = lift.full_point(np.concatenate(list(cube_chunks(target.n))), 0.0)
-
-    if level == 1:
-        cap = vals
-    else:
-        keep = vals >= -1e-12
-        z_pts = z_pts[keep]
-        cap = np.full(z_pts.shape[0], math.inf)
+        if id(target) not in cubes:
+            cubes[id(target)] = _lifted_cube(target, lift)
+        z_pts, cap = cubes[id(target)]
     if z_pts.shape[0] == 0:
         return True
 

@@ -10,7 +10,6 @@ reference-optimum lookup (brute force for small n, sidecar file beyond).
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import math
 import time
@@ -87,11 +86,6 @@ class RunConfig:
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         return cls(**{k: v for k, v in data.items() if k in known})
-
-    @classmethod
-    def from_json(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass
@@ -204,6 +198,7 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
     rounds_run = 0
     sep_s = 0.0
     failed = False
+    cubes = {}  # lifted cube points per target, for cut validation
 
     def finish() -> RootNodeReport:
         return RootNodeReport(
@@ -272,7 +267,7 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
         for cut, target in batch:
             if check:
                 cut_corner = None if cut.kind == "grad" else corner
-                if not validate_cut_bruteforce(cut, target, lift, corner=cut_corner):
+                if not validate_cut_bruteforce(cut, target, lift, corner=cut_corner, cubes=cubes):
                     raise NumericError(
                         f"{cut.kind} cut failed brute-force validation on {instance!r}"
                     )

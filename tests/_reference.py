@@ -141,3 +141,36 @@ def is_submodular_pairs(values, n, tol=1e-9):
 
 
 K3_EDGES = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
+
+
+def ratio_test_sequential(rate, bvals, blo, bhi, basis, pivot_tol, degen_tol, upper, lower):
+    """The simplex ratio test as a row-by-row scan over numpy scalars.
+
+    Rising rows against their upper bounds first, then falling rows against
+    their lower bounds, each in ascending row order; a row takes the block
+    when its step is shorter by more than degen_tol, or ties within it and
+    its basic column has the lower index.  Returns (row_step, block, side),
+    side being ``upper`` or ``lower`` (0 when no row blocks).
+    """
+    row_step = math.inf
+    block = -1
+    block_side = 0
+    for i in np.nonzero(rate > pivot_tol)[0]:
+        if not np.isfinite(bhi[i]):
+            continue
+        s = max((bhi[i] - bvals[i]) / rate[i], 0.0)
+        if s < row_step - degen_tol or (
+            s <= row_step + degen_tol and block >= 0 and basis[i] < basis[block]
+        ):
+            row_step = min(s, row_step)
+            block, block_side = i, upper
+    for i in np.nonzero(rate < -pivot_tol)[0]:
+        if not np.isfinite(blo[i]):
+            continue
+        s = max((bvals[i] - blo[i]) / (-rate[i]), 0.0)
+        if s < row_step - degen_tol or (
+            s <= row_step + degen_tol and block >= 0 and basis[i] < basis[block]
+        ):
+            row_step = min(s, row_step)
+            block, block_side = i, lower
+    return row_step, block, block_side

@@ -84,12 +84,6 @@ class TestRunConfig:
         cfg = RunConfig.from_dict({"rounds": 4, "modes": ["none", "split"]})
         assert cfg.rounds == 4
 
-    def test_from_json(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"mode": "split", "rounds": 2}))
-        cfg = RunConfig.from_json(path)
-        assert cfg.mode == "split" and cfg.rounds == 2
-
 
 class TestMetrics:
     def test_closed_gap_full(self):

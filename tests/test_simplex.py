@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import _reference as ref
+from subcut import simplex
 from subcut.errors import NumericError
 from subcut.simplex import (
     INFEASIBLE,
@@ -353,6 +354,75 @@ class TestAgainstEnumeration:
                 assert sol.objective == pytest.approx(want, abs=1e-8)
                 solved += 1
         assert solved >= 10  # the generator must exercise the optimal path
+
+
+def _ratio_cases(st):
+    """Ratio-test inputs built around the tie rule.
+
+    Each row's step is a shared base plus a multiple of DEGEN_TOL / 2, so
+    many steps lie within DEGEN_TOL of each other; multiples below zero put
+    the basic value past its bound (a negative raw step).  Rates include
+    +-PIVOT_TOL and its neighbouring doubles, bounds may be infinite on
+    either side, and basis indices are distinct but unordered.
+    """
+    tol = simplex.PIVOT_TOL
+    rates = st.sampled_from(
+        [0.0, tol, float(np.nextafter(tol, 0.0)), float(np.nextafter(tol, 1.0)),
+         2 * tol, 0.25, 1.0, 3.0]
+    ).flatmap(lambda r: st.sampled_from([r, -r]))
+    values = st.sampled_from([0.0, 0.5, 1.0, -2.0, 3.75]) | st.floats(-4.0, 4.0)
+
+    @st.composite
+    def cases(draw):
+        m = draw(st.integers(1, 20))
+        base = draw(st.sampled_from([0.0, 0.3, 1.0]))
+        rate = np.empty(m)
+        bvals = np.empty(m)
+        blo = np.empty(m)
+        bhi = np.empty(m)
+        for i in range(m):
+            r, v = draw(rates), draw(values)
+            step = base + draw(st.integers(-2, 6)) * (simplex.DEGEN_TOL / 2)
+            near = v + step * r  # the bound this row runs into
+            far_lo = v - draw(st.sampled_from([0.0, 1.0, math.inf]))
+            far_hi = v + draw(st.sampled_from([0.0, 1.0, math.inf]))
+            rate[i], bvals[i] = r, v
+            blo[i] = near if r < 0 else far_lo
+            bhi[i] = near if r > 0 else far_hi
+            if draw(st.integers(0, 5)) == 0:  # the binding bound is infinite
+                if r < 0:
+                    blo[i] = -math.inf
+                else:
+                    bhi[i] = math.inf
+        basis = np.array(draw(st.lists(st.integers(0, 60), min_size=m, max_size=m, unique=True)))
+        return rate, bvals, blo, bhi, basis
+
+    return cases()
+
+
+class TestRatioTest:
+    def test_matches_sequential_rule(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=400, deadline=None)
+        @hypothesis.given(_ratio_cases(hypothesis.strategies))
+        def check(case):
+            got = simplex._ratio_test(*case)
+            want = ref.ratio_test_sequential(
+                *case, simplex.PIVOT_TOL, simplex.DEGEN_TOL, simplex._AT_UPPER, simplex._AT_LOWER
+            )
+            assert float(got[0]).hex() == float(want[0]).hex()  # same double, signed zero too
+            assert got[1:] == (int(want[1]), want[2])
+
+        check()
+
+    def test_tie_goes_to_lower_column(self):
+        # the two rows stop 5e-11 apart, within DEGEN_TOL; row 1's basic column is lower
+        rate = np.array([1.0, -1.0])
+        got = simplex._ratio_test(
+            rate, np.zeros(2), np.array([-1.0, -1.0 + 5e-11]), np.array([1.0, 1.0]), np.array([7, 3])
+        )
+        assert got == (1.0 - 5e-11, 1, simplex._AT_LOWER)
 
 
 class TestLpFormat:
