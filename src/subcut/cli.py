@@ -72,9 +72,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 def cmd_root(args) -> int:
     config = RunConfig(mode=args.cuts, rounds=args.rounds,
-                       max_cuts_per_round=args.max_cuts, primal=args.primal,
-                       validate_cuts=args.validate)
-    report = harness.run_instance(args.instance, config)
+                       max_cuts_per_round=args.max_cuts, validate_cuts=args.validate)
+    report = harness.run_instance(args.instance, config, primal=args.primal)
     print(harness.CSV_HEADER)
     print(report.csv_row())
     if report.failed:
@@ -173,14 +172,16 @@ def cmd_bench(args) -> int:
     if not paths:
         print(f"no .mc or .pol instances under {directory}", file=sys.stderr)
         return 1
-    modes = None
+    config, modes = RunConfig(), None
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-        config = RunConfig.from_dict(raw)
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+            config = RunConfig.from_dict(raw)
+        except (OSError, TypeError, ValueError) as exc:
+            print(f"error: bad config {args.config}: {exc}", file=sys.stderr)
+            return 2
         modes = raw.get("modes")
-    else:
-        config = RunConfig()
     reports = harness.run_benchmark(paths, config, modes=modes)
     if args.report:
         harness.write_report_csv(reports, args.report)

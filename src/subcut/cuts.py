@@ -6,6 +6,13 @@ linear and positive at the apex.  A hybrid discrete Newton search finds
 its root (the step length); the reciprocal step lengths then define a
 valid inequality in the ray multipliers that is mapped back to the
 original variables through the affine forms carried by the rays.
+
+Separation settings are module constants, read at call time:
+NEWTON_START, NEWTON_MAX_STEPS, ETA_INF and ROOT_TOL drive the step
+search; MIN_STEP is the step floor below which the apex counts as on the
+boundary; EFFICACY_MIN and DYNAMIC_RANGE_MAX filter assembled cuts; and
+CUT_TOL is the satisfaction and validation slack.  Apex interiority uses
+``sfree.INTERIOR_TOL``.
 """
 
 from __future__ import annotations
@@ -67,35 +74,30 @@ class StepResult(NamedTuple):
     iterations: int
 
 
-def step_length(
-    zf: ZetaFunction,
-    start: float = NEWTON_START,
-    max_steps: int = NEWTON_MAX_STEPS,
-    eta_inf: float = ETA_INF,
-    tol: float = ROOT_TOL,
-) -> StepResult:
+def step_length(zf: ZetaFunction) -> StepResult:
     """Root of zeta on (0, +inf], by safeguarded discrete Newton.
 
-    If the ray still sees positive margin at eta_inf the step is +inf.
-    Negative slope estimates give Newton steps; flat or rising stretches
-    double eta.  Raises SeparationBudget after max_steps evaluations.
+    If the ray still sees positive margin at ETA_INF the step is +inf.
+    Starting from NEWTON_START, negative slope estimates give Newton
+    steps and flat or rising stretches double eta, until |zeta| <=
+    ROOT_TOL.  Raises SeparationBudget after NEWTON_MAX_STEPS evaluations.
     """
     value0, _ = zf.eval(0.0)
     if value0 <= 0.0:
         raise ValueError(f"apex margin {value0} not positive; apex must be strictly interior")
-    far, _ = zf.eval(eta_inf)
+    far, _ = zf.eval(ETA_INF)
     if far > 0.0:
         return StepResult(math.inf, 0)
-    eta = start
-    for it in range(1, max_steps + 1):
+    eta = NEWTON_START
+    for it in range(1, NEWTON_MAX_STEPS + 1):
         value, slope = zf.eval(eta)
-        if abs(value) <= tol:
+        if abs(value) <= ROOT_TOL:
             return StepResult(eta, it)
         if slope < 0.0:
             eta = eta - value / slope
         else:
             eta = 2.0 * eta
-    raise SeparationBudget(f"no root within {max_steps} steps (eta = {eta:.6g})")
+    raise SeparationBudget(f"no root within {NEWTON_MAX_STEPS} steps (eta = {eta:.6g})")
 
 
 @dataclass
@@ -121,19 +123,7 @@ class IntersectionCut:
         return self.violation(z) <= tol
 
 
-def intersection_cut(
-    corner,
-    sfree: SFreeSet,
-    kind: str = None,
-    start: float = NEWTON_START,
-    max_steps: int = NEWTON_MAX_STEPS,
-    eta_inf: float = ETA_INF,
-    root_tol: float = ROOT_TOL,
-    interior_tol: float = None,
-    min_step: float = MIN_STEP,
-    efficacy_min: float = EFFICACY_MIN,
-    range_max: float = DYNAMIC_RANGE_MAX,
-):
+def intersection_cut(corner, sfree: SFreeSet):
     """Build the intersection cut of a projected corner with an S-free set.
 
     Returns None when no usable cut exists: apex not strictly interior,
@@ -143,8 +133,7 @@ def intersection_cut(
     """
     if corner.apex_x is None:
         raise ValueError("corner has no (x, t) projection; project it first")
-    kwargs = {} if interior_tol is None else {"tol": interior_tol}
-    label, _ = interiority(sfree, corner.apex_x, corner.apex_t, **kwargs)
+    label, _ = interiority(sfree, corner.apex_x, corner.apex_t)
     if label != STRICT_INTERIOR:
         return None
 
@@ -153,10 +142,10 @@ def intersection_cut(
     for ray in corner.rays:
         zf = ZetaFunction(sfree, corner.apex_x, corner.apex_t, ray.x_dir, ray.t_dir)
         try:
-            res = step_length(zf, start=start, max_steps=max_steps, eta_inf=eta_inf, tol=root_tol)
+            res = step_length(zf)
         except SeparationBudget:
             return None
-        if math.isfinite(res.eta) and res.eta < min_step:
+        if math.isfinite(res.eta) and res.eta < MIN_STEP:
             return None  # apex numerically on the boundary; skip the cut
         steps.append(res.eta)
         newton_total += res.iterations
@@ -176,15 +165,15 @@ def intersection_cut(
     if norm <= 1e-12:
         return None
     mags = np.abs(coef[np.abs(coef) > 1e-12])
-    if mags.size and mags.max() / mags.min() > range_max:
+    if mags.size and mags.max() / mags.min() > DYNAMIC_RANGE_MAX:
         return None
     efficacy = (rhs - float(coef @ corner.apex)) / norm
-    if efficacy < efficacy_min:
+    if efficacy < EFFICACY_MIN:
         return None
     return _log_cut(IntersectionCut(
         coef=coef,
         rhs=rhs,
-        kind=kind or sfree.kind,
+        kind=sfree.kind,
         efficacy=efficacy,
         steps=steps,
         newton_iters=newton_total,
@@ -192,20 +181,21 @@ def intersection_cut(
     ))
 
 
-def gradient_cut(ss: SSFunction, x_ref, t_ref: float = 0.0, lift=None, tol: float = 1e-9):
+def gradient_cut(ss: SSFunction, x_ref, t_ref: float = 0.0, lift=None):
     """Outer-approximation cut for a purely supermodular target (f1 == 0).
 
     With gamma an envelope subgradient of f2 at the reference point, every
     target point satisfies gamma . x + level * t <= 0.  Returns None when
-    the reference point does not violate that inequality (nothing to cut)
-    or the subgradient vanishes.
+    the reference point does not violate that inequality by more than
+    1e-9 (nothing to cut), the subgradient vanishes, or the cut's
+    efficacy is below EFFICACY_MIN.
     """
     if not ss.f1.trivially_zero:
         raise ValueError("gradient cut requires the submodular part to be identically zero")
     x_ref = np.asarray(x_ref, dtype=float)
     gamma = envelope_eval(ss.f2, x_ref).subgradient
     violation = float(gamma @ x_ref) + ss.level * float(t_ref)
-    if violation <= tol:
+    if violation <= 1e-9:
         return None
     if lift is None:
         coef = np.append(-gamma, -float(ss.level))
@@ -216,7 +206,10 @@ def gradient_cut(ss: SSFunction, x_ref, t_ref: float = 0.0, lift=None, tol: floa
     norm = float(np.linalg.norm(coef))
     if norm <= 1e-12:
         return None
-    return _log_cut(IntersectionCut(coef=coef, rhs=0.0, kind="grad", efficacy=violation / norm))
+    efficacy = violation / norm
+    if efficacy < EFFICACY_MIN:
+        return None
+    return _log_cut(IntersectionCut(coef=coef, rhs=0.0, kind="grad", efficacy=efficacy))
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +257,7 @@ def validate_cut_bruteforce(
     if z_pts.shape[0] == 0:
         return True
 
-    # t-interval each point may occupy inside the corner (whole line if none)
-    t_lo = np.full(z_pts.shape[0], -math.inf)
-    t_hi = np.full(z_pts.shape[0], math.inf)
-    if corner is not None:
-        for ray in corner.rays:
-            a = float(ray.eta_coef[lift.t_col])
-            rest = z_pts @ ray.eta_coef + ray.eta_off  # t entries are zero here
-            if abs(a) <= 1e-14:
-                t_lo[rest < -tol] = math.inf  # line misses the corner entirely
-            elif a > 0:
-                np.maximum(t_lo, -rest / a, out=t_lo)
-            else:
-                np.minimum(t_hi, -rest / a, out=t_hi)
+    t_lo, t_hi = _corner_t_interval(z_pts, corner, lift.t_col, tol)
     t_hi = np.minimum(t_hi, cap)
     alive = t_lo <= t_hi + tol
     if not alive.any():
@@ -297,6 +278,32 @@ def validate_cut_bruteforce(
         if _reachable(corner, z_pts[k], lift.t_col, float(probe[k])):
             return False
     return True
+
+
+def _corner_t_interval(z_pts, corner, t_col, tol):
+    """The interval [t_lo, t_hi] of t each point (t entry zero) may take in the corner.
+
+    All rays at once: a ray whose eta rises with t bounds t below, one
+    whose eta falls bounds it above, and a ray flat in t excludes the
+    point (t_lo = inf) when its eta is below -tol.  Without a corner every
+    interval is the whole line.
+    """
+    t_lo = np.full(z_pts.shape[0], -math.inf)
+    t_hi = np.full(z_pts.shape[0], math.inf)
+    if corner is None or not corner.rays:
+        return t_lo, t_hi
+    G = np.array([ray.eta_coef for ray in corner.rays])
+    rest = z_pts @ G.T + np.array([ray.eta_off for ray in corner.rays])
+    a = G[:, t_col]
+    flat = np.abs(a) <= 1e-14
+    up = ~flat & (a > 0)
+    down = ~flat & (a < 0)
+    if up.any():
+        t_lo = np.max(-rest[:, up] / a[up], axis=1)
+    if down.any():
+        t_hi = np.min(-rest[:, down] / a[down], axis=1)
+    t_lo[np.any(rest[:, flat] < -tol, axis=1)] = math.inf
+    return t_lo, t_hi
 
 
 def _reachable(corner, z, t_col, t_val) -> bool:

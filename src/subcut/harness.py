@@ -43,26 +43,22 @@ from .sfree import LiftedSplit, build_reverse_linearized
 logger = logging.getLogger(__name__)
 
 MODES = ("none", "split", "submodular", "ss", "both")
+BINARY_TOL = 1e-6  # an LP value within this of 0 or 1 counts as integral
 CSV_HEADER = "instance,mode,d1,d2,p,closed,cuts,sep_time_ms,total_time_ms"
 
 
 @dataclass
 class RunConfig:
-    """Knobs for one root-node run; mirrors the JSON config files."""
+    """Settings of one root-node run; mirrors the JSON config files.
+
+    The separation tolerances and budgets are not run settings: they are
+    the constants of ``subcut.cuts`` (and ``sfree.INTERIOR_TOL``,
+    ``BINARY_TOL``).
+    """
 
     mode: str = "submodular"
     rounds: int = 10
     max_cuts_per_round: int = 50
-    newton_start: float = 0.2
-    newton_max_steps: int = 500
-    eta_inf: float = 1e9
-    root_tol: float = 1e-9
-    interior_tol: float = 1e-7
-    min_step: float = 1e-6
-    efficacy_min: float = 1e-4
-    range_max: float = 1e8
-    binary_tol: float = 1e-6
-    primal: float = None  # reference optimum; None = sidecar file or brute force
     validate_cuts: str = "auto"  # "auto" (up to the cut validation capacity), "on", "off"
 
     def __post_init__(self):
@@ -74,17 +70,20 @@ class RunConfig:
             raise ValueError("max_cuts_per_round must be >= 1")
         if self.validate_cuts not in ("auto", "on", "off"):
             raise ValueError(f"validate_cuts must be auto/on/off, got {self.validate_cuts!r}")
-        for name in ("newton_start", "eta_inf", "root_tol", "interior_tol",
-                     "min_step", "efficacy_min", "range_max", "binary_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(data) - known - {"modes"}  # "modes" is a benchmark-level key
+        """The config of a JSON object; its benchmark-level "modes" list is checked, not kept."""
+        known = [f.name for f in dataclasses.fields(cls)]
+        accepted = ", ".join(known + ["modes"])
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object with keys from {accepted}")
+        extra = set(data) - set(known) - {"modes"}
         if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
+            raise ValueError(f"unknown config keys {sorted(extra)}; accepted keys: {accepted}")
+        modes = data.get("modes", list(MODES))
+        if not isinstance(modes, list) or not modes or any(m not in MODES for m in modes):
+            raise ValueError(f"modes must be a non-empty list of entries from {MODES}, got {modes!r}")
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
@@ -132,15 +131,15 @@ def closed_gap(d1: float, d2: float, p: float, tol: float = 1e-9) -> float:
     return (d1 - d2) / denom
 
 
-def split_selector(x, tol: float = 1e-6):
+def split_selector(x):
     """Index of the most fractional entry (largest min(x_j, 1-x_j)).
 
     Ties break to the smallest index; returns None when every entry is
-    integral within tol.
+    integral within BINARY_TOL.
     """
     x = np.asarray(x, dtype=float)
     frac = np.minimum(x, 1.0 - x)
-    if np.all(frac <= tol):
+    if np.all(frac <= BINARY_TOL):
         return None
     return int(np.argmax(frac))
 
@@ -153,11 +152,11 @@ def _target_route(ss, x_bar, use_gradient: bool):
     return ("set", build_reverse_linearized(ss, x_bar), ss)
 
 
-def _candidates(mode: str, targets, lift, x_bar, binary_tol: float):
+def _candidates(mode: str, targets, lift, x_bar):
     """Separation worklist for one round: (route, payload, target) triples."""
     out = []
     if mode in ("split", "both"):
-        j = split_selector(x_bar, binary_tol)
+        j = split_selector(x_bar)
         if j is not None:
             out.append(("set", LiftedSplit(j, lift.n), targets[0]))
     if mode == "submodular":
@@ -190,8 +189,7 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
     if not targets:
         raise ModelError("at least one separation target is required")
     t0 = time.perf_counter()
-    p = config.primal if config.primal is not None else primal
-    p = math.nan if p is None else float(p)
+    p = math.nan if primal is None else float(primal)
     d1 = d2 = math.nan
     cuts_added = 0
     skipped = 0
@@ -228,32 +226,19 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
 
     for _ in range(config.rounds):
         x_bar = sol.x[lift.x_cols]
-        if np.all(np.abs(x_bar - np.round(x_bar)) <= config.binary_tol):
+        if np.all(np.abs(x_bar - np.round(x_bar)) <= BINARY_TOL):
             break  # vertex already binary in x; nothing to separate
         rounds_run += 1
         s0 = time.perf_counter()
         corner = project_corner(simplex.corner(sol, model), lift)
         batch = []
-        for route, payload, target in _candidates(config.mode, targets, lift, x_bar, config.binary_tol):
+        for route, payload, target in _candidates(config.mode, targets, lift, x_bar):
             if len(batch) >= config.max_cuts_per_round:
                 break
             if route == "grad":
                 cut = gradient_cut(payload, x_bar, corner.apex_t, lift)
-                if cut is not None and cut.efficacy < config.efficacy_min:
-                    cut = None
             else:
-                cut = intersection_cut(
-                    corner,
-                    payload,
-                    start=config.newton_start,
-                    max_steps=config.newton_max_steps,
-                    eta_inf=config.eta_inf,
-                    root_tol=config.root_tol,
-                    interior_tol=config.interior_tol,
-                    min_step=config.min_step,
-                    efficacy_min=config.efficacy_min,
-                    range_max=config.range_max,
-                )
+                cut = intersection_cut(corner, payload)
             if cut is None:
                 skipped += 1
                 continue
@@ -504,12 +489,11 @@ def build_model(problem):
     raise ModelError(f"cannot build a model from {type(problem).__name__}")
 
 
-def run_instance(path, config: RunConfig, name: str = None) -> RootNodeReport:
+def run_instance(path, config: RunConfig, name: str = None, primal: float = None) -> RootNodeReport:
+    """One root-node run; ``primal`` overrides the reference optimum lookup."""
     path = Path(path)
     problem = load_instance(path)
-    if config.primal is not None:
-        primal = config.primal
-    else:
+    if primal is None:
         primal = reference_primal(problem, path)
     model, targets, lift = build_model(problem)
     return root_loop(model, targets, lift, config,

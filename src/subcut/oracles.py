@@ -1,9 +1,9 @@
 """Set-function value oracles on the Boolean cube.
 
-Concrete families: graph cut functions, multilinear polynomials, modular
-functions, and regularized log-determinant designs.  Every oracle is
-normalized so the all-zero point evaluates to exactly 0; the raw value at
-the origin is kept in ``offset`` so results can be translated back.
+Concrete families: graph cut functions, multilinear polynomials and
+modular functions.  Every oracle is normalized so the all-zero point
+evaluates to exactly 0; the raw value at the origin is kept in ``offset``
+so results can be translated back.
 
 Also holds the two instance file formats: a weighted edge list for graphs
 and a term list for multilinear polynomials.
@@ -11,11 +11,11 @@ and a term list for multilinear polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, NumericError, check_capacity
+from .errors import ModelError, check_capacity
 
 SUBMODULARITY_TOL = 1e-9
 CUBE_CHUNK = 1 << 14
@@ -336,53 +336,6 @@ def ss_decompose(poly: MultilinearFunction, level: int = 1) -> SSFunction:
     neg = MultilinearFunction(poly.n, [(a, s) for a, s in poly.terms if a < 0])
     pos = MultilinearFunction(poly.n, [(-a, s) for a, s in poly.terms if a > 0])
     return SSFunction(multilinear_oracle(neg), multilinear_oracle(pos), level=level)
-
-
-# ---------------------------------------------------------------------------
-# log-determinant designs
-
-
-@dataclass
-class LogDetDesign:
-    """Experiment-selection data: one m x r_j factor per candidate, plus a ridge."""
-
-    factors: list
-    eps: float = 1e-3
-
-    def __post_init__(self):
-        if not self.factors:
-            raise ModelError("design needs at least one candidate factor")
-        if self.eps <= 0:
-            raise ModelError(f"ridge eps must be positive, got {self.eps}")
-        rows = {np.asarray(f).shape[0] for f in self.factors}
-        if len(rows) != 1:
-            raise ModelError(f"factor row counts differ: {sorted(rows)}")
-        self.factors = [np.atleast_2d(np.asarray(f, dtype=float)) for f in self.factors]
-
-    @property
-    def m(self) -> int:
-        return self.factors[0].shape[0]
-
-
-def logdet_oracle(design: LogDetDesign) -> SubmodularOracle:
-    """log det(eps I + sum_j x_j M_j M_j^T), normalized to 0 at the origin."""
-    m = design.m
-    grams = [f @ f.T for f in design.factors]
-
-    def raw(x):
-        a = design.eps * np.eye(m)
-        for xj, g in zip(x, grams):
-            if xj != 0.0:
-                a = a + xj * g
-        try:
-            chol = np.linalg.cholesky(a)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"information matrix not positive definite: {exc}") from exc
-        return 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-    oracle = SubmodularOracle(len(design.factors), raw, name="logdet")
-    oracle.design = design
-    return oracle
 
 
 # ---------------------------------------------------------------------------

@@ -174,3 +174,25 @@ def ratio_test_sequential(rate, bvals, blo, bhi, basis, pivot_tol, degen_tol, up
             row_step = min(s, row_step)
             block, block_side = i, lower
     return row_step, block, block_side
+
+
+def corner_t_interval_loop(z_pts, rays, t_col, tol):
+    """Per-point t interval inside a corner, one ray at a time.
+
+    Each point z (t entry zero) may take t in [t_lo, t_hi]: a ray whose eta
+    form rises with t bounds t below, one that falls bounds it above, and
+    a ray with a flat t coefficient excludes the point (t_lo = inf) when
+    its eta is below -tol.
+    """
+    t_lo = np.full(z_pts.shape[0], -math.inf)
+    t_hi = np.full(z_pts.shape[0], math.inf)
+    for ray in rays:
+        a = float(ray.eta_coef[t_col])
+        rest = z_pts @ ray.eta_coef + ray.eta_off
+        if abs(a) <= 1e-14:
+            t_lo[rest < -tol] = math.inf
+        elif a > 0:
+            np.maximum(t_lo, -rest / a, out=t_lo)
+        else:
+            np.minimum(t_hi, -rest / a, out=t_hi)
+    return t_lo, t_hi

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import _reference as ref
+from subcut import cuts
 from subcut.cuts import (
     EFFICACY_MIN,
     IntersectionCut,
@@ -175,13 +176,14 @@ class TestStepLength:
         with pytest.raises(ValueError):
             step_length(zf)
 
-    def test_budget_exhausted(self, k3_cut):
+    def test_budget_exhausted(self, k3_cut, monkeypatch):
+        monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", 1)
         zf = ZetaFunction(
             EnvelopeEpigraph(k3_cut), np.array([0.5, 0.5, 0.5]), 1.5,
             np.array([1.0, 0.0, 0.0]), 0.0,
         )
         with pytest.raises(SeparationBudget):
-            step_length(zf, max_steps=1)
+            step_length(zf)
 
     def test_root_uniqueness_on_examples(self, k3_cut):
         cases = [
@@ -330,13 +332,15 @@ class TestIntersectionCut:
         cp.apex[3] = 2e-7
         assert intersection_cut(cp, EnvelopeEpigraph(k3_cut)) is None
 
-    def test_efficacy_filter(self, k3_cut):
+    def test_efficacy_filter(self, k3_cut, monkeypatch):
+        monkeypatch.setattr(cuts, "EFFICACY_MIN", 10.0)
         cp, _ = k3_corner()
-        assert intersection_cut(cp, EnvelopeEpigraph(k3_cut), efficacy_min=10.0) is None
+        assert intersection_cut(cp, EnvelopeEpigraph(k3_cut)) is None
 
-    def test_dynamic_range_filter(self, k3_cut):
+    def test_dynamic_range_filter(self, k3_cut, monkeypatch):
+        monkeypatch.setattr(cuts, "DYNAMIC_RANGE_MAX", 1.5)
         cp, _ = k3_corner()
-        assert intersection_cut(cp, EnvelopeEpigraph(k3_cut), range_max=1.5) is None
+        assert intersection_cut(cp, EnvelopeEpigraph(k3_cut)) is None
 
     def test_unprojected_corner_rejected(self, k3_cut):
         cp, _ = k3_corner()
@@ -392,6 +396,13 @@ class TestGradientCut:
         ss = ss_decompose(poly)
         assert gradient_cut(ss, [1.0, 1.0], t_ref=0.0) is None
 
+    def test_efficacy_filter(self, monkeypatch):
+        poly = MultilinearFunction(2, [(3.0, {0, 1})])
+        ss = ss_decompose(poly)
+        efficacy = gradient_cut(ss, [1.0, 1.0], t_ref=4.0).efficacy
+        monkeypatch.setattr(cuts, "EFFICACY_MIN", 2.0 * efficacy)
+        assert gradient_cut(ss, [1.0, 1.0], t_ref=4.0) is None
+
     def test_zero_function_rejected(self):
         ss = SSFunction(zero_oracle(2), zero_oracle(2), level=0)
         assert gradient_cut(ss, [1.0, 0.5]) is None
@@ -434,6 +445,24 @@ class TestValidateCut:
         message = r"cut validation limited to n <= 12, got n = 15"
         with pytest.raises(CapacityError, match=message):
             validate_cut_bruteforce(cut, modular_oracle(np.ones(n)), lift)
+
+    def test_t_interval_matches_ray_loop(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            ncols = int(rng.integers(2, 8))
+            t_col = ncols - 1
+            z_pts = rng.integers(0, 2, size=(int(rng.integers(1, 40)), ncols)).astype(float)
+            z_pts[:, t_col] = 0.0
+            rays = []
+            for _ in range(int(rng.integers(1, 9))):
+                coef = rng.normal(size=ncols)
+                coef[t_col] = rng.choice([0.0, 1e-15, coef[t_col]])
+                rays.append(make_ray(np.zeros(ncols), coef, float(rng.normal()), ncols - 1))
+            cp = CornerPolyhedron(apex=np.zeros(ncols), rays=rays)
+            lo, hi = cuts._corner_t_interval(z_pts, cp, t_col, 1e-7)
+            ref_lo, ref_hi = ref.corner_t_interval_loop(z_pts, rays, t_col, 1e-7)
+            assert lo == pytest.approx(ref_lo, rel=1e-12, abs=1e-12)
+            assert hi == pytest.approx(ref_hi, rel=1e-12, abs=1e-12)
 
     def test_emitted_cuts_always_validate(self):
         rng = np.random.default_rng(13)

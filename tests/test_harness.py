@@ -67,8 +67,10 @@ class TestRunConfig:
             RunConfig(rounds=-1)
 
     def test_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            RunConfig(efficacy_min=0.0)
+        # separation tolerances are cuts.py constants, so any value is an unknown key
+        for value in (0.0, 1e-3):
+            with pytest.raises(ValueError, match="unknown config keys"):
+                RunConfig.from_dict({"efficacy_min": value})
 
     def test_bad_validation_switch(self):
         with pytest.raises(ValueError):
@@ -391,7 +393,7 @@ class TestRootLoop:
 
     def test_primal_override(self):
         model, targets, lift = k3_setup()
-        rep = root_loop(model, targets, lift, RunConfig(mode="none", primal=1.23))
+        rep = root_loop(model, targets, lift, RunConfig(mode="none"), primal=1.23)
         assert rep.p == 1.23
 
     def test_requires_targets(self):
@@ -491,6 +493,25 @@ class TestCli:
         lines = report.read_text().strip().split("\n")
         assert len(lines) == 5  # header + 2 instances x 2 modes
 
+    @pytest.mark.parametrize("config", [
+        {"rounds": 2, "cleverness": 11},
+        {"rounds": 2, "efficacy_min": 1e-3},  # a separation constant, not a run setting
+        {"modes": ["none", "split", "everything"]},
+        {"modes": "none"},
+    ])
+    def test_bench_bad_config(self, tmp_path, capsys, config):
+        generate_instances("g05", 6, count=1, seed=0, out_dir=tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc = cli.main(["bench", str(tmp_path), "--config", str(cfg)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the first run
+        (line,) = captured.err.strip().split("\n")
+        assert line.startswith("error: bad config")
+        if "modes" not in config:
+            assert "accepted keys: mode, rounds, max_cuts_per_round, validate_cuts, modes" in line
+
     def test_bench_empty_directory(self, tmp_path, capsys):
         rc = cli.main(["bench", str(tmp_path)])
         assert rc == 1
@@ -501,3 +522,12 @@ class TestCli:
         write_graph(Graph(21, [(0, 1, 1.0)]), path)
         rc = cli.main(["root", str(path)])
         assert rc == 2
+
+    def test_root_primal_override(self, tmp_path, capsys):
+        # the same graph runs when --primal spares the brute force
+        path = tmp_path / "big.mc"
+        write_graph(Graph(21, [(0, 1, 1.0)]), path)
+        rc = cli.main(["root", str(path), "--primal", "1"])
+        assert rc == 0
+        cells = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert cells[0] == "big" and float(cells[4]) == 1.0

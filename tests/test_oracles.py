@@ -7,12 +7,11 @@ import _reference as ref
 from subcut.errors import CapacityError, ModelError
 from subcut.oracles import (
     Graph,
-    LogDetDesign,
     MultilinearFunction,
     SSFunction,
+    SubmodularOracle,
     cut_oracle,
     is_submodular_bruteforce,
-    logdet_oracle,
     modular_oracle,
     multilinear_oracle,
     read_graph,
@@ -114,10 +113,9 @@ CUBE_ORACLES = {
         5, [(1.5, {0}), (-2.0, {1, 3}), (0.25, {0, 2, 4}), (3.0, {1, 2, 3, 4})],
     )),
     "modular": lambda: modular_oracle([1.5, -2.0, 0.25, 3.0, -0.5]),
-    "logdet": lambda: logdet_oracle(LogDetDesign(
-        [np.array([[1.0], [0.5]]), np.array([[0.0], [2.0]]), np.array([[1.0, -1.0], [1.0, 1.0]])],
-        eps=0.5,
-    )),
+    "callback": lambda: SubmodularOracle(
+        4, lambda x: math.sqrt(1.0 + x @ [1.0, 2.0, 0.5, 3.0]) - 0.25 * x[0] * x[3],
+    ),
 }
 
 
@@ -254,39 +252,6 @@ class TestModular:
         assert not modular_oracle([0.0, 1.0]).trivially_zero
 
 
-class TestLogDet:
-    def test_single_unit_factor(self):
-        d = LogDetDesign([np.array([[1.0]])], eps=1.0)
-        f = logdet_oracle(d)
-        assert f.value([1]) == pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_zero_point(self):
-        d = LogDetDesign([np.array([[1.0]]), np.array([[2.0]])], eps=0.5)
-        assert logdet_oracle(d).value([0, 0]) == 0.0
-
-    def test_two_unit_factors(self):
-        d = LogDetDesign([np.array([[1.0]]), np.array([[1.0]])], eps=1.0)
-        f = logdet_oracle(d)
-        assert f.value([1, 1]) == pytest.approx(math.log(3.0), abs=1e-12)
-
-    def test_bad_eps_rejected(self):
-        with pytest.raises(ModelError):
-            LogDetDesign([np.array([[1.0]])], eps=0.0)
-
-    def test_row_mismatch_rejected(self):
-        with pytest.raises(ModelError):
-            LogDetDesign([np.eye(2), np.eye(3)])
-
-    def test_submodular_on_gaussian_designs(self):
-        rng = np.random.default_rng(5)
-        for _ in range(6):
-            n = int(rng.integers(2, 6))
-            m = int(rng.integers(1, 4))
-            factors = [rng.normal(size=(m, int(rng.integers(1, 3)))) for _ in range(n)]
-            f = logdet_oracle(LogDetDesign(factors, eps=0.8))
-            assert is_submodular_bruteforce(f)
-
-
 class TestIsSubmodular:
     def test_triangle_cut(self, k3_cut):
         assert is_submodular_bruteforce(k3_cut)
@@ -338,7 +303,6 @@ class TestNormalization:
             cut_oracle(Graph(3, ref.K3_EDGES)),
             multilinear_oracle(MultilinearFunction(3, [(2.0, {0, 2})])),
             modular_oracle([1.0, 2.0]),
-            logdet_oracle(LogDetDesign([np.eye(2)], eps=1.0)),
             zero_oracle(4),
         ]
         for f in oracles:
