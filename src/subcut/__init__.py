@@ -1,11 +1,11 @@
 """Intersection cuts for submodular and submodular-supermodular objectives.
 
 The pipeline: oracles evaluate set functions, envelope builds their convex
-extension from greedy vertices, sfree wraps the extension (and splits,
-reverse linearizations, chain covers) into free sets, simplex supplies LP
-optima with corner relaxations, cuts turns corner + free set into valid
-inequalities, models builds the lifted LPs, and harness runs the root-node
-experiments.
+extension from greedy vertices, sfree turns the extension (less a linear
+term for reverse linearizations), splits and chain covers into free sets,
+simplex supplies LP optima with corner relaxations, cuts turns corner +
+free set into valid inequalities, models builds the lifted LPs, and
+harness runs the root-node experiments.
 """
 
 from .cuts import IntersectionCut, gradient_cut, intersection_cut, step_length
@@ -29,9 +29,7 @@ from .sfree import (
     CoverRelaxation,
     EnvelopeEpigraph,
     LiftedSplit,
-    ReverseLinearized,
     build_reverse_linearized,
-    interiority,
 )
 from .simplex import LpModel, LpSolution, corner, solve
 
@@ -51,7 +49,6 @@ __all__ = [
     "ModelError",
     "MultilinearFunction",
     "NumericError",
-    "ReverseLinearized",
     "RootNodeReport",
     "RunConfig",
     "SSFunction",
@@ -65,7 +62,6 @@ __all__ = [
     "envelope_eval",
     "gradient_cut",
     "greedy_vertex",
-    "interiority",
     "intersection_cut",
     "is_submodular_bruteforce",
     "modular_oracle",

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import harness
 from .envelope import envelope_eval
-from .errors import CAPACITY, CapacityError
+from .errors import CAPACITY, CapacityError, ModelError
 from .harness import RunConfig
 from .models import BmpInstance
 from .oracles import (
@@ -212,7 +212,7 @@ def main(argv=None) -> int:
             return cmd_gen(args)
         if args.command == "bench":
             return cmd_bench(args)
-    except CapacityError as exc:
+    except (CapacityError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command}")

@@ -11,8 +11,9 @@ Separation settings are module constants, read at call time:
 NEWTON_START, NEWTON_MAX_STEPS, ETA_INF and ROOT_TOL drive the step
 search; MIN_STEP is the step floor below which the apex counts as on the
 boundary; EFFICACY_MIN and DYNAMIC_RANGE_MAX filter assembled cuts; and
-CUT_TOL is the satisfaction and validation slack.  Apex interiority uses
-``sfree.INTERIOR_TOL``.
+CUT_TOL is the satisfaction and validation slack.  The apex margin is
+computed once per cut: the apex counts as strictly interior when it
+exceeds ``sfree.INTERIOR_TOL``, and it is zeta(0) on every ray.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .envelope import envelope_eval
 from .errors import SeparationBudget, check_capacity
 from .oracles import SSFunction, cube_chunks
-from .sfree import STRICT_INTERIOR, SFreeSet, interiority
+from .sfree import INTERIOR_TOL, SFreeSet
 
 NEWTON_START = 0.2
 NEWTON_MAX_STEPS = 500
@@ -74,17 +75,17 @@ class StepResult(NamedTuple):
     iterations: int
 
 
-def step_length(zf: ZetaFunction) -> StepResult:
+def step_length(zf: ZetaFunction, zeta0: float) -> StepResult:
     """Root of zeta on (0, +inf], by safeguarded discrete Newton.
 
-    If the ray still sees positive margin at ETA_INF the step is +inf.
+    ``zeta0`` is zeta(0), the apex margin, which must be positive.  If the
+    ray still sees positive margin at ETA_INF the step is +inf.
     Starting from NEWTON_START, negative slope estimates give Newton
     steps and flat or rising stretches double eta, until |zeta| <=
     ROOT_TOL.  Raises SeparationBudget after NEWTON_MAX_STEPS evaluations.
     """
-    value0, _ = zf.eval(0.0)
-    if value0 <= 0.0:
-        raise ValueError(f"apex margin {value0} not positive; apex must be strictly interior")
+    if zeta0 <= 0.0:
+        raise ValueError(f"apex margin {zeta0} not positive; apex must be strictly interior")
     far, _ = zf.eval(ETA_INF)
     if far > 0.0:
         return StepResult(math.inf, 0)
@@ -119,8 +120,8 @@ class IntersectionCut:
     def violation(self, z) -> float:
         return self.rhs - float(self.coef @ np.asarray(z, dtype=float))
 
-    def satisfied(self, z, tol: float = CUT_TOL) -> bool:
-        return self.violation(z) <= tol
+    def satisfied(self, z) -> bool:
+        return self.violation(z) <= CUT_TOL
 
 
 def intersection_cut(corner, sfree: SFreeSet):
@@ -133,8 +134,8 @@ def intersection_cut(corner, sfree: SFreeSet):
     """
     if corner.apex_x is None:
         raise ValueError("corner has no (x, t) projection; project it first")
-    label, _ = interiority(sfree, corner.apex_x, corner.apex_t)
-    if label != STRICT_INTERIOR:
+    margin = sfree.margin(corner.apex_x, corner.apex_t)
+    if not margin > INTERIOR_TOL:  # a NaN margin is not interior either
         return None
 
     steps = []
@@ -142,7 +143,7 @@ def intersection_cut(corner, sfree: SFreeSet):
     for ray in corner.rays:
         zf = ZetaFunction(sfree, corner.apex_x, corner.apex_t, ray.x_dir, ray.t_dir)
         try:
-            res = step_length(zf)
+            res = step_length(zf, margin)
         except SeparationBudget:
             return None
         if math.isfinite(res.eta) and res.eta < MIN_STEP:
@@ -181,7 +182,7 @@ def intersection_cut(corner, sfree: SFreeSet):
     ))
 
 
-def gradient_cut(ss: SSFunction, x_ref, t_ref: float = 0.0, lift=None):
+def gradient_cut(ss: SSFunction, x_ref, t_ref: float, lift):
     """Outer-approximation cut for a purely supermodular target (f1 == 0).
 
     With gamma an envelope subgradient of f2 at the reference point, every
@@ -197,12 +198,9 @@ def gradient_cut(ss: SSFunction, x_ref, t_ref: float = 0.0, lift=None):
     violation = float(gamma @ x_ref) + ss.level * float(t_ref)
     if violation <= 1e-9:
         return None
-    if lift is None:
-        coef = np.append(-gamma, -float(ss.level))
-    else:
-        coef = np.zeros(lift.ncols)
-        coef[lift.x_cols] = -gamma
-        coef[lift.t_col] = -float(ss.level)
+    coef = np.zeros(lift.ncols)
+    coef[lift.x_cols] = -gamma
+    coef[lift.t_col] = -float(ss.level)
     norm = float(np.linalg.norm(coef))
     if norm <= 1e-12:
         return None
@@ -232,7 +230,7 @@ def _lifted_cube(target, lift):
 
 
 def validate_cut_bruteforce(
-    cut: IntersectionCut, target, lift, corner=None, tol: float = CUT_TOL, cubes: dict = None
+    cut: IntersectionCut, target, lift, corner=None, cubes: dict = None
 ) -> bool:
     """Check the cut against every binary point on the target's side.
 
@@ -257,22 +255,22 @@ def validate_cut_bruteforce(
     if z_pts.shape[0] == 0:
         return True
 
-    t_lo, t_hi = _corner_t_interval(z_pts, corner, lift.t_col, tol)
+    t_lo, t_hi = _corner_t_interval(z_pts, corner, lift.t_col, CUT_TOL)
     t_hi = np.minimum(t_hi, cap)
-    alive = t_lo <= t_hi + tol
+    alive = t_lo <= t_hi + CUT_TOL
     if not alive.any():
         return True
 
     a_t = float(cut.coef[lift.t_col])
     base = z_pts @ cut.coef
     if abs(a_t) <= 1e-12:
-        flagged = alive & (base < cut.rhs - tol)
+        flagged = alive & (base < cut.rhs - CUT_TOL)
         probe = np.minimum(np.maximum(t_lo, 0.0), t_hi)
     else:
         worst = t_lo if a_t > 0 else t_hi
         if np.any(alive & np.isinf(worst)):
             return False  # cut leans on an unbounded t direction
-        flagged = alive & (base + a_t * worst < cut.rhs - tol)
+        flagged = alive & (base + a_t * worst < cut.rhs - CUT_TOL)
         probe = worst
     for k in np.flatnonzero(flagged):
         if _reachable(corner, z_pts[k], lift.t_col, float(probe[k])):

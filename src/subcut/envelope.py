@@ -83,11 +83,10 @@ def support_points(oracle: SubmodularOracle, order) -> list:
 
 @dataclass
 class EnvelopeEvaluation:
-    """Envelope value at a point, the maximizing vertex, and its generating order."""
+    """Envelope value at a point and the maximizing vertex (a subgradient)."""
 
     value: float
     subgradient: np.ndarray
-    order: np.ndarray
 
 
 def envelope_eval(oracle: SubmodularOracle, x) -> EnvelopeEvaluation:
@@ -95,9 +94,8 @@ def envelope_eval(oracle: SubmodularOracle, x) -> EnvelopeEvaluation:
     x = np.asarray(x, dtype=float)
     if x.shape != (oracle.n,):
         raise ValueError(f"expected point of dimension {oracle.n}, got shape {x.shape}")
-    order = sort_permutation(x)
-    sigma = greedy_vertex(oracle, order)
-    return EnvelopeEvaluation(float(sigma @ x), sigma, order)
+    sigma = greedy_vertex(oracle, sort_permutation(x))
+    return EnvelopeEvaluation(float(sigma @ x), sigma)
 
 
 def enumerate_vertices(oracle: SubmodularOracle) -> list:

@@ -116,17 +116,17 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
-def closed_gap(d1: float, d2: float, p: float, tol: float = 1e-9) -> float:
+def closed_gap(d1: float, d2: float, p: float) -> float:
     """Fraction of the bound-to-optimum distance recovered, for maximization.
 
     d1 is the first LP bound, d2 the bound after cuts, p the reference
     optimum, so the fraction is (d1 - d2) / (d1 - p).  Degenerate gaps
-    (bound already at the optimum) count as 0.
+    (bound at most 1e-9 above the optimum) count as 0.
     """
     if any(math.isnan(v) for v in (d1, d2, p)):
         return math.nan
     denom = d1 - p
-    if denom <= tol:
+    if denom <= 1e-9:
         return 0.0
     return (d1 - d2) / denom
 
@@ -277,16 +277,17 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
 # aggregation
 
 
-def shifted_geomean(values, shift: float = 1.0) -> float:
+def shifted_geomean(values) -> float:
+    """Geometric mean of the values shifted by 1, shifted back."""
     vals = np.asarray(list(values), dtype=float)
     if vals.size == 0:
         raise ValueError("empty value list")
-    if np.any(vals + shift <= 0.0):
-        raise ValueError(f"values must exceed -shift = {-shift}")
-    return float(np.exp(np.mean(np.log(vals + shift))) - shift)
+    if np.any(vals + 1.0 <= 0.0):
+        raise ValueError("values must exceed -1")
+    return float(np.exp(np.mean(np.log(vals + 1.0))) - 1.0)
 
 
-def aggregate(reports, shift: float = 1.0) -> dict:
+def aggregate(reports) -> dict:
     """Per-mode shifted geometric means: closed gap, time (s), cut count.
 
     Failed runs are left out.
@@ -303,9 +304,9 @@ def aggregate(reports, shift: float = 1.0) -> dict:
             continue
         rs = by_mode[mode]
         out[mode] = {
-            "closed": shifted_geomean([r.closed for r in rs], shift),
-            "time": shifted_geomean([r.total_time_ms / 1000.0 for r in rs], shift),
-            "cuts": shifted_geomean([float(r.cuts) for r in rs], shift),
+            "closed": shifted_geomean([r.closed for r in rs]),
+            "time": shifted_geomean([r.total_time_ms / 1000.0 for r in rs]),
+            "cuts": shifted_geomean([float(r.cuts) for r in rs]),
             "runs": len(rs),
         }
     return out

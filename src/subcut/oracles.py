@@ -11,6 +11,7 @@ and a term list for multilinear polynomials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,7 +343,7 @@ def ss_decompose(poly: MultilinearFunction, level: int = 1) -> SSFunction:
 # brute-force submodularity check
 
 
-def is_submodular_bruteforce(oracle: SubmodularOracle, tol: float = SUBMODULARITY_TOL) -> bool:
+def is_submodular_bruteforce(oracle: SubmodularOracle) -> bool:
     """Check f(x) + f(y) >= f(x | y) + f(x & y) over all 4^n pairs. Guarded."""
     vals = oracle.values_on_cube()
     size = vals.size
@@ -350,7 +351,7 @@ def is_submodular_bruteforce(oracle: SubmodularOracle, tol: float = SUBMODULARIT
     for xmask in range(size):
         join = vals[xmask | ymasks]
         meet = vals[xmask & ymasks]
-        if np.any(vals[xmask] + vals - join - meet < -tol):
+        if np.any(vals[xmask] + vals - join - meet < -SUBMODULARITY_TOL):
             return False
     return True
 
@@ -370,7 +371,9 @@ def read_graph(path) -> Graph:
     header = tokens[0]
     if len(header) != 2:
         raise ModelError(f"{path}: graph header must be 'n m', got {header}")
-    n, m = int(header[0]), int(header[1])
+    n, m = _numbers(path, int, header)
+    if n < 1:
+        raise ModelError(f"{path}: a graph needs n >= 1 vertices, got {n}")
     body = tokens[1:]
     if len(body) != m:
         raise ModelError(f"{path}: expected {m} edge lines, found {len(body)}")
@@ -378,7 +381,8 @@ def read_graph(path) -> Graph:
     for line in body:
         if len(line) != 3:
             raise ModelError(f"{path}: edge line must be 'i j w', got {line}")
-        i, j, w = int(line[0]), int(line[1]), float(line[2])
+        i, j = _numbers(path, int, line[:2])
+        (w,) = _numbers(path, float, line[2:])
         if not (1 <= i <= n and 1 <= j <= n):
             raise ModelError(f"{path}: edge ({i},{j}) outside 1..{n}")
         edges.append((i - 1, j - 1, w))
@@ -400,7 +404,9 @@ def read_polynomial(path) -> MultilinearFunction:
     header = tokens[0]
     if len(header) != 2:
         raise ModelError(f"{path}: polynomial header must be 'n K', got {header}")
-    n, k = int(header[0]), int(header[1])
+    n, k = _numbers(path, int, header)
+    if n < 1:
+        raise ModelError(f"{path}: a polynomial needs n >= 1 variables, got {n}")
     body = tokens[1:]
     if len(body) != k:
         raise ModelError(f"{path}: expected {k} term lines, found {len(body)}")
@@ -408,8 +414,8 @@ def read_polynomial(path) -> MultilinearFunction:
     for line in body:
         if len(line) < 2:
             raise ModelError(f"{path}: term line needs a coefficient and >= 1 index, got {line}")
-        coef = float(line[0])
-        idx = [int(tok) for tok in line[1:]]
+        (coef,) = _numbers(path, float, line[:1])
+        idx = _numbers(path, int, line[1:])
         if any(j < 1 or j > n for j in idx):
             raise ModelError(f"{path}: term indices {idx} outside 1..{n}")
         terms.append((coef, [j - 1 for j in idx]))
@@ -423,6 +429,17 @@ def write_polynomial(poly: MultilinearFunction, path) -> None:
         lines.append(f"{a:.12g} {idx}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _numbers(path, kind, tokens) -> list:
+    """The tokens converted by ``kind``; a token that is not a finite number raises ModelError."""
+    try:
+        values = [kind(tok) for tok in tokens]
+        if all(math.isfinite(v) for v in values):
+            return values
+    except ValueError:
+        pass
+    raise ModelError(f"{path}: expected finite {kind.__name__} values, got {tokens}")
 
 
 def _token_lines(path) -> list:

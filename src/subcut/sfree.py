@@ -6,10 +6,11 @@ piecewise-linear function G through "G(x) <= level * t".  Points of the
 target never lie strictly inside, which is exactly what intersection
 cuts need.
 
-Variants: the epigraph of an extended envelope, a lifted 0/1 split on a
-single variable, the reverse-linearized set of a submodular-supermodular
-difference, and relaxations keeping only the envelope facets of a subset
-of coordinate orders (covers).
+Variants: the epigraph of an extended envelope, optionally minus a
+linear term (the reverse-linearized set of a submodular-supermodular
+difference), a lifted 0/1 split on a single variable, and relaxations
+keeping only the envelope facets of a subset of coordinate orders
+(covers).
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ from .errors import check_capacity
 from .oracles import SSFunction, SubmodularOracle, cube_chunks
 
 INTERIOR_TOL = 1e-7
-
-STRICT_INTERIOR = "strict_interior"
-BOUNDARY = "boundary"
-EXTERIOR = "exterior"
 
 
 class SFreeSet:
@@ -43,18 +40,31 @@ class SFreeSet:
 
 
 class EnvelopeEpigraph(SFreeSet):
-    """Epigraph of the extended envelope of a submodular function."""
+    """Epigraph of F - gamma . x, with F the extended envelope of a submodular function.
 
-    kind = "env"
+    Without gamma (kind "env") this is epi(F).  With gamma a subgradient
+    of the removed part's envelope at a reference point (kind "ss"),
+    {(x, t): F1(x) - gamma . x <= level * t} avoids the target of f1 - f2;
+    see :func:`build_reverse_linearized`.
+    """
 
-    def __init__(self, oracle: SubmodularOracle, level: int = 1):
+    def __init__(self, oracle: SubmodularOracle, level: int = 1, gamma=None):
+        if gamma is not None:
+            gamma = np.asarray(gamma, dtype=float)
+            if gamma.shape != (oracle.n,):
+                raise ValueError(f"gamma has shape {gamma.shape}, expected ({oracle.n},)")
         self.oracle = oracle
+        self.gamma = gamma
         self.level = int(level)
         self.n = oracle.n
+        self.kind = "env" if gamma is None else "ss"
 
     def value_and_subgradient(self, x):
         ev = envelope_eval(self.oracle, x)
-        return ev.value, ev.subgradient
+        if self.gamma is None:
+            return ev.value, ev.subgradient
+        x = np.asarray(x, dtype=float)
+        return ev.value - float(self.gamma @ x), ev.subgradient - self.gamma
 
 
 class LiftedSplit(SFreeSet):
@@ -79,31 +89,6 @@ class LiftedSplit(SFreeSet):
             return -xj, grad
         grad[self.j] = 1.0
         return xj - 1.0, grad
-
-
-class ReverseLinearized(SFreeSet):
-    """Envelope of the submodular part minus a linearization of the removed part.
-
-    With gamma a subgradient of the second part's envelope at the reference
-    point, {(x, t): F1(x) - gamma . x <= level * t} avoids the target of
-    f1 - f2.  gamma == 0 recovers the plain envelope epigraph.
-    """
-
-    kind = "ss"
-
-    def __init__(self, f1: SubmodularOracle, gamma, level: int = 1):
-        gamma = np.asarray(gamma, dtype=float)
-        if gamma.shape != (f1.n,):
-            raise ValueError(f"gamma has shape {gamma.shape}, expected ({f1.n},)")
-        self.f1 = f1
-        self.gamma = gamma
-        self.level = int(level)
-        self.n = f1.n
-
-    def value_and_subgradient(self, x):
-        x = np.asarray(x, dtype=float)
-        ev = envelope_eval(self.f1, x)
-        return ev.value - float(self.gamma @ x), ev.subgradient - self.gamma
 
 
 class CoverRelaxation(SFreeSet):
@@ -139,21 +124,8 @@ def build_reverse_linearized(ss: SSFunction, x_ref) -> SFreeSet:
     envelope subgradient.  When f2 is identically zero this degenerates to
     the plain envelope epigraph of f1.
     """
-    x_ref = np.asarray(x_ref, dtype=float)
-    if ss.f2.trivially_zero:
-        return EnvelopeEpigraph(ss.f1, level=ss.level)
-    gamma = envelope_eval(ss.f2, x_ref).subgradient
-    return ReverseLinearized(ss.f1, gamma, level=ss.level)
-
-
-def interiority(sfree: SFreeSet, x, t, tol: float = INTERIOR_TOL):
-    """Classify (x, t) against the set; returns (label, margin)."""
-    margin = sfree.margin(x, t)
-    if margin > tol:
-        return STRICT_INTERIOR, margin
-    if margin < -tol:
-        return EXTERIOR, margin
-    return BOUNDARY, margin
+    gamma = None if ss.f2.trivially_zero else envelope_eval(ss.f2, x_ref).subgradient
+    return EnvelopeEpigraph(ss.f1, level=ss.level, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +165,7 @@ def is_minimal_cover(n: int, orders) -> bool:
 # brute-force freeness
 
 
-def verify_free_bruteforce(sfree: SFreeSet, target, tol: float = INTERIOR_TOL) -> bool:
+def verify_free_bruteforce(sfree: SFreeSet, target) -> bool:
     """No point of the target's geometry lies strictly inside the set.
 
     Hypograph targets (level 1) are checked at (x, f(x)) for every binary
@@ -207,7 +179,7 @@ def verify_free_bruteforce(sfree: SFreeSet, target, tol: float = INTERIOR_TOL) -
             fx = target.value(x)
             if level == 0 and fx < -1e-12:
                 continue
-            if sfree.margin(x, fx) > tol:
+            if sfree.margin(x, fx) > INTERIOR_TOL:
                 return False
     return True
 
@@ -235,7 +207,7 @@ def three_chain_relaxation(oracle: SubmodularOracle) -> CoverRelaxation:
     return CoverRelaxation(oracle, orders)
 
 
-def containment_witness(relaxation: CoverRelaxation, tol: float = 1e-9):
+def containment_witness(relaxation: CoverRelaxation):
     """Point inside the relaxation but outside the full envelope epigraph.
 
     Searches by maximizing the violation of each dropped facet over a box;
@@ -268,12 +240,12 @@ def containment_witness(relaxation: CoverRelaxation, tol: float = 1e-9):
             upper=np.append(np.full(n, box_hi), t_r),
         )
         sol = simplex.solve(model)
-        if sol.status == simplex.OPTIMAL and sol.objective > tol:
+        if sol.status == simplex.OPTIMAL and sol.objective > 1e-9:
             return sol.x[:n].copy(), float(sol.x[n])
     return None
 
 
-def maximality_diagnostic(relaxation: CoverRelaxation, tol: float = 1e-9) -> bool:
+def maximality_diagnostic(relaxation: CoverRelaxation) -> bool:
     """Each kept facet carries a binary graph point lying on no other kept facet.
 
     Exact facet/point incidence (guarded); a diagnostic for non-degenerate
@@ -285,7 +257,7 @@ def maximality_diagnostic(relaxation: CoverRelaxation, tol: float = 1e-9) -> boo
     points = np.concatenate(list(cube_chunks(oracle.n)))
     values = oracle.values_on_cube()
     scores = kept @ points.T  # (orders, 2^n)
-    on_facet = np.abs(scores - values[None, :]) <= tol
+    on_facet = np.abs(scores - values[None, :]) <= 1e-9
     for p in range(kept.shape[0]):
         others = np.delete(np.arange(kept.shape[0]), p)
         exclusive = on_facet[p] & ~np.any(on_facet[others], axis=0)

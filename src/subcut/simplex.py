@@ -545,9 +545,9 @@ def corner(solution: LpSolution, model: LpModel) -> CornerPolyhedron:
     return CornerPolyhedron(apex=solution.x.copy(), rays=rays)
 
 
-def lp_format(model: LpModel, digits: int = 12) -> str:
-    """Readable dump of a model, 12 significant digits by default."""
-    fmt = f"%.{digits}g"
+def lp_format(model: LpModel) -> str:
+    """Readable dump of a model, numbers to 12 significant digits."""
+    fmt = "%.12g"
     names = model.names
 
     def term(c, j):

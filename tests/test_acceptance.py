@@ -150,7 +150,7 @@ def test_05_newton_root_finding():
             value, _ = sfree.value_and_subgradient(apex_x)
             apex_t = value + float(rng.uniform(0.1, 2.0))
             zf = ZetaFunction(sfree, apex_x, apex_t, rng.normal(size=n), float(rng.normal()))
-            res = step_length(zf)  # budget overrun would raise and fail the test
+            res = step_length(zf, zf.eval(0.0)[0])  # budget overrun would raise and fail the test
             iteration_counts.append(res.iterations)
             assert res.iterations <= 500
             if math.isinf(res.eta):

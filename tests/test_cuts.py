@@ -26,7 +26,7 @@ from subcut.oracles import (
     ss_decompose,
     zero_oracle,
 )
-from subcut.sfree import EnvelopeEpigraph, LiftedSplit
+from subcut.sfree import EnvelopeEpigraph, LiftedSplit, build_reverse_linearized
 from subcut.simplex import CornerPolyhedron, CornerRay, corner, solve
 
 
@@ -59,8 +59,12 @@ def k3_corner(t_ray_sign=-1.0):
     t_dir = np.array([0.0, 0.0, 0.0, t_ray_sign])
     rays.append(make_ray(t_dir, t_dir, -t_ray_sign * 1.5, 3))
     cp = CornerPolyhedron(apex=apex, rays=rays, apex_x=apex[:3].copy(), apex_t=1.5)
-    lift = LiftMap(n=3, x_cols=np.arange(3), t_col=3, y_cols={}, ncols=4)
-    return cp, lift
+    return cp, plain_lift(3)
+
+
+def plain_lift(n):
+    """Columns x_0..x_{n-1}, then t."""
+    return LiftMap(n=n, x_cols=np.arange(n), t_col=n, y_cols={}, ncols=n + 1)
 
 
 class TestZetaEval:
@@ -74,12 +78,13 @@ class TestZetaEval:
         assert slope == pytest.approx(-2.0, abs=1e-12)
 
     def test_at_origin_matches_margin(self, k3_cut):
-        zf = ZetaFunction(
-            EnvelopeEpigraph(k3_cut), np.array([0.5, 0.5, 0.5]), 1.5,
-            np.array([1.0, 0.0, 0.0]), 0.0,
-        )
+        sfree = EnvelopeEpigraph(k3_cut)
+        apex_x = np.array([0.5, 0.5, 0.5])
+        zf = ZetaFunction(sfree, apex_x, 1.5, np.array([1.0, 0.0, 0.0]), 0.0)
         value, _ = zf.eval(0.0)
         assert value == pytest.approx(1.5, abs=1e-12)
+        # intersection_cut hands the apex margin to step_length as zeta(0)
+        assert value == sfree.margin(apex_x, 1.5)
 
     def test_t_recession_direction(self, k3_cut):
         zf = ZetaFunction(
@@ -135,7 +140,7 @@ class TestStepLength:
             EnvelopeEpigraph(k3_cut), np.array([0.5, 0.5, 0.5]), 1.5,
             np.array([1.0, 0.0, 0.0]), 0.0,
         )
-        res = step_length(zf)
+        res = step_length(zf, zf.eval(0.0)[0])
         assert res.eta == pytest.approx(0.75, abs=1e-9)
         assert res.iterations <= 3
 
@@ -144,7 +149,7 @@ class TestStepLength:
             EnvelopeEpigraph(k3_cut), np.array([0.5, 0.5, 0.5]), 1.5,
             np.zeros(3), 1.0,
         )
-        res = step_length(zf)
+        res = step_length(zf, zf.eval(0.0)[0])
         assert math.isinf(res.eta)
         assert res.iterations == 0
 
@@ -153,7 +158,7 @@ class TestStepLength:
             EnvelopeEpigraph(k3_cut), np.array([0.5, 0.5, 0.5]), 1.5,
             np.zeros(3), -1.0,
         )
-        res = step_length(zf)
+        res = step_length(zf, zf.eval(0.0)[0])
         assert res.eta == pytest.approx(1.5, abs=1e-9)
 
     def test_doubling_then_newton(self, k3_cut):
@@ -163,9 +168,9 @@ class TestStepLength:
             np.array([1.0, 0.0, 0.0]), 0.0,
         )
         rec = _Recording(zf)
-        res = step_length(rec)
+        res = step_length(rec, zf.eval(0.0)[0])
         assert res.eta == pytest.approx(0.7, abs=1e-9)
-        slopes = [s for _, _, s in rec.trace[2:]]
+        slopes = [s for _, _, s in rec.trace[1:]]
         assert slopes[0] > 0  # the first move must be a doubling step
 
     def test_boundary_apex_rejected(self, k3_cut):
@@ -174,7 +179,7 @@ class TestStepLength:
             np.array([1.0, 0.0, 0.0]), 0.0,
         )
         with pytest.raises(ValueError):
-            step_length(zf)
+            step_length(zf, zf.eval(0.0)[0])
 
     def test_budget_exhausted(self, k3_cut, monkeypatch):
         monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", 1)
@@ -183,7 +188,7 @@ class TestStepLength:
             np.array([1.0, 0.0, 0.0]), 0.0,
         )
         with pytest.raises(SeparationBudget):
-            step_length(zf)
+            step_length(zf, zf.eval(0.0)[0])
 
     def test_root_uniqueness_on_examples(self, k3_cut):
         cases = [
@@ -193,7 +198,7 @@ class TestStepLength:
         ]
         for ray_x, ray_t, apex_t, apex_x in cases:
             zf = ZetaFunction(EnvelopeEpigraph(k3_cut), apex_x, apex_t, ray_x, ray_t)
-            eta = step_length(zf).eta
+            eta = step_length(zf, zf.eval(0.0)[0]).eta
             assert zf.eval(eta - 1e-4)[0] > 0
             assert zf.eval(eta + 1e-4)[0] < 0
 
@@ -216,7 +221,7 @@ class TestStepLength:
             margin = sfree.margin(apex_x, 0.0)
             apex_t = -margin + float(rng.uniform(0.2, 2.0))  # force strict interiority
             zf = ZetaFunction(sfree, apex_x, apex_t, rng.normal(size=n), float(rng.normal()))
-            res = step_length(zf)
+            res = step_length(zf, zf.eval(0.0)[0])
             if math.isinf(res.eta):
                 continue
             finite += 1
@@ -244,14 +249,15 @@ class TestStepLength:
             sfree = EnvelopeEpigraph(f)
             apex_x = rng.uniform(0, 1, size=n)
             apex_t = -sfree.margin(apex_x, 0.0) + 1.0
-            rec = _Recording(ZetaFunction(sfree, apex_x, apex_t, rng.normal(size=n), -abs(rng.normal()) - 0.1))
+            zf = ZetaFunction(sfree, apex_x, apex_t, rng.normal(size=n), -abs(rng.normal()) - 0.1)
+            rec = _Recording(zf)
             try:
-                res = step_length(rec)
+                res = step_length(rec, zf.eval(0.0)[0])
             except SeparationBudget:
                 continue
             if math.isinf(res.eta):
                 continue
-            loop = rec.trace[2:]  # drop the origin and safeguard probes
+            loop = rec.trace[1:]  # drop the safeguard probe
             first = next((k for k, (_, v, s) in enumerate(loop) if s < 0 and abs(v) > 1e-9), None)
             if first is None:
                 continue
@@ -367,12 +373,37 @@ class TestIntersectionCut:
         assert lines[0].startswith("CUT kind=env rays=4 inf_steps=0 efficacy=")
         assert "newton_iters=" in lines[0]
 
+    def test_reverse_linearized_log_line(self, k3_cut, caplog):
+        cp, _ = k3_corner()
+        ss = SSFunction(k3_cut, modular_oracle([0.1, 0.2, 0.3]), level=1)
+        sfree = build_reverse_linearized(ss, cp.apex_x)
+        with caplog.at_level(logging.INFO, logger="subcut.cuts"):
+            cut = intersection_cut(cp, sfree)
+        assert cut is not None and cut.kind == "ss"
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("CUT ")]
+        assert len(lines) == 1
+        assert lines[0].startswith("CUT kind=ss rays=4 inf_steps=0 efficacy=")
+
+    def test_apex_evaluated_once(self, k3_cut):
+        class Counting(EnvelopeEpigraph):
+            calls = 0
+
+            def value_and_subgradient(self, x):
+                Counting.calls += 1
+                return super().value_and_subgradient(x)
+
+        cp, _ = k3_corner()
+        cut = intersection_cut(cp, Counting(k3_cut))
+        assert cut is not None
+        # one apex margin, then per ray the ETA_INF probe and one call per Newton iteration
+        assert Counting.calls == 1 + cut.nrays + cut.newton_iters
+
 
 class TestGradientCut:
     def test_two_variable_example(self):
         poly = MultilinearFunction(2, [(3.0, {0, 1})])
         ss = ss_decompose(poly)
-        cut = gradient_cut(ss, [1.0, 1.0], t_ref=4.0)
+        cut = gradient_cut(ss, [1.0, 1.0], 4.0, plain_lift(2))
         assert cut is not None
         assert cut.kind == "grad"
         assert cut.coef == pytest.approx([0.0, 3.0, -1.0], abs=1e-12)
@@ -384,7 +415,7 @@ class TestGradientCut:
     def test_cuts_off_reference_point(self):
         poly = MultilinearFunction(2, [(3.0, {0, 1})])
         ss = ss_decompose(poly)
-        cut = gradient_cut(ss, [1.0, 1.0], t_ref=4.0)
+        cut = gradient_cut(ss, [1.0, 1.0], 4.0, plain_lift(2))
         assert not cut.satisfied([1.0, 1.0, 4.0])
         # but keeps every lifted binary graph point
         for mask in range(4):
@@ -394,23 +425,23 @@ class TestGradientCut:
     def test_non_violating_point(self):
         poly = MultilinearFunction(2, [(3.0, {0, 1})])
         ss = ss_decompose(poly)
-        assert gradient_cut(ss, [1.0, 1.0], t_ref=0.0) is None
+        assert gradient_cut(ss, [1.0, 1.0], 0.0, plain_lift(2)) is None
 
     def test_efficacy_filter(self, monkeypatch):
         poly = MultilinearFunction(2, [(3.0, {0, 1})])
         ss = ss_decompose(poly)
-        efficacy = gradient_cut(ss, [1.0, 1.0], t_ref=4.0).efficacy
+        efficacy = gradient_cut(ss, [1.0, 1.0], 4.0, plain_lift(2)).efficacy
         monkeypatch.setattr(cuts, "EFFICACY_MIN", 2.0 * efficacy)
-        assert gradient_cut(ss, [1.0, 1.0], t_ref=4.0) is None
+        assert gradient_cut(ss, [1.0, 1.0], 4.0, plain_lift(2)) is None
 
     def test_zero_function_rejected(self):
         ss = SSFunction(zero_oracle(2), zero_oracle(2), level=0)
-        assert gradient_cut(ss, [1.0, 0.5]) is None
+        assert gradient_cut(ss, [1.0, 0.5], 0.0, plain_lift(2)) is None
 
     def test_modular_sign_cut(self):
         c = np.array([2.0, -1.0])
         ss = SSFunction(zero_oracle(2), modular_oracle(c), level=0)
-        cut = gradient_cut(ss, [1.0, 0.0])
+        cut = gradient_cut(ss, [1.0, 0.0], 0.0, plain_lift(2))
         assert cut is not None
         assert cut.coef == pytest.approx([-2.0, 1.0, 0.0], abs=1e-12)
         assert cut.rhs == 0.0
@@ -418,20 +449,20 @@ class TestGradientCut:
     def test_nonzero_first_part_rejected(self, k3_cut):
         ss = SSFunction(k3_cut, zero_oracle(3), level=1)
         with pytest.raises(ValueError):
-            gradient_cut(ss, [0.5, 0.5, 0.5])
+            gradient_cut(ss, [0.5, 0.5, 0.5], 0.0, plain_lift(3))
 
     def test_lift_mapping(self):
         poly = MultilinearFunction(2, [(3.0, {0, 1})])
         ss = ss_decompose(poly)
         lift = LiftMap(n=2, x_cols=np.array([0, 2]), t_col=1, y_cols={}, ncols=4)
-        cut = gradient_cut(ss, [1.0, 1.0], t_ref=4.0, lift=lift)
+        cut = gradient_cut(ss, [1.0, 1.0], 4.0, lift)
         assert cut.coef == pytest.approx([0.0, -1.0, 3.0, 0.0], abs=1e-12)
 
 
 class TestValidateCut:
     def test_capacity_guard(self):
         n = 13
-        lift = LiftMap(n=n, x_cols=np.arange(n), t_col=n, y_cols={}, ncols=n + 1)
+        lift = plain_lift(n)
         cut = IntersectionCut(coef=np.zeros(n + 1), rhs=0.0, kind="env", efficacy=1.0)
         with pytest.raises(CapacityError):
             validate_cut_bruteforce(cut, modular_oracle(np.ones(n)), lift)
@@ -440,7 +471,7 @@ class TestValidateCut:
         # n = 15 is past the cube enumeration limit too; the validation
         # guard must answer first, before any value is computed
         n = 15
-        lift = LiftMap(n=n, x_cols=np.arange(n), t_col=n, y_cols={}, ncols=n + 1)
+        lift = plain_lift(n)
         cut = IntersectionCut(coef=np.zeros(n + 1), rhs=0.0, kind="env", efficacy=1.0)
         message = r"cut validation limited to n <= 12, got n = 15"
         with pytest.raises(CapacityError, match=message):

@@ -523,6 +523,32 @@ class TestCli:
         rc = cli.main(["root", str(path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["root", "verify", "bench"])
+    @pytest.mark.parametrize("name, text", [
+        ("short.mc", "3 2\n1 2 1.0\n"),  # fewer edge lines than the header says
+        ("words.mc", "three 2\n1 2 1.0\n2 3 1.0\n"),  # a header that is not a number
+        ("words.pol", "2 1\nhalf 1 2\n"),  # a coefficient that is not a number
+        ("nan.mc", "2 1\n1 2 nan\n"),  # a weight that is not finite
+        ("empty.mc", "0 0\n"),  # no vertices
+        ("empty.pol", "0 0\n"),  # no variables
+    ])
+    def test_malformed_instance(self, tmp_path, capsys, command, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        rc = cli.main([command, str(tmp_path if command == "bench" else path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.strip().split("\n")
+        assert line.startswith("error: ") and str(path) in line
+
+    @pytest.mark.parametrize("command", ["root", "verify"])
+    def test_missing_instance(self, tmp_path, capsys, command):
+        path = tmp_path / "absent.mc"
+        rc = cli.main([command, str(path)])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.strip().split("\n")
+        assert line.startswith("error: ") and str(path) in line
+
     def test_root_primal_override(self, tmp_path, capsys):
         # the same graph runs when --primal spares the brute force
         path = tmp_path / "big.mc"

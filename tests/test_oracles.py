@@ -344,3 +344,19 @@ class TestFileFormats:
         path.write_text("2 1\n1.0 3\n")
         with pytest.raises(ModelError):
             read_polynomial(path)
+
+    @pytest.mark.parametrize("reader, suffix, text", [
+        (read_graph, ".mc", "three 1\n1 2 1.0\n"),
+        (read_graph, ".mc", "2 1\n1 2.5 1.0\n"),
+        (read_graph, ".mc", "2 1\n1 2 heavy\n"),
+        (read_graph, ".mc", "2 1\n1 2 inf\n"),
+        (read_polynomial, ".pol", "2 one\n1.0 1\n"),
+        (read_polynomial, ".pol", "2 1\nhalf 1 2\n"),
+        (read_polynomial, ".pol", "2 1\n1.0 1 x\n"),
+        (read_polynomial, ".pol", "2 1\nnan 1 2\n"),
+    ])
+    def test_unparsable_token(self, tmp_path, reader, suffix, text):
+        path = tmp_path / f"bad{suffix}"
+        path.write_text(text)
+        with pytest.raises(ModelError, match=str(path)):
+            reader(path)

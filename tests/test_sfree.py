@@ -17,17 +17,13 @@ from subcut.oracles import (
     zero_oracle,
 )
 from subcut.sfree import (
-    BOUNDARY,
-    EXTERIOR,
-    STRICT_INTERIOR,
+    INTERIOR_TOL,
     THREE_CHAINS,
     CoverRelaxation,
     EnvelopeEpigraph,
     LiftedSplit,
-    ReverseLinearized,
     build_reverse_linearized,
     containment_witness,
-    interiority,
     is_cover,
     is_minimal_cover,
     maximality_diagnostic,
@@ -59,12 +55,14 @@ class TestBuildReverseLinearized:
         sfree = build_reverse_linearized(ss, [0.5, 0.5, 0.5])
         assert isinstance(sfree, EnvelopeEpigraph)
         assert sfree.kind == "env" and sfree.level == 1
+        assert sfree.gamma is None
 
     def test_gamma_from_reference_point(self):
         poly = MultilinearFunction(3, [(3.0, {0, 1}), (-2.0, {0, 1, 2})])
         ss = ss_decompose(poly)
         sfree = build_reverse_linearized(ss, [1.0, 1.0, 1.0])
-        assert isinstance(sfree, ReverseLinearized)
+        assert isinstance(sfree, EnvelopeEpigraph)
+        assert sfree.kind == "ss"
         assert sfree.gamma.tolist() == [0.0, -3.0, 0.0]
         # pin against the independent greedy construction on f2 = -3 x0 x1
         want = ref.greedy_sigma(
@@ -86,28 +84,28 @@ class TestBuildReverseLinearized:
 
     def test_gamma_shape_checked(self, k3_cut):
         with pytest.raises(ValueError):
-            ReverseLinearized(k3_cut, [1.0, 2.0])
+            EnvelopeEpigraph(k3_cut, gamma=[1.0, 2.0])
 
 
 class TestInteriority:
     def test_strict_interior(self, k3_cut):
-        label, margin = interiority(EnvelopeEpigraph(k3_cut), [0.5, 0.5, 0.5], 1.5)
-        assert label == STRICT_INTERIOR
+        margin = EnvelopeEpigraph(k3_cut).margin([0.5, 0.5, 0.5], 1.5)
+        assert margin > INTERIOR_TOL
         assert margin == pytest.approx(1.5, abs=1e-12)
 
     def test_boundary_at_graph_point(self, k3_cut):
-        label, margin = interiority(EnvelopeEpigraph(k3_cut), [1.0, 0.0, 0.0], 2.0)
-        assert label == BOUNDARY
+        margin = EnvelopeEpigraph(k3_cut).margin([1.0, 0.0, 0.0], 2.0)
+        assert abs(margin) <= INTERIOR_TOL
         assert margin == pytest.approx(0.0, abs=1e-12)
 
     def test_exterior(self, k3_cut):
-        label, margin = interiority(EnvelopeEpigraph(k3_cut), [1.0, 0.0, 0.0], 1.0)
-        assert label == EXTERIOR
+        margin = EnvelopeEpigraph(k3_cut).margin([1.0, 0.0, 0.0], 1.0)
+        assert margin < -INTERIOR_TOL
         assert margin == pytest.approx(-1.0, abs=1e-12)
 
     def test_split_midpoint(self):
-        label, margin = interiority(LiftedSplit(0, 3), [0.5, 0.2, 0.9], 7.0)
-        assert label == STRICT_INTERIOR
+        margin = LiftedSplit(0, 3).margin([0.5, 0.2, 0.9], 7.0)
+        assert margin > INTERIOR_TOL
         assert margin == pytest.approx(0.5, abs=1e-12)
 
     def test_split_t_is_inert(self):
