@@ -140,8 +140,8 @@ def intersection_cut(corner, sfree: SFreeSet):
 
     steps = []
     newton_total = 0
-    for ray in corner.rays:
-        zf = ZetaFunction(sfree, corner.apex_x, corner.apex_t, ray.x_dir, ray.t_dir)
+    for k in range(corner.nrays):
+        zf = ZetaFunction(sfree, corner.apex_x, corner.apex_t, corner.x_dir[k], float(corner.t_dir[k]))
         try:
             res = step_length(zf, margin)
         except SeparationBudget:
@@ -154,13 +154,11 @@ def intersection_cut(corner, sfree: SFreeSet):
     finite = [k for k, e in enumerate(steps) if math.isfinite(e)]
     if not finite:
         return None
-    ncols = corner.rays[0].eta_coef.size
-    coef = np.zeros(ncols)
+    coef = np.zeros(corner.apex.size)
     rhs = 1.0
     for k in finite:
-        ray = corner.rays[k]
-        coef += ray.eta_coef / steps[k]
-        rhs -= ray.eta_off / steps[k]
+        coef += corner.eta_coef[k] / steps[k]
+        rhs -= float(corner.eta_off[k]) / steps[k]
 
     norm = float(np.linalg.norm(coef))
     if norm <= 1e-12:
@@ -243,20 +241,22 @@ def validate_cut_bruteforce(
 
     ``cubes`` is an optional dict that a caller checking many cuts under
     one lift keeps across calls: the lifted points of each target are
-    computed on its first call and reused after that.
+    computed on its first call and reused after that, and so are their t
+    intervals while the corner stays the same object (``is``, not
+    ``id()``: a later corner may reuse a freed one's id).
     """
     check_capacity("cut validation", target.n)
-    if cubes is None:
-        z_pts, cap = _lifted_cube(target, lift)
-    else:
-        if id(target) not in cubes:
-            cubes[id(target)] = _lifted_cube(target, lift)
-        z_pts, cap = cubes[id(target)]
+    cache = {} if cubes is None else cubes
+    if id(target) not in cache:
+        cache[id(target)] = [*_lifted_cube(target, lift), None]
+    entry = cache[id(target)]
+    z_pts, cap, last = entry
     if z_pts.shape[0] == 0:
         return True
-
-    t_lo, t_hi = _corner_t_interval(z_pts, corner, lift.t_col, CUT_TOL)
-    t_hi = np.minimum(t_hi, cap)
+    if last is None or last[0] is not corner:
+        t_lo, t_hi = _corner_t_interval(z_pts, corner, lift.t_col, CUT_TOL)
+        last = entry[2] = (corner, t_lo, np.minimum(t_hi, cap))
+    _, t_lo, t_hi = last
     alive = t_lo <= t_hi + CUT_TOL
     if not alive.any():
         return True
@@ -288,11 +288,10 @@ def _corner_t_interval(z_pts, corner, t_col, tol):
     """
     t_lo = np.full(z_pts.shape[0], -math.inf)
     t_hi = np.full(z_pts.shape[0], math.inf)
-    if corner is None or not corner.rays:
+    if corner is None or corner.nrays == 0:
         return t_lo, t_hi
-    G = np.array([ray.eta_coef for ray in corner.rays])
-    rest = z_pts @ G.T + np.array([ray.eta_off for ray in corner.rays])
-    a = G[:, t_col]
+    rest = z_pts @ corner.eta_coef.T + corner.eta_off
+    a = corner.eta_coef[:, t_col]
     flat = np.abs(a) <= 1e-14
     up = ~flat & (a > 0)
     down = ~flat & (a < 0)
@@ -317,7 +316,5 @@ def _reachable(corner, z, t_col, t_val) -> bool:
         return True
     probe = np.array(z, dtype=float)
     probe[t_col] = t_val
-    recon = corner.apex.copy()
-    for ray in corner.rays:
-        recon = recon + (float(ray.eta_coef @ probe) + ray.eta_off) * ray.direction
+    recon = corner.apex + (corner.eta_coef @ probe + corner.eta_off) @ corner.directions
     return bool(np.max(np.abs(recon - probe)) <= 1e-6 * (1.0 + np.max(np.abs(probe))))

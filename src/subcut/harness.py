@@ -196,7 +196,7 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
     rounds_run = 0
     sep_s = 0.0
     failed = False
-    cubes = {}  # lifted cube points per target, for cut validation
+    cubes = {}  # lifted cube points and corner t intervals per target, for cut validation
 
     def finish() -> RootNodeReport:
         return RootNodeReport(
@@ -230,7 +230,7 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
             break  # vertex already binary in x; nothing to separate
         rounds_run += 1
         s0 = time.perf_counter()
-        corner = project_corner(simplex.corner(sol, model), lift)
+        corner = project_corner(simplex.corner(sol), lift)
         batch = []
         for route, payload, target in _candidates(config.mode, targets, lift, x_bar):
             if len(batch) >= config.max_cuts_per_round:
@@ -369,19 +369,12 @@ def reference_primal(problem, instance_path=None) -> float:
 # instance generators
 
 
-def g05_graph(n: int, density: float = 0.5, seed: int = 0) -> Graph:
-    """Unweighted random graph, each pair an edge with the given probability."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    rng = np.random.default_rng(seed)
-    ii, jj = np.triu_indices(n, 1)
-    keep = rng.random(ii.size) < density
-    edges = [(int(i), int(j), 1.0) for i, j in zip(ii[keep], jj[keep])]
-    return Graph(n, edges)
-
-
 def pw_graph(n: int, density: float = 0.5, seed: int = 0, max_weight: int = 100) -> Graph:
-    """Random graph with integer weights uniform in [1, max_weight]."""
+    """Random graph, each pair an edge with the given probability.
+
+    Weights are integers uniform in [1, max_weight]; max_weight=1 gives
+    the unweighted g05 graphs.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
     rng = np.random.default_rng(seed)
@@ -446,13 +439,10 @@ def generate_instances(
     paths = []
     for i in range(count):
         s = seed + i
-        if kind == "g05":
-            problem = g05_graph(n, 0.5 if density is None else density, s)
-            path = out / f"g05_n{n}_s{s}.mc"
-            write_graph(problem, path)
-        elif kind == "pw":
-            problem = pw_graph(n, 0.5 if density is None else density, s)
-            path = out / f"pw_n{n}_s{s}.mc"
+        if kind in ("g05", "pw"):
+            max_weight = 1 if kind == "g05" else 100
+            problem = pw_graph(n, 0.5 if density is None else density, s, max_weight)
+            path = out / f"{kind}_n{n}_s{s}.mc"
             write_graph(problem, path)
         else:
             poly = autocorr_polynomial(n, max_lag, 1.0 if density is None else density, s)
@@ -502,13 +492,21 @@ def run_instance(path, config: RunConfig, name: str = None, primal: float = None
 
 
 def run_benchmark(paths, config: RunConfig, modes=None) -> list:
-    """Every instance under every mode; returns the flat report list."""
+    """Every instance under every mode; returns the flat report list.
+
+    Every instance is loaded and given its reference optimum before the
+    first run, so a malformed or oversized file ends the benchmark
+    before any work is spent on the others.
+    """
     modes = list(modes) if modes is not None else [config.mode]
+    paths = [Path(path) for path in paths]
+    problems = [load_instance(path) for path in paths]
+    primals = [reference_primal(problem, path) for problem, path in zip(problems, paths)]
     reports = []
-    for path in paths:
+    for path, problem, primal in zip(paths, problems, primals):
         for mode in modes:
             cfg = dataclasses.replace(config, mode=mode)
-            report = run_instance(path, cfg)
+            report = root_loop(*build_model(problem), cfg, instance=path.stem, primal=primal)
             logger.info("REPORT %s", report.csv_row())
             reports.append(report)
     return reports

@@ -109,10 +109,6 @@ def build_maxcut_model(graph: Graph):
     t_col = ncols - 1
     y_cols = {frozenset((i, j)): n + e for e, (i, j, _) in enumerate(graph.edges)}
 
-    names = [f"x{v + 1}" for v in range(n)]
-    names += [f"y{i + 1}_{j + 1}" for i, j, _ in graph.edges]
-    names += ["t"]
-
     rows, senses, rhs = [], [], []
     for e, (i, j, _) in enumerate(graph.edges):
         r, s, b = linearize_term((i, j), n + e, x_cols, ncols)
@@ -137,7 +133,7 @@ def build_maxcut_model(graph: Graph):
 
     objective = np.zeros(ncols)
     objective[t_col] = 1.0
-    model = LpModel("max", objective, np.array(rows), senses, np.array(rhs), lower, upper, names)
+    model = LpModel("max", objective, np.array(rows), senses, np.array(rhs), lower, upper)
     target = SSFunction(oracle, zero_oracle(n), level=1)
     lift = LiftMap(n, x_cols, t_col, y_cols, ncols)
     logger.info("MODEL n=%d y=%d rows=%d targets=%d", n, m, model.nrows, 1)
@@ -163,10 +159,6 @@ def build_mubo_model(instance: BmpInstance):
     x_cols = np.arange(n)
     t_col = ncols - 1
     y_cols = {s: n + i for i, s in enumerate(supports)}
-
-    names = [f"x{v + 1}" for v in range(n)]
-    names += ["y_" + "_".join(str(j + 1) for j in sorted(s)) for s in supports]
-    names += ["t"]
 
     rows, senses, rhs = [], [], []
     for s in supports:
@@ -208,7 +200,7 @@ def build_mubo_model(instance: BmpInstance):
 
     objective = np.zeros(ncols)
     objective[t_col] = 1.0
-    model = LpModel("max", objective, np.array(rows), senses, np.array(rhs), lower, upper, names)
+    model = LpModel("max", objective, np.array(rows), senses, np.array(rhs), lower, upper)
     targets = [ss_decompose(instance.objective, level=1)]
     targets += [ss_decompose(c, level=0) for c in instance.constraints]
     lift = LiftMap(n, x_cols, t_col, y_cols, ncols)
@@ -217,16 +209,18 @@ def build_mubo_model(instance: BmpInstance):
 
 
 def project_corner(corner: CornerPolyhedron, lift: LiftMap) -> CornerPolyhedron:
-    """Fill in the (x, t) restriction of the apex and every ray, in place.
+    """Fill in the (x, t) restriction of the apex and of every ray, in place.
 
-    Ray order is preserved: the j-th projected ray still belongs to the
-    j-th nonbasic variable, so step lengths line up with the eta forms.
+    ``x_dir`` is (rays x n) and ``t_dir`` is (rays,), row-aligned with the
+    corner, so row k of either still belongs to nonbasic ``columns[k]``
+    and step lengths line up with the eta forms.  ``x_dir`` is made
+    C-contiguous: its rows are the ray vectors dotted with subgradients,
+    and a strided row can round those dot products differently.
     """
     if corner.apex.size != lift.ncols:
         raise ValueError(f"corner has {corner.apex.size} columns, lift map expects {lift.ncols}")
     corner.apex_x = corner.apex[lift.x_cols].copy()
     corner.apex_t = float(corner.apex[lift.t_col])
-    for ray in corner.rays:
-        ray.x_dir = ray.direction[lift.x_cols].copy()
-        ray.t_dir = float(ray.direction[lift.t_col])
+    corner.x_dir = np.ascontiguousarray(corner.directions[:, lift.x_cols])
+    corner.t_dir = corner.directions[:, lift.t_col].copy()
     return corner

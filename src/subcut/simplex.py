@@ -27,7 +27,7 @@ same comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class LpModel:
     rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    names: list = None
 
     def __post_init__(self):
         if self.sense not in ("max", "min"):
@@ -83,8 +82,6 @@ class LpModel:
             raise ValueError("some lower bound exceeds its upper bound")
         if not np.all(np.isfinite(self.rows)) or not np.all(np.isfinite(self.rhs)):
             raise ValueError("row data must be finite")
-        if self.names is None:
-            self.names = [f"z{j}" for j in range(n)]
 
     @property
     def ncols(self) -> int:
@@ -105,7 +102,6 @@ class LpModel:
             np.concatenate([self.rhs, np.atleast_1d(rhs)]),
             self.lower.copy(),
             self.upper.copy(),
-            list(self.names),
         )
 
 
@@ -120,37 +116,34 @@ class LpSolution:
 
 
 @dataclass
-class CornerRay:
-    """One feasible edge direction of the corner relaxation.
+class CornerPolyhedron:
+    """Apex and rays of the LP basis relaxation, in structural coordinates.
 
-    ``direction`` is the movement of the structural variables per unit of
-    the nonbasic displacement eta; eta itself is the affine function
-    eta(z) = eta_coef . z + eta_off of the structural variables, which is
-    what lets a cut stated in ray multipliers be mapped back.  The x/t
-    split is filled in by the model layer's projection.
+    One row per ray, in ascending order of the nonbasic column it moves:
+    row k belongs to column ``columns[k]`` (a bound ray when that is a
+    structural column, below the model's column count, and a slack or
+    surplus ray otherwise).  ``directions[k]`` is the movement of the
+    structural variables per unit of the nonbasic displacement eta, and
+    eta itself is the affine function eta(z) = eta_coef[k] . z +
+    eta_off[k] of the structural variables, which is what lets a cut
+    stated in ray multipliers be mapped back.  The (x, t) restriction,
+    ``apex_x``, ``apex_t``, ``x_dir`` (rays x n) and ``t_dir`` (rays,),
+    is filled in by the model layer's projection.
     """
 
-    column: int
-    kind: str
-    direction: np.ndarray
-    eta_coef: np.ndarray
-    eta_off: float
-    x_dir: np.ndarray = None
-    t_dir: float = None
-
-
-@dataclass
-class CornerPolyhedron:
-    """Apex and rays of the LP basis relaxation, in structural coordinates."""
-
     apex: np.ndarray
-    rays: list
+    columns: np.ndarray
+    directions: np.ndarray
+    eta_coef: np.ndarray
+    eta_off: np.ndarray
     apex_x: np.ndarray = None
     apex_t: float = None
+    x_dir: np.ndarray = None
+    t_dir: np.ndarray = None
 
     @property
     def nrays(self) -> int:
-        return len(self.rays)
+        return self.columns.size
 
 
 # column kind codes
@@ -495,70 +488,48 @@ def solve(model: LpModel, max_iters=None) -> LpSolution:
     return _BoundedSimplex(model, max_iters=max_iters).solve()
 
 
-def corner(solution: LpSolution, model: LpModel) -> CornerPolyhedron:
+def corner(solution: LpSolution) -> CornerPolyhedron:
     """Corner relaxation at the optimal basis: apex plus one ray per nonbasic.
 
     Columns fixed by their bounds contribute no ray.  A free nonbasic
-    variable has no bound to anchor its ray and is rejected.
+    variable has no bound to anchor its ray and is rejected.  The eta
+    forms read the rows of the model that was solved.
     """
     if solution.status != OPTIMAL:
         raise ValueError(f"corner extraction needs an optimal solution, got {solution.status}")
     st = solution._state
     n = st.nstruct
-    nb = [
-        j
-        for j in range(st.N)
-        if st.where[j] != _BASIC
-        and st.kinds[j] != _KIND_ARTIFICIAL
-        and st.lo[j] != st.hi[j]
-    ]
-    for j in nb:
-        if st.where[j] == _FREE:
-            raise ValueError(f"free nonbasic column {j}; corner undefined without a bound")
-    rays = []
-    if nb:
-        W = st.Binv @ st.A[:, nb]
-        for k, j in enumerate(nb):
-            delta = 1.0 if st.where[j] == _AT_LOWER else -1.0
-            full = np.zeros(st.N)
-            full[j] = delta
-            full[st.basis] = -delta * W[:, k]
-            g = np.zeros(n)
-            if st.kinds[j] == _KIND_STRUCT:
-                g[j] = delta
-                bound = st.lo[j] if st.where[j] == _AT_LOWER else st.hi[j]
-                h = -delta * bound
-                kind = "bound"
-            else:
-                i = int(st.slack_row[j])
-                if st.kinds[j] == _KIND_SLACK:
-                    g = -model.rows[i].copy()
-                    h = float(model.rhs[i])
-                    kind = "slack"
-                else:
-                    g = model.rows[i].copy()
-                    h = -float(model.rhs[i])
-                    kind = "surplus"
-            rays.append(
-                CornerRay(column=j, kind=kind, direction=full[:n].copy(), eta_coef=g, eta_off=h)
-            )
-    return CornerPolyhedron(apex=solution.x.copy(), rays=rays)
+    nb = np.flatnonzero(
+        (st.where != _BASIC) & (st.kinds != _KIND_ARTIFICIAL) & (st.lo != st.hi)
+    )
+    free = nb[st.where[nb] == _FREE]
+    if free.size:
+        raise ValueError(f"free nonbasic column {free[0]}; corner undefined without a bound")
+    k = nb.size
+    rows = np.arange(k)
+    at_lower = st.where[nb] == _AT_LOWER
+    delta = np.where(at_lower, 1.0, -1.0)
+    full = np.zeros((k, st.N))
+    full[rows, nb] = delta
+    full[:, st.basis] = -delta[:, None] * (st.Binv @ st.A[:, nb]).T
 
-
-def lp_format(model: LpModel) -> str:
-    """Readable dump of a model, numbers to 12 significant digits."""
-    fmt = "%.12g"
-    names = model.names
-
-    def term(c, j):
-        return f"{fmt % c} {names[j]}"
-
-    lines = [f"{model.sense} " + " + ".join(term(c, j) for j, c in enumerate(model.objective) if c)]
-    lines.append("subject to")
-    for i in range(model.nrows):
-        body = " + ".join(term(c, j) for j, c in enumerate(model.rows[i]) if c) or "0"
-        lines.append(f"  r{i}: {body} {model.row_senses[i]} {fmt % model.rhs[i]}")
-    lines.append("bounds")
-    for j in range(model.ncols):
-        lines.append(f"  {fmt % model.lower[j]} <= {names[j]} <= {fmt % model.upper[j]}")
-    return "\n".join(lines)
+    # eta = delta (z_j - bound) for a structural column, the row's slack
+    # rhs - a.z for a <= row and its surplus a.z - rhs for a >= row
+    eta_coef = np.zeros((k, n))
+    eta_off = np.zeros(k)
+    struct = st.kinds[nb] == _KIND_STRUCT
+    sj = nb[struct]
+    eta_coef[rows[struct], sj] = delta[struct]
+    eta_off[struct] = -delta[struct] * np.where(at_lower[struct], st.lo[sj], st.hi[sj])
+    logical = ~struct
+    sign = np.where(st.kinds[nb[logical]] == _KIND_SLACK, -1.0, 1.0)
+    i = st.slack_row[nb[logical]]
+    eta_coef[logical] = sign[:, None] * st.model.rows[i]
+    eta_off[logical] = -sign * st.model.rhs[i]
+    return CornerPolyhedron(
+        apex=solution.x.copy(),
+        columns=nb,
+        directions=full[:, :n].copy(),
+        eta_coef=eta_coef,
+        eta_off=eta_off,
+    )

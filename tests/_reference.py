@@ -176,19 +176,19 @@ def ratio_test_sequential(rate, bvals, blo, bhi, basis, pivot_tol, degen_tol, up
     return row_step, block, block_side
 
 
-def corner_t_interval_loop(z_pts, rays, t_col, tol):
+def corner_t_interval_loop(z_pts, eta_coef, eta_off, t_col, tol):
     """Per-point t interval inside a corner, one ray at a time.
 
     Each point z (t entry zero) may take t in [t_lo, t_hi]: a ray whose eta
-    form rises with t bounds t below, one that falls bounds it above, and
-    a ray with a flat t coefficient excludes the point (t_lo = inf) when
-    its eta is below -tol.
+    form (row k of eta_coef, eta_off) rises with t bounds t below, one that
+    falls bounds it above, and a ray with a flat t coefficient excludes the
+    point (t_lo = inf) when its eta is below -tol.
     """
     t_lo = np.full(z_pts.shape[0], -math.inf)
     t_hi = np.full(z_pts.shape[0], math.inf)
-    for ray in rays:
-        a = float(ray.eta_coef[t_col])
-        rest = z_pts @ ray.eta_coef + ray.eta_off
+    for coef, off in zip(eta_coef, eta_off):
+        a = float(coef[t_col])
+        rest = z_pts @ coef + off
         if abs(a) <= 1e-14:
             t_lo[rest < -tol] = math.inf
         elif a > 0:
@@ -196,3 +196,50 @@ def corner_t_interval_loop(z_pts, rays, t_col, tol):
         else:
             np.minimum(t_hi, -rest / a, out=t_hi)
     return t_lo, t_hi
+
+
+def corner_rays_loop(solution, codes):
+    """The corner at an optimal basis, built one nonbasic column at a time.
+
+    Reads the solver state kept on ``solution`` (``codes`` names its
+    placement and column-kind constants: basic, at_lower, free, struct,
+    slack, artificial).  Returns (column, direction, eta_coef, eta_off)
+    per ray in ascending column order: the structural movement per unit
+    of eta, and eta as an affine form of the structural variables.
+    """
+    st = solution._state
+    model = st.model
+    n = st.nstruct
+    nb = [
+        j
+        for j in range(st.N)
+        if st.where[j] != codes["basic"]
+        and st.kinds[j] != codes["artificial"]
+        and st.lo[j] != st.hi[j]
+    ]
+    for j in nb:
+        if st.where[j] == codes["free"]:
+            raise ValueError(f"free nonbasic column {j}")
+    rays = []
+    if nb:
+        W = st.Binv @ st.A[:, nb]
+        for k, j in enumerate(nb):
+            delta = 1.0 if st.where[j] == codes["at_lower"] else -1.0
+            full = np.zeros(st.N)
+            full[j] = delta
+            full[st.basis] = -delta * W[:, k]
+            g = np.zeros(n)
+            if st.kinds[j] == codes["struct"]:
+                g[j] = delta
+                bound = st.lo[j] if st.where[j] == codes["at_lower"] else st.hi[j]
+                h = -delta * bound
+            else:
+                i = int(st.slack_row[j])
+                if st.kinds[j] == codes["slack"]:
+                    g = -model.rows[i].copy()
+                    h = float(model.rhs[i])
+                else:
+                    g = model.rows[i].copy()
+                    h = -float(model.rhs[i])
+            rays.append((j, full[:n].copy(), g, h))
+    return rays

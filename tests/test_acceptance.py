@@ -24,7 +24,6 @@ from subcut.harness import (
     RunConfig,
     aggregate,
     autocorr_polynomial,
-    g05_graph,
     generate_instances,
     pw_graph,
     root_loop,
@@ -61,7 +60,7 @@ def criterion(name):
 def random_graph(rng, n):
     seed = int(rng.integers(1 << 30))
     if rng.random() < 0.5:
-        return g05_graph(n, density=float(rng.uniform(0.3, 0.8)), seed=seed)
+        return pw_graph(n, density=float(rng.uniform(0.3, 0.8)), seed=seed, max_weight=1)
     return pw_graph(n, density=float(rng.uniform(0.3, 0.8)), seed=seed)
 
 

@@ -16,6 +16,7 @@ from subcut.cuts import (
     validate_cut_bruteforce,
 )
 from subcut.errors import CapacityError, SeparationBudget
+from subcut.harness import pw_graph
 from subcut.models import LiftMap, build_maxcut_model, project_corner
 from subcut.oracles import (
     Graph,
@@ -27,7 +28,7 @@ from subcut.oracles import (
     zero_oracle,
 )
 from subcut.sfree import EnvelopeEpigraph, LiftedSplit, build_reverse_linearized
-from subcut.simplex import CornerPolyhedron, CornerRay, corner, solve
+from subcut.simplex import CornerPolyhedron, corner, solve
 
 
 @pytest.fixture
@@ -35,31 +36,26 @@ def k3_cut():
     return cut_oracle(Graph(3, ref.K3_EDGES))
 
 
-def make_ray(direction, eta_coef, eta_off, n):
-    direction = np.asarray(direction, dtype=float)
-    return CornerRay(
-        column=-1,
-        kind="synthetic",
-        direction=direction,
-        eta_coef=np.asarray(eta_coef, dtype=float),
-        eta_off=float(eta_off),
-        x_dir=direction[:n].copy(),
-        t_dir=float(direction[n]),
+def make_corner(apex, rays, n):
+    """Corner with (direction, eta_coef, eta_off) rays, projected onto x = columns 0..n-1, t = n."""
+    apex = np.asarray(apex, dtype=float)
+    k = len(rays)
+    cp = CornerPolyhedron(
+        apex=apex,
+        columns=np.arange(k),
+        directions=np.array([d for d, _, _ in rays], dtype=float).reshape(k, apex.size),
+        eta_coef=np.array([g for _, g, _ in rays], dtype=float).reshape(k, apex.size),
+        eta_off=np.array([h for _, _, h in rays], dtype=float),
     )
+    return project_corner(cp, plain_lift(n))
 
 
 def k3_corner(t_ray_sign=-1.0):
     """Apex ((0.5,0.5,0.5), 1.5) with the three coordinate rays and a t ray."""
-    apex = np.array([0.5, 0.5, 0.5, 1.5])
-    rays = []
-    for i in range(3):
-        e = np.zeros(4)
-        e[i] = 1.0
-        rays.append(make_ray(e, e, -0.5, 3))
+    rays = [(e, e, -0.5) for e in np.eye(4)[:3]]
     t_dir = np.array([0.0, 0.0, 0.0, t_ray_sign])
-    rays.append(make_ray(t_dir, t_dir, -t_ray_sign * 1.5, 3))
-    cp = CornerPolyhedron(apex=apex, rays=rays, apex_x=apex[:3].copy(), apex_t=1.5)
-    return cp, plain_lift(3)
+    rays.append((t_dir, t_dir, -t_ray_sign * 1.5))
+    return make_corner([0.5, 0.5, 0.5, 1.5], rays, 3), plain_lift(3)
 
 
 def plain_lift(n):
@@ -278,10 +274,7 @@ class TestIntersectionCut:
         assert cut.rhs == pytest.approx(2.0, abs=1e-9)
         # multiplier form at the feasible point ((1,1,1), 0): sum eta_j / eta*_j = 3
         z = np.array([1.0, 1.0, 1.0, 0.0])
-        lhs = sum(
-            (float(r.eta_coef @ z) + r.eta_off) / s
-            for r, s in zip(cp.rays, cut.steps)
-        )
+        lhs = float(np.sum((cp.eta_coef @ z + cp.eta_off) / cut.steps))
         assert lhs == pytest.approx(3.0, abs=1e-9)
         assert cut.satisfied(z)
         assert cut.efficacy == pytest.approx(1.0 / math.sqrt(52.0 / 9.0), abs=1e-9)
@@ -297,12 +290,11 @@ class TestIntersectionCut:
 
     def test_classic_unit_cut(self):
         f = modular_oracle([1.0, 1.0])
-        apex = np.array([0.0, 0.0, 1.0])
         rays = [
-            make_ray([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.0, 2),
-            make_ray([0.0, 1.0, 0.0], [0.0, 1.0, 0.0], 0.0, 2),
+            ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.0),
+            ([0.0, 1.0, 0.0], [0.0, 1.0, 0.0], 0.0),
         ]
-        cp = CornerPolyhedron(apex=apex, rays=rays, apex_x=apex[:2].copy(), apex_t=1.0)
+        cp = make_corner([0.0, 0.0, 1.0], rays, 2)
         cut = intersection_cut(cp, EnvelopeEpigraph(f))
         assert cut is not None
         assert cut.steps == pytest.approx([1.0, 1.0], abs=1e-9)
@@ -317,13 +309,12 @@ class TestIntersectionCut:
         assert cut.coef[3] == 0.0
 
     def test_all_infinite_steps(self, k3_cut):
-        apex = np.array([0.5, 0.5, 0.5, 1.5])
         rays = [
-            make_ray([0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0], -1.5, 3),
+            ([0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0], -1.5),
             # the all-ones x direction is envelope-neutral for a cut function
-            make_ray([1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0], -0.5, 3),
+            ([1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0], -0.5),
         ]
-        cp = CornerPolyhedron(apex=apex, rays=rays, apex_x=apex[:3].copy(), apex_t=1.5)
+        cp = make_corner([0.5, 0.5, 0.5, 1.5], rays, 3)
         assert intersection_cut(cp, EnvelopeEpigraph(k3_cut)) is None
 
     def test_non_interior_apex(self, k3_cut):
@@ -358,11 +349,28 @@ class TestIntersectionCut:
         graph = Graph(3, ref.K3_EDGES)
         model, target, lift = build_maxcut_model(graph)
         sol = solve(model)
-        cp = project_corner(corner(sol, model), lift)
+        cp = project_corner(corner(sol), lift)
         j = int(np.argmin(np.abs(cp.apex_x - 0.5)))
         cut = intersection_cut(cp, LiftedSplit(j, 3))
         assert cut is not None
         assert validate_cut_bruteforce(cut, target, lift, corner=cp)
+
+    def test_steps_match_fresh_ray_copies(self):
+        # each ray's steps must not depend on how the corner block lays out its rows
+        for seed in range(1000, 1004):
+            model, target, lift = build_maxcut_model(pw_graph(10, 0.5, seed, max_weight=1))
+            cp = project_corner(corner(solve(model)), lift)
+            sfree = EnvelopeEpigraph(target.f1)
+            cut = intersection_cut(cp, sfree)
+            assert cut is not None
+            margin = sfree.margin(cp.apex_x, cp.apex_t)
+            fresh = [
+                step_length(ZetaFunction(
+                    sfree, cp.apex_x, cp.apex_t, cp.directions[k, lift.x_cols], float(cp.t_dir[k])
+                ), margin).eta
+                for k in range(cp.nrays)
+            ]
+            assert np.array(cut.steps).tobytes() == np.array(fresh).tobytes()
 
     def test_log_line(self, k3_cut, caplog):
         cp, _ = k3_corner()
@@ -488,12 +496,28 @@ class TestValidateCut:
             for _ in range(int(rng.integers(1, 9))):
                 coef = rng.normal(size=ncols)
                 coef[t_col] = rng.choice([0.0, 1e-15, coef[t_col]])
-                rays.append(make_ray(np.zeros(ncols), coef, float(rng.normal()), ncols - 1))
-            cp = CornerPolyhedron(apex=np.zeros(ncols), rays=rays)
+                rays.append((np.zeros(ncols), coef, float(rng.normal())))
+            cp = make_corner(np.zeros(ncols), rays, ncols - 1)
             lo, hi = cuts._corner_t_interval(z_pts, cp, t_col, 1e-7)
-            ref_lo, ref_hi = ref.corner_t_interval_loop(z_pts, rays, t_col, 1e-7)
+            ref_lo, ref_hi = ref.corner_t_interval_loop(z_pts, cp.eta_coef, cp.eta_off, t_col, 1e-7)
             assert lo == pytest.approx(ref_lo, rel=1e-12, abs=1e-12)
             assert hi == pytest.approx(ref_hi, rel=1e-12, abs=1e-12)
+
+    def test_t_interval_cached_per_target_and_corner(self, k3_cut, monkeypatch):
+        intervals = []
+        real = cuts._corner_t_interval
+        monkeypatch.setattr(cuts, "_corner_t_interval", lambda *a: intervals.append(a[1]) or real(*a))
+        cp, lift = k3_corner()
+        cut = intersection_cut(cp, EnvelopeEpigraph(k3_cut))
+        cache = {}
+        assert validate_cut_bruteforce(cut, k3_cut, lift, corner=cp, cubes=cache)
+        assert validate_cut_bruteforce(cut, k3_cut, lift, corner=cp, cubes=cache)
+        assert len(intervals) == 1 and intervals[0] is cp
+        # outside the corner the cut is violated at x = 0, t = 0
+        assert not validate_cut_bruteforce(cut, k3_cut, lift, corner=None, cubes=cache)
+        twin, _ = k3_corner()  # equal arrays, another object
+        assert validate_cut_bruteforce(cut, k3_cut, lift, corner=twin, cubes=cache)
+        assert len(intervals) == 3 and intervals[1] is None and intervals[2] is twin
 
     def test_emitted_cuts_always_validate(self):
         rng = np.random.default_rng(13)
@@ -511,7 +535,7 @@ class TestValidateCut:
             graph = Graph(n, edges)
             model, target, lift = build_maxcut_model(graph)
             sol = solve(model)
-            cp = project_corner(corner(sol, model), lift)
+            cp = project_corner(corner(sol), lift)
             if np.all(np.minimum(cp.apex_x, 1 - cp.apex_x) <= 1e-6):
                 continue  # already binary, nothing to separate
             cut = intersection_cut(cp, EnvelopeEpigraph(target.f1))

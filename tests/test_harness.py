@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from subcut.harness import (
     brute_force_primal,
     build_model,
     closed_gap,
-    g05_graph,
     generate_instances,
     load_instance,
     pw_graph,
@@ -152,18 +152,18 @@ class TestAggregate:
 
 class TestGenerators:
     def test_g05_unit_weights(self):
-        g = g05_graph(10, seed=1)
+        g = pw_graph(10, seed=1, max_weight=1)
         assert g.n == 10
         assert all(w == 1.0 for _, _, w in g.edges)
         assert 10 <= g.m <= 35  # density 0.5 of 45 pairs, loose band
 
     def test_g05_deterministic(self):
-        assert g05_graph(12, seed=7).edges == g05_graph(12, seed=7).edges
-        assert g05_graph(12, seed=7).edges != g05_graph(12, seed=8).edges
+        assert pw_graph(12, seed=7, max_weight=1).edges == pw_graph(12, seed=7, max_weight=1).edges
+        assert pw_graph(12, seed=7, max_weight=1).edges != pw_graph(12, seed=8, max_weight=1).edges
 
     def test_g05_density_extremes(self):
-        assert g05_graph(6, density=1.0, seed=0).m == 15
-        assert g05_graph(6, density=0.0, seed=0).m == 0
+        assert pw_graph(6, density=1.0, seed=0, max_weight=1).m == 15
+        assert pw_graph(6, density=0.0, seed=0, max_weight=1).m == 0
 
     def test_pw_weight_range(self):
         g = pw_graph(10, seed=2)
@@ -201,7 +201,7 @@ class TestGenerators:
         assert pairs(sparse) == pairs(dense)
 
     def test_minimum_size(self):
-        for gen in (g05_graph, pw_graph, autocorr_polynomial):
+        for gen in (pw_graph, autocorr_polynomial):
             with pytest.raises(ValueError):
                 gen(1)
 
@@ -213,7 +213,7 @@ class TestInstanceFiles:
         assert {p.suffix for p in paths} == {".mc"}
         g = load_instance(paths[0])
         assert isinstance(g, Graph) and g.n == 6
-        assert g.edges == g05_graph(6, seed=3).edges
+        assert g.edges == pw_graph(6, seed=3, max_weight=1).edges
 
     def test_generate_and_load_poly(self, tmp_path):
         (path,) = generate_instances("autocorr", 5, seed=1, out_dir=tmp_path)
@@ -540,6 +540,21 @@ class TestCli:
         captured = capsys.readouterr()
         (line,) = captured.err.strip().split("\n")
         assert line.startswith("error: ") and str(path) in line
+
+    def test_bench_malformed_instance_fails_before_any_run(self, tmp_path, capsys, caplog):
+        generate_instances("g05", 6, count=2, seed=0, out_dir=tmp_path)
+        bad = tmp_path / "zz_short.mc"  # sorts after the good instances
+        bad.write_text("3 2\n1 2 1.0\n")
+        report = tmp_path / "bench.csv"
+        with caplog.at_level(logging.INFO, logger="subcut.harness"):
+            rc = cli.main(["bench", str(tmp_path), "--report", str(report)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().split("\n")
+        assert line.startswith("error: ") and str(bad) in line
+        assert not [r for r in caplog.records if r.getMessage().startswith("REPORT ")]
+        assert not report.exists()
 
     @pytest.mark.parametrize("command", ["root", "verify"])
     def test_missing_instance(self, tmp_path, capsys, command):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from subcut import simplex
-from subcut.harness import RunConfig, autocorr_polynomial, build_model, g05_graph, root_loop
+from subcut.harness import RunConfig, autocorr_polynomial, build_model, pw_graph, root_loop
 from subcut.models import BmpInstance
 from subcut.simplex import INFEASIBLE, OPTIMAL, LpModel
 
@@ -83,7 +83,7 @@ def test_random_boxed_lps(degenerate):
 @pytest.mark.parametrize(
     "problem, mode",
     [
-        (g05_graph(12, 0.5, seed=3), "submodular"),
+        (pw_graph(12, 0.5, seed=3, max_weight=1), "submodular"),
         (BmpInstance(autocorr_polynomial(10, max_lag=3, seed=3)), "both"),
     ],
     ids=["g05-n12", "autocorr-n10"],

@@ -17,7 +17,20 @@ from subcut.models import (
 )
 from subcut.oracles import Graph, MultilinearFunction, cut_oracle
 from subcut.sfree import EnvelopeEpigraph
-from subcut.simplex import CornerPolyhedron, CornerRay, corner, solve
+from subcut.simplex import CornerPolyhedron, corner, solve
+
+
+def block_corner(apex, directions, eta_coef, eta_off, columns=None):
+    """An unprojected corner from per-ray rows (bound rays on columns 0, 1, ... by default)."""
+    apex = np.asarray(apex, dtype=float)
+    k = len(eta_off)
+    return CornerPolyhedron(
+        apex=apex,
+        columns=np.arange(k) if columns is None else np.asarray(columns),
+        directions=np.asarray(directions, dtype=float).reshape(k, apex.size),
+        eta_coef=np.asarray(eta_coef, dtype=float).reshape(k, apex.size),
+        eta_off=np.asarray(eta_off, dtype=float),
+    )
 
 
 def k3_model():
@@ -37,7 +50,7 @@ def solve_with_fixed_x(model, lift, x):
     upper[lift.x_cols] = fixed
     pinned = type(model)(
         model.sense, model.objective, model.rows, model.row_senses,
-        model.rhs, lower, upper, model.names,
+        model.rhs, lower, upper,
     )
     return solve(pinned)
 
@@ -50,7 +63,6 @@ class TestBuildMaxcut:
         assert lift.x_cols.tolist() == [0, 1, 2]
         assert lift.t_col == 6
         assert len(lift.y_cols) == 3
-        assert model.names[0] == "x1" and model.names[-1] == "t"
 
     def test_k3_bound(self):
         model, _, lift = k3_model()
@@ -237,26 +249,27 @@ class TestProjectCorner:
     def test_k3_projection(self):
         model, _, lift = k3_model()
         sol = solve(model)
-        cp = project_corner(corner(sol, model), lift)
+        cp = project_corner(corner(sol), lift)
         assert cp.apex.size == 7
         assert cp.apex_x.shape == (3,)
         assert cp.apex_x == pytest.approx([0.5, 0.5, 0.5], abs=1e-9)
         assert cp.apex_t == pytest.approx(3.0, abs=1e-9)
-        for ray in cp.rays:
-            assert ray.x_dir.shape == (3,)
-            assert isinstance(ray.t_dir, float)
+        assert cp.x_dir.shape == (cp.nrays, 3) and cp.x_dir.flags.c_contiguous
+        assert cp.t_dir.shape == (cp.nrays,)
+        assert np.array_equal(cp.x_dir, cp.directions[:, lift.x_cols])
+        assert np.array_equal(cp.t_dir, cp.directions[:, lift.t_col])
 
     def test_ray_order_preserved(self):
         model, _, lift = k3_model()
         sol = solve(model)
-        cp = corner(sol, model)
-        before = [r.column for r in cp.rays]
+        cp = corner(sol)
+        before = cp.columns.tolist()
         project_corner(cp, lift)
-        assert [r.column for r in cp.rays] == before
+        assert cp.columns.tolist() == before
 
     def test_size_mismatch_rejected(self):
         _, _, lift = k3_model()
-        cp = CornerPolyhedron(apex=np.zeros(3), rays=[])
+        cp = block_corner(np.zeros(3), [], [], [])
         with pytest.raises(ValueError):
             project_corner(cp, lift)
 
@@ -267,13 +280,10 @@ class TestProjectCorner:
         apex = np.array([0.5, 0.5, 0.0, 0.5])
         e_y = np.array([0.0, 0.0, 1.0, 0.0])
         t_down = np.array([0.0, 0.0, 0.0, -1.0])
-        rays = [
-            CornerRay(column=2, kind="bound", direction=e_y, eta_coef=e_y.copy(), eta_off=0.0),
-            CornerRay(column=3, kind="bound", direction=t_down, eta_coef=t_down.copy(), eta_off=0.5),
-        ]
-        cp = project_corner(CornerPolyhedron(apex=apex, rays=rays), lift)
-        assert cp.rays[0].x_dir.tolist() == [0.0, 0.0]
-        assert cp.rays[0].t_dir == 0.0
+        cp = block_corner(apex, [e_y, t_down], [e_y, t_down], [0.0, 0.5], columns=[2, 3])
+        project_corner(cp, lift)
+        assert cp.x_dir[0].tolist() == [0.0, 0.0]
+        assert cp.t_dir[0] == 0.0
         cut = intersection_cut(cp, EnvelopeEpigraph(f))
         assert cut is not None
         assert cut.infinite_steps == 1

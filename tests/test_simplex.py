@@ -12,7 +12,6 @@ from subcut.simplex import (
     UNBOUNDED,
     LpModel,
     corner,
-    lp_format,
     solve,
 )
 
@@ -39,7 +38,6 @@ def tent_lp():
         rhs=[0.0, 2.0],
         lower=[0.0, 0.0],
         upper=[1.0, 10.0],
-        names=["x1", "t"],
     )
 
 
@@ -176,22 +174,22 @@ class TestCorner:
     def test_tent_rays(self):
         model = tent_lp()
         sol = solve(model)
-        cp = corner(sol, model)
+        cp = corner(sol)
         assert cp.nrays == 2
-        assert all(r.kind == "slack" for r in cp.rays)
-        got = {tuple(np.round(r.direction, 12)) for r in cp.rays}
+        assert np.all(cp.columns >= model.ncols)  # both rays move a slack
+        got = {tuple(np.round(d, 12)) for d in cp.directions}
         assert got == {(0.25, -0.5), (-0.25, -0.5)}
 
     def test_tent_eta_forms(self):
         model = tent_lp()
         sol = solve(model)
-        cp = corner(sol, model)
-        for ray in cp.rays:
+        cp = corner(sol)
+        for g, h, d in zip(cp.eta_coef, cp.eta_off, cp.directions):
             # eta vanishes at the apex and grows linearly along its own ray
-            assert float(ray.eta_coef @ cp.apex) + ray.eta_off == pytest.approx(0.0, abs=1e-9)
+            assert float(g @ cp.apex) + h == pytest.approx(0.0, abs=1e-9)
             for eta in (0.5, 1.0, 3.0):
-                z = cp.apex + eta * ray.direction
-                assert float(ray.eta_coef @ z) + ray.eta_off == pytest.approx(eta, abs=1e-9)
+                z = cp.apex + eta * d
+                assert float(g @ z) + h == pytest.approx(eta, abs=1e-9)
 
     def test_bound_ray_is_unit_direction(self):
         model = LpModel(
@@ -202,13 +200,12 @@ class TestCorner:
             rhs=[1.0],
             lower=[0.0, 0.0],
             upper=[1.0, 5.0],
-            names=["x1", "t"],
         )
         sol = solve(model)
-        cp = corner(sol, model)
-        by_kind = {r.kind: r for r in cp.rays}
-        assert by_kind["bound"].direction.tolist() == [1.0, 0.0]
-        assert float(by_kind["bound"].eta_coef @ cp.apex) + by_kind["bound"].eta_off == 0.0
+        cp = corner(sol)
+        (k,) = np.flatnonzero(cp.columns < model.ncols)
+        assert cp.directions[k].tolist() == [1.0, 0.0]
+        assert float(cp.eta_coef[k] @ cp.apex) + cp.eta_off[k] == 0.0
 
     def test_at_upper_ray_points_into_box(self):
         model = LpModel(
@@ -221,21 +218,21 @@ class TestCorner:
             upper=[2.0, 2.0],
         )
         sol = solve(model)
-        cp = corner(sol, model)
-        bound_rays = [r for r in cp.rays if r.kind == "bound"]
-        assert len(bound_rays) == 1
-        ray = bound_rays[0]
-        j = ray.column
+        cp = corner(sol)
+        bound_rays = np.flatnonzero(cp.columns < model.ncols)
+        assert bound_rays.size == 1
+        k = bound_rays[0]
+        j = cp.columns[k]
         assert sol.x[j] == pytest.approx(2.0, abs=1e-9)
-        assert ray.direction[j] == -1.0
+        assert cp.directions[k, j] == -1.0
         # eta measures distance travelled from the upper bound
-        z = cp.apex + 0.75 * ray.direction
-        assert float(ray.eta_coef @ z) + ray.eta_off == pytest.approx(0.75, abs=1e-12)
+        z = cp.apex + 0.75 * cp.directions[k]
+        assert float(cp.eta_coef[k] @ z) + cp.eta_off[k] == pytest.approx(0.75, abs=1e-12)
 
     def test_apex_reproduces_primal(self):
         model = tent_lp()
         sol = solve(model)
-        cp = corner(sol, model)
+        cp = corner(sol)
         assert np.array_equal(cp.apex, sol.x)
 
     def test_needs_optimal_status(self):
@@ -245,7 +242,7 @@ class TestCorner:
         )
         sol = solve(model)
         with pytest.raises(ValueError):
-            corner(sol, model)
+            corner(sol)
 
     def test_fixed_column_contributes_no_ray(self):
         model = LpModel(
@@ -258,8 +255,8 @@ class TestCorner:
             upper=[1.0, 0.4],
         )
         sol = solve(model)
-        cp = corner(sol, model)
-        assert all(r.column != 1 or r.kind != "bound" for r in cp.rays)
+        cp = corner(sol)
+        assert 1 not in cp.columns
         assert cp.nrays == 1  # only the slack of the single row
 
     def test_free_nonbasic_rejected(self):
@@ -275,7 +272,7 @@ class TestCorner:
         sol = solve(model)
         assert sol.status == OPTIMAL
         with pytest.raises(ValueError):
-            corner(sol, model)
+            corner(sol)
 
     def test_equality_rows_stay_satisfied_along_rays(self):
         rng = np.random.default_rng(7)
@@ -297,11 +294,50 @@ class TestCorner:
             sol = solve(model)
             if sol.status != OPTIMAL:
                 continue
-            cp = corner(sol, model)
+            cp = corner(sol)
             eq = [i for i, s in enumerate(senses) if s == "="]
-            for ray in cp.rays:
+            for d in cp.directions:
                 for i in eq:
-                    assert abs(float(rows[i] @ ray.direction)) <= 1e-9
+                    assert abs(float(rows[i] @ d)) <= 1e-9
+
+    def test_block_matches_per_ray_loop(self):
+        codes = {
+            "basic": simplex._BASIC, "at_lower": simplex._AT_LOWER, "free": simplex._FREE,
+            "struct": simplex._KIND_STRUCT, "slack": simplex._KIND_SLACK,
+            "artificial": simplex._KIND_ARTIFICIAL,
+        }
+        rng = np.random.default_rng(23)
+        seen = {"lower": 0, "upper": 0, "slack": 0, "surplus": 0}
+        compared = 0
+        for _ in range(40):
+            n, m = int(rng.integers(3, 8)), int(rng.integers(2, 6))
+            rows = rng.integers(-3, 4, size=(m, n)).astype(float)
+            senses = [("<=", ">=", "=")[int(rng.integers(3))] for _ in range(m)]
+            rhs = rows @ rng.uniform(0, 1, size=n) + rng.uniform(-0.3, 0.3, size=m)
+            upper = np.ones(n)
+            upper[rng.random(n) < 0.2] = 0.0  # some fixed columns, which give no ray
+            model = LpModel("max", rng.normal(size=n), rows, senses, rhs, np.zeros(n), upper)
+            sol = solve(model)
+            if sol.status != OPTIMAL:
+                continue
+            cp = corner(sol)
+            rays = ref.corner_rays_loop(sol, codes)
+            assert cp.columns.tolist() == [j for j, _, _, _ in rays]
+            k = len(rays)
+            for got, want in (
+                (cp.directions, np.array([d for _, d, _, _ in rays]).reshape(k, n)),
+                (cp.eta_coef, np.array([g for _, _, g, _ in rays]).reshape(k, n)),
+                (cp.eta_off, np.array([h for _, _, _, h in rays])),
+            ):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            compared += 1
+            for j, _, g, _ in rays:
+                if j < n:
+                    seen["lower" if g[j] > 0 else "upper"] += 1
+                else:
+                    seen["surplus" if sol._state.kinds[j] == simplex._KIND_SURPLUS else "slack"] += 1
+        assert compared >= 20
+        assert min(seen.values()) > 0, seen
 
     def test_apex_is_a_vertex(self):
         rng = np.random.default_rng(11)
@@ -424,16 +460,3 @@ class TestRatioTest:
         )
         assert got == (1.0 - 5e-11, 1, simplex._AT_LOWER)
 
-
-class TestLpFormat:
-    def test_contains_sections(self):
-        text = lp_format(tent_lp())
-        assert "subject to" in text and "bounds" in text
-        assert "x1" in text and "t" in text
-        assert "<=" in text
-
-    def test_digits(self):
-        model = box_lp()
-        model.rhs = np.array([1.0 / 3.0])
-        text = lp_format(model)
-        assert "0.333333333333" in text
