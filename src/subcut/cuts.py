@@ -14,6 +14,11 @@ boundary; EFFICACY_MIN and DYNAMIC_RANGE_MAX filter assembled cuts; and
 CUT_TOL is the satisfaction and validation slack.  The apex margin is
 computed once per cut: the apex counts as strictly interior when it
 exceeds ``sfree.INTERIOR_TOL``, and it is zeta(0) on every ray.
+
+Every ray's search probes the same two etas first, ETA_INF and then
+NEWTON_START, so the set is evaluated at those two points of all rays
+in one block; only the Newton iterations after them evaluate one point
+at a time.
 """
 
 from __future__ import annotations
@@ -52,16 +57,23 @@ def _log_cut(cut: "IntersectionCut") -> "IntersectionCut":
 
 @dataclass
 class ZetaFunction:
-    """Boundary-distance profile of one ray against one set."""
+    """Boundary-distance profile of one ray against one set.
+
+    ``known`` maps etas already evaluated (for the whole corner at once)
+    to their (zeta, slope); every other eta is evaluated on demand.
+    """
 
     sfree: SFreeSet
     apex_x: np.ndarray
     apex_t: float
     ray_x: np.ndarray
     ray_t: float
+    known: dict = field(default_factory=dict)
 
     def eval(self, eta: float):
         """Value and a subgradient-based slope estimate at eta."""
+        if eta in self.known:
+            return self.known[eta]
         x = self.apex_x + eta * self.ray_x
         value, grad = self.sfree.value_and_subgradient(x)
         lvl = self.sfree.level
@@ -138,10 +150,12 @@ def intersection_cut(corner, sfree: SFreeSet):
     if not margin > INTERIOR_TOL:  # a NaN margin is not interior either
         return None
 
+    probes = _probe_rays(corner, sfree, (ETA_INF, NEWTON_START))
     steps = []
     newton_total = 0
     for k in range(corner.nrays):
-        zf = ZetaFunction(sfree, corner.apex_x, corner.apex_t, corner.x_dir[k], float(corner.t_dir[k]))
+        zf = ZetaFunction(sfree, corner.apex_x, corner.apex_t, corner.x_dir[k], float(corner.t_dir[k]),
+                          known=probes[k])
         try:
             res = step_length(zf, margin)
         except SeparationBudget:
@@ -178,6 +192,24 @@ def intersection_cut(corner, sfree: SFreeSet):
         newton_iters=newton_total,
         infinite_steps=len(steps) - len(finite),
     ))
+
+
+def _probe_rays(corner, sfree: SFreeSet, etas) -> list:
+    """Per ray, {eta: (zeta, slope)} at the given etas, from one block evaluation.
+
+    Row for row the same arithmetic as :meth:`ZetaFunction.eval`, so every
+    value is bit-identical to a point evaluation of that ray.
+    """
+    eta = np.array(etas)[:, None]
+    points = corner.apex_x + eta[:, :, None] * corner.x_dir  # (etas, rays, n)
+    value, grad = sfree.value_and_subgradient(points.reshape(-1, corner.x_dir.shape[1]))
+    lvl = sfree.level
+    zeta = lvl * (corner.apex_t + eta * corner.t_dir) - value.reshape(eta.size, -1)
+    slope = lvl * corner.t_dir - np.vecdot(grad.reshape(points.shape), corner.x_dir)
+    return [
+        {e: (z, s) for e, z, s in zip(etas, ray_zeta, ray_slope)}
+        for ray_zeta, ray_slope in zip(zeta.T.tolist(), slope.T.tolist())
+    ]
 
 
 def gradient_cut(ss: SSFunction, x_ref, t_ref: float, lift):

@@ -52,16 +52,26 @@ class SubmodularOracle:
     def chain_values(self, order) -> np.ndarray:
         """Values along the prefix chain of ``order``: f(0), f(e_{o0}), ..., f(1).
 
-        Generic path costs n oracle calls (f(0) is 0 by normalization);
-        subclasses override with closed forms.
+        ``order`` may also be a (k, n) block of orders, which gives one such
+        row of n + 1 values per order.
         """
         order = np.asarray(order, dtype=int)
-        x = np.zeros(self.n)
-        out = np.empty(self.n + 1)
-        out[0] = 0.0
-        for i, j in enumerate(order):
-            x[j] = 1.0
-            out[i + 1] = self.value(x)
+        chains = self._chain_rows(order.reshape(-1, self.n))
+        return chains.reshape(order.shape[:-1] + (self.n + 1,))
+
+    def _chain_rows(self, orders) -> np.ndarray:
+        """Chain values of each row of a (k, n) block of orders.
+
+        Generic path costs n oracle calls per row (f(0) is 0 by
+        normalization); subclasses override with closed forms that take
+        the whole block at once.
+        """
+        out = np.zeros((orders.shape[0], self.n + 1))
+        for row, order in zip(out, orders):
+            x = np.zeros(self.n)
+            for i, j in enumerate(order):
+                x[j] = 1.0
+                row[i + 1] = self.value(x)
         return out
 
     def values_at(self, bits) -> np.ndarray:
@@ -143,6 +153,7 @@ class GraphCutOracle(SubmodularOracle):
         self._ew = np.array([e[2] for e in graph.edges], dtype=float)
         self._wmat = graph.weight_matrix()
         self._deg = self._wmat.sum(axis=1)
+        self._lower = np.tri(graph.n, k=-1)  # strictly lower: the vertices placed before
         super().__init__(graph.n, self._cut_raw, name="cut")
 
     def _cut_raw(self, x):
@@ -150,15 +161,13 @@ class GraphCutOracle(SubmodularOracle):
         xj = x[self._ej]
         return float(np.dot(self._ew, xi + xj - 2.0 * xi * xj))
 
-    def chain_values(self, order) -> np.ndarray:
-        order = np.asarray(order, dtype=int)
+    def _chain_rows(self, orders) -> np.ndarray:
         # marginal gain of adding v to prefix S: deg(v) - 2 * w(v, S)
-        perm_block = self._wmat[np.ix_(order, order)]
-        inner = np.tril(perm_block, -1).sum(axis=1)
-        gains = self._deg[order] - 2.0 * inner
-        out = np.empty(self.n + 1)
-        out[0] = 0.0
-        np.cumsum(gains, out=out[1:])
+        prefix = self._wmat[orders[:, :, None], orders[:, None, :]]
+        prefix *= self._lower
+        gains = self._deg[orders] - 2.0 * prefix.sum(axis=2)
+        out = np.zeros((orders.shape[0], self.n + 1))
+        np.add.accumulate(gains, axis=1, out=out[:, 1:])
         return out
 
     def values_at(self, bits) -> np.ndarray:
@@ -242,20 +251,18 @@ class MultilinearOracle(SubmodularOracle):
         super().__init__(poly.n, poly.evaluate, name="multilinear")
         self.trivially_zero = not poly.terms
 
-    def chain_values(self, order) -> np.ndarray:
-        order = np.asarray(order, dtype=int)
-        out = np.zeros(self.n + 1)
+    def _chain_rows(self, orders) -> np.ndarray:
+        out = np.zeros((orders.shape[0], self.n + 1))
         if self._coefs.size == 0:
             return out
-        pos = np.empty(self.n + 1, dtype=int)
-        pos[order] = np.arange(1, self.n + 1)
-        pos[-1] = 0  # sentinel for padding
+        rows = np.arange(orders.shape[0])[:, None]
+        # position of each variable in its order; the last column (0) is the padding sentinel
+        pos = np.zeros((orders.shape[0], self.n + 1), dtype=int)
+        pos[rows, orders] = np.arange(1, self.n + 1)
         # a term switches on once its whole support is in the prefix
-        activate = pos[self._pad].max(axis=1)
-        increments = np.zeros(self.n + 1)
-        np.add.at(increments, activate, self._coefs)
-        np.cumsum(increments, out=out)
-        out[0] = 0.0
+        activate = pos[:, self._pad].max(axis=2)
+        np.add.at(out, (rows, activate), self._coefs)
+        np.add.accumulate(out, axis=1, out=out)
         return out
 
     def values_at(self, bits) -> np.ndarray:
@@ -276,10 +283,9 @@ def modular_oracle(weights) -> SubmodularOracle:
     c = np.asarray(weights, dtype=float).copy()
 
     class _Modular(SubmodularOracle):
-        def chain_values(self, order):
-            out = np.empty(self.n + 1)
-            out[0] = 0.0
-            np.cumsum(c[np.asarray(order, dtype=int)], out=out[1:])
+        def _chain_rows(self, orders):
+            out = np.zeros((orders.shape[0], self.n + 1))
+            np.add.accumulate(c[orders], axis=1, out=out[:, 1:])
             return out
 
         def values_at(self, bits):

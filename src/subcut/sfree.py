@@ -31,6 +31,7 @@ class SFreeSet:
     kind = "sfree"
 
     def value_and_subgradient(self, x):
+        """G(x) and a subgradient; a (k, n) block of points gives (k,) values and (k, n) rows."""
         raise NotImplementedError
 
     def margin(self, x, t) -> float:
@@ -63,8 +64,7 @@ class EnvelopeEpigraph(SFreeSet):
         ev = envelope_eval(self.oracle, x)
         if self.gamma is None:
             return ev.value, ev.subgradient
-        x = np.asarray(x, dtype=float)
-        return ev.value - float(self.gamma @ x), ev.subgradient - self.gamma
+        return ev.value - np.vecdot(x, self.gamma), ev.subgradient - self.gamma
 
 
 class LiftedSplit(SFreeSet):
@@ -81,9 +81,14 @@ class LiftedSplit(SFreeSet):
 
     def value_and_subgradient(self, x):
         x = np.asarray(x, dtype=float)
-        xj = float(x[self.j])
-        grad = np.zeros(self.n)
+        grad = np.zeros(x.shape)
         # ties resolve to the lower face for determinism
+        if x.ndim == 2:
+            xj = x[:, self.j]
+            upper = -xj < xj - 1.0
+            grad[:, self.j] = np.where(upper, 1.0, -1.0)
+            return np.where(upper, xj - 1.0, -xj), grad
+        xj = float(x[self.j])
         if -xj >= xj - 1.0:
             grad[self.j] = -1.0
             return -xj, grad
@@ -111,10 +116,9 @@ class CoverRelaxation(SFreeSet):
         self.vertices = np.array([greedy_vertex(oracle, o) for o in orders])
 
     def value_and_subgradient(self, x):
-        x = np.asarray(x, dtype=float)
-        scores = self.vertices @ x
-        k = int(np.argmax(scores))
-        return float(scores[k]), self.vertices[k].copy()
+        scores = np.vecdot(np.asarray(x, dtype=float)[..., None, :], self.vertices)
+        k = np.argmax(scores, axis=-1)
+        return np.take_along_axis(scores, k[..., None], axis=-1)[..., 0], np.take(self.vertices, k, axis=0)
 
 
 def build_reverse_linearized(ss: SSFunction, x_ref) -> SFreeSet:

@@ -465,10 +465,13 @@ class _BoundedSimplex:
         w[i] times the new row pos.  The products go to buf (m x m) and are
         subtracted from the whole matrix in place, and row pos is written
         back afterwards.  Each entry is the same product and the same
-        subtraction as a row-by-row update, so no bit changes.
+        subtraction as a row-by-row update, so no bit changes.  Spreading
+        w over buf first and multiplying in place is faster than the
+        broadcast product and gives the same bytes.
         """
         r = self.Binv[pos] / w[pos]
-        np.multiply(w[:, None], r, out=buf)
+        np.copyto(buf, w[:, None])
+        np.multiply(buf, r, out=buf)
         self.Binv -= buf
         self.Binv[pos] = r
 

@@ -16,8 +16,8 @@ from subcut.cuts import (
     validate_cut_bruteforce,
 )
 from subcut.errors import CapacityError, SeparationBudget
-from subcut.harness import pw_graph
-from subcut.models import LiftMap, build_maxcut_model, project_corner
+from subcut.harness import autocorr_polynomial, build_model, pw_graph, split_selector
+from subcut.models import BmpInstance, LiftMap, build_maxcut_model, project_corner
 from subcut.oracles import (
     Graph,
     MultilinearFunction,
@@ -356,21 +356,28 @@ class TestIntersectionCut:
         assert validate_cut_bruteforce(cut, target, lift, corner=cp)
 
     def test_steps_match_fresh_ray_copies(self):
-        # each ray's steps must not depend on how the corner block lays out its rows
+        # each ray's steps must depend neither on how the corner block lays out its
+        # rows nor on the probes evaluated for all rays at once
+        kinds = set()
         for seed in range(1000, 1004):
-            model, target, lift = build_maxcut_model(pw_graph(10, 0.5, seed, max_weight=1))
-            cp = project_corner(corner(solve(model)), lift)
-            sfree = EnvelopeEpigraph(target.f1)
-            cut = intersection_cut(cp, sfree)
-            assert cut is not None
-            margin = sfree.margin(cp.apex_x, cp.apex_t)
-            fresh = [
-                step_length(ZetaFunction(
-                    sfree, cp.apex_x, cp.apex_t, cp.directions[k, lift.x_cols], float(cp.t_dir[k])
-                ), margin).eta
-                for k in range(cp.nrays)
-            ]
-            assert np.array(cut.steps).tobytes() == np.array(fresh).tobytes()
+            for problem in (pw_graph(10, 0.5, seed, max_weight=1),
+                            BmpInstance(autocorr_polynomial(10, 3, 0.5, seed))):
+                model, targets, lift = build_model(problem)
+                cp = project_corner(corner(solve(model)), lift)
+                for sfree in (build_reverse_linearized(targets[0], cp.apex_x),
+                              LiftedSplit(split_selector(cp.apex_x), lift.n)):
+                    cut = intersection_cut(cp, sfree)
+                    assert cut is not None
+                    kinds.add(cut.kind)
+                    margin = sfree.margin(cp.apex_x, cp.apex_t)
+                    fresh = [
+                        step_length(ZetaFunction(
+                            sfree, cp.apex_x, cp.apex_t, cp.directions[k, lift.x_cols], float(cp.t_dir[k])
+                        ), margin).eta
+                        for k in range(cp.nrays)
+                    ]
+                    assert np.array(cut.steps).tobytes() == np.array(fresh).tobytes()
+        assert kinds == {"env", "ss", "split"}
 
     def test_log_line(self, k3_cut, caplog):
         cp, _ = k3_corner()
@@ -394,17 +401,19 @@ class TestIntersectionCut:
 
     def test_apex_evaluated_once(self, k3_cut):
         class Counting(EnvelopeEpigraph):
-            calls = 0
+            shapes = []
 
             def value_and_subgradient(self, x):
-                Counting.calls += 1
+                Counting.shapes.append(np.shape(x))
                 return super().value_and_subgradient(x)
 
         cp, _ = k3_corner()
         cut = intersection_cut(cp, Counting(k3_cut))
         assert cut is not None
-        # one apex margin, then per ray the ETA_INF probe and one call per Newton iteration
-        assert Counting.calls == 1 + cut.nrays + cut.newton_iters
+        finite = cut.nrays - cut.infinite_steps
+        # one apex margin, one block holding the ETA_INF and NEWTON_START probes of
+        # every ray, then one point per Newton iteration after the first on each finite ray
+        assert Counting.shapes == [(3,), (2 * cut.nrays, 3)] + [(3,)] * (cut.newton_iters - finite)
 
 
 class TestGradientCut:

@@ -18,6 +18,7 @@ from subcut.errors import CapacityError
 from subcut.oracles import (
     Graph,
     MultilinearFunction,
+    SubmodularOracle,
     cut_oracle,
     modular_oracle,
     multilinear_oracle,
@@ -37,6 +38,31 @@ def random_cut_oracle(rng, n):
         if rng.random() < 0.6
     ]
     return cut_oracle(Graph(n, edges))
+
+
+def random_submodular_multilinear(rng, n):
+    """Nonpositive coefficients on random supports of size 1..3: submodular."""
+    terms = []
+    for _ in range(int(rng.integers(1, 7))):
+        size = int(rng.integers(1, min(n, 3) + 1))
+        terms.append((-float(rng.integers(1, 6)), set(rng.choice(n, size=size, replace=False).tolist())))
+    return multilinear_oracle(MultilinearFunction(n, terms))
+
+
+BLOCK_ORACLES = {
+    "cut": random_cut_oracle,
+    "multilinear": random_submodular_multilinear,
+    "modular": lambda rng, n: modular_oracle(rng.normal(size=n)),
+    "callback": lambda rng, n: SubmodularOracle(n, lambda x: math.sqrt(1.0 + x @ np.arange(1.0, n + 1))),
+}
+
+
+def block_rows(rng, n, k):
+    """Rows mixing ties, negative entries and 0/1 points."""
+    ties = rng.integers(-2, 3, size=(k, n)) / 2.0
+    spread = rng.normal(size=(k, n)) * 3.0
+    cube = rng.integers(0, 2, size=(k, n)).astype(float)
+    return np.concatenate([ties, spread, cube, np.zeros((1, n)), np.ones((1, n))])
 
 
 class TestSortPermutation:
@@ -174,6 +200,112 @@ class TestEnvelopeEval:
             for _ in range(10):
                 y = rng.uniform(-2, 2, size=4)
                 assert envelope_eval(f, y).value >= float(s @ y) - 1e-9
+
+
+class TestEnvelopeBlock:
+    @pytest.mark.parametrize("family", sorted(BLOCK_ORACLES))
+    def test_rows_match_point_evaluations(self, family):
+        rng = np.random.default_rng(61)
+        for n in (1, 2, 5, 9):
+            f = BLOCK_ORACLES[family](rng, n)
+            x = block_rows(rng, n, 15)
+            ev = envelope_eval(f, x)
+            assert ev.value.shape == (x.shape[0],) and ev.subgradient.shape == x.shape
+            for row, value, sub in zip(x, ev.value, ev.subgradient):
+                point = envelope_eval(f, row)
+                assert float(value).hex() == point.value.hex()
+                assert sub.tobytes() == point.subgradient.tobytes()
+
+    def test_empty_block(self, k3_cut):
+        ev = envelope_eval(k3_cut, np.zeros((0, 3)))
+        assert ev.value.shape == (0,) and ev.subgradient.shape == (0, 3)
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((4, 2)), np.zeros((4, 4)), np.zeros((2, 2, 3)), np.float64(1.0),
+    ], ids=["narrow", "wide", "3d", "scalar"])
+    def test_bad_shape_rejected(self, k3_cut, bad):
+        with pytest.raises(ValueError):
+            envelope_eval(k3_cut, bad)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, k3_cut, entry):
+        x = np.zeros((4, 3))
+        x[2, 1] = entry
+        with pytest.raises(ValueError):
+            envelope_eval(k3_cut, x)
+
+
+def _envelope_cases(st):
+    """(oracle, rows): a random cut or submodular multilinear oracle on n <= 5 and 1-6 points."""
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 5))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        family = draw(st.sampled_from(["cut", "multilinear"]))
+        coords = st.floats(-4.0, 4.0) | st.sampled_from([0.0, 0.5, 1.0, -1.0])
+        rows = draw(st.lists(st.lists(coords, min_size=n, max_size=n), min_size=1, max_size=6))
+        return BLOCK_ORACLES[family](rng, n), np.array(rows)
+
+    return cases()
+
+
+class TestEnvelopeProperties:
+    def test_equals_f_on_cube(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(_envelope_cases(hypothesis.strategies))
+        def check(case):
+            f, _ = case
+            for mask in range(1 << f.n):
+                x = np.array([(mask >> i) & 1 for i in range(f.n)], dtype=float)
+                assert envelope_eval(f, x).value == pytest.approx(f.value(x), abs=1e-12)
+
+        check()
+
+    def test_positively_homogeneous(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(_envelope_cases(hypothesis.strategies), hypothesis.strategies.floats(0.0, 8.0))
+        def check(case, lam):
+            f, rows = case
+            for x in rows:
+                assert envelope_eval(f, lam * x).value == pytest.approx(
+                    lam * envelope_eval(f, x).value, abs=1e-9
+                )
+
+        check()
+
+    def test_equals_bruteforce_max(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(_envelope_cases(hypothesis.strategies))
+        def check(case):
+            f, rows = case
+            for x in rows:
+                assert envelope_eval(f, x).value == pytest.approx(
+                    envelope_max_bruteforce(f, x), abs=1e-9
+                )
+
+        check()
+
+    def test_block_matches_points(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(_envelope_cases(hypothesis.strategies))
+        def check(case):
+            f, rows = case
+            ev = envelope_eval(f, rows)
+            for x, value, sub in zip(rows, ev.value, ev.subgradient):
+                point = envelope_eval(f, x)
+                assert float(value).hex() == point.value.hex()
+                assert sub.tobytes() == point.subgradient.tobytes()
+
+        check()
 
 
 class TestSupportPoints:

@@ -120,6 +120,18 @@ CUBE_ORACLES = {
 
 
 @pytest.mark.parametrize("family", sorted(CUBE_ORACLES))
+def test_chain_values_block_matches_rows(family):
+    f = CUBE_ORACLES[family]()
+    rng = np.random.default_rng(7)
+    orders = np.array([rng.permutation(f.n) for _ in range(12)])
+    block = f.chain_values(orders)
+    assert block.shape == (12, f.n + 1)
+    for order, row in zip(orders, block):
+        assert row.tobytes() == f.chain_values(order).tobytes()
+    assert f.chain_values(orders[:0]).shape == (0, f.n + 1)
+
+
+@pytest.mark.parametrize("family", sorted(CUBE_ORACLES))
 def test_values_on_cube_matches_pointwise(family):
     f = CUBE_ORACLES[family]()
     vals = f.values_on_cube()

@@ -87,6 +87,38 @@ class TestBuildReverseLinearized:
             EnvelopeEpigraph(k3_cut, gamma=[1.0, 2.0])
 
 
+class TestBlockForm:
+    """value_and_subgradient on a (k, n) block equals the point results byte for byte."""
+
+    SETS = {
+        "env": lambda: EnvelopeEpigraph(cut_oracle(Graph(4, [(0, 1, 2.0), (1, 2, 1.0), (0, 3, 3.0)]))),
+        "ss": lambda: build_reverse_linearized(
+            ss_decompose(MultilinearFunction(4, [(3.0, {0, 1}), (-2.0, {1, 2, 3}), (1.5, {2, 3})])),
+            [0.3, 0.9, 0.1, 0.6],
+        ),
+        "split": lambda: LiftedSplit(2, 4),
+        "cover": lambda: CoverRelaxation(
+            cut_oracle(Graph(4, [(0, 1, 2.0), (2, 3, 1.0)])), [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]]
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SETS))
+    def test_rows_match_points(self, kind):
+        sfree = self.SETS[kind]()
+        rng = np.random.default_rng(17)
+        x = np.concatenate([
+            rng.integers(-2, 4, size=(10, 4)) / 2.0,  # ties, the split's 0.5 tie included
+            rng.normal(size=(10, 4)) * 2.0,
+            rng.integers(0, 2, size=(6, 4)).astype(float),
+        ])
+        values, grads = sfree.value_and_subgradient(x)
+        assert values.shape == (x.shape[0],) and grads.shape == x.shape
+        for row, value, grad in zip(x, values, grads):
+            want_value, want_grad = sfree.value_and_subgradient(row)
+            assert float(value).hex() == float(want_value).hex()
+            assert grad.tobytes() == np.asarray(want_grad).tobytes()
+
+
 class TestInteriority:
     def test_strict_interior(self, k3_cut):
         margin = EnvelopeEpigraph(k3_cut).margin([0.5, 0.5, 0.5], 1.5)
