@@ -9,7 +9,7 @@ harness runs the root-node experiments.
 """
 
 from .cuts import IntersectionCut, gradient_cut, intersection_cut, step_length
-from .envelope import envelope_eval, greedy_vertex, sort_permutation
+from .envelope import envelope_eval, greedy_vertex
 from .errors import CapacityError, ModelError, NumericError, SeparationBudget
 from .harness import RootNodeReport, RunConfig, root_loop, run_instance
 from .models import BmpInstance, LiftMap, build_maxcut_model, build_mubo_model
@@ -69,7 +69,6 @@ __all__ = [
     "root_loop",
     "run_instance",
     "solve",
-    "sort_permutation",
     "ss_decompose",
     "step_length",
     "zero_oracle",

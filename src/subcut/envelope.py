@@ -22,16 +22,6 @@ from .errors import check_capacity
 from .oracles import SubmodularOracle
 
 
-def sort_permutation(x) -> np.ndarray:
-    """Coordinate order with values nonincreasing; ties broken by smaller index."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("point contains NaN or infinite coordinates")
-    return np.argsort(-x, kind="stable")
-
-
 def greedy_vertex(oracle: SubmodularOracle, order) -> np.ndarray:
     """Marginal-gain vector along the prefix chain of ``order``.
 

@@ -353,7 +353,18 @@ def sidecar_primal(instance_path):
     tokens = side.read_text().split()
     if not tokens:
         raise ModelError(f"empty solution file {side}")
-    return float(tokens[0])
+    return _finite_primal(tokens[0], side)
+
+
+def _finite_primal(value, source) -> float:
+    """``value`` as a float; anything that is not a finite number raises ModelError."""
+    try:
+        primal = float(value)
+    except ValueError:
+        primal = math.nan
+    if not math.isfinite(primal):
+        raise ModelError(f"{source}: reference optimum must be a finite number, got {value!r}")
+    return primal
 
 
 def reference_primal(problem, instance_path=None) -> float:
@@ -486,6 +497,8 @@ def run_instance(path, config: RunConfig, name: str = None, primal: float = None
     problem = load_instance(path)
     if primal is None:
         primal = reference_primal(problem, path)
+    else:
+        primal = _finite_primal(primal, "primal override")
     model, targets, lift = build_model(problem)
     return root_loop(model, targets, lift, config,
                      instance=name or path.stem, primal=primal)

@@ -1,10 +1,10 @@
 """LP relaxations of binary polynomial problems.
 
-Two builders: a hypograph model for max cut (one lifted product per edge)
-and a lifted, linearized model for multilinear binary optimization with
-optional sign constraints.  Both record a LiftMap so corner rays in the
-full column space can be projected onto the (x, t) coordinates the cut
-machinery works in.
+One builder: the lifted, linearized LP of a multilinear objective with
+optional sign constraints, one y column per product.  Max cut is its
+quadratic case, the cut polynomial with one product per edge.  The
+model records a LiftMap so corner rays in the full column space can be
+projected onto the (x, t) coordinates the cut machinery works in.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .oracles import (
     MultilinearFunction,
     SSFunction,
     cut_oracle,
+    cut_polynomial,
     ss_decompose,
     zero_oracle,
 )
@@ -97,56 +98,42 @@ def linearize_term(support, y_col: int, x_cols, ncols: int):
 
 
 def build_maxcut_model(graph: Graph):
-    """Hypograph LP for max cut: (LpModel, hypograph target, LiftMap).
+    """Lifted LP of the cut polynomial: (LpModel, hypograph target, LiftMap).
 
-    Columns x per vertex, y per edge, t last; rows are the per-edge
-    linearizations plus t <= sum w (x_i + x_j - 2 y); objective max t.
+    The cut polynomial sum_e w (x_i + x_j - 2 x_i x_j) goes through the
+    same lifted linearization as a multilinear instance, so the columns
+    are x per vertex, y per edge in edge order, and t last.  An edge of
+    weight 0 adds nothing to f and gets no y column.  The target is the
+    cut oracle against the hypograph, so cuts come from its closed forms.
     """
     oracle = cut_oracle(graph)  # rejects negative weights
-    n, m = graph.n, graph.m
-    ncols = n + m + 1
-    x_cols = np.arange(n)
-    t_col = ncols - 1
-    y_cols = {frozenset((i, j)): n + e for e, (i, j, _) in enumerate(graph.edges)}
-
-    rows, senses, rhs = [], [], []
-    for e, (i, j, _) in enumerate(graph.edges):
-        r, s, b = linearize_term((i, j), n + e, x_cols, ncols)
-        rows.extend(r)
-        senses.extend(s)
-        rhs.extend(b)
-    link = np.zeros(ncols)
-    link[t_col] = 1.0
-    for e, (i, j, w) in enumerate(graph.edges):
-        link[i] -= w
-        link[j] -= w
-        link[n + e] += 2.0 * w
-    rows.append(link)
-    senses.append("<=")
-    rhs.append(0.0)
-
-    total = sum(w for _, _, w in graph.edges)
-    lower = np.zeros(ncols)
-    upper = np.ones(ncols)
-    lower[t_col] = -2.0 * total
-    upper[t_col] = 2.0 * total
-
-    objective = np.zeros(ncols)
-    objective[t_col] = 1.0
-    model = LpModel("max", objective, np.array(rows), senses, np.array(rhs), lower, upper)
-    target = SSFunction(oracle, zero_oracle(n), level=1)
-    lift = LiftMap(n, x_cols, t_col, y_cols, ncols)
-    logger.info("MODEL n=%d y=%d rows=%d targets=%d", n, m, model.nrows, 1)
+    model, lift = _lifted_lp(BmpInstance(cut_polynomial(graph)))
+    target = SSFunction(oracle, zero_oracle(graph.n), level=1)
+    logger.info("MODEL n=%d y=%d rows=%d targets=%d", graph.n, len(lift.y_cols), model.nrows, 1)
     return model, target, lift
 
 
 def build_mubo_model(instance: BmpInstance):
     """Lifted LP for a multilinear instance: (LpModel, targets, LiftMap).
 
+    Targets are the sign-split decompositions: the objective against its
+    hypograph (level 1) and each constraint against its superlevel set
+    (level 0).
+    """
+    model, lift = _lifted_lp(instance)
+    targets = [ss_decompose(instance.objective, level=1)]
+    targets += [ss_decompose(c, level=0) for c in instance.constraints]
+    logger.info("MODEL n=%d y=%d rows=%d targets=%d", instance.n, len(lift.y_cols), model.nrows, len(targets))
+    return model, targets, lift
+
+
+def _lifted_lp(instance: BmpInstance):
+    """The lifted, linearized LP of a multilinear instance: (LpModel, LiftMap).
+
     One shared y-column per distinct support of size >= 2 across the
-    objective and all constraints; degree-1 terms use x directly.  Targets
-    are the sign-split decompositions: the objective against its hypograph
-    (level 1) and each constraint against its superlevel set (level 0).
+    objective and all constraints; degree-1 terms use x directly.  Rows
+    are the linearizations, then t <= objective, one row per constraint
+    and the cardinality row; the objective is max t.
     """
     n = instance.n
     all_funcs = [instance.objective] + list(instance.constraints)
@@ -154,8 +141,7 @@ def build_mubo_model(instance: BmpInstance):
         {s for f in all_funcs for _, s in f.terms if len(s) >= 2},
         key=lambda s: (len(s), sorted(s)),
     )
-    k = len(supports)
-    ncols = n + k + 1
+    ncols = n + len(supports) + 1
     x_cols = np.arange(n)
     t_col = ncols - 1
     y_cols = {s: n + i for i, s in enumerate(supports)}
@@ -201,11 +187,7 @@ def build_mubo_model(instance: BmpInstance):
     objective = np.zeros(ncols)
     objective[t_col] = 1.0
     model = LpModel("max", objective, np.array(rows), senses, np.array(rhs), lower, upper)
-    targets = [ss_decompose(instance.objective, level=1)]
-    targets += [ss_decompose(c, level=0) for c in instance.constraints]
-    lift = LiftMap(n, x_cols, t_col, y_cols, ncols)
-    logger.info("MODEL n=%d y=%d rows=%d targets=%d", n, k, model.nrows, len(targets))
-    return model, targets, lift
+    return model, LiftMap(n, x_cols, t_col, y_cols, ncols)
 
 
 def project_corner(corner: CornerPolyhedron, lift: LiftMap) -> CornerPolyhedron:

@@ -180,6 +180,19 @@ def cut_oracle(graph: Graph) -> GraphCutOracle:
     return GraphCutOracle(graph)
 
 
+def cut_polynomial(graph: Graph) -> MultilinearFunction:
+    """The cut function as a multilinear polynomial.
+
+    Terms w x_i, w x_j and -2w x_i x_j per edge, in edge order, so each
+    degree-1 coefficient is its vertex's weighted degree summed in edge
+    order.  Edges of weight 0 leave no term.
+    """
+    terms = []
+    for i, j, w in graph.edges:
+        terms += [(w, {i}), (w, {j}), (-2.0 * w, {i, j})]
+    return MultilinearFunction(graph.n, terms)
+
+
 # ---------------------------------------------------------------------------
 # multilinear polynomials
 

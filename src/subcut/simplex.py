@@ -196,28 +196,18 @@ class _BoundedSimplex:
         self.m = m
         self.nstruct = n
 
-        kinds = [np.full(n, _KIND_STRUCT)]
-        lo = [model.lower.astype(float)]
-        hi = [model.upper.astype(float)]
-        slack_row = [np.full(n, -1)]
-
-        ext_cols = []
-        for i, s in enumerate(model.row_senses):
-            if s == "=":
-                continue
-            col = np.zeros(m)
-            col[i] = 1.0 if s == "<=" else -1.0
-            ext_cols.append(col)
-            kinds.append(np.array([_KIND_SLACK if s == "<=" else _KIND_SURPLUS]))
-            lo.append(np.array([0.0]))
-            hi.append(np.array([math.inf]))
-            slack_row.append(np.array([i]))
-        blocks = [model.rows] + ([np.column_stack(ext_cols)] if ext_cols else [])
-        self.A = np.hstack(blocks) if m else np.zeros((0, n))
-        self.kinds = np.concatenate(kinds)
-        self.lo = np.concatenate(lo)
-        self.hi = np.concatenate(hi)
-        self.slack_row = np.concatenate(slack_row).astype(int)
+        # one slack (+1) or surplus (-1) column per inequality row, in row order
+        senses = np.array(model.row_senses, dtype=str)
+        rows = np.flatnonzero(senses != "=")
+        k = rows.size
+        surplus = senses[rows] == ">="
+        logical = np.zeros((m, k))
+        logical[rows, np.arange(k)] = np.where(surplus, -1.0, 1.0)
+        self.A = np.hstack([model.rows, logical])
+        self.kinds = np.concatenate([np.full(n, _KIND_STRUCT), np.where(surplus, _KIND_SURPLUS, _KIND_SLACK)])
+        self.lo = np.concatenate([model.lower, np.zeros(k)])
+        self.hi = np.concatenate([model.upper, np.full(k, math.inf)])
+        self.slack_row = np.concatenate([np.full(n, -1), rows])
         self.N = self.kinds.size
         if max_iters is None:
             max_iters = max(5000, 50 * (m + self.N))
@@ -231,18 +221,10 @@ class _BoundedSimplex:
     # -- setup ------------------------------------------------------------
 
     def _initial_point(self):
-        val = np.zeros(self.N)
-        where = np.full(self.N, _AT_LOWER)
-        for j in range(self.N):
-            if np.isfinite(self.lo[j]):
-                val[j] = self.lo[j]
-                where[j] = _AT_LOWER
-            elif np.isfinite(self.hi[j]):
-                val[j] = self.hi[j]
-                where[j] = _AT_UPPER
-            else:
-                val[j] = 0.0
-                where[j] = _FREE
+        has_lo = np.isfinite(self.lo)
+        has_hi = np.isfinite(self.hi)
+        val = np.where(has_lo, self.lo, np.where(has_hi, self.hi, 0.0))
+        where = np.where(has_lo, _AT_LOWER, np.where(has_hi, _AT_UPPER, _FREE))
         return val, where
 
     def _install_basis(self, val, where):
@@ -250,24 +232,18 @@ class _BoundedSimplex:
         otherwise append an artificial column."""
         m = self.m
         resid = self.model.rhs - self.A @ val
+        logical = np.flatnonzero(self.slack_row >= 0)
+        own = self.slack_row[logical]
+        v = resid[own] / self.A[own, logical]
+        fits = v >= 0.0
         basis = np.full(m, -1)
-        art_rows = []
-        slack_of_row = {int(self.slack_row[j]): j for j in range(self.N) if self.slack_row[j] >= 0}
-        for i in range(m):
-            j = slack_of_row.get(i)
-            if j is not None:
-                coef = self.A[i, j]
-                v = resid[i] / coef
-                if v >= 0.0:
-                    basis[i] = j
-                    val[j] = v
-                    where[j] = _BASIC
-                    continue
-            art_rows.append(i)
+        basis[own[fits]] = logical[fits]
+        val[logical[fits]] = v[fits]
+        where[logical[fits]] = _BASIC
 
-        k = len(art_rows)
+        rows = np.flatnonzero(basis < 0)  # rows still without a basic column
+        k = rows.size
         if k:
-            rows = np.array(art_rows)
             art = np.zeros((m, k))
             art[rows, np.arange(k)] = np.where(resid[rows] >= 0, 1.0, -1.0)
             self.A = np.hstack([self.A, art])

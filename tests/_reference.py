@@ -243,3 +243,82 @@ def corner_rays_loop(solution, codes):
                     h = -float(model.rhs[i])
             rays.append((j, full[:n].copy(), g, h))
     return rays
+
+
+def start_basis_loop(model, codes):
+    """The simplex start, one column and one row at a time.
+
+    One slack (+1, ``<=``) or surplus (-1, ``>=``) column per inequality
+    row in row order; every column starts at its finite lower bound, else
+    at its finite upper bound, else free at 0; a row's logical column is
+    basic where resid / coef >= 0, and every other row gets an artificial
+    column with the sign of its residual.  ``codes`` names the kind and
+    placement constants (struct, slack, surplus, artificial, basic,
+    at_lower, at_upper, free).  Returns the arrays of the start state,
+    with the basic values read back through the diagonal basis inverse.
+    """
+    m, n = model.rows.shape
+    cols, kinds, lo, hi, slack_row = [], [], [], [], []
+    for j in range(n):
+        kinds.append(codes["struct"])
+        lo.append(float(model.lower[j]))
+        hi.append(float(model.upper[j]))
+        slack_row.append(-1)
+    for i, s in enumerate(model.row_senses):
+        if s == "=":
+            continue
+        col = np.zeros(m)
+        col[i] = 1.0 if s == "<=" else -1.0
+        cols.append(col)
+        kinds.append(codes["slack"] if s == "<=" else codes["surplus"])
+        lo.append(0.0)
+        hi.append(math.inf)
+        slack_row.append(i)
+    A = np.hstack([model.rows] + ([np.column_stack(cols)] if cols else []))
+    val, where = [], []
+    for j in range(len(kinds)):
+        if np.isfinite(lo[j]):
+            val.append(lo[j])
+            where.append(codes["at_lower"])
+        elif np.isfinite(hi[j]):
+            val.append(hi[j])
+            where.append(codes["at_upper"])
+        else:
+            val.append(0.0)
+            where.append(codes["free"])
+    resid = model.rhs - A @ np.array(val)
+    basis = [-1] * m
+    art_rows = []
+    for i in range(m):
+        j = slack_row.index(i) if i in slack_row else None
+        if j is not None and resid[i] / A[i, j] >= 0.0:
+            basis[i] = j
+            val[j] = resid[i] / A[i, j]
+            where[j] = codes["basic"]
+        else:
+            art_rows.append(i)
+    for k, i in enumerate(art_rows):
+        col = np.zeros(m)
+        col[i] = 1.0 if resid[i] >= 0 else -1.0
+        A = np.column_stack([A, col])
+        kinds.append(codes["artificial"])
+        slack_row.append(i)
+        basis[i] = len(kinds) - 1
+        val.append(abs(resid[i]))
+        where.append(codes["basic"])
+    # the basis is a +-1 diagonal; basic values are read back through it
+    basis = np.array(basis, dtype=int)
+    val = np.array(val)
+    Binv = A[np.arange(m), basis][:, None] * np.eye(m)
+    nonbasic = val.copy()
+    nonbasic[basis] = 0.0
+    val[basis] = Binv @ (model.rhs - A @ nonbasic)
+    return {
+        "A": A,
+        "kinds": np.array(kinds),
+        "slack_row": np.array(slack_row),
+        "val": val,
+        "where": np.array(where),
+        "basis": basis,
+        "Binv": Binv,
+    }

@@ -11,7 +11,6 @@ from subcut.envelope import (
     envelope_eval,
     envelope_max_bruteforce,
     greedy_vertex,
-    sort_permutation,
     support_points,
 )
 from subcut.errors import CapacityError
@@ -65,27 +64,23 @@ def block_rows(rng, n, k):
     return np.concatenate([ties, spread, cube, np.zeros((1, n)), np.ones((1, n))])
 
 
-class TestSortPermutation:
-    def test_plain_sort(self):
-        assert sort_permutation([0.1, 0.9, 0.5]).tolist() == [1, 2, 0]
+class TestTieRule:
+    """Ties in x are ordered by index, so the subgradient is a fixed greedy vertex."""
 
-    def test_ties_break_by_index(self):
-        assert sort_permutation([0.5, 0.5, 0.5]).tolist() == [0, 1, 2]
-
-    def test_negative_entries(self):
-        assert sort_permutation([-1.0, 0.0, 0.0]).tolist() == [1, 2, 0]
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            sort_permutation([0.0, math.nan])
-
-    def test_result_sorts_nonincreasing(self):
-        rng = np.random.default_rng(2)
-        for _ in range(30):
-            x = rng.normal(size=int(rng.integers(1, 9)))
-            order = sort_permutation(x)
-            s = x[order]
-            assert np.all(s[:-1] >= s[1:])
+    @pytest.mark.parametrize(
+        "x, order",
+        [
+            ([0.5, 0.5, 0.5], [0, 1, 2]),
+            ([0.1, 0.9, 0.5], [1, 2, 0]),
+            ([-1.0, 0.0, 0.0], [1, 2, 0]),
+            ([0.0, 1.0, 0.0], [1, 0, 2]),
+        ],
+    )
+    def test_subgradient_is_index_order_vertex(self, k3_cut, x, order):
+        ev = envelope_eval(k3_cut, x)
+        want = greedy_vertex(k3_cut, order)
+        assert ev.subgradient.tobytes() == want.tobytes()
+        assert ev.value == float(want @ np.asarray(x))
 
 
 class TestGreedyVertex:

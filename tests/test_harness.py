@@ -229,6 +229,13 @@ class TestInstanceFiles:
     def test_sidecar_missing(self, tmp_path):
         assert sidecar_primal(tmp_path / "nothing.mc") is None
 
+    @pytest.mark.parametrize("token", ["abc", "nan", "inf", "-inf"])
+    def test_sidecar_not_a_finite_number(self, tmp_path, token):
+        (path,) = generate_instances("g05", 6, seed=0, out_dir=tmp_path)
+        path.with_suffix(".sol").write_text(f"{token}\n")
+        with pytest.raises(ModelError, match="finite number"):
+            sidecar_primal(path)
+
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ValueError):
             generate_instances("dense", 6, out_dir=tmp_path)
@@ -572,3 +579,33 @@ class TestCli:
         assert rc == 0
         cells = capsys.readouterr().out.strip().split("\n")[1].split(",")
         assert cells[0] == "big" and float(cells[4]) == 1.0
+
+    @pytest.mark.parametrize("command", ["root", "bench"])
+    @pytest.mark.parametrize("token", ["abc", "nan", "inf"])
+    def test_bad_sidecar(self, tmp_path, capsys, command, token):
+        (path,) = generate_instances("g05", 8, seed=0, out_dir=tmp_path)
+        side = path.with_suffix(".sol")
+        side.write_text(f"{token}\n")
+        rc = cli.main([command, str(tmp_path if command == "bench" else path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().split("\n")
+        assert line.startswith("error: ") and str(side) in line
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_root_primal_not_finite(self, tmp_path, capsys, token):
+        (path,) = generate_instances("g05", 8, seed=0, out_dir=tmp_path)
+        rc = cli.main(["root", str(path), f"--primal={token}"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().split("\n")
+        assert line.startswith("error: ") and "finite number" in line
+
+    def test_root_primal_not_a_number(self, tmp_path, capsys):
+        (path,) = generate_instances("g05", 8, seed=0, out_dir=tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["root", str(path), "--primal", "abc"])
+        assert exc.value.code == 2
+        assert "--primal" in capsys.readouterr().err

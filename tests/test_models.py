@@ -15,7 +15,7 @@ from subcut.models import (
     linearize_term,
     project_corner,
 )
-from subcut.oracles import Graph, MultilinearFunction, cut_oracle
+from subcut.oracles import Graph, MultilinearFunction, cut_oracle, cut_polynomial
 from subcut.sfree import EnvelopeEpigraph
 from subcut.simplex import CornerPolyhedron, corner, solve
 
@@ -106,6 +106,47 @@ class TestBuildMaxcut:
         for bits in itertools.product((0, 1), repeat=3):
             sol = solve_with_fixed_x(model, lift, bits)
             assert sol.objective == pytest.approx(ref.cut_value(ref.K3_EDGES, bits), abs=1e-9)
+
+
+class TestCutPolynomial:
+    def random_edges(self, rng, n):
+        """Edges on the first n - 2 vertices (the last two stay isolated), some repeated."""
+        pairs = [(i, j) for i in range(n - 2) for j in range(i + 1, n - 2) if rng.random() < 0.6]
+        edges = [(i, j, float(rng.integers(1, 9))) for i, j in pairs]
+        edges += [(j, i, float(rng.integers(1, 9))) for i, j in pairs if rng.random() < 0.3]
+        return edges
+
+    def test_equals_cut_value_on_cube(self):
+        rng = np.random.default_rng(23)
+        for _ in range(12):
+            n = int(rng.integers(4, 8))
+            edges = self.random_edges(rng, n)
+            poly = cut_polynomial(Graph(n, edges))
+            for bits in itertools.product((0, 1), repeat=n):
+                x = np.array(bits, dtype=float)
+                assert poly.evaluate(x) == ref.cut_value(edges, bits)
+
+    def test_degree_one_coefficients_are_weighted_degrees(self):
+        graph = Graph(4, [(0, 1, 2.0), (1, 2, 3.0), (0, 2, 5.0)])
+        terms = {tuple(sorted(s)): a for a, s in cut_polynomial(graph).terms}
+        assert terms == {(0,): 7.0, (1,): 5.0, (2,): 8.0, (0, 1): -4.0, (0, 2): -10.0, (1, 2): -6.0}
+
+    def test_objective_row(self):
+        graph = Graph(4, [(0, 1, 2.0), (1, 2, 3.0), (0, 2, 5.0)])
+        model, _, lift = build_maxcut_model(graph)
+        row = model.rows[-1]
+        assert model.row_senses[-1] == "<=" and model.rhs[-1] == 0.0
+        assert row[lift.t_col] == 1.0
+        assert row[lift.x_cols].tolist() == [-7.0, -5.0, -8.0, 0.0]
+        for i, j, w in graph.edges:
+            assert row[lift.y_cols[frozenset((i, j))]] == 2.0 * w
+
+    def test_zero_weight_edge_adds_nothing(self):
+        edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0)]
+        with_zero, _, lift = build_maxcut_model(Graph(4, edges + [(1, 3, 0.0)]))
+        without, _, _ = build_maxcut_model(Graph(4, edges))
+        assert frozenset((1, 3)) not in lift.y_cols
+        assert solve(with_zero).objective == solve(without).objective
 
 
 class TestLinearizeTerm:

@@ -140,6 +140,73 @@ class TestSolve:
         assert a.iterations == b.iterations
 
 
+class TestStartBasis:
+    def mixed_lp(self):
+        # x0 in [0, 1], x1 <= 2, x2 free, x3 in [-1, 3]
+        return LpModel(
+            sense="max",
+            objective=[1.0, 0.0, -1.0, 0.0],
+            rows=[[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, -1.0]],
+            row_senses=["=", "<=", ">=", ">="],
+            rhs=[1.0, 4.0, 3.0, 1.0],
+            lower=[0.0, -math.inf, -math.inf, -1.0],
+            upper=[1.0, 2.0, math.inf, 3.0],
+        )
+
+    def test_logical_columns(self):
+        st = simplex._BoundedSimplex(self.mixed_lp())
+        assert st.kinds.tolist() == [0, 0, 0, 0, simplex._KIND_SLACK, simplex._KIND_SURPLUS, simplex._KIND_SURPLUS]
+        assert st.slack_row.tolist() == [-1, -1, -1, -1, 1, 2, 3]
+        assert st.A[:, 4:].tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]
+        assert st.lo[4:].tolist() == [0.0] * 3 and st.hi[4:].tolist() == [math.inf] * 3
+
+    def test_start_point_and_basis(self):
+        L, U, F, B = simplex._AT_LOWER, simplex._AT_UPPER, simplex._FREE, simplex._BASIC
+        st = simplex._BoundedSimplex(self.mixed_lp())
+        val, where = st._initial_point()
+        assert val.tolist() == [0.0, 2.0, 0.0, -1.0, 0.0, 0.0, 0.0]
+        assert where.tolist() == [L, U, F, L, L, L, L]
+        # residuals rhs - A val are (-1, 5, 1, -2): the slack of row 1 and the
+        # surplus of row 3 fit; the = row and row 2 (surplus -1) get artificials
+        assert st._install_basis(val, where) == 2
+        assert st.basis.tolist() == [7, 4, 8, 6]
+        assert st.kinds[7:].tolist() == [simplex._KIND_ARTIFICIAL] * 2
+        assert st.slack_row.tolist() == [-1, -1, -1, -1, 1, 2, 3, 0, 2]
+        assert st.A[:, 7:].tolist() == [[-1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+        assert st.val.tolist() == [0.0, 2.0, 0.0, -1.0, 5.0, 0.0, 2.0, 1.0, 1.0]
+        assert st.where.tolist() == [L, U, F, L, B, L, B, B, B]
+        assert st.Binv.tolist() == np.diag([-1.0, 1.0, 1.0, -1.0]).tolist()
+
+    def test_matches_loop_reference(self):
+        codes = {
+            "struct": simplex._KIND_STRUCT, "slack": simplex._KIND_SLACK,
+            "surplus": simplex._KIND_SURPLUS, "artificial": simplex._KIND_ARTIFICIAL,
+            "basic": simplex._BASIC, "at_lower": simplex._AT_LOWER,
+            "at_upper": simplex._AT_UPPER, "free": simplex._FREE,
+        }
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            m, n = int(rng.integers(0, 7)), int(rng.integers(1, 6))
+            lower = rng.choice([-math.inf, -1.0, 0.0, -0.0], size=n)
+            upper = np.maximum(lower, rng.choice([math.inf, 0.0, 1.0, 2.5], size=n))
+            model = LpModel(
+                "max", rng.normal(size=n), rng.integers(-2, 3, size=(m, n)).astype(float),
+                rng.choice(["<=", ">=", "="], size=m).tolist(), rng.integers(-3, 4, size=m).astype(float),
+                lower, upper,
+            )
+            st = simplex._BoundedSimplex(model)
+            st._install_basis(*st._initial_point())
+            want = ref.start_basis_loop(model, codes)
+            for name, arr in want.items():
+                got = getattr(st, name)
+                assert got.shape == arr.shape and got.tobytes() == arr.astype(got.dtype).tobytes(), name
+
+    def test_solves(self):
+        sol = solve(self.mixed_lp())
+        assert sol.status == OPTIMAL
+        assert sol.objective == pytest.approx(-2.0, abs=1e-9)
+
+
 class TestModelValidation:
     def test_bad_sense(self):
         with pytest.raises(ValueError):
