@@ -31,7 +31,7 @@ def _add_root(sub):
     p.add_argument("--cuts", default="submodular", choices=harness.MODES, help="cut mode")
     p.add_argument("--rounds", type=int, default=10)
     p.add_argument("--max-cuts", type=int, default=50, help="cuts per round cap")
-    p.add_argument("--primal", type=float, default=None, help="reference optimum override")
+    p.add_argument("--primal", default=None, help="reference optimum override (a finite number)")
     p.add_argument("--validate", default="auto", choices=("auto", "on", "off"))
     p.add_argument("--report", default=None, help="write a one-row CSV here")
 

@@ -24,7 +24,7 @@ CAPACITY = {
     "cut validation": 12,  # cuts.validate_cut_bruteforce; validate_cuts="auto"
     "cube enumeration": 14,  # SubmodularOracle.values_on_cube, is_submodular_bruteforce
     "freeness check": 14,  # sfree.verify_free_bruteforce
-    "brute force": 20,  # oracles.cube_chunks, harness.brute_force_primal
+    "brute force": 20,  # harness.brute_force_primal via oracles.cube_table; oracles.cube_chunks
     # `subcut verify` skips a check above its limit instead of failing
     "verify submodular": 12,
     "verify extension identity": 10,

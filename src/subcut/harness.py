@@ -30,9 +30,9 @@ from .models import (
 from .oracles import (
     Graph,
     MultilinearFunction,
-    cube_chunks,
+    cube_table,
     cut_oracle,
-    multilinear_oracle,
+    cut_polynomial,
     read_graph,
     read_polynomial,
     write_graph,
@@ -322,24 +322,25 @@ def write_report_csv(reports, path) -> None:
 
 
 def brute_force_primal(problem) -> float:
-    """Exact optimum by enumeration of {0,1}^n, chunked to bound memory. Guarded."""
+    """Exact optimum over {0,1}^n: the max of the objective's cube_table, infeasible points masked.
+
+    Holds that 8 MB table (n = 20) and one constraint table at a time; exact for
+    the integer coefficients every generator makes, else up to rounding. Guarded.
+    """
     if isinstance(problem, Graph):
-        objective, constraints, cardinality = cut_oracle(problem), [], None
+        cut_oracle(problem)  # a negative weight raises ModelError
+        objective, constraints, cardinality = cut_polynomial(problem), [], None
     elif isinstance(problem, BmpInstance):
-        objective = multilinear_oracle(problem.objective)
-        constraints = [multilinear_oracle(c) for c in problem.constraints]
-        cardinality = problem.cardinality
+        objective, constraints, cardinality = problem.objective, problem.constraints, problem.cardinality
     else:
         raise ModelError(f"no brute force for {type(problem).__name__}")
-    best = -math.inf
-    for bits in cube_chunks(problem.n):
-        ok = np.ones(bits.shape[0], dtype=bool)
-        for c in constraints:
-            ok &= c.values_at(bits) >= 0.0
-        if cardinality is not None:
-            ok &= bits.sum(axis=1) == cardinality
-        if ok.any():
-            best = max(best, float(objective.values_at(bits[ok]).max()))
+    values = cube_table(objective)
+    for c in constraints:
+        values[cube_table(c) < 0.0] = -math.inf
+    if cardinality is not None:
+        ones = np.bitwise_count(np.arange(values.size)).reshape(values.shape, order="F")
+        values[ones != cardinality] = -math.inf
+    best = float(values.max())
     if best == -math.inf:
         raise ModelError("no feasible binary point")
     return best
@@ -491,8 +492,8 @@ def build_model(problem):
     raise ModelError(f"cannot build a model from {type(problem).__name__}")
 
 
-def run_instance(path, config: RunConfig, name: str = None, primal: float = None) -> RootNodeReport:
-    """One root-node run; ``primal`` overrides the reference optimum lookup."""
+def run_instance(path, config: RunConfig, name: str = None, primal=None) -> RootNodeReport:
+    """One root-node run; ``primal`` (a number or its text) overrides the reference optimum lookup."""
     path = Path(path)
     problem = load_instance(path)
     if primal is None:

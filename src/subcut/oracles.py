@@ -291,6 +291,25 @@ def multilinear_oracle(poly: MultilinearFunction) -> MultilinearOracle:
     return MultilinearOracle(poly)
 
 
+def cube_table(poly: MultilinearFunction) -> np.ndarray:
+    """The polynomial on {0,1}^n as a (2^a, 2^b) table, a = n // 2. Guarded.
+
+    Entry [iA, iB] is the value at bitmask iA | (iB << a), so ``ravel(order="F")``
+    is bitmask order.  The table is U @ V.T, a V column per distinct S & B of the
+    supports S, U summing c * [S & A within xA]; exact for integer coefficients.
+    """
+    check_capacity("brute force", poly.n)
+    a = poly.n // 2
+    rows, cols = np.arange(1 << a), np.arange(1 << (poly.n - a))
+    u = {}  # S & B mask -> U column
+    for coef, support in poly.terms:
+        mask = sum(1 << j for j in support)
+        m_a = mask & ((1 << a) - 1)
+        u[mask >> a] = u.get(mask >> a, 0.0) + coef * ((rows & m_a) == m_a)
+    m_b = np.array(list(u), dtype=int)
+    return np.array(list(u.values())).reshape(-1, rows.size).T @ ((cols[:, None] & m_b) == m_b).T
+
+
 def modular_oracle(weights) -> SubmodularOracle:
     """Modular (additive) function x -> c . x."""
     c = np.asarray(weights, dtype=float).copy()

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and independent of the package:
 direct loops over edges and terms, itertools permutations, pure bisection,
-and exhaustive enumeration.  Slow is fine; these only run on tiny inputs.
+and exhaustive enumeration.  Slow is fine; these run on tiny inputs, apart
+from the chunked cube walk, which pins the brute-force primal at n <= 20.
 """
 
 import itertools
@@ -322,3 +323,42 @@ def start_basis_loop(model, codes):
         "basis": basis,
         "Binv": Binv,
     }
+
+
+def chunked_primal(problem, chunk=1 << 14):
+    """Max over {0,1}^n walked in bitmask chunks: the former brute-force primal.
+
+    ``problem`` is a graph (``edges``, cut values) or a polynomial instance
+    (``objective``, ``constraints`` >= 0, optional ``cardinality``); each
+    chunk evaluates the feasible points edge by edge or term by term.
+    Returns -inf when no point is feasible.
+    """
+    n = problem.n
+    cols = np.arange(n, dtype=np.int64)
+
+    def poly_values(poly, masks):
+        vals = np.zeros(masks.size)
+        for a, support in poly.terms:
+            m = sum(1 << j for j in support)
+            vals += a * ((masks & m) == m)
+        return vals
+
+    best = -math.inf
+    for lo in range(0, 1 << n, chunk):
+        masks = np.arange(lo, min(lo + chunk, 1 << n), dtype=np.int64)
+        bits = ((masks[:, None] >> cols) & 1).astype(bool)
+        ok = np.ones(masks.size, dtype=bool)
+        if hasattr(problem, "edges"):
+            ei = np.array([e[0] for e in problem.edges], dtype=int)
+            ej = np.array([e[1] for e in problem.edges], dtype=int)
+            ew = np.array([e[2] for e in problem.edges], dtype=float)
+            vals = (bits[:, ei] ^ bits[:, ej]) @ ew
+        else:
+            for c in problem.constraints:
+                ok &= poly_values(c, masks) >= 0.0
+            if problem.cardinality is not None:
+                ok &= bits.sum(axis=1) == problem.cardinality
+            vals = poly_values(problem.objective, masks)
+        if ok.any():
+            best = max(best, float(vals[ok].max()))
+    return best

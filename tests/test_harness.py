@@ -300,6 +300,28 @@ class TestBruteForcePrimal:
         with pytest.raises(CapacityError):
             brute_force_primal(Graph(21, [(0, 1, 1.0)]))
 
+    def test_single_variable(self):
+        assert brute_force_primal(BmpInstance(MultilinearFunction(1, [(-3.0, {0})]))) == 0.0
+        assert brute_force_primal(BmpInstance(MultilinearFunction(1, [(3.0, {0})]))) == 3.0
+
+    def test_infeasible_constraints(self):
+        poly = MultilinearFunction(4, [(1.0, {0}), (1.0, {1, 3})])
+        # every polynomial is 0 at the origin, so only a cardinality can exclude it
+        origin_only = MultilinearFunction(4, [(-1.0, {j}) for j in range(4)])
+        assert brute_force_primal(BmpInstance(poly, [origin_only])) == 0.0
+        with pytest.raises(ModelError):
+            brute_force_primal(BmpInstance(poly, [origin_only], cardinality=2))
+        with pytest.raises(ModelError):
+            brute_force_primal(BmpInstance(poly, cardinality=5))
+
+    def test_negative_weight(self):
+        with pytest.raises(ModelError):
+            brute_force_primal(Graph(3, [(0, 1, 1.0), (1, 2, -1.0)]))
+
+    def test_unknown_problem(self):
+        with pytest.raises(ModelError):
+            brute_force_primal(MultilinearFunction(3, [(1.0, {0})]))
+
     def test_reference_prefers_sidecar(self, tmp_path):
         path = tmp_path / "k3.mc"
         write_graph(k3_graph(), path)
@@ -314,6 +336,37 @@ class TestBruteForcePrimal:
     def test_reference_too_big_without_sidecar(self):
         with pytest.raises(CapacityError):
             reference_primal(Graph(21, [(0, 1, 1.0)]))
+
+
+def _constrained_n14():
+    # seeded so that the constraint and the cardinality both cut off the unconstrained optima
+    rng = np.random.default_rng(15)
+    terms = [
+        (float(rng.integers(-5, 6)), rng.choice(14, size=int(rng.integers(1, 4)), replace=False))
+        for _ in range(30)
+    ]
+    constraint = MultilinearFunction(14, terms)
+    return BmpInstance(autocorr_polynomial(14, 3, 0.5, seed=2), [constraint], cardinality=6)
+
+
+class TestBruteForceDifferential:
+    """The split-cube primal against the former chunked walk, at benchmark sizes."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: pw_graph(20, 0.15, seed=1000, max_weight=1),
+        lambda: pw_graph(20, 0.5, seed=1001, max_weight=1),
+        lambda: pw_graph(19, 0.5, seed=7, max_weight=100),
+        lambda: Graph(15, [(0, 3, 2.0), (3, 9, 5.0), (9, 12, 1.0), (0, 12, 4.0), (2, 3, 3.0)]),
+        lambda: BmpInstance(autocorr_polynomial(12, 2, 0.2, seed=1000)),
+        lambda: BmpInstance(autocorr_polynomial(13, 3, 1.0, seed=3)),
+        _constrained_n14,
+    ], ids=["g05-n20-d0.15", "g05-n20-d0.5", "pw-n19", "isolated-vertices",
+            "autocorr-n12", "autocorr-n13", "constrained-n14"])
+    def test_equals_chunked_walk(self, make):
+        problem = make()
+        want = ref.chunked_primal(problem)
+        assert want > -math.inf
+        assert brute_force_primal(problem) == want
 
 
 class TestRootLoop:
@@ -605,7 +658,9 @@ class TestCli:
 
     def test_root_primal_not_a_number(self, tmp_path, capsys):
         (path,) = generate_instances("g05", 8, seed=0, out_dir=tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["root", str(path), "--primal", "abc"])
-        assert exc.value.code == 2
-        assert "--primal" in capsys.readouterr().err
+        rc = cli.main(["root", str(path), "--primal", "abc"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().split("\n")
+        assert line.startswith("error: primal override") and "'abc'" in line

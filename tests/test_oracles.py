@@ -10,7 +10,9 @@ from subcut.oracles import (
     MultilinearFunction,
     SSFunction,
     SubmodularOracle,
+    cube_table,
     cut_oracle,
+    cut_polynomial,
     is_submodular_bruteforce,
     modular_oracle,
     multilinear_oracle,
@@ -139,6 +141,45 @@ def test_values_on_cube_matches_pointwise(family):
     for mask in range(1 << f.n):
         x = [(mask >> i) & 1 for i in range(f.n)]
         assert vals[mask] == f.value(x)
+
+
+class TestCubeTable:
+    def test_matches_values_on_cube(self):
+        # pins the layout: the low n // 2 variables index rows
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def polys(draw):
+            n = draw(st.integers(1, 10))
+            support = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 4))
+            coef = st.integers(-9, 9).map(float)
+            return MultilinearFunction(n, draw(st.lists(st.tuples(coef, support), max_size=25)))
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(polys())
+        def check(poly):
+            table = cube_table(poly)
+            assert table.shape == (1 << (poly.n // 2), 1 << (poly.n - poly.n // 2))
+            assert np.array_equal(table.ravel(order="F"), multilinear_oracle(poly).values_on_cube())
+
+        check()
+
+    def test_single_variable(self):
+        table = cube_table(MultilinearFunction(1, [(2.5, {0})]))
+        assert table.shape == (1, 2) and table.tolist() == [[0.0, 2.5]]
+
+    def test_edgeless_graph(self):
+        table = cube_table(cut_polynomial(Graph(5, [])))
+        assert table.shape == (4, 8) and not table.any()
+
+    def test_cut_values(self, k3):
+        table = cube_table(cut_polynomial(k3))
+        assert np.array_equal(table.ravel(order="F"), cut_oracle(k3).values_on_cube())
+
+    def test_capacity(self):
+        with pytest.raises(CapacityError):
+            cube_table(MultilinearFunction(21, [(1.0, {0, 20})]))
 
 
 class TestMultilinearFunction:
