@@ -71,9 +71,17 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _error(exc) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_root(args) -> int:
-    config = RunConfig(mode=args.cuts, rounds=args.rounds,
-                       max_cuts_per_round=args.max_cuts, validate_cuts=args.validate)
+    try:
+        config = RunConfig(mode=args.cuts, rounds=args.rounds,
+                           max_cuts_per_round=args.max_cuts, validate_cuts=args.validate)
+    except ValueError as exc:  # an out-of-range setting
+        return _error(exc)
     report = harness.run_instance(args.instance, config, primal=args.primal)
     print(harness.CSV_HEADER)
     print(report.csv_row())
@@ -160,9 +168,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    paths = harness.generate_instances(args.kind, args.n, count=args.count,
-                                       seed=args.seed, out_dir=args.out,
-                                       density=args.density, max_lag=args.max_lag)
+    try:
+        paths = harness.generate_instances(args.kind, args.n, count=args.count,
+                                           seed=args.seed, out_dir=args.out,
+                                           density=args.density, max_lag=args.max_lag)
+    except ValueError as exc:  # an out-of-range setting
+        return _error(exc)
     for p in paths:
         print(p)
     return 0
@@ -215,8 +226,7 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return cmd_bench(args)
     except (CapacityError, ModelError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     raise AssertionError(f"unhandled command {args.command}")
 
 

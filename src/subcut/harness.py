@@ -44,6 +44,7 @@ logger = logging.getLogger(__name__)
 
 MODES = ("none", "split", "submodular", "ss", "both")
 BINARY_TOL = 1e-6  # an LP value within this of 0 or 1 counts as integral
+BOUND_TOL = 1e-7  # relative slack of the bound guards in root_loop
 CSV_HEADER = "instance,mode,d1,d2,p,closed,cuts,sep_time_ms,total_time_ms"
 
 
@@ -183,8 +184,10 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
     """Run up to config.rounds rounds of separation at the root node.
 
     Stops early when the LP optimum is binary in x or a round produces no
-    cut.  An LP failure mid-loop sets the failure flag on the report; a
-    cut failing point validation raises, since that can only be a bug.
+    cut.  Each round re-solves warm from the previous round's optimal
+    basis.  An LP failure mid-loop sets the failure flag on the report; a
+    cut failing point validation, or a bound that rises across a round or
+    falls below the reference optimum, raises, since that can only be a bug.
     """
     if not targets:
         raise ModelError("at least one separation target is required")
@@ -262,14 +265,22 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
             cuts_added += 1
         model = model.with_extra_rows(rows, senses, rhs)
         try:
-            sol = simplex.solve(model)
+            sol = simplex.solve(model, warm=sol)
         except NumericError:
             failed = True
             break
         if sol.status != simplex.OPTIMAL:
             failed = True
             break
-        d2 = float(sol.objective)
+        # cuts can only lower the bound, and valid cuts never below the optimum
+        bound = float(sol.objective)
+        tol = BOUND_TOL * (1.0 + abs(bound))
+        if bound > d2 + tol or bound < p - tol:
+            raise NumericError(
+                f"bound {bound!r} after round {rounds_run} on {instance!r} leaves [p, previous bound]"
+                f" = [{p!r}, {d2!r}]"
+            )
+        d2 = bound
     return finish()
 
 
@@ -446,6 +457,10 @@ def generate_instances(
     """Write `count` seeded instances (plus .sol sidecars when brute-forceable)."""
     if kind not in GENERATORS:
         raise ValueError(f"unknown generator {kind!r}; expected one of {GENERATORS}")
+    if n < 2:
+        raise ValueError(f"need n >= 2, got n = {n}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []

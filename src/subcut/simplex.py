@@ -1,27 +1,33 @@
-"""Dense bounded-variable primal simplex.
+"""Dense bounded dual simplex, started cold from the slack basis or warm
+from the optimal basis of a row prefix.
 
-Two phases with artificial columns, Dantzig pricing with a switch to
-Bland's rule after a budget of degenerate pivots, and an explicitly
-maintained basis inverse.  The optimal basis is kept on the solution so
-a corner polyhedron (apex plus one ray per nonbasic variable) can be
-extracted and handed to the cut machinery.
+Every structural column is boxed, so the slack basis with each nonbasic
+column at its cost-preferred bound is dual feasible, which is all the
+dual simplex needs to start.  Each pivot takes the basic variable with
+the largest bound violation out and lets in the column of least
+|d_j / alpha_rj| (ties to the lowest index) that keeps the reduced costs'
+signs.  The basis inverse is kept explicitly and the
+optimal basis stays on the solution, so a corner polyhedron (apex plus one
+ray per nonbasic variable) can be extracted and handed to the cut
+machinery, and the next solve can start from it after cut rows are
+appended.
 
-Row conventions: equality rows get no slack; <= rows get a slack with
-coefficient +1; >= rows get a surplus with coefficient -1.  Slack and
-surplus variables live in [0, +inf).
+Row conventions: row i has one logical column, column ncols + i, with
+coefficient +1 for <= and = rows (a slack) and -1 for >= rows (a
+surplus).  Slacks and surpluses live in [0, +inf); the logical of an =
+row is fixed at [0, 0].
 
 The pivot path is part of the output contract.  The max-cut and
-multilinear LPs are highly degenerate, so which optimal basis the
-simplex reaches, and therefore the corner every intersection cut is
-built from, turns on ties that the last bits of the basis inverse
-decide.  Computing the rank-1 update of ``Binv`` with a fused
-multiply-add (as the BLAS rank-1 update routine does) instead of a
-separate multiply and subtract changes single entries by about 1e-31,
-and on a g05 n=20 instance (seed 1000, submodular cuts) moves the bound
-after cuts from 84.3659 to 87.0254.  Any rewrite of the pivot arithmetic
-must therefore produce the same doubles in the same order: the same
-products, the same subtractions, the same matrix-vector products and the
-same comparisons.
+multilinear LPs are highly degenerate, so which optimal basis the dual
+simplex reaches, and therefore the corner every intersection cut is built
+from, turns on ties that the last bits of the basis inverse decide.
+Computing the rank-1 update of ``Binv`` in extended precision with one
+final rounding (as a fused multiply-add does) instead of a separate
+multiply and subtract moves the bound after ten rounds of submodular cuts
+on a g05 n=20 instance (seed 1000) from 83.434 to 81.957.  Any rewrite of the pivot
+arithmetic must therefore produce the same doubles in the same order: the
+same products, the same subtractions, the same matrix-vector products and
+the same comparisons.
 """
 
 from __future__ import annotations
@@ -35,12 +41,9 @@ from .errors import NumericError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 FEAS_TOL = 1e-7
-COST_TOL = 1e-9
 PIVOT_TOL = 1e-9
-DEGEN_TOL = 1e-10
 REFACTOR_EVERY = 100
 
 ROW_SENSES = ("<=", ">=", "=")
@@ -48,7 +51,7 @@ ROW_SENSES = ("<=", ">=", "=")
 
 @dataclass
 class LpModel:
-    """Dense LP: optimize objective . z subject to rows and variable bounds."""
+    """Dense LP: optimize objective . z subject to rows and finite variable bounds."""
 
     sense: str
     objective: np.ndarray
@@ -78,6 +81,8 @@ class LpModel:
                 raise ValueError(f"unknown row sense {s!r}")
         if self.lower.size != n or self.upper.size != n:
             raise ValueError("bound arrays must match the column count")
+        if not np.all(np.isfinite(self.lower)) or not np.all(np.isfinite(self.upper)):
+            raise ValueError("every column needs finite lower and upper bounds")
         if np.any(self.lower > self.upper):
             raise ValueError("some lower bound exceeds its upper bound")
         if not np.all(np.isfinite(self.rows)) or not np.all(np.isfinite(self.rhs)):
@@ -102,6 +107,19 @@ class LpModel:
             np.concatenate([self.rhs, np.atleast_1d(rhs)]),
             self.lower.copy(),
             self.upper.copy(),
+        )
+
+    def extends(self, prefix: "LpModel") -> bool:
+        """Whether this model is ``prefix`` with zero or more rows appended."""
+        k = prefix.nrows
+        return (
+            self.sense == prefix.sense
+            and k <= self.nrows
+            and list(self.row_senses[:k]) == list(prefix.row_senses)
+            and all(np.array_equal(a, b) for a, b in (
+                (self.objective, prefix.objective), (self.lower, prefix.lower),
+                (self.upper, prefix.upper), (self.rows[:k], prefix.rows), (self.rhs[:k], prefix.rhs),
+            ))
         )
 
 
@@ -146,293 +164,145 @@ class CornerPolyhedron:
         return self.columns.size
 
 
-# column kind codes
-_KIND_STRUCT = 0
-_KIND_SLACK = 1
-_KIND_SURPLUS = 2
-_KIND_ARTIFICIAL = 3
-
 # placement codes
 _BASIC = 0
 _AT_LOWER = 1
 _AT_UPPER = 2
-_FREE = 3
 
 
-def _ratio_test(rate, bvals, blo, bhi, basis):
-    """First basic variable to reach a bound: (row_step, block, side).
+class _DualSimplex:
+    """One solve: the columns of ``model`` and a dual feasible basis to pivot from."""
 
-    ``rate`` is the movement of the basic values per unit step of the
-    entering variable.  Rows whose value rises (rate > PIVOT_TOL) and have
-    a finite upper bound are scanned first, then rows whose value falls
-    (rate < -PIVOT_TOL) and have a finite lower bound, each in ascending
-    row order.  A row takes the block when its step (clipped at zero) is
-    shorter by more than DEGEN_TOL, or within DEGEN_TOL and its basic
-    column has the lower index.  The steps are the same IEEE divisions as
-    row by row, and the scan runs over them as Python floats in the same
-    order, so the outcome is that of the row-by-row rule.  block is -1
-    (and row_step inf) when no row bounds the step.
-    """
-    up = np.flatnonzero((rate > PIVOT_TOL) & np.isfinite(bhi))
-    down = np.flatnonzero((rate < -PIVOT_TOL) & np.isfinite(blo))
-    row_step, block, side = math.inf, -1, 0
-    block_col = -1  # no column index is below it, so no tie wins before a first block
-    for rows, steps, row_side in (
-        (up, (bhi[up] - bvals[up]) / rate[up], _AT_UPPER),
-        (down, (bvals[down] - blo[down]) / -rate[down], _AT_LOWER),
-    ):
-        for i, s, col in zip(rows.tolist(), steps.tolist(), basis[rows].tolist()):
-            s = max(s, 0.0)
-            if s < row_step - DEGEN_TOL or (s <= row_step + DEGEN_TOL and col < block_col):
-                row_step = min(s, row_step)
-                block, side, block_col = i, row_side, col
-    return row_step, block, side
-
-
-class _BoundedSimplex:
-    def __init__(self, model: LpModel, max_iters=None):
+    def __init__(self, model: LpModel, prefix: "_DualSimplex" = None, max_iters=None):
         self.model = model
         m, n = model.nrows, model.ncols
         self.m = m
         self.nstruct = n
-
-        # one slack (+1) or surplus (-1) column per inequality row, in row order
+        self.N = n + m
         senses = np.array(model.row_senses, dtype=str)
-        rows = np.flatnonzero(senses != "=")
-        k = rows.size
-        surplus = senses[rows] == ">="
-        logical = np.zeros((m, k))
-        logical[rows, np.arange(k)] = np.where(surplus, -1.0, 1.0)
-        self.A = np.hstack([model.rows, logical])
-        self.kinds = np.concatenate([np.full(n, _KIND_STRUCT), np.where(surplus, _KIND_SURPLUS, _KIND_SLACK)])
-        self.lo = np.concatenate([model.lower, np.zeros(k)])
-        self.hi = np.concatenate([model.upper, np.full(k, math.inf)])
-        self.slack_row = np.concatenate([np.full(n, -1), rows])
-        self.N = self.kinds.size
-        if max_iters is None:
-            max_iters = max(5000, 50 * (m + self.N))
-        self.max_iters = max_iters
-        self.iterations = 0
-
+        self.sign = np.where(senses == ">=", -1.0, 1.0)  # coefficient of each row's logical
+        self.A = np.hstack([model.rows, np.diag(self.sign)])
+        self.lo = np.concatenate([model.lower, np.zeros(m)])
+        self.hi = np.concatenate([model.upper, np.where(senses == "=", 0.0, math.inf)])
         # internal objective is always minimized
-        sign = -1.0 if model.sense == "max" else 1.0
-        self.cost = np.concatenate([sign * model.objective, np.zeros(self.N - n)])
+        self.cost = np.concatenate([(-1.0 if model.sense == "max" else 1.0) * model.objective, np.zeros(m)])
+        self.max_iters = max(5000, 50 * (m + self.N)) if max_iters is None else max_iters
+        self.iterations = 0
+        if prefix is None:
+            self._slack_basis()
+        else:
+            self._extend(prefix)
 
-    # -- setup ------------------------------------------------------------
-
-    def _initial_point(self):
-        has_lo = np.isfinite(self.lo)
-        has_hi = np.isfinite(self.hi)
-        val = np.where(has_lo, self.lo, np.where(has_hi, self.hi, 0.0))
-        where = np.where(has_lo, _AT_LOWER, np.where(has_hi, _AT_UPPER, _FREE))
-        return val, where
-
-    def _install_basis(self, val, where):
-        """One basic column per row: reuse slack/surplus when its sign fits,
-        otherwise append an artificial column."""
-        m = self.m
-        resid = self.model.rhs - self.A @ val
-        logical = np.flatnonzero(self.slack_row >= 0)
-        own = self.slack_row[logical]
-        v = resid[own] / self.A[own, logical]
-        fits = v >= 0.0
-        basis = np.full(m, -1)
-        basis[own[fits]] = logical[fits]
-        val[logical[fits]] = v[fits]
-        where[logical[fits]] = _BASIC
-
-        rows = np.flatnonzero(basis < 0)  # rows still without a basic column
-        k = rows.size
-        if k:
-            art = np.zeros((m, k))
-            art[rows, np.arange(k)] = np.where(resid[rows] >= 0, 1.0, -1.0)
-            self.A = np.hstack([self.A, art])
-            self.kinds = np.concatenate([self.kinds, np.full(k, _KIND_ARTIFICIAL)])
-            self.lo = np.concatenate([self.lo, np.zeros(k)])
-            self.hi = np.concatenate([self.hi, np.full(k, math.inf)])
-            self.slack_row = np.concatenate([self.slack_row, rows])
-            self.cost = np.concatenate([self.cost, np.zeros(k)])
-            val = np.concatenate([val, np.abs(resid[rows])])
-            where = np.concatenate([where, np.full(k, _BASIC)])
-            basis[rows] = self.N + np.arange(k)
-            self.N += k
-
-        self.val = val
-        self.where = where
-        self.basis = basis
-        # every basic column is a slack, surplus or artificial, so the basis
-        # is a +-1 diagonal and its own inverse.  Scaling row i of the
-        # identity by its sign gives the zeros the signs that solving B X = I
-        # (np.linalg.inv) gives them, so the bits match a refactorization.
-        self.Binv = self.A[np.arange(m), basis][:, None] * np.eye(m)
+    def _slack_basis(self):
+        """Every logical basic, every structural at the bound its cost prefers."""
+        n, m = self.nstruct, self.m
+        up = self.cost[:n] < 0.0
+        self.where = np.concatenate([np.where(up, _AT_UPPER, _AT_LOWER), np.full(m, _BASIC)])
+        self.val = np.concatenate([np.where(up, self.hi[:n], self.lo[:n]), np.zeros(m)])
+        self.basis = n + np.arange(m)
+        self.Binv = np.diag(self.sign)  # a +-1 diagonal is its own inverse
+        self.since_refactor = 0
         self._basic_values()
-        return k
+        self._reduced_costs()
+
+    def _extend(self, old: "_DualSimplex"):
+        """The optimal basis of the row prefix ``old``, plus each new row's logical.
+
+        The new logicals enter basic at sign * (rhs - a.z), which is negative
+        on a row the old optimum violates, and the inverse grows as
+        [[Binv, 0], [-S a_B Binv, S]] with S = diag(sign) of the new rows.
+        Their costs are zero, so every reduced cost stays as it was.
+        """
+        k, n = old.m, self.nstruct
+        new = np.arange(k, self.m)
+        s = self.sign[new]
+        self.basis = np.concatenate([old.basis, n + new])
+        self.where = np.concatenate([old.where, np.full(new.size, _BASIC)])
+        self.val = np.concatenate([old.val, s * (self.model.rhs[new] - self.model.rows[new] @ old.val[:n])])
+        self.Binv = np.block([
+            [old.Binv, np.zeros((k, new.size))],
+            [-s[:, None] * (self.A[new][:, old.basis] @ old.Binv), np.diag(s)],
+        ])
+        self.since_refactor = old.since_refactor
+        self.d = np.concatenate([old.d, np.zeros(new.size)])
 
     def _refactor(self):
-        if self.m == 0:
-            self.Binv = np.zeros((0, 0))
-            return
         try:
             self.Binv = np.linalg.inv(self.A[:, self.basis])
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"singular basis during refactorization: {exc}") from exc
+        self.since_refactor = 0
         self._basic_values()
+        self._reduced_costs()
 
     def _basic_values(self):
         nb = self.val.copy()
         nb[self.basis] = 0.0
         self.val[self.basis] = self.Binv @ (self.model.rhs - self.A @ nb)
 
+    def _reduced_costs(self):
+        self.d = self.cost - (self.cost[self.basis] @ self.Binv) @ self.A
+
     # -- core loop ---------------------------------------------------------
 
-    def _entering(self, d, allow, movable, bland):
-        """Entering column, or -1 at optimality.
-
-        movable = allow & (lo != hi), hoisted out of the pivot loop because
-        the bounds change only between calls of _iterate.
-        """
-        eligible = (self.where == _AT_LOWER) & (d < -COST_TOL)
-        eligible |= (self.where == _AT_UPPER) & (d > COST_TOL)
-        eligible &= movable
-        eligible |= (self.where == _FREE) & (np.abs(d) > COST_TOL) & allow
-        idx = np.nonzero(eligible)[0]
-        if idx.size == 0:
-            return -1
-        if bland:
-            return int(idx[0])
-        return int(idx[np.argmax(np.abs(d[idx]))])
-
-    def _iterate(self, cost, allow):
+    def _iterate(self) -> str:
+        """Dual pivots until the basic values are within their bounds."""
         m = self.m
-        degen_budget = 3 * (m + self.N)
-        degen = 0
-        bland = False
-        since_refactor = 0
-        movable = allow & (self.lo != self.hi)
+        movable = self.lo != self.hi
         buf = np.empty((m, m))  # rank-1 update term of Binv, reused every pivot
-        while True:
+        while m:
+            xb = self.val[self.basis]
+            below = self.lo[self.basis] - xb
+            viol = np.maximum(below, xb - self.hi[self.basis])
+            r = int(np.argmax(viol))
+            if viol[r] <= FEAS_TOL:
+                break
             if self.iterations >= self.max_iters:
-                raise NumericError(
-                    f"simplex iteration cap {self.max_iters} reached "
-                    f"(m={m}, n={self.N}, degenerate={degen})"
-                )
-            y = cost[self.basis] @ self.Binv if m else np.zeros(0)
-            d = cost - (y @ self.A if m else 0.0)
-            j = self._entering(d, allow, movable, bland)
-            if j < 0:
-                return OPTIMAL
-            delta = 1.0
-            if self.where[j] == _AT_UPPER or (self.where[j] == _FREE and d[j] > 0):
-                delta = -1.0
-            w = self.Binv @ self.A[:, j] if m else np.zeros(0)
-
-            # ratio test: own bound flip vs. first basic variable to hit a bound
-            flip_step = math.inf
-            if self.where[j] != _FREE and np.isfinite(self.lo[j]) and np.isfinite(self.hi[j]):
-                flip_step = self.hi[j] - self.lo[j]
-            rate = -delta * w  # movement of basic values per unit step
-            bvals = self.val[self.basis]
-            row_step, block, block_side = _ratio_test(
-                rate, bvals, self.lo[self.basis], self.hi[self.basis], self.basis
-            )
-
-            if math.isinf(flip_step) and math.isinf(row_step):
-                return UNBOUNDED
-            # the entering variable must never overrun its own opposite bound
-            if flip_step <= row_step:
-                step, block = flip_step, -1
-            else:
-                step = row_step
-
+                raise NumericError(f"simplex iteration cap {self.max_iters} reached (m={m}, n={self.N})")
+            # the leaving variable rises to its lower bound (up) or falls to its upper bound
+            up = below[r] > 0.0
+            alpha = self.Binv[r] @ self.A
+            drive = -alpha if up else alpha  # > 0: raising a column moves the leaving variable to its bound
+            eligible = (self.where == _AT_LOWER) & (drive > PIVOT_TOL)
+            eligible |= (self.where == _AT_UPPER) & (drive < -PIVOT_TOL)
+            idx = np.flatnonzero(eligible & movable)
+            if idx.size == 0:
+                return INFEASIBLE
+            q = int(idx[np.argmin(np.abs(self.d[idx] / alpha[idx]))])
+            w = self.Binv @ self.A[:, q]
+            if abs(w[r]) < PIVOT_TOL:
+                raise NumericError(f"vanishing pivot {w[r]} in column {q}")
+            leaving = self.basis[r]
+            bound = self.lo[leaving] if up else self.hi[leaving]
+            step = (xb[r] - bound) / w[r]
+            self.val[self.basis] = xb - step * w
+            self.val[q] += step
+            self.val[leaving] = bound
+            self.where[leaving] = _AT_LOWER if up else _AT_UPPER
+            self.basis[r] = q
+            self.where[q] = _BASIC
+            self.d -= (self.d[q] / alpha[q]) * alpha
+            self.d[q] = 0.0
+            self._update_inverse(r, w, buf)
             self.iterations += 1
-            since_refactor += 1
-            if step <= DEGEN_TOL:
-                degen += 1
-                if degen > degen_budget:
-                    bland = True
-
-            self.val[self.basis] = bvals + rate * step
-            self.val[j] += delta * step
-            if block < 0:
-                # bound flip: nonbasic variable runs to its other bound
-                self.where[j] = _AT_UPPER if delta > 0 else _AT_LOWER
-                self.val[j] = self.hi[j] if delta > 0 else self.lo[j]
-            else:
-                leaving = self.basis[block]
-                self.where[leaving] = block_side
-                self.val[leaving] = self.hi[leaving] if block_side == _AT_UPPER else self.lo[leaving]
-                self.basis[block] = j
-                self.where[j] = _BASIC
-                piv = w[block]
-                if abs(piv) < PIVOT_TOL:
-                    raise NumericError(f"vanishing pivot {piv} in column {j}")
-                self._update_inverse(block, w, buf)
-                if since_refactor >= REFACTOR_EVERY:
-                    self._refactor()
-                    since_refactor = 0
-
-    # -- phases ------------------------------------------------------------
+            self.since_refactor += 1
+            if self.since_refactor >= REFACTOR_EVERY:
+                self._refactor()
+        return OPTIMAL
 
     def solve(self) -> LpSolution:
-        val, where = self._initial_point()
-        n_art = self._install_basis(val, where)
-        real = self.kinds != _KIND_ARTIFICIAL
-
-        if n_art:
-            phase1 = np.where(self.kinds == _KIND_ARTIFICIAL, 1.0, 0.0)
-            status = self._iterate(phase1, allow=real)
-            if status != OPTIMAL:
-                raise NumericError("phase 1 terminated without an optimum")
-            art_level = float(phase1 @ self.val)
-            if art_level > FEAS_TOL:
-                return LpSolution(status=INFEASIBLE, iterations=self.iterations)
-            self._evict_artificials()
-
-        # artificials stay fixed at zero from here on
-        art = self.kinds == _KIND_ARTIFICIAL
-        self.lo[art] = 0.0
-        self.hi[art] = 0.0
-        self.val[art & (self.where != _BASIC)] = 0.0
-
-        status = self._iterate(self.cost, allow=real)
-        if status == UNBOUNDED:
-            return LpSolution(status=UNBOUNDED, iterations=self.iterations)
-        self._refactor()
+        if self._iterate() == INFEASIBLE:
+            return LpSolution(status=INFEASIBLE, iterations=self.iterations)
         self._verify()
         x = self.val[: self.nstruct].copy()
-        obj = float(self.model.objective @ x)
         return LpSolution(
             status=OPTIMAL,
             x=x,
-            objective=obj,
+            objective=float(self.model.objective @ x),
             iterations=self.iterations,
             basis=self.basis.copy(),
             _state=self,
         )
-
-    def _evict_artificials(self):
-        """Pivot basic artificials out where possible; redundant rows keep theirs."""
-        buf = np.empty((self.m, self.m))
-        for pos in range(self.m):
-            col = self.basis[pos]
-            if self.kinds[col] != _KIND_ARTIFICIAL:
-                continue
-            row = self.Binv[pos, :] @ self.A
-            candidates = np.nonzero(
-                (np.abs(row) > 1e-7)
-                & (self.kinds != _KIND_ARTIFICIAL)
-                & (self.where != _BASIC)
-            )[0]
-            if candidates.size == 0:
-                continue
-            j = int(candidates[0])
-            w = self.Binv @ self.A[:, j]
-            self.where[col] = _AT_LOWER
-            self.val[col] = 0.0
-            self.basis[pos] = j
-            self.where[j] = _BASIC
-            self._update_inverse(pos, w, buf)
-        self._refactor()
 
     def _update_inverse(self, pos, w, buf):
         """Binv after the column with Binv-image w enters at row pos.
@@ -452,7 +322,8 @@ class _BoundedSimplex:
         self.Binv[pos] = r
 
     def _verify(self):
-        resid = self.A @ self.val - self.model.rhs if self.m else np.zeros(0)
+        """Optimality certificate: primal and dual feasibility, equal objectives."""
+        resid = self.A @ self.val - self.model.rhs
         if self.m and np.max(np.abs(resid)) > 100 * FEAS_TOL:
             raise NumericError(f"row residual {np.max(np.abs(resid)):.3e} after optimization")
         below = np.maximum(self.lo - self.val, 0.0)
@@ -460,30 +331,44 @@ class _BoundedSimplex:
         worst = max(below.max(initial=0.0), above.max(initial=0.0))
         if worst > 100 * FEAS_TOL:
             raise NumericError(f"bound violation {worst:.3e} after optimization")
+        y = self.cost[self.basis] @ self.Binv
+        d = self.cost - y @ self.A
+        nb = self.where != _BASIC
+        # moving a nonbasic column off its bound must not pay: d >= 0 at a lower bound, <= 0 at an upper
+        gain = np.where(self.where == _AT_UPPER, d, -d)[nb & (self.lo != self.hi)]
+        if gain.max(initial=0.0) > FEAS_TOL * (1.0 + np.abs(self.cost).max(initial=0.0)):
+            raise NumericError(f"reduced cost {gain.max():.3e} of the wrong sign at the optimum")
+        at = np.where(self.where[nb] == _AT_UPPER, self.hi[nb], self.lo[nb])
+        primal = float(self.cost @ self.val)
+        dual = float(y @ self.model.rhs + d[nb] @ at)
+        if abs(primal - dual) > FEAS_TOL * (1.0 + abs(primal)):
+            raise NumericError(f"primal objective {primal!r} and dual objective {dual!r} differ")
 
 
-def solve(model: LpModel, max_iters=None) -> LpSolution:
-    """Solve the LP; status is one of optimal / infeasible / unbounded."""
-    return _BoundedSimplex(model, max_iters=max_iters).solve()
+def solve(model: LpModel, warm: LpSolution = None, max_iters=None) -> LpSolution:
+    """Solve the LP; status is optimal or infeasible.
+
+    ``warm``, an optimal solution of a model that ``model`` extends by
+    appended rows, starts the dual simplex from its basis.
+    """
+    if warm is None:
+        return _DualSimplex(model, max_iters=max_iters).solve()
+    if warm.status != OPTIMAL or not model.extends(warm._state.model):
+        raise ValueError("a warm start needs an optimal solution of a row prefix of the model")
+    return _DualSimplex(model, warm._state, max_iters=max_iters).solve()
 
 
 def corner(solution: LpSolution) -> CornerPolyhedron:
     """Corner relaxation at the optimal basis: apex plus one ray per nonbasic.
 
-    Columns fixed by their bounds contribute no ray.  A free nonbasic
-    variable has no bound to anchor its ray and is rejected.  The eta
-    forms read the rows of the model that was solved.
+    Columns fixed by their bounds contribute no ray.  The eta forms read
+    the rows of the model that was solved.
     """
     if solution.status != OPTIMAL:
         raise ValueError(f"corner extraction needs an optimal solution, got {solution.status}")
     st = solution._state
     n = st.nstruct
-    nb = np.flatnonzero(
-        (st.where != _BASIC) & (st.kinds != _KIND_ARTIFICIAL) & (st.lo != st.hi)
-    )
-    free = nb[st.where[nb] == _FREE]
-    if free.size:
-        raise ValueError(f"free nonbasic column {free[0]}; corner undefined without a bound")
+    nb = np.flatnonzero((st.where != _BASIC) & (st.lo != st.hi))
     k = nb.size
     rows = np.arange(k)
     at_lower = st.where[nb] == _AT_LOWER
@@ -496,15 +381,13 @@ def corner(solution: LpSolution) -> CornerPolyhedron:
     # rhs - a.z for a <= row and its surplus a.z - rhs for a >= row
     eta_coef = np.zeros((k, n))
     eta_off = np.zeros(k)
-    struct = st.kinds[nb] == _KIND_STRUCT
+    struct = nb < n
     sj = nb[struct]
     eta_coef[rows[struct], sj] = delta[struct]
     eta_off[struct] = -delta[struct] * np.where(at_lower[struct], st.lo[sj], st.hi[sj])
-    logical = ~struct
-    sign = np.where(st.kinds[nb[logical]] == _KIND_SLACK, -1.0, 1.0)
-    i = st.slack_row[nb[logical]]
-    eta_coef[logical] = sign[:, None] * st.model.rows[i]
-    eta_off[logical] = -sign * st.model.rhs[i]
+    i = nb[~struct] - n
+    eta_coef[~struct] = -st.sign[i][:, None] * st.model.rows[i]
+    eta_off[~struct] = st.sign[i] * st.model.rhs[i]
     return CornerPolyhedron(
         apex=solution.x.copy(),
         columns=nb,

@@ -144,39 +144,6 @@ def is_submodular_pairs(values, n, tol=1e-9):
 K3_EDGES = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
 
 
-def ratio_test_sequential(rate, bvals, blo, bhi, basis, pivot_tol, degen_tol, upper, lower):
-    """The simplex ratio test as a row-by-row scan over numpy scalars.
-
-    Rising rows against their upper bounds first, then falling rows against
-    their lower bounds, each in ascending row order; a row takes the block
-    when its step is shorter by more than degen_tol, or ties within it and
-    its basic column has the lower index.  Returns (row_step, block, side),
-    side being ``upper`` or ``lower`` (0 when no row blocks).
-    """
-    row_step = math.inf
-    block = -1
-    block_side = 0
-    for i in np.nonzero(rate > pivot_tol)[0]:
-        if not np.isfinite(bhi[i]):
-            continue
-        s = max((bhi[i] - bvals[i]) / rate[i], 0.0)
-        if s < row_step - degen_tol or (
-            s <= row_step + degen_tol and block >= 0 and basis[i] < basis[block]
-        ):
-            row_step = min(s, row_step)
-            block, block_side = i, upper
-    for i in np.nonzero(rate < -pivot_tol)[0]:
-        if not np.isfinite(blo[i]):
-            continue
-        s = max((bvals[i] - blo[i]) / (-rate[i]), 0.0)
-        if s < row_step - degen_tol or (
-            s <= row_step + degen_tol and block >= 0 and basis[i] < basis[block]
-        ):
-            row_step = min(s, row_step)
-            block, block_side = i, lower
-    return row_step, block, block_side
-
-
 def corner_t_interval_loop(z_pts, eta_coef, eta_off, t_col, tol):
     """Per-point t interval inside a corner, one ray at a time.
 
@@ -203,24 +170,15 @@ def corner_rays_loop(solution, codes):
     """The corner at an optimal basis, built one nonbasic column at a time.
 
     Reads the solver state kept on ``solution`` (``codes`` names its
-    placement and column-kind constants: basic, at_lower, free, struct,
-    slack, artificial).  Returns (column, direction, eta_coef, eta_off)
-    per ray in ascending column order: the structural movement per unit
-    of eta, and eta as an affine form of the structural variables.
+    placement constants: basic, at_lower).  Returns (column, direction,
+    eta_coef, eta_off) per ray in ascending column order: the structural
+    movement per unit of eta, and eta as an affine form of the structural
+    variables.
     """
     st = solution._state
     model = st.model
     n = st.nstruct
-    nb = [
-        j
-        for j in range(st.N)
-        if st.where[j] != codes["basic"]
-        and st.kinds[j] != codes["artificial"]
-        and st.lo[j] != st.hi[j]
-    ]
-    for j in nb:
-        if st.where[j] == codes["free"]:
-            raise ValueError(f"free nonbasic column {j}")
+    nb = [j for j in range(st.N) if st.where[j] != codes["basic"] and st.lo[j] != st.hi[j]]
     rays = []
     if nb:
         W = st.Binv @ st.A[:, nb]
@@ -230,13 +188,13 @@ def corner_rays_loop(solution, codes):
             full[j] = delta
             full[st.basis] = -delta * W[:, k]
             g = np.zeros(n)
-            if st.kinds[j] == codes["struct"]:
+            if j < n:
                 g[j] = delta
                 bound = st.lo[j] if st.where[j] == codes["at_lower"] else st.hi[j]
                 h = -delta * bound
             else:
-                i = int(st.slack_row[j])
-                if st.kinds[j] == codes["slack"]:
+                i = j - n
+                if model.row_senses[i] == "<=":
                     g = -model.rows[i].copy()
                     h = float(model.rhs[i])
                 else:
@@ -244,85 +202,6 @@ def corner_rays_loop(solution, codes):
                     h = -float(model.rhs[i])
             rays.append((j, full[:n].copy(), g, h))
     return rays
-
-
-def start_basis_loop(model, codes):
-    """The simplex start, one column and one row at a time.
-
-    One slack (+1, ``<=``) or surplus (-1, ``>=``) column per inequality
-    row in row order; every column starts at its finite lower bound, else
-    at its finite upper bound, else free at 0; a row's logical column is
-    basic where resid / coef >= 0, and every other row gets an artificial
-    column with the sign of its residual.  ``codes`` names the kind and
-    placement constants (struct, slack, surplus, artificial, basic,
-    at_lower, at_upper, free).  Returns the arrays of the start state,
-    with the basic values read back through the diagonal basis inverse.
-    """
-    m, n = model.rows.shape
-    cols, kinds, lo, hi, slack_row = [], [], [], [], []
-    for j in range(n):
-        kinds.append(codes["struct"])
-        lo.append(float(model.lower[j]))
-        hi.append(float(model.upper[j]))
-        slack_row.append(-1)
-    for i, s in enumerate(model.row_senses):
-        if s == "=":
-            continue
-        col = np.zeros(m)
-        col[i] = 1.0 if s == "<=" else -1.0
-        cols.append(col)
-        kinds.append(codes["slack"] if s == "<=" else codes["surplus"])
-        lo.append(0.0)
-        hi.append(math.inf)
-        slack_row.append(i)
-    A = np.hstack([model.rows] + ([np.column_stack(cols)] if cols else []))
-    val, where = [], []
-    for j in range(len(kinds)):
-        if np.isfinite(lo[j]):
-            val.append(lo[j])
-            where.append(codes["at_lower"])
-        elif np.isfinite(hi[j]):
-            val.append(hi[j])
-            where.append(codes["at_upper"])
-        else:
-            val.append(0.0)
-            where.append(codes["free"])
-    resid = model.rhs - A @ np.array(val)
-    basis = [-1] * m
-    art_rows = []
-    for i in range(m):
-        j = slack_row.index(i) if i in slack_row else None
-        if j is not None and resid[i] / A[i, j] >= 0.0:
-            basis[i] = j
-            val[j] = resid[i] / A[i, j]
-            where[j] = codes["basic"]
-        else:
-            art_rows.append(i)
-    for k, i in enumerate(art_rows):
-        col = np.zeros(m)
-        col[i] = 1.0 if resid[i] >= 0 else -1.0
-        A = np.column_stack([A, col])
-        kinds.append(codes["artificial"])
-        slack_row.append(i)
-        basis[i] = len(kinds) - 1
-        val.append(abs(resid[i]))
-        where.append(codes["basic"])
-    # the basis is a +-1 diagonal; basic values are read back through it
-    basis = np.array(basis, dtype=int)
-    val = np.array(val)
-    Binv = A[np.arange(m), basis][:, None] * np.eye(m)
-    nonbasic = val.copy()
-    nonbasic[basis] = 0.0
-    val[basis] = Binv @ (model.rhs - A @ nonbasic)
-    return {
-        "A": A,
-        "kinds": np.array(kinds),
-        "slack_row": np.array(slack_row),
-        "val": val,
-        "where": np.array(where),
-        "basis": basis,
-        "Binv": Binv,
-    }
 
 
 def chunked_primal(problem, chunk=1 << 14):

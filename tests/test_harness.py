@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import _reference as ref
-from subcut import cli
-from subcut.errors import CapacityError, ModelError
+from subcut import cli, harness, simplex
+from subcut.cuts import IntersectionCut
+from subcut.errors import CapacityError, ModelError, NumericError
 from subcut.harness import (
     CSV_HEADER,
     RootNodeReport,
@@ -434,15 +435,15 @@ class TestRootLoop:
         key = lambda r: (r.d1, r.d2, r.p, r.closed, r.cuts, r.rounds, r.skipped)
         assert key(a) == key(b)
 
-    def test_unbounded_model_sets_failure_flag(self):
+    def test_infeasible_model_sets_failure_flag(self):
         model = LpModel(
             sense="max",
             objective=[0.0, 0.0, 1.0],
-            rows=np.zeros((0, 3)),
-            row_senses=[],
-            rhs=[],
-            lower=[0.0, 0.0, -math.inf],
-            upper=[1.0, 1.0, math.inf],
+            rows=[[1.0, 1.0, 0.0]],
+            row_senses=[">="],
+            rhs=[3.0],
+            lower=[0.0, 0.0, 0.0],
+            upper=[1.0, 1.0, 1.0],
         )
         lift = LiftMap(n=2, x_cols=np.arange(2), t_col=2, y_cols={}, ncols=3)
         targets = [SSFunction(cut_oracle(Graph(2, [(0, 1, 1.0)])), zero_oracle(2), 1)]
@@ -450,6 +451,40 @@ class TestRootLoop:
         assert rep.failed
         assert math.isnan(rep.d1)
         assert math.isnan(rep.closed)
+
+    def test_bound_below_the_optimum_raises(self, monkeypatch):
+        model, targets, lift = k3_setup()
+
+        def invalid_cut(corner, free_set):
+            coef = np.zeros(lift.ncols)
+            coef[lift.t_col] = -1.0  # t <= 1, below the max cut value 2
+            return IntersectionCut(coef=coef, rhs=-1.0, kind="split", efficacy=1.0)
+
+        monkeypatch.setattr(harness, "intersection_cut", invalid_cut)
+        with pytest.raises(NumericError, match=r"leaves \[p, previous bound\]"):
+            root_loop(model, targets, lift, RunConfig(mode="split", validate_cuts="off"), primal=2.0)
+        # without a known optimum the same cut only lowers the bound
+        rep = root_loop(model, targets, lift, RunConfig(mode="split", validate_cuts="off", rounds=1))
+        assert rep.d2 == pytest.approx(1.0, abs=1e-9) and not rep.failed
+
+    @pytest.mark.parametrize("rise, raises", [(1e-6, True), (1e-8, False)])
+    def test_bound_rising_across_a_round_raises(self, monkeypatch, rise, raises):
+        model, targets, lift = k3_setup()
+        solve = simplex.solve
+
+        def loosening_solve(model, warm=None):
+            sol = solve(model, warm=warm)
+            if warm is not None:  # report a re-solve bound above the previous one
+                sol.objective = warm.objective + rise * (1.0 + abs(warm.objective))
+            return sol
+
+        monkeypatch.setattr(simplex, "solve", loosening_solve)
+        config = RunConfig(mode="split", rounds=1)
+        if raises:
+            with pytest.raises(NumericError, match=r"leaves \[p, previous bound\]"):
+                root_loop(model, targets, lift, config)
+        else:
+            assert root_loop(model, targets, lift, config).d2 > 3.0
 
     def test_primal_override(self):
         model, targets, lift = k3_setup()
@@ -502,6 +537,25 @@ class TestCli:
         assert len(printed) == 1 and printed[0].endswith(".mc")
         assert (tmp_path / "g05_n6_s3.mc").exists()
         assert (tmp_path / "g05_n6_s3.sol").exists()
+
+    @pytest.mark.parametrize("args, phrase", [
+        (["gen", "g05", "-n", "1"], "n >= 2"),
+        (["gen", "g05", "-n", "6", "--count", "-1"], "count must be >= 1"),
+        (["root", "K3", "--rounds", "-1"], "rounds must be >= 0"),
+        (["root", "K3", "--max-cuts", "0"], "max_cuts_per_round must be >= 1"),
+    ])
+    def test_out_of_range_setting(self, tmp_path, capsys, args, phrase):
+        path = self.write_k3(tmp_path)
+        args = [str(path) if a == "K3" else a for a in args]
+        if args[0] == "gen":
+            args += ["--out", str(tmp_path / "gen")]
+        rc = cli.main(args)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().split("\n")
+        assert line.startswith("error: ") and phrase in line
+        assert not (tmp_path / "gen").exists()
 
     def test_root_command(self, tmp_path, capsys):
         path = self.write_k3(tmp_path)

@@ -85,23 +85,28 @@ def test_random_boxed_lps(degenerate):
     [
         (pw_graph(12, 0.5, seed=3, max_weight=1), "submodular"),
         (BmpInstance(autocorr_polynomial(10, max_lag=3, seed=3)), "both"),
+        (pw_graph(20, 0.5, seed=1000, max_weight=1), "submodular"),
+        (BmpInstance(autocorr_polynomial(12, max_lag=2, density=0.2, seed=1000)), "both"),
     ],
-    ids=["g05-n12", "autocorr-n10"],
+    ids=["g05-n12", "autocorr-n10", "g05-n20", "autocorr-n12"],
 )
 def test_benchmark_models_after_two_rounds(problem, mode, monkeypatch):
-    """Every LP of a two-round root loop, the cut rows included."""
-    models = []
+    """Every LP of a two-round root loop, the warm re-solves of the cut rows included."""
+    solved = []
     solve = simplex.solve
 
     def recording_solve(model, *args, **kwargs):
-        models.append(model)
-        return solve(model, *args, **kwargs)
+        solved.append((model, solve(model, *args, **kwargs)))
+        return solved[-1][1]
 
     monkeypatch.setattr(simplex, "solve", recording_solve)
     model, targets, lift = build_model(problem)
     report = root_loop(model, targets, lift, RunConfig(mode=mode, rounds=2))
     monkeypatch.undo()
     assert report.rounds == 2 and not report.failed
-    assert len(models) == 3 and models[-1].nrows > models[0].nrows
-    for model in models:
-        assert_agrees(model)
+    assert len(solved) == 3 and solved[-1][0].nrows > solved[0][0].nrows
+    for model, sol in solved:
+        status, objective = highs(model)
+        assert sol.status == status == OPTIMAL
+        assert sol.objective == pytest.approx(objective, abs=1e-7)
+        assert simplex.solve(model).objective == pytest.approx(sol.objective, abs=1e-9)

@@ -9,7 +9,6 @@ from subcut.errors import NumericError
 from subcut.simplex import (
     INFEASIBLE,
     OPTIMAL,
-    UNBOUNDED,
     LpModel,
     corner,
     solve,
@@ -66,16 +65,17 @@ class TestSolve:
         assert solve(model).status == INFEASIBLE
 
     def test_unbounded(self):
-        model = LpModel(
-            sense="max",
-            objective=[1.0],
-            rows=np.zeros((0, 1)),
-            row_senses=[],
-            rhs=[],
-            lower=[0.0],
-            upper=[math.inf],
-        )
-        assert solve(model).status == UNBOUNDED
+        # a column without an upper bound is refused, so no LP can be unbounded
+        with pytest.raises(ValueError, match="finite lower and upper"):
+            LpModel(
+                sense="max",
+                objective=[1.0],
+                rows=np.zeros((0, 1)),
+                row_senses=[],
+                rhs=[],
+                lower=[0.0],
+                upper=[math.inf],
+            )
 
     def test_min_sense(self):
         model = LpModel(
@@ -92,7 +92,7 @@ class TestSolve:
         assert sol.objective == pytest.approx(1.0, abs=1e-9)
         assert sol.x.tolist() == pytest.approx([1.0, 0.0], abs=1e-9)
 
-    def test_equality_needs_phase_one(self):
+    def test_equality_row_gets_fixed_logical(self):
         model = LpModel(
             sense="max",
             objective=[1.0, 1.0],
@@ -105,6 +105,12 @@ class TestSolve:
         sol = solve(model)
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(0.7, abs=1e-9)
+        st = sol._state
+        assert st.A[:, 2].tolist() == [1.0]
+        assert st.lo[2] == st.hi[2] == 0.0
+        # the start puts both columns at 1, so the logical starts at -1.3 and must leave
+        assert 2 not in sol.basis and sol.iterations >= 1
+        assert 2 not in corner(sol).columns
 
     def test_equality_infeasible(self):
         model = LpModel(
@@ -142,69 +148,40 @@ class TestSolve:
 
 class TestStartBasis:
     def mixed_lp(self):
-        # x0 in [0, 1], x1 <= 2, x2 free, x3 in [-1, 3]
         return LpModel(
             sense="max",
             objective=[1.0, 0.0, -1.0, 0.0],
             rows=[[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, -1.0]],
             row_senses=["=", "<=", ">=", ">="],
             rhs=[1.0, 4.0, 3.0, 1.0],
-            lower=[0.0, -math.inf, -math.inf, -1.0],
-            upper=[1.0, 2.0, math.inf, 3.0],
+            lower=[0.0, -2.0, -1.0, -1.0],
+            upper=[1.0, 2.0, 5.0, 3.0],
         )
 
     def test_logical_columns(self):
-        st = simplex._BoundedSimplex(self.mixed_lp())
-        assert st.kinds.tolist() == [0, 0, 0, 0, simplex._KIND_SLACK, simplex._KIND_SURPLUS, simplex._KIND_SURPLUS]
-        assert st.slack_row.tolist() == [-1, -1, -1, -1, 1, 2, 3]
-        assert st.A[:, 4:].tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]
-        assert st.lo[4:].tolist() == [0.0] * 3 and st.hi[4:].tolist() == [math.inf] * 3
+        st = simplex._DualSimplex(self.mixed_lp())
+        assert st.A[:, 4:].tolist() == np.diag([1.0, 1.0, -1.0, -1.0]).tolist()
+        assert st.lo[4:].tolist() == [0.0] * 4
+        assert st.hi[4:].tolist() == [0.0, math.inf, math.inf, math.inf]
 
     def test_start_point_and_basis(self):
-        L, U, F, B = simplex._AT_LOWER, simplex._AT_UPPER, simplex._FREE, simplex._BASIC
-        st = simplex._BoundedSimplex(self.mixed_lp())
-        val, where = st._initial_point()
-        assert val.tolist() == [0.0, 2.0, 0.0, -1.0, 0.0, 0.0, 0.0]
-        assert where.tolist() == [L, U, F, L, L, L, L]
-        # residuals rhs - A val are (-1, 5, 1, -2): the slack of row 1 and the
-        # surplus of row 3 fit; the = row and row 2 (surplus -1) get artificials
-        assert st._install_basis(val, where) == 2
-        assert st.basis.tolist() == [7, 4, 8, 6]
-        assert st.kinds[7:].tolist() == [simplex._KIND_ARTIFICIAL] * 2
-        assert st.slack_row.tolist() == [-1, -1, -1, -1, 1, 2, 3, 0, 2]
-        assert st.A[:, 7:].tolist() == [[-1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
-        assert st.val.tolist() == [0.0, 2.0, 0.0, -1.0, 5.0, 0.0, 2.0, 1.0, 1.0]
-        assert st.where.tolist() == [L, U, F, L, B, L, B, B, B]
-        assert st.Binv.tolist() == np.diag([-1.0, 1.0, 1.0, -1.0]).tolist()
-
-    def test_matches_loop_reference(self):
-        codes = {
-            "struct": simplex._KIND_STRUCT, "slack": simplex._KIND_SLACK,
-            "surplus": simplex._KIND_SURPLUS, "artificial": simplex._KIND_ARTIFICIAL,
-            "basic": simplex._BASIC, "at_lower": simplex._AT_LOWER,
-            "at_upper": simplex._AT_UPPER, "free": simplex._FREE,
-        }
-        rng = np.random.default_rng(29)
-        for _ in range(60):
-            m, n = int(rng.integers(0, 7)), int(rng.integers(1, 6))
-            lower = rng.choice([-math.inf, -1.0, 0.0, -0.0], size=n)
-            upper = np.maximum(lower, rng.choice([math.inf, 0.0, 1.0, 2.5], size=n))
-            model = LpModel(
-                "max", rng.normal(size=n), rng.integers(-2, 3, size=(m, n)).astype(float),
-                rng.choice(["<=", ">=", "="], size=m).tolist(), rng.integers(-3, 4, size=m).astype(float),
-                lower, upper,
-            )
-            st = simplex._BoundedSimplex(model)
-            st._install_basis(*st._initial_point())
-            want = ref.start_basis_loop(model, codes)
-            for name, arr in want.items():
-                got = getattr(st, name)
-                assert got.shape == arr.shape and got.tobytes() == arr.astype(got.dtype).tobytes(), name
+        L, U, B = simplex._AT_LOWER, simplex._AT_UPPER, simplex._BASIC
+        st = simplex._DualSimplex(self.mixed_lp())
+        # minimized costs (-1, 0, 1, 0): x0 starts at its upper bound, the rest at their lower
+        assert st.where.tolist() == [U, L, L, L, B, B, B, B]
+        assert st.basis.tolist() == [4, 5, 6, 7]
+        # logical = sign * (rhs - a.z) with z = (1, -2, -1, -1)
+        assert st.val.tolist() == [1.0, -2.0, -1.0, -1.0, 2.0, 4.0, -6.0, -2.0]
+        assert st.Binv.tolist() == np.diag([1.0, 1.0, -1.0, -1.0]).tolist()
+        assert st.d.tolist() == [-1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]  # dual feasible
 
     def test_solves(self):
-        sol = solve(self.mixed_lp())
+        model = self.mixed_lp()
+        sol = solve(model)
+        want = ref.lp_enumerate(model.objective, model.rows, model.row_senses, model.rhs,
+                                model.lower, model.upper)
         assert sol.status == OPTIMAL
-        assert sol.objective == pytest.approx(-2.0, abs=1e-9)
+        assert sol.objective == pytest.approx(want, abs=1e-9)
 
 
 class TestModelValidation:
@@ -327,19 +304,17 @@ class TestCorner:
         assert cp.nrays == 1  # only the slack of the single row
 
     def test_free_nonbasic_rejected(self):
-        model = LpModel(
-            sense="max",
-            objective=[1.0, 0.0],
-            rows=[[1.0, 0.0]],
-            row_senses=["<="],
-            rhs=[1.0],
-            lower=[0.0, -math.inf],
-            upper=[1.0, math.inf],
-        )
-        sol = solve(model)
-        assert sol.status == OPTIMAL
-        with pytest.raises(ValueError):
-            corner(sol)
+        # a free column is refused with the model, so no corner meets one
+        with pytest.raises(ValueError, match="finite lower and upper"):
+            LpModel(
+                sense="max",
+                objective=[1.0, 0.0],
+                rows=[[1.0, 0.0]],
+                row_senses=["<="],
+                rhs=[1.0],
+                lower=[0.0, -math.inf],
+                upper=[1.0, math.inf],
+            )
 
     def test_equality_rows_stay_satisfied_along_rays(self):
         rng = np.random.default_rng(7)
@@ -368,11 +343,7 @@ class TestCorner:
                     assert abs(float(rows[i] @ d)) <= 1e-9
 
     def test_block_matches_per_ray_loop(self):
-        codes = {
-            "basic": simplex._BASIC, "at_lower": simplex._AT_LOWER, "free": simplex._FREE,
-            "struct": simplex._KIND_STRUCT, "slack": simplex._KIND_SLACK,
-            "artificial": simplex._KIND_ARTIFICIAL,
-        }
+        codes = {"basic": simplex._BASIC, "at_lower": simplex._AT_LOWER}
         rng = np.random.default_rng(23)
         seen = {"lower": 0, "upper": 0, "slack": 0, "surplus": 0}
         compared = 0
@@ -402,7 +373,7 @@ class TestCorner:
                 if j < n:
                     seen["lower" if g[j] > 0 else "upper"] += 1
                 else:
-                    seen["surplus" if sol._state.kinds[j] == simplex._KIND_SURPLUS else "slack"] += 1
+                    seen["surplus" if sol._state.sign[j - n] < 0 else "slack"] += 1
         assert compared >= 20
         assert min(seen.values()) > 0, seen
 
@@ -459,71 +430,87 @@ class TestAgainstEnumeration:
         assert solved >= 10  # the generator must exercise the optimal path
 
 
-def _ratio_cases(st):
-    """Ratio-test inputs built around the tie rule.
-
-    Each row's step is a shared base plus a multiple of DEGEN_TOL / 2, so
-    many steps lie within DEGEN_TOL of each other; multiples below zero put
-    the basic value past its bound (a negative raw step).  Rates include
-    +-PIVOT_TOL and its neighbouring doubles, bounds may be infinite on
-    either side, and basis indices are distinct but unordered.
-    """
-    tol = simplex.PIVOT_TOL
-    rates = st.sampled_from(
-        [0.0, tol, float(np.nextafter(tol, 0.0)), float(np.nextafter(tol, 1.0)),
-         2 * tol, 0.25, 1.0, 3.0]
-    ).flatmap(lambda r: st.sampled_from([r, -r]))
-    values = st.sampled_from([0.0, 0.5, 1.0, -2.0, 3.75]) | st.floats(-4.0, 4.0)
-
-    @st.composite
-    def cases(draw):
-        m = draw(st.integers(1, 20))
-        base = draw(st.sampled_from([0.0, 0.3, 1.0]))
-        rate = np.empty(m)
-        bvals = np.empty(m)
-        blo = np.empty(m)
-        bhi = np.empty(m)
-        for i in range(m):
-            r, v = draw(rates), draw(values)
-            step = base + draw(st.integers(-2, 6)) * (simplex.DEGEN_TOL / 2)
-            near = v + step * r  # the bound this row runs into
-            far_lo = v - draw(st.sampled_from([0.0, 1.0, math.inf]))
-            far_hi = v + draw(st.sampled_from([0.0, 1.0, math.inf]))
-            rate[i], bvals[i] = r, v
-            blo[i] = near if r < 0 else far_lo
-            bhi[i] = near if r > 0 else far_hi
-            if draw(st.integers(0, 5)) == 0:  # the binding bound is infinite
-                if r < 0:
-                    blo[i] = -math.inf
-                else:
-                    bhi[i] = math.inf
-        basis = np.array(draw(st.lists(st.integers(0, 60), min_size=m, max_size=m, unique=True)))
-        return rate, bvals, blo, bhi, basis
-
-    return cases()
+def random_lp(rng, n=5):
+    """Boxed LP with <=, >= and = rows around a random interior point."""
+    m = int(rng.integers(2, 6))
+    rows = rng.integers(-4, 5, size=(m, n)).astype(float)
+    senses = [("<=", ">=", "=")[int(rng.integers(3))] for _ in range(m)]
+    rhs = rows @ rng.uniform(0, 1, size=n) + rng.uniform(-0.5, 0.5, size=m)
+    sense = ("max", "min")[int(rng.integers(2))]
+    return LpModel(sense, rng.normal(size=n), rows, senses, rhs, np.zeros(n), np.ones(n))
 
 
-class TestRatioTest:
-    def test_matches_sequential_rule(self):
-        hypothesis = pytest.importorskip("hypothesis")
+class TestWarmStart:
+    def test_matches_cold_solve_of_the_grown_model(self):
+        rng = np.random.default_rng(31)
+        compared = infeasible = 0
+        for _ in range(60):
+            base = random_lp(rng)
+            sol = solve(base)
+            if sol.status != OPTIMAL:
+                continue
+            # rows through the optimum, shifted so that most of them cut it off
+            k = int(rng.integers(1, 4))
+            rows = rng.integers(-3, 4, size=(k, base.ncols)).astype(float)
+            senses = [("<=", ">=", "=")[int(j)] for j in rng.integers(3, size=k)]
+            shift = rng.uniform(-0.3, 0.6, size=k) * np.where(np.array(senses) == "<=", -1.0, 1.0)
+            grown = base.with_extra_rows(rows, senses, rows @ sol.x + shift)
+            warm, cold = solve(grown, warm=sol), solve(grown)
+            assert warm.status == cold.status
+            if warm.status == OPTIMAL:
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+                compared += 1
+            else:
+                infeasible += 1
+        assert compared >= 20 and infeasible >= 1
 
-        @hypothesis.settings(max_examples=400, deadline=None)
-        @hypothesis.given(_ratio_cases(hypothesis.strategies))
-        def check(case):
-            got = simplex._ratio_test(*case)
-            want = ref.ratio_test_sequential(
-                *case, simplex.PIVOT_TOL, simplex.DEGEN_TOL, simplex._AT_UPPER, simplex._AT_LOWER
-            )
-            assert float(got[0]).hex() == float(want[0]).hex()  # same double, signed zero too
-            assert got[1:] == (int(want[1]), want[2])
+    def test_no_new_rows_takes_no_pivot(self):
+        sol = solve(tent_lp())
+        again = solve(tent_lp(), warm=sol)
+        assert again.iterations == 0
+        assert np.array_equal(again.x, sol.x) and np.array_equal(again.basis, sol.basis)
 
-        check()
+    def test_cut_row_enters_with_its_surplus_basic(self):
+        model = tent_lp()
+        sol = solve(model)
+        grown = model.with_extra_rows([[0.0, -1.0]], [">="], [-0.5])  # t <= 0.5 cuts off t = 1
+        warm = solve(grown, warm=sol)
+        assert warm.status == OPTIMAL and warm.iterations >= 1
+        assert warm.objective == pytest.approx(0.5, abs=1e-12)
+        assert corner(warm).nrays == 2
 
-    def test_tie_goes_to_lower_column(self):
-        # the two rows stop 5e-11 apart, within DEGEN_TOL; row 1's basic column is lower
-        rate = np.array([1.0, -1.0])
-        got = simplex._ratio_test(
-            rate, np.zeros(2), np.array([-1.0, -1.0 + 5e-11]), np.array([1.0, 1.0]), np.array([7, 3])
-        )
-        assert got == (1.0 - 5e-11, 1, simplex._AT_LOWER)
+    def test_rejects_a_model_that_does_not_extend_the_warm_one(self):
+        sol = solve(tent_lp())
+        other = tent_lp()
+        other.rhs[1] = 3.0
+        with pytest.raises(ValueError, match="row prefix"):
+            solve(other.with_extra_rows([[1.0, 0.0]], ["<="], [0.5]), warm=sol)
+        with pytest.raises(ValueError, match="row prefix"):
+            solve(box_lp(), warm=sol)
 
+    def test_rejects_an_infeasible_warm_solution(self):
+        model = LpModel("max", [1.0], [[1.0]], [">="], [2.0], [0.0], [1.0])
+        sol = solve(model)
+        with pytest.raises(ValueError, match="row prefix"):
+            solve(model.with_extra_rows([[1.0]], ["<="], [0.5]), warm=sol)
+
+
+class TestCertificate:
+    def test_corrupted_reduced_cost_is_caught(self):
+        sol = solve(tent_lp())
+        st = sol._state
+        st._verify()  # the genuine optimum passes
+        d = st.cost - (st.cost[st.basis] @ st.Binv) @ st.A
+        (j,) = np.flatnonzero((st.where == simplex._AT_LOWER) & (st.lo != st.hi))[:1]
+        st.cost[j] -= d[j] + 1.0  # reduced cost -1 at a lower bound: not optimal
+        with pytest.raises(NumericError, match="reduced cost"):
+            st._verify()
+
+    def test_nonbasic_off_its_bound_is_caught(self):
+        sol = solve(tent_lp())
+        st = sol._state
+        assert st.where[2] == simplex._AT_LOWER  # the slack of t <= 2 x1
+        st.val[2] = 0.1  # feasible, but 0.1 below the optimum
+        st._basic_values()
+        with pytest.raises(NumericError, match="objective"):
+            st._verify()
