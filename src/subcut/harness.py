@@ -461,6 +461,10 @@ def generate_instances(
         raise ValueError(f"need n >= 2, got n = {n}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if density is not None and not 0.0 <= density <= 1.0:
+        raise ValueError(f"density must be in [0, 1], got {density}")
+    if max_lag < 1:
+        raise ValueError(f"max_lag must be >= 1, got {max_lag}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []

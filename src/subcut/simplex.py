@@ -5,12 +5,11 @@ Every structural column is boxed, so the slack basis with each nonbasic
 column at its cost-preferred bound is dual feasible, which is all the
 dual simplex needs to start.  Each pivot takes the basic variable with
 the largest bound violation out and lets in the column of least
-|d_j / alpha_rj| (ties to the lowest index) that keeps the reduced costs'
-signs.  The basis inverse is kept explicitly and the
-optimal basis stays on the solution, so a corner polyhedron (apex plus one
-ray per nonbasic variable) can be extracted and handed to the cut
-machinery, and the next solve can start from it after cut rows are
-appended.
+|d_j / alpha_rj| (ties to the lowest index) that keeps the reduced
+costs' signs.  The basis inverse is kept explicitly and the optimal basis stays
+on the solution, so a corner polyhedron (apex plus one ray per nonbasic
+variable) can be extracted and handed to the cut machinery, and the next
+solve can start from it after cut rows are appended.
 
 Row conventions: row i has one logical column, column ncols + i, with
 coefficient +1 for <= and = rows (a slack) and -1 for >= rows (a
@@ -19,15 +18,15 @@ row is fixed at [0, 0].
 
 The pivot path is part of the output contract.  The max-cut and
 multilinear LPs are highly degenerate, so which optimal basis the dual
-simplex reaches, and therefore the corner every intersection cut is built
-from, turns on ties that the last bits of the basis inverse decide.
-Computing the rank-1 update of ``Binv`` in extended precision with one
-final rounding (as a fused multiply-add does) instead of a separate
-multiply and subtract moves the bound after ten rounds of submodular cuts
-on a g05 n=20 instance (seed 1000) from 83.434 to 81.957.  Any rewrite of the pivot
-arithmetic must therefore produce the same doubles in the same order: the
-same products, the same subtractions, the same matrix-vector products and
-the same comparisons.
+simplex reaches, and therefore the corner every intersection cut is
+built from, turns on ties that the last bits of the basis inverse
+decide.  Computing the rank-1 update of ``Binv`` in extended precision
+with one final rounding (as a fused multiply-add does) instead of a
+separate multiply and subtract moves the bound after ten rounds of
+submodular cuts on a g05 n=20 instance (seed 1000) from 83.434 to
+81.957.  Any rewrite of the pivot arithmetic must therefore produce the
+same doubles in the same order: the same products, the same
+subtractions, the same matrix-vector products and the same comparisons.
 """
 
 from __future__ import annotations

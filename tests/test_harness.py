@@ -541,6 +541,8 @@ class TestCli:
     @pytest.mark.parametrize("args, phrase", [
         (["gen", "g05", "-n", "1"], "n >= 2"),
         (["gen", "g05", "-n", "6", "--count", "-1"], "count must be >= 1"),
+        (["gen", "g05", "-n", "6", "--density", "-0.5"], "density must be in [0, 1]"),
+        (["gen", "autocorr", "-n", "6", "--max-lag", "0"], "max_lag must be >= 1"),
         (["root", "K3", "--rounds", "-1"], "rounds must be >= 0"),
         (["root", "K3", "--max-cuts", "0"], "max_cuts_per_round must be >= 1"),
     ])

@@ -464,6 +464,15 @@ class TestWarmStart:
                 infeasible += 1
         assert compared >= 20 and infeasible >= 1
 
+    def test_from_a_model_without_rows(self):
+        model = LpModel("max", [1.0, -1.0], np.zeros((0, 2)), [], [], [0.0, -1.0], [1.0, 2.0])
+        sol = solve(model)
+        assert sol.iterations == 0 and sol.x.tolist() == [1.0, -1.0]
+        grown = model.with_extra_rows([[1.0, 1.0]], ["<="], [-0.5])
+        warm = solve(grown, warm=sol)
+        assert warm.status == OPTIMAL and warm.iterations == 1
+        assert warm.objective == pytest.approx(solve(grown).objective, abs=1e-12)
+
     def test_no_new_rows_takes_no_pivot(self):
         sol = solve(tent_lp())
         again = solve(tent_lp(), warm=sol)
