@@ -19,6 +19,11 @@ Every ray's search probes the same two etas first, ETA_INF and then
 NEWTON_START, so the set is evaluated at those two points of all rays
 in one block; only the Newton iterations after them evaluate one point
 at a time.
+
+Brute-force validation needs no corner: every feasible binary x, lifted
+with exact products and any t in [lower_t, f(x)], lies in the first LP, so
+a valid cut keeps it, and the least residual over those points is the
+minimum of one multilinear polynomial on the cube.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .envelope import envelope_eval
-from .errors import SeparationBudget, check_capacity
-from .oracles import SSFunction, cube_chunks
+from .errors import SeparationBudget
+from .oracles import MultilinearFunction, SSFunction
 from .sfree import INTERIOR_TOL, SFreeSet
 
 NEWTON_START = 0.2
@@ -244,109 +249,37 @@ def gradient_cut(ss: SSFunction, x_ref, t_ref: float, lift):
 # brute-force validity
 
 
-def _lifted_cube(target, lift):
-    """The binary points on the target's side, lifted (t = 0), and their t caps."""
-    if isinstance(target, SSFunction):
-        level = target.level
-        vals = target.f1.values_on_cube() - target.f2.values_on_cube()
-    else:
-        level = 1
-        vals = target.values_on_cube()
-    z_pts = lift.full_point(np.concatenate(list(cube_chunks(target.n))), 0.0)
-    if level == 1:
-        return z_pts, vals
-    keep = vals >= -1e-12
-    return z_pts[keep], np.full(int(keep.sum()), math.inf)
+@dataclass(frozen=True)
+class CutCheck:
+    """Least residual coef . z - rhs of a cut over the points every valid cut keeps.
 
-
-def validate_cut_bruteforce(
-    cut: IntersectionCut, target, lift, corner=None, cubes: dict = None
-) -> bool:
-    """Check the cut against every binary point on the target's side.
-
-    For each binary x the relevant t values form an interval: bounded above
-    by f(x) for hypograph targets, unconstrained for superlevel targets
-    (where only sign-feasible x count), and clipped to the corner when one
-    is given.  The cut is affine in t, so only the worse endpoint needs
-    evaluating; an empty interval exempts the point, and a cut leaning on
-    an unbounded t direction fails.  Guarded.
-
-    ``cubes`` is an optional dict that a caller checking many cuts under
-    one lift keeps across calls: the lifted points of each target are
-    computed on its first call and reused after that, and so are their t
-    intervals while the corner stays the same object (``is``, not
-    ``id()``: a later corner may reuse a freed one's id).
+    True when the residual is at least -CUT_TOL.  ``mask`` is the binary x
+    where the least residual is reached, as a bitmask (bit i is x_i).
     """
-    check_capacity("cut validation", target.n)
-    cache = {} if cubes is None else cubes
-    if id(target) not in cache:
-        cache[id(target)] = [*_lifted_cube(target, lift), None]
-    entry = cache[id(target)]
-    z_pts, cap, last = entry
-    if z_pts.shape[0] == 0:
-        return True
-    if last is None or last[0] is not corner:
-        t_lo, t_hi = _corner_t_interval(z_pts, corner, lift.t_col, CUT_TOL)
-        last = entry[2] = (corner, t_lo, np.minimum(t_hi, cap))
-    _, t_lo, t_hi = last
-    alive = t_lo <= t_hi + CUT_TOL
-    if not alive.any():
-        return True
 
+    residual: float
+    mask: int
+
+    def __bool__(self) -> bool:
+        return bool(self.residual >= -CUT_TOL)
+
+
+def validate_cut_bruteforce(cut: IntersectionCut, lift, lower_t: float) -> CutCheck:
+    """Check the cut at every feasible binary x of ``lift.instance``, lifted exactly.
+
+    Each such x, with y the exact products and any t in [lower_t, f(x)], lies in
+    the first LP and satisfies every earlier valid cut, so a valid cut keeps it.
+    The cut is affine in t, so the worst t is f(x) when its t coefficient is
+    negative and lower_t when it is positive; the least residual over the cube is
+    then the minimum of one multilinear polynomial, its x and y terms (plus
+    a_t * f), evaluated as one ``cube_table`` with infeasible points masked.
+    Guarded by the brute-force capacity.
+    """
+    instance = lift.instance
     a_t = float(cut.coef[lift.t_col])
-    base = z_pts @ cut.coef
-    if abs(a_t) <= 1e-12:
-        flagged = alive & (base < cut.rhs - CUT_TOL)
-        probe = np.minimum(np.maximum(t_lo, 0.0), t_hi)
-    else:
-        worst = t_lo if a_t > 0 else t_hi
-        if np.any(alive & np.isinf(worst)):
-            return False  # cut leans on an unbounded t direction
-        flagged = alive & (base + a_t * worst < cut.rhs - CUT_TOL)
-        probe = worst
-    for k in np.flatnonzero(flagged):
-        if _reachable(corner, z_pts[k], lift.t_col, float(probe[k])):
-            return False
-    return True
-
-
-def _corner_t_interval(z_pts, corner, t_col, tol):
-    """The interval [t_lo, t_hi] of t each point (t entry zero) may take in the corner.
-
-    All rays at once: a ray whose eta rises with t bounds t below, one
-    whose eta falls bounds it above, and a ray flat in t excludes the
-    point (t_lo = inf) when its eta is below -tol.  Without a corner every
-    interval is the whole line.
-    """
-    t_lo = np.full(z_pts.shape[0], -math.inf)
-    t_hi = np.full(z_pts.shape[0], math.inf)
-    if corner is None or corner.nrays == 0:
-        return t_lo, t_hi
-    rest = z_pts @ corner.eta_coef.T + corner.eta_off
-    a = corner.eta_coef[:, t_col]
-    flat = np.abs(a) <= 1e-14
-    up = ~flat & (a > 0)
-    down = ~flat & (a < 0)
-    if up.any():
-        t_lo = np.max(-rest[:, up] / a[up], axis=1)
-    if down.any():
-        t_hi = np.min(-rest[:, down] / a[down], axis=1)
-    t_lo[np.any(rest[:, flat] < -tol, axis=1)] = math.inf
-    return t_lo, t_hi
-
-
-def _reachable(corner, z, t_col, t_val) -> bool:
-    """Whether z with its t entry set to t_val really lies in the corner.
-
-    The eta forms are necessary conditions; when the corner has fewer rays
-    than dimensions (equality rows ate some logicals) the point must also
-    reconstruct from the apex, or it sits off the corner's affine hull.
-    """
-    if corner is None or math.isinf(t_val):
-        return True
-    if corner.nrays == corner.apex.size:
-        return True
-    probe = np.array(z, dtype=float)
-    probe[t_col] = t_val
-    recon = corner.apex + (corner.eta_coef @ probe + corner.eta_off) @ corner.directions
-    return bool(np.max(np.abs(recon - probe)) <= 1e-6 * (1.0 + np.max(np.abs(probe))))
+    t_terms = [(a_t * c, s) for c, s in instance.objective.terms] if a_t < 0.0 else []
+    residual = MultilinearFunction(lift.n, lift.polynomial(cut.coef).terms + t_terms)
+    table = instance.masked_table(residual, math.inf).ravel(order="F")
+    mask = int(np.argmin(table))
+    shift = a_t * lower_t if a_t > 0.0 else 0.0
+    return CutCheck(float(table[mask]) + shift - cut.rhs, mask)

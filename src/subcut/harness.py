@@ -20,7 +20,7 @@ import numpy as np
 
 from . import simplex
 from .cuts import gradient_cut, intersection_cut, validate_cut_bruteforce
-from .errors import CAPACITY, ModelError, NumericError
+from .errors import CAPACITY, ModelError, NumericError, check_capacity
 from .models import (
     BmpInstance,
     build_maxcut_model,
@@ -30,7 +30,6 @@ from .models import (
 from .oracles import (
     Graph,
     MultilinearFunction,
-    cube_table,
     cut_oracle,
     cut_polynomial,
     read_graph,
@@ -149,17 +148,17 @@ def _target_route(ss, x_bar, use_gradient: bool):
     if ss.f1.trivially_zero and ss.f2.trivially_zero:
         return None
     if use_gradient and ss.f1.trivially_zero:
-        return ("grad", ss, ss)
-    return ("set", build_reverse_linearized(ss, x_bar), ss)
+        return ("grad", ss)
+    return ("set", build_reverse_linearized(ss, x_bar))
 
 
 def _candidates(mode: str, targets, lift, x_bar):
-    """Separation worklist for one round: (route, payload, target) triples."""
+    """Separation worklist for one round: (route, payload) pairs."""
     out = []
     if mode in ("split", "both"):
         j = split_selector(x_bar)
         if j is not None:
-            out.append(("set", LiftedSplit(j, lift.n), targets[0]))
+            out.append(("set", LiftedSplit(j, lift.n)))
     if mode == "submodular":
         route = _target_route(targets[0], x_bar, use_gradient=False)
         if route is not None:
@@ -174,6 +173,7 @@ def _candidates(mode: str, targets, lift, x_bar):
 
 def _want_validation(config: RunConfig, n: int) -> bool:
     if config.validate_cuts == "on":
+        check_capacity("brute force", n)
         return True
     if config.validate_cuts == "off":
         return False
@@ -199,7 +199,8 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
     rounds_run = 0
     sep_s = 0.0
     failed = False
-    cubes = {}  # lifted cube points and corner t intervals per target, for cut validation
+    check = _want_validation(config, lift.n)
+    lower_t = float(model.lower[lift.t_col])
 
     def finish() -> RootNodeReport:
         return RootNodeReport(
@@ -235,7 +236,7 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
         s0 = time.perf_counter()
         corner = project_corner(simplex.corner(sol), lift)
         batch = []
-        for route, payload, target in _candidates(config.mode, targets, lift, x_bar):
+        for route, payload in _candidates(config.mode, targets, lift, x_bar):
             if len(batch) >= config.max_cuts_per_round:
                 break
             if route == "grad":
@@ -245,25 +246,22 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
             if cut is None:
                 skipped += 1
                 continue
-            batch.append((cut, target))
+            batch.append(cut)
         sep_s += time.perf_counter() - s0
         if not batch:
             break
 
-        check = _want_validation(config, lift.n)
-        rows, senses, rhs = [], [], []
-        for cut, target in batch:
-            if check:
-                cut_corner = None if cut.kind == "grad" else corner
-                if not validate_cut_bruteforce(cut, target, lift, corner=cut_corner, cubes=cubes):
+        if check:
+            for cut in batch:
+                verdict = validate_cut_bruteforce(cut, lift, lower_t)
+                if not verdict:
+                    x = [(verdict.mask >> i) & 1 for i in range(lift.n)]
                     raise NumericError(
-                        f"{cut.kind} cut failed brute-force validation on {instance!r}"
+                        f"{cut.kind} cut failed brute-force validation on {instance!r}: residual"
+                        f" coef.z - rhs = {verdict.residual:.6g} at x = {x} (bitmask {verdict.mask})"
                     )
-            rows.append(cut.coef)
-            senses.append(">=")
-            rhs.append(cut.rhs)
-            cuts_added += 1
-        model = model.with_extra_rows(rows, senses, rhs)
+        cuts_added += len(batch)
+        model = model.with_extra_rows([c.coef for c in batch], [">="] * len(batch), [c.rhs for c in batch])
         try:
             sol = simplex.solve(model, warm=sol)
         except NumericError:
@@ -340,18 +338,10 @@ def brute_force_primal(problem) -> float:
     """
     if isinstance(problem, Graph):
         cut_oracle(problem)  # a negative weight raises ModelError
-        objective, constraints, cardinality = cut_polynomial(problem), [], None
-    elif isinstance(problem, BmpInstance):
-        objective, constraints, cardinality = problem.objective, problem.constraints, problem.cardinality
-    else:
+        problem = BmpInstance(cut_polynomial(problem))
+    elif not isinstance(problem, BmpInstance):
         raise ModelError(f"no brute force for {type(problem).__name__}")
-    values = cube_table(objective)
-    for c in constraints:
-        values[cube_table(c) < 0.0] = -math.inf
-    if cardinality is not None:
-        ones = np.bitwise_count(np.arange(values.size)).reshape(values.shape, order="F")
-        values[ones != cardinality] = -math.inf
-    best = float(values.max())
+    best = float(problem.masked_table(problem.objective, -math.inf).max())
     if best == -math.inf:
         raise ModelError("no feasible binary point")
     return best

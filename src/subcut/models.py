@@ -18,6 +18,7 @@ from .oracles import (
     Graph,
     MultilinearFunction,
     SSFunction,
+    cube_table,
     cut_oracle,
     cut_polynomial,
     ss_decompose,
@@ -30,27 +31,24 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class LiftMap:
-    """Where each original coordinate lives among the model columns."""
+    """Where each original coordinate lives among the model columns.
+
+    ``instance`` is the instance the model lifts; cut validation reads its
+    objective, constraints and cardinality.
+    """
 
     n: int
     x_cols: np.ndarray
     t_col: int
     y_cols: dict
     ncols: int
+    instance: BmpInstance = None
 
-    def full_point(self, x, t) -> np.ndarray:
-        """Embed binary x (products made exact) and a t value into column space.
-
-        x is one point (n,) or a block of points (k, n); t is a scalar or
-        one value per point.
-        """
-        x = np.asarray(x, dtype=float)
-        z = np.zeros(x.shape[:-1] + (self.ncols,))
-        z[..., self.x_cols] = x
-        z[..., self.t_col] = t
-        for support, col in self.y_cols.items():
-            z[..., col] = x[..., sorted(support)].prod(axis=-1)
-        return z
+    def polynomial(self, coef) -> MultilinearFunction:
+        """The x and y part of column coefficients as a polynomial in x; t is left out."""
+        terms = [(coef[col], {j}) for j, col in enumerate(self.x_cols)]
+        terms += [(coef[col], support) for support, col in self.y_cols.items()]
+        return MultilinearFunction(self.n, terms)
 
 
 @dataclass
@@ -69,6 +67,16 @@ class BmpInstance:
     @property
     def n(self) -> int:
         return self.objective.n
+
+    def masked_table(self, poly: MultilinearFunction, fill: float) -> np.ndarray:
+        """``cube_table(poly)`` with ``fill`` at every point that breaks a constraint or the cardinality."""
+        values = cube_table(poly)
+        for c in self.constraints:
+            values[cube_table(c) < 0.0] = fill
+        if self.cardinality is not None:
+            ones = np.bitwise_count(np.arange(values.size)).reshape(values.shape, order="F")
+            values[ones != self.cardinality] = fill
+        return values
 
 
 def linearize_term(support, y_col: int, x_cols, ncols: int):
@@ -187,7 +195,7 @@ def _lifted_lp(instance: BmpInstance):
     objective = np.zeros(ncols)
     objective[t_col] = 1.0
     model = LpModel("max", objective, np.array(rows), senses, np.array(rhs), lower, upper)
-    return model, LiftMap(n, x_cols, t_col, y_cols, ncols)
+    return model, LiftMap(n, x_cols, t_col, y_cols, ncols, instance)
 
 
 def project_corner(corner: CornerPolyhedron, lift: LiftMap) -> CornerPolyhedron:

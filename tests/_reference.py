@@ -3,7 +3,8 @@
 Everything here is deliberately naive and independent of the package:
 direct loops over edges and terms, itertools permutations, pure bisection,
 and exhaustive enumeration.  Slow is fine; these run on tiny inputs, apart
-from the chunked cube walk, which pins the brute-force primal at n <= 20.
+from the chunked cube walks, which pin the brute-force primal and the least
+cut residuals at n <= 20.
 """
 
 import itertools
@@ -204,6 +205,15 @@ def corner_rays_loop(solution, codes):
     return rays
 
 
+def poly_values(terms, masks):
+    """Values of a term list at the integer bitmasks ``masks`` (bit i is x_i), term by term."""
+    vals = np.zeros(masks.size)
+    for a, support in terms:
+        m = sum(1 << j for j in support)
+        vals += a * ((masks & m) == m)
+    return vals
+
+
 def chunked_primal(problem, chunk=1 << 14):
     """Max over {0,1}^n walked in bitmask chunks: the former brute-force primal.
 
@@ -214,14 +224,6 @@ def chunked_primal(problem, chunk=1 << 14):
     """
     n = problem.n
     cols = np.arange(n, dtype=np.int64)
-
-    def poly_values(poly, masks):
-        vals = np.zeros(masks.size)
-        for a, support in poly.terms:
-            m = sum(1 << j for j in support)
-            vals += a * ((masks & m) == m)
-        return vals
-
     best = -math.inf
     for lo in range(0, 1 << n, chunk):
         masks = np.arange(lo, min(lo + chunk, 1 << n), dtype=np.int64)
@@ -234,10 +236,108 @@ def chunked_primal(problem, chunk=1 << 14):
             vals = (bits[:, ei] ^ bits[:, ej]) @ ew
         else:
             for c in problem.constraints:
-                ok &= poly_values(c, masks) >= 0.0
+                ok &= poly_values(c.terms, masks) >= 0.0
             if problem.cardinality is not None:
                 ok &= bits.sum(axis=1) == problem.cardinality
-            vals = poly_values(problem.objective, masks)
+            vals = poly_values(problem.objective.terms, masks)
         if ok.any():
             best = max(best, float(vals[ok].max()))
     return best
+
+
+def lifted_points(lift, masks):
+    """The binary points at ``masks`` in column space: x, exact products in the y columns, t = 0."""
+    bits = ((masks[:, None] >> np.arange(lift.n)) & 1).astype(float)
+    z = np.zeros((masks.size, lift.ncols))
+    z[:, lift.x_cols] = bits
+    for support, col in lift.y_cols.items():
+        z[:, col] = bits[:, sorted(support)].prod(axis=1)
+    return z
+
+
+def least_residuals(coefs, rhs, lift, lower_t, chunk=1 << 14):
+    """Per cut, the least coef.z - rhs over the feasible binary points of ``lift.instance``.
+
+    Walks the cube in bitmask chunks: each feasible x is lifted with exact
+    products and the worse end of t in [lower_t, f(x)], f summed term by term.
+    Returns (least residuals, bitmasks where they are reached), one per row of
+    ``coefs``.
+    """
+    instance = lift.instance
+    n = lift.n
+    coefs = np.atleast_2d(np.asarray(coefs, dtype=float))
+    a_t = coefs[:, lift.t_col]
+    best = np.full(coefs.shape[0], math.inf)
+    where = np.zeros(coefs.shape[0], dtype=np.int64)
+    for lo in range(0, 1 << n, chunk):
+        masks = np.arange(lo, min(lo + chunk, 1 << n), dtype=np.int64)
+        ok = np.ones(masks.size, dtype=bool)
+        for c in instance.constraints:
+            ok &= poly_values(c.terms, masks) >= 0.0
+        if instance.cardinality is not None:
+            ok &= ((masks[:, None] >> np.arange(n)) & 1).sum(axis=1) == instance.cardinality
+        if not ok.any():
+            continue
+        masks = masks[ok]
+        f = poly_values(instance.objective.terms, masks)
+        t = np.where(a_t[None, :] < 0.0, f[:, None], lower_t)
+        res = lifted_points(lift, masks) @ coefs.T + a_t * t - np.asarray(rhs)
+        k = res.argmin(axis=0)
+        low = res[k, np.arange(res.shape[1])]
+        better = low < best
+        best[better] = low[better]
+        where[better] = masks[k[better]]
+    return best, where
+
+
+def validate_cut_in_corner(coef, rhs, values, level, lift, corner, tol):
+    """The former brute-force validator: the cut checked on the binary points its corner reaches.
+
+    ``values`` holds the target on the cube in bitmask order.  For each binary
+    x, lifted with exact products, t ranges over an interval: capped above by
+    f(x) for a hypograph (level 1), unbounded on the sign-feasible x of a
+    superlevel set (level 0), and clipped to the corner's eta >= 0 forms.  The
+    cut is affine in t, so only the worse endpoint is tested; an empty
+    interval exempts the point, and a cut leaning on an unbounded t direction
+    fails.  Without a corner only the cap clips t.
+    """
+    coef = np.asarray(coef, dtype=float)
+    z_pts = lifted_points(lift, np.arange(1 << lift.n, dtype=np.int64))
+    cap = np.asarray(values, dtype=float)
+    if level == 0:
+        z_pts = z_pts[cap >= -1e-12]
+        cap = np.full(z_pts.shape[0], math.inf)
+    t_lo = np.full(z_pts.shape[0], -math.inf)
+    t_hi = cap.copy()
+    if corner is not None:
+        t_lo, hi = corner_t_interval_loop(z_pts, corner.eta_coef, corner.eta_off, lift.t_col, tol)
+        t_hi = np.minimum(hi, cap)
+    alive = t_lo <= t_hi + tol
+    a_t = float(coef[lift.t_col])
+    base = z_pts @ coef
+    if abs(a_t) <= 1e-12:
+        flagged = alive & (base < rhs - tol)
+        probe = np.minimum(np.maximum(t_lo, 0.0), t_hi)
+    else:
+        worst = t_lo if a_t > 0 else t_hi
+        if np.any(alive & np.isinf(worst)):
+            return False
+        flagged = alive & (base + a_t * worst < rhs - tol)
+        probe = worst
+    hull = [_in_corner_hull(corner, z_pts[k], lift.t_col, float(probe[k])) for k in np.flatnonzero(flagged)]
+    return not any(hull)
+
+
+def _in_corner_hull(corner, z, t_col, t_val):
+    """Whether z with t = t_val reconstructs from the corner's apex and rays.
+
+    The eta forms are necessary conditions; a corner with fewer rays than
+    columns (equality rows took some logicals) also needs the point on its
+    affine hull.
+    """
+    if corner is None or math.isinf(t_val) or corner.nrays == corner.apex.size:
+        return True
+    probe = np.array(z, dtype=float)
+    probe[t_col] = t_val
+    recon = corner.apex + (corner.eta_coef @ probe + corner.eta_off) @ corner.directions
+    return bool(np.max(np.abs(recon - probe)) <= 1e-6 * (1.0 + np.max(np.abs(probe))))

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import _reference as ref
-from subcut import cuts
+from subcut import cuts, harness, models, oracles
 from subcut.cuts import (
     EFFICACY_MIN,
     IntersectionCut,
@@ -16,13 +17,14 @@ from subcut.cuts import (
     validate_cut_bruteforce,
 )
 from subcut.errors import CapacityError, SeparationBudget
-from subcut.harness import autocorr_polynomial, build_model, pw_graph, split_selector
+from subcut.harness import RunConfig, autocorr_polynomial, build_model, pw_graph, split_selector
 from subcut.models import BmpInstance, LiftMap, build_maxcut_model, project_corner
 from subcut.oracles import (
     Graph,
     MultilinearFunction,
     SSFunction,
     cut_oracle,
+    cut_polynomial,
     modular_oracle,
     ss_decompose,
     zero_oracle,
@@ -58,9 +60,39 @@ def k3_corner(t_ray_sign=-1.0):
     return make_corner([0.5, 0.5, 0.5, 1.5], rays, 3), plain_lift(3)
 
 
-def plain_lift(n):
+def plain_lift(n, instance=None):
     """Columns x_0..x_{n-1}, then t."""
-    return LiftMap(n=n, x_cols=np.arange(n), t_col=n, y_cols={}, ncols=n + 1)
+    return LiftMap(n=n, x_cols=np.arange(n), t_col=n, y_cols={}, ncols=n + 1, instance=instance)
+
+
+def k3_instance():
+    return BmpInstance(cut_polynomial(Graph(3, ref.K3_EDGES)))
+
+
+def validate(cut, model, lift):
+    """The cut checked against the lift's instance, t bounded below as in the model."""
+    return validate_cut_bruteforce(cut, lift, float(model.lower[lift.t_col]))
+
+
+def f_on_cube(poly):
+    return ref.poly_values(poly.terms, np.arange(1 << poly.n))
+
+
+def emitted_cuts(monkeypatch):
+    """A runner of root_loop with validation on that returns its (cut, corner) pairs."""
+    corners, seen = [], []
+    project, check = harness.project_corner, harness.validate_cut_bruteforce
+    monkeypatch.setattr(harness, "project_corner",
+                        lambda cp, lift: corners.append(project(cp, lift)) or corners[-1])
+    monkeypatch.setattr(harness, "validate_cut_bruteforce",
+                        lambda cut, *args: seen.append((cut, corners[-1])) or check(cut, *args))
+
+    def run(model, targets, lift, mode, rounds=10):
+        seen.clear()
+        harness.root_loop(model, targets, lift, RunConfig(mode=mode, rounds=rounds, validate_cuts="on"))
+        return list(seen)
+
+    return run
 
 
 class TestZetaEval:
@@ -278,15 +310,27 @@ class TestIntersectionCut:
         assert lhs == pytest.approx(3.0, abs=1e-9)
         assert cut.satisfied(z)
         assert cut.efficacy == pytest.approx(1.0 / math.sqrt(52.0 / 9.0), abs=1e-9)
-        assert validate_cut_bruteforce(cut, k3_cut, lift, corner=cp)
+        values = f_on_cube(k3_instance().objective)
+        assert ref.validate_cut_in_corner(cut.coef, cut.rhs, values, 1, lift, cp, cuts.CUT_TOL)
+        # the hand-made corner (x >= 0.5) leaves out x = 0, t = 0, which the cut
+        # violates; every LP of the instance keeps that point, so no LP corner would
+        check = validate_cut_bruteforce(cut, plain_lift(3, k3_instance()), -6.0)
+        assert not check
+        assert check.mask == 0 and check.residual == pytest.approx(-2.0, abs=1e-9)
 
     def test_corrupted_cut_fails_validation(self, k3_cut):
-        cp, lift = k3_corner()
+        model, _, lift = build_maxcut_model(Graph(3, ref.K3_EDGES))
+        cp = project_corner(corner(solve(model)), lift)
         cut = intersection_cut(cp, EnvelopeEpigraph(k3_cut))
+        assert validate(cut, model, lift)
         bad = IntersectionCut(
             coef=cut.coef.copy(), rhs=cut.rhs + 2.5, kind=cut.kind, efficacy=cut.efficacy,
         )
-        assert not validate_cut_bruteforce(bad, k3_cut, lift, corner=cp)
+        check = validate(bad, model, lift)
+        assert not check
+        assert check.residual == pytest.approx(validate(cut, model, lift).residual - 2.5, abs=1e-9)
+        values = f_on_cube(lift.instance.objective)
+        assert not ref.validate_cut_in_corner(bad.coef, bad.rhs, values, 1, lift, cp, cuts.CUT_TOL)
 
     def test_classic_unit_cut(self):
         f = modular_oracle([1.0, 1.0])
@@ -353,7 +397,7 @@ class TestIntersectionCut:
         j = int(np.argmin(np.abs(cp.apex_x - 0.5)))
         cut = intersection_cut(cp, LiftedSplit(j, 3))
         assert cut is not None
-        assert validate_cut_bruteforce(cut, target, lift, corner=cp)
+        assert validate(cut, model, lift)
 
     def test_steps_match_fresh_ray_copies(self):
         # each ray's steps must depend neither on how the corner block lays out its
@@ -478,55 +522,111 @@ class TestGradientCut:
 
 class TestValidateCut:
     def test_capacity_guard(self):
-        n = 13
-        lift = plain_lift(n)
+        n = 21
+        lift = plain_lift(n, BmpInstance(MultilinearFunction(n, [(1.0, {0})])))
+        cut = IntersectionCut(coef=np.zeros(n + 1), rhs=0.0, kind="env", efficacy=1.0)
+        with pytest.raises(CapacityError, match=r"brute force limited to n <= 20, got n = 21"):
+            validate_cut_bruteforce(cut, lift, 0.0)
+
+    def test_capacity_checked_before_enumeration(self, monkeypatch):
+        # the guard must answer before any constraint table is computed
+        n = 21
+        tables = []
+        monkeypatch.setattr(models, "cube_table",
+                            lambda poly: tables.append(poly) or oracles.cube_table(poly))
+        poly = MultilinearFunction(n, [(1.0, {0})])
+        lift = plain_lift(n, BmpInstance(poly, constraints=[poly]))
         cut = IntersectionCut(coef=np.zeros(n + 1), rhs=0.0, kind="env", efficacy=1.0)
         with pytest.raises(CapacityError):
-            validate_cut_bruteforce(cut, modular_oracle(np.ones(n)), lift)
+            validate_cut_bruteforce(cut, lift, 0.0)
+        assert len(tables) == 1  # the residual's own table, which raised
 
-    def test_capacity_checked_before_enumeration(self):
-        # n = 15 is past the cube enumeration limit too; the validation
-        # guard must answer first, before any value is computed
-        n = 15
-        lift = plain_lift(n)
-        cut = IntersectionCut(coef=np.zeros(n + 1), rhs=0.0, kind="env", efficacy=1.0)
-        message = r"cut validation limited to n <= 12, got n = 15"
-        with pytest.raises(CapacityError, match=message):
-            validate_cut_bruteforce(cut, modular_oracle(np.ones(n)), lift)
+    def test_masked_points_are_exempt(self):
+        # y_01 <= 0 and x_0 + x_1 + x_2 >= 1 are broken only at x = (1, 1, *)
+        # and x = 0: the first point breaks the constraint -x_0 x_1 >= 0, the
+        # second the cardinality 1
+        objective = MultilinearFunction(3, [(1.0, {0}), (1.0, {1}), (1.0, {2})])
+        constrained = BmpInstance(objective, constraints=[MultilinearFunction(3, [(-1.0, {0, 1})])])
+        model, lift = models._lifted_lp(constrained)
+        y01 = lift.y_cols[frozenset({0, 1})]
+        no_pair = IntersectionCut(coef=-np.eye(lift.ncols)[y01], rhs=0.0, kind="split", efficacy=1.0)
+        assert validate(no_pair, model, lift)
+        check = validate(no_pair, model, dataclasses.replace(lift, instance=BmpInstance(objective)))
+        assert not check and check.mask == 0b011 and check.residual == -1.0
 
-    def test_t_interval_matches_ray_loop(self):
-        rng = np.random.default_rng(17)
-        for _ in range(30):
-            ncols = int(rng.integers(2, 8))
-            t_col = ncols - 1
-            z_pts = rng.integers(0, 2, size=(int(rng.integers(1, 40)), ncols)).astype(float)
-            z_pts[:, t_col] = 0.0
-            rays = []
-            for _ in range(int(rng.integers(1, 9))):
-                coef = rng.normal(size=ncols)
-                coef[t_col] = rng.choice([0.0, 1e-15, coef[t_col]])
-                rays.append((np.zeros(ncols), coef, float(rng.normal())))
-            cp = make_corner(np.zeros(ncols), rays, ncols - 1)
-            lo, hi = cuts._corner_t_interval(z_pts, cp, t_col, 1e-7)
-            ref_lo, ref_hi = ref.corner_t_interval_loop(z_pts, cp.eta_coef, cp.eta_off, t_col, 1e-7)
-            assert lo == pytest.approx(ref_lo, rel=1e-12, abs=1e-12)
-            assert hi == pytest.approx(ref_hi, rel=1e-12, abs=1e-12)
+        cardinal = BmpInstance(objective, cardinality=1)
+        model, lift = models._lifted_lp(cardinal)
+        coef = np.zeros(lift.ncols)
+        coef[lift.x_cols] = 1.0
+        some_one = IntersectionCut(coef=coef, rhs=1.0, kind="split", efficacy=1.0)
+        assert validate(some_one, model, lift)
+        check = validate(some_one, model, dataclasses.replace(lift, instance=BmpInstance(objective)))
+        assert not check and check.mask == 0 and check.residual == -1.0
 
-    def test_t_interval_cached_per_target_and_corner(self, k3_cut, monkeypatch):
-        intervals = []
-        real = cuts._corner_t_interval
-        monkeypatch.setattr(cuts, "_corner_t_interval", lambda *a: intervals.append(a[1]) or real(*a))
-        cp, lift = k3_corner()
-        cut = intersection_cut(cp, EnvelopeEpigraph(k3_cut))
-        cache = {}
-        assert validate_cut_bruteforce(cut, k3_cut, lift, corner=cp, cubes=cache)
-        assert validate_cut_bruteforce(cut, k3_cut, lift, corner=cp, cubes=cache)
-        assert len(intervals) == 1 and intervals[0] is cp
-        # outside the corner the cut is violated at x = 0, t = 0
-        assert not validate_cut_bruteforce(cut, k3_cut, lift, corner=None, cubes=cache)
-        twin, _ = k3_corner()  # equal arrays, another object
-        assert validate_cut_bruteforce(cut, k3_cut, lift, corner=twin, cubes=cache)
-        assert len(intervals) == 3 and intervals[1] is None and intervals[2] is twin
+    def test_worse_end_of_t(self):
+        # t is bounded below by lower_t and above by f(x); the residual takes the worse end
+        lift = plain_lift(3, k3_instance())
+        for a_t, rhs, want in [(-1.0, -2.0, 0.0), (1.0, -6.0, 0.0), (0.0, 0.0, 0.0), (2.0, -11.0, -1.0)]:
+            coef = np.array([0.0, 0.0, 0.0, a_t])
+            check = validate_cut_bruteforce(IntersectionCut(coef, rhs, "env", 1.0), lift, -6.0)
+            assert check.residual == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["g05", "autocorr"])
+    def test_verdicts_match_corner_reference(self, monkeypatch, kind):
+        # every cut the loop emits at n = 12, and the same cut with its rhs raised
+        # past its least residual, gets the verdict of the former validator, which
+        # clipped t to the cut's corner
+        emitted = emitted_cuts(monkeypatch)
+        total = 0
+        for seed in (1000, 1001):
+            if kind == "g05":
+                problem = pw_graph(12, 0.5, seed, max_weight=1)
+            else:
+                problem = BmpInstance(autocorr_polynomial(12, 2, 0.2, seed))
+            model, targets, lift = build_model(problem)
+            values = f_on_cube(lift.instance.objective)
+
+            def in_corner(cut, cp):
+                return ref.validate_cut_in_corner(cut.coef, cut.rhs, values, 1, lift, cp, cuts.CUT_TOL)
+
+            for mode in ("split", "submodular", "ss", "both"):
+                seen = emitted(model, targets, lift, mode)
+                least, _ = ref.least_residuals(
+                    [c.coef for c, _ in seen], [c.rhs for c, _ in seen], lift, float(model.lower[lift.t_col])
+                )
+                for (cut, cp), low in zip(seen, least):
+                    cp = None if cut.kind == "grad" else cp
+                    check = validate(cut, model, lift)
+                    assert check.residual == pytest.approx(low, abs=1e-9 * (1.0 + abs(cut.rhs)))
+                    assert check and in_corner(cut, cp)
+                    bad = dataclasses.replace(cut, rhs=cut.rhs + low + 1e-3 * (1.0 + abs(cut.rhs)))
+                    assert not validate(bad, model, lift)
+                    assert not in_corner(bad, cp)
+                total += len(seen)
+        assert total >= 100
+
+    @pytest.mark.parametrize("problem", [
+        pw_graph(20, 0.5, 1000, max_weight=1),
+        BmpInstance(autocorr_polynomial(12, 2, 0.2, 1002)),
+    ], ids=["g05-n20", "autocorr-n12"])
+    def test_seeded_invalid_cuts_caught(self, monkeypatch, problem):
+        # the least residual and its point match a chunked walk of the lifted cube,
+        # and raising the rhs past that residual makes every cut invalid
+        model, targets, lift = build_model(problem)
+        lower_t = float(model.lower[lift.t_col])
+        seen = emitted_cuts(monkeypatch)(model, targets, lift, "both", rounds=3)
+        least, _ = ref.least_residuals([c.coef for c, _ in seen], [c.rhs for c, _ in seen], lift, lower_t)
+        for (cut, _), low in zip(seen, least):
+            check = validate(cut, model, lift)
+            assert check and check.residual == pytest.approx(low, abs=1e-9 * (1.0 + abs(cut.rhs)))
+            a_t = cut.coef[lift.t_col]
+            mask = np.array([check.mask])
+            t = ref.poly_values(lift.instance.objective.terms, mask)[0] if a_t < 0 else lower_t
+            at_mask = float(ref.lifted_points(lift, mask)[0] @ cut.coef) + a_t * t - cut.rhs
+            assert at_mask == pytest.approx(check.residual, abs=1e-9 * (1.0 + abs(cut.rhs)))
+            bad = dataclasses.replace(cut, rhs=cut.rhs + low + 1e-3 * (1.0 + abs(cut.rhs)))
+            assert not validate(bad, model, lift)
+        assert len(seen) >= 4
 
     def test_emitted_cuts_always_validate(self):
         rng = np.random.default_rng(13)
@@ -552,5 +652,5 @@ class TestValidateCut:
                 continue
             emitted += 1
             assert cut.efficacy >= EFFICACY_MIN
-            assert validate_cut_bruteforce(cut, target, lift, corner=cp)
+            assert validate(cut, model, lift)
         assert emitted >= 5

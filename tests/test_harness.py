@@ -467,6 +467,22 @@ class TestRootLoop:
         rep = root_loop(model, targets, lift, RunConfig(mode="split", validate_cuts="off", rounds=1))
         assert rep.d2 == pytest.approx(1.0, abs=1e-9) and not rep.failed
 
+    def test_invalid_cut_named_before_the_bound_guard(self, monkeypatch):
+        model, targets, lift = k3_setup()
+
+        def invalid_cut(corner, free_set):
+            coef = np.zeros(lift.ncols)
+            coef[lift.t_col] = -1.0  # t <= 1, below the cut value 2 of x = (1, 0, 0)
+            return IntersectionCut(coef=coef, rhs=-1.0, kind="split", efficacy=1.0)
+
+        monkeypatch.setattr(harness, "intersection_cut", invalid_cut)
+        with pytest.raises(NumericError) as info:
+            root_loop(model, targets, lift, RunConfig(mode="split", validate_cuts="on"),
+                      instance="k3", primal=2.0)
+        message = str(info.value)
+        assert message.startswith("split cut failed brute-force validation on 'k3': ")
+        assert message.endswith("residual coef.z - rhs = -1 at x = [1, 0, 0] (bitmask 1)")
+
     @pytest.mark.parametrize("rise, raises", [(1e-6, True), (1e-8, False)])
     def test_bound_rising_across_a_round_raises(self, monkeypatch, rise, raises):
         model, targets, lift = k3_setup()
@@ -638,6 +654,28 @@ class TestCli:
         write_graph(Graph(21, [(0, 1, 1.0)]), path)
         rc = cli.main(["root", str(path)])
         assert rc == 2
+
+    def test_root_validates_past_the_auto_limit(self, tmp_path, capsys):
+        # the README's --validate on example at n = 15, with fewer rounds
+        rc = cli.main(["gen", "autocorr", "-n", "15", "--seed", "0", "--density", "0.35",
+                       "--max-lag", "3", "--out", str(tmp_path)])
+        assert rc == 0
+        report = tmp_path / "out.csv"
+        rc = cli.main(["root", str(tmp_path / "autocorr_n15_s0.pol"), "--cuts", "both", "--validate", "on",
+                       "--rounds", "2", "--report", str(report)])
+        assert rc == 0
+        cells = report.read_text().splitlines()[1].split(",")
+        assert cells[:2] == ["autocorr_n15_s0", "both"] and int(cells[6]) > 0
+
+    def test_root_validation_capacity(self, tmp_path, capsys):
+        path = tmp_path / "big.mc"
+        write_graph(Graph(21, [(0, 1, 1.0), (1, 2, 1.0)]), path)
+        rc = cli.main(["root", str(path), "--primal", "2", "--validate", "on"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().split("\n")
+        assert line == "error: brute force limited to n <= 20, got n = 21"
 
     @pytest.mark.parametrize("command", ["root", "verify", "bench"])
     @pytest.mark.parametrize("name, text", [
