@@ -279,7 +279,8 @@ def validate_cut_bruteforce(cut: IntersectionCut, lift, lower_t: float) -> CutCh
     a_t = float(cut.coef[lift.t_col])
     t_terms = [(a_t * c, s) for c, s in instance.objective.terms] if a_t < 0.0 else []
     residual = MultilinearFunction(lift.n, lift.polynomial(cut.coef).terms + t_terms)
-    table = instance.masked_table(residual, math.inf).ravel(order="F")
-    mask = int(np.argmin(table))
+    table = instance.masked_table(residual, math.inf)
+    i_a, i_b = np.unravel_index(np.argmin(table), table.shape)
     shift = a_t * lower_t if a_t > 0.0 else 0.0
-    return CutCheck(float(table[mask]) + shift - cut.rhs, mask)
+    # bitmask order is the table's column-major order; no (slow) transposed copy
+    return CutCheck(float(table[i_a, i_b]) + shift - cut.rhs, int(i_a + i_b * table.shape[0]))

@@ -471,8 +471,10 @@ class TestRootLoop:
         model, targets, lift = k3_setup()
 
         def invalid_cut(corner, free_set):
+            # t <= 1 + x_0 + x_1 is broken only at x = (0, 0, 1), whose cut value is 2
             coef = np.zeros(lift.ncols)
-            coef[lift.t_col] = -1.0  # t <= 1, below the cut value 2 of x = (1, 0, 0)
+            coef[lift.x_cols[:2]] = 1.0
+            coef[lift.t_col] = -1.0
             return IntersectionCut(coef=coef, rhs=-1.0, kind="split", efficacy=1.0)
 
         monkeypatch.setattr(harness, "intersection_cut", invalid_cut)
@@ -481,7 +483,7 @@ class TestRootLoop:
                       instance="k3", primal=2.0)
         message = str(info.value)
         assert message.startswith("split cut failed brute-force validation on 'k3': ")
-        assert message.endswith("residual coef.z - rhs = -1 at x = [1, 0, 0] (bitmask 1)")
+        assert message.endswith("residual coef.z - rhs = -1 at x = [0, 0, 1] (bitmask 4)")
 
     @pytest.mark.parametrize("rise, raises", [(1e-6, True), (1e-8, False)])
     def test_bound_rising_across_a_round_raises(self, monkeypatch, rise, raises):
