@@ -17,7 +17,7 @@ from .harness import RunConfig
 from .models import BmpInstance
 from .oracles import (
     Graph,
-    cube_chunks,
+    cube_points,
     cut_oracle,
     is_submodular_bruteforce,
     multilinear_oracle,
@@ -113,10 +113,8 @@ def _verify_graph(graph: Graph) -> bool:
     if _fits("submodular", "verify submodular", graph.n):
         ok &= _check("submodular", is_submodular_bruteforce(oracle))
     if _fits("extension_identity", "verify extension identity", graph.n):
-        worst = 0.0
-        for bits in cube_chunks(graph.n):
-            gap = envelope_eval(oracle, bits.astype(float)).value - oracle.values_at(bits)
-            worst = max(worst, float(np.max(np.abs(gap))))
+        gap = envelope_eval(oracle, cube_points(graph.n)).value - oracle.values_on_cube()
+        worst = float(np.max(np.abs(gap)))
         ok &= _check("extension_identity", worst <= 1e-9, f"max |F(x)-f(x)| = {worst:.3g}")
     ok &= _verify_bound(graph)
     return ok
@@ -133,11 +131,8 @@ def _verify_poly(instance: BmpInstance) -> bool:
             ok &= _check(f"{label}_parts_submodular",
                          is_submodular_bruteforce(ss.f1) and is_submodular_bruteforce(ss.f2))
         if _fits(f"{label}_decomposition_identity", "verify decomposition identity", n):
-            direct = multilinear_oracle(func)
-            worst = 0.0
-            for bits in cube_chunks(n):
-                gap = ss.f1.values_at(bits) - ss.f2.values_at(bits) - direct.values_at(bits)
-                worst = max(worst, float(np.max(np.abs(gap))))
+            gap = ss.f1.values_on_cube() - ss.f2.values_on_cube() - multilinear_oracle(func).values_on_cube()
+            worst = float(np.max(np.abs(gap)))
             ok &= _check(f"{label}_decomposition_identity", worst <= 1e-12,
                          f"max error = {worst:.3g}")
     ok &= _verify_bound(instance)

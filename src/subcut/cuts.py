@@ -278,7 +278,7 @@ def validate_cut_bruteforce(cut: IntersectionCut, lift, lower_t: float) -> CutCh
     instance = lift.instance
     a_t = float(cut.coef[lift.t_col])
     t_terms = [(a_t * c, s) for c, s in instance.objective.terms] if a_t < 0.0 else []
-    residual = MultilinearFunction(lift.n, lift.polynomial(cut.coef).terms + t_terms)
+    residual = MultilinearFunction(lift.n, lift.terms(cut.coef) + t_terms)
     table = instance.masked_table(residual, math.inf)
     i_a, i_b = np.unravel_index(np.argmin(table), table.shape)
     shift = a_t * lower_t if a_t > 0.0 else 0.0

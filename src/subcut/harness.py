@@ -30,7 +30,6 @@ from .models import (
 from .oracles import (
     Graph,
     MultilinearFunction,
-    cut_oracle,
     cut_polynomial,
     read_graph,
     read_polynomial,
@@ -337,8 +336,7 @@ def brute_force_primal(problem) -> float:
     the integer coefficients every generator makes, else up to rounding. Guarded.
     """
     if isinstance(problem, Graph):
-        cut_oracle(problem)  # a negative weight raises ModelError
-        problem = BmpInstance(cut_polynomial(problem))
+        problem = BmpInstance(cut_polynomial(problem))  # a negative weight raises ModelError
     elif not isinstance(problem, BmpInstance):
         raise ModelError(f"no brute force for {type(problem).__name__}")
     best = float(problem.masked_table(problem.objective, -math.inf).max())

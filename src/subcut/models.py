@@ -19,8 +19,8 @@ from .oracles import (
     MultilinearFunction,
     SSFunction,
     cube_table,
-    cut_oracle,
     cut_polynomial,
+    multilinear_oracle,
     ss_decompose,
     zero_oracle,
 )
@@ -44,11 +44,10 @@ class LiftMap:
     ncols: int
     instance: BmpInstance = None
 
-    def polynomial(self, coef) -> MultilinearFunction:
-        """The x and y part of column coefficients as a polynomial in x; t is left out."""
+    def terms(self, coef) -> list:
+        """The x and y part of column coefficients as polynomial terms in x; t is left out."""
         terms = [(coef[col], {j}) for j, col in enumerate(self.x_cols)]
-        terms += [(coef[col], support) for support, col in self.y_cols.items()]
-        return MultilinearFunction(self.n, terms)
+        return terms + [(coef[col], support) for support, col in self.y_cols.items()]
 
 
 @dataclass
@@ -112,11 +111,12 @@ def build_maxcut_model(graph: Graph):
     same lifted linearization as a multilinear instance, so the columns
     are x per vertex, y per edge in edge order, and t last.  An edge of
     weight 0 adds nothing to f and gets no y column.  The target is the
-    cut oracle against the hypograph, so cuts come from its closed forms.
+    oracle of the same polynomial against the hypograph.  A negative
+    weight raises ModelError (from :func:`cut_polynomial`).
     """
-    oracle = cut_oracle(graph)  # rejects negative weights
-    model, lift = _lifted_lp(BmpInstance(cut_polynomial(graph)))
-    target = SSFunction(oracle, zero_oracle(graph.n), level=1)
+    poly = cut_polynomial(graph)
+    model, lift = _lifted_lp(BmpInstance(poly))
+    target = SSFunction(multilinear_oracle(poly), zero_oracle(graph.n), level=1)
     logger.info("MODEL n=%d y=%d rows=%d targets=%d", graph.n, len(lift.y_cols), model.nrows, 1)
     return model, target, lift
 

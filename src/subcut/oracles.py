@@ -1,9 +1,11 @@
 """Set-function value oracles on the Boolean cube.
 
-Concrete families: graph cut functions, multilinear polynomials and
-modular functions.  Every oracle is normalized so the all-zero point
-evaluates to exactly 0; the raw value at the origin is kept in ``offset``
-so results can be translated back.
+One concrete family: multilinear polynomials.  Graph cut functions and
+modular functions are polynomials too (degree 2 and degree 1), so
+:func:`cut_oracle`, :func:`modular_oracle` and :func:`zero_oracle` are
+constructors of the polynomial oracle.  Every oracle is normalized so the
+all-zero point evaluates to exactly 0; the raw value at the origin is
+kept in ``offset`` so results can be translated back.
 
 Also holds the two instance file formats: a weighted edge list for graphs
 and a term list for multilinear polynomials.
@@ -19,26 +21,25 @@ import numpy as np
 from .errors import ModelError, check_capacity
 
 SUBMODULARITY_TOL = 1e-9
-CUBE_CHUNK = 1 << 14
 
 
 class SubmodularOracle:
     """Deterministic value oracle f: {0,1}^n -> R with f(0) = 0.
 
-    Wraps a raw evaluator.  The raw value at the origin is stored as
+    Wraps a raw evaluator (any callable; :class:`MultilinearOracle` is the
+    one concrete family).  The raw value at the origin is stored as
     ``offset`` and subtracted from every evaluation.  The name promises
     nothing: instances built from arbitrary polynomials need not be
     submodular; use :func:`is_submodular_bruteforce` to check.
     """
 
-    def __init__(self, n: int, raw, name: str = "callback"):
+    def __init__(self, n: int, raw):
         if n < 1:
             raise ValueError(f"oracle dimension must be >= 1, got {n}")
         self.n = int(n)
         self._raw = raw
-        self.name = name
         self.offset = float(raw(np.zeros(self.n)))
-        # set by subclasses that can prove f == 0 structurally
+        # set by the polynomial oracle when it has no terms
         self.trivially_zero = False
 
     def value(self, x) -> float:
@@ -63,8 +64,8 @@ class SubmodularOracle:
         """Chain values of each row of a (k, n) block of orders.
 
         Generic path costs n oracle calls per row (f(0) is 0 by
-        normalization); subclasses override with closed forms that take
-        the whole block at once.
+        normalization); the polynomial oracle overrides it with a closed
+        form that takes the whole block at once.
         """
         out = np.zeros((orders.shape[0], self.n + 1))
         for row, order in zip(out, orders):
@@ -74,31 +75,19 @@ class SubmodularOracle:
                 row[i + 1] = self.value(x)
         return out
 
-    def values_at(self, bits) -> np.ndarray:
-        """Values at the rows of a boolean (k, n) block; subclasses batch this."""
-        return np.array([self.value(row) for row in bits])
-
     def values_on_cube(self) -> np.ndarray:
         """All 2^n values indexed by bitmask (bit i <-> variable i). Guarded."""
-        check_capacity("cube enumeration", self.n)
-        return np.concatenate([self.values_at(bits) for bits in cube_chunks(self.n)])
+        return np.array([self.value(x) for x in cube_points(self.n)])
 
     def __repr__(self):
-        return f"<{type(self).__name__} n={self.n} name={self.name!r}>"
+        return f"<{type(self).__name__} n={self.n}>"
 
 
-def cube_chunks(n: int):
-    """{0,1}^n as boolean (k, n) blocks of CUBE_CHUNK rows, in bitmask order.
-
-    Row m of the concatenated blocks is the point with x_i = bit i of m.
-    Guarded when the first block is requested.
-    """
-    check_capacity("brute force", n)
-    total = 1 << n
-    cols = np.arange(n, dtype=np.uint32)
-    for lo in range(0, total, CUBE_CHUNK):
-        masks = np.arange(lo, min(lo + CUBE_CHUNK, total), dtype=np.uint32)
-        yield ((masks[:, None] >> cols) & 1).astype(bool)
+def cube_points(n: int) -> np.ndarray:
+    """{0,1}^n as a (2^n, n) block of 0/1 floats; row m has x_i = bit i of m. Guarded."""
+    check_capacity("cube enumeration", n)
+    masks = np.arange(1 << n, dtype=np.uint32)
+    return ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -129,68 +118,26 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def weight_matrix(self) -> np.ndarray:
-        w = np.zeros((self.n, self.n))
-        for i, j, wij in self.edges:
-            w[i, j] += wij
-            w[j, i] += wij
-        return w
-
-
-class GraphCutOracle(SubmodularOracle):
-    """Cut function of a nonnegatively weighted graph.
-
-    f(x) = sum_e w_e (x_i + x_j - 2 x_i x_j); submodular for w >= 0.
-    """
-
-    def __init__(self, graph: Graph):
-        for i, j, w in graph.edges:
-            if w < 0:
-                raise ModelError(f"negative cut weight {w} on edge ({i},{j})")
-        self.graph = graph
-        self._ei = np.array([e[0] for e in graph.edges], dtype=int)
-        self._ej = np.array([e[1] for e in graph.edges], dtype=int)
-        self._ew = np.array([e[2] for e in graph.edges], dtype=float)
-        self._wmat = graph.weight_matrix()
-        self._deg = self._wmat.sum(axis=1)
-        self._lower = np.tri(graph.n, k=-1)  # strictly lower: the vertices placed before
-        super().__init__(graph.n, self._cut_raw, name="cut")
-
-    def _cut_raw(self, x):
-        xi = x[self._ei]
-        xj = x[self._ej]
-        return float(np.dot(self._ew, xi + xj - 2.0 * xi * xj))
-
-    def _chain_rows(self, orders) -> np.ndarray:
-        # marginal gain of adding v to prefix S: deg(v) - 2 * w(v, S)
-        prefix = self._wmat[orders[:, :, None], orders[:, None, :]]
-        prefix *= self._lower
-        gains = self._deg[orders] - 2.0 * prefix.sum(axis=2)
-        out = np.zeros((orders.shape[0], self.n + 1))
-        np.add.accumulate(gains, axis=1, out=out[:, 1:])
-        return out
-
-    def values_at(self, bits) -> np.ndarray:
-        crossing = bits[:, self._ei] ^ bits[:, self._ej]
-        return crossing @ self._ew
-
-
-def cut_oracle(graph: Graph) -> GraphCutOracle:
-    """Cut-function oracle of a nonnegatively weighted graph."""
-    return GraphCutOracle(graph)
-
 
 def cut_polynomial(graph: Graph) -> MultilinearFunction:
-    """The cut function as a multilinear polynomial.
+    """The cut function of a nonnegatively weighted graph as a multilinear polynomial.
 
     Terms w x_i, w x_j and -2w x_i x_j per edge, in edge order, so each
     degree-1 coefficient is its vertex's weighted degree summed in edge
-    order.  Edges of weight 0 leave no term.
+    order.  Edges of weight 0 leave no term; a negative weight raises
+    ModelError, since the cut function is submodular only for w >= 0.
     """
     terms = []
     for i, j, w in graph.edges:
+        if w < 0:
+            raise ModelError(f"negative cut weight {w} on edge ({i},{j})")
         terms += [(w, {i}), (w, {j}), (-2.0 * w, {i, j})]
     return MultilinearFunction(graph.n, terms)
+
+
+def cut_oracle(graph: Graph) -> MultilinearOracle:
+    """Cut-function oracle of a nonnegatively weighted graph: the oracle of its cut polynomial."""
+    return multilinear_oracle(cut_polynomial(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +192,11 @@ class MultilinearFunction:
 
 
 class MultilinearOracle(SubmodularOracle):
-    """Raw value oracle of a multilinear polynomial (not necessarily submodular)."""
+    """Raw value oracle of a multilinear polynomial (not necessarily submodular).
+
+    Chain and cube values are sums of coefficients, so they are exact
+    whenever the coefficients are integers.
+    """
 
     def __init__(self, poly: MultilinearFunction):
         self.poly = poly
@@ -257,11 +208,7 @@ class MultilinearOracle(SubmodularOracle):
         for k, s in enumerate(supports):
             pad[k, : len(s)] = s
         self._pad = pad
-        self._supmasks = np.array(
-            [sum(1 << j for j in s) for s in supports], dtype=np.int64
-        )
-        self._bitvals = 1 << np.arange(poly.n, dtype=np.int64)
-        super().__init__(poly.n, poly.evaluate, name="multilinear")
+        super().__init__(poly.n, poly.evaluate)
         self.trivially_zero = not poly.terms
 
     def _chain_rows(self, orders) -> np.ndarray:
@@ -278,12 +225,9 @@ class MultilinearOracle(SubmodularOracle):
         np.add.accumulate(out, axis=1, out=out)
         return out
 
-    def values_at(self, bits) -> np.ndarray:
-        masks = bits @ self._bitvals
-        vals = np.zeros(masks.size)
-        for a, m in zip(self._coefs, self._supmasks):
-            vals += a * ((masks & m) == m)
-        return vals
+    def values_on_cube(self) -> np.ndarray:
+        check_capacity("cube enumeration", self.n)
+        return cube_table(self.poly).ravel(order="F")
 
 
 def multilinear_oracle(poly: MultilinearFunction) -> MultilinearOracle:
@@ -310,26 +254,13 @@ def cube_table(poly: MultilinearFunction) -> np.ndarray:
     return np.array(list(u.values())).reshape(-1, rows.size).T @ ((cols[:, None] & m_b) == m_b).T
 
 
-def modular_oracle(weights) -> SubmodularOracle:
-    """Modular (additive) function x -> c . x."""
-    c = np.asarray(weights, dtype=float).copy()
-
-    class _Modular(SubmodularOracle):
-        def _chain_rows(self, orders):
-            out = np.zeros((orders.shape[0], self.n + 1))
-            np.add.accumulate(c[orders], axis=1, out=out[:, 1:])
-            return out
-
-        def values_at(self, bits):
-            return bits @ c
-
-    oracle = _Modular(c.size, lambda x: float(np.dot(c, x)), name="modular")
-    oracle.weights = c
-    oracle.trivially_zero = bool(np.all(c == 0.0))
-    return oracle
+def modular_oracle(weights) -> MultilinearOracle:
+    """Modular (additive) function x -> c . x: the oracle of the degree-1 polynomial."""
+    c = np.asarray(weights, dtype=float)
+    return multilinear_oracle(MultilinearFunction(c.size, [(cj, {j}) for j, cj in enumerate(c)]))
 
 
-def zero_oracle(n: int) -> SubmodularOracle:
+def zero_oracle(n: int) -> MultilinearOracle:
     """The identically-zero function, used as a trivial decomposition part."""
     return modular_oracle(np.zeros(n))
 

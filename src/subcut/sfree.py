@@ -19,7 +19,7 @@ import numpy as np
 
 from .envelope import chain_to_permutation, enumerate_vertices, envelope_eval, greedy_vertex
 from .errors import check_capacity
-from .oracles import SSFunction, SubmodularOracle, cube_chunks
+from .oracles import SSFunction, SubmodularOracle, cube_points
 
 INTERIOR_TOL = 1e-7
 
@@ -178,13 +178,12 @@ def verify_free_bruteforce(sfree: SFreeSet, target) -> bool:
     """
     check_capacity("freeness check", target.n)
     level = target.level if isinstance(target, SSFunction) else 1
-    for bits in cube_chunks(target.n):
-        for x in bits.astype(float):
-            fx = target.value(x)
-            if level == 0 and fx < -1e-12:
-                continue
-            if sfree.margin(x, fx) > INTERIOR_TOL:
-                return False
+    for x in cube_points(target.n):
+        fx = target.value(x)
+        if level == 0 and fx < -1e-12:
+            continue
+        if sfree.margin(x, fx) > INTERIOR_TOL:
+            return False
     return True
 
 
@@ -258,9 +257,8 @@ def maximality_diagnostic(relaxation: CoverRelaxation) -> bool:
     oracle = relaxation.oracle
     check_capacity("maximality diagnostic", oracle.n)
     kept = relaxation.vertices
-    points = np.concatenate(list(cube_chunks(oracle.n)))
     values = oracle.values_on_cube()
-    scores = kept @ points.T  # (orders, 2^n)
+    scores = kept @ cube_points(oracle.n).T  # (orders, 2^n)
     on_facet = np.abs(scores - values[None, :]) <= 1e-9
     for p in range(kept.shape[0]):
         others = np.delete(np.arange(kept.shape[0]), p)

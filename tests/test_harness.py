@@ -598,21 +598,36 @@ class TestCli:
     def test_verify_graph(self, tmp_path, capsys):
         path = self.write_k3(tmp_path)
         rc = cli.main(["verify", str(path)])
-        out = capsys.readouterr().out
         assert rc == 0
-        assert "PASS normalized(f(0)=0)" in out
-        assert "PASS submodular" in out
-        assert "PASS extension_identity" in out
-        assert "PASS bound_dominates_optimum" in out
-        assert "FAIL" not in out
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS normalized(f(0)=0)",
+            "PASS submodular",
+            "PASS extension_identity",
+            "PASS bound_dominates_optimum",
+        ]
 
     def test_verify_poly(self, tmp_path, capsys):
         (path,) = generate_instances("autocorr", 5, seed=2, out_dir=tmp_path)
         rc = cli.main(["verify", str(path)])
-        out = capsys.readouterr().out
         assert rc == 0
-        assert "PASS objective_parts_submodular" in out
-        assert "PASS objective_decomposition_identity" in out
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS objective_parts_submodular",
+            "PASS objective_decomposition_identity",
+            "PASS bound_dominates_optimum",
+        ]
+
+    @pytest.mark.parametrize("kind, n, density, lines", [
+        ("pw", 12, None, ["PASS normalized(f(0)=0)", "PASS submodular",
+                          "SKIP extension_identity (n > 10)", "PASS bound_dominates_optimum"]),
+        ("autocorr", 14, 0.3, ["SKIP objective_parts_submodular (n > 10)",
+                               "PASS objective_decomposition_identity", "PASS bound_dominates_optimum"]),
+    ], ids=["pw-n12", "autocorr-n14"])
+    def test_verify_lines_past_limits(self, tmp_path, capsys, kind, n, density, lines):
+        (path,) = generate_instances(kind, n, seed=1, out_dir=tmp_path, density=density)
+        capsys.readouterr()
+        rc = cli.main(["verify", str(path)])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == lines
 
     def test_bench_command(self, tmp_path, capsys):
         generate_instances("g05", 6, count=2, seed=0, out_dir=tmp_path)

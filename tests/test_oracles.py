@@ -5,6 +5,7 @@ import pytest
 
 import _reference as ref
 from subcut.errors import CapacityError, ModelError
+from subcut.harness import pw_graph
 from subcut.oracles import (
     Graph,
     MultilinearFunction,
@@ -106,6 +107,46 @@ class TestCutOracle:
                 assert f.value(x) == pytest.approx(ref.cut_value(edges, x), abs=1e-12)
 
 
+def naive_chain(edges, order):
+    """Cut values along the prefix chain of ``order``, summed from marginal gains one vertex at a time."""
+    x = [0] * len(order)
+    chain = [0.0]
+    for v in order:
+        before = ref.cut_value(edges, x)
+        x[v] = 1
+        chain.append(chain[-1] + (ref.cut_value(edges, x) - before))
+    return np.array(chain)
+
+
+class TestCutChainExactness:
+    # with integer weights every chain sum is exact, so the polynomial oracle's
+    # chains equal a vertex-by-vertex walk bit for bit
+    @pytest.mark.parametrize("max_weight", [1, 100], ids=["g05", "pw"])
+    def test_integer_weights_bit_for_bit(self, max_weight):
+        rng = np.random.default_rng(41)
+        for seed, n in enumerate((2, 3, 5, 8, 10, 12)):
+            for density in (0.15, 0.5, 1.0):
+                g = pw_graph(n, density, seed, max_weight=max_weight)
+                f = cut_oracle(g)
+                orders = np.array([rng.permutation(n) for _ in range(6)])
+                expected = np.array([naive_chain(g.edges, o) for o in orders])
+                for order, row in zip(orders, expected):
+                    assert f.chain_values(order).tobytes() == row.tobytes()
+                assert f.chain_values(orders).tobytes() == expected.tobytes()
+
+    def test_fractional_weights_close(self):
+        rng = np.random.default_rng(43)
+        for n in (3, 7, 12):
+            g = Graph(n, [(i, j, float(rng.uniform(0.01, 100.0))) for i, j, _ in pw_graph(n, 0.5, n).edges])
+            f = cut_oracle(g)
+            orders = np.array([rng.permutation(n) for _ in range(8)])
+            expected = np.array([naive_chain(g.edges, o) for o in orders])
+            got = f.chain_values(orders)
+            assert np.all(np.abs(got - expected) <= 1e-12 * (1.0 + np.abs(expected)))
+            for order, row in zip(orders, got):
+                assert f.chain_values(order).tobytes() == row.tobytes()
+
+
 
 CUBE_ORACLES = {
     "cut": lambda: cut_oracle(Graph(
@@ -145,7 +186,7 @@ def test_values_on_cube_matches_pointwise(family):
 
 class TestCubeTable:
     def test_matches_values_on_cube(self):
-        # pins the layout: the low n // 2 variables index rows
+        # pins the layout against a term-by-term loop: the low n // 2 variables index rows
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
@@ -161,7 +202,8 @@ class TestCubeTable:
         def check(poly):
             table = cube_table(poly)
             assert table.shape == (1 << (poly.n // 2), 1 << (poly.n - poly.n // 2))
-            assert np.array_equal(table.ravel(order="F"), multilinear_oracle(poly).values_on_cube())
+            masks = np.arange(1 << poly.n, dtype=np.int64)
+            assert np.array_equal(table.ravel(order="F"), ref.poly_values(poly.terms, masks))
 
         check()
 
@@ -175,7 +217,8 @@ class TestCubeTable:
 
     def test_cut_values(self, k3):
         table = cube_table(cut_polynomial(k3))
-        assert np.array_equal(table.ravel(order="F"), cut_oracle(k3).values_on_cube())
+        expected = [ref.cut_value(k3.edges, [(m >> i) & 1 for i in range(3)]) for m in range(8)]
+        assert table.ravel(order="F").tolist() == expected
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
