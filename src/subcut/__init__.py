@@ -17,13 +17,9 @@ from .oracles import (
     Graph,
     MultilinearFunction,
     SSFunction,
-    SubmodularOracle,
-    cut_oracle,
+    cut_polynomial,
     is_submodular_bruteforce,
-    modular_oracle,
-    multilinear_oracle,
     ss_decompose,
-    zero_oracle,
 )
 from .sfree import (
     CoverRelaxation,
@@ -53,23 +49,19 @@ __all__ = [
     "RunConfig",
     "SSFunction",
     "SeparationBudget",
-    "SubmodularOracle",
     "build_maxcut_model",
     "build_mubo_model",
     "build_reverse_linearized",
     "corner",
-    "cut_oracle",
+    "cut_polynomial",
     "envelope_eval",
     "gradient_cut",
     "greedy_vertex",
     "intersection_cut",
     "is_submodular_bruteforce",
-    "modular_oracle",
-    "multilinear_oracle",
     "root_loop",
     "run_instance",
     "solve",
     "ss_decompose",
     "step_length",
-    "zero_oracle",
 ]

@@ -10,19 +10,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness
+from . import harness, simplex
 from .envelope import envelope_eval
 from .errors import CAPACITY, CapacityError, ModelError
 from .harness import RunConfig
 from .models import BmpInstance
-from .oracles import (
-    Graph,
-    cube_points,
-    cut_oracle,
-    is_submodular_bruteforce,
-    multilinear_oracle,
-    ss_decompose,
-)
+from .oracles import Graph, cube_points, cube_table, cut_polynomial, is_submodular_bruteforce, ss_decompose
 
 
 def _add_root(sub):
@@ -108,12 +101,12 @@ def _fits(name, capacity, n) -> bool:
 
 def _verify_graph(graph: Graph) -> bool:
     ok = True
-    oracle = cut_oracle(graph)
-    ok &= _check("normalized(f(0)=0)", abs(oracle.value(np.zeros(graph.n))) <= 1e-12)
+    f = cut_polynomial(graph)
+    ok &= _check("normalized(f(0)=0)", abs(f.value(np.zeros(graph.n))) <= 1e-12)
     if _fits("submodular", "verify submodular", graph.n):
-        ok &= _check("submodular", is_submodular_bruteforce(oracle))
+        ok &= _check("submodular", is_submodular_bruteforce(f))
     if _fits("extension_identity", "verify extension identity", graph.n):
-        gap = envelope_eval(oracle, cube_points(graph.n)).value - oracle.values_on_cube()
+        gap = envelope_eval(f, cube_points(graph.n)).value - cube_table(f).ravel(order="F")
         worst = float(np.max(np.abs(gap)))
         ok &= _check("extension_identity", worst <= 1e-9, f"max |F(x)-f(x)| = {worst:.3g}")
     ok &= _verify_bound(graph)
@@ -131,7 +124,7 @@ def _verify_poly(instance: BmpInstance) -> bool:
             ok &= _check(f"{label}_parts_submodular",
                          is_submodular_bruteforce(ss.f1) and is_submodular_bruteforce(ss.f2))
         if _fits(f"{label}_decomposition_identity", "verify decomposition identity", n):
-            gap = ss.f1.values_on_cube() - ss.f2.values_on_cube() - multilinear_oracle(func).values_on_cube()
+            gap = cube_table(ss.f1) - cube_table(ss.f2) - cube_table(func)
             worst = float(np.max(np.abs(gap)))
             ok &= _check(f"{label}_decomposition_identity", worst <= 1e-12,
                          f"max error = {worst:.3g}")
@@ -140,8 +133,6 @@ def _verify_poly(instance: BmpInstance) -> bool:
 
 
 def _verify_bound(problem) -> bool:
-    from . import simplex
-
     if not _fits("bound_dominates_optimum", "brute force", problem.n):
         return True
     best = harness.brute_force_primal(problem)

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_capacity
-from .oracles import SubmodularOracle
+from .oracles import MultilinearFunction
 
 
-def greedy_vertex(oracle: SubmodularOracle, order) -> np.ndarray:
+def greedy_vertex(oracle: MultilinearFunction, order) -> np.ndarray:
     """Marginal-gain vector along the prefix chain of ``order``.
 
     Component order[i] holds f(chain_{i+1}) - f(chain_i); for submodular f
@@ -31,7 +31,7 @@ def greedy_vertex(oracle: SubmodularOracle, order) -> np.ndarray:
     return _vertex(oracle, _check_order(oracle.n, order))
 
 
-def _vertex(oracle: SubmodularOracle, order: np.ndarray) -> np.ndarray:
+def _vertex(oracle: MultilinearFunction, order: np.ndarray) -> np.ndarray:
     """:func:`greedy_vertex` of an order known to be a permutation."""
     chain = oracle.chain_values(order)
     sigma = np.empty(oracle.n)
@@ -72,7 +72,7 @@ def chain_to_permutation(points) -> np.ndarray:
     return order
 
 
-def support_points(oracle: SubmodularOracle, order) -> list:
+def support_points(oracle: MultilinearFunction, order) -> list:
     """The n + 1 chain points of ``order`` paired with their oracle values."""
     order = _check_order(oracle.n, order)
     values = oracle.chain_values(order)
@@ -91,7 +91,7 @@ class EnvelopeEvaluation:
     subgradient: np.ndarray
 
 
-def envelope_eval(oracle: SubmodularOracle, x) -> EnvelopeEvaluation:
+def envelope_eval(oracle: MultilinearFunction, x) -> EnvelopeEvaluation:
     """Envelope value and a subgradient at a point of R^n, or at each row of a (k, n) block."""
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != oracle.n:
@@ -109,13 +109,13 @@ def envelope_eval(oracle: SubmodularOracle, x) -> EnvelopeEvaluation:
     return EnvelopeEvaluation(np.vecdot(sigma, x), sigma)
 
 
-def enumerate_vertices(oracle: SubmodularOracle) -> list:
+def enumerate_vertices(oracle: MultilinearFunction) -> list:
     """Greedy vertices of all n! orders (testing utility, guarded)."""
     check_capacity("vertex enumeration", oracle.n)
     return [greedy_vertex(oracle, order) for order in itertools.permutations(range(oracle.n))]
 
 
-def envelope_max_bruteforce(oracle: SubmodularOracle, x) -> float:
+def envelope_max_bruteforce(oracle: MultilinearFunction, x) -> float:
     """max_s s . x over all greedy vertices, by enumeration (guarded)."""
     x = np.asarray(x, dtype=float)
     return max(float(s @ x) for s in enumerate_vertices(oracle))

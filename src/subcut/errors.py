@@ -22,7 +22,7 @@ CAPACITY = {
     "cover check": 8,  # sfree.is_cover
     "maximality diagnostic": 5,  # sfree.maximality_diagnostic
     "cut validation": 12,  # largest n that validate_cuts="auto" checks; "on" is bounded by "brute force"
-    "cube enumeration": 14,  # oracles.cube_points, SubmodularOracle.values_on_cube, is_submodular_bruteforce
+    "cube enumeration": 14,  # oracles.cube_points, MultilinearFunction.values_on_cube, is_submodular_bruteforce
     "freeness check": 14,  # sfree.verify_free_bruteforce
     "brute force": 20,  # oracles.cube_table (brute_force_primal, validate_cut_bruteforce)
     # `subcut verify` skips a check above its limit instead of failing

@@ -20,9 +20,7 @@ from .oracles import (
     SSFunction,
     cube_table,
     cut_polynomial,
-    multilinear_oracle,
     ss_decompose,
-    zero_oracle,
 )
 from .simplex import CornerPolyhedron, LpModel
 
@@ -111,12 +109,12 @@ def build_maxcut_model(graph: Graph):
     same lifted linearization as a multilinear instance, so the columns
     are x per vertex, y per edge in edge order, and t last.  An edge of
     weight 0 adds nothing to f and gets no y column.  The target is the
-    oracle of the same polynomial against the hypograph.  A negative
-    weight raises ModelError (from :func:`cut_polynomial`).
+    same polynomial against the hypograph.  A negative weight raises
+    ModelError (from :func:`cut_polynomial`).
     """
     poly = cut_polynomial(graph)
     model, lift = _lifted_lp(BmpInstance(poly))
-    target = SSFunction(multilinear_oracle(poly), zero_oracle(graph.n), level=1)
+    target = SSFunction(poly, MultilinearFunction(graph.n, []), level=1)
     logger.info("MODEL n=%d y=%d rows=%d targets=%d", graph.n, len(lift.y_cols), model.nrows, 1)
     return model, target, lift
 

@@ -1,11 +1,10 @@
-"""Set-function value oracles on the Boolean cube.
+"""Set functions on the Boolean cube, all of them multilinear polynomials.
 
-One concrete family: multilinear polynomials.  Graph cut functions and
-modular functions are polynomials too (degree 2 and degree 1), so
-:func:`cut_oracle`, :func:`modular_oracle` and :func:`zero_oracle` are
-constructors of the polynomial oracle.  Every oracle is normalized so the
-all-zero point evaluates to exactly 0; the raw value at the origin is
-kept in ``offset`` so results can be translated back.
+A :class:`MultilinearFunction` is the value oracle the cut machinery
+works with: it gives values at points, along prefix chains and on the
+whole cube.  Graph cut functions are the degree-2 case
+(:func:`cut_polynomial`).  Supports are nonempty, so every function is 0
+at the origin.
 
 Also holds the two instance file formats: a weighted edge list for graphs
 and a term list for multilinear polynomials.
@@ -13,6 +12,7 @@ and a term list for multilinear polynomials.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,73 +21,6 @@ import numpy as np
 from .errors import ModelError, check_capacity
 
 SUBMODULARITY_TOL = 1e-9
-
-
-class SubmodularOracle:
-    """Deterministic value oracle f: {0,1}^n -> R with f(0) = 0.
-
-    Wraps a raw evaluator (any callable; :class:`MultilinearOracle` is the
-    one concrete family).  The raw value at the origin is stored as
-    ``offset`` and subtracted from every evaluation.  The name promises
-    nothing: instances built from arbitrary polynomials need not be
-    submodular; use :func:`is_submodular_bruteforce` to check.
-    """
-
-    def __init__(self, n: int, raw):
-        if n < 1:
-            raise ValueError(f"oracle dimension must be >= 1, got {n}")
-        self.n = int(n)
-        self._raw = raw
-        self.offset = float(raw(np.zeros(self.n)))
-        # set by the polynomial oracle when it has no terms
-        self.trivially_zero = False
-
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected point of dimension {self.n}, got shape {x.shape}")
-        return float(self._raw(x)) - self.offset
-
-    __call__ = value
-
-    def chain_values(self, order) -> np.ndarray:
-        """Values along the prefix chain of ``order``: f(0), f(e_{o0}), ..., f(1).
-
-        ``order`` may also be a (k, n) block of orders, which gives one such
-        row of n + 1 values per order.
-        """
-        order = np.asarray(order, dtype=int)
-        chains = self._chain_rows(order.reshape(-1, self.n))
-        return chains.reshape(order.shape[:-1] + (self.n + 1,))
-
-    def _chain_rows(self, orders) -> np.ndarray:
-        """Chain values of each row of a (k, n) block of orders.
-
-        Generic path costs n oracle calls per row (f(0) is 0 by
-        normalization); the polynomial oracle overrides it with a closed
-        form that takes the whole block at once.
-        """
-        out = np.zeros((orders.shape[0], self.n + 1))
-        for row, order in zip(out, orders):
-            x = np.zeros(self.n)
-            for i, j in enumerate(order):
-                x[j] = 1.0
-                row[i + 1] = self.value(x)
-        return out
-
-    def values_on_cube(self) -> np.ndarray:
-        """All 2^n values indexed by bitmask (bit i <-> variable i). Guarded."""
-        return np.array([self.value(x) for x in cube_points(self.n)])
-
-    def __repr__(self):
-        return f"<{type(self).__name__} n={self.n}>"
-
-
-def cube_points(n: int) -> np.ndarray:
-    """{0,1}^n as a (2^n, n) block of 0/1 floats; row m has x_i = bit i of m. Guarded."""
-    check_capacity("cube enumeration", n)
-    masks = np.arange(1 << n, dtype=np.uint32)
-    return ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -135,22 +68,19 @@ def cut_polynomial(graph: Graph) -> MultilinearFunction:
     return MultilinearFunction(graph.n, terms)
 
 
-def cut_oracle(graph: Graph) -> MultilinearOracle:
-    """Cut-function oracle of a nonnegatively weighted graph: the oracle of its cut polynomial."""
-    return multilinear_oracle(cut_polynomial(graph))
-
-
 # ---------------------------------------------------------------------------
 # multilinear polynomials
 
 
 class MultilinearFunction:
-    """Multilinear polynomial sum_k a_k prod_{j in A_k} x_j.
+    """Multilinear polynomial f(x) = sum_k a_k prod_{j in A_k} x_j on {0,1}^n.
 
     Supports are nonempty subsets of {0..n-1}; duplicates are merged by
     summing coefficients, and exact zero coefficients are dropped.  With
-    nonempty supports the value at the origin is 0, so no constant term
-    can hide here.
+    nonempty supports f(0) = 0, so no constant term can hide here.  A
+    polynomial need not be submodular; :func:`is_submodular_bruteforce`
+    checks.  Chain and cube values are sums of coefficients, so they are
+    exact whenever the coefficients are integers.
     """
 
     def __init__(self, n: int, terms):
@@ -175,7 +105,11 @@ class MultilinearFunction:
     def degree(self) -> int:
         return max((len(s) for _, s in self.terms), default=0)
 
-    def evaluate(self, x) -> float:
+    @property
+    def trivially_zero(self) -> bool:
+        return not self.terms
+
+    def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected point of dimension {self.n}, got shape {x.shape}")
@@ -187,52 +121,48 @@ class MultilinearFunction:
             total += a * prod
         return total
 
-    def __repr__(self):
-        return f"<MultilinearFunction n={self.n} terms={len(self.terms)} degree={self.degree}>"
+    @functools.cached_property
+    def _padded_terms(self):
+        """Coefficients and a padded support matrix whose -1 entries point at a sentinel position.
 
-
-class MultilinearOracle(SubmodularOracle):
-    """Raw value oracle of a multilinear polynomial (not necessarily submodular).
-
-    Chain and cube values are sums of coefficients, so they are exact
-    whenever the coefficients are integers.
-    """
-
-    def __init__(self, poly: MultilinearFunction):
-        self.poly = poly
-        self._coefs = np.array([a for a, _ in poly.terms], dtype=float)
-        supports = [sorted(s) for _, s in poly.terms]
+        Built on the first chain evaluation only: cut validation tables
+        one residual polynomial per cut and never walks its chains.
+        """
+        supports = [sorted(s) for _, s in self.terms]
         width = max((len(s) for s in supports), default=1)
-        # padded support matrix; -1 entries point at a sentinel position
         pad = np.full((max(len(supports), 1), width), -1, dtype=int)
         for k, s in enumerate(supports):
             pad[k, : len(s)] = s
-        self._pad = pad
-        super().__init__(poly.n, poly.evaluate)
-        self.trivially_zero = not poly.terms
+        return np.array([a for a, _ in self.terms], dtype=float), pad
 
-    def _chain_rows(self, orders) -> np.ndarray:
+    def chain_values(self, order) -> np.ndarray:
+        """Values along the prefix chain of ``order``: f(0), f(e_{o0}), ..., f(1).
+
+        ``order`` may also be a (k, n) block of orders, which gives one such
+        row of n + 1 values per order.
+        """
+        order = np.asarray(order, dtype=int)
+        orders = order.reshape(-1, self.n)
         out = np.zeros((orders.shape[0], self.n + 1))
-        if self._coefs.size == 0:
-            return out
-        rows = np.arange(orders.shape[0])[:, None]
-        # position of each variable in its order; the last column (0) is the padding sentinel
-        pos = np.zeros((orders.shape[0], self.n + 1), dtype=int)
-        pos[rows, orders] = np.arange(1, self.n + 1)
-        # a term switches on once its whole support is in the prefix
-        activate = pos[:, self._pad].max(axis=2)
-        np.add.at(out, (rows, activate), self._coefs)
-        np.add.accumulate(out, axis=1, out=out)
-        return out
+        if self.terms:
+            coefs, pad = self._padded_terms
+            rows = np.arange(orders.shape[0])[:, None]
+            # position of each variable in its order; the last column (0) is the padding sentinel
+            pos = np.zeros((orders.shape[0], self.n + 1), dtype=int)
+            pos[rows, orders] = np.arange(1, self.n + 1)
+            # a term switches on once its whole support is in the prefix
+            activate = pos[:, pad].max(axis=2)
+            np.add.at(out, (rows, activate), coefs)
+            np.add.accumulate(out, axis=1, out=out)
+        return out.reshape(order.shape[:-1] + (self.n + 1,))
 
     def values_on_cube(self) -> np.ndarray:
+        """All 2^n values indexed by bitmask (bit i <-> variable i). Guarded."""
         check_capacity("cube enumeration", self.n)
-        return cube_table(self.poly).ravel(order="F")
+        return cube_table(self).ravel(order="F")
 
-
-def multilinear_oracle(poly: MultilinearFunction) -> MultilinearOracle:
-    """Value oracle evaluating a multilinear polynomial on the cube."""
-    return MultilinearOracle(poly)
+    def __repr__(self):
+        return f"<MultilinearFunction n={self.n} terms={len(self.terms)} degree={self.degree}>"
 
 
 def cube_table(poly: MultilinearFunction) -> np.ndarray:
@@ -254,15 +184,11 @@ def cube_table(poly: MultilinearFunction) -> np.ndarray:
     return np.array(list(u.values())).reshape(-1, rows.size).T @ ((cols[:, None] & m_b) == m_b).T
 
 
-def modular_oracle(weights) -> MultilinearOracle:
-    """Modular (additive) function x -> c . x: the oracle of the degree-1 polynomial."""
-    c = np.asarray(weights, dtype=float)
-    return multilinear_oracle(MultilinearFunction(c.size, [(cj, {j}) for j, cj in enumerate(c)]))
-
-
-def zero_oracle(n: int) -> MultilinearOracle:
-    """The identically-zero function, used as a trivial decomposition part."""
-    return modular_oracle(np.zeros(n))
+def cube_points(n: int) -> np.ndarray:
+    """{0,1}^n as a (2^n, n) block of 0/1 floats; row m has x_i = bit i of m. Guarded."""
+    check_capacity("cube enumeration", n)
+    masks = np.arange(1 << n, dtype=np.uint32)
+    return ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +204,8 @@ class SSFunction:
     0 for the superlevel set {x: f(x) >= 0} of a constraint.
     """
 
-    f1: SubmodularOracle
-    f2: SubmodularOracle
+    f1: MultilinearFunction
+    f2: MultilinearFunction
     level: int = 1
 
     def __post_init__(self):
@@ -305,16 +231,16 @@ def ss_decompose(poly: MultilinearFunction, level: int = 1) -> SSFunction:
     """
     neg = MultilinearFunction(poly.n, [(a, s) for a, s in poly.terms if a < 0])
     pos = MultilinearFunction(poly.n, [(-a, s) for a, s in poly.terms if a > 0])
-    return SSFunction(multilinear_oracle(neg), multilinear_oracle(pos), level=level)
+    return SSFunction(neg, pos, level=level)
 
 
 # ---------------------------------------------------------------------------
 # brute-force submodularity check
 
 
-def is_submodular_bruteforce(oracle: SubmodularOracle) -> bool:
+def is_submodular_bruteforce(f: MultilinearFunction) -> bool:
     """Check f(x) + f(y) >= f(x | y) + f(x & y) over all 4^n pairs. Guarded."""
-    vals = oracle.values_on_cube()
+    vals = f.values_on_cube()
     size = vals.size
     ymasks = np.arange(size, dtype=np.int64)
     for xmask in range(size):

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import simplex
 from .envelope import chain_to_permutation, enumerate_vertices, envelope_eval, greedy_vertex
 from .errors import check_capacity
-from .oracles import SSFunction, SubmodularOracle, cube_points
+from .oracles import MultilinearFunction, SSFunction, cube_points
 
 INTERIOR_TOL = 1e-7
 
@@ -49,7 +50,7 @@ class EnvelopeEpigraph(SFreeSet):
     see :func:`build_reverse_linearized`.
     """
 
-    def __init__(self, oracle: SubmodularOracle, level: int = 1, gamma=None):
+    def __init__(self, oracle: MultilinearFunction, level: int = 1, gamma=None):
         if gamma is not None:
             gamma = np.asarray(gamma, dtype=float)
             if gamma.shape != (oracle.n,):
@@ -81,19 +82,14 @@ class LiftedSplit(SFreeSet):
 
     def value_and_subgradient(self, x):
         x = np.asarray(x, dtype=float)
+        # a scalar for a point (x[..., j] would be a 0-d array, whose arithmetic is
+        # several times slower), a column for a block
+        xj = x.T[self.j]
+        lower, upper = -xj, xj - 1.0
         grad = np.zeros(x.shape)
         # ties resolve to the lower face for determinism
-        if x.ndim == 2:
-            xj = x[:, self.j]
-            upper = -xj < xj - 1.0
-            grad[:, self.j] = np.where(upper, 1.0, -1.0)
-            return np.where(upper, xj - 1.0, -xj), grad
-        xj = float(x[self.j])
-        if -xj >= xj - 1.0:
-            grad[self.j] = -1.0
-            return -xj, grad
-        grad[self.j] = 1.0
-        return xj - 1.0, grad
+        grad.T[self.j] = np.where(lower < upper, 1.0, -1.0)
+        return np.maximum(lower, upper), grad
 
 
 class CoverRelaxation(SFreeSet):
@@ -106,7 +102,7 @@ class CoverRelaxation(SFreeSet):
     kind = "cover"
     level = 1
 
-    def __init__(self, oracle: SubmodularOracle, orders):
+    def __init__(self, oracle: MultilinearFunction, orders):
         orders = [np.asarray(o, dtype=int) for o in orders]
         if not orders:
             raise ValueError("a cover relaxation needs at least one order")
@@ -198,7 +194,7 @@ THREE_CHAINS = (
 )
 
 
-def three_chain_relaxation(oracle: SubmodularOracle) -> CoverRelaxation:
+def three_chain_relaxation(oracle: MultilinearFunction) -> CoverRelaxation:
     """Relaxation keeping three of the six facets on n = 3.
 
     The three chains form a minimal cover, so the result is hypograph-free
@@ -217,8 +213,6 @@ def containment_witness(relaxation: CoverRelaxation):
     returns (x, t) or None when the kept facets already imply the rest
     (degenerate oracles).
     """
-    from . import simplex
-
     oracle = relaxation.oracle
     n = oracle.n
     kept = relaxation.vertices

@@ -4,13 +4,16 @@ Everything here is deliberately naive and independent of the package:
 direct loops over edges and terms, itertools permutations, pure bisection,
 and exhaustive enumeration.  Slow is fine; these run on tiny inputs, apart
 from the chunked cube walks, which pin the brute-force primal and the least
-cut residuals at n <= 20.
+cut residuals at n <= 20.  The one exception, :func:`modular`, only builds
+a package polynomial for tests that need a modular function.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from subcut.oracles import MultilinearFunction
 
 
 def cut_value(edges, x):
@@ -31,6 +34,11 @@ def multilinear_value(terms, x):
             prod *= x[j]
         total += a * prod
     return total
+
+
+def modular(c):
+    """The modular function x -> c . x as a degree-1 polynomial (zero entries leave no term)."""
+    return MultilinearFunction(len(c), [(cj, {j}) for j, cj in enumerate(c)])
 
 
 def greedy_sigma(values, order):

@@ -33,7 +33,7 @@ from subcut.models import BmpInstance, build_maxcut_model, build_mubo_model, lin
 from subcut.oracles import (
     Graph,
     MultilinearFunction,
-    cut_oracle,
+    cut_polynomial,
     is_submodular_bruteforce,
     ss_decompose,
 )
@@ -81,7 +81,7 @@ def test_01_extension_identity_on_binary_points():
         worst = 0.0
         for _ in range(50):
             n = int(rng.integers(2, 11))
-            f = cut_oracle(random_graph(rng, n))
+            f = cut_polynomial(random_graph(rng, n))
             for bits in itertools.product((0, 1), repeat=n):
                 x = np.array(bits, dtype=float)
                 got = envelope_eval(f, x).value
@@ -95,7 +95,7 @@ def test_02_sorting_matches_vertex_enumeration():
     with criterion("02 sorted greedy vertex attains the max over all orders"):
         rng = np.random.default_rng(102)
         for n in range(3, 8):
-            f = cut_oracle(pw_graph(n, density=0.7, seed=n))
+            f = cut_polynomial(pw_graph(n, density=0.7, seed=n))
             vertices = np.array(enumerate_vertices(f))
             assert vertices.shape[0] == math.factorial(n)
             for _ in range(100):
@@ -110,7 +110,7 @@ def test_03_support_identity():
         rng = np.random.default_rng(103)
         for _ in range(1000):
             n = int(rng.integers(2, 9))
-            f = cut_oracle(random_graph(rng, n))
+            f = cut_polynomial(random_graph(rng, n))
             order = rng.permutation(n)
             sigma = greedy_vertex(f, order)
             i = int(rng.integers(n + 1))
@@ -123,7 +123,7 @@ def test_04_ray_linearity():
         rng = np.random.default_rng(104)
         for _ in range(1000):
             n = int(rng.integers(2, 9))
-            f = cut_oracle(random_graph(rng, n))
+            f = cut_polynomial(random_graph(rng, n))
             x = rng.uniform(-3.0, 3.0, size=n)
             lam = float(rng.uniform(-5.0, 5.0))
             lhs = envelope_eval(f, x + lam * np.ones(n)).value
@@ -139,7 +139,7 @@ def test_05_newton_root_finding():
         for trial in range(1000):
             n = int(rng.integers(2, 11))
             if trial % 2 == 0:
-                sfree = EnvelopeEpigraph(cut_oracle(random_graph(rng, n)))
+                sfree = EnvelopeEpigraph(cut_polynomial(random_graph(rng, n)))
             else:
                 poly = random_poly(rng, n)
                 ss = ss_decompose(poly)
@@ -207,7 +207,7 @@ def test_07_sign_split_decomposition():
             for bits in itertools.product((0, 1), repeat=n):
                 x = np.array(bits, dtype=float)
                 got = ss.f1.value(x) - ss.f2.value(x)
-                assert abs(got - poly.evaluate(x)) <= 1e-12
+                assert abs(got - poly.value(x)) <= 1e-12
 
 
 def test_08_linearization_exact_at_binary():
@@ -233,7 +233,7 @@ def test_08_linearization_exact_at_binary():
 
 def test_09_three_chain_counterexample():
     with criterion("09 three-chain relaxation: free, strictly larger, minimal cover"):
-        f = cut_oracle(Graph(3, ref.K3_EDGES))
+        f = cut_polynomial(Graph(3, ref.K3_EDGES))
         relax = three_chain_relaxation(f)
         assert verify_free_bruteforce(relax, f)
         witness = containment_witness(relax)

@@ -19,23 +19,14 @@ from subcut.cuts import (
 from subcut.errors import CapacityError, SeparationBudget
 from subcut.harness import RunConfig, autocorr_polynomial, build_model, pw_graph, split_selector
 from subcut.models import BmpInstance, LiftMap, build_maxcut_model, project_corner
-from subcut.oracles import (
-    Graph,
-    MultilinearFunction,
-    SSFunction,
-    cut_oracle,
-    cut_polynomial,
-    modular_oracle,
-    ss_decompose,
-    zero_oracle,
-)
+from subcut.oracles import Graph, MultilinearFunction, SSFunction, cut_polynomial, ss_decompose
 from subcut.sfree import EnvelopeEpigraph, LiftedSplit, build_reverse_linearized
 from subcut.simplex import CornerPolyhedron, corner, solve
 
 
 @pytest.fixture
 def k3_cut():
-    return cut_oracle(Graph(3, ref.K3_EDGES))
+    return cut_polynomial(Graph(3, ref.K3_EDGES))
 
 
 def make_corner(apex, rays, n):
@@ -136,7 +127,7 @@ class TestZetaEval:
             ]
             if not edges:
                 continue
-            f = cut_oracle(Graph(n, edges))
+            f = cut_polynomial(Graph(n, edges))
             apex_x = rng.uniform(0, 1, size=n)
             zf = ZetaFunction(
                 EnvelopeEpigraph(f), apex_x, 10.0, rng.normal(size=n), float(rng.normal()),
@@ -243,7 +234,7 @@ class TestStepLength:
             ]
             if not edges:
                 continue
-            f = cut_oracle(Graph(n, edges))
+            f = cut_polynomial(Graph(n, edges))
             apex_x = rng.uniform(0, 1, size=n)
             sfree = EnvelopeEpigraph(f)
             margin = sfree.margin(apex_x, 0.0)
@@ -273,7 +264,7 @@ class TestStepLength:
             ]
             if not edges:
                 continue
-            f = cut_oracle(Graph(n, edges))
+            f = cut_polynomial(Graph(n, edges))
             sfree = EnvelopeEpigraph(f)
             apex_x = rng.uniform(0, 1, size=n)
             apex_t = -sfree.margin(apex_x, 0.0) + 1.0
@@ -333,7 +324,7 @@ class TestIntersectionCut:
         assert not ref.validate_cut_in_corner(bad.coef, bad.rhs, values, 1, lift, cp, cuts.CUT_TOL)
 
     def test_classic_unit_cut(self):
-        f = modular_oracle([1.0, 1.0])
+        f = ref.modular([1.0, 1.0])
         rays = [
             ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.0),
             ([0.0, 1.0, 0.0], [0.0, 1.0, 0.0], 0.0),
@@ -434,7 +425,7 @@ class TestIntersectionCut:
 
     def test_reverse_linearized_log_line(self, k3_cut, caplog):
         cp, _ = k3_corner()
-        ss = SSFunction(k3_cut, modular_oracle([0.1, 0.2, 0.3]), level=1)
+        ss = SSFunction(k3_cut, ref.modular([0.1, 0.2, 0.3]), level=1)
         sfree = build_reverse_linearized(ss, cp.apex_x)
         with caplog.at_level(logging.INFO, logger="subcut.cuts"):
             cut = intersection_cut(cp, sfree)
@@ -481,7 +472,7 @@ class TestGradientCut:
         # but keeps every lifted binary graph point
         for mask in range(4):
             x = [(mask >> i) & 1 for i in range(2)]
-            assert cut.satisfied([x[0], x[1], poly.evaluate(x)])
+            assert cut.satisfied([x[0], x[1], poly.value(x)])
 
     def test_non_violating_point(self):
         poly = MultilinearFunction(2, [(3.0, {0, 1})])
@@ -496,19 +487,19 @@ class TestGradientCut:
         assert gradient_cut(ss, [1.0, 1.0], 4.0, plain_lift(2)) is None
 
     def test_zero_function_rejected(self):
-        ss = SSFunction(zero_oracle(2), zero_oracle(2), level=0)
+        ss = SSFunction(MultilinearFunction(2, []), MultilinearFunction(2, []), level=0)
         assert gradient_cut(ss, [1.0, 0.5], 0.0, plain_lift(2)) is None
 
     def test_modular_sign_cut(self):
         c = np.array([2.0, -1.0])
-        ss = SSFunction(zero_oracle(2), modular_oracle(c), level=0)
+        ss = SSFunction(MultilinearFunction(2, []), ref.modular(c), level=0)
         cut = gradient_cut(ss, [1.0, 0.0], 0.0, plain_lift(2))
         assert cut is not None
         assert cut.coef == pytest.approx([-2.0, 1.0, 0.0], abs=1e-12)
         assert cut.rhs == 0.0
 
     def test_nonzero_first_part_rejected(self, k3_cut):
-        ss = SSFunction(k3_cut, zero_oracle(3), level=1)
+        ss = SSFunction(k3_cut, MultilinearFunction(3, []), level=1)
         with pytest.raises(ValueError):
             gradient_cut(ss, [0.5, 0.5, 0.5], 0.0, plain_lift(3))
 

@@ -14,19 +14,12 @@ from subcut.envelope import (
     support_points,
 )
 from subcut.errors import CapacityError
-from subcut.oracles import (
-    Graph,
-    MultilinearFunction,
-    SubmodularOracle,
-    cut_oracle,
-    modular_oracle,
-    multilinear_oracle,
-)
+from subcut.oracles import Graph, MultilinearFunction, cut_polynomial
 
 
 @pytest.fixture
 def k3_cut():
-    return cut_oracle(Graph(3, ref.K3_EDGES))
+    return cut_polynomial(Graph(3, ref.K3_EDGES))
 
 
 def random_cut_oracle(rng, n):
@@ -36,7 +29,7 @@ def random_cut_oracle(rng, n):
         for j in range(i + 1, n)
         if rng.random() < 0.6
     ]
-    return cut_oracle(Graph(n, edges))
+    return cut_polynomial(Graph(n, edges))
 
 
 def random_submodular_multilinear(rng, n):
@@ -45,14 +38,13 @@ def random_submodular_multilinear(rng, n):
     for _ in range(int(rng.integers(1, 7))):
         size = int(rng.integers(1, min(n, 3) + 1))
         terms.append((-float(rng.integers(1, 6)), set(rng.choice(n, size=size, replace=False).tolist())))
-    return multilinear_oracle(MultilinearFunction(n, terms))
+    return MultilinearFunction(n, terms)
 
 
 BLOCK_ORACLES = {
     "cut": random_cut_oracle,
     "multilinear": random_submodular_multilinear,
-    "modular": lambda rng, n: modular_oracle(rng.normal(size=n)),
-    "callback": lambda rng, n: SubmodularOracle(n, lambda x: math.sqrt(1.0 + x @ np.arange(1.0, n + 1))),
+    "modular": lambda rng, n: ref.modular(rng.normal(size=n)),
 }
 
 
@@ -94,7 +86,7 @@ class TestGreedyVertex:
 
     def test_modular_any_order(self):
         c = np.array([1.0, -2.0, 3.5])
-        f = modular_oracle(c)
+        f = ref.modular(c)
         for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
             assert np.allclose(greedy_vertex(f, order), c)
 
@@ -322,7 +314,7 @@ class TestSupportPoints:
         rng = np.random.default_rng(53)
         for _ in range(20):
             n = int(rng.integers(1, 7))
-            f = random_cut_oracle(rng, n) if n >= 2 else modular_oracle(rng.normal(size=1))
+            f = random_cut_oracle(rng, n) if n >= 2 else ref.modular(rng.normal(size=1))
             order = rng.permutation(n)
             sigma = greedy_vertex(f, order)
             for v, fv in support_points(f, order):
@@ -372,18 +364,18 @@ class TestEnumerateVertices:
 
     def test_modular_all_equal(self):
         c = [1.0, 2.0, 3.0]
-        vertices = enumerate_vertices(modular_oracle(c))
+        vertices = enumerate_vertices(ref.modular(c))
         assert len(vertices) == 6
         assert all(np.allclose(v, c) for v in vertices)
 
     def test_single_variable(self):
-        f = multilinear_oracle(MultilinearFunction(1, [(-4.0, {0})]))
+        f = MultilinearFunction(1, [(-4.0, {0})])
         vertices = enumerate_vertices(f)
         assert len(vertices) == 1 and vertices[0].tolist() == [-4.0]
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            enumerate_vertices(modular_oracle(np.zeros(9)))
+            enumerate_vertices(ref.modular(np.zeros(9)))
 
     def test_bruteforce_helper_agrees(self, k3_cut):
         rng = np.random.default_rng(59)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import _reference as ref
+import subcut
 from subcut import cli, harness, simplex
 from subcut.cuts import IntersectionCut
 from subcut.errors import CapacityError, ModelError, NumericError
@@ -31,14 +32,7 @@ from subcut.harness import (
     write_report_csv,
 )
 from subcut.models import BmpInstance, LiftMap
-from subcut.oracles import (
-    Graph,
-    MultilinearFunction,
-    SSFunction,
-    cut_oracle,
-    write_graph,
-    zero_oracle,
-)
+from subcut.oracles import Graph, MultilinearFunction, SSFunction, cut_polynomial, write_graph
 from subcut.simplex import LpModel
 
 
@@ -446,7 +440,7 @@ class TestRootLoop:
             upper=[1.0, 1.0, 1.0],
         )
         lift = LiftMap(n=2, x_cols=np.arange(2), t_col=2, y_cols={}, ncols=3)
-        targets = [SSFunction(cut_oracle(Graph(2, [(0, 1, 1.0)])), zero_oracle(2), 1)]
+        targets = [SSFunction(cut_polynomial(Graph(2, [(0, 1, 1.0)])), MultilinearFunction(2, []), 1)]
         rep = root_loop(model, targets, lift, RunConfig(mode="submodular"))
         assert rep.failed
         assert math.isnan(rep.d1)
@@ -775,3 +769,8 @@ class TestCli:
         assert captured.out == ""
         (line,) = captured.err.strip().split("\n")
         assert line.startswith("error: primal override") and "'abc'" in line
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in subcut.__all__ if not hasattr(subcut, name)]
+    assert not missing

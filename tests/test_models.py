@@ -7,6 +7,7 @@ import pytest
 import _reference as ref
 from subcut.cuts import intersection_cut
 from subcut.errors import ModelError
+from subcut.harness import pw_graph
 from subcut.models import (
     BmpInstance,
     LiftMap,
@@ -15,7 +16,7 @@ from subcut.models import (
     linearize_term,
     project_corner,
 )
-from subcut.oracles import Graph, MultilinearFunction, cut_oracle, cut_polynomial
+from subcut.oracles import Graph, MultilinearFunction, cut_polynomial
 from subcut.sfree import EnvelopeEpigraph
 from subcut.simplex import CornerPolyhedron, corner, solve
 
@@ -83,6 +84,13 @@ class TestBuildMaxcut:
         assert target.f2.trivially_zero
         assert target.f1.value(np.array([1.0, 0.0, 0.0])) == 2.0
 
+    def test_target_is_the_cut_polynomial(self):
+        graphs = [Graph(3, ref.K3_EDGES), pw_graph(8, 0.5, 3), Graph(4, [(0, 1, 2.0), (2, 3, 0.0)])]
+        for graph in graphs:
+            _, target, _ = build_maxcut_model(graph)
+            assert target.f1.terms == cut_polynomial(graph).terms
+            assert target.f2.n == graph.n and target.f2.terms == []
+
     def test_single_edge_bound(self):
         model, _, _ = build_maxcut_model(Graph(2, [(0, 1, 1.0)]))
         assert solve(model).objective == pytest.approx(1.0, abs=1e-9)
@@ -124,7 +132,7 @@ class TestCutPolynomial:
             poly = cut_polynomial(Graph(n, edges))
             for bits in itertools.product((0, 1), repeat=n):
                 x = np.array(bits, dtype=float)
-                assert poly.evaluate(x) == ref.cut_value(edges, bits)
+                assert poly.value(x) == ref.cut_value(edges, bits)
 
     def test_degree_one_coefficients_are_weighted_degrees(self):
         graph = Graph(4, [(0, 1, 2.0), (1, 2, 3.0), (0, 2, 5.0)])
@@ -200,7 +208,7 @@ class TestBuildMubo:
         for bits in itertools.product((0, 1), repeat=3):
             x = np.array(bits, dtype=float)
             assert t.f1.value(x) - t.f2.value(x) == pytest.approx(
-                toy_poly().evaluate(x), abs=1e-12
+                toy_poly().value(x), abs=1e-12
             )
 
     def test_t_bounds_from_coefficients(self):
@@ -270,7 +278,7 @@ class TestMilpEquivalence:
             for bits in itertools.product((0, 1), repeat=n):
                 sol = solve_with_fixed_x(model, lift, bits)
                 assert sol.objective == pytest.approx(
-                    inst.objective.evaluate(np.array(bits, dtype=float)), abs=1e-9
+                    inst.objective.value(np.array(bits, dtype=float)), abs=1e-9
                 )
 
     def test_lp_bound_dominates_optimum(self):
@@ -281,7 +289,7 @@ class TestMilpEquivalence:
             model, _, _ = build_mubo_model(inst)
             d1 = solve(model).objective
             best = ref.best_binary(
-                lambda bits: inst.objective.evaluate(np.array(bits, dtype=float)), n
+                lambda bits: inst.objective.value(np.array(bits, dtype=float)), n
             )
             assert d1 >= best - 1e-9
 
@@ -316,7 +324,7 @@ class TestProjectCorner:
 
     def test_y_only_ray_is_inert(self):
         # a ray moving only a lifted column projects to zero and never exits
-        f = cut_oracle(Graph(2, [(0, 1, 1.0)]))
+        f = cut_polynomial(Graph(2, [(0, 1, 1.0)]))
         lift = LiftMap(n=2, x_cols=np.arange(2), t_col=3, y_cols={frozenset({0, 1}): 2}, ncols=4)
         apex = np.array([0.5, 0.5, 0.0, 0.5])
         e_y = np.array([0.0, 0.0, 1.0, 0.0])

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -10,19 +8,14 @@ from subcut.oracles import (
     Graph,
     MultilinearFunction,
     SSFunction,
-    SubmodularOracle,
     cube_table,
-    cut_oracle,
     cut_polynomial,
     is_submodular_bruteforce,
-    modular_oracle,
-    multilinear_oracle,
     read_graph,
     read_polynomial,
     ss_decompose,
     write_graph,
     write_polynomial,
-    zero_oracle,
 )
 
 
@@ -33,7 +26,7 @@ def k3():
 
 @pytest.fixture
 def k3_cut(k3):
-    return cut_oracle(k3)
+    return cut_polynomial(k3)
 
 
 class TestGraph:
@@ -70,26 +63,23 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             k3_cut.value([1, 0])
 
-    def test_callable_alias(self, k3_cut):
-        assert k3_cut([0, 1, 0]) == k3_cut.value([0, 1, 0])
-
 
 class TestCutOracle:
     def test_pair_cut(self, k3_cut):
         assert k3_cut.value([1, 1, 0]) == 2.0
 
     def test_single_edge(self):
-        f = cut_oracle(Graph(2, [(0, 1, 5.0)]))
+        f = cut_polynomial(Graph(2, [(0, 1, 5.0)]))
         assert f.value([1, 0]) == 5.0
 
     def test_empty_graph(self):
-        f = cut_oracle(Graph(4, []))
+        f = cut_polynomial(Graph(4, []))
         for x in ([0, 0, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]):
             assert f.value(x) == 0.0
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ModelError):
-            cut_oracle(Graph(2, [(0, 1, -1.0)]))
+            cut_polynomial(Graph(2, [(0, 1, -1.0)]))
 
     def test_matches_reference_on_random_graphs(self):
         rng = np.random.default_rng(11)
@@ -101,7 +91,7 @@ class TestCutOracle:
                 for j in range(i + 1, n)
                 if rng.random() < 0.5
             ]
-            f = cut_oracle(Graph(n, edges))
+            f = cut_polynomial(Graph(n, edges))
             for _ in range(10):
                 x = rng.integers(0, 2, size=n)
                 assert f.value(x) == pytest.approx(ref.cut_value(edges, x), abs=1e-12)
@@ -127,7 +117,7 @@ class TestCutChainExactness:
         for seed, n in enumerate((2, 3, 5, 8, 10, 12)):
             for density in (0.15, 0.5, 1.0):
                 g = pw_graph(n, density, seed, max_weight=max_weight)
-                f = cut_oracle(g)
+                f = cut_polynomial(g)
                 orders = np.array([rng.permutation(n) for _ in range(6)])
                 expected = np.array([naive_chain(g.edges, o) for o in orders])
                 for order, row in zip(orders, expected):
@@ -138,7 +128,7 @@ class TestCutChainExactness:
         rng = np.random.default_rng(43)
         for n in (3, 7, 12):
             g = Graph(n, [(i, j, float(rng.uniform(0.01, 100.0))) for i, j, _ in pw_graph(n, 0.5, n).edges])
-            f = cut_oracle(g)
+            f = cut_polynomial(g)
             orders = np.array([rng.permutation(n) for _ in range(8)])
             expected = np.array([naive_chain(g.edges, o) for o in orders])
             got = f.chain_values(orders)
@@ -149,16 +139,13 @@ class TestCutChainExactness:
 
 
 CUBE_ORACLES = {
-    "cut": lambda: cut_oracle(Graph(
+    "cut": lambda: cut_polynomial(Graph(
         5, [(0, 1, 2.0), (0, 3, 0.5), (1, 2, 3.0), (2, 4, 1.25), (3, 4, 4.0)],
     )),
-    "multilinear": lambda: multilinear_oracle(MultilinearFunction(
+    "multilinear": lambda: MultilinearFunction(
         5, [(1.5, {0}), (-2.0, {1, 3}), (0.25, {0, 2, 4}), (3.0, {1, 2, 3, 4})],
-    )),
-    "modular": lambda: modular_oracle([1.5, -2.0, 0.25, 3.0, -0.5]),
-    "callback": lambda: SubmodularOracle(
-        4, lambda x: math.sqrt(1.0 + x @ [1.0, 2.0, 0.5, 3.0]) - 0.25 * x[0] * x[3],
     ),
+    "modular": lambda: ref.modular([1.5, -2.0, 0.25, 3.0, -0.5]),
 }
 
 
@@ -228,10 +215,9 @@ class TestCubeTable:
 class TestMultilinearFunction:
     def test_examples(self):
         p = MultilinearFunction(3, [(3.0, {0, 1}), (-2.0, {0, 1, 2})])
-        f = multilinear_oracle(p)
-        assert f.value([1, 1, 0]) == 3.0
-        assert f.value([1, 1, 1]) == 1.0
-        assert f.value([0, 0, 0]) == 0.0
+        assert p.value([1, 1, 0]) == 3.0
+        assert p.value([1, 1, 1]) == 1.0
+        assert p.value([0, 0, 0]) == 0.0
 
     def test_duplicate_supports_merge(self):
         p = MultilinearFunction(2, [(1.0, {0, 1}), (2.5, {1, 0})])
@@ -262,7 +248,7 @@ class TestMultilinearFunction:
                 size = int(rng.integers(1, min(n, 4) + 1))
                 support = frozenset(rng.choice(n, size=size, replace=False).tolist())
                 terms.append((float(rng.integers(-5, 6)), support))
-            f = multilinear_oracle(MultilinearFunction(n, terms))
+            f = MultilinearFunction(n, terms)
             for _ in range(8):
                 x = rng.integers(0, 2, size=n)
                 assert f.value(x) == pytest.approx(
@@ -305,7 +291,7 @@ class TestSsDecompose:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            SSFunction(zero_oracle(2), zero_oracle(3))
+            SSFunction(MultilinearFunction(2, []), MultilinearFunction(3, []))
 
     def test_identity_random(self):
         rng = np.random.default_rng(17)
@@ -339,13 +325,13 @@ class TestSsDecompose:
 
 class TestModular:
     def test_weights_and_values(self):
-        f = modular_oracle([1.0, -2.0, 0.5])
+        f = ref.modular([1.0, -2.0, 0.5])
         assert f.value([1, 1, 1]) == pytest.approx(-0.5)
         assert f.value([0, 1, 0]) == -2.0
 
     def test_zero_oracle_trivial_flag(self):
-        assert zero_oracle(3).trivially_zero
-        assert not modular_oracle([0.0, 1.0]).trivially_zero
+        assert MultilinearFunction(3, []).trivially_zero
+        assert not ref.modular([0.0, 1.0]).trivially_zero
 
 
 class TestIsSubmodular:
@@ -353,15 +339,15 @@ class TestIsSubmodular:
         assert is_submodular_bruteforce(k3_cut)
 
     def test_positive_product_is_not(self):
-        f = multilinear_oracle(MultilinearFunction(2, [(1.0, {0, 1})]))
+        f = MultilinearFunction(2, [(1.0, {0, 1})])
         assert not is_submodular_bruteforce(f)
 
     def test_modular_is(self):
-        assert is_submodular_bruteforce(modular_oracle([3.0, -1.0, 2.0]))
+        assert is_submodular_bruteforce(ref.modular([3.0, -1.0, 2.0]))
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            is_submodular_bruteforce(zero_oracle(15))
+            is_submodular_bruteforce(MultilinearFunction(15, []))
 
     def test_agrees_with_pair_loop(self):
         rng = np.random.default_rng(29)
@@ -373,11 +359,10 @@ class TestIsSubmodular:
                 support = frozenset(rng.choice(n, size=size, replace=False).tolist())
                 terms.append((float(rng.integers(-3, 4)), support))
             p = MultilinearFunction(n, terms)
-            f = multilinear_oracle(p)
             expected = ref.is_submodular_pairs(
                 lambda x: ref.multilinear_value(p.terms, x), n
             )
-            assert is_submodular_bruteforce(f) == expected
+            assert is_submodular_bruteforce(p) == expected
 
     def test_cut_oracles_submodular_random(self):
         rng = np.random.default_rng(31)
@@ -390,16 +375,16 @@ class TestIsSubmodular:
                 if rng.random() < 0.6
             ]
             edges = [e for e in edges if e[2] > 0]
-            assert is_submodular_bruteforce(cut_oracle(Graph(n, edges)))
+            assert is_submodular_bruteforce(cut_polynomial(Graph(n, edges)))
 
 
 class TestNormalization:
     def test_every_family_zero_at_origin(self):
         oracles = [
-            cut_oracle(Graph(3, ref.K3_EDGES)),
-            multilinear_oracle(MultilinearFunction(3, [(2.0, {0, 2})])),
-            modular_oracle([1.0, 2.0]),
-            zero_oracle(4),
+            cut_polynomial(Graph(3, ref.K3_EDGES)),
+            MultilinearFunction(3, [(2.0, {0, 2})]),
+            ref.modular([1.0, 2.0]),
+            MultilinearFunction(4, []),
         ]
         for f in oracles:
             assert f.value(np.zeros(f.n)) == 0.0

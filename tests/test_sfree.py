@@ -6,16 +6,7 @@ import pytest
 import _reference as ref
 from subcut.envelope import envelope_eval
 from subcut.errors import CapacityError
-from subcut.oracles import (
-    Graph,
-    MultilinearFunction,
-    SSFunction,
-    cut_oracle,
-    modular_oracle,
-    multilinear_oracle,
-    ss_decompose,
-    zero_oracle,
-)
+from subcut.oracles import Graph, MultilinearFunction, SSFunction, cut_polynomial, ss_decompose
 from subcut.sfree import (
     INTERIOR_TOL,
     THREE_CHAINS,
@@ -34,7 +25,7 @@ from subcut.sfree import (
 
 @pytest.fixture
 def k3_cut():
-    return cut_oracle(Graph(3, ref.K3_EDGES))
+    return cut_polynomial(Graph(3, ref.K3_EDGES))
 
 
 def random_poly(rng, n, terms=6):
@@ -51,7 +42,7 @@ def random_poly(rng, n, terms=6):
 
 class TestBuildReverseLinearized:
     def test_zero_second_part_degenerates(self, k3_cut):
-        ss = SSFunction(k3_cut, zero_oracle(3), level=1)
+        ss = SSFunction(k3_cut, MultilinearFunction(3, []), level=1)
         sfree = build_reverse_linearized(ss, [0.5, 0.5, 0.5])
         assert isinstance(sfree, EnvelopeEpigraph)
         assert sfree.kind == "env" and sfree.level == 1
@@ -91,14 +82,14 @@ class TestBlockForm:
     """value_and_subgradient on a (k, n) block equals the point results byte for byte."""
 
     SETS = {
-        "env": lambda: EnvelopeEpigraph(cut_oracle(Graph(4, [(0, 1, 2.0), (1, 2, 1.0), (0, 3, 3.0)]))),
+        "env": lambda: EnvelopeEpigraph(cut_polynomial(Graph(4, [(0, 1, 2.0), (1, 2, 1.0), (0, 3, 3.0)]))),
         "ss": lambda: build_reverse_linearized(
             ss_decompose(MultilinearFunction(4, [(3.0, {0, 1}), (-2.0, {1, 2, 3}), (1.5, {2, 3})])),
             [0.3, 0.9, 0.1, 0.6],
         ),
         "split": lambda: LiftedSplit(2, 4),
         "cover": lambda: CoverRelaxation(
-            cut_oracle(Graph(4, [(0, 1, 2.0), (2, 3, 1.0)])), [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]]
+            cut_polynomial(Graph(4, [(0, 1, 2.0), (2, 3, 1.0)])), [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]]
         ),
     }
 
@@ -205,7 +196,7 @@ class TestVerifyFree:
         assert verify_free_bruteforce(sfree, ss)
 
     def test_capacity_guard(self):
-        big = modular_oracle(np.ones(15))
+        big = ref.modular(np.ones(15))
         with pytest.raises(CapacityError):
             verify_free_bruteforce(EnvelopeEpigraph(big), big)
 
@@ -226,7 +217,7 @@ class TestVerifyFree:
 class TestThreeChainRelaxation:
     def test_rejects_other_sizes(self):
         with pytest.raises(ValueError):
-            three_chain_relaxation(modular_oracle([1.0, 2.0]))
+            three_chain_relaxation(ref.modular([1.0, 2.0]))
 
     def test_chain_constants_are_chains(self):
         for chain in THREE_CHAINS:
@@ -270,7 +261,7 @@ class TestThreeChainRelaxation:
         assert not maximality_diagnostic(full)
 
     def test_maximality_capacity(self):
-        f = modular_oracle(np.arange(6, dtype=float))
+        f = ref.modular(np.arange(6, dtype=float))
         orders = [list(range(6))]
         with pytest.raises(CapacityError):
             maximality_diagnostic(CoverRelaxation(f, orders))
