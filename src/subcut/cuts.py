@@ -15,10 +15,12 @@ CUT_TOL is the satisfaction and validation slack.  The apex margin is
 computed once per cut: the apex counts as strictly interior when it
 exceeds ``sfree.INTERIOR_TOL``, and it is zeta(0) on every ray.
 
-Every ray's search probes the same two etas first, ETA_INF and then
-NEWTON_START, so the set is evaluated at those two points of all rays
-in one block; only the Newton iterations after them evaluate one point
-at a time.
+The searches of all rays of a corner run in lockstep, one block
+evaluation of the set per round: the first block holds every ray's
+ETA_INF and NEWTON_START probes, and each later round holds the next
+Newton or doubling step of every ray still searching.  The rounds only
+prefetch; ``step_length`` still decides every ray's steps, replays the
+prefetched values and evaluates on demand any eta that no block held.
 
 Brute-force validation needs no corner: every feasible binary x, lifted
 with exact products and any t in [lower_t, f(x)], lies in the first LP, so
@@ -79,12 +81,22 @@ class ZetaFunction:
         """Value and a subgradient-based slope estimate at eta."""
         if eta in self.known:
             return self.known[eta]
-        x = self.apex_x + eta * self.ray_x
-        value, grad = self.sfree.value_and_subgradient(x)
-        lvl = self.sfree.level
-        zeta = lvl * (self.apex_t + eta * self.ray_t) - value
-        slope = lvl * self.ray_t - float(grad @ self.ray_x)
-        return zeta, slope
+        zeta, slope = _zeta_slope(self.sfree, self.apex_x + eta * self.ray_x, self.apex_t, eta, self.ray_x,
+                                  self.ray_t)
+        return float(zeta), float(slope)
+
+
+def _zeta_slope(sfree: SFreeSet, x, apex_t: float, eta, ray_x, ray_t):
+    """zeta and its slope estimate at x = apex_x + eta * ray_x.
+
+    A point takes a float eta and ray_t with an (n,) ray_x; a (k, n) block of
+    points takes (k,) etas and ray_t with (k, n) ray_x rows.  vecdot rounds
+    each row as the 1-D product does, so every row is bit-identical to the
+    point result of its ray.
+    """
+    value, grad = sfree.value_and_subgradient(x)
+    lvl = sfree.level
+    return lvl * (apex_t + eta * ray_t) - value, lvl * ray_t - np.vecdot(grad, ray_x)
 
 
 class StepResult(NamedTuple):
@@ -155,12 +167,12 @@ def intersection_cut(corner, sfree: SFreeSet):
     if not margin > INTERIOR_TOL:  # a NaN margin is not interior either
         return None
 
-    probes = _probe_rays(corner, sfree, (ETA_INF, NEWTON_START))
+    known = _newton_rounds(corner, sfree)
     steps = []
     newton_total = 0
     for k in range(corner.nrays):
         zf = ZetaFunction(sfree, corner.apex_x, corner.apex_t, corner.x_dir[k], float(corner.t_dir[k]),
-                          known=probes[k])
+                          known=known[k])
         try:
             res = step_length(zf, margin)
         except SeparationBudget:
@@ -199,22 +211,40 @@ def intersection_cut(corner, sfree: SFreeSet):
     ))
 
 
-def _probe_rays(corner, sfree: SFreeSet, etas) -> list:
-    """Per ray, {eta: (zeta, slope)} at the given etas, from one block evaluation.
+def _newton_rounds(corner, sfree: SFreeSet) -> list:
+    """Per ray, {eta: (zeta, slope)} at the etas its step search visits, one block per round.
 
-    Row for row the same arithmetic as :meth:`ZetaFunction.eval`, so every
-    value is bit-identical to a point evaluation of that ray.
+    The first block holds the ETA_INF and NEWTON_START probes of every ray.
+    Each of at most NEWTON_MAX_STEPS - 1 later rounds applies
+    :func:`step_length`'s rule to every ray still searching (a Newton step on
+    a negative slope, doubling otherwise) and evaluates all the new points in
+    one block.  A ray stops searching at an infinite step or a root.
     """
-    eta = np.array(etas)[:, None]
-    points = corner.apex_x + eta[:, :, None] * corner.x_dir  # (etas, rays, n)
-    value, grad = sfree.value_and_subgradient(points.reshape(-1, corner.x_dir.shape[1]))
-    lvl = sfree.level
-    zeta = lvl * (corner.apex_t + eta * corner.t_dir) - value.reshape(eta.size, -1)
-    slope = lvl * corner.t_dir - np.vecdot(grad.reshape(points.shape), corner.x_dir)
-    return [
-        {e: (z, s) for e, z, s in zip(etas, ray_zeta, ray_slope)}
-        for ray_zeta, ray_slope in zip(zeta.T.tolist(), slope.T.tolist())
-    ]
+    known = [{} for _ in range(corner.nrays)]
+
+    def evaluate(rays, eta):
+        x_dir = corner.x_dir[rays]
+        zeta, slope = _zeta_slope(sfree, corner.apex_x + eta[:, None] * x_dir, corner.apex_t, eta, x_dir,
+                                  corner.t_dir[rays])
+        for k, e, z, s in zip(rays.tolist(), eta.tolist(), zeta.tolist(), slope.tolist()):
+            known[k][e] = (z, s)
+        return zeta, slope
+
+    n = corner.nrays
+    rays = np.arange(n)
+    zeta, slope = evaluate(np.tile(rays, 2), np.repeat([ETA_INF, NEWTON_START], n))
+    searching = ~(zeta[:n] > 0.0)  # a positive far probe means an infinite step
+    rays, zeta, slope = rays[searching], zeta[n:][searching], slope[n:][searching]
+    eta = np.full(rays.size, NEWTON_START)
+    for _ in range(NEWTON_MAX_STEPS - 1):
+        searching = ~(np.abs(zeta) <= ROOT_TOL)
+        rays, eta, zeta, slope = rays[searching], eta[searching], zeta[searching], slope[searching]
+        if not rays.size:
+            break
+        newton = slope < 0.0
+        eta = np.where(newton, eta - zeta / np.where(newton, slope, 1.0), 2.0 * eta)
+        zeta, slope = evaluate(rays, eta)
+    return known
 
 
 def gradient_cut(ss: SSFunction, x_ref, t_ref: float, lift):

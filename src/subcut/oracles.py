@@ -150,9 +150,11 @@ class MultilinearFunction:
             # position of each variable in its order; the last column (0) is the padding sentinel
             pos = np.zeros((orders.shape[0], self.n + 1), dtype=int)
             pos[rows, orders] = np.arange(1, self.n + 1)
-            # a term switches on once its whole support is in the prefix
+            # a term switches on once its whole support is in the prefix; bincount adds
+            # the coefficients of each (row, position) bin in term order
             activate = pos[:, pad].max(axis=2)
-            np.add.at(out, (rows, activate), coefs)
+            bins = (rows * (self.n + 1) + activate).ravel()
+            out = np.bincount(bins, np.tile(coefs, orders.shape[0]), out.size).reshape(out.shape)
             np.add.accumulate(out, axis=1, out=out)
         return out.reshape(order.shape[:-1] + (self.n + 1,))
 

@@ -105,6 +105,20 @@ class TestZetaEval:
         # intersection_cut hands the apex margin to step_length as zeta(0)
         assert value == sfree.margin(apex_x, 1.5)
 
+    def test_point_is_the_plain_formula(self):
+        # eval shares its arithmetic with the round blocks; on a point it is the 1-D product
+        rng = np.random.default_rng(5)
+        f = cut_polynomial(pw_graph(12, 0.5, 3))
+        ss = SSFunction(f, ref.modular(rng.normal(size=12)), level=1)
+        for sfree in (EnvelopeEpigraph(f), build_reverse_linearized(ss, rng.uniform(size=12)), LiftedSplit(4, 12)):
+            for _ in range(20):
+                apex_x, ray_x = rng.uniform(size=12), rng.normal(size=12)
+                apex_t, ray_t, eta = rng.normal(size=3).tolist()
+                value, grad = sfree.value_and_subgradient(apex_x + eta * ray_x)
+                lvl = sfree.level
+                want = (lvl * (apex_t + eta * ray_t) - value, lvl * ray_t - float(grad @ ray_x))
+                assert ZetaFunction(sfree, apex_x, apex_t, ray_x, ray_t).eval(eta) == want
+
     def test_t_recession_direction(self, k3_cut):
         zf = ZetaFunction(
             EnvelopeEpigraph(k3_cut), np.array([0.5, 0.5, 0.5]), 1.5,
@@ -392,7 +406,7 @@ class TestIntersectionCut:
 
     def test_steps_match_fresh_ray_copies(self):
         # each ray's steps must depend neither on how the corner block lays out its
-        # rows nor on the probes evaluated for all rays at once
+        # rows nor on the rounds that evaluate all rays at once
         kinds = set()
         for seed in range(1000, 1004):
             for problem in (pw_graph(10, 0.5, seed, max_weight=1),
@@ -408,10 +422,11 @@ class TestIntersectionCut:
                     fresh = [
                         step_length(ZetaFunction(
                             sfree, cp.apex_x, cp.apex_t, cp.directions[k, lift.x_cols], float(cp.t_dir[k])
-                        ), margin).eta
+                        ), margin)
                         for k in range(cp.nrays)
                     ]
-                    assert np.array(cut.steps).tobytes() == np.array(fresh).tobytes()
+                    assert np.array(cut.steps).tobytes() == np.array([r.eta for r in fresh]).tobytes()
+                    assert cut.newton_iters == sum(r.iterations for r in fresh)
         assert kinds == {"env", "ss", "split"}
 
     def test_log_line(self, k3_cut, caplog):
@@ -435,20 +450,53 @@ class TestIntersectionCut:
         assert lines[0].startswith("CUT kind=ss rays=4 inf_steps=0 efficacy=")
 
     def test_apex_evaluated_once(self, k3_cut):
-        class Counting(EnvelopeEpigraph):
-            shapes = []
+        split_cp, split = multi_round_split()
+        for cp, sfree in ((k3_corner()[0], EnvelopeEpigraph(k3_cut)), (split_cp, split)):
+            n = cp.apex_x.size
+            shapes = recorded_shapes(sfree)
+            cut = intersection_cut(cp, sfree)
+            assert cut is not None
+            finite = cut.nrays - cut.infinite_steps
+            # one apex margin, one block holding the ETA_INF and NEWTON_START probes of
+            # every ray, then one block per round over the rays still searching
+            assert shapes[:2] == [(n,), (2 * cut.nrays, n)]
+            rounds = [rows for rows, _ in shapes[2:]]
+            assert shapes[2:] == [(rows, n) for rows in rounds]
+            assert all(b <= a for a, b in zip(rounds, rounds[1:]))
+            assert sum(rounds) == cut.newton_iters - finite
+        assert len(rounds) > 1  # the split corner's rays stop in different rounds
 
-            def value_and_subgradient(self, x):
-                Counting.shapes.append(np.shape(x))
-                return super().value_and_subgradient(x)
+    def test_budget_exhausted_in_rounds(self, monkeypatch):
+        cp, sfree = multi_round_split()
+        margin = sfree.margin(cp.apex_x, cp.apex_t)
+        most = max(
+            step_length(ZetaFunction(sfree, cp.apex_x, cp.apex_t, cp.x_dir[k], float(cp.t_dir[k])), margin).iterations
+            for k in range(cp.nrays)
+        )
+        for budget, found in ((most - 2, False), (most, True)):
+            monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", budget)
+            split = LiftedSplit(sfree.j, sfree.n)
+            shapes = recorded_shapes(split)
+            cut = intersection_cut(cp, split)
+            assert (cut is not None) == found
+            # the probe block is the first evaluation, and at most budget - 1 rounds follow it
+            assert len(shapes) - 2 <= budget - 1
+            assert all(len(shape) == 2 for shape in shapes[1:])
 
-        cp, _ = k3_corner()
-        cut = intersection_cut(cp, Counting(k3_cut))
-        assert cut is not None
-        finite = cut.nrays - cut.infinite_steps
-        # one apex margin, one block holding the ETA_INF and NEWTON_START probes of
-        # every ray, then one point per Newton iteration after the first on each finite ray
-        assert Counting.shapes == [(3,), (2 * cut.nrays, 3)] + [(3,)] * (cut.newton_iters - finite)
+
+def recorded_shapes(sfree) -> list:
+    """The shape of the points of every later ``value_and_subgradient`` call of ``sfree``."""
+    shapes = []
+    evaluate = sfree.value_and_subgradient
+    sfree.value_and_subgradient = lambda x: shapes.append(np.shape(x)) or evaluate(x)
+    return shapes
+
+
+def multi_round_split():
+    """First LP corner of an autocorr n=10 instance and a split whose rays take up to seven steps."""
+    model, _, lift = build_model(BmpInstance(autocorr_polynomial(10, 3, 0.5, 1001)))
+    cp = project_corner(corner(solve(model)), lift)
+    return cp, LiftedSplit(split_selector(cp.apex_x), lift.n)
 
 
 class TestGradientCut:
