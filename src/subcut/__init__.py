@@ -12,7 +12,7 @@ from .cuts import IntersectionCut, gradient_cut, intersection_cut, step_length
 from .envelope import envelope_eval, greedy_vertex
 from .errors import CapacityError, ModelError, NumericError, SeparationBudget
 from .harness import RootNodeReport, RunConfig, root_loop, run_instance
-from .models import BmpInstance, LiftMap, build_maxcut_model, build_mubo_model
+from .models import BmpInstance, LiftMap, build_model
 from .oracles import (
     Graph,
     MultilinearFunction,
@@ -49,8 +49,7 @@ __all__ = [
     "RunConfig",
     "SSFunction",
     "SeparationBudget",
-    "build_maxcut_model",
-    "build_mubo_model",
+    "build_model",
     "build_reverse_linearized",
     "corner",
     "cut_polynomial",

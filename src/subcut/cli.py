@@ -15,7 +15,7 @@ from .envelope import envelope_eval
 from .errors import CAPACITY, CapacityError, ModelError
 from .harness import RunConfig
 from .models import BmpInstance
-from .oracles import Graph, cube_points, cube_table, cut_polynomial, is_submodular_bruteforce, ss_decompose
+from .oracles import cube_points, cube_table, is_submodular_bruteforce, ss_decompose
 
 
 def _add_root(sub):
@@ -99,17 +99,18 @@ def _fits(name, capacity, n) -> bool:
     return n <= limit
 
 
-def _verify_graph(graph: Graph) -> bool:
+def _verify_graph(instance: BmpInstance) -> bool:
+    """The checks of a max-cut instance, whose objective is its cut polynomial."""
     ok = True
-    f = cut_polynomial(graph)
-    ok &= _check("normalized(f(0)=0)", abs(f.value(np.zeros(graph.n))) <= 1e-12)
-    if _fits("submodular", "verify submodular", graph.n):
+    f, n = instance.objective, instance.n
+    ok &= _check("normalized(f(0)=0)", abs(f.value(np.zeros(n))) <= 1e-12)
+    if _fits("submodular", "verify submodular", n):
         ok &= _check("submodular", is_submodular_bruteforce(f))
-    if _fits("extension_identity", "verify extension identity", graph.n):
-        gap = envelope_eval(f, cube_points(graph.n)).value - cube_table(f).ravel(order="F")
+    if _fits("extension_identity", "verify extension identity", n):
+        gap = envelope_eval(f, cube_points(n)).value - cube_table(f).ravel(order="F")
         worst = float(np.max(np.abs(gap)))
         ok &= _check("extension_identity", worst <= 1e-9, f"max |F(x)-f(x)| = {worst:.3g}")
-    ok &= _verify_bound(graph)
+    ok &= _verify_bound(instance)
     return ok
 
 
@@ -132,11 +133,11 @@ def _verify_poly(instance: BmpInstance) -> bool:
     return ok
 
 
-def _verify_bound(problem) -> bool:
-    if not _fits("bound_dominates_optimum", "brute force", problem.n):
+def _verify_bound(instance: BmpInstance) -> bool:
+    if not _fits("bound_dominates_optimum", "brute force", instance.n):
         return True
-    best = harness.brute_force_primal(problem)
-    model, _, _ = harness.build_model(problem)
+    best = harness.brute_force_primal(instance)
+    model, _, _ = harness.build_model(instance)
     sol = simplex.solve(model)
     if sol.status != simplex.OPTIMAL:
         return _check("bound_dominates_optimum", False, f"LP status {sol.status}")
@@ -145,12 +146,9 @@ def _verify_bound(problem) -> bool:
 
 
 def cmd_verify(args) -> int:
-    problem = harness.load_instance(args.instance)
-    if isinstance(problem, Graph):
-        ok = _verify_graph(problem)
-    else:
-        ok = _verify_poly(problem)
-    return 0 if ok else 1
+    instance = harness.load_instance(args.instance)
+    verify = _verify_graph if Path(args.instance).suffix == ".mc" else _verify_poly
+    return 0 if verify(instance) else 1
 
 
 def cmd_gen(args) -> int:

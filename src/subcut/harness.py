@@ -3,8 +3,10 @@
 Drives the loop solve -> corner -> separate -> add cuts -> resolve for a
 configured cut mode, measures how much of the gap between the first LP
 bound and a reference optimum the cuts close, and aggregates runs with
-shifted geometric means.  Also houses the instance generators and the
-reference-optimum lookup (brute force for small n, sidecar file beyond).
+shifted geometric means.  Also houses the instance generators, the
+instance loader and the reference-optimum lookup (brute force for small
+n, sidecar file beyond).  Every loaded instance is a BmpInstance: a
+max-cut file becomes its cut polynomial as it is read.
 """
 
 from __future__ import annotations
@@ -21,12 +23,7 @@ import numpy as np
 from . import simplex
 from .cuts import gradient_cut, intersection_cut, validate_cut_bruteforce
 from .errors import CAPACITY, ModelError, NumericError, check_capacity
-from .models import (
-    BmpInstance,
-    build_maxcut_model,
-    build_mubo_model,
-    project_corner,
-)
+from .models import BmpInstance, build_model, project_corner
 from .oracles import (
     Graph,
     MultilinearFunction,
@@ -329,17 +326,15 @@ def write_report_csv(reports, path) -> None:
 # reference optima
 
 
-def brute_force_primal(problem) -> float:
+def brute_force_primal(instance: BmpInstance) -> float:
     """Exact optimum over {0,1}^n: the max of the objective's cube_table, infeasible points masked.
 
     Holds that 8 MB table (n = 20) and one constraint table at a time; exact for
     the integer coefficients every generator makes, else up to rounding. Guarded.
     """
-    if isinstance(problem, Graph):
-        problem = BmpInstance(cut_polynomial(problem))  # a negative weight raises ModelError
-    elif not isinstance(problem, BmpInstance):
-        raise ModelError(f"no brute force for {type(problem).__name__}")
-    best = float(problem.masked_table(problem.objective, -math.inf).max())
+    if not isinstance(instance, BmpInstance):
+        raise ModelError(f"no brute force for {type(instance).__name__}")
+    best = float(instance.masked_table(instance.objective, -math.inf).max())
     if best == -math.inf:
         raise ModelError("no feasible binary point")
     return best
@@ -367,13 +362,13 @@ def _finite_primal(value, source) -> float:
     return primal
 
 
-def reference_primal(problem, instance_path=None) -> float:
+def reference_primal(instance: BmpInstance, instance_path=None) -> float:
     """The instance's .sol sidecar value when there is one, else brute force."""
     if instance_path is not None:
         value = sidecar_primal(instance_path)
         if value is not None:
             return value
-    return brute_force_primal(problem)
+    return brute_force_primal(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +455,16 @@ def generate_instances(
         s = seed + i
         if kind in ("g05", "pw"):
             max_weight = 1 if kind == "g05" else 100
-            problem = pw_graph(n, 0.5 if density is None else density, s, max_weight)
+            graph = pw_graph(n, 0.5 if density is None else density, s, max_weight)
             path = out / f"{kind}_n{n}_s{s}.mc"
-            write_graph(problem, path)
+            write_graph(graph, path)
+            poly = cut_polynomial(graph)
         else:
             poly = autocorr_polynomial(n, max_lag, 1.0 if density is None else density, s)
-            problem = BmpInstance(poly)
             path = out / f"autocorr_n{n}_s{s}.pol"
             write_polynomial(poly, path)
         if n <= CAPACITY["brute force"]:
-            value = brute_force_primal(problem)
+            value = brute_force_primal(BmpInstance(poly))
             path.with_suffix(".sol").write_text(f"{value:.12g}\n")
         paths.append(path)
     return paths
@@ -479,35 +474,25 @@ def generate_instances(
 # runners
 
 
-def load_instance(path):
-    """Read an instance file: .mc edge lists, .pol multilinear polynomials."""
+def load_instance(path) -> BmpInstance:
+    """Read an instance file as a BmpInstance: a .mc edge list as its cut polynomial, a .pol as it is."""
     path = Path(path)
     if path.suffix == ".mc":
-        return read_graph(path)
+        return BmpInstance(cut_polynomial(read_graph(path)))
     if path.suffix == ".pol":
         return BmpInstance(read_polynomial(path))
     raise ModelError(f"unrecognized instance extension {path.suffix!r} (want .mc or .pol)")
 
 
-def build_model(problem):
-    """(LpModel, targets, LiftMap) for either instance flavor."""
-    if isinstance(problem, Graph):
-        model, target, lift = build_maxcut_model(problem)
-        return model, [target], lift
-    if isinstance(problem, BmpInstance):
-        return build_mubo_model(problem)
-    raise ModelError(f"cannot build a model from {type(problem).__name__}")
-
-
 def run_instance(path, config: RunConfig, name: str = None, primal=None) -> RootNodeReport:
     """One root-node run; ``primal`` (a number or its text) overrides the reference optimum lookup."""
     path = Path(path)
-    problem = load_instance(path)
+    instance = load_instance(path)
     if primal is None:
-        primal = reference_primal(problem, path)
+        primal = reference_primal(instance, path)
     else:
         primal = _finite_primal(primal, "primal override")
-    model, targets, lift = build_model(problem)
+    model, targets, lift = build_model(instance)
     return root_loop(model, targets, lift, config,
                      instance=name or path.stem, primal=primal)
 
@@ -521,13 +506,13 @@ def run_benchmark(paths, config: RunConfig, modes=None) -> list:
     """
     modes = list(modes) if modes is not None else [config.mode]
     paths = [Path(path) for path in paths]
-    problems = [load_instance(path) for path in paths]
-    primals = [reference_primal(problem, path) for problem, path in zip(problems, paths)]
+    instances = [load_instance(path) for path in paths]
+    primals = [reference_primal(instance, path) for instance, path in zip(instances, paths)]
     reports = []
-    for path, problem, primal in zip(paths, problems, primals):
+    for path, instance, primal in zip(paths, instances, primals):
         for mode in modes:
             cfg = dataclasses.replace(config, mode=mode)
-            report = root_loop(*build_model(problem), cfg, instance=path.stem, primal=primal)
+            report = root_loop(*build_model(instance), cfg, instance=path.stem, primal=primal)
             logger.info("REPORT %s", report.csv_row())
             reports.append(report)
     return reports

@@ -1,10 +1,11 @@
 """LP relaxations of binary polynomial problems.
 
-One builder: the lifted, linearized LP of a multilinear objective with
-optional sign constraints, one y column per product.  Max cut is its
-quadratic case, the cut polynomial with one product per edge.  The
-model records a LiftMap so corner rays in the full column space can be
-projected onto the (x, t) coordinates the cut machinery works in.
+One builder, :func:`build_model`: the lifted, linearized LP of a
+multilinear objective with optional sign constraints, one y column per
+product.  Max cut is its quadratic case: a max-cut instance is loaded
+as its cut polynomial, one product per edge.  The model records a
+LiftMap so corner rays in the full column space can be projected onto
+the (x, t) coordinates the cut machinery works in.
 """
 
 from __future__ import annotations
@@ -14,14 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracles import (
-    Graph,
-    MultilinearFunction,
-    SSFunction,
-    cube_table,
-    cut_polynomial,
-    ss_decompose,
-)
+from .oracles import MultilinearFunction, cube_table, ss_decompose
 from .simplex import CornerPolyhedron, LpModel
 
 logger = logging.getLogger(__name__)
@@ -102,29 +96,13 @@ def linearize_term(support, y_col: int, x_cols, ncols: int):
     return np.array(rows), senses, np.array(rhs)
 
 
-def build_maxcut_model(graph: Graph):
-    """Lifted LP of the cut polynomial: (LpModel, hypograph target, LiftMap).
-
-    The cut polynomial sum_e w (x_i + x_j - 2 x_i x_j) goes through the
-    same lifted linearization as a multilinear instance, so the columns
-    are x per vertex, y per edge in edge order, and t last.  An edge of
-    weight 0 adds nothing to f and gets no y column.  The target is the
-    same polynomial against the hypograph.  A negative weight raises
-    ModelError (from :func:`cut_polynomial`).
-    """
-    poly = cut_polynomial(graph)
-    model, lift = _lifted_lp(BmpInstance(poly))
-    target = SSFunction(poly, MultilinearFunction(graph.n, []), level=1)
-    logger.info("MODEL n=%d y=%d rows=%d targets=%d", graph.n, len(lift.y_cols), model.nrows, 1)
-    return model, target, lift
-
-
-def build_mubo_model(instance: BmpInstance):
-    """Lifted LP for a multilinear instance: (LpModel, targets, LiftMap).
+def build_model(instance: BmpInstance):
+    """Lifted LP of a multilinear instance: (LpModel, targets, LiftMap).
 
     Targets are the sign-split decompositions: the objective against its
     hypograph (level 1) and each constraint against its superlevel set
-    (level 0).
+    (level 0).  For a cut polynomial the one target is the polynomial
+    itself with an empty f2.
     """
     model, lift = _lifted_lp(instance)
     targets = [ss_decompose(instance.objective, level=1)]

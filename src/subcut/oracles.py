@@ -3,11 +3,14 @@
 A :class:`MultilinearFunction` is the value oracle the cut machinery
 works with: it gives values at points, along prefix chains and on the
 whole cube.  Graph cut functions are the degree-2 case
-(:func:`cut_polynomial`).  Supports are nonempty, so every function is 0
-at the origin.
+(:func:`cut_polynomial`), and :func:`ss_decompose` leaves them whole as
+the submodular part.  Supports are nonempty, so every function is 0 at
+the origin.
 
 Also holds the two instance file formats: a weighted edge list for graphs
-and a term list for multilinear polynomials.
+and a term list for multilinear polynomials.  :class:`Graph` exists only
+for the edge-list files and the graph generators; a loaded graph is its
+cut polynomial from then on.
 """
 
 from __future__ import annotations
@@ -227,13 +230,19 @@ class SSFunction:
 def ss_decompose(poly: MultilinearFunction, level: int = 1) -> SSFunction:
     """Sign-split a multilinear polynomial into a difference of submodular parts.
 
-    Terms with negative coefficients form f1, negated positive terms form
-    f2; each part is a nonpositive-coefficient multilinear polynomial and
-    hence submodular.  f1 - f2 reproduces the input exactly on the cube.
+    Every degree-1 term and every negative term of higher degree form f1;
+    the negated positive terms of degree >= 2 form f2.  A polynomial whose
+    terms of degree >= 2 are all nonpositive is submodular, so both parts
+    are, and f1 - f2 reproduces the input exactly on the cube.  A modular
+    term l.x is submodular and supermodular at once, and where it sits
+    does not change the reverse-linearized set: adding it to both parts
+    moves f2's envelope subgradient gamma by l, and
+    (F1 + l.x) - (gamma + l).x = F1 - gamma.x.  So a cut polynomial is
+    its own f1, with f2 empty.
     """
-    neg = MultilinearFunction(poly.n, [(a, s) for a, s in poly.terms if a < 0])
-    pos = MultilinearFunction(poly.n, [(-a, s) for a, s in poly.terms if a > 0])
-    return SSFunction(neg, pos, level=level)
+    first = [(a, s) for a, s in poly.terms if a < 0 or len(s) == 1]
+    second = [(-a, s) for a, s in poly.terms if a > 0 and len(s) >= 2]
+    return SSFunction(MultilinearFunction(poly.n, first), MultilinearFunction(poly.n, second), level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +265,8 @@ def is_submodular_bruteforce(f: MultilinearFunction) -> bool:
 # ---------------------------------------------------------------------------
 # instance files
 #
-# Graph format: header "n m", then m lines "i j w" with 1-based endpoints.
+# Graph format: header "n m", then m lines "i j w" with 1-based endpoints
+# and w >= 0.
 # Polynomial format: header "n K", then K lines "a_k j1 j2 ... jd" with
 # 1-based variable indices.
 
@@ -282,6 +292,8 @@ def read_graph(path) -> Graph:
         (w,) = _numbers(path, float, line[2:])
         if not (1 <= i <= n and 1 <= j <= n):
             raise ModelError(f"{path}: edge ({i},{j}) outside 1..{n}")
+        if w < 0:
+            raise ModelError(f"{path}: negative cut weight {w} on edge ({i},{j})")
         edges.append((i - 1, j - 1, w))
     return Graph(n, edges)
 

@@ -4,8 +4,9 @@ Everything here is deliberately naive and independent of the package:
 direct loops over edges and terms, itertools permutations, pure bisection,
 and exhaustive enumeration.  Slow is fine; these run on tiny inputs, apart
 from the chunked cube walks, which pin the brute-force primal and the least
-cut residuals at n <= 20.  The one exception, :func:`modular`, only builds
-a package polynomial for tests that need a modular function.
+cut residuals at n <= 20.  The two exceptions only build package objects:
+:func:`modular`, a polynomial for tests that need a modular function, and
+:func:`cut_instance`, the instance a max-cut file loads as.
 """
 
 import itertools
@@ -13,7 +14,8 @@ import math
 
 import numpy as np
 
-from subcut.oracles import MultilinearFunction
+from subcut.models import BmpInstance
+from subcut.oracles import MultilinearFunction, cut_polynomial
 
 
 def cut_value(edges, x):
@@ -39,6 +41,11 @@ def multilinear_value(terms, x):
 def modular(c):
     """The modular function x -> c . x as a degree-1 polynomial (zero entries leave no term)."""
     return MultilinearFunction(len(c), [(cj, {j}) for j, cj in enumerate(c)])
+
+
+def cut_instance(graph):
+    """The max-cut instance of a package Graph, as ``load_instance`` builds it from a .mc file."""
+    return BmpInstance(cut_polynomial(graph))
 
 
 def greedy_sigma(values, order):

@@ -29,7 +29,7 @@ from subcut.harness import (
     root_loop,
     run_benchmark,
 )
-from subcut.models import BmpInstance, build_maxcut_model, build_mubo_model, linearize_term
+from subcut.models import BmpInstance, build_model, linearize_term
 from subcut.oracles import (
     Graph,
     MultilinearFunction,
@@ -170,7 +170,7 @@ def test_06_every_emitted_cut_is_valid():
         rng = np.random.default_rng(106)
         problems = []
         for _ in range(20):
-            problems.append(random_graph(rng, int(rng.integers(6, 13))))
+            problems.append(ref.cut_instance(random_graph(rng, int(rng.integers(6, 13)))))
         for k in range(20):
             n = int(rng.integers(6, 11))
             poly = autocorr_polynomial(
@@ -182,11 +182,7 @@ def test_06_every_emitted_cut_is_valid():
             problems.append(BmpInstance(poly, constraints))
         total_cuts = 0
         for problem in problems:
-            if isinstance(problem, Graph):
-                model, target, lift = build_maxcut_model(problem)
-                targets = [target]
-            else:
-                model, targets, lift = build_mubo_model(problem)
+            model, targets, lift = build_model(problem)
             for mode in ("split", "submodular", "ss", "both"):
                 cfg = RunConfig(mode=mode, validate_cuts="on")
                 report = root_loop(model, targets, lift, cfg)  # raises on any invalid cut

@@ -18,7 +18,7 @@ from subcut.cuts import (
 )
 from subcut.errors import CapacityError, SeparationBudget
 from subcut.harness import RunConfig, autocorr_polynomial, build_model, pw_graph, split_selector
-from subcut.models import BmpInstance, LiftMap, build_maxcut_model, project_corner
+from subcut.models import BmpInstance, LiftMap, project_corner
 from subcut.oracles import Graph, MultilinearFunction, SSFunction, cut_polynomial, ss_decompose
 from subcut.sfree import EnvelopeEpigraph, LiftedSplit, build_reverse_linearized
 from subcut.simplex import CornerPolyhedron, corner, solve
@@ -57,7 +57,7 @@ def plain_lift(n, instance=None):
 
 
 def k3_instance():
-    return BmpInstance(cut_polynomial(Graph(3, ref.K3_EDGES)))
+    return ref.cut_instance(Graph(3, ref.K3_EDGES))
 
 
 def validate(cut, model, lift):
@@ -324,7 +324,7 @@ class TestIntersectionCut:
         assert check.mask == 0 and check.residual == pytest.approx(-2.0, abs=1e-9)
 
     def test_corrupted_cut_fails_validation(self, k3_cut):
-        model, _, lift = build_maxcut_model(Graph(3, ref.K3_EDGES))
+        model, _, lift = build_model(k3_instance())
         cp = project_corner(corner(solve(model)), lift)
         cut = intersection_cut(cp, EnvelopeEpigraph(k3_cut))
         assert validate(cut, model, lift)
@@ -395,8 +395,7 @@ class TestIntersectionCut:
             intersection_cut(cp, EnvelopeEpigraph(k3_cut))
 
     def test_split_cut_through_real_lp(self):
-        graph = Graph(3, ref.K3_EDGES)
-        model, target, lift = build_maxcut_model(graph)
+        model, _, lift = build_model(k3_instance())
         sol = solve(model)
         cp = project_corner(corner(sol), lift)
         j = int(np.argmin(np.abs(cp.apex_x - 0.5)))
@@ -409,7 +408,7 @@ class TestIntersectionCut:
         # rows nor on the rounds that evaluate all rays at once
         kinds = set()
         for seed in range(1000, 1004):
-            for problem in (pw_graph(10, 0.5, seed, max_weight=1),
+            for problem in (ref.cut_instance(pw_graph(10, 0.5, seed, max_weight=1)),
                             BmpInstance(autocorr_polynomial(10, 3, 0.5, seed))):
                 model, targets, lift = build_model(problem)
                 cp = project_corner(corner(solve(model)), lift)
@@ -619,7 +618,7 @@ class TestValidateCut:
         total = 0
         for seed in (1000, 1001):
             if kind == "g05":
-                problem = pw_graph(12, 0.5, seed, max_weight=1)
+                problem = ref.cut_instance(pw_graph(12, 0.5, seed, max_weight=1))
             else:
                 problem = BmpInstance(autocorr_polynomial(12, 2, 0.2, seed))
             model, targets, lift = build_model(problem)
@@ -645,7 +644,7 @@ class TestValidateCut:
         assert total >= 100
 
     @pytest.mark.parametrize("problem", [
-        pw_graph(20, 0.5, 1000, max_weight=1),
+        ref.cut_instance(pw_graph(20, 0.5, 1000, max_weight=1)),
         BmpInstance(autocorr_polynomial(12, 2, 0.2, 1002)),
     ], ids=["g05-n20", "autocorr-n12"])
     def test_seeded_invalid_cuts_caught(self, monkeypatch, problem):
@@ -680,8 +679,7 @@ class TestValidateCut:
             ]
             if len(edges) < 2:
                 continue
-            graph = Graph(n, edges)
-            model, target, lift = build_maxcut_model(graph)
+            model, [target], lift = build_model(ref.cut_instance(Graph(n, edges)))
             sol = solve(model)
             cp = project_corner(corner(sol), lift)
             if np.all(np.minimum(cp.apex_x, 1 - cp.apex_x) <= 1e-6):

@@ -32,7 +32,15 @@ from subcut.harness import (
     write_report_csv,
 )
 from subcut.models import BmpInstance, LiftMap
-from subcut.oracles import Graph, MultilinearFunction, SSFunction, cut_polynomial, write_graph
+from subcut.oracles import (
+    Graph,
+    MultilinearFunction,
+    SSFunction,
+    cut_polynomial,
+    read_graph,
+    write_graph,
+    write_polynomial,
+)
 from subcut.simplex import LpModel
 
 
@@ -40,8 +48,12 @@ def k3_graph():
     return Graph(3, ref.K3_EDGES)
 
 
+def k3_instance():
+    return ref.cut_instance(k3_graph())
+
+
 def k3_setup():
-    model, targets, lift = build_model(k3_graph())
+    model, targets, lift = build_model(k3_instance())
     return model, targets, lift
 
 
@@ -206,9 +218,10 @@ class TestInstanceFiles:
         paths = generate_instances("g05", 6, count=2, seed=3, out_dir=tmp_path)
         assert len(paths) == 2
         assert {p.suffix for p in paths} == {".mc"}
-        g = load_instance(paths[0])
-        assert isinstance(g, Graph) and g.n == 6
-        assert g.edges == pw_graph(6, seed=3, max_weight=1).edges
+        inst = load_instance(paths[0])
+        assert isinstance(inst, BmpInstance) and inst.n == 6
+        assert inst.constraints == [] and inst.cardinality is None
+        assert inst.objective.terms == cut_polynomial(pw_graph(6, seed=3, max_weight=1)).terms
 
     def test_generate_and_load_poly(self, tmp_path):
         (path,) = generate_instances("autocorr", 5, seed=1, out_dir=tmp_path)
@@ -219,7 +232,7 @@ class TestInstanceFiles:
     def test_sidecar_written_and_read(self, tmp_path):
         (path,) = generate_instances("pw", 6, seed=5, out_dir=tmp_path)
         value = sidecar_primal(path)
-        assert value == pytest.approx(brute_force_primal(pw_graph(6, seed=5)), abs=1e-9)
+        assert value == pytest.approx(brute_force_primal(ref.cut_instance(pw_graph(6, seed=5))), abs=1e-9)
 
     def test_sidecar_missing(self, tmp_path):
         assert sidecar_primal(tmp_path / "nothing.mc") is None
@@ -244,10 +257,10 @@ class TestInstanceFiles:
 
 class TestBruteForcePrimal:
     def test_k3(self):
-        assert brute_force_primal(k3_graph()) == 2.0
+        assert brute_force_primal(k3_instance()) == 2.0
 
     def test_empty_graph(self):
-        assert brute_force_primal(Graph(4, [])) == 0.0
+        assert brute_force_primal(ref.cut_instance(Graph(4, []))) == 0.0
 
     def test_matches_reference_on_graphs(self):
         rng = np.random.default_rng(3)
@@ -261,7 +274,7 @@ class TestBruteForcePrimal:
             ]
             g = Graph(n, edges)
             want = ref.best_binary(lambda bits: ref.cut_value(edges, bits), n)
-            assert brute_force_primal(g) == pytest.approx(want, abs=1e-9)
+            assert brute_force_primal(ref.cut_instance(g)) == pytest.approx(want, abs=1e-9)
 
     def test_matches_reference_on_constrained_polys(self):
         rng = np.random.default_rng(5)
@@ -293,7 +306,7 @@ class TestBruteForcePrimal:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            brute_force_primal(Graph(21, [(0, 1, 1.0)]))
+            brute_force_primal(ref.cut_instance(Graph(21, [(0, 1, 1.0)])))
 
     def test_single_variable(self):
         assert brute_force_primal(BmpInstance(MultilinearFunction(1, [(-3.0, {0})]))) == 0.0
@@ -309,9 +322,14 @@ class TestBruteForcePrimal:
         with pytest.raises(ModelError):
             brute_force_primal(BmpInstance(poly, cardinality=5))
 
-    def test_negative_weight(self):
+    def test_negative_weight(self, tmp_path):
         with pytest.raises(ModelError):
-            brute_force_primal(Graph(3, [(0, 1, 1.0), (1, 2, -1.0)]))
+            cut_polynomial(Graph(3, [(0, 1, 1.0), (1, 2, -1.0)]))
+        path = tmp_path / "neg.mc"
+        path.write_text("3 2\n1 2 1.0\n2 3 -1.0\n")
+        with pytest.raises(ModelError) as info:
+            load_instance(path)
+        assert str(info.value) == f"{path}: negative cut weight -1.0 on edge (2,3)"
 
     def test_unknown_problem(self):
         with pytest.raises(ModelError):
@@ -321,16 +339,16 @@ class TestBruteForcePrimal:
         path = tmp_path / "k3.mc"
         write_graph(k3_graph(), path)
         path.with_suffix(".sol").write_text("41.5 0 1 0\n")
-        assert reference_primal(k3_graph(), path) == 41.5
+        assert reference_primal(k3_instance(), path) == 41.5
 
     def test_reference_falls_back_to_enumeration(self, tmp_path):
         path = tmp_path / "k3.mc"
         write_graph(k3_graph(), path)
-        assert reference_primal(k3_graph(), path) == 2.0
+        assert reference_primal(k3_instance(), path) == 2.0
 
     def test_reference_too_big_without_sidecar(self):
         with pytest.raises(CapacityError):
-            reference_primal(Graph(21, [(0, 1, 1.0)]))
+            reference_primal(ref.cut_instance(Graph(21, [(0, 1, 1.0)])))
 
 
 def _constrained_n14():
@@ -361,6 +379,8 @@ class TestBruteForceDifferential:
         problem = make()
         want = ref.chunked_primal(problem)
         assert want > -math.inf
+        if isinstance(problem, Graph):
+            problem = ref.cut_instance(problem)
         assert brute_force_primal(problem) == want
 
 
@@ -409,9 +429,9 @@ class TestRootLoop:
         assert rep.closed == 0.0
 
     def test_bounds_monotone_and_gap_in_range(self):
-        g = pw_graph(8, seed=11)
-        model, targets, lift = build_model(g)
-        p = brute_force_primal(g)
+        inst = ref.cut_instance(pw_graph(8, seed=11))
+        model, targets, lift = build_model(inst)
+        p = brute_force_primal(inst)
         for mode in ("split", "submodular", "ss", "both"):
             rep = root_loop(
                 model, targets, lift,
@@ -420,6 +440,37 @@ class TestRootLoop:
             assert not rep.failed
             assert rep.d2 <= rep.d1 + 1e-9
             assert -1e-9 <= rep.closed <= 1.0 + 1e-9
+
+    def test_graph_file_and_its_polynomial_file_agree(self, tmp_path):
+        (mc,) = generate_instances("g05", 8, seed=4, out_dir=tmp_path)
+        pol = tmp_path / "cut.pol"
+        write_polynomial(cut_polynomial(read_graph(mc)), pol)
+        key = lambda r: (r.d1, r.d2, r.p, r.closed, r.cuts)
+        for mode in ("none", "split", "submodular", "ss", "both"):
+            cfg = RunConfig(mode=mode, validate_cuts="on")
+            a, b = run_instance(mc, cfg), run_instance(pol, cfg)
+            assert key(a) == key(b)
+            if mode != "none":
+                assert a.cuts >= 1
+
+    @pytest.mark.parametrize("mode", ["ss", "both"])
+    def test_positive_linear_terms_route_to_a_set(self, caplog, mode):
+        # no negative term: f1 holds the linear terms (it used to be empty, which
+        # routed the target to a gradient cut) and f2 the negated product
+        poly = MultilinearFunction(2, [(1.0, {0}), (1.0, {1}), (3.0, {0, 1})])
+        model, targets, lift = build_model(BmpInstance(poly, cardinality=1))
+        assert targets[0].f1.terms == [(1.0, frozenset({0})), (1.0, frozenset({1}))]
+        assert targets[0].f2.terms == [(-3.0, frozenset({0, 1}))]
+        x_bar = simplex.solve(model).x[lift.x_cols]
+        route, payload = harness._candidates(mode, targets, lift, x_bar)[-1]
+        assert route == "set" and payload.kind == "ss"
+        with caplog.at_level(logging.INFO, logger="subcut.cuts"):
+            rep = root_loop(model, targets, lift, RunConfig(mode=mode, validate_cuts="on"), primal=1.0)
+        kinds = {r.getMessage().split()[1] for r in caplog.records if r.getMessage().startswith("CUT ")}
+        # the LP bound 2.5 is already the concave envelope of f at x_bar, so the
+        # set yields no cut, as the gradient cut did not; split cuts still come
+        assert rep.d1 == pytest.approx(2.5, abs=1e-9) and rep.skipped >= 1
+        assert kinds == ({"kind=split"} if mode == "both" else set())
 
     def test_deterministic(self, tmp_path):
         (path,) = generate_instances("g05", 8, seed=2, out_dir=tmp_path)
@@ -696,6 +747,7 @@ class TestCli:
         ("nan.mc", "2 1\n1 2 nan\n"),  # a weight that is not finite
         ("empty.mc", "0 0\n"),  # no vertices
         ("empty.pol", "0 0\n"),  # no variables
+        ("neg.mc", "2 1\n1 2 -1.0\n"),  # a negative weight
     ])
     def test_malformed_instance(self, tmp_path, capsys, command, name, text):
         path = tmp_path / name
@@ -706,10 +758,16 @@ class TestCli:
         (line,) = captured.err.strip().split("\n")
         assert line.startswith("error: ") and str(path) in line
 
-    def test_bench_malformed_instance_fails_before_any_run(self, tmp_path, capsys, caplog):
+    @pytest.mark.parametrize("name, text, sidecar", [
+        ("zz_short.mc", "3 2\n1 2 1.0\n", False),  # fewer edge lines than the header says
+        ("zz_neg.mc", "2 1\n1 2 -1.0\n", True),  # a negative weight; the sidecar spares the brute force
+    ], ids=["short", "negative-weight"])
+    def test_bench_malformed_instance_fails_before_any_run(self, tmp_path, capsys, caplog, name, text, sidecar):
         generate_instances("g05", 6, count=2, seed=0, out_dir=tmp_path)
-        bad = tmp_path / "zz_short.mc"  # sorts after the good instances
-        bad.write_text("3 2\n1 2 1.0\n")
+        bad = tmp_path / name  # sorts after the good instances
+        bad.write_text(text)
+        if sidecar:
+            bad.with_suffix(".sol").write_text("1\n")
         report = tmp_path / "bench.csv"
         with caplog.at_level(logging.INFO, logger="subcut.harness"):
             rc = cli.main(["bench", str(tmp_path), "--report", str(report)])

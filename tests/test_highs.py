@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import _reference as ref
 from subcut import simplex
 from subcut.harness import RunConfig, autocorr_polynomial, build_model, pw_graph, root_loop
 from subcut.models import BmpInstance
@@ -83,9 +84,9 @@ def test_random_boxed_lps(degenerate):
 @pytest.mark.parametrize(
     "problem, mode",
     [
-        (pw_graph(12, 0.5, seed=3, max_weight=1), "submodular"),
+        (ref.cut_instance(pw_graph(12, 0.5, seed=3, max_weight=1)), "submodular"),
         (BmpInstance(autocorr_polynomial(10, max_lag=3, seed=3)), "both"),
-        (pw_graph(20, 0.5, seed=1000, max_weight=1), "submodular"),
+        (ref.cut_instance(pw_graph(20, 0.5, seed=1000, max_weight=1)), "submodular"),
         (BmpInstance(autocorr_polynomial(12, max_lag=2, density=0.2, seed=1000)), "both"),
     ],
     ids=["g05-n12", "autocorr-n10", "g05-n20", "autocorr-n12"],

@@ -7,12 +7,10 @@ import pytest
 import _reference as ref
 from subcut.cuts import intersection_cut
 from subcut.errors import ModelError
-from subcut.harness import pw_graph
 from subcut.models import (
     BmpInstance,
     LiftMap,
-    build_maxcut_model,
-    build_mubo_model,
+    build_model,
     linearize_term,
     project_corner,
 )
@@ -35,7 +33,8 @@ def block_corner(apex, directions, eta_coef, eta_off, columns=None):
 
 
 def k3_model():
-    return build_maxcut_model(Graph(3, ref.K3_EDGES))
+    model, [target], lift = build_model(ref.cut_instance(Graph(3, ref.K3_EDGES)))
+    return model, target, lift
 
 
 def toy_poly():
@@ -84,24 +83,17 @@ class TestBuildMaxcut:
         assert target.f2.trivially_zero
         assert target.f1.value(np.array([1.0, 0.0, 0.0])) == 2.0
 
-    def test_target_is_the_cut_polynomial(self):
-        graphs = [Graph(3, ref.K3_EDGES), pw_graph(8, 0.5, 3), Graph(4, [(0, 1, 2.0), (2, 3, 0.0)])]
-        for graph in graphs:
-            _, target, _ = build_maxcut_model(graph)
-            assert target.f1.terms == cut_polynomial(graph).terms
-            assert target.f2.n == graph.n and target.f2.terms == []
-
     def test_single_edge_bound(self):
-        model, _, _ = build_maxcut_model(Graph(2, [(0, 1, 1.0)]))
+        model, _, _ = build_model(ref.cut_instance(Graph(2, [(0, 1, 1.0)])))
         assert solve(model).objective == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_graph(self):
-        model, _, _ = build_maxcut_model(Graph(3, []))
+        model, _, _ = build_model(ref.cut_instance(Graph(3, [])))
         assert solve(model).objective == pytest.approx(0.0, abs=1e-9)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ModelError):
-            build_maxcut_model(Graph(2, [(0, 1, -1.0)]))
+            cut_polynomial(Graph(2, [(0, 1, -1.0)]))
 
     def test_model_log_line(self, caplog):
         with caplog.at_level(logging.INFO, logger="subcut.models"):
@@ -141,7 +133,7 @@ class TestCutPolynomial:
 
     def test_objective_row(self):
         graph = Graph(4, [(0, 1, 2.0), (1, 2, 3.0), (0, 2, 5.0)])
-        model, _, lift = build_maxcut_model(graph)
+        model, _, lift = build_model(ref.cut_instance(graph))
         row = model.rows[-1]
         assert model.row_senses[-1] == "<=" and model.rhs[-1] == 0.0
         assert row[lift.t_col] == 1.0
@@ -151,8 +143,8 @@ class TestCutPolynomial:
 
     def test_zero_weight_edge_adds_nothing(self):
         edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0)]
-        with_zero, _, lift = build_maxcut_model(Graph(4, edges + [(1, 3, 0.0)]))
-        without, _, _ = build_maxcut_model(Graph(4, edges))
+        with_zero, _, lift = build_model(ref.cut_instance(Graph(4, edges + [(1, 3, 0.0)])))
+        without, _, _ = build_model(ref.cut_instance(Graph(4, edges)))
         assert frozenset((1, 3)) not in lift.y_cols
         assert solve(with_zero).objective == solve(without).objective
 
@@ -195,7 +187,7 @@ class TestLinearizeTerm:
 
 class TestBuildMubo:
     def test_unconstrained_shape(self):
-        model, targets, lift = build_mubo_model(BmpInstance(toy_poly()))
+        model, targets, lift = build_model(BmpInstance(toy_poly()))
         assert len(lift.y_cols) == 2
         assert model.ncols == 6
         assert model.nrows == 8  # 3 + 4 linearization rows + the objective row
@@ -203,7 +195,7 @@ class TestBuildMubo:
         assert targets[0].level == 1
 
     def test_decomposition_matches(self):
-        _, targets, _ = build_mubo_model(BmpInstance(toy_poly()))
+        _, targets, _ = build_model(BmpInstance(toy_poly()))
         t = targets[0]
         for bits in itertools.product((0, 1), repeat=3):
             x = np.array(bits, dtype=float)
@@ -212,12 +204,12 @@ class TestBuildMubo:
             )
 
     def test_t_bounds_from_coefficients(self):
-        model, _, lift = build_mubo_model(BmpInstance(toy_poly()))
+        model, _, lift = build_model(BmpInstance(toy_poly()))
         assert model.lower[lift.t_col] == -2.0
         assert model.upper[lift.t_col] == 3.0
 
     def test_objective_row(self):
-        model, _, lift = build_mubo_model(BmpInstance(toy_poly()))
+        model, _, lift = build_model(BmpInstance(toy_poly()))
         row = model.rows[7]
         assert model.row_senses[7] == "<=" and model.rhs[7] == 0.0
         assert row[lift.t_col] == 1.0
@@ -226,7 +218,7 @@ class TestBuildMubo:
 
     def test_constraint_adds_level_zero_target(self):
         cons = MultilinearFunction(3, [(1.0, {0, 1})])
-        model, targets, lift = build_mubo_model(BmpInstance(toy_poly(), [cons]))
+        model, targets, lift = build_model(BmpInstance(toy_poly(), [cons]))
         assert len(targets) == 2
         assert targets[1].level == 0
         assert targets[1].f1.trivially_zero
@@ -236,14 +228,14 @@ class TestBuildMubo:
 
     def test_degree_one_only(self):
         poly = MultilinearFunction(2, [(2.0, {0}), (-1.0, {1})])
-        model, _, lift = build_mubo_model(BmpInstance(poly))
+        model, _, lift = build_model(BmpInstance(poly))
         assert len(lift.y_cols) == 0
         assert model.nrows == 1
         assert solve(model).objective == pytest.approx(2.0, abs=1e-9)
 
     def test_cardinality_row(self):
         inst = BmpInstance(toy_poly(), cardinality=1)
-        model, _, lift = build_mubo_model(inst)
+        model, _, lift = build_model(inst)
         assert model.row_senses[-1] == "="
         assert model.rhs[-1] == 1.0
         sol = solve(model)
@@ -255,7 +247,7 @@ class TestBuildMubo:
 
     def test_model_log_line(self, caplog):
         with caplog.at_level(logging.INFO, logger="subcut.models"):
-            build_mubo_model(BmpInstance(toy_poly()))
+            build_model(BmpInstance(toy_poly()))
         assert "MODEL n=3 y=2 rows=8 targets=1" in [r.getMessage() for r in caplog.records]
 
 
@@ -274,7 +266,7 @@ class TestMilpEquivalence:
         for _ in range(8):
             n = int(rng.integers(2, 6))
             inst = self.random_instance(rng, n)
-            model, _, lift = build_mubo_model(inst)
+            model, _, lift = build_model(inst)
             for bits in itertools.product((0, 1), repeat=n):
                 sol = solve_with_fixed_x(model, lift, bits)
                 assert sol.objective == pytest.approx(
@@ -286,7 +278,7 @@ class TestMilpEquivalence:
         for _ in range(10):
             n = int(rng.integers(2, 7))
             inst = self.random_instance(rng, n)
-            model, _, _ = build_mubo_model(inst)
+            model, _, _ = build_model(inst)
             d1 = solve(model).objective
             best = ref.best_binary(
                 lambda bits: inst.objective.value(np.array(bits, dtype=float)), n

@@ -273,6 +273,20 @@ class TestSsDecompose:
                 ref.multilinear_value(p.terms, x), abs=1e-15
             )
 
+    def test_degree_one_terms_in_first_part(self):
+        p = MultilinearFunction(3, [(2.0, {0}), (-1.5, {1}), (3.0, {0, 1}), (-2.0, {1, 2}), (1.0, {0, 1, 2})])
+        ss = ss_decompose(p)
+        assert ss.f1.terms == [(2.0, frozenset({0})), (-1.5, frozenset({1})), (-2.0, frozenset({1, 2}))]
+        assert ss.f2.terms == [(-3.0, frozenset({0, 1})), (-1.0, frozenset({0, 1, 2}))]
+        assert is_submodular_bruteforce(ss.f1) and is_submodular_bruteforce(ss.f2)
+
+    def test_cut_polynomial_is_its_own_first_part(self):
+        graphs = [Graph(3, ref.K3_EDGES), pw_graph(8, 0.5, 3), Graph(4, [(0, 1, 2.0), (2, 3, 0.0)])]
+        for graph in graphs:
+            ss = ss_decompose(cut_polynomial(graph))
+            assert ss.f1.terms == cut_polynomial(graph).terms
+            assert ss.f2.n == graph.n and ss.f2.terms == []
+
     def test_all_negative_coefficients(self):
         p = MultilinearFunction(2, [(-1.0, {0}), (-4.0, {0, 1})])
         ss = ss_decompose(p)
