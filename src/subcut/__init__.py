@@ -8,7 +8,7 @@ free set into valid inequalities, models builds the lifted LPs, and
 harness runs the root-node experiments.
 """
 
-from .cuts import IntersectionCut, gradient_cut, intersection_cut, step_length
+from .cuts import IntersectionCut, gradient_cut, intersection_cut, newton_steps, step_length
 from .envelope import envelope_eval, greedy_vertex
 from .errors import CapacityError, ModelError, NumericError, SeparationBudget
 from .harness import RootNodeReport, RunConfig, root_loop, run_instance
@@ -58,6 +58,7 @@ __all__ = [
     "greedy_vertex",
     "intersection_cut",
     "is_submodular_bruteforce",
+    "newton_steps",
     "root_loop",
     "run_instance",
     "solve",

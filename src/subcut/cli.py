@@ -19,13 +19,14 @@ from .oracles import cube_points, cube_table, is_submodular_bruteforce, ss_decom
 
 
 def _add_root(sub):
+    defaults = RunConfig()
     p = sub.add_parser("root", help="run the root-node cut loop on one instance")
     p.add_argument("instance", help="instance file (.mc or .pol)")
-    p.add_argument("--cuts", default="submodular", choices=harness.MODES, help="cut mode")
-    p.add_argument("--rounds", type=int, default=10)
-    p.add_argument("--max-cuts", type=int, default=50, help="cuts per round cap")
+    p.add_argument("--cuts", default=defaults.mode, choices=harness.MODES, help="cut mode")
+    p.add_argument("--rounds", type=int, default=defaults.rounds)
+    p.add_argument("--max-cuts", type=int, default=defaults.max_cuts_per_round, help="cuts per round cap")
     p.add_argument("--primal", default=None, help="reference optimum override (a finite number)")
-    p.add_argument("--validate", default="auto", choices=("auto", "on", "off"))
+    p.add_argument("--validate", default=defaults.validate_cuts, choices=harness.VALIDATE_MODES)
     p.add_argument("--report", default=None, help="write a one-row CSV here")
 
 

@@ -15,12 +15,11 @@ CUT_TOL is the satisfaction and validation slack.  The apex margin is
 computed once per cut: the apex counts as strictly interior when it
 exceeds ``sfree.INTERIOR_TOL``, and it is zeta(0) on every ray.
 
-The searches of all rays of a corner run in lockstep, one block
-evaluation of the set per round: the first block holds every ray's
-ETA_INF and NEWTON_START probes, and each later round holds the next
-Newton or doubling step of every ray still searching.  The rounds only
-prefetch; ``step_length`` still decides every ray's steps, replays the
-prefetched values and evaluates on demand any eta that no block held.
+One search, :func:`newton_steps`, decides the steps of all rays of a
+corner in lockstep, one block evaluation of the set per round: the first
+block holds every ray's ETA_INF and NEWTON_START probes, and each later
+round holds the next Newton or doubling step of every ray still
+searching.  ``step_length`` reads one ray's step out of its result.
 
 Brute-force validation needs no corner: every feasible binary x, lifted
 with exact products and any t in [lower_t, f(x)], lies in the first LP, so
@@ -62,41 +61,24 @@ def _log_cut(cut: "IntersectionCut") -> "IntersectionCut":
     return cut
 
 
-@dataclass
-class ZetaFunction:
-    """Boundary-distance profile of one ray against one set.
+def zeta_slope(sfree: SFreeSet, apex_x, apex_t: float, eta, x_dir, t_dir):
+    """zeta and its slope estimate at apex + eta * ray, one row per ray.
 
-    ``known`` maps etas already evaluated (for the whole corner at once)
-    to their (zeta, slope); every other eta is evaluated on demand.
-    """
-
-    sfree: SFreeSet
-    apex_x: np.ndarray
-    apex_t: float
-    ray_x: np.ndarray
-    ray_t: float
-    known: dict = field(default_factory=dict)
-
-    def eval(self, eta: float):
-        """Value and a subgradient-based slope estimate at eta."""
-        if eta in self.known:
-            return self.known[eta]
-        zeta, slope = _zeta_slope(self.sfree, self.apex_x + eta * self.ray_x, self.apex_t, eta, self.ray_x,
-                                  self.ray_t)
-        return float(zeta), float(slope)
-
-
-def _zeta_slope(sfree: SFreeSet, x, apex_t: float, eta, ray_x, ray_t):
-    """zeta and its slope estimate at x = apex_x + eta * ray_x.
-
-    A point takes a float eta and ray_t with an (n,) ray_x; a (k, n) block of
-    points takes (k,) etas and ray_t with (k, n) ray_x rows.  vecdot rounds
+    ``eta`` and ``t_dir`` are (k,) and ``x_dir`` is (k, n).  vecdot rounds
     each row as the 1-D product does, so every row is bit-identical to the
-    point result of its ray.
+    point evaluation of its ray.
     """
-    value, grad = sfree.value_and_subgradient(x)
+    value, grad = sfree.value_and_subgradient(apex_x + eta[:, None] * x_dir)
     lvl = sfree.level
-    return lvl * (apex_t + eta * ray_t) - value, lvl * ray_t - np.vecdot(grad, ray_x)
+    return lvl * (apex_t + eta * t_dir) - value, lvl * t_dir - np.vecdot(grad, x_dir)
+
+
+class StepSearch(NamedTuple):
+    """Every ray's step, its evaluation count and whether it ran out of budget."""
+
+    eta: np.ndarray
+    iterations: np.ndarray
+    exhausted: np.ndarray
 
 
 class StepResult(NamedTuple):
@@ -104,30 +86,51 @@ class StepResult(NamedTuple):
     iterations: int
 
 
-def step_length(zf: ZetaFunction, zeta0: float) -> StepResult:
-    """Root of zeta on (0, +inf], by safeguarded discrete Newton.
+def newton_steps(sfree: SFreeSet, apex_x, apex_t: float, x_dir, t_dir) -> StepSearch:
+    """Root of every ray's zeta on (0, +inf], by safeguarded discrete Newton in lockstep.
 
-    ``zeta0`` is zeta(0), the apex margin, which must be positive.  If the
-    ray still sees positive margin at ETA_INF the step is +inf.
-    Starting from NEWTON_START, negative slope estimates give Newton
-    steps and flat or rising stretches double eta, until |zeta| <=
-    ROOT_TOL.  Raises SeparationBudget after NEWTON_MAX_STEPS evaluations.
+    The apex must be strictly interior (zeta(0) > 0).  A ray that still sees
+    positive margin at ETA_INF gets an infinite step and 0 evaluations.
+    Every other ray starts at NEWTON_START; a negative slope estimate gives a
+    Newton step and a flat or rising stretch doubles eta, until
+    |zeta| <= ROOT_TOL.  A ray with no root after NEWTON_MAX_STEPS
+    evaluations is exhausted, and its eta is the last one evaluated.  The
+    first block holds every ray's ETA_INF and NEWTON_START probes; each later
+    round evaluates the rays still searching in one block.
     """
-    if zeta0 <= 0.0:
-        raise ValueError(f"apex margin {zeta0} not positive; apex must be strictly interior")
-    far, _ = zf.eval(ETA_INF)
-    if far > 0.0:
-        return StepResult(math.inf, 0)
-    eta = NEWTON_START
+    n = len(t_dir)
+    steps = np.full(n, math.inf)
+    iterations = np.zeros(n, dtype=int)
+    rays = np.arange(n)
+    probes = np.tile(rays, 2)
+    zeta, slope = zeta_slope(sfree, apex_x, apex_t, np.repeat([ETA_INF, NEWTON_START], n), x_dir[probes],
+                             t_dir[probes])
+    searching = ~(zeta[:n] > 0.0)  # a positive far probe means an infinite step
+    rays, zeta, slope = rays[searching], zeta[n:][searching], slope[n:][searching]
+    eta = np.full(rays.size, NEWTON_START)
     for it in range(1, NEWTON_MAX_STEPS + 1):
-        value, slope = zf.eval(eta)
-        if abs(value) <= ROOT_TOL:
-            return StepResult(eta, it)
-        if slope < 0.0:
-            eta = eta - value / slope
-        else:
-            eta = 2.0 * eta
-    raise SeparationBudget(f"no root within {NEWTON_MAX_STEPS} steps (eta = {eta:.6g})")
+        root = np.abs(zeta) <= ROOT_TOL
+        steps[rays[root]] = eta[root]
+        iterations[rays[root]] = it
+        rays, eta, zeta, slope = rays[~root], eta[~root], zeta[~root], slope[~root]
+        if not rays.size or it == NEWTON_MAX_STEPS:
+            break
+        newton = slope < 0.0
+        eta = np.where(newton, eta - zeta / np.where(newton, slope, 1.0), 2.0 * eta)
+        zeta, slope = zeta_slope(sfree, apex_x, apex_t, eta, x_dir[rays], t_dir[rays])
+    exhausted = np.zeros(n, dtype=bool)
+    exhausted[rays] = True
+    steps[rays] = eta
+    iterations[rays] = NEWTON_MAX_STEPS
+    return StepSearch(steps, iterations, exhausted)
+
+
+def step_length(search: StepSearch, k: int) -> StepResult:
+    """Ray k's step and evaluation count; raises SeparationBudget if its search ran out."""
+    if search.exhausted[k]:
+        raise SeparationBudget(
+            f"no root within {NEWTON_MAX_STEPS} steps (eta = {search.eta[k]:.6g})")
+    return StepResult(float(search.eta[k]), int(search.iterations[k]))
 
 
 @dataclass
@@ -167,14 +170,12 @@ def intersection_cut(corner, sfree: SFreeSet):
     if not margin > INTERIOR_TOL:  # a NaN margin is not interior either
         return None
 
-    known = _newton_rounds(corner, sfree)
+    search = newton_steps(sfree, corner.apex_x, corner.apex_t, corner.x_dir, corner.t_dir)
     steps = []
     newton_total = 0
     for k in range(corner.nrays):
-        zf = ZetaFunction(sfree, corner.apex_x, corner.apex_t, corner.x_dir[k], float(corner.t_dir[k]),
-                          known=known[k])
         try:
-            res = step_length(zf, margin)
+            res = step_length(search, k)
         except SeparationBudget:
             return None
         if math.isfinite(res.eta) and res.eta < MIN_STEP:
@@ -209,42 +210,6 @@ def intersection_cut(corner, sfree: SFreeSet):
         newton_iters=newton_total,
         infinite_steps=len(steps) - len(finite),
     ))
-
-
-def _newton_rounds(corner, sfree: SFreeSet) -> list:
-    """Per ray, {eta: (zeta, slope)} at the etas its step search visits, one block per round.
-
-    The first block holds the ETA_INF and NEWTON_START probes of every ray.
-    Each of at most NEWTON_MAX_STEPS - 1 later rounds applies
-    :func:`step_length`'s rule to every ray still searching (a Newton step on
-    a negative slope, doubling otherwise) and evaluates all the new points in
-    one block.  A ray stops searching at an infinite step or a root.
-    """
-    known = [{} for _ in range(corner.nrays)]
-
-    def evaluate(rays, eta):
-        x_dir = corner.x_dir[rays]
-        zeta, slope = _zeta_slope(sfree, corner.apex_x + eta[:, None] * x_dir, corner.apex_t, eta, x_dir,
-                                  corner.t_dir[rays])
-        for k, e, z, s in zip(rays.tolist(), eta.tolist(), zeta.tolist(), slope.tolist()):
-            known[k][e] = (z, s)
-        return zeta, slope
-
-    n = corner.nrays
-    rays = np.arange(n)
-    zeta, slope = evaluate(np.tile(rays, 2), np.repeat([ETA_INF, NEWTON_START], n))
-    searching = ~(zeta[:n] > 0.0)  # a positive far probe means an infinite step
-    rays, zeta, slope = rays[searching], zeta[n:][searching], slope[n:][searching]
-    eta = np.full(rays.size, NEWTON_START)
-    for _ in range(NEWTON_MAX_STEPS - 1):
-        searching = ~(np.abs(zeta) <= ROOT_TOL)
-        rays, eta, zeta, slope = rays[searching], eta[searching], zeta[searching], slope[searching]
-        if not rays.size:
-            break
-        newton = slope < 0.0
-        eta = np.where(newton, eta - zeta / np.where(newton, slope, 1.0), 2.0 * eta)
-        zeta, slope = evaluate(rays, eta)
-    return known
 
 
 def gradient_cut(ss: SSFunction, x_ref, t_ref: float, lift):

@@ -38,6 +38,7 @@ from .sfree import LiftedSplit, build_reverse_linearized
 logger = logging.getLogger(__name__)
 
 MODES = ("none", "split", "submodular", "ss", "both")
+VALIDATE_MODES = ("auto", "on", "off")
 BINARY_TOL = 1e-6  # an LP value within this of 0 or 1 counts as integral
 BOUND_TOL = 1e-7  # relative slack of the bound guards in root_loop
 CSV_HEADER = "instance,mode,d1,d2,p,closed,cuts,sep_time_ms,total_time_ms"
@@ -64,8 +65,8 @@ class RunConfig:
             raise ValueError("rounds must be >= 0")
         if self.max_cuts_per_round < 1:
             raise ValueError("max_cuts_per_round must be >= 1")
-        if self.validate_cuts not in ("auto", "on", "off"):
-            raise ValueError(f"validate_cuts must be auto/on/off, got {self.validate_cuts!r}")
+        if self.validate_cuts not in VALIDATE_MODES:
+            raise ValueError(f"validate_cuts must be {'/'.join(VALIDATE_MODES)}, got {self.validate_cuts!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -141,10 +142,16 @@ def split_selector(x):
 
 
 def _target_route(ss, x_bar, use_gradient: bool):
-    if ss.f1.trivially_zero and ss.f2.trivially_zero:
-        return None
-    if use_gradient and ss.f1.trivially_zero:
+    """A target's candidate, or None when it has none.
+
+    With no term of degree >= 2 in f1, the lifted LP already bounds t by
+    the concave envelope, so the apex margin of a set is <= 0 and no set
+    can cut the target.
+    """
+    if use_gradient and ss.f1.trivially_zero and not ss.f2.trivially_zero:
         return ("grad", ss)
+    if ss.f1.degree <= 1:
+        return None
     return ("set", build_reverse_linearized(ss, x_bar))
 
 

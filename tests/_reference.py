@@ -4,9 +4,10 @@ Everything here is deliberately naive and independent of the package:
 direct loops over edges and terms, itertools permutations, pure bisection,
 and exhaustive enumeration.  Slow is fine; these run on tiny inputs, apart
 from the chunked cube walks, which pin the brute-force primal and the least
-cut residuals at n <= 20.  The two exceptions only build package objects:
+cut residuals at n <= 20.  Two exceptions only build package objects:
 :func:`modular`, a polynomial for tests that need a modular function, and
-:func:`cut_instance`, the instance a max-cut file loads as.
+:func:`cut_instance`, the instance a max-cut file loads as.  The third,
+:func:`newton_step_length`, evaluates a package set at one point at a time.
 """
 
 import itertools
@@ -14,6 +15,8 @@ import math
 
 import numpy as np
 
+from subcut import cuts
+from subcut.errors import SeparationBudget
 from subcut.models import BmpInstance
 from subcut.oracles import MultilinearFunction, cut_polynomial
 
@@ -89,6 +92,33 @@ def bisect_root(g, lo, hi, tol=1e-12, max_iter=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def newton_step_length(sfree, apex_x, apex_t, ray_x, ray_t):
+    """(step, evaluations) of one ray by scalar safeguarded discrete Newton.
+
+    The rule ``cuts.newton_steps`` applies to every ray in lockstep, run on
+    one ray with one point per evaluation and the ``cuts`` settings read at
+    call time: an infinite step when zeta(ETA_INF) > 0, else Newton steps on
+    negative slopes and doubling otherwise from NEWTON_START, until
+    |zeta| <= ROOT_TOL.  Raises SeparationBudget after NEWTON_MAX_STEPS
+    evaluations.
+    """
+
+    def zeta(eta):
+        value, grad = sfree.value_and_subgradient(apex_x + eta * ray_x)
+        lvl = sfree.level
+        return lvl * (apex_t + eta * ray_t) - value, lvl * ray_t - float(grad @ ray_x)
+
+    if zeta(cuts.ETA_INF)[0] > 0.0:
+        return math.inf, 0
+    eta = cuts.NEWTON_START
+    for it in range(1, cuts.NEWTON_MAX_STEPS + 1):
+        value, slope = zeta(eta)
+        if abs(value) <= cuts.ROOT_TOL:
+            return eta, it
+        eta = eta - value / slope if slope < 0.0 else 2.0 * eta
+    raise SeparationBudget(f"no root within {cuts.NEWTON_MAX_STEPS} steps")
 
 
 def point_feasible(x, rows, senses, rhs, lo, hi, tol=1e-8):

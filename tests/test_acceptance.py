@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import _reference as ref
-from subcut.cuts import ZetaFunction, step_length
+from subcut.cuts import newton_steps, step_length, zeta_slope
 from subcut.envelope import (
     enumerate_vertices,
     envelope_eval,
@@ -148,16 +148,20 @@ def test_05_newton_root_finding():
             apex_x = rng.uniform(0.0, 1.0, size=n)
             value, _ = sfree.value_and_subgradient(apex_x)
             apex_t = value + float(rng.uniform(0.1, 2.0))
-            zf = ZetaFunction(sfree, apex_x, apex_t, rng.normal(size=n), float(rng.normal()))
-            res = step_length(zf, zf.eval(0.0)[0])  # budget overrun would raise and fail the test
+            x_dir, t_dir = rng.normal(size=(1, n)), np.array([rng.normal()])
+
+            def zeta(eta):  # on a one-row block, as the search evaluates it
+                return float(zeta_slope(sfree, apex_x, apex_t, np.array([eta]), x_dir, t_dir)[0][0])
+
+            # a budget overrun would raise and fail the test
+            res = step_length(newton_steps(sfree, apex_x, apex_t, x_dir, t_dir), 0)
             iteration_counts.append(res.iterations)
             assert res.iterations <= 500
             if math.isinf(res.eta):
                 continue
             finite += 1
-            value_at_root, _ = zf.eval(res.eta)
-            assert abs(value_at_root) <= 1e-9
-            want = ref.bisect_root(lambda e: zf.eval(e)[0], 0.0, 1e9, tol=1e-12)
+            assert abs(zeta(res.eta)) <= 1e-9
+            want = ref.bisect_root(zeta, 0.0, 1e9, tol=1e-12)
             assert abs(res.eta - want) <= 1e-9
         counts = np.array(iteration_counts)
         share_fast = float((counts <= 50).mean())

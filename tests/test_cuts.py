@@ -10,11 +10,12 @@ from subcut import cuts, harness, models, oracles
 from subcut.cuts import (
     EFFICACY_MIN,
     IntersectionCut,
-    ZetaFunction,
     gradient_cut,
     intersection_cut,
+    newton_steps,
     step_length,
     validate_cut_bruteforce,
+    zeta_slope,
 )
 from subcut.errors import CapacityError, SeparationBudget
 from subcut.harness import RunConfig, autocorr_polynomial, build_model, pw_graph, split_selector
@@ -86,27 +87,61 @@ def emitted_cuts(monkeypatch):
     return run
 
 
+@dataclasses.dataclass
+class Ray:
+    """One ray against one set, through the shipped zeta and step search on one-row blocks."""
+
+    sfree: object
+    apex_x: np.ndarray
+    apex_t: float
+    ray_x: np.ndarray
+    ray_t: float
+
+    def zeta(self, eta):
+        zeta, slope = zeta_slope(self.sfree, self.apex_x, self.apex_t, np.array([eta]), self.ray_x[None],
+                                 np.array([self.ray_t]))
+        return float(zeta[0]), float(slope[0])
+
+    def step(self):
+        return step_length(newton_steps(self.sfree, self.apex_x, self.apex_t, self.ray_x[None],
+                                        np.array([self.ray_t])), 0)
+
+
+def record_search(monkeypatch) -> list:
+    """The (eta, zeta, slope) of every ray the step search evaluates, in order."""
+    trace = []
+    evaluate = cuts.zeta_slope
+
+    def recorded(sfree, apex_x, apex_t, eta, x_dir, t_dir):
+        zeta, slope = evaluate(sfree, apex_x, apex_t, eta, x_dir, t_dir)
+        trace.extend(zip(eta.tolist(), zeta.tolist(), slope.tolist()))
+        return zeta, slope
+
+    monkeypatch.setattr(cuts, "zeta_slope", recorded)
+    return trace
+
+
 class TestZetaEval:
     def test_along_coordinate_ray(self, k3_cut):
-        zf = ZetaFunction(
+        ray = Ray(
             EnvelopeEpigraph(k3_cut), np.array([0.5, 0.5, 0.5]), 1.5,
             np.array([1.0, 0.0, 0.0]), 0.0,
         )
-        value, slope = zf.eval(0.2)
+        value, slope = ray.zeta(0.2)
         assert value == pytest.approx(1.1, abs=1e-12)
         assert slope == pytest.approx(-2.0, abs=1e-12)
 
     def test_at_origin_matches_margin(self, k3_cut):
         sfree = EnvelopeEpigraph(k3_cut)
         apex_x = np.array([0.5, 0.5, 0.5])
-        zf = ZetaFunction(sfree, apex_x, 1.5, np.array([1.0, 0.0, 0.0]), 0.0)
-        value, _ = zf.eval(0.0)
+        ray = Ray(sfree, apex_x, 1.5, np.array([1.0, 0.0, 0.0]), 0.0)
+        value, _ = ray.zeta(0.0)
         assert value == pytest.approx(1.5, abs=1e-12)
-        # intersection_cut hands the apex margin to step_length as zeta(0)
+        # intersection_cut tests the apex margin as zeta(0) of every ray
         assert value == sfree.margin(apex_x, 1.5)
 
     def test_point_is_the_plain_formula(self):
-        # eval shares its arithmetic with the round blocks; on a point it is the 1-D product
+        # a row of a block is the 1-D product of its ray
         rng = np.random.default_rng(5)
         f = cut_polynomial(pw_graph(12, 0.5, 3))
         ss = SSFunction(f, ref.modular(rng.normal(size=12)), level=1)
@@ -117,15 +152,15 @@ class TestZetaEval:
                 value, grad = sfree.value_and_subgradient(apex_x + eta * ray_x)
                 lvl = sfree.level
                 want = (lvl * (apex_t + eta * ray_t) - value, lvl * ray_t - float(grad @ ray_x))
-                assert ZetaFunction(sfree, apex_x, apex_t, ray_x, ray_t).eval(eta) == want
+                assert Ray(sfree, apex_x, apex_t, ray_x, ray_t).zeta(eta) == want
 
     def test_t_recession_direction(self, k3_cut):
-        zf = ZetaFunction(
+        ray = Ray(
             EnvelopeEpigraph(k3_cut), np.array([0.5, 0.5, 0.5]), 1.5,
             np.zeros(3), 1.0,
         )
         for eta in (0.0, 1.0, 7.5):
-            value, slope = zf.eval(eta)
+            value, slope = ray.zeta(eta)
             assert value == pytest.approx(1.5 + eta, abs=1e-12)
             assert slope == pytest.approx(1.0, abs=1e-12)
 
@@ -143,85 +178,75 @@ class TestZetaEval:
                 continue
             f = cut_polynomial(Graph(n, edges))
             apex_x = rng.uniform(0, 1, size=n)
-            zf = ZetaFunction(
+            ray = Ray(
                 EnvelopeEpigraph(f), apex_x, 10.0, rng.normal(size=n), float(rng.normal()),
             )
             e1, e2, e3 = sorted(rng.uniform(0, 5, size=3))
             if e3 - e1 < 1e-9:
                 continue
             lam = (e2 - e1) / (e3 - e1)
-            v1, v2, v3 = (zf.eval(e)[0] for e in (e1, e2, e3))
+            v1, v2, v3 = (ray.zeta(e)[0] for e in (e1, e2, e3))
             assert v2 >= (1 - lam) * v1 + lam * v3 - 1e-9
-
-
-class _Recording:
-    """Wraps a zeta function and keeps the (eta, value, slope) trace."""
-
-    def __init__(self, zf):
-        self.zf = zf
-        self.trace = []
-
-    def eval(self, eta):
-        value, slope = self.zf.eval(eta)
-        self.trace.append((eta, value, slope))
-        return value, slope
 
 
 class TestStepLength:
     def test_one_newton_step(self, k3_cut):
-        zf = ZetaFunction(
+        ray = Ray(
             EnvelopeEpigraph(k3_cut), np.array([0.5, 0.5, 0.5]), 1.5,
             np.array([1.0, 0.0, 0.0]), 0.0,
         )
-        res = step_length(zf, zf.eval(0.0)[0])
+        res = ray.step()
         assert res.eta == pytest.approx(0.75, abs=1e-9)
         assert res.iterations <= 3
 
     def test_safeguard_returns_infinite(self, k3_cut):
-        zf = ZetaFunction(
+        ray = Ray(
             EnvelopeEpigraph(k3_cut), np.array([0.5, 0.5, 0.5]), 1.5,
             np.zeros(3), 1.0,
         )
-        res = step_length(zf, zf.eval(0.0)[0])
+        res = ray.step()
         assert math.isinf(res.eta)
         assert res.iterations == 0
 
     def test_pure_t_descent(self, k3_cut):
-        zf = ZetaFunction(
+        ray = Ray(
             EnvelopeEpigraph(k3_cut), np.array([0.5, 0.5, 0.5]), 1.5,
             np.zeros(3), -1.0,
         )
-        res = step_length(zf, zf.eval(0.0)[0])
+        res = ray.step()
         assert res.eta == pytest.approx(1.5, abs=1e-9)
 
-    def test_doubling_then_newton(self, k3_cut):
+    def test_doubling_then_newton(self, k3_cut, monkeypatch):
         # zeta rises on the first envelope piece, falls on the next: 0.9 - zero at 0.7
-        zf = ZetaFunction(
+        ray = Ray(
             EnvelopeEpigraph(k3_cut), np.array([0.25, 0.5, 0.5]), 0.9,
             np.array([1.0, 0.0, 0.0]), 0.0,
         )
-        rec = _Recording(zf)
-        res = step_length(rec, zf.eval(0.0)[0])
+        trace = record_search(monkeypatch)
+        res = ray.step()
         assert res.eta == pytest.approx(0.7, abs=1e-9)
-        slopes = [s for _, _, s in rec.trace[1:]]
+        assert [eta for eta, _, _ in trace[:3]] == [cuts.ETA_INF, cuts.NEWTON_START, 2 * cuts.NEWTON_START]
+        slopes = [s for _, _, s in trace[1:]]
         assert slopes[0] > 0  # the first move must be a doubling step
+        assert len(trace) == res.iterations + 1
 
     def test_boundary_apex_rejected(self, k3_cut):
-        zf = ZetaFunction(
-            EnvelopeEpigraph(k3_cut), np.array([1.0, 0.0, 0.0]), 2.0,
-            np.array([1.0, 0.0, 0.0]), 0.0,
-        )
-        with pytest.raises(ValueError):
-            step_length(zf, zf.eval(0.0)[0])
+        # an apex on the boundary has no positive margin: no step search starts
+        cp = make_corner([1.0, 0.0, 0.0, 2.0], [(e, e, 0.0) for e in np.eye(4)[:3]], 3)
+        sfree = EnvelopeEpigraph(k3_cut)
+        assert sfree.margin(cp.apex_x, cp.apex_t) == 0.0
+        shapes = recorded_shapes(sfree)
+        assert intersection_cut(cp, sfree) is None
+        assert shapes == [(3,)]
 
     def test_budget_exhausted(self, k3_cut, monkeypatch):
         monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", 1)
-        zf = ZetaFunction(
+        ray = Ray(
             EnvelopeEpigraph(k3_cut), np.array([0.5, 0.5, 0.5]), 1.5,
             np.array([1.0, 0.0, 0.0]), 0.0,
         )
         with pytest.raises(SeparationBudget):
-            step_length(zf, zf.eval(0.0)[0])
+            ray.step()
 
     def test_root_uniqueness_on_examples(self, k3_cut):
         cases = [
@@ -230,10 +255,10 @@ class TestStepLength:
             (np.array([1.0, 0.0, 0.0]), 0.0, 0.9, np.array([0.25, 0.5, 0.5])),
         ]
         for ray_x, ray_t, apex_t, apex_x in cases:
-            zf = ZetaFunction(EnvelopeEpigraph(k3_cut), apex_x, apex_t, ray_x, ray_t)
-            eta = step_length(zf, zf.eval(0.0)[0]).eta
-            assert zf.eval(eta - 1e-4)[0] > 0
-            assert zf.eval(eta + 1e-4)[0] < 0
+            ray = Ray(EnvelopeEpigraph(k3_cut), apex_x, apex_t, ray_x, ray_t)
+            eta = ray.step().eta
+            assert ray.zeta(eta - 1e-4)[0] > 0
+            assert ray.zeta(eta + 1e-4)[0] < 0
 
     def test_agreement_with_bisection(self):
         rng = np.random.default_rng(7)
@@ -253,20 +278,21 @@ class TestStepLength:
             sfree = EnvelopeEpigraph(f)
             margin = sfree.margin(apex_x, 0.0)
             apex_t = -margin + float(rng.uniform(0.2, 2.0))  # force strict interiority
-            zf = ZetaFunction(sfree, apex_x, apex_t, rng.normal(size=n), float(rng.normal()))
-            res = step_length(zf, zf.eval(0.0)[0])
+            ray = Ray(sfree, apex_x, apex_t, rng.normal(size=n), float(rng.normal()))
+            res = ray.step()
             if math.isinf(res.eta):
                 continue
             finite += 1
-            want = ref.bisect_root(lambda e: zf.eval(e)[0], 0.0, 1e9, tol=1e-12)
+            want = ref.bisect_root(lambda e: ray.zeta(e)[0], 0.0, 1e9, tol=1e-12)
             assert res.eta == pytest.approx(want, abs=1e-9)
             # weak two-sided uniqueness at the returned root
-            assert zf.eval(max(res.eta - 1e-4, 0.0))[0] >= -1e-9
-            assert zf.eval(res.eta + 1e-4)[0] <= 1e-9
+            assert ray.zeta(max(res.eta - 1e-4, 0.0))[0] >= -1e-9
+            assert ray.zeta(res.eta + 1e-4)[0] <= 1e-9
         assert finite >= 20
 
-    def test_newton_monotone_after_first_descent(self):
+    def test_newton_monotone_after_first_descent(self, monkeypatch):
         rng = np.random.default_rng(11)
+        trace = record_search(monkeypatch)
         checked = 0
         for _ in range(40):
             n = int(rng.integers(2, 5))
@@ -282,15 +308,15 @@ class TestStepLength:
             sfree = EnvelopeEpigraph(f)
             apex_x = rng.uniform(0, 1, size=n)
             apex_t = -sfree.margin(apex_x, 0.0) + 1.0
-            zf = ZetaFunction(sfree, apex_x, apex_t, rng.normal(size=n), -abs(rng.normal()) - 0.1)
-            rec = _Recording(zf)
+            ray = Ray(sfree, apex_x, apex_t, rng.normal(size=n), -abs(rng.normal()) - 0.1)
+            trace.clear()
             try:
-                res = step_length(rec, zf.eval(0.0)[0])
+                res = ray.step()
             except SeparationBudget:
                 continue
             if math.isinf(res.eta):
                 continue
-            loop = rec.trace[1:]  # drop the safeguard probe
+            loop = trace[1:]  # drop the safeguard probe
             first = next((k for k, (_, v, s) in enumerate(loop) if s < 0 and abs(v) > 1e-9), None)
             if first is None:
                 continue
@@ -405,7 +431,8 @@ class TestIntersectionCut:
 
     def test_steps_match_fresh_ray_copies(self):
         # each ray's steps must depend neither on how the corner block lays out its
-        # rows nor on the rounds that evaluate all rays at once
+        # rows nor on the rounds that evaluate all rays at once: the lockstep search
+        # gives the scalar one-point-at-a-time search's steps, byte for byte
         kinds = set()
         for seed in range(1000, 1004):
             for problem in (ref.cut_instance(pw_graph(10, 0.5, seed, max_weight=1)),
@@ -417,15 +444,13 @@ class TestIntersectionCut:
                     cut = intersection_cut(cp, sfree)
                     assert cut is not None
                     kinds.add(cut.kind)
-                    margin = sfree.margin(cp.apex_x, cp.apex_t)
                     fresh = [
-                        step_length(ZetaFunction(
-                            sfree, cp.apex_x, cp.apex_t, cp.directions[k, lift.x_cols], float(cp.t_dir[k])
-                        ), margin)
+                        ref.newton_step_length(
+                            sfree, cp.apex_x, cp.apex_t, cp.directions[k, lift.x_cols], float(cp.t_dir[k]))
                         for k in range(cp.nrays)
                     ]
-                    assert np.array(cut.steps).tobytes() == np.array([r.eta for r in fresh]).tobytes()
-                    assert cut.newton_iters == sum(r.iterations for r in fresh)
+                    assert np.array(cut.steps).tobytes() == np.array([eta for eta, _ in fresh]).tobytes()
+                    assert cut.newton_iters == sum(it for _, it in fresh)
         assert kinds == {"env", "ss", "split"}
 
     def test_log_line(self, k3_cut, caplog):
@@ -467,12 +492,12 @@ class TestIntersectionCut:
 
     def test_budget_exhausted_in_rounds(self, monkeypatch):
         cp, sfree = multi_round_split()
-        margin = sfree.margin(cp.apex_x, cp.apex_t)
-        most = max(
-            step_length(ZetaFunction(sfree, cp.apex_x, cp.apex_t, cp.x_dir[k], float(cp.t_dir[k])), margin).iterations
+        iterations = [
+            ref.newton_step_length(sfree, cp.apex_x, cp.apex_t, cp.x_dir[k], float(cp.t_dir[k]))[1]
             for k in range(cp.nrays)
-        )
-        for budget, found in ((most - 2, False), (most, True)):
+        ]
+        most = max(iterations)
+        for budget, found in ((most - 2, False), (most - 1, False), (most, True)):
             monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", budget)
             split = LiftedSplit(sfree.j, sfree.n)
             shapes = recorded_shapes(split)
@@ -481,6 +506,12 @@ class TestIntersectionCut:
             # the probe block is the first evaluation, and at most budget - 1 rounds follow it
             assert len(shapes) - 2 <= budget - 1
             assert all(len(shape) == 2 for shape in shapes[1:])
+        # one evaluation short, the slowest ray has no root: its last evaluation is not one
+        monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", most - 1)
+        search = newton_steps(sfree, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
+        with pytest.raises(SeparationBudget):
+            step_length(search, iterations.index(most))
+        assert list(search.exhausted) == [it == most for it in iterations]
 
 
 def recorded_shapes(sfree) -> list:

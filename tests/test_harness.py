@@ -454,23 +454,24 @@ class TestRootLoop:
                 assert a.cuts >= 1
 
     @pytest.mark.parametrize("mode", ["ss", "both"])
-    def test_positive_linear_terms_route_to_a_set(self, caplog, mode):
-        # no negative term: f1 holds the linear terms (it used to be empty, which
-        # routed the target to a gradient cut) and f2 the negated product
+    def test_positive_linear_terms_give_no_candidate(self, caplog, mode):
+        # no negative term: f1 holds only the linear terms and f2 the negated product
         poly = MultilinearFunction(2, [(1.0, {0}), (1.0, {1}), (3.0, {0, 1})])
         model, targets, lift = build_model(BmpInstance(poly, cardinality=1))
         assert targets[0].f1.terms == [(1.0, frozenset({0})), (1.0, frozenset({1}))]
         assert targets[0].f2.terms == [(-3.0, frozenset({0, 1}))]
         x_bar = simplex.solve(model).x[lift.x_cols]
-        route, payload = harness._candidates(mode, targets, lift, x_bar)[-1]
-        assert route == "set" and payload.kind == "ss"
+        # the LP bound 2.5 is already the concave envelope of f at x_bar, so no set
+        # can cut the target and it gives no candidate; split cuts still come
+        kinds = [payload.kind for _, payload in harness._candidates(mode, targets, lift, x_bar)]
+        assert kinds == (["split"] if mode == "both" else [])
         with caplog.at_level(logging.INFO, logger="subcut.cuts"):
             rep = root_loop(model, targets, lift, RunConfig(mode=mode, validate_cuts="on"), primal=1.0)
         kinds = {r.getMessage().split()[1] for r in caplog.records if r.getMessage().startswith("CUT ")}
-        # the LP bound 2.5 is already the concave envelope of f at x_bar, so the
-        # set yields no cut, as the gradient cut did not; split cuts still come
-        assert rep.d1 == pytest.approx(2.5, abs=1e-9) and rep.skipped >= 1
+        assert rep.d1 == pytest.approx(2.5, abs=1e-9)
         assert kinds == ({"kind=split"} if mode == "both" else set())
+        if mode == "ss":
+            assert rep.cuts == rep.skipped == 0
 
     def test_deterministic(self, tmp_path):
         (path,) = generate_instances("g05", 8, seed=2, out_dir=tmp_path)
