@@ -186,10 +186,12 @@ def intersection_cut(corner, sfree: SFreeSet):
     finite = [k for k, e in enumerate(steps) if math.isfinite(e)]
     if not finite:
         return None
-    coef = np.zeros(corner.apex.size)
+    eta = np.array(steps)[finite]
+    # row by row in ray order, as a loop would add them: numpy sums pairwise
+    # only along a contiguous axis, and the rows span the x and t columns
+    coef = np.add.reduce(corner.eta_coef[finite] / eta[:, None], axis=0)
     rhs = 1.0
     for k in finite:
-        coef += corner.eta_coef[k] / steps[k]
         rhs -= float(corner.eta_off[k]) / steps[k]
 
     norm = float(np.linalg.norm(coef))

@@ -14,7 +14,10 @@ solve can start from it after cut rows are appended.
 Row conventions: row i has one logical column, column ncols + i, with
 coefficient +1 for <= and = rows (a slack) and -1 for >= rows (a
 surplus).  Slacks and surpluses live in [0, +inf); the logical of an =
-row is fixed at [0, 0].
+row is fixed at [0, 0].  The logical columns exist only as this index
+convention: the solver keeps the rows and the signs, never the matrix
+[rows | diag(sign)], and multiplies by a logical column as by a scaled
+unit vector.
 
 The pivot path is part of the output contract.  The max-cut and
 multilinear LPs are highly degenerate, so which optimal basis the dual
@@ -27,6 +30,26 @@ submodular cuts on a g05 n=20 instance (seed 1000) from 83.434 to
 81.957.  Any rewrite of the pivot arithmetic must therefore produce the
 same doubles in the same order: the same products, the same
 subtractions, the same matrix-vector products and the same comparisons.
+
+Three BLAS details decide whether the implicit logical columns give the
+explicit matrix's doubles:
+
+- OpenBLAS computes the last (width mod 4) outputs of ``v @ M`` on a
+  separate path, so ``v @ rows`` rounds its tail columns unlike the
+  structural part of ``v @ [rows | diag(sign)]``.  Products read a copy
+  of the rows zero-padded to a multiple of 16 columns, which matches the
+  explicit product byte for byte, and so does the padded rows times z
+  for the explicit matrix times z when z's logical part is zero.
+- A product with a column block rounds by the block's layout: numpy's
+  ``A[:, idx]`` is Fortran-ordered, and a C-order copy of the same values
+  changes ``block @ Binv``.  The column builder fills Fortran order.
+- The corner's ``Binv @ columns`` stays one product over the gathered
+  block; a structural product plus scaled logical columns moves bits at
+  gemm tile edges.
+
+A zero that a dot product gives is +0, while ``x * sign`` gives -0 for
+x = 0 and sign -1, so the scaled logical columns add 0.0 to turn -0 into
++0 before it can reach the inverse.
 """
 
 from __future__ import annotations
@@ -170,7 +193,15 @@ _AT_UPPER = 2
 
 
 class _DualSimplex:
-    """One solve: the columns of ``model`` and a dual feasible basis to pivot from."""
+    """One solve: the columns of ``model`` and a dual feasible basis to pivot from.
+
+    The constraint matrix [rows | diag(sign)] is never formed: logical
+    column n + i holds ``sign[i]`` at row i and nothing else.
+    ``_columns``, ``_times_matrix``, ``_matrix_times`` and
+    ``_binv_column`` are the only readers of the matrix, and each gives
+    the explicit product's doubles (``_matrix_times`` when the logical
+    part of its vector is zero; see the module docstring).
+    """
 
     def __init__(self, model: LpModel, prefix: "_DualSimplex" = None, max_iters=None):
         self.model = model
@@ -180,7 +211,10 @@ class _DualSimplex:
         self.N = n + m
         senses = np.array(model.row_senses, dtype=str)
         self.sign = np.where(senses == ">=", -1.0, 1.0)  # coefficient of each row's logical
-        self.A = np.hstack([model.rows, np.diag(self.sign)])
+        # zero-padded to a multiple of 16 columns, so that BLAS computes every
+        # structural column of a product on its main path, as with the explicit matrix
+        self.rows_pad = np.zeros((m, -(-n // 16) * 16))
+        self.rows_pad[:, :n] = model.rows
         self.lo = np.concatenate([model.lower, np.zeros(m)])
         self.hi = np.concatenate([model.upper, np.where(senses == "=", 0.0, math.inf)])
         # internal objective is always minimized
@@ -191,6 +225,49 @@ class _DualSimplex:
             self._slack_basis()
         else:
             self._extend(prefix)
+
+    # -- the constraint matrix ---------------------------------------------
+
+    def _columns(self, idx, first=0):
+        """Columns ``idx`` of the constraint matrix from row ``first`` on.
+
+        Fortran order, the layout numpy gives ``A[first:][:, idx]``: a
+        product with a C-order copy of the same values rounds differently.
+        """
+        n = self.nstruct
+        block = np.zeros((self.m - first, idx.size), order="F")
+        struct = idx < n
+        block[:, struct] = self.model.rows[first:, idx[struct]]
+        k = np.flatnonzero(~struct)
+        i = idx[k] - n
+        below = i >= first
+        block[i[below] - first, k[below]] = self.sign[i[below]]
+        return block
+
+    def _times_matrix(self, v):
+        """v @ A.  ``+ 0.0`` turns the -0 of ``v * sign`` into the +0 a dot product gives."""
+        n = self.nstruct
+        out = np.empty(self.N)
+        out[:n] = (v @ self.rows_pad)[:n]
+        np.multiply(v, self.sign, out=out[n:])
+        out[n:] += 0.0
+        return out
+
+    def _matrix_times(self, z):
+        """A @ z, the explicit product's doubles whenever z's logical part is zero."""
+        n = self.nstruct
+        zpad = np.zeros(self.rows_pad.shape[1])
+        zpad[:n] = z[:n]
+        return self.rows_pad @ zpad + self.sign * z[n:]
+
+    def _binv_column(self, q):
+        """Binv @ A[:, q], the entering column in basis coordinates."""
+        n = self.nstruct
+        if q < n:
+            return self.Binv @ self.model.rows[:, q]
+        return self.Binv[:, q - n] * self.sign[q - n] + 0.0
+
+    # -- bases ---------------------------------------------------------------
 
     def _slack_basis(self):
         """Every logical basic, every structural at the bound its cost prefers."""
@@ -220,14 +297,14 @@ class _DualSimplex:
         self.val = np.concatenate([old.val, s * (self.model.rhs[new] - self.model.rows[new] @ old.val[:n])])
         self.Binv = np.block([
             [old.Binv, np.zeros((k, new.size))],
-            [-s[:, None] * (self.A[new][:, old.basis] @ old.Binv), np.diag(s)],
+            [-s[:, None] * (self._columns(old.basis, first=k) @ old.Binv), np.diag(s)],
         ])
         self.since_refactor = old.since_refactor
         self.d = np.concatenate([old.d, np.zeros(new.size)])
 
     def _refactor(self):
         try:
-            self.Binv = np.linalg.inv(self.A[:, self.basis])
+            self.Binv = np.linalg.inv(self._columns(self.basis))
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"singular basis during refactorization: {exc}") from exc
         self.since_refactor = 0
@@ -237,22 +314,31 @@ class _DualSimplex:
     def _basic_values(self):
         nb = self.val.copy()
         nb[self.basis] = 0.0
-        self.val[self.basis] = self.Binv @ (self.model.rhs - self.A @ nb)
+        self.val[self.basis] = self.Binv @ (self.model.rhs - self._matrix_times(nb))
 
     def _reduced_costs(self):
-        self.d = self.cost - (self.cost[self.basis] @ self.Binv) @ self.A
+        self.d = self.cost - self._times_matrix(self.cost[self.basis] @ self.Binv)
 
     # -- core loop ---------------------------------------------------------
 
     def _iterate(self) -> str:
-        """Dual pivots until the basic values are within their bounds."""
-        m = self.m
+        """Dual pivots until the basic values are within their bounds.
+
+        The basic values and their bounds (``xb``, ``lo_b``, ``hi_b``, in
+        basis order) and the nonbasic columns free to rise or to fall are
+        updated entry by entry; ``val`` gets the basic values back before a
+        refactor and on return.
+        """
+        m, basis = self.m, self.basis
         movable = self.lo != self.hi
+        rising = movable & (self.where == _AT_LOWER)
+        falling = movable & (self.where == _AT_UPPER)
+        xb, lo_b, hi_b = self.val[basis], self.lo[basis], self.hi[basis]
         buf = np.empty((m, m))  # rank-1 update term of Binv, reused every pivot
+        status = OPTIMAL
         while m:
-            xb = self.val[self.basis]
-            below = self.lo[self.basis] - xb
-            viol = np.maximum(below, xb - self.hi[self.basis])
+            below = lo_b - xb
+            viol = np.maximum(below, xb - hi_b)
             r = int(np.argmax(viol))
             if viol[r] <= FEAS_TOL:
                 break
@@ -260,34 +346,40 @@ class _DualSimplex:
                 raise NumericError(f"simplex iteration cap {self.max_iters} reached (m={m}, n={self.N})")
             # the leaving variable rises to its lower bound (up) or falls to its upper bound
             up = below[r] > 0.0
-            alpha = self.Binv[r] @ self.A
+            alpha = self._times_matrix(self.Binv[r])
             drive = -alpha if up else alpha  # > 0: raising a column moves the leaving variable to its bound
-            eligible = (self.where == _AT_LOWER) & (drive > PIVOT_TOL)
-            eligible |= (self.where == _AT_UPPER) & (drive < -PIVOT_TOL)
-            idx = np.flatnonzero(eligible & movable)
+            idx = np.flatnonzero((rising & (drive > PIVOT_TOL)) | (falling & (drive < -PIVOT_TOL)))
             if idx.size == 0:
-                return INFEASIBLE
+                status = INFEASIBLE
+                break
             q = int(idx[np.argmin(np.abs(self.d[idx] / alpha[idx]))])
-            w = self.Binv @ self.A[:, q]
+            w = self._binv_column(q)
             if abs(w[r]) < PIVOT_TOL:
                 raise NumericError(f"vanishing pivot {w[r]} in column {q}")
-            leaving = self.basis[r]
-            bound = self.lo[leaving] if up else self.hi[leaving]
+            leaving = basis[r]
+            bound = lo_b[r] if up else hi_b[r]
             step = (xb[r] - bound) / w[r]
-            self.val[self.basis] = xb - step * w
-            self.val[q] += step
+            entering = self.val[q] + step
+            xb -= step * w
+            xb[r], lo_b[r], hi_b[r] = entering, self.lo[q], self.hi[q]
             self.val[leaving] = bound
             self.where[leaving] = _AT_LOWER if up else _AT_UPPER
-            self.basis[r] = q
+            rising[leaving] = up and movable[leaving]
+            falling[leaving] = not up and movable[leaving]
+            basis[r] = q
             self.where[q] = _BASIC
+            rising[q] = falling[q] = False
             self.d -= (self.d[q] / alpha[q]) * alpha
             self.d[q] = 0.0
             self._update_inverse(r, w, buf)
             self.iterations += 1
             self.since_refactor += 1
             if self.since_refactor >= REFACTOR_EVERY:
+                self.val[basis] = xb
                 self._refactor()
-        return OPTIMAL
+                xb = self.val[basis]
+        self.val[basis] = xb
+        return status
 
     def solve(self) -> LpSolution:
         if self._iterate() == INFEASIBLE:
@@ -322,7 +414,7 @@ class _DualSimplex:
 
     def _verify(self):
         """Optimality certificate: primal and dual feasibility, equal objectives."""
-        resid = self.A @ self.val - self.model.rhs
+        resid = self._matrix_times(self.val) - self.model.rhs
         if self.m and np.max(np.abs(resid)) > 100 * FEAS_TOL:
             raise NumericError(f"row residual {np.max(np.abs(resid)):.3e} after optimization")
         below = np.maximum(self.lo - self.val, 0.0)
@@ -331,7 +423,7 @@ class _DualSimplex:
         if worst > 100 * FEAS_TOL:
             raise NumericError(f"bound violation {worst:.3e} after optimization")
         y = self.cost[self.basis] @ self.Binv
-        d = self.cost - y @ self.A
+        d = self.cost - self._times_matrix(y)
         nb = self.where != _BASIC
         # moving a nonbasic column off its bound must not pay: d >= 0 at a lower bound, <= 0 at an upper
         gain = np.where(self.where == _AT_UPPER, d, -d)[nb & (self.lo != self.hi)]
@@ -372,16 +464,19 @@ def corner(solution: LpSolution) -> CornerPolyhedron:
     rows = np.arange(k)
     at_lower = st.where[nb] == _AT_LOWER
     delta = np.where(at_lower, 1.0, -1.0)
-    full = np.zeros((k, st.N))
-    full[rows, nb] = delta
-    full[:, st.basis] = -delta[:, None] * (st.Binv @ st.A[:, nb]).T
+    struct = nb < n
+    sj = nb[struct]
+    directions = np.zeros((k, n))
+    directions[rows[struct], sj] = delta[struct]
+    basic = np.flatnonzero(st.basis < n)
+    # one product over the whole gathered block: splitting it moves bits at gemm tile edges
+    moves = -delta[:, None] * (st.Binv @ st._columns(nb)).T
+    directions[:, st.basis[basic]] = moves[:, basic]
 
     # eta = delta (z_j - bound) for a structural column, the row's slack
     # rhs - a.z for a <= row and its surplus a.z - rhs for a >= row
     eta_coef = np.zeros((k, n))
     eta_off = np.zeros(k)
-    struct = nb < n
-    sj = nb[struct]
     eta_coef[rows[struct], sj] = delta[struct]
     eta_off[struct] = -delta[struct] * np.where(at_lower[struct], st.lo[sj], st.hi[sj])
     i = nb[~struct] - n
@@ -390,7 +485,7 @@ def corner(solution: LpSolution) -> CornerPolyhedron:
     return CornerPolyhedron(
         apex=solution.x.copy(),
         columns=nb,
-        directions=full[:, :n].copy(),
+        directions=directions,
         eta_coef=eta_coef,
         eta_off=eta_off,
     )

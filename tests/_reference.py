@@ -7,15 +7,18 @@ from the chunked cube walks, which pin the brute-force primal and the least
 cut residuals at n <= 20.  Two exceptions only build package objects:
 :func:`modular`, a polynomial for tests that need a modular function, and
 :func:`cut_instance`, the instance a max-cut file loads as.  The third,
-:func:`newton_step_length`, evaluates a package set at one point at a time.
+:func:`newton_step_length`, evaluates a package set at one point at a time,
+and the fourth, :class:`ExplicitLogicalSimplex`, runs the package's dual
+simplex over an explicit constraint matrix.
 """
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from subcut import cuts
+from subcut import cuts, simplex
 from subcut.errors import SeparationBudget
 from subcut.models import BmpInstance
 from subcut.oracles import MultilinearFunction, cut_polynomial
@@ -227,7 +230,7 @@ def corner_rays_loop(solution, codes):
     nb = [j for j in range(st.N) if st.where[j] != codes["basic"] and st.lo[j] != st.hi[j]]
     rays = []
     if nb:
-        W = st.Binv @ st.A[:, nb]
+        W = st.Binv @ st._columns(np.array(nb))
         for k, j in enumerate(nb):
             delta = 1.0 if st.where[j] == codes["at_lower"] else -1.0
             full = np.zeros(st.N)
@@ -248,6 +251,42 @@ def corner_rays_loop(solution, codes):
                     h = -float(model.rhs[i])
             rays.append((j, full[:n].copy(), g, h))
     return rays
+
+
+def cut_from_steps_loop(corner, steps):
+    """The intersection cut's (coef, rhs), one finite ray at a time in ray order."""
+    coef = np.zeros(corner.apex.size)
+    rhs = 1.0
+    for k, eta in enumerate(steps):
+        if math.isfinite(eta):
+            coef += corner.eta_coef[k] / eta
+            rhs -= float(corner.eta_off[k]) / eta
+    return coef, rhs
+
+
+class ExplicitLogicalSimplex(simplex._DualSimplex):
+    """The package's dual simplex with the matrix [rows | diag(sign)] formed.
+
+    Every column and product hook reads the explicit m x (n + m) matrix,
+    as the solver did before its logical block became implicit, so a
+    solve through this class gives the reference pivot path.
+    """
+
+    @functools.cached_property
+    def A(self):
+        return np.hstack([self.model.rows, np.diag(self.sign)])
+
+    def _columns(self, idx, first=0):
+        return self.A[np.arange(first, self.m)][:, idx]
+
+    def _times_matrix(self, v):
+        return v @ self.A
+
+    def _matrix_times(self, z):
+        return self.A @ z
+
+    def _binv_column(self, q):
+        return self.Binv @ self.A[:, q]
 
 
 def poly_values(terms, masks):

@@ -451,6 +451,9 @@ class TestIntersectionCut:
                     ]
                     assert np.array(cut.steps).tobytes() == np.array([eta for eta, _ in fresh]).tobytes()
                     assert cut.newton_iters == sum(it for _, it in fresh)
+                    # the block reduction adds the rays' terms in the loop's order
+                    coef, rhs = ref.cut_from_steps_loop(cp, cut.steps)
+                    assert cut.coef.tobytes() == coef.tobytes() and cut.rhs == rhs
         assert kinds == {"env", "ss", "split"}
 
     def test_log_line(self, k3_cut, caplog):

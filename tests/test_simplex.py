@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import _reference as ref
-from subcut import simplex
+from subcut import harness, simplex
 from subcut.errors import NumericError
+from subcut.models import BmpInstance, build_model
+from subcut.oracles import cut_polynomial
 from subcut.simplex import (
     INFEASIBLE,
     OPTIMAL,
@@ -106,7 +108,7 @@ class TestSolve:
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(0.7, abs=1e-9)
         st = sol._state
-        assert st.A[:, 2].tolist() == [1.0]
+        assert st._columns(np.array([2]))[:, 0].tolist() == [1.0]
         assert st.lo[2] == st.hi[2] == 0.0
         # the start puts both columns at 1, so the logical starts at -1.3 and must leave
         assert 2 not in sol.basis and sol.iterations >= 1
@@ -160,7 +162,7 @@ class TestStartBasis:
 
     def test_logical_columns(self):
         st = simplex._DualSimplex(self.mixed_lp())
-        assert st.A[:, 4:].tolist() == np.diag([1.0, 1.0, -1.0, -1.0]).tolist()
+        assert st._columns(np.arange(4, 8)).tolist() == np.diag([1.0, 1.0, -1.0, -1.0]).tolist()
         assert st.lo[4:].tolist() == [0.0] * 4
         assert st.hi[4:].tolist() == [0.0, math.inf, math.inf, math.inf]
 
@@ -504,12 +506,56 @@ class TestWarmStart:
             solve(model.with_extra_rows([[1.0]], ["<="], [0.5]), warm=sol)
 
 
+class TestImplicitLogicals:
+    """The solver without a formed logical block keeps the explicit matrix's bits.
+
+    BLAS rounds a product by its operands' widths and layouts, so implicit
+    logical columns could move the pivot path without changing any value
+    by more than an ulp.  The traps show once rows with non-dyadic
+    coefficients are appended: a g05 LP whose column count is not a
+    multiple of 4 puts structural columns in the tail of an unpadded row
+    product, a second re-solve extends a non-dyadic inverse (the layout
+    trap), and a short refactor interval lets the sign of a zero in an
+    entering logical column reach the inverse.
+    """
+
+    @staticmethod
+    def assert_same_bytes(sol, ref_sol):
+        assert sol.status == ref_sol.status == OPTIMAL
+        assert sol.iterations == ref_sol.iterations
+        assert np.array_equal(sol.basis, ref_sol.basis)
+        st, rt = sol._state, ref_sol._state
+        for a, b in ((sol.x, ref_sol.x), (st.Binv, rt.Binv), (st.d, rt.d)):
+            assert a.tobytes() == b.tobytes()
+        cp, rp = corner(sol), corner(ref_sol)
+        for name in ("apex", "columns", "directions", "eta_coef", "eta_off"):
+            a, b = getattr(cp, name), getattr(rp, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("refactor_every", [simplex.REFACTOR_EVERY, 8])
+    def test_cold_and_warm_solves_match_the_explicit_matrix(self, monkeypatch, refactor_every):
+        monkeypatch.setattr(simplex, "REFACTOR_EVERY", refactor_every)
+        graph = harness.pw_graph(20, 0.15, seed=1001, max_weight=1)
+        model, _, _ = build_model(BmpInstance(cut_polynomial(graph)))
+        assert model.ncols % 4 != 0
+        sol, ref_sol = solve(model), ref.ExplicitLogicalSimplex(model).solve()
+        self.assert_same_bytes(sol, ref_sol)
+        # two re-solves, each after two rows that the last optimum violates
+        rng = np.random.default_rng(4)
+        for _ in range(2):
+            rows = rng.uniform(0.0, 1.0, size=(2, model.ncols)) * (rng.random((2, model.ncols)) < 0.5)
+            model = model.with_extra_rows(rows, ["<=", "<="], rows @ sol.x - 0.1)
+            sol, ref_sol = solve(model, warm=sol), ref.ExplicitLogicalSimplex(model, ref_sol._state).solve()
+            assert sol.iterations > 0
+            self.assert_same_bytes(sol, ref_sol)
+
+
 class TestCertificate:
     def test_corrupted_reduced_cost_is_caught(self):
         sol = solve(tent_lp())
         st = sol._state
         st._verify()  # the genuine optimum passes
-        d = st.cost - (st.cost[st.basis] @ st.Binv) @ st.A
+        d = st.cost - (st.cost[st.basis] @ st.Binv) @ st._columns(np.arange(st.N))
         (j,) = np.flatnonzero((st.where == simplex._AT_LOWER) & (st.lo != st.hi))[:1]
         st.cost[j] -= d[j] + 1.0  # reduced cost -1 at a lower bound: not optimal
         with pytest.raises(NumericError, match="reduced cost"):
