@@ -24,11 +24,15 @@ searching.  ``step_length`` reads one ray's step out of its result.
 Brute-force validation needs no corner: every feasible binary x, lifted
 with exact products and any t in [lower_t, f(x)], lies in the first LP, so
 a valid cut keeps it, and the least residual over those points is the
-minimum of one multilinear polynomial on the cube.
+minimum of one multilinear polynomial on the cube.  That polynomial always
+lives on the lift's monomials, so a run builds one :class:`CutValidator`
+(their split-cube basis, the objective on them and the infeasible mask)
+and each cut costs one small matrix product, one mask and one argmin.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -38,7 +42,7 @@ import numpy as np
 
 from .envelope import envelope_eval
 from .errors import SeparationBudget
-from .oracles import MultilinearFunction, SSFunction
+from .oracles import CubeBasis, SSFunction
 from .sfree import INTERIOR_TOL, SFreeSet
 
 NEWTON_START = 0.2
@@ -261,23 +265,55 @@ class CutCheck:
         return bool(self.residual >= -CUT_TOL)
 
 
-def validate_cut_bruteforce(cut: IntersectionCut, lift, lower_t: float) -> CutCheck:
-    """Check the cut at every feasible binary x of ``lift.instance``, lifted exactly.
+class CutValidator:
+    """The cube one run's cuts are checked on, built at the first check.
+
+    Its monomials are the lift's: the x singletons in ``x_cols`` order, the
+    ``y_cols`` supports, then any other support of the objective.  ``cube``
+    holds their :class:`CubeBasis`, the objective's coefficients on them (so
+    a_t * f folds into a cut's coefficient vector) and the mask of the points
+    that break a constraint or the cardinality.  Guarded by the brute-force
+    capacity before any table is built.
+    """
+
+    def __init__(self, lift, lower_t: float):
+        # the cube is built by the first validate_cut_bruteforce call, so the
+        # time of that call, not the caller's, includes it
+        self.lift = lift
+        self.lower_t = float(lower_t)
+        self.cols = np.array([*lift.x_cols, *lift.y_cols.values()], dtype=int)
+
+    @functools.cached_property
+    def cube(self):
+        """(basis, objective coefficients, infeasible mask). Guarded."""
+        lift = self.lift
+        objective = dict.fromkeys([frozenset({j}) for j in range(lift.n)] + list(lift.y_cols), 0.0)
+        for c, s in lift.instance.objective.terms:
+            objective[s] = objective.get(s, 0.0) + c
+        basis = CubeBasis(lift.n, list(objective))
+        return basis, np.array(list(objective.values())), lift.instance.infeasible()
+
+
+def validate_cut_bruteforce(cut: IntersectionCut, validator: CutValidator) -> CutCheck:
+    """Check the cut at every feasible binary x of the lift's instance, lifted exactly.
 
     Each such x, with y the exact products and any t in [lower_t, f(x)], lies in
     the first LP and satisfies every earlier valid cut, so a valid cut keeps it.
     The cut is affine in t, so the worst t is f(x) when its t coefficient is
     negative and lower_t when it is positive; the least residual over the cube is
-    then the minimum of one multilinear polynomial, its x and y terms (plus
-    a_t * f), evaluated as one ``cube_table`` with infeasible points masked.
-    Guarded by the brute-force capacity.
+    then the minimum of one multilinear polynomial, the cut's x and y
+    coefficients (plus a_t * f) on the run's :class:`CutValidator` basis, with
+    infeasible points masked.
     """
-    instance = lift.instance
-    a_t = float(cut.coef[lift.t_col])
-    t_terms = [(a_t * c, s) for c, s in instance.objective.terms] if a_t < 0.0 else []
-    residual = MultilinearFunction(lift.n, lift.terms(cut.coef) + t_terms)
-    table = instance.masked_table(residual, math.inf)
+    basis, objective, infeasible = validator.cube
+    a_t = float(cut.coef[validator.lift.t_col])
+    coefs = np.zeros(objective.size)
+    coefs[: validator.cols.size] = cut.coef[validator.cols]
+    if a_t < 0.0:
+        coefs += a_t * objective
+    table = basis.table(coefs)
+    table[infeasible] = math.inf
     i_a, i_b = np.unravel_index(np.argmin(table), table.shape)
-    shift = a_t * lower_t if a_t > 0.0 else 0.0
+    shift = a_t * validator.lower_t if a_t > 0.0 else 0.0
     # bitmask order is the table's column-major order; no (slow) transposed copy
     return CutCheck(float(table[i_a, i_b]) + shift - cut.rhs, int(i_a + i_b * table.shape[0]))

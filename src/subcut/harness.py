@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import simplex
-from .cuts import gradient_cut, intersection_cut, validate_cut_bruteforce
+from .cuts import CutValidator, gradient_cut, intersection_cut, validate_cut_bruteforce
 from .errors import CAPACITY, ModelError, NumericError, check_capacity
 from .models import BmpInstance, build_model, project_corner
 from .oracles import (
@@ -203,7 +203,7 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
     sep_s = 0.0
     failed = False
     check = _want_validation(config, lift.n)
-    lower_t = float(model.lower[lift.t_col])
+    validator = None  # built at the first cut this run checks
 
     def finish() -> RootNodeReport:
         return RootNodeReport(
@@ -255,8 +255,9 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
             break
 
         if check:
+            validator = validator or CutValidator(lift, model.lower[lift.t_col])
             for cut in batch:
-                verdict = validate_cut_bruteforce(cut, lift, lower_t)
+                verdict = validate_cut_bruteforce(cut, validator)
                 if not verdict:
                     x = [(verdict.mask >> i) & 1 for i in range(lift.n)]
                     raise NumericError(

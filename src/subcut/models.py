@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import check_capacity
 from .oracles import MultilinearFunction, cube_table, ss_decompose
 from .simplex import CornerPolyhedron, LpModel
 
@@ -36,11 +37,6 @@ class LiftMap:
     ncols: int
     instance: BmpInstance = None
 
-    def terms(self, coef) -> list:
-        """The x and y part of column coefficients as polynomial terms in x; t is left out."""
-        terms = [(coef[col], {j}) for j, col in enumerate(self.x_cols)]
-        return terms + [(coef[col], support) for support, col in self.y_cols.items()]
-
 
 @dataclass
 class BmpInstance:
@@ -59,14 +55,21 @@ class BmpInstance:
     def n(self) -> int:
         return self.objective.n
 
-    def masked_table(self, poly: MultilinearFunction, fill: float) -> np.ndarray:
-        """``cube_table(poly)`` with ``fill`` at every point that breaks a constraint or the cardinality."""
-        values = cube_table(poly)
+    def infeasible(self) -> np.ndarray:
+        """Where a point breaks a constraint or the cardinality, in ``cube_table`` layout. Guarded."""
+        check_capacity("brute force", self.n)
+        a = self.n // 2
+        out = np.zeros((1 << a, 1 << (self.n - a)), dtype=bool)
         for c in self.constraints:
-            values[cube_table(c) < 0.0] = fill
+            out |= cube_table(c) < 0.0
         if self.cardinality is not None:
-            ones = np.bitwise_count(np.arange(values.size)).reshape(values.shape, order="F")
-            values[ones != self.cardinality] = fill
+            out |= np.bitwise_count(np.arange(out.size)).reshape(out.shape, order="F") != self.cardinality
+        return out
+
+    def masked_table(self, poly: MultilinearFunction, fill: float) -> np.ndarray:
+        """``cube_table(poly)`` with ``fill`` at every :meth:`infeasible` point."""
+        values = cube_table(poly)
+        values[self.infeasible()] = fill
         return values
 
 

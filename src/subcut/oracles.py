@@ -170,23 +170,44 @@ class MultilinearFunction:
         return f"<MultilinearFunction n={self.n} terms={len(self.terms)} degree={self.degree}>"
 
 
-def cube_table(poly: MultilinearFunction) -> np.ndarray:
-    """The polynomial on {0,1}^n as a (2^a, 2^b) table, a = n // 2. Guarded.
+class CubeBasis:
+    """Monomials over ``supports`` on {0,1}^n, split in halves for one product per table. Guarded.
 
-    Entry [iA, iB] is the value at bitmask iA | (iB << a), so ``ravel(order="F")``
-    is bitmask order.  The table is U @ V.T, a V column per distinct S & B of the
-    supports S, U summing c * [S & A within xA]; exact for integer coefficients.
+    With a = n // 2, the monomial of support S at bitmask iA | (iB << a) is
+    [S & A within iA] * [S & B within iB].  The basis keeps each support's A-half
+    indicator (2^a entries), its group among the distinct B halves (in order of
+    first appearance) and each group's B-half indicator (2^b entries), so that
+    ``table(coefs)`` is one product U @ V.T, U summing the coefficients' A
+    indicators group by group.
     """
-    check_capacity("brute force", poly.n)
-    a = poly.n // 2
-    rows, cols = np.arange(1 << a), np.arange(1 << (poly.n - a))
-    u = {}  # S & B mask -> U column
-    for coef, support in poly.terms:
-        mask = sum(1 << j for j in support)
-        m_a = mask & ((1 << a) - 1)
-        u[mask >> a] = u.get(mask >> a, 0.0) + coef * ((rows & m_a) == m_a)
-    m_b = np.array(list(u), dtype=int)
-    return np.array(list(u.values())).reshape(-1, rows.size).T @ ((cols[:, None] & m_b) == m_b).T
+
+    def __init__(self, n: int, supports):
+        check_capacity("brute force", n)
+        a = n // 2
+        masks = [sum(1 << j for j in s) for s in supports]
+        groups = {}  # B half -> group, in order of first appearance
+        member = [groups.setdefault(m >> a, len(groups)) for m in masks]
+        m_a = np.array([m & ((1 << a) - 1) for m in masks], dtype=int)
+        m_b = np.array(list(groups), dtype=int)
+        rows, cols = np.arange(1 << a), np.arange(1 << (n - a))
+        self.a_ind = ((rows[:, None] & m_a) == m_a).astype(float)
+        self.onehot = np.zeros((len(masks), len(groups)))
+        self.onehot[np.arange(len(masks)), member] = 1.0
+        self.b_ind_t = ((cols[:, None] & m_b) == m_b).T.astype(float)
+
+    def table(self, coefs) -> np.ndarray:
+        """sum_k coefs[k] * monomial_k on {0,1}^n as a (2^a, 2^b) table.
+
+        Entry [iA, iB] is the value at bitmask iA | (iB << a), so ``ravel(order="F")``
+        is bitmask order; exact for integer coefficients.
+        """
+        return (self.a_ind @ (self.onehot * coefs[:, None])) @ self.b_ind_t
+
+
+def cube_table(poly: MultilinearFunction) -> np.ndarray:
+    """The polynomial on {0,1}^n as a :class:`CubeBasis` table over its own supports. Guarded."""
+    basis = CubeBasis(poly.n, [s for _, s in poly.terms])
+    return basis.table(np.array([a for a, _ in poly.terms]))
 
 
 def cube_points(n: int) -> np.ndarray:

@@ -9,6 +9,7 @@ import _reference as ref
 from subcut import cuts, harness, models, oracles
 from subcut.cuts import (
     EFFICACY_MIN,
+    CutValidator,
     IntersectionCut,
     gradient_cut,
     intersection_cut,
@@ -63,7 +64,7 @@ def k3_instance():
 
 def validate(cut, model, lift):
     """The cut checked against the lift's instance, t bounded below as in the model."""
-    return validate_cut_bruteforce(cut, lift, float(model.lower[lift.t_col]))
+    return validate_cut_bruteforce(cut, CutValidator(lift, model.lower[lift.t_col]))
 
 
 def f_on_cube(poly):
@@ -85,6 +86,37 @@ def emitted_cuts(monkeypatch):
         return list(seen)
 
     return run
+
+
+def residual_at(cut, lift, lower_t, mask):
+    """coef.z - rhs at the binary point ``mask``, lifted exactly with the worse end of t."""
+    masks = np.array([mask])
+    a_t = cut.coef[lift.t_col]
+    t = ref.poly_values(lift.instance.objective.terms, masks)[0] if a_t < 0 else lower_t
+    return float(ref.lifted_points(lift, masks)[0] @ cut.coef) + a_t * t - cut.rhs
+
+
+def feasible_at(instance, mask):
+    masks = np.array([mask])
+    ok = all(ref.poly_values(c.terms, masks)[0] >= 0.0 for c in instance.constraints)
+    return ok and instance.cardinality in (None, int(mask).bit_count())
+
+
+def assert_matches_least_residuals(found, lift, lower_t):
+    """The cuts, then each with its rhs raised past its least residual, through one
+    validator as a run uses it: verdicts equal, residuals within 1e-9, and the
+    reported point feasible and at the least residual."""
+    least, _ = ref.least_residuals([c.coef for c in found], [c.rhs for c in found], lift, lower_t)
+    raised = [dataclasses.replace(c, rhs=c.rhs + low + 1e-3 * (1.0 + abs(c.rhs))) for c, low in zip(found, least)]
+    least_raised, _ = ref.least_residuals([c.coef for c in raised], [c.rhs for c in raised], lift, lower_t)
+    validator = CutValidator(lift, lower_t)
+    for cut, low in zip(found + raised, np.concatenate([least, least_raised])):
+        check = validate_cut_bruteforce(cut, validator)
+        assert bool(check) == bool(low >= -cuts.CUT_TOL)
+        assert check.residual == pytest.approx(low, abs=1e-9)
+        assert feasible_at(lift.instance, check.mask)
+        assert residual_at(cut, lift, lower_t, check.mask) == pytest.approx(low, abs=1e-9)
+    assert not any(validate_cut_bruteforce(cut, validator) for cut in raised)
 
 
 @dataclasses.dataclass
@@ -345,7 +377,7 @@ class TestIntersectionCut:
         assert ref.validate_cut_in_corner(cut.coef, cut.rhs, values, 1, lift, cp, cuts.CUT_TOL)
         # the hand-made corner (x >= 0.5) leaves out x = 0, t = 0, which the cut
         # violates; every LP of the instance keeps that point, so no LP corner would
-        check = validate_cut_bruteforce(cut, plain_lift(3, k3_instance()), -6.0)
+        check = validate_cut_bruteforce(cut, CutValidator(plain_lift(3, k3_instance()), -6.0))
         assert not check
         assert check.mask == 0 and check.residual == pytest.approx(-2.0, abs=1e-9)
 
@@ -598,20 +630,22 @@ class TestValidateCut:
         lift = plain_lift(n, BmpInstance(MultilinearFunction(n, [(1.0, {0})])))
         cut = IntersectionCut(coef=np.zeros(n + 1), rhs=0.0, kind="env", efficacy=1.0)
         with pytest.raises(CapacityError, match=r"brute force limited to n <= 20, got n = 21"):
-            validate_cut_bruteforce(cut, lift, 0.0)
+            validate_cut_bruteforce(cut, CutValidator(lift, 0.0))
 
     def test_capacity_checked_before_enumeration(self, monkeypatch):
-        # the guard must answer before any constraint table is computed
+        # the guard must answer before any table is built: the residual's or a constraint's
         n = 21
         tables = []
-        monkeypatch.setattr(models, "cube_table",
-                            lambda poly: tables.append(poly) or oracles.cube_table(poly))
+        monkeypatch.setattr(models, "cube_table", lambda poly: tables.append(poly) or oracles.cube_table(poly))
+        table = oracles.CubeBasis.table
+        monkeypatch.setattr(oracles.CubeBasis, "table",
+                            lambda self, coefs: tables.append(coefs) or table(self, coefs))
         poly = MultilinearFunction(n, [(1.0, {0})])
         lift = plain_lift(n, BmpInstance(poly, constraints=[poly]))
         cut = IntersectionCut(coef=np.zeros(n + 1), rhs=0.0, kind="env", efficacy=1.0)
         with pytest.raises(CapacityError):
-            validate_cut_bruteforce(cut, lift, 0.0)
-        assert len(tables) == 1  # the residual's own table, which raised
+            validate_cut_bruteforce(cut, CutValidator(lift, 0.0))
+        assert tables == []
 
     def test_masked_points_are_exempt(self):
         # y_01 <= 0 and x_0 + x_1 + x_2 >= 1 are broken only at x = (1, 1, *)
@@ -640,14 +674,15 @@ class TestValidateCut:
         lift = plain_lift(3, k3_instance())
         for a_t, rhs, want in [(-1.0, -2.0, 0.0), (1.0, -6.0, 0.0), (0.0, 0.0, 0.0), (2.0, -11.0, -1.0)]:
             coef = np.array([0.0, 0.0, 0.0, a_t])
-            check = validate_cut_bruteforce(IntersectionCut(coef, rhs, "env", 1.0), lift, -6.0)
+            check = validate_cut_bruteforce(IntersectionCut(coef, rhs, "env", 1.0), CutValidator(lift, -6.0))
             assert check.residual == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["g05", "autocorr"])
     def test_verdicts_match_corner_reference(self, monkeypatch, kind):
         # every cut the loop emits at n = 12, and the same cut with its rhs raised
         # past its least residual, gets the verdict of the former validator, which
-        # clipped t to the cut's corner
+        # clipped t to the cut's corner, and of the chunked cube walk through one
+        # validator per run
         emitted = emitted_cuts(monkeypatch)
         total = 0
         for seed in (1000, 1001):
@@ -674,6 +709,7 @@ class TestValidateCut:
                     bad = dataclasses.replace(cut, rhs=cut.rhs + low + 1e-3 * (1.0 + abs(cut.rhs)))
                     assert not validate(bad, model, lift)
                     assert not in_corner(bad, cp)
+                assert_matches_least_residuals([c for c, _ in seen], lift, float(model.lower[lift.t_col]))
                 total += len(seen)
         assert total >= 100
 
@@ -725,3 +761,42 @@ class TestValidateCut:
             assert cut.efficacy >= EFFICACY_MIN
             assert validate(cut, model, lift)
         assert emitted >= 5
+
+
+class TestCutValidator:
+    @pytest.mark.parametrize("masking", ["constraint", "cardinality"])
+    def test_masked_instances(self, masking):
+        # seeded cuts over every column, t coefficients of both signs and zero, on an
+        # instance whose constraint or cardinality rules out part of the cube
+        objective = autocorr_polynomial(10, 2, 0.3, 7)
+        if masking == "constraint":
+            terms = [(1.0, {0}), (1.0, {1}), (-3.0, {0, 1}), (1.0, {4}), (-2.0, {4, 5, 6})]
+            limit = MultilinearFunction(10, terms)
+            problem = BmpInstance(objective, constraints=[limit])
+        else:
+            problem = BmpInstance(objective, cardinality=4)
+        model, lift = models._lifted_lp(problem)
+        lower_t = float(model.lower[lift.t_col])
+        rng = np.random.default_rng(5)
+        coefs = rng.normal(size=(12, lift.ncols))
+        coefs[:, lift.t_col] = np.tile([-1.0, 0.0, 1.0], 4)
+        least, _ = ref.least_residuals(coefs, np.zeros(12), lift, lower_t)
+        # rhs a little under or over the least residual: half the cuts valid, half not
+        rhs = least + np.tile([-0.5, 0.5], 6) * rng.random(12)
+        found = [IntersectionCut(coef=c, rhs=float(b), kind="env", efficacy=1.0) for c, b in zip(coefs, rhs)]
+        assert_matches_least_residuals(found, lift, lower_t)
+        # the masked points matter: on the whole cube some least residuals are lower
+        whole = dataclasses.replace(lift, instance=BmpInstance(objective))
+        assert np.any(ref.least_residuals(coefs, np.zeros(12), whole, lower_t)[0] < least - 1e-6)
+
+    def test_root_loop_builds_one_per_validating_run(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(harness, "CutValidator", lambda *args: built.append(args) or CutValidator(*args))
+        model, targets, lift = build_model(BmpInstance(autocorr_polynomial(12, 2, 0.2, 1000)))
+        for mode, validate_cuts, runs in [("both", "on", 1), ("split", "auto", 1), ("both", "off", 0),
+                                          ("none", "on", 0)]:
+            built.clear()
+            report = harness.root_loop(model, targets, lift, RunConfig(mode=mode, validate_cuts=validate_cuts))
+            assert len(built) == runs
+            if mode != "none":
+                assert report.rounds >= 2 and report.cuts >= 2
