@@ -2,7 +2,7 @@
 
 The pipeline: oracles evaluate set functions, envelope builds their convex
 extension from greedy vertices, sfree turns the extension (less a linear
-term for reverse linearizations), splits and chain covers into free sets,
+term for reverse linearizations) and splits into free sets,
 simplex supplies LP optima with corner relaxations, cuts turns corner +
 free set into valid inequalities, models builds the lifted LPs, and
 harness runs the root-node experiments.
@@ -21,12 +21,7 @@ from .oracles import (
     is_submodular_bruteforce,
     ss_decompose,
 )
-from .sfree import (
-    CoverRelaxation,
-    EnvelopeEpigraph,
-    LiftedSplit,
-    build_reverse_linearized,
-)
+from .sfree import EnvelopeEpigraph, LiftedSplit, build_reverse_linearized
 from .simplex import LpModel, LpSolution, corner, solve
 
 __version__ = "0.1.0"
@@ -34,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BmpInstance",
     "CapacityError",
-    "CoverRelaxation",
     "EnvelopeEpigraph",
     "Graph",
     "IntersectionCut",

@@ -186,12 +186,17 @@ def cmd_bench(args) -> int:
     print(harness.CSV_HEADER)
     for r in reports:
         print(r.csv_row())
-    summary = harness.aggregate(reports)
+    failed = sum(r.failed for r in reports)
+    if failed:
+        print(f"warning: LP failure in {failed} of {len(reports)} runs, left out of the summary",
+              file=sys.stderr)
+    # aggregate leaves failed runs out, and so every mode without a live run
+    summary = harness.aggregate(reports) if failed < len(reports) else {}
     print("mode,closed,time_s,cuts,runs")
     for mode, row in summary.items():
         print(f"{mode},{row['closed']:.4f},"
               f"{row['time']:.3f},{row['cuts']:.2f},{row['runs']}")
-    return 0
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,7 @@ Separation settings are module constants, read at call time:
 NEWTON_START, NEWTON_MAX_STEPS, ETA_INF and ROOT_TOL drive the step
 search; MIN_STEP is the step floor below which the apex counts as on the
 boundary; EFFICACY_MIN and DYNAMIC_RANGE_MAX filter assembled cuts; and
-CUT_TOL is the satisfaction and validation slack.  The apex margin is
+CUT_TOL is the validation slack.  The apex margin is
 computed once per cut: the apex counts as strictly interior when it
 exceeds ``sfree.INTERIOR_TOL``, and it is zeta(0) on every ray.
 
@@ -152,12 +152,6 @@ class IntersectionCut:
     @property
     def nrays(self) -> int:
         return len(self.steps)
-
-    def violation(self, z) -> float:
-        return self.rhs - float(self.coef @ np.asarray(z, dtype=float))
-
-    def satisfied(self, z) -> bool:
-        return self.violation(z) <= CUT_TOL
 
 
 def intersection_cut(corner, sfree: SFreeSet):

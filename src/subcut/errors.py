@@ -14,16 +14,12 @@ class CapacityError(ValueError):
     """A brute-force or enumeration guard was exceeded."""
 
 
-# Largest n each exhaustive path accepts.  Costs grow as n! (vertex
-# enumeration), 4^n (submodularity check) or 2^n times the cost of one
-# point, which is why each path has a limit of its own.
+# Largest n each exhaustive path accepts.  Costs grow as 4^n (submodularity
+# check) or 2^n times the cost of one point, which is why each path has a
+# limit of its own.
 CAPACITY = {
-    "vertex enumeration": 8,  # envelope.enumerate_vertices
-    "cover check": 8,  # sfree.is_cover
-    "maximality diagnostic": 5,  # sfree.maximality_diagnostic
     "cut validation": 12,  # largest n that validate_cuts="auto" checks; "on" is bounded by "brute force"
     "cube enumeration": 14,  # oracles.cube_points, MultilinearFunction.values_on_cube, is_submodular_bruteforce
-    "freeness check": 14,  # sfree.verify_free_bruteforce
     "brute force": 20,  # oracles.cube_table (brute_force_primal, validate_cut_bruteforce)
     # `subcut verify` skips a check above its limit instead of failing
     "verify submodular": 12,

@@ -6,10 +6,12 @@ and exhaustive enumeration.  Slow is fine; these run on tiny inputs, apart
 from the chunked cube walks, which pin the brute-force primal and the least
 cut residuals at n <= 20.  Two exceptions only build package objects:
 :func:`modular`, a polynomial for tests that need a modular function, and
-:func:`cut_instance`, the instance a max-cut file loads as.  The third,
-:func:`newton_step_length`, evaluates a package set at one point at a time,
-and the fourth, :class:`ExplicitLogicalSimplex`, runs the package's dual
-simplex over an explicit constraint matrix.
+:func:`cut_instance`, the instance a max-cut file loads as.  Two evaluate a
+package set at one point at a time: :func:`newton_step_length` along a ray,
+and :func:`verify_free_bruteforce` at every binary point of its target.
+The last, :class:`ExplicitLogicalSimplex`, runs the package's dual simplex
+over an explicit constraint matrix.  The chain-cover relaxations build on
+the package's free sets and LP solver, so they live apart, in ``_covers``.
 """
 
 import functools
@@ -22,6 +24,7 @@ from subcut import cuts, simplex
 from subcut.errors import SeparationBudget
 from subcut.models import BmpInstance
 from subcut.oracles import MultilinearFunction, cut_polynomial
+from subcut.sfree import INTERIOR_TOL
 
 
 def cut_value(edges, x):
@@ -78,6 +81,47 @@ def envelope_by_enumeration(values, n, x):
         sigma = greedy_sigma(values, order)
         best = max(best, sum(s * xi for s, xi in zip(sigma, x)))
     return best
+
+
+def chain_points(order) -> list:
+    """Monotone 0-1 chain induced by ``order``: all-zeros up to all-ones."""
+    order = np.asarray(order, dtype=int)
+    n = order.size
+    points = [np.zeros(n)]
+    x = np.zeros(n)
+    for j in order:
+        x = x.copy()
+        x[j] = 1.0
+        points.append(x)
+    return points
+
+
+def chain_to_permutation(points) -> np.ndarray:
+    """Inverse of :func:`chain_points`; rejects anything that is not a full chain."""
+    pts = [np.asarray(p, dtype=float) for p in points]
+    if not pts:
+        raise ValueError("empty chain")
+    n = pts[0].size
+    if len(pts) != n + 1:
+        raise ValueError(f"a full chain on n = {n} has {n + 1} points, got {len(pts)}")
+    if np.any(pts[0] != 0.0):
+        raise ValueError("chain must start at the all-zero point")
+    order = np.empty(n, dtype=int)
+    for i in range(n):
+        diff = pts[i + 1] - pts[i]
+        added = np.nonzero(diff)[0]
+        if added.size != 1 or diff[added[0]] != 1.0:
+            raise ValueError(f"chain step {i} does not add exactly one coordinate")
+        order[i] = added[0]
+    return order
+
+
+def support_points(poly, order) -> list:
+    """The n + 1 chain points of ``order`` paired with the polynomial's values there.
+
+    The values come from :func:`multilinear_value` over ``poly.terms``.
+    """
+    return [(p, multilinear_value(poly.terms, p)) for p in chain_points(order)]
 
 
 def bisect_root(g, lo, hi, tol=1e-12, max_iter=200):
@@ -187,6 +231,25 @@ def is_submodular_pairs(values, n, tol=1e-9):
             meet = tuple(min(a, b) for a, b in zip(x, y))
             if values(x) + values(y) < values(join) + values(meet) - tol:
                 return False
+    return True
+
+
+def verify_free_bruteforce(sfree, target) -> bool:
+    """No point of the target's geometry lies strictly inside the free set.
+
+    Hypograph targets (level 1, and any target without a level) are checked
+    at (x, f(x)) for every binary x; superlevel targets (level 0) at every
+    sign-feasible binary x.  "Strictly inside" is a margin above the
+    package's INTERIOR_TOL, the threshold the separator uses.
+    """
+    level = getattr(target, "level", 1)
+    for bits in itertools.product((0.0, 1.0), repeat=target.n):
+        x = np.array(bits)
+        fx = target.value(x)
+        if level == 0 and fx < -1e-12:
+            continue
+        if sfree.margin(x, fx) > INTERIOR_TOL:
+            return False
     return True
 
 

@@ -371,7 +371,7 @@ class TestIntersectionCut:
         z = np.array([1.0, 1.0, 1.0, 0.0])
         lhs = float(np.sum((cp.eta_coef @ z + cp.eta_off) / cut.steps))
         assert lhs == pytest.approx(3.0, abs=1e-9)
-        assert cut.satisfied(z)
+        assert cut.rhs - cut.coef @ z <= cuts.CUT_TOL
         assert cut.efficacy == pytest.approx(1.0 / math.sqrt(52.0 / 9.0), abs=1e-9)
         values = f_on_cube(k3_instance().objective)
         assert ref.validate_cut_in_corner(cut.coef, cut.rhs, values, 1, lift, cp, cuts.CUT_TOL)
@@ -581,11 +581,11 @@ class TestGradientCut:
         poly = MultilinearFunction(2, [(3.0, {0, 1})])
         ss = ss_decompose(poly)
         cut = gradient_cut(ss, [1.0, 1.0], 4.0, plain_lift(2))
-        assert not cut.satisfied([1.0, 1.0, 4.0])
+        assert not cut.rhs - cut.coef @ [1.0, 1.0, 4.0] <= cuts.CUT_TOL
         # but keeps every lifted binary graph point
         for mask in range(4):
             x = [(mask >> i) & 1 for i in range(2)]
-            assert cut.satisfied([x[0], x[1], poly.value(x)])
+            assert cut.rhs - cut.coef @ [x[0], x[1], poly.value(x)] <= cuts.CUT_TOL
 
     def test_non_violating_point(self):
         poly = MultilinearFunction(2, [(3.0, {0, 1})])

@@ -1,20 +1,23 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import _reference as ref
-from subcut.envelope import (
-    chain_points,
-    chain_to_permutation,
-    enumerate_vertices,
-    envelope_eval,
-    envelope_max_bruteforce,
-    greedy_vertex,
-    support_points,
-)
-from subcut.errors import CapacityError
+from _reference import chain_points, chain_to_permutation, support_points
+from subcut.envelope import envelope_eval, greedy_vertex
 from subcut.oracles import Graph, MultilinearFunction, cut_polynomial
+
+
+def all_greedy_vertices(f):
+    """The package's greedy vertex of every one of the n! orders."""
+    return [greedy_vertex(f, order) for order in itertools.permutations(range(f.n))]
+
+
+def envelope_by_enumeration(f, x):
+    """The reference envelope: max of sigma . x over all n! orders of the polynomial's terms."""
+    return ref.envelope_by_enumeration(lambda bits: ref.multilinear_value(f.terms, bits), f.n, x)
 
 
 @pytest.fixture
@@ -91,8 +94,6 @@ class TestGreedyVertex:
             assert np.allclose(greedy_vertex(f, order), c)
 
     def test_matches_reference_sigma(self, k3_cut):
-        import itertools
-
         for order in itertools.permutations(range(3)):
             got = greedy_vertex(k3_cut, list(order))
             want = ref.greedy_sigma(
@@ -274,7 +275,7 @@ class TestEnvelopeProperties:
             f, rows = case
             for x in rows:
                 assert envelope_eval(f, x).value == pytest.approx(
-                    envelope_max_bruteforce(f, x), abs=1e-9
+                    envelope_by_enumeration(f, x), abs=1e-9
                 )
 
         check()
@@ -332,8 +333,6 @@ class TestChains:
         assert chain_to_permutation(chain).tolist() == [2, 1, 0]
 
     def test_round_trip_all_permutations(self):
-        import itertools
-
         for order in itertools.permutations(range(3)):
             again = chain_to_permutation(chain_points(list(order)))
             assert tuple(again) == order
@@ -351,7 +350,7 @@ class TestChains:
 
 class TestEnumerateVertices:
     def test_k3_vertex_set(self, k3_cut):
-        got = {tuple(v) for v in enumerate_vertices(k3_cut)}
+        got = {tuple(v) for v in all_greedy_vertices(k3_cut)}
         want = {
             (2.0, 0.0, -2.0),
             (2.0, -2.0, 0.0),
@@ -364,23 +363,19 @@ class TestEnumerateVertices:
 
     def test_modular_all_equal(self):
         c = [1.0, 2.0, 3.0]
-        vertices = enumerate_vertices(ref.modular(c))
+        vertices = all_greedy_vertices(ref.modular(c))
         assert len(vertices) == 6
         assert all(np.allclose(v, c) for v in vertices)
 
     def test_single_variable(self):
         f = MultilinearFunction(1, [(-4.0, {0})])
-        vertices = enumerate_vertices(f)
+        vertices = all_greedy_vertices(f)
         assert len(vertices) == 1 and vertices[0].tolist() == [-4.0]
-
-    def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            enumerate_vertices(ref.modular(np.zeros(9)))
 
     def test_bruteforce_helper_agrees(self, k3_cut):
         rng = np.random.default_rng(59)
         for _ in range(20):
             x = rng.uniform(-2, 2, size=3)
-            assert envelope_max_bruteforce(k3_cut, x) == pytest.approx(
+            assert envelope_by_enumeration(k3_cut, x) == pytest.approx(
                 envelope_eval(k3_cut, x).value, abs=1e-12
             )

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import _reference as ref
 import subcut
 from subcut import cli, harness, simplex
 from subcut.cuts import IntersectionCut
-from subcut.errors import CapacityError, ModelError, NumericError
+from subcut.errors import CAPACITY, CapacityError, ModelError, NumericError
 from subcut.harness import (
     CSV_HEADER,
     RootNodeReport,
@@ -707,6 +708,36 @@ class TestCli:
         if "modes" not in config:
             assert "accepted keys: mode, rounds, max_cuts_per_round, validate_cuts, modes" in line
 
+    @pytest.mark.parametrize("failing, summary_runs", [
+        (1, {"none": "1", "split": "2"}),  # the first run's first solve only
+        (4, {}),  # every run's first solve
+    ], ids=["one_failed", "all_failed"])
+    def test_bench_failed_runs(self, tmp_path, capsys, monkeypatch, failing, summary_runs):
+        generate_instances("g05", 6, count=2, seed=0, out_dir=tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rounds": 2, "modes": ["none", "split"]}))
+        solve, cold = simplex.solve, []
+
+        def failing_solve(model, warm=None):
+            if warm is None:
+                cold.append(model)
+                if len(cold) <= failing:
+                    raise NumericError("singular basis")
+            return solve(model, warm=warm)
+
+        monkeypatch.setattr(simplex, "solve", failing_solve)
+        rc = cli.main(["bench", str(tmp_path), "--config", str(cfg)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        lines = captured.out.strip().split("\n")
+        assert lines[0] == CSV_HEADER
+        rows = [line.split(",") for line in lines[1:5]]
+        assert [row[2] == "nan" for row in rows] == [k < failing for k in range(4)]
+        assert lines[5] == "mode,closed,time_s,cuts,runs"
+        assert {line.split(",")[0]: line.split(",")[-1] for line in lines[6:]} == summary_runs
+        (warning,) = captured.err.strip().split("\n")
+        assert warning == f"warning: LP failure in {failing} of 4 runs, left out of the summary"
+
     def test_bench_empty_directory(self, tmp_path, capsys):
         rc = cli.main(["bench", str(tmp_path)])
         assert rc == 1
@@ -828,6 +859,14 @@ class TestCli:
         assert captured.out == ""
         (line,) = captured.err.strip().split("\n")
         assert line.startswith("error: primal override") and "'abc'" in line
+
+
+def test_every_capacity_limit_is_read():
+    """Each CAPACITY key is named, as a quoted string, by a module other than the table's own."""
+    modules = [path for path in Path(subcut.__file__).parent.glob("*.py") if path.name != "errors.py"]
+    text = "\n".join(path.read_text() for path in modules)
+    unread = [name for name in CAPACITY if f'"{name}"' not in text and f"'{name}'" not in text]
+    assert not unread
 
 
 def test_every_public_name_resolves():

@@ -4,23 +4,19 @@ import numpy as np
 import pytest
 
 import _reference as ref
-from subcut.envelope import envelope_eval
-from subcut.errors import CapacityError
-from subcut.oracles import Graph, MultilinearFunction, SSFunction, cut_polynomial, ss_decompose
-from subcut.sfree import (
-    INTERIOR_TOL,
+from _covers import (
     THREE_CHAINS,
     CoverRelaxation,
-    EnvelopeEpigraph,
-    LiftedSplit,
-    build_reverse_linearized,
     containment_witness,
     is_cover,
     is_minimal_cover,
     maximality_diagnostic,
     three_chain_relaxation,
-    verify_free_bruteforce,
 )
+from _reference import verify_free_bruteforce
+from subcut.envelope import envelope_eval
+from subcut.oracles import Graph, MultilinearFunction, SSFunction, cut_polynomial, ss_decompose
+from subcut.sfree import INTERIOR_TOL, EnvelopeEpigraph, LiftedSplit, build_reverse_linearized
 
 
 @pytest.fixture
@@ -155,10 +151,6 @@ class TestCovers:
     def test_single_chain_misses_points(self):
         assert not is_cover(3, [[0, 1, 2]])
 
-    def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            is_cover(9, [list(range(9))])
-
     def test_non_cover_is_not_minimal(self):
         assert not is_minimal_cover(3, [[0, 1, 2]])
 
@@ -194,11 +186,6 @@ class TestVerifyFree:
         ss = ss_decompose(poly, level=0)
         sfree = build_reverse_linearized(ss, [0.5, 0.5])
         assert verify_free_bruteforce(sfree, ss)
-
-    def test_capacity_guard(self):
-        big = ref.modular(np.ones(15))
-        with pytest.raises(CapacityError):
-            verify_free_bruteforce(EnvelopeEpigraph(big), big)
 
     def test_random_constructions_free(self):
         rng = np.random.default_rng(11)
@@ -259,12 +246,6 @@ class TestThreeChainRelaxation:
             k3_cut, [list(p) for p in itertools.permutations(range(3))]
         )
         assert not maximality_diagnostic(full)
-
-    def test_maximality_capacity(self):
-        f = ref.modular(np.arange(6, dtype=float))
-        orders = [list(range(6))]
-        with pytest.raises(CapacityError):
-            maximality_diagnostic(CoverRelaxation(f, orders))
 
 
 class TestReverseLinearizedDominance:
