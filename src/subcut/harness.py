@@ -183,14 +183,41 @@ def _want_validation(config: RunConfig, n: int) -> bool:
     return n <= CAPACITY["cut validation"]
 
 
+def _solve_lazy(model, full, pending, warm=None):
+    """Solve ``model``, then append the ``pending`` rows of ``full`` that the optimum violates.
+
+    Re-solves warm after each append until the optimum violates no pending
+    row by more than ``simplex.FEAS_TOL``, so it is feasible for every
+    row of ``full`` and therefore optimal there too.  Pending rows are
+    inequalities.  Returns (model, solution, rows still pending); a
+    solution that is not optimal comes back at once.
+    """
+    sol = simplex.solve(model, warm=warm)
+    while sol.status == simplex.OPTIMAL and pending.size:
+        excess = full.rows[pending] @ sol.x - full.rhs[pending]
+        excess[[full.row_senses[i] == ">=" for i in pending]] *= -1.0
+        hit = excess > simplex.FEAS_TOL
+        if not hit.any():
+            break
+        add = pending[hit]
+        model = model.with_extra_rows(full.rows[add], [full.row_senses[i] for i in add], full.rhs[add])
+        pending = pending[~hit]
+        sol = simplex.solve(model, warm=sol)
+    return model, sol, pending
+
+
 def root_loop(model, targets, lift, config: RunConfig, instance: str = "", primal=None) -> RootNodeReport:
     """Run up to config.rounds rounds of separation at the root node.
 
     Stops early when the LP optimum is binary in x or a round produces no
-    cut.  Each round re-solves warm from the previous round's optimal
-    basis.  An LP failure mid-loop sets the failure flag on the report; a
-    cut failing point validation, or a bound that rises across a round or
-    falls below the reference optimum, raises, since that can only be a bug.
+    cut.  The loop solves ``model`` without the rows ``lift.deferred_rows``
+    names, and after every solve appends the deferred rows its optimum
+    violates and re-solves warm (``_solve_lazy``), so d1 and every
+    round's bound are those of the full model with the same cuts.  Each
+    round re-solves warm from the previous round's optimal basis.  An LP
+    failure mid-loop sets the failure flag on the report; a cut failing
+    point validation, or a bound that rises across a round or falls below
+    the reference optimum, raises, since that can only be a bug.
     """
     if not targets:
         raise ModelError("at least one separation target is required")
@@ -221,8 +248,14 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
             failed=failed,
         )
 
+    pending = np.asarray(lift.deferred_rows, dtype=int)
+    keep = np.setdiff1d(np.arange(model.nrows), pending)
+    full, model = model, simplex.LpModel(
+        model.sense, model.objective, model.rows[keep], [model.row_senses[i] for i in keep],
+        model.rhs[keep], model.lower, model.upper,
+    )
     try:
-        sol = simplex.solve(model)
+        model, sol, pending = _solve_lazy(model, full, pending)
     except NumericError:
         failed = True
         return finish()
@@ -267,7 +300,7 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
         cuts_added += len(batch)
         model = model.with_extra_rows([c.coef for c in batch], [">="] * len(batch), [c.rhs for c in batch])
         try:
-            sol = simplex.solve(model, warm=sol)
+            model, sol, pending = _solve_lazy(model, full, pending, warm=sol)
         except NumericError:
             failed = True
             break

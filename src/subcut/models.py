@@ -5,7 +5,9 @@ multilinear objective with optional sign constraints, one y column per
 product.  Max cut is its quadratic case: a max-cut instance is loaded
 as its cut polynomial, one product per edge.  The model records a
 LiftMap so corner rays in the full column space can be projected onto
-the (x, t) coordinates the cut machinery works in.
+the (x, t) coordinates the cut machinery works in, and so the root loop
+knows which linearization rows the objective can never make tight: it
+starts without them and adds back only those an optimum violates.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ class LiftMap:
     """Where each original coordinate lives among the model columns.
 
     ``instance`` is the instance the model lifts; cut validation reads its
-    objective, constraints and cardinality.
+    objective, constraints and cardinality.  ``deferred_rows`` indexes the
+    model rows the objective can never make tight (see :func:`build_model`),
+    empty unless the builder fills it.
     """
 
     n: int
@@ -36,6 +40,7 @@ class LiftMap:
     y_cols: dict
     ncols: int
     instance: BmpInstance = None
+    deferred_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
 
 @dataclass
@@ -106,6 +111,13 @@ def build_model(instance: BmpInstance):
     hypograph (level 1) and each constraint against its superlevel set
     (level 0).  For a cut polynomial the one target is the polynomial
     itself with an empty f2.
+
+    The LP is the full one; ``LiftMap.deferred_rows`` names the
+    linearization rows the objective can never make tight.  Maximizing
+    t <= sum a_S y_S pushes a product with a < 0 down, so only its >= row
+    can bind, and one with a > 0 up, so only its y <= x_j rows can.  A
+    support that appears in a constraint, or has no objective term,
+    defers nothing.
     """
     model, lift = _lifted_lp(instance)
     targets = [ss_decompose(instance.objective, level=1)]
@@ -133,9 +145,18 @@ def _lifted_lp(instance: BmpInstance):
     t_col = ncols - 1
     y_cols = {s: n + i for i, s in enumerate(supports)}
 
-    rows, senses, rhs = [], [], []
+    # the objective coefficient of each support, 0 where a constraint shares it
+    weight = {s: a for a, s in instance.objective.terms}
+    for c in instance.constraints:
+        weight.update((s, 0.0) for _, s in c.terms)
+    rows, senses, rhs, deferred = [], [], [], []
     for s in supports:
         r, se, b = linearize_term(s, y_cols[s], x_cols, ncols)
+        a = weight.get(s, 0.0)
+        if a < 0.0:  # pushed down: its y <= x_j rows, the first len(s), never bind
+            deferred.extend(range(len(rows), len(rows) + len(s)))
+        elif a > 0.0:  # pushed up: its last row, the >= row, never binds
+            deferred.append(len(rows) + len(s))
         rows.extend(r)
         senses.extend(se)
         rhs.extend(b)
@@ -174,7 +195,7 @@ def _lifted_lp(instance: BmpInstance):
     objective = np.zeros(ncols)
     objective[t_col] = 1.0
     model = LpModel("max", objective, np.array(rows), senses, np.array(rhs), lower, upper)
-    return model, LiftMap(n, x_cols, t_col, y_cols, ncols, instance)
+    return model, LiftMap(n, x_cols, t_col, y_cols, ncols, instance, np.array(deferred, dtype=int))
 
 
 def project_corner(corner: CornerPolyhedron, lift: LiftMap) -> CornerPolyhedron:

@@ -54,10 +54,11 @@ x = 0 and sign -1, so the scaled logical columns add 0.0 to turn -0 into
 The pivot path also depends on the number of BLAS threads, since
 OpenBLAS need not round a product on several threads as it does on one.
 With ``OPENBLAS_NUM_THREADS=1`` the seed-1 benchmark reads ``closed_gap``
-0.5489 on ``mubo-validated`` and 0.8198 on ``maxcut-sparse``, against
-0.5785 and 0.8202 with the default threads on a 2-vCPU machine.  The code
-sets no thread count, so outputs are reproducible for a fixed seed and a
-fixed BLAS thread setting.
+0.2681 on ``maxcut-dense``, 0.8525 on ``maxcut-sparse`` and 0.58468 on
+``mubo-validated``, against 0.2736, 0.8525 and 0.58474 with the default
+threads on a 2-vCPU machine (11, 0 and 4 of the 16, 90 and 48 runs
+differ).  The code sets no thread count, so outputs are reproducible for
+a fixed seed and a fixed BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -390,9 +391,22 @@ class _DualSimplex:
         return status
 
     def solve(self) -> LpSolution:
-        if self._iterate() == INFEASIBLE:
-            return LpSolution(status=INFEASIBLE, iterations=self.iterations)
-        self._verify()
+        """Pivot to the optimum and certify it.
+
+        A certificate that fails after pivoting gets one more chance: the
+        inverse is refactored from the basis and the pivots go on from
+        there.  A second failure raises.
+        """
+        for retry in (True, False):
+            if self._iterate() == INFEASIBLE:
+                return LpSolution(status=INFEASIBLE, iterations=self.iterations)
+            try:
+                self._verify()
+                break
+            except NumericError:
+                if not retry:
+                    raise
+                self._refactor()
         x = self.val[: self.nstruct].copy()
         return LpSolution(
             status=OPTIMAL,

@@ -482,6 +482,30 @@ class TestRootLoop:
         key = lambda r: (r.d1, r.d2, r.p, r.closed, r.cuts, r.rounds, r.skipped)
         assert key(a) == key(b)
 
+    def test_violated_deferred_rows_are_appended(self, monkeypatch):
+        model, targets, lift = k3_setup()
+        coef = np.zeros(lift.ncols)
+        coef[lift.y_cols[frozenset({0, 1})]] = 1.0
+        coef[lift.x_cols] = -1.0  # y01 >= x0 + x1 + x2 - 1/2: y01 = 1 above x = (1/2, 1/2, 1/2)
+        cut = IntersectionCut(coef=coef, rhs=-0.5, kind="split", efficacy=1.0)
+        monkeypatch.setattr(harness, "intersection_cut", lambda corner, free_set: cut)
+        solved = []
+        solve = simplex.solve
+
+        def recording_solve(model, warm=None):
+            solved.append(model)
+            return solve(model, warm=warm)
+
+        monkeypatch.setattr(simplex, "solve", recording_solve)
+        rep = root_loop(model, targets, lift, RunConfig(mode="split", validate_cuts="off", rounds=1))
+        monkeypatch.undo()
+        assert [m.nrows for m in solved] == [4, 5, 7]  # lean LP, + the cut, + y01 <= x0 and y01 <= x1
+        assert np.array_equal(solved[-1].rows[5:], model.rows[[0, 1]])
+        assert rep.d1 == pytest.approx(3.0, abs=1e-9) and not rep.failed
+        full = simplex.solve(model.with_extra_rows([coef], [">="], [-0.5]))
+        assert full.objective == pytest.approx(1.0, abs=1e-9)
+        assert rep.d2 == pytest.approx(full.objective, abs=1e-9)
+
     def test_infeasible_model_sets_failure_flag(self):
         model = LpModel(
             sense="max",

@@ -92,22 +92,49 @@ def test_random_boxed_lps(degenerate):
     ids=["g05-n12", "autocorr-n10", "g05-n20", "autocorr-n12"],
 )
 def test_benchmark_models_after_two_rounds(problem, mode, monkeypatch):
-    """Every LP of a two-round root loop, the warm re-solves of the cut rows included."""
+    """Every LP of a two-round root loop: the lean first solve, the top-ups and the cut re-solves.
+
+    The loop solves the full LP without its deferred rows and appends each
+    deferred row an optimum violates.  So every solve after the first is
+    warm from the one before it, and the last solve before each round's
+    cuts gives d1 or that round's bound: HiGHS must find the same value on
+    the full ``build_model`` LP plus the cut rows added so far.
+    """
     solved = []
     solve = simplex.solve
 
-    def recording_solve(model, *args, **kwargs):
-        solved.append((model, solve(model, *args, **kwargs)))
-        return solved[-1][1]
+    def recording_solve(model, warm=None):
+        solved.append((model, warm, solve(model, warm=warm)))
+        return solved[-1][2]
 
     monkeypatch.setattr(simplex, "solve", recording_solve)
-    model, targets, lift = build_model(problem)
-    report = root_loop(model, targets, lift, RunConfig(mode=mode, rounds=2))
+    full, targets, lift = build_model(problem)
+    report = root_loop(full, targets, lift, RunConfig(mode=mode, rounds=2))
     monkeypatch.undo()
     assert report.rounds == 2 and not report.failed
-    assert len(solved) == 3 and solved[-1][0].nrows > solved[0][0].nrows
-    for model, sol in solved:
+
+    lean = solved[0][0]
+    assert solved[0][1] is None and lean.nrows == full.nrows - lift.deferred_rows.size > 0
+    known = {(r.tobytes(), s, b) for r, s, b in zip(full.rows, full.row_senses, full.rhs)}
+    bounds = {}  # cut rows so far -> objective of the last solve with them
+    for i, (model, warm, sol) in enumerate(solved):
+        if i:
+            assert warm is solved[i - 1][2] and model.extends(solved[i - 1][0])
+        appended = zip(model.rows[lean.nrows:], model.row_senses[lean.nrows:], model.rhs[lean.nrows:])
+        cuts = tuple((r.tobytes(), s, b) for r, s, b in appended if (r.tobytes(), s, b) not in known)
+        bounds[cuts] = sol.objective
         status, objective = highs(model)
         assert sol.status == status == OPTIMAL
         assert sol.objective == pytest.approx(objective, abs=1e-7)
         assert simplex.solve(model).objective == pytest.approx(sol.objective, abs=1e-9)
+
+    assert [len(c) > 0 for c in bounds] == [False, True, True] and len(solved) >= 3
+    assert list(bounds.values())[0] == report.d1 and list(bounds.values())[-1] == report.d2
+    for cuts, bound in bounds.items():
+        if cuts:
+            rows, senses, rhs = zip(*cuts)
+            status, objective = highs(full.with_extra_rows([np.frombuffer(r) for r in rows], senses, rhs))
+        else:
+            status, objective = highs(full)
+        assert status == OPTIMAL
+        assert bound == pytest.approx(objective, abs=1e-7)

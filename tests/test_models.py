@@ -251,6 +251,31 @@ class TestBuildMubo:
         assert "MODEL n=3 y=2 rows=8 targets=1" in [r.getMessage() for r in caplog.records]
 
 
+class TestDeferredRows:
+    """The linearization rows the objective can never make tight."""
+
+    def test_k3_defers_the_upper_rows_of_each_edge(self):
+        model, _, lift = k3_model()
+        # each edge term is -2 x_i x_j: rows y <= x_i, y <= x_j, then the >= row
+        assert lift.deferred_rows.tolist() == [0, 1, 3, 4, 6, 7]
+        assert {model.row_senses[i] for i in lift.deferred_rows} == {"<="}
+
+    def test_positive_term_defers_its_lower_row(self):
+        model, _, lift = build_model(BmpInstance(toy_poly()))
+        # rows 0-2 linearize +3 x0 x1 (row 2 is its >= row), rows 3-6 linearize -2 x0 x1 x2
+        assert lift.deferred_rows.tolist() == [2, 3, 4, 5]
+        assert [model.row_senses[i] for i in lift.deferred_rows] == [">=", "<=", "<=", "<="]
+
+    @pytest.mark.parametrize("support, deferred", [
+        ({0, 1}, [3, 4, 5]),  # shared with the objective: only the cubic term's upper rows
+        ({1, 2}, [2, 6, 7, 8]),  # no objective term; rows of {0, 1}, {1, 2}, {0, 1, 2} in that order
+    ], ids=["shared", "constraint-only"])
+    def test_support_in_a_constraint_defers_nothing(self, support, deferred):
+        constraint = MultilinearFunction(3, [(1.0, {0}), (-1.0, support)])
+        _, _, lift = build_model(BmpInstance(toy_poly(), constraints=[constraint]))
+        assert lift.deferred_rows.tolist() == deferred
+
+
 class TestMilpEquivalence:
     def random_instance(self, rng, n):
         terms = []

@@ -569,3 +569,53 @@ class TestCertificate:
         st._basic_values()
         with pytest.raises(NumericError, match="objective"):
             st._verify()
+
+
+class TestCertificateRetry:
+    """A certificate that fails after pivoting is retried once from a refactored inverse."""
+
+    @staticmethod
+    def drifting_verify(monkeypatch, failures):
+        """Make the first ``failures`` certificates see a basic value drifted by 1e-3."""
+        calls = []
+        verify = simplex._DualSimplex._verify
+
+        def drifted(self):
+            calls.append(self.iterations)
+            if len(calls) <= failures:
+                self.val[self.basis[0]] += 1e-3
+            verify(self)
+
+        monkeypatch.setattr(simplex._DualSimplex, "_verify", drifted)
+        return calls
+
+    def model(self):
+        model, _, _ = build_model(ref.cut_instance(harness.pw_graph(12, 0.5, seed=3, max_weight=1)))
+        return model
+
+    def test_one_failure_recovers(self, monkeypatch):
+        model = self.model()
+        cold = solve(model)
+        calls = self.drifting_verify(monkeypatch, failures=1)
+        sol = solve(model)
+        assert len(calls) == 2 and calls[0] > 0
+        assert sol.status == OPTIMAL
+        assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+
+    def test_one_failure_recovers_on_a_warm_solve(self, monkeypatch):
+        model = self.model()
+        first = solve(model)
+        cut = np.zeros(model.ncols)
+        cut[-1] = 1.0  # t <= d1 - 1
+        grown = model.with_extra_rows([cut], ["<="], [first.objective - 1.0])
+        cold = solve(grown)
+        calls = self.drifting_verify(monkeypatch, failures=1)
+        sol = solve(grown, warm=first)
+        assert len(calls) == 2
+        assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+
+    def test_two_failures_raise(self, monkeypatch):
+        calls = self.drifting_verify(monkeypatch, failures=2)
+        with pytest.raises(NumericError, match="row residual"):
+            solve(self.model())
+        assert len(calls) == 2
