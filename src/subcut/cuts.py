@@ -78,11 +78,11 @@ def zeta_slope(sfree: SFreeSet, apex_x, apex_t: float, eta, x_dir, t_dir):
 
 
 class StepSearch(NamedTuple):
-    """Every ray's step, its evaluation count and whether it ran out of budget."""
+    """Every ray's step, its evaluation count and whether it ran out of budget, as lists."""
 
-    eta: np.ndarray
-    iterations: np.ndarray
-    exhausted: np.ndarray
+    eta: list
+    iterations: list
+    exhausted: list
 
 
 class StepResult(NamedTuple):
@@ -105,18 +105,19 @@ def newton_steps(sfree: SFreeSet, apex_x, apex_t: float, x_dir, t_dir) -> StepSe
     n = len(t_dir)
     steps = np.full(n, math.inf)
     iterations = np.zeros(n, dtype=int)
-    rays = np.arange(n)
-    probes = np.tile(rays, 2)
-    zeta, slope = zeta_slope(sfree, apex_x, apex_t, np.repeat([ETA_INF, NEWTON_START], n), x_dir[probes],
-                             t_dir[probes])
-    searching = ~(zeta[:n] > 0.0)  # a positive far probe means an infinite step
-    rays, zeta, slope = rays[searching], zeta[n:][searching], slope[n:][searching]
+    probes = np.full(2 * n, NEWTON_START)
+    probes[:n] = ETA_INF
+    zeta, slope = zeta_slope(sfree, apex_x, apex_t, probes, np.concatenate([x_dir, x_dir]),
+                             np.concatenate([t_dir, t_dir]))
+    rays = (~(zeta[:n] > 0.0)).nonzero()[0]  # a positive far probe means an infinite step
+    zeta, slope = zeta[n:][rays], slope[n:][rays]
     eta = np.full(rays.size, NEWTON_START)
     for it in range(1, NEWTON_MAX_STEPS + 1):
         root = np.abs(zeta) <= ROOT_TOL
         steps[rays[root]] = eta[root]
         iterations[rays[root]] = it
-        rays, eta, zeta, slope = rays[~root], eta[~root], zeta[~root], slope[~root]
+        left = ~root
+        rays, eta, zeta, slope = rays[left], eta[left], zeta[left], slope[left]
         if not rays.size or it == NEWTON_MAX_STEPS:
             break
         newton = slope < 0.0
@@ -126,7 +127,7 @@ def newton_steps(sfree: SFreeSet, apex_x, apex_t: float, x_dir, t_dir) -> StepSe
     exhausted[rays] = True
     steps[rays] = eta
     iterations[rays] = NEWTON_MAX_STEPS
-    return StepSearch(steps, iterations, exhausted)
+    return StepSearch(steps.tolist(), iterations.tolist(), exhausted.tolist())
 
 
 def step_length(search: StepSearch, k: int) -> StepResult:
@@ -134,7 +135,7 @@ def step_length(search: StepSearch, k: int) -> StepResult:
     if search.exhausted[k]:
         raise SeparationBudget(
             f"no root within {NEWTON_MAX_STEPS} steps (eta = {search.eta[k]:.6g})")
-    return StepResult(float(search.eta[k]), int(search.iterations[k]))
+    return StepResult(search.eta[k], search.iterations[k])
 
 
 @dataclass

@@ -62,7 +62,7 @@ def envelope_eval(oracle: MultilinearFunction, x) -> EnvelopeEvaluation:
         return EnvelopeEvaluation(float(sigma @ x), sigma)
     chain = oracle.chain_values(order)
     sigma = np.empty(x.shape)
-    np.put_along_axis(sigma, order, chain[:, 1:] - chain[:, :-1], axis=1)
+    sigma[np.arange(x.shape[0])[:, None], order] = chain[:, 1:] - chain[:, :-1]
     # vecdot rounds each row as the 1-D product above does; einsum and sum(axis=1) do not
     return EnvelopeEvaluation(np.vecdot(sigma, x), sigma)
 

@@ -183,19 +183,19 @@ def _want_validation(config: RunConfig, n: int) -> bool:
     return n <= CAPACITY["cut validation"]
 
 
-def _solve_lazy(model, full, pending, warm=None):
+def _solve_lazy(model, full, pending, flip, warm=None):
     """Solve ``model``, then append the ``pending`` rows of ``full`` that the optimum violates.
 
     Re-solves warm after each append until the optimum violates no pending
     row by more than ``simplex.FEAS_TOL``, so it is feasible for every
     row of ``full`` and therefore optimal there too.  Pending rows are
-    inequalities.  Returns (model, solution, rows still pending); a
+    inequalities, and ``flip`` holds -1 at each >= row of ``full`` and +1
+    at every other.  Returns (model, solution, rows still pending); a
     solution that is not optimal comes back at once.
     """
     sol = simplex.solve(model, warm=warm)
     while sol.status == simplex.OPTIMAL and pending.size:
-        excess = full.rows[pending] @ sol.x - full.rhs[pending]
-        excess[[full.row_senses[i] == ">=" for i in pending]] *= -1.0
+        excess = (full.rows[pending] @ sol.x - full.rhs[pending]) * flip[pending]
         hit = excess > simplex.FEAS_TOL
         if not hit.any():
             break
@@ -213,7 +213,9 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
     cut.  The loop solves ``model`` without the rows ``lift.deferred_rows``
     names, and after every solve appends the deferred rows its optimum
     violates and re-solves warm (``_solve_lazy``), so d1 and every
-    round's bound are those of the full model with the same cuts.  Each
+    round's bound are those of the full model with the same cuts (a
+    deferred row that repeats, is out of range or is an = row raises
+    ValueError).  Each
     round re-solves warm from the previous round's optimal basis.  An LP
     failure mid-loop sets the failure flag on the report; a cut failing
     point validation, or a bound that rises across a round or falls below
@@ -249,13 +251,17 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
         )
 
     pending = np.asarray(lift.deferred_rows, dtype=int)
+    if np.unique(pending).size != pending.size or any(
+            not 0 <= i < model.nrows or model.row_senses[i] == "=" for i in pending.tolist()):
+        raise ValueError(f"deferred rows {pending.tolist()} are not distinct inequality rows of the model")
+    flip = np.array([-1.0 if s == ">=" else 1.0 for s in model.row_senses])
     keep = np.setdiff1d(np.arange(model.nrows), pending)
     full, model = model, simplex.LpModel(
         model.sense, model.objective, model.rows[keep], [model.row_senses[i] for i in keep],
         model.rhs[keep], model.lower, model.upper,
     )
     try:
-        model, sol, pending = _solve_lazy(model, full, pending)
+        model, sol, pending = _solve_lazy(model, full, pending, flip)
     except NumericError:
         failed = True
         return finish()
@@ -300,7 +306,7 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
         cuts_added += len(batch)
         model = model.with_extra_rows([c.coef for c in batch], [">="] * len(batch), [c.rhs for c in batch])
         try:
-            model, sol, pending = _solve_lazy(model, full, pending, warm=sol)
+            model, sol, pending = _solve_lazy(model, full, pending, flip, warm=sol)
         except NumericError:
             failed = True
             break

@@ -157,7 +157,9 @@ class MultilinearFunction:
             # the coefficients of each (row, position) bin in term order
             activate = pos[:, pad].max(axis=2)
             bins = (rows * (self.n + 1) + activate).ravel()
-            out = np.bincount(bins, np.tile(coefs, orders.shape[0]), out.size).reshape(out.shape)
+            weights = np.empty(activate.shape)
+            weights[:] = coefs
+            out = np.bincount(bins, weights.ravel(), out.size).reshape(out.shape)
             np.add.accumulate(out, axis=1, out=out)
         return out.reshape(order.shape[:-1] + (self.n + 1,))
 

@@ -6,10 +6,14 @@ column at its cost-preferred bound is dual feasible, which is all the
 dual simplex needs to start.  Each pivot takes the basic variable with
 the largest bound violation out and lets in the column of least
 |d_j / alpha_rj| (ties to the lowest index) that keeps the reduced
-costs' signs.  The basis inverse is kept explicitly and the optimal basis stays
+costs' signs, among the columns whose signed direction (+1 free to rise,
+-1 free to fall, 0 basic or fixed) moves the leaving variable to its
+bound.  The basis inverse is kept explicitly and the optimal basis stays
 on the solution, so a corner polyhedron (apex plus one ray per nonbasic
 variable) can be extracted and handed to the cut machinery, and the next
-solve can start from it after cut rows are appended.
+solve can start from it after cut rows are appended.  That warm solve
+takes the prefix rows' signs, bounds, costs and padded rows from the
+prefix solver and builds only the new rows' parts.
 
 Row conventions: row i has one logical column, column ncols + i, with
 coefficient +1 for <= and = rows (a slack) and -1 for >= rows (a
@@ -63,6 +67,7 @@ a fixed seed and a fixed BLAS thread setting.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -128,17 +133,14 @@ class LpModel:
         return self.rows.shape[0]
 
     def with_extra_rows(self, rows, senses, rhs) -> "LpModel":
-        """Copy of the model with rows appended (used by the cut loop)."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        return LpModel(
-            self.sense,
-            self.objective.copy(),
-            np.vstack([self.rows, rows]),
-            list(self.row_senses) + list(senses),
-            np.concatenate([self.rhs, np.atleast_1d(rhs)]),
-            self.lower.copy(),
-            self.upper.copy(),
-        )
+        """Copy of the model with rows appended (used by the cut loop); only those rows are validated."""
+        extra = LpModel(self.sense, self.objective, np.atleast_2d(rows), list(senses), np.atleast_1d(rhs),
+                        self.lower, self.upper)
+        grown = copy.copy(self)
+        grown.objective, grown.lower, grown.upper = self.objective.copy(), self.lower.copy(), self.upper.copy()
+        grown.rows, grown.rhs = np.vstack([self.rows, extra.rows]), np.concatenate([self.rhs, extra.rhs])
+        grown.row_senses = list(self.row_senses) + extra.row_senses
+        return grown
 
     def extends(self, prefix: "LpModel") -> bool:
         """Whether this model is ``prefix`` with zero or more rows appended."""
@@ -218,16 +220,23 @@ class _DualSimplex:
         self.m = m
         self.nstruct = n
         self.N = n + m
-        senses = np.array(model.row_senses, dtype=str)
-        self.sign = np.where(senses == ">=", -1.0, 1.0)  # coefficient of each row's logical
+        # a warm start takes the prefix rows' parts from the prefix solver and builds the new rows'
+        if prefix is None:
+            k, sign, lo, hi = 0, (), model.lower, model.upper
+            cost = (-1.0 if model.sense == "max" else 1.0) * model.objective  # always minimized
+        else:
+            k, sign, lo, hi, cost = prefix.m, prefix.sign, prefix.lo, prefix.hi, prefix.cost
+        senses = model.row_senses[k:]
+        self.sign = np.concatenate([sign, [-1.0 if s == ">=" else 1.0 for s in senses]])  # each row's logical
         # zero-padded to a multiple of 16 columns, so that BLAS computes every
         # structural column of a product on its main path, as with the explicit matrix
         self.rows_pad = np.zeros((m, -(-n // 16) * 16))
-        self.rows_pad[:, :n] = model.rows
-        self.lo = np.concatenate([model.lower, np.zeros(m)])
-        self.hi = np.concatenate([model.upper, np.where(senses == "=", 0.0, math.inf)])
-        # internal objective is always minimized
-        self.cost = np.concatenate([(-1.0 if model.sense == "max" else 1.0) * model.objective, np.zeros(m)])
+        if prefix is not None:
+            self.rows_pad[:k] = prefix.rows_pad
+        self.rows_pad[k:, :n] = model.rows[k:]
+        self.lo = np.concatenate([lo, np.zeros(m - k)])
+        self.hi = np.concatenate([hi, [0.0 if s == "=" else math.inf for s in senses]])
+        self.cost = np.concatenate([cost, np.zeros(m - k)])
         self.max_iters = max(5000, 50 * (m + self.N)) if max_iters is None else max_iters
         self.iterations = 0
         if prefix is None:
@@ -304,10 +313,10 @@ class _DualSimplex:
         self.basis = np.concatenate([old.basis, n + new])
         self.where = np.concatenate([old.where, np.full(new.size, _BASIC)])
         self.val = np.concatenate([old.val, s * (self.model.rhs[new] - self.model.rows[new] @ old.val[:n])])
-        self.Binv = np.block([
-            [old.Binv, np.zeros((k, new.size))],
-            [-s[:, None] * (self._columns(old.basis, first=k) @ old.Binv), np.diag(s)],
-        ])
+        self.Binv = np.zeros((self.m, self.m))
+        self.Binv[:k, :k] = old.Binv
+        self.Binv[k:, :k] = -s[:, None] * (self._columns(old.basis, first=k) @ old.Binv)
+        self.Binv[new, new] = s
         self.since_refactor = old.since_refactor
         self.d = np.concatenate([old.d, np.zeros(new.size)])
 
@@ -334,21 +343,23 @@ class _DualSimplex:
         """Dual pivots until the basic values are within their bounds.
 
         The basic values and their bounds (``xb``, ``lo_b``, ``hi_b``, in
-        basis order) and the nonbasic columns free to rise or to fall are
+        basis order) and every column's signed direction ``dirn`` are
         updated entry by entry; ``val`` gets the basic values back before a
-        refactor and on return.
+        refactor and on return.  A column can enter when alpha * dirn <
+        -PIVOT_TOL if the leaving variable rises, > PIVOT_TOL if it falls.
         """
         m, basis = self.m, self.basis
         movable = self.lo != self.hi
-        rising = movable & (self.where == _AT_LOWER)
-        falling = movable & (self.where == _AT_UPPER)
+        dirn = np.zeros(self.N)
+        dirn[movable & (self.where == _AT_LOWER)] = 1.0
+        dirn[movable & (self.where == _AT_UPPER)] = -1.0
         xb, lo_b, hi_b = self.val[basis], self.lo[basis], self.hi[basis]
         buf = np.empty((m, m))  # rank-1 update term of Binv, reused every pivot
         status = OPTIMAL
         while m:
             below = lo_b - xb
             viol = np.maximum(below, xb - hi_b)
-            r = int(np.argmax(viol))
+            r = int(viol.argmax())
             if viol[r] <= FEAS_TOL:
                 break
             if self.iterations >= self.max_iters:
@@ -356,12 +367,12 @@ class _DualSimplex:
             # the leaving variable rises to its lower bound (up) or falls to its upper bound
             up = below[r] > 0.0
             alpha = self._times_matrix(self.Binv[r])
-            drive = -alpha if up else alpha  # > 0: raising a column moves the leaving variable to its bound
-            idx = np.flatnonzero((rising & (drive > PIVOT_TOL)) | (falling & (drive < -PIVOT_TOL)))
+            drive = alpha * dirn
+            idx = (drive < -PIVOT_TOL if up else drive > PIVOT_TOL).nonzero()[0]
             if idx.size == 0:
                 status = INFEASIBLE
                 break
-            q = int(idx[np.argmin(np.abs(self.d[idx] / alpha[idx]))])
+            q = int(idx[np.abs(self.d[idx] / alpha[idx]).argmin()])
             w = self._binv_column(q)
             if abs(w[r]) < PIVOT_TOL:
                 raise NumericError(f"vanishing pivot {w[r]} in column {q}")
@@ -373,11 +384,10 @@ class _DualSimplex:
             xb[r], lo_b[r], hi_b[r] = entering, self.lo[q], self.hi[q]
             self.val[leaving] = bound
             self.where[leaving] = _AT_LOWER if up else _AT_UPPER
-            rising[leaving] = up and movable[leaving]
-            falling[leaving] = not up and movable[leaving]
+            dirn[leaving] = (1.0 if up else -1.0) if movable[leaving] else 0.0
             basis[r] = q
             self.where[q] = _BASIC
-            rising[q] = falling[q] = False
+            dirn[q] = 0.0
             self.d -= (self.d[q] / alpha[q]) * alpha
             self.d[q] = 0.0
             self._update_inverse(r, w, buf)

@@ -9,9 +9,12 @@ cut residuals at n <= 20.  Two exceptions only build package objects:
 :func:`cut_instance`, the instance a max-cut file loads as.  Two evaluate a
 package set at one point at a time: :func:`newton_step_length` along a ray,
 and :func:`verify_free_bruteforce` at every binary point of its target.
-The last, :class:`ExplicitLogicalSimplex`, runs the package's dual simplex
-over an explicit constraint matrix.  The chain-cover relaxations build on
-the package's free sets and LP solver, so they live apart, in ``_covers``.
+:class:`ExplicitLogicalSimplex` runs the package's dual simplex over an
+explicit constraint matrix, and :class:`MaskedPivotSimplex` with its former
+per-solve set-up and pivot masks; :func:`envelope_block_put_along` and
+:func:`newton_steps_tiled` are the former block envelope and step search.
+The chain-cover relaxations build on the package's free sets and LP solver,
+so they live apart, in ``_covers``.
 """
 
 import functools
@@ -21,7 +24,7 @@ import math
 import numpy as np
 
 from subcut import cuts, simplex
-from subcut.errors import SeparationBudget
+from subcut.errors import NumericError, SeparationBudget
 from subcut.models import BmpInstance
 from subcut.oracles import MultilinearFunction, cut_polynomial
 from subcut.sfree import INTERIOR_TOL
@@ -350,6 +353,168 @@ class ExplicitLogicalSimplex(simplex._DualSimplex):
 
     def _binv_column(self, q):
         return self.Binv @ self.A[:, q]
+
+
+class MaskedPivotSimplex(simplex._DualSimplex):
+    """The package's dual simplex with its former set-up and pivot bookkeeping.
+
+    Every solve builds each row's sign, bounds, cost and padded row from the
+    model (a warm one as well, with the senses as a string array), a warm
+    inverse is assembled by ``np.block``, and the pivots keep two masks of
+    the columns free to rise and to fall.  A solve through this class gives
+    the reference pivot path for the signed direction and the warm set-up
+    from the prefix.
+    """
+
+    def __init__(self, model, prefix=None, max_iters=None):
+        self.model = model
+        m, n = model.nrows, model.ncols
+        self.m = m
+        self.nstruct = n
+        self.N = n + m
+        senses = np.array(model.row_senses, dtype=str)
+        self.sign = np.where(senses == ">=", -1.0, 1.0)
+        self.rows_pad = np.zeros((m, -(-n // 16) * 16))
+        self.rows_pad[:, :n] = model.rows
+        self.lo = np.concatenate([model.lower, np.zeros(m)])
+        self.hi = np.concatenate([model.upper, np.where(senses == "=", 0.0, math.inf)])
+        self.cost = np.concatenate([(-1.0 if model.sense == "max" else 1.0) * model.objective, np.zeros(m)])
+        self.max_iters = max(5000, 50 * (m + self.N)) if max_iters is None else max_iters
+        self.iterations = 0
+        if prefix is None:
+            self._slack_basis()
+        else:
+            self._extend(prefix)
+
+    def _extend(self, old):
+        k, n = old.m, self.nstruct
+        new = np.arange(k, self.m)
+        s = self.sign[new]
+        self.basis = np.concatenate([old.basis, n + new])
+        self.where = np.concatenate([old.where, np.full(new.size, simplex._BASIC)])
+        self.val = np.concatenate([old.val, s * (self.model.rhs[new] - self.model.rows[new] @ old.val[:n])])
+        self.Binv = np.block([
+            [old.Binv, np.zeros((k, new.size))],
+            [-s[:, None] * (self._columns(old.basis, first=k) @ old.Binv), np.diag(s)],
+        ])
+        self.since_refactor = old.since_refactor
+        self.d = np.concatenate([old.d, np.zeros(new.size)])
+
+    def _iterate(self):
+        m, basis = self.m, self.basis
+        movable = self.lo != self.hi
+        rising = movable & (self.where == simplex._AT_LOWER)
+        falling = movable & (self.where == simplex._AT_UPPER)
+        xb, lo_b, hi_b = self.val[basis], self.lo[basis], self.hi[basis]
+        buf = np.empty((m, m))
+        status = simplex.OPTIMAL
+        while m:
+            below = lo_b - xb
+            viol = np.maximum(below, xb - hi_b)
+            r = int(np.argmax(viol))
+            if viol[r] <= simplex.FEAS_TOL:
+                break
+            if self.iterations >= self.max_iters:
+                raise NumericError(f"simplex iteration cap {self.max_iters} reached (m={m}, n={self.N})")
+            up = below[r] > 0.0
+            alpha = self._times_matrix(self.Binv[r])
+            drive = -alpha if up else alpha
+            idx = np.flatnonzero((rising & (drive > simplex.PIVOT_TOL)) | (falling & (drive < -simplex.PIVOT_TOL)))
+            if idx.size == 0:
+                status = simplex.INFEASIBLE
+                break
+            q = int(idx[np.argmin(np.abs(self.d[idx] / alpha[idx]))])
+            w = self._binv_column(q)
+            if abs(w[r]) < simplex.PIVOT_TOL:
+                raise NumericError(f"vanishing pivot {w[r]} in column {q}")
+            leaving = basis[r]
+            bound = lo_b[r] if up else hi_b[r]
+            step = (xb[r] - bound) / w[r]
+            entering = self.val[q] + step
+            xb -= step * w
+            xb[r], lo_b[r], hi_b[r] = entering, self.lo[q], self.hi[q]
+            self.val[leaving] = bound
+            self.where[leaving] = simplex._AT_LOWER if up else simplex._AT_UPPER
+            rising[leaving] = up and movable[leaving]
+            falling[leaving] = not up and movable[leaving]
+            basis[r] = q
+            self.where[q] = simplex._BASIC
+            rising[q] = falling[q] = False
+            self.d -= (self.d[q] / alpha[q]) * alpha
+            self.d[q] = 0.0
+            self._update_inverse(r, w, buf)
+            self.iterations += 1
+            self.since_refactor += 1
+            if self.since_refactor >= simplex.REFACTOR_EVERY:
+                self.val[basis] = xb
+                self._refactor()
+                xb = self.val[basis]
+        self.val[basis] = xb
+        return status
+
+
+def chain_values_tiled(poly, order):
+    """``poly.chain_values`` of a (k, n) block of orders, the coefficients laid out by ``np.tile``."""
+    orders = np.asarray(order, dtype=int)
+    out = np.zeros((orders.shape[0], poly.n + 1))
+    if poly.terms:
+        coefs, pad = poly._padded_terms
+        rows = np.arange(orders.shape[0])[:, None]
+        pos = np.zeros((orders.shape[0], poly.n + 1), dtype=int)
+        pos[rows, orders] = np.arange(1, poly.n + 1)
+        activate = pos[:, pad].max(axis=2)
+        bins = (rows * (poly.n + 1) + activate).ravel()
+        out = np.bincount(bins, np.tile(coefs, orders.shape[0]), out.size).reshape(out.shape)
+        np.add.accumulate(out, axis=1, out=out)
+    return out
+
+
+def envelope_block_put_along(oracle, x):
+    """The envelope of each row of a (k, n) block, scattered by ``np.put_along_axis``.
+
+    Returns (values, subgradients) as ``envelope_eval`` did before its block
+    path used fancy assignment.
+    """
+    x = np.asarray(x, dtype=float)
+    order = (-x).argsort(axis=-1, kind="stable")
+    chain = chain_values_tiled(oracle, order)
+    sigma = np.empty(x.shape)
+    np.put_along_axis(sigma, order, chain[:, 1:] - chain[:, :-1], axis=1)
+    return np.vecdot(sigma, x), sigma
+
+
+def newton_steps_tiled(sfree, apex_x, apex_t, x_dir, t_dir):
+    """``cuts.newton_steps`` as it was before its first block was concatenated.
+
+    The probe block gathers the rays through ``np.tile`` and repeats the two
+    probe steps, and the result holds arrays.  Returns (eta, iterations,
+    exhausted).
+    """
+    n = len(t_dir)
+    steps = np.full(n, math.inf)
+    iterations = np.zeros(n, dtype=int)
+    rays = np.arange(n)
+    probes = np.tile(rays, 2)
+    zeta, slope = cuts.zeta_slope(sfree, apex_x, apex_t, np.repeat([cuts.ETA_INF, cuts.NEWTON_START], n),
+                                  x_dir[probes], t_dir[probes])
+    searching = ~(zeta[:n] > 0.0)
+    rays, zeta, slope = rays[searching], zeta[n:][searching], slope[n:][searching]
+    eta = np.full(rays.size, cuts.NEWTON_START)
+    for it in range(1, cuts.NEWTON_MAX_STEPS + 1):
+        root = np.abs(zeta) <= cuts.ROOT_TOL
+        steps[rays[root]] = eta[root]
+        iterations[rays[root]] = it
+        rays, eta, zeta, slope = rays[~root], eta[~root], zeta[~root], slope[~root]
+        if not rays.size or it == cuts.NEWTON_MAX_STEPS:
+            break
+        newton = slope < 0.0
+        eta = np.where(newton, eta - zeta / np.where(newton, slope, 1.0), 2.0 * eta)
+        zeta, slope = cuts.zeta_slope(sfree, apex_x, apex_t, eta, x_dir[rays], t_dir[rays])
+    exhausted = np.zeros(n, dtype=bool)
+    exhausted[rays] = True
+    steps[rays] = eta
+    iterations[rays] = cuts.NEWTON_MAX_STEPS
+    return steps, iterations, exhausted
 
 
 def poly_values(terms, masks):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import _reference as ref
-from subcut import cuts, harness, models, oracles
+from subcut import cuts, envelope, harness, models, oracles, sfree
 from subcut.cuts import (
     EFFICACY_MIN,
     CutValidator,
@@ -562,6 +562,85 @@ def multi_round_split():
     model, _, lift = build_model(BmpInstance(autocorr_polynomial(10, 3, 0.5, 1001)))
     cp = project_corner(corner(solve(model)), lift)
     return cp, LiftedSplit(split_selector(cp.apex_x), lift.n)
+
+
+def non_integer_separations() -> list:
+    """The (corner, free set) pairs that root loops on non-integer coefficients separate.
+
+    A graph with non-integer weights under ``submodular`` gives env sets, and
+    a polynomial with non-integer coefficients under ``both`` gives split and
+    ss sets, on the corners of four rounds each.
+    """
+    rng = np.random.default_rng(11)
+    base = autocorr_polynomial(10, max_lag=3, density=0.6, seed=2)
+    poly = MultilinearFunction(base.n, [(a * rng.uniform(0.3, 1.7), s) for a, s in base.terms])
+    graph = pw_graph(12, 0.4, seed=3, max_weight=1)
+    graph = Graph(12, [(i, j, w * rng.uniform(0.3, 1.7)) for i, j, w in graph.edges])
+    calls = []
+    separate = harness.intersection_cut
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "intersection_cut", lambda cp, free: calls.append((cp, free)) or separate(cp, free))
+        for instance, mode in ((ref.cut_instance(graph), "submodular"), (BmpInstance(poly), "both")):
+            harness.root_loop(*build_model(instance), RunConfig(mode=mode, rounds=4, validate_cuts="off"))
+    assert {free.kind for _, free in calls} == {"env", "ss", "split"}
+    return calls
+
+
+def former_envelope(oracle, x):
+    """``envelope_eval`` with the former block path of ``ref.envelope_block_put_along``."""
+    if np.ndim(x) == 1:
+        return envelope.envelope_eval(oracle, x)
+    return envelope.EnvelopeEvaluation(*ref.envelope_block_put_along(oracle, x))
+
+
+class TestFormerSeparationPath:
+    """Fancy assignment, broadcast coefficients, a concatenated probe block and list
+    results keep the former block envelope's and step search's bits."""
+
+    @pytest.fixture(scope="class")
+    def separations(self):
+        return non_integer_separations()
+
+    def test_values_and_subgradients(self, monkeypatch, separations):
+        for cp, free in separations:
+            block = cp.apex_x + np.linspace(0.05, 4.0, cp.nrays)[:, None] * cp.x_dir
+            value, grad = free.value_and_subgradient(block)
+            with monkeypatch.context() as mp:
+                mp.setattr(sfree, "envelope_eval", former_envelope)
+                old_value, old_grad = free.value_and_subgradient(block)
+            assert value.tobytes() == old_value.tobytes(), free.kind
+            assert grad.tobytes() == old_grad.tobytes(), free.kind
+
+    @pytest.mark.parametrize("budget", [cuts.NEWTON_MAX_STEPS, 2, 1])
+    def test_step_search(self, monkeypatch, separations, budget):
+        monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", budget)
+        exhausted = 0
+        for cp, free in separations:
+            search = newton_steps(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
+            with monkeypatch.context() as mp:
+                mp.setattr(sfree, "envelope_eval", former_envelope)
+                eta, iterations, out = ref.newton_steps_tiled(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
+            assert np.array(search.eta).tobytes() == eta.tobytes(), free.kind
+            assert search.iterations == iterations.tolist() and search.exhausted == out.tolist(), free.kind
+            exhausted += sum(search.exhausted)
+        assert (exhausted > 0) == (budget < 3)
+
+    @pytest.mark.parametrize("budget", [cuts.NEWTON_MAX_STEPS, 2, 1])
+    def test_one_step_length_call_per_ray_up_to_the_first_failure(self, monkeypatch, separations, budget):
+        monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", budget)
+        calls = []
+        read = cuts.step_length
+        monkeypatch.setattr(cuts, "step_length", lambda search, k: calls.append(k) or read(search, k))
+        stops = []
+        for cp, free in separations:
+            assert free.margin(cp.apex_x, cp.apex_t) > sfree.INTERIOR_TOL
+            search = newton_steps(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
+            fails = [k for k in range(cp.nrays) if search.exhausted[k] or search.eta[k] < cuts.MIN_STEP]
+            calls.clear()
+            intersection_cut(cp, free)
+            assert calls == list(range(fails[0] + 1 if fails else cp.nrays)), free.kind
+            stops.append(bool(fails))
+        assert any(stops) == (budget < 3)
 
 
 class TestGradientCut:

@@ -506,6 +506,17 @@ class TestRootLoop:
         assert full.objective == pytest.approx(1.0, abs=1e-9)
         assert rep.d2 == pytest.approx(full.objective, abs=1e-9)
 
+    @pytest.mark.parametrize("bad", ["equality", "duplicate", "beyond", "negative"])
+    def test_deferred_rows_must_be_distinct_inequalities(self, bad):
+        # a cardinality row is the model's only = row, and its last
+        model, targets, lift = build_model(BmpInstance(k3_instance().objective, cardinality=2))
+        assert model.row_senses[-1] == "=" and model.row_senses.count("=") == 1
+        rows = {"equality": [0, model.nrows - 1], "duplicate": [0, 1, 0], "beyond": [0, model.nrows],
+                "negative": [-1]}[bad]
+        lift.deferred_rows = np.array(rows)
+        with pytest.raises(ValueError, match="deferred rows"):
+            root_loop(model, targets, lift, RunConfig(mode="split"))
+
     def test_infeasible_model_sets_failure_flag(self):
         model = LpModel(
             sense="max",

@@ -216,6 +216,22 @@ class TestModelValidation:
         assert sol.x[0] <= 0.25 + 1e-9
 
 
+    @pytest.mark.parametrize("rows, senses, match", [
+        ([[1.0, math.nan]], ["<="], "finite"),
+        ([[1.0, math.inf]], ["<="], "finite"),
+        ([[1.0, 0.0]], ["<"], "unknown row sense"),
+        ([[1.0, 0.0, 0.0]], ["<="], "columns"),
+        ([[1.0, 0.0], [0.0, 1.0]], ["<="], "row count"),
+    ])
+    def test_with_extra_rows_validates_the_appended_rows(self, rows, senses, match):
+        with pytest.raises(ValueError, match=match):
+            box_lp().with_extra_rows(rows, senses, [0.5] * len(rows))
+
+    def test_with_extra_rows_rejects_a_nonfinite_rhs(self):
+        with pytest.raises(ValueError, match="finite"):
+            box_lp().with_extra_rows([[1.0, 0.0]], ["<="], [math.inf])
+
+
 class TestCorner:
     def test_tent_rays(self):
         model = tent_lp()
@@ -619,3 +635,41 @@ class TestCertificateRetry:
         with pytest.raises(NumericError, match="row residual"):
             solve(self.model())
         assert len(calls) == 2
+
+
+class TestFormerPivotPath:
+    """The signed pivot direction and the warm set-up from the prefix keep the former bits.
+
+    ``ref.MaskedPivotSimplex`` builds every row's parts on each solve, grows
+    a warm inverse with ``np.block`` and pivots with rising and falling
+    masks.  The autocorr model adds a cardinality row, whose logical is
+    fixed, and each re-solve appends a >= row as well as a <= row.
+    """
+
+    @staticmethod
+    def models():
+        graph = harness.pw_graph(20, 0.15, seed=1001, max_weight=1)
+        poly = harness.autocorr_polynomial(12, max_lag=2, density=0.2, seed=1002)
+        return {
+            "g05": build_model(BmpInstance(cut_polynomial(graph)))[0],
+            "autocorr": build_model(BmpInstance(poly, cardinality=6))[0],
+        }
+
+    @pytest.mark.parametrize("refactor_every", [simplex.REFACTOR_EVERY, 8])
+    @pytest.mark.parametrize("name", ["g05", "autocorr"])
+    def test_cold_and_warm_solves_match_the_masked_pivots(self, monkeypatch, refactor_every, name):
+        monkeypatch.setattr(simplex, "REFACTOR_EVERY", refactor_every)
+        model = self.models()[name]
+        if name == "autocorr":
+            assert {"=", ">="} <= set(model.row_senses)
+        sol, ref_sol = solve(model), ref.MaskedPivotSimplex(model).solve()
+        TestImplicitLogicals.assert_same_bytes(sol, ref_sol)
+        # two re-solves, each after a <= and a >= row that the last optimum violates
+        rng = np.random.default_rng(7)
+        for _ in range(2):
+            rows = rng.uniform(0.0, 1.0, size=(2, model.ncols)) * (rng.random((2, model.ncols)) < 0.5)
+            rhs = rows @ sol.x + np.array([-0.1, 0.1])
+            model = model.with_extra_rows(rows, ["<=", ">="], rhs)
+            sol, ref_sol = solve(model, warm=sol), ref.MaskedPivotSimplex(model, ref_sol._state).solve()
+            assert sol.iterations > 0
+            TestImplicitLogicals.assert_same_bytes(sol, ref_sol)
