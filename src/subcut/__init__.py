@@ -13,14 +13,7 @@ from .envelope import envelope_eval, greedy_vertex
 from .errors import CapacityError, ModelError, NumericError, SeparationBudget
 from .harness import RootNodeReport, RunConfig, root_loop, run_instance
 from .models import BmpInstance, LiftMap, build_model
-from .oracles import (
-    Graph,
-    MultilinearFunction,
-    SSFunction,
-    cut_polynomial,
-    is_submodular_bruteforce,
-    ss_decompose,
-)
+from .oracles import Graph, MultilinearFunction, SSFunction, cut_polynomial, ss_decompose
 from .sfree import EnvelopeEpigraph, LiftedSplit, build_reverse_linearized
 from .simplex import LpModel, LpSolution, corner, solve
 
@@ -51,7 +44,6 @@ __all__ = [
     "gradient_cut",
     "greedy_vertex",
     "intersection_cut",
-    "is_submodular_bruteforce",
     "newton_steps",
     "root_loop",
     "run_instance",

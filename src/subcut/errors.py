@@ -14,18 +14,13 @@ class CapacityError(ValueError):
     """A brute-force or enumeration guard was exceeded."""
 
 
-# Largest n each exhaustive path accepts.  Costs grow as 4^n (submodularity
-# check) or 2^n times the cost of one point, which is why each path has a
-# limit of its own.
+# Largest n each exhaustive path accepts.  Each path costs 2^n times the
+# cost of one point, and that cost differs from path to path, which is why
+# each has a limit of its own.
 CAPACITY = {
     "cut validation": 12,  # largest n that validate_cuts="auto" checks; "on" is bounded by "brute force"
-    "cube enumeration": 14,  # oracles.cube_points, MultilinearFunction.values_on_cube, is_submodular_bruteforce
+    "cube enumeration": 14,  # oracles.cube_points (the extension identity of `subcut verify`)
     "brute force": 20,  # oracles.cube_table (brute_force_primal, validate_cut_bruteforce)
-    # `subcut verify` skips a check above its limit instead of failing
-    "verify submodular": 12,
-    "verify extension identity": 10,
-    "verify parts submodular": 10,
-    "verify decomposition identity": 14,
 }
 
 

@@ -61,6 +61,10 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        for name in ("rounds", "max_cuts_per_round"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
         if self.max_cuts_per_round < 1:
@@ -190,20 +194,24 @@ def _solve_lazy(model, full, pending, flip, warm=None):
     row by more than ``simplex.FEAS_TOL``, so it is feasible for every
     row of ``full`` and therefore optimal there too.  Pending rows are
     inequalities, and ``flip`` holds -1 at each >= row of ``full`` and +1
-    at every other.  Returns (model, solution, rows still pending); a
-    solution that is not optimal comes back at once.
+    at every other.  Returns (model, solution, rows still pending); the
+    solution is None once a solve raises NumericError or ends other than
+    optimal.
     """
-    sol = simplex.solve(model, warm=warm)
-    while sol.status == simplex.OPTIMAL and pending.size:
-        excess = (full.rows[pending] @ sol.x - full.rhs[pending]) * flip[pending]
-        hit = excess > simplex.FEAS_TOL
-        if not hit.any():
-            break
-        add = pending[hit]
-        model = model.with_extra_rows(full.rows[add], [full.row_senses[i] for i in add], full.rhs[add])
-        pending = pending[~hit]
-        sol = simplex.solve(model, warm=sol)
-    return model, sol, pending
+    try:
+        sol = simplex.solve(model, warm=warm)
+        while sol.status == simplex.OPTIMAL and pending.size:
+            excess = (full.rows[pending] @ sol.x - full.rhs[pending]) * flip[pending]
+            hit = excess > simplex.FEAS_TOL
+            if not hit.any():
+                break
+            add = pending[hit]
+            model = model.with_extra_rows(full.rows[add], [full.row_senses[i] for i in add], full.rhs[add])
+            pending = pending[~hit]
+            sol = simplex.solve(model, warm=sol)
+    except NumericError:
+        return model, None, pending
+    return model, (sol if sol.status == simplex.OPTIMAL else None), pending
 
 
 def root_loop(model, targets, lift, config: RunConfig, instance: str = "", primal=None) -> RootNodeReport:
@@ -215,11 +223,12 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
     violates and re-solves warm (``_solve_lazy``), so d1 and every
     round's bound are those of the full model with the same cuts (a
     deferred row that repeats, is out of range or is an = row raises
-    ValueError).  Each
-    round re-solves warm from the previous round's optimal basis.  An LP
-    failure mid-loop sets the failure flag on the report; a cut failing
-    point validation, or a bound that rises across a round or falls below
-    the reference optimum, raises, since that can only be a bug.
+    ValueError).  Each round re-solves warm from the previous round's
+    optimal basis.  A reference optimum above d1 raises ModelError: d1
+    bounds the true optimum, so that p is wrong data.  An LP failure sets
+    the failure flag on the report; a cut failing point validation, or a
+    bound that rises across a round or falls below the reference optimum,
+    raises, since that can only be a bug.
     """
     if not targets:
         raise ModelError("at least one separation target is required")
@@ -260,15 +269,14 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
         model.sense, model.objective, model.rows[keep], [model.row_senses[i] for i in keep],
         model.rhs[keep], model.lower, model.upper,
     )
-    try:
-        model, sol, pending = _solve_lazy(model, full, pending, flip)
-    except NumericError:
-        failed = True
-        return finish()
-    if sol.status != simplex.OPTIMAL:
+    model, sol, pending = _solve_lazy(model, full, pending, flip)
+    if sol is None:
         failed = True
         return finish()
     d1 = d2 = float(sol.objective)
+    if p > d1 + BOUND_TOL * (1.0 + abs(d1)):
+        raise ModelError(
+            f"reference optimum p = {_fmt(p)} of {instance!r} exceeds the first LP bound d1 = {_fmt(d1)}")
 
     for _ in range(config.rounds):
         x_bar = sol.x[lift.x_cols]
@@ -305,12 +313,8 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
                     )
         cuts_added += len(batch)
         model = model.with_extra_rows([c.coef for c in batch], [">="] * len(batch), [c.rhs for c in batch])
-        try:
-            model, sol, pending = _solve_lazy(model, full, pending, flip, warm=sol)
-        except NumericError:
-            failed = True
-            break
-        if sol.status != simplex.OPTIMAL:
+        model, sol, pending = _solve_lazy(model, full, pending, flip, warm=sol)
+        if sol is None:
             failed = True
             break
         # cuts can only lower the bound, and valid cuts never below the optimum

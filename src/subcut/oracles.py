@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import ModelError, check_capacity
 
-SUBMODULARITY_TOL = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # graph cuts
@@ -81,9 +79,9 @@ class MultilinearFunction:
     Supports are nonempty subsets of {0..n-1}; duplicates are merged by
     summing coefficients, and exact zero coefficients are dropped.  With
     nonempty supports f(0) = 0, so no constant term can hide here.  A
-    polynomial need not be submodular; :func:`is_submodular_bruteforce`
-    checks.  Chain and cube values are sums of coefficients, so they are
-    exact whenever the coefficients are integers.
+    polynomial need not be submodular; :func:`submodular_by_sign` can
+    certify that it is.  Chain and cube values are sums of coefficients,
+    so they are exact whenever the coefficients are integers.
     """
 
     def __init__(self, n: int, terms):
@@ -162,11 +160,6 @@ class MultilinearFunction:
             out = np.bincount(bins, weights.ravel(), out.size).reshape(out.shape)
             np.add.accumulate(out, axis=1, out=out)
         return out.reshape(order.shape[:-1] + (self.n + 1,))
-
-    def values_on_cube(self) -> np.ndarray:
-        """All 2^n values indexed by bitmask (bit i <-> variable i). Guarded."""
-        check_capacity("cube enumeration", self.n)
-        return cube_table(self).ravel(order="F")
 
     def __repr__(self):
         return f"<MultilinearFunction n={self.n} terms={len(self.terms)} degree={self.degree}>"
@@ -268,21 +261,15 @@ def ss_decompose(poly: MultilinearFunction, level: int = 1) -> SSFunction:
     return SSFunction(MultilinearFunction(poly.n, first), MultilinearFunction(poly.n, second), level=level)
 
 
-# ---------------------------------------------------------------------------
-# brute-force submodularity check
+def submodular_by_sign(f: MultilinearFunction) -> bool:
+    """True when every term of degree >= 2 has a coefficient <= 0, which proves f submodular.
 
-
-def is_submodular_bruteforce(f: MultilinearFunction) -> bool:
-    """Check f(x) + f(y) >= f(x | y) + f(x & y) over all 4^n pairs. Guarded."""
-    vals = f.values_on_cube()
-    size = vals.size
-    ymasks = np.arange(size, dtype=np.int64)
-    for xmask in range(size):
-        join = vals[xmask | ymasks]
-        meet = vals[xmask & ymasks]
-        if np.any(vals[xmask] + vals - join - meet < -SUBMODULARITY_TOL):
-            return False
-    return True
+    Each such term has mixed second differences <= 0 on the cube.  For degree
+    <= 2 the converse holds too, so the test is exact there; above, it may
+    decline a submodular f (-x0 x1 - x0 x2 - x1 x2 + x0 x1 x2).  Both parts of
+    :func:`ss_decompose` pass by construction.
+    """
+    return all(a <= 0.0 for a, s in f.terms if len(s) >= 2)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from _reference import chain_to_permutation
+from _reference import chain_to_permutation, values_on_cube
 from subcut import simplex
 from subcut.envelope import greedy_vertex
 from subcut.oracles import MultilinearFunction, cube_points
@@ -139,7 +139,7 @@ def maximality_diagnostic(relaxation: CoverRelaxation) -> bool:
     """
     oracle = relaxation.oracle
     kept = relaxation.vertices
-    values = oracle.values_on_cube()
+    values = values_on_cube(oracle)
     scores = kept @ cube_points(oracle.n).T  # (orders, 2^n)
     on_facet = np.abs(scores - values[None, :]) <= 1e-9
     for p in range(kept.shape[0]):

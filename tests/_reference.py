@@ -13,8 +13,10 @@ and :func:`verify_free_bruteforce` at every binary point of its target.
 explicit constraint matrix, and :class:`MaskedPivotSimplex` with its former
 per-solve set-up and pivot masks; :func:`envelope_block_put_along` and
 :func:`newton_steps_tiled` are the former block envelope and step search.
-The chain-cover relaxations build on the package's free sets and LP solver,
-so they live apart, in ``_covers``.
+:func:`values_on_cube` and :func:`is_submodular_bruteforce` are the
+former package cube table and vectorized 4^n lattice check, kept as the
+oracles of the sign certificate.  The chain-cover relaxations build on
+the package's free sets and LP solver, so they live apart, in ``_covers``.
 """
 
 import functools
@@ -24,9 +26,9 @@ import math
 import numpy as np
 
 from subcut import cuts, simplex
-from subcut.errors import NumericError, SeparationBudget
+from subcut.errors import NumericError, SeparationBudget, check_capacity
 from subcut.models import BmpInstance
-from subcut.oracles import MultilinearFunction, cut_polynomial
+from subcut.oracles import MultilinearFunction, cube_table, cut_polynomial
 from subcut.sfree import INTERIOR_TOL
 
 
@@ -223,6 +225,27 @@ def best_binary(objective, n, accept=None):
             continue
         best = max(best, objective(bits))
     return best
+
+
+SUBMODULARITY_TOL = 1e-9
+
+
+def values_on_cube(f):
+    """All 2^n values of a package polynomial indexed by bitmask (bit i <-> variable i). Guarded."""
+    check_capacity("cube enumeration", f.n)
+    return cube_table(f).ravel(order="F")
+
+
+def is_submodular_bruteforce(f) -> bool:
+    """Check f(x) + f(y) >= f(x | y) + f(x & y) over all 4^n pairs, one x at a time. Guarded."""
+    vals = values_on_cube(f)
+    ymasks = np.arange(vals.size, dtype=np.int64)
+    for xmask in range(vals.size):
+        join = vals[xmask | ymasks]
+        meet = vals[xmask & ymasks]
+        if np.any(vals[xmask] + vals - join - meet < -SUBMODULARITY_TOL):
+            return False
+    return True
 
 
 def is_submodular_pairs(values, n, tol=1e-9):

@@ -15,7 +15,7 @@ import pytest
 import _reference as ref
 from subcut.cuts import newton_steps, step_length, zeta_slope
 from _covers import containment_witness, is_minimal_cover, three_chain_relaxation
-from _reference import support_points, verify_free_bruteforce
+from _reference import is_submodular_bruteforce, support_points, verify_free_bruteforce
 from subcut.envelope import envelope_eval, greedy_vertex
 from subcut.harness import (
     RunConfig,
@@ -31,7 +31,6 @@ from subcut.oracles import (
     Graph,
     MultilinearFunction,
     cut_polynomial,
-    is_submodular_bruteforce,
     ss_decompose,
 )
 from subcut.sfree import EnvelopeEpigraph, build_reverse_linearized

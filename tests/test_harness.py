@@ -591,6 +591,14 @@ class TestRootLoop:
         rep = root_loop(model, targets, lift, RunConfig(mode="none"), primal=1.23)
         assert rep.p == 1.23
 
+    def test_primal_above_the_first_bound_raises(self):
+        model, targets, lift = k3_setup()
+        with pytest.raises(ModelError, match=r"p = 3.000001 of 'k3' exceeds the first LP bound d1 = 3$"):
+            root_loop(model, targets, lift, RunConfig(mode="split"), instance="k3", primal=3.000001)
+        # within the bound guards' slack, 1e-7 * (1 + d1), of d1 = 3
+        rep = root_loop(model, targets, lift, RunConfig(mode="none"), primal=3.0 + 3e-7)
+        assert rep.closed == 0.0 and not rep.failed
+
     def test_requires_targets(self):
         model, _, lift = k3_setup()
         with pytest.raises(ModelError):
@@ -700,10 +708,14 @@ class TestCli:
 
     @pytest.mark.parametrize("kind, n, density, lines", [
         ("pw", 12, None, ["PASS normalized(f(0)=0)", "PASS submodular",
-                          "SKIP extension_identity (n > 10)", "PASS bound_dominates_optimum"]),
-        ("autocorr", 14, 0.3, ["SKIP objective_parts_submodular (n > 10)",
+                          "PASS extension_identity", "PASS bound_dominates_optimum"]),
+        ("g05", 16, None, ["PASS normalized(f(0)=0)", "PASS submodular",
+                           "SKIP extension_identity (n > 14)", "PASS bound_dominates_optimum"]),
+        ("autocorr", 14, 0.3, ["PASS objective_parts_submodular",
                                "PASS objective_decomposition_identity", "PASS bound_dominates_optimum"]),
-    ], ids=["pw-n12", "autocorr-n14"])
+        ("autocorr", 21, 0.3, ["PASS objective_parts_submodular",
+                               "PASS objective_decomposition_identity", "SKIP bound_dominates_optimum (n > 20)"]),
+    ], ids=["pw-n12", "g05-n16", "autocorr-n14", "autocorr-n21"])
     def test_verify_lines_past_limits(self, tmp_path, capsys, kind, n, density, lines):
         (path,) = generate_instances(kind, n, seed=1, out_dir=tmp_path, density=density)
         capsys.readouterr()
@@ -729,6 +741,10 @@ class TestCli:
         {"rounds": 2, "efficacy_min": 1e-3},  # a separation constant, not a run setting
         {"modes": ["none", "split", "everything"]},
         {"modes": "none"},
+        {"rounds": 2.5},
+        {"max_cuts_per_round": 1.5},
+        {"rounds": True},
+        {"rounds": "3"},
     ])
     def test_bench_bad_config(self, tmp_path, capsys, config):
         generate_instances("g05", 6, count=1, seed=0, out_dir=tmp_path)
@@ -740,8 +756,11 @@ class TestCli:
         assert captured.out == ""  # rejected before the first run
         (line,) = captured.err.strip().split("\n")
         assert line.startswith("error: bad config")
-        if "modes" not in config:
+        if set(config) - {"rounds", "max_cuts_per_round", "modes"}:  # an unknown key
             assert "accepted keys: mode, rounds, max_cuts_per_round, validate_cuts, modes" in line
+        elif "modes" not in config:
+            (key,) = config
+            assert f"{key} must be an integer, got {config[key]!r}" in line
 
     @pytest.mark.parametrize("failing, summary_runs", [
         (1, {"none": "1", "split": "2"}),  # the first run's first solve only
@@ -875,6 +894,21 @@ class TestCli:
         assert captured.out == ""
         (line,) = captured.err.strip().split("\n")
         assert line.startswith("error: ") and str(side) in line
+
+    @pytest.mark.parametrize("command, cuts", [("root", "submodular"), ("root", "none"), ("bench", None)])
+    def test_primal_above_the_first_bound(self, tmp_path, capsys, command, cuts):
+        # d1 = 15 on this graph; a reference optimum above it is wrong data, not a loop bug
+        (path,) = generate_instances("g05", 8, seed=3, out_dir=tmp_path)
+        if command == "root":
+            rc = cli.main(["root", str(path), "--cuts", cuts, "--primal", "1000"])
+        else:
+            path.with_suffix(".sol").write_text("1000\n")
+            rc = cli.main(["bench", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().split("\n")
+        assert line == "error: reference optimum p = 1000 of 'g05_n8_s3' exceeds the first LP bound d1 = 15"
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_root_primal_not_finite(self, tmp_path, capsys, token):

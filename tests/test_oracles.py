@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 import _reference as ref
+from subcut import cli
 from subcut.errors import CapacityError, ModelError
-from subcut.harness import pw_graph
+from subcut.harness import autocorr_polynomial, pw_graph
 from subcut.oracles import (
     Graph,
     MultilinearFunction,
     SSFunction,
     cube_table,
     cut_polynomial,
-    is_submodular_bruteforce,
     read_graph,
     read_polynomial,
     ss_decompose,
+    submodular_by_sign,
     write_graph,
     write_polynomial,
 )
@@ -164,7 +165,7 @@ def test_chain_values_block_matches_rows(family):
 @pytest.mark.parametrize("family", sorted(CUBE_ORACLES))
 def test_values_on_cube_matches_pointwise(family):
     f = CUBE_ORACLES[family]()
-    vals = f.values_on_cube()
+    vals = ref.values_on_cube(f)
     assert vals.shape == (1 << f.n,)
     for mask in range(1 << f.n):
         x = [(mask >> i) & 1 for i in range(f.n)]
@@ -278,7 +279,7 @@ class TestSsDecompose:
         ss = ss_decompose(p)
         assert ss.f1.terms == [(2.0, frozenset({0})), (-1.5, frozenset({1})), (-2.0, frozenset({1, 2}))]
         assert ss.f2.terms == [(-3.0, frozenset({0, 1})), (-1.0, frozenset({0, 1, 2}))]
-        assert is_submodular_bruteforce(ss.f1) and is_submodular_bruteforce(ss.f2)
+        assert ref.is_submodular_bruteforce(ss.f1) and ref.is_submodular_bruteforce(ss.f2)
 
     def test_cut_polynomial_is_its_own_first_part(self):
         graphs = [Graph(3, ref.K3_EDGES), pw_graph(8, 0.5, 3), Graph(4, [(0, 1, 2.0), (2, 3, 0.0)])]
@@ -333,8 +334,9 @@ class TestSsDecompose:
                 support = frozenset(rng.choice(n, size=size, replace=False).tolist())
                 terms.append((float(rng.normal()), support))
             ss = ss_decompose(MultilinearFunction(n, terms))
-            assert is_submodular_bruteforce(ss.f1)
-            assert is_submodular_bruteforce(ss.f2)
+            assert submodular_by_sign(ss.f1) and submodular_by_sign(ss.f2)
+            assert ref.is_submodular_bruteforce(ss.f1)
+            assert ref.is_submodular_bruteforce(ss.f2)
 
 
 class TestModular:
@@ -350,18 +352,18 @@ class TestModular:
 
 class TestIsSubmodular:
     def test_triangle_cut(self, k3_cut):
-        assert is_submodular_bruteforce(k3_cut)
+        assert ref.is_submodular_bruteforce(k3_cut)
 
     def test_positive_product_is_not(self):
         f = MultilinearFunction(2, [(1.0, {0, 1})])
-        assert not is_submodular_bruteforce(f)
+        assert not ref.is_submodular_bruteforce(f)
 
     def test_modular_is(self):
-        assert is_submodular_bruteforce(ref.modular([3.0, -1.0, 2.0]))
+        assert ref.is_submodular_bruteforce(ref.modular([3.0, -1.0, 2.0]))
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            is_submodular_bruteforce(MultilinearFunction(15, []))
+            ref.is_submodular_bruteforce(MultilinearFunction(15, []))
 
     def test_agrees_with_pair_loop(self):
         rng = np.random.default_rng(29)
@@ -376,7 +378,7 @@ class TestIsSubmodular:
             expected = ref.is_submodular_pairs(
                 lambda x: ref.multilinear_value(p.terms, x), n
             )
-            assert is_submodular_bruteforce(p) == expected
+            assert ref.is_submodular_bruteforce(p) == expected
 
     def test_cut_oracles_submodular_random(self):
         rng = np.random.default_rng(31)
@@ -389,7 +391,64 @@ class TestIsSubmodular:
                 if rng.random() < 0.6
             ]
             edges = [e for e in edges if e[2] > 0]
-            assert is_submodular_bruteforce(cut_polynomial(Graph(n, edges)))
+            assert ref.is_submodular_bruteforce(cut_polynomial(Graph(n, edges)))
+
+
+def random_signed_poly(rng, n, max_degree, high_coefs):
+    """Up to 9 terms: degree-1 coefficients in -3..3, higher ones drawn from ``high_coefs``."""
+    terms = []
+    for _ in range(int(rng.integers(1, 10))):
+        size = int(rng.integers(1, min(n, max_degree) + 1))
+        support = rng.choice(n, size=size, replace=False).tolist()
+        coef = rng.integers(-3, 4) if size == 1 else rng.choice(high_coefs)
+        terms.append((float(coef), support))
+    return MultilinearFunction(n, terms)
+
+
+class TestSubmodularBySign:
+    def test_exact_at_degree_two(self):
+        rng = np.random.default_rng(37)
+        verdicts = []
+        for _ in range(150):
+            p = random_signed_poly(rng, int(rng.integers(2, 9)), 2, [-3, -2, -1, 1])
+            verdicts.append(submodular_by_sign(p))
+            assert verdicts[-1] == ref.is_submodular_bruteforce(p)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_implies_submodular_up_to_degree_four(self):
+        rng = np.random.default_rng(41)
+        certified = 0
+        for _ in range(120):
+            p = random_signed_poly(rng, int(rng.integers(2, 9)), 4, [-3, -2, -1, 1])
+            if submodular_by_sign(p):
+                certified += 1
+                assert ref.is_submodular_bruteforce(p)
+        assert certified >= 20
+
+    def test_declines_a_submodular_cubic(self):
+        # one-sided above degree 2: the positive cubic term never outweighs the pair terms
+        f = MultilinearFunction(3, [(-1.0, {0, 1}), (-1.0, {0, 2}), (-1.0, {1, 2}), (1.0, {0, 1, 2})])
+        assert ref.is_submodular_bruteforce(f)
+        assert not submodular_by_sign(f)
+
+
+class TestDecompositionResidual:
+    """``subcut verify``'s term identity against the cube-table identity it replaced."""
+
+    @staticmethod
+    def table_gap(ss, p):
+        return float(np.max(np.abs(cube_table(ss.f1) - cube_table(ss.f2) - cube_table(p))))
+
+    def test_agrees_with_cube_tables_on_autocorr(self):
+        for seed in range(6):
+            p = autocorr_polynomial(4 + seed, max_lag=3, density=0.5, seed=seed)
+            ss = ss_decompose(p)
+            assert cli._residual(ss, p).trivially_zero and self.table_gap(ss, p) == 0.0
+            # a part off by one coefficient fails both ways
+            (a, s), rest = ss.f1.terms[-1], ss.f1.terms[:-1]
+            wrong = SSFunction(MultilinearFunction(p.n, rest + [(a + 0.5, s)]), ss.f2)
+            assert cli._residual(wrong, p).terms == [(0.5, s)]
+            assert self.table_gap(wrong, p) == 0.5
 
 
 class TestNormalization:
