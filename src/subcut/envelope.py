@@ -7,8 +7,8 @@ vertex maximizes s . x over all n! candidates, so the envelope extends f
 from the cube to all of R^n with n + 1 oracle calls per point.
 
 :func:`envelope_eval` takes one point or a (k, n) block of points.  A
-block is sorted row by row, its chains are valued in one oracle call,
-and each row's value and subgradient equal the point result bit for bit.
+block is sorted row by row and its chains are valued in one oracle call;
+a point is evaluated as a one-row block.
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ def greedy_vertex(oracle: MultilinearFunction, order) -> np.ndarray:
     Component order[i] holds f(chain_{i+1}) - f(chain_i); for submodular f
     this is a vertex of the extended polymatroid.
     """
-    return _vertex(oracle, _check_order(oracle.n, order))
-
-
-def _vertex(oracle: MultilinearFunction, order: np.ndarray) -> np.ndarray:
-    """:func:`greedy_vertex` of an order known to be a permutation."""
+    order = _check_order(oracle.n, order)
     chain = oracle.chain_values(order)
     sigma = np.empty(oracle.n)
     sigma[order] = chain[1:] - chain[:-1]
@@ -56,15 +52,16 @@ def envelope_eval(oracle: MultilinearFunction, x) -> EnvelopeEvaluation:
         raise ValueError(f"expected point or rows of dimension {oracle.n}, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("point contains NaN or infinite coordinates")
-    order = (-x).argsort(axis=-1, kind="stable")
-    if x.ndim == 1:
-        sigma = _vertex(oracle, order)
-        return EnvelopeEvaluation(float(sigma @ x), sigma)
+    block = np.atleast_2d(x)
+    order = (-block).argsort(axis=1, kind="stable")
     chain = oracle.chain_values(order)
-    sigma = np.empty(x.shape)
-    sigma[np.arange(x.shape[0])[:, None], order] = chain[:, 1:] - chain[:, :-1]
-    # vecdot rounds each row as the 1-D product above does; einsum and sum(axis=1) do not
-    return EnvelopeEvaluation(np.vecdot(sigma, x), sigma)
+    sigma = np.empty(block.shape)
+    sigma[np.arange(block.shape[0])[:, None], order] = chain[:, 1:] - chain[:, :-1]
+    # vecdot rounds each row as a 1-D dot product does; einsum and sum(axis=1) do not
+    value = np.vecdot(sigma, block)
+    if x.ndim == 1:
+        return EnvelopeEvaluation(float(value[0]), sigma[0])
+    return EnvelopeEvaluation(value, sigma)
 
 
 def _check_order(n: int, order) -> np.ndarray:

@@ -187,26 +187,27 @@ def _want_validation(config: RunConfig, n: int) -> bool:
     return n <= CAPACITY["cut validation"]
 
 
-def _solve_lazy(model, full, pending, flip, warm=None):
-    """Solve ``model``, then append the ``pending`` rows of ``full`` that the optimum violates.
+def _solve_lazy(model, deferred, pending, flip, warm=None):
+    """Solve ``model``, then append the ``pending`` rows of ``deferred`` that the optimum violates.
 
     Re-solves warm after each append until the optimum violates no pending
     row by more than ``simplex.FEAS_TOL``, so it is feasible for every
-    row of ``full`` and therefore optimal there too.  Pending rows are
-    inequalities, and ``flip`` holds -1 at each >= row of ``full`` and +1
-    at every other.  Returns (model, solution, rows still pending); the
-    solution is None once a solve raises NumericError or ends other than
-    optimal.
+    deferred row and therefore optimal with them all appended too.
+    Deferred rows are inequalities, and ``flip`` holds -1 at each >= row
+    of ``deferred`` and +1 at every other.  Returns (model, solution, rows
+    still pending); the solution is None once a solve raises NumericError
+    or ends other than optimal.
     """
     try:
         sol = simplex.solve(model, warm=warm)
         while sol.status == simplex.OPTIMAL and pending.size:
-            excess = (full.rows[pending] @ sol.x - full.rhs[pending]) * flip[pending]
+            excess = (deferred.rows[pending] @ sol.x - deferred.rhs[pending]) * flip[pending]
             hit = excess > simplex.FEAS_TOL
             if not hit.any():
                 break
             add = pending[hit]
-            model = model.with_extra_rows(full.rows[add], [full.row_senses[i] for i in add], full.rhs[add])
+            model = model.with_extra_rows(
+                deferred.rows[add], [deferred.row_senses[i] for i in add], deferred.rhs[add])
             pending = pending[~hit]
             sol = simplex.solve(model, warm=sol)
     except NumericError:
@@ -218,17 +219,17 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
     """Run up to config.rounds rounds of separation at the root node.
 
     Stops early when the LP optimum is binary in x or a round produces no
-    cut.  The loop solves ``model`` without the rows ``lift.deferred_rows``
-    names, and after every solve appends the deferred rows its optimum
-    violates and re-solves warm (``_solve_lazy``), so d1 and every
-    round's bound are those of the full model with the same cuts (a
-    deferred row that repeats, is out of range or is an = row raises
-    ValueError).  Each round re-solves warm from the previous round's
-    optimal basis.  A reference optimum above d1 raises ModelError: d1
-    bounds the true optimum, so that p is wrong data.  An LP failure sets
-    the failure flag on the report; a cut failing point validation, or a
-    bound that rises across a round or falls below the reference optimum,
-    raises, since that can only be a bug.
+    cut.  The loop solves the lean ``model`` that ``build_model`` returns,
+    and after every solve appends the rows of ``lift.deferred`` its
+    optimum violates and re-solves warm (``_solve_lazy``), so d1 and every
+    round's bound are those of the full model, the lean one with every
+    deferred row appended, with the same cuts (an = row among the
+    deferred raises ValueError).  Each round re-solves warm from the
+    previous round's optimal basis.  A reference optimum above d1 raises
+    ModelError: d1 bounds the true optimum, so that p is wrong data.  An
+    LP failure sets the failure flag on the report; a cut failing point
+    validation, or a bound that rises across a round or falls below the
+    reference optimum, raises, since that can only be a bug.
     """
     if not targets:
         raise ModelError("at least one separation target is required")
@@ -259,17 +260,13 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
             failed=failed,
         )
 
-    pending = np.asarray(lift.deferred_rows, dtype=int)
-    if np.unique(pending).size != pending.size or any(
-            not 0 <= i < model.nrows or model.row_senses[i] == "=" for i in pending.tolist()):
-        raise ValueError(f"deferred rows {pending.tolist()} are not distinct inequality rows of the model")
-    flip = np.array([-1.0 if s == ">=" else 1.0 for s in model.row_senses])
-    keep = np.setdiff1d(np.arange(model.nrows), pending)
-    full, model = model, simplex.LpModel(
-        model.sense, model.objective, model.rows[keep], [model.row_senses[i] for i in keep],
-        model.rhs[keep], model.lower, model.upper,
-    )
-    model, sol, pending = _solve_lazy(model, full, pending, flip)
+    deferred = lift.deferred
+    senses = [] if deferred is None else deferred.row_senses
+    if "=" in senses:
+        raise ValueError("the deferred rows include an = row; only inequalities can be deferred")
+    flip = np.array([-1.0 if s == ">=" else 1.0 for s in senses])
+    pending = np.arange(len(senses))
+    model, sol, pending = _solve_lazy(model, deferred, pending, flip)
     if sol is None:
         failed = True
         return finish()
@@ -313,7 +310,7 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
                     )
         cuts_added += len(batch)
         model = model.with_extra_rows([c.coef for c in batch], [">="] * len(batch), [c.rhs for c in batch])
-        model, sol, pending = _solve_lazy(model, full, pending, flip, warm=sol)
+        model, sol, pending = _solve_lazy(model, deferred, pending, flip, warm=sol)
         if sol is None:
             failed = True
             break

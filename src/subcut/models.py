@@ -29,9 +29,9 @@ class LiftMap:
     """Where each original coordinate lives among the model columns.
 
     ``instance`` is the instance the model lifts; cut validation reads its
-    objective, constraints and cardinality.  ``deferred_rows`` indexes the
-    model rows the objective can never make tight (see :func:`build_model`),
-    empty unless the builder fills it.
+    objective, constraints and cardinality.  ``deferred`` is an LpModel over
+    the model's columns holding the rows the objective can never make tight
+    (see :func:`build_model`); None defers nothing.
     """
 
     n: int
@@ -40,7 +40,7 @@ class LiftMap:
     y_cols: dict
     ncols: int
     instance: BmpInstance = None
-    deferred_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    deferred: LpModel = None
 
 
 @dataclass
@@ -84,24 +84,14 @@ def linearize_term(support, y_col: int, x_cols, ncols: int):
     One row y <= x_j per member, plus y >= sum x_j - |support| + 1.
     """
     support = sorted(int(j) for j in support)
-    if len(support) < 2:
+    k = len(support)
+    if k < 2:
         raise ValueError(f"degree-1 terms use x directly; got support {support}")
-    rows, senses, rhs = [], [], []
-    for j in support:
-        row = np.zeros(ncols)
-        row[y_col] = 1.0
-        row[x_cols[j]] -= 1.0
-        rows.append(row)
-        senses.append("<=")
-        rhs.append(0.0)
-    low = np.zeros(ncols)
-    low[y_col] = 1.0
-    for j in support:
-        low[x_cols[j]] -= 1.0
-    rows.append(low)
-    senses.append(">=")
-    rhs.append(1.0 - len(support))
-    return np.array(rows), senses, np.array(rhs)
+    rows = np.zeros((k + 1, ncols))
+    rows[:, y_col] = 1.0
+    for i, j in enumerate(support):
+        rows[i, x_cols[j]] = rows[k, x_cols[j]] = -1.0
+    return rows, ["<="] * k + [">="], np.array([0.0] * k + [1.0 - k])
 
 
 def build_model(instance: BmpInstance):
@@ -112,27 +102,31 @@ def build_model(instance: BmpInstance):
     (level 0).  For a cut polynomial the one target is the polynomial
     itself with an empty f2.
 
-    The LP is the full one; ``LiftMap.deferred_rows`` names the
-    linearization rows the objective can never make tight.  Maximizing
-    t <= sum a_S y_S pushes a product with a < 0 down, so only its >= row
-    can bind, and one with a > 0 up, so only its y <= x_j rows can.  A
-    support that appears in a constraint, or has no objective term,
-    defers nothing.
+    The LP is the lean one: the linearization rows the objective can never
+    make tight are left out and held, in build order, in the LpModel
+    ``LiftMap.deferred``; the LP with them appended is the full lifted LP.
+    Maximizing t <= sum a_S y_S pushes a product with a < 0 down, so only
+    its >= row can bind, and one with a > 0 up, so only its y <= x_j rows
+    can.  A support that appears in a constraint, or has no objective
+    term, defers nothing.
     """
     model, lift = _lifted_lp(instance)
     targets = [ss_decompose(instance.objective, level=1)]
     targets += [ss_decompose(c, level=0) for c in instance.constraints]
-    logger.info("MODEL n=%d y=%d rows=%d targets=%d", instance.n, len(lift.y_cols), model.nrows, len(targets))
+    rows = model.nrows + lift.deferred.nrows
+    logger.info("MODEL n=%d y=%d rows=%d targets=%d", instance.n, len(lift.y_cols), rows, len(targets))
     return model, targets, lift
 
 
 def _lifted_lp(instance: BmpInstance):
-    """The lifted, linearized LP of a multilinear instance: (LpModel, LiftMap).
+    """The lean lifted, linearized LP of a multilinear instance: (LpModel, LiftMap).
 
     One shared y-column per distinct support of size >= 2 across the
     objective and all constraints; degree-1 terms use x directly.  Rows
     are the linearizations, then t <= objective, one row per constraint
-    and the cardinality row; the objective is max t.
+    and the cardinality row; the objective is max t.  Each linearization
+    row that :func:`build_model` defers goes to ``LiftMap.deferred``
+    instead.
     """
     n = instance.n
     all_funcs = [instance.objective] + list(instance.constraints)
@@ -149,17 +143,19 @@ def _lifted_lp(instance: BmpInstance):
     weight = {s: a for a, s in instance.objective.terms}
     for c in instance.constraints:
         weight.update((s, 0.0) for _, s in c.terms)
-    rows, senses, rhs, deferred = [], [], [], []
+    lean, deferred = [], []  # (row, sense, rhs) of each block, in build order
     for s in supports:
-        r, se, b = linearize_term(s, y_cols[s], x_cols, ncols)
         a = weight.get(s, 0.0)
-        if a < 0.0:  # pushed down: its y <= x_j rows, the first len(s), never bind
-            deferred.extend(range(len(rows), len(rows) + len(s)))
-        elif a > 0.0:  # pushed up: its last row, the >= row, never binds
-            deferred.append(len(rows) + len(s))
-        rows.extend(r)
-        senses.extend(se)
-        rhs.extend(b)
+        rows = list(zip(*linearize_term(s, y_cols[s], x_cols, ncols)))
+        k = len(s)  # rows[:k] are the y <= x_j rows, rows[k] the >= row
+        if a < 0.0:  # pushed down: its y <= x_j rows never bind
+            deferred += rows[:k]
+            lean.append(rows[k])
+        elif a > 0.0:  # pushed up: its >= row never binds
+            lean += rows[:k]
+            deferred.append(rows[k])
+        else:
+            lean += rows
 
     def term_row(func, sign):
         # sign -1 moves the terms to the left of "t <= f", +1 keeps "f >= 0"
@@ -172,19 +168,12 @@ def _lifted_lp(instance: BmpInstance):
     obj_row = term_row(instance.objective, -1.0)
     obj_row[t_col] = 1.0
 
-    rows.append(obj_row)
-    senses.append("<=")
-    rhs.append(0.0)
-    for func in instance.constraints:
-        rows.append(term_row(func, 1.0))
-        senses.append(">=")
-        rhs.append(0.0)
+    lean.append((obj_row, "<=", 0.0))
+    lean += [(term_row(func, 1.0), ">=", 0.0) for func in instance.constraints]
     if instance.cardinality is not None:
         card = np.zeros(ncols)
         card[x_cols] = 1.0
-        rows.append(card)
-        senses.append("=")
-        rhs.append(float(instance.cardinality))
+        lean.append((card, "=", float(instance.cardinality)))
 
     coefs = [a for a, _ in instance.objective.terms]
     lower = np.zeros(ncols)
@@ -194,8 +183,12 @@ def _lifted_lp(instance: BmpInstance):
 
     objective = np.zeros(ncols)
     objective[t_col] = 1.0
-    model = LpModel("max", objective, np.array(rows), senses, np.array(rhs), lower, upper)
-    return model, LiftMap(n, x_cols, t_col, y_cols, ncols, instance, np.array(deferred, dtype=int))
+
+    def lp(block):
+        rows, senses, rhs = zip(*block) if block else ((), (), ())
+        return LpModel("max", objective, np.array(rows), list(senses), np.array(rhs), lower, upper)
+
+    return lp(lean), LiftMap(n, x_cols, t_col, y_cols, ncols, instance, lp(deferred))
 
 
 def project_corner(corner: CornerPolyhedron, lift: LiftMap) -> CornerPolyhedron:

@@ -197,15 +197,11 @@ class CornerPolyhedron:
         return self.columns.size
 
 
-# placement codes
-_BASIC = 0
-_AT_LOWER = 1
-_AT_UPPER = 2
-
-
 class _DualSimplex:
     """One solve: the columns of ``model`` and a dual feasible basis to pivot from.
 
+    ``dirn`` is the one record of each column's placement: +1 nonbasic at
+    its lower bound, -1 nonbasic at its upper bound, 0 basic or fixed.
     The constraint matrix [rows | diag(sign)] is never formed: logical
     column n + i holds ``sign[i]`` at row i and nothing else.
     ``_columns``, ``_times_matrix``, ``_matrix_times`` and
@@ -291,7 +287,8 @@ class _DualSimplex:
         """Every logical basic, every structural at the bound its cost prefers."""
         n, m = self.nstruct, self.m
         up = self.cost[:n] < 0.0
-        self.where = np.concatenate([np.where(up, _AT_UPPER, _AT_LOWER), np.full(m, _BASIC)])
+        fixed = self.lo[:n] == self.hi[:n]
+        self.dirn = np.concatenate([np.where(fixed, 0.0, np.where(up, -1.0, 1.0)), np.zeros(m)])
         self.val = np.concatenate([np.where(up, self.hi[:n], self.lo[:n]), np.zeros(m)])
         self.basis = n + np.arange(m)
         self.Binv = np.diag(self.sign)  # a +-1 diagonal is its own inverse
@@ -311,7 +308,7 @@ class _DualSimplex:
         new = np.arange(k, self.m)
         s = self.sign[new]
         self.basis = np.concatenate([old.basis, n + new])
-        self.where = np.concatenate([old.where, np.full(new.size, _BASIC)])
+        self.dirn = np.concatenate([old.dirn, np.zeros(new.size)])
         self.val = np.concatenate([old.val, s * (self.model.rhs[new] - self.model.rows[new] @ old.val[:n])])
         self.Binv = np.zeros((self.m, self.m))
         self.Binv[:k, :k] = old.Binv
@@ -343,16 +340,13 @@ class _DualSimplex:
         """Dual pivots until the basic values are within their bounds.
 
         The basic values and their bounds (``xb``, ``lo_b``, ``hi_b``, in
-        basis order) and every column's signed direction ``dirn`` are
-        updated entry by entry; ``val`` gets the basic values back before a
-        refactor and on return.  A column can enter when alpha * dirn <
-        -PIVOT_TOL if the leaving variable rises, > PIVOT_TOL if it falls.
+        basis order) and ``dirn`` are updated entry by entry; ``val`` gets
+        the basic values back before a refactor and on return.  A column
+        can enter when alpha * dirn < -PIVOT_TOL if the leaving variable
+        rises, > PIVOT_TOL if it falls.
         """
-        m, basis = self.m, self.basis
+        m, basis, dirn = self.m, self.basis, self.dirn
         movable = self.lo != self.hi
-        dirn = np.zeros(self.N)
-        dirn[movable & (self.where == _AT_LOWER)] = 1.0
-        dirn[movable & (self.where == _AT_UPPER)] = -1.0
         xb, lo_b, hi_b = self.val[basis], self.lo[basis], self.hi[basis]
         buf = np.empty((m, m))  # rank-1 update term of Binv, reused every pivot
         status = OPTIMAL
@@ -383,10 +377,8 @@ class _DualSimplex:
             xb -= step * w
             xb[r], lo_b[r], hi_b[r] = entering, self.lo[q], self.hi[q]
             self.val[leaving] = bound
-            self.where[leaving] = _AT_LOWER if up else _AT_UPPER
             dirn[leaving] = (1.0 if up else -1.0) if movable[leaving] else 0.0
             basis[r] = q
-            self.where[q] = _BASIC
             dirn[q] = 0.0
             self.d -= (self.d[q] / alpha[q]) * alpha
             self.d[q] = 0.0
@@ -456,12 +448,14 @@ class _DualSimplex:
             raise NumericError(f"bound violation {worst:.3e} after optimization")
         y = self.cost[self.basis] @ self.Binv
         d = self.cost - self._times_matrix(y)
-        nb = self.where != _BASIC
+        nb = np.ones(self.N, dtype=bool)
+        nb[self.basis] = False
         # moving a nonbasic column off its bound must not pay: d >= 0 at a lower bound, <= 0 at an upper
-        gain = np.where(self.where == _AT_UPPER, d, -d)[nb & (self.lo != self.hi)]
+        gain = -(self.dirn * d)[self.dirn != 0.0]
         if gain.max(initial=0.0) > FEAS_TOL * (1.0 + np.abs(self.cost).max(initial=0.0)):
             raise NumericError(f"reduced cost {gain.max():.3e} of the wrong sign at the optimum")
-        at = np.where(self.where[nb] == _AT_UPPER, self.hi[nb], self.lo[nb])
+        # read from dirn, not val, so a nonbasic value off its bound fails the objective check
+        at = np.where(self.dirn[nb] < 0.0, self.hi[nb], self.lo[nb])
         primal = float(self.cost @ self.val)
         dual = float(y @ self.model.rhs + d[nb] @ at)
         if abs(primal - dual) > FEAS_TOL * (1.0 + abs(primal)):
@@ -491,11 +485,10 @@ def corner(solution: LpSolution) -> CornerPolyhedron:
         raise ValueError(f"corner extraction needs an optimal solution, got {solution.status}")
     st = solution._state
     n = st.nstruct
-    nb = np.flatnonzero((st.where != _BASIC) & (st.lo != st.hi))
+    nb = np.flatnonzero(st.dirn)
     k = nb.size
     rows = np.arange(k)
-    at_lower = st.where[nb] == _AT_LOWER
-    delta = np.where(at_lower, 1.0, -1.0)
+    delta = st.dirn[nb]
     struct = nb < n
     sj = nb[struct]
     directions = np.zeros((k, n))
@@ -510,7 +503,7 @@ def corner(solution: LpSolution) -> CornerPolyhedron:
     eta_coef = np.zeros((k, n))
     eta_off = np.zeros(k)
     eta_coef[rows[struct], sj] = delta[struct]
-    eta_off[struct] = -delta[struct] * np.where(at_lower[struct], st.lo[sj], st.hi[sj])
+    eta_off[struct] = -delta[struct] * np.where(delta[struct] > 0.0, st.lo[sj], st.hi[sj])
     i = nb[~struct] - n
     eta_coef[~struct] = -st.sign[i][:, None] * st.model.rows[i]
     eta_off[~struct] = st.sign[i] * st.model.rhs[i]

@@ -4,9 +4,10 @@ Everything here is deliberately naive and independent of the package:
 direct loops over edges and terms, itertools permutations, pure bisection,
 and exhaustive enumeration.  Slow is fine; these run on tiny inputs, apart
 from the chunked cube walks, which pin the brute-force primal and the least
-cut residuals at n <= 20.  Two exceptions only build package objects:
-:func:`modular`, a polynomial for tests that need a modular function, and
-:func:`cut_instance`, the instance a max-cut file loads as.  Two evaluate a
+cut residuals at n <= 20.  Three exceptions only build package objects:
+:func:`modular`, a polynomial for tests that need a modular function,
+:func:`cut_instance`, the instance a max-cut file loads as, and
+:func:`full_lp`, the lean LP with its deferred rows appended.  Two evaluate a
 package set at one point at a time: :func:`newton_step_length` along a ray,
 and :func:`verify_free_bruteforce` at every binary point of its target.
 :class:`ExplicitLogicalSimplex` runs the package's dual simplex over an
@@ -60,6 +61,12 @@ def modular(c):
 def cut_instance(graph):
     """The max-cut instance of a package Graph, as ``load_instance`` builds it from a .mc file."""
     return BmpInstance(cut_polynomial(graph))
+
+
+def full_lp(model, lift):
+    """The full lifted LP: the lean ``build_model`` LP with every row of ``lift.deferred`` appended."""
+    d = lift.deferred
+    return model.with_extra_rows(d.rows, d.row_senses, d.rhs)
 
 
 def greedy_sigma(values, order):
@@ -304,31 +311,32 @@ def corner_t_interval_loop(z_pts, eta_coef, eta_off, t_col, tol):
     return t_lo, t_hi
 
 
-def corner_rays_loop(solution, codes):
+def corner_rays_loop(solution):
     """The corner at an optimal basis, built one nonbasic column at a time.
 
-    Reads the solver state kept on ``solution`` (``codes`` names its
-    placement constants: basic, at_lower).  Returns (column, direction,
-    eta_coef, eta_off) per ray in ascending column order: the structural
-    movement per unit of eta, and eta as an affine form of the structural
-    variables.
+    Reads the solver state kept on ``solution``: a ray for each column
+    outside the basis whose bounds differ, moving the way the solver's
+    signed direction ``dirn`` says.  Returns (column, direction, eta_coef,
+    eta_off) per ray in ascending column order: the structural movement
+    per unit of eta, and eta as an affine form of the structural variables.
     """
     st = solution._state
     model = st.model
     n = st.nstruct
-    nb = [j for j in range(st.N) if st.where[j] != codes["basic"] and st.lo[j] != st.hi[j]]
+    basic = set(st.basis.tolist())
+    nb = [j for j in range(st.N) if j not in basic and st.lo[j] != st.hi[j]]
     rays = []
     if nb:
         W = st.Binv @ st._columns(np.array(nb))
         for k, j in enumerate(nb):
-            delta = 1.0 if st.where[j] == codes["at_lower"] else -1.0
+            delta = float(st.dirn[j])
             full = np.zeros(st.N)
             full[j] = delta
             full[st.basis] = -delta * W[:, k]
             g = np.zeros(n)
             if j < n:
                 g[j] = delta
-                bound = st.lo[j] if st.where[j] == codes["at_lower"] else st.hi[j]
+                bound = st.lo[j] if delta > 0 else st.hi[j]
                 h = -delta * bound
             else:
                 i = j - n
@@ -378,15 +386,23 @@ class ExplicitLogicalSimplex(simplex._DualSimplex):
         return self.Binv @ self.A[:, q]
 
 
+# placement codes of MaskedPivotSimplex
+BASIC = 0
+AT_LOWER = 1
+AT_UPPER = 2
+
+
 class MaskedPivotSimplex(simplex._DualSimplex):
     """The package's dual simplex with its former set-up and pivot bookkeeping.
 
     Every solve builds each row's sign, bounds, cost and padded row from the
     model (a warm one as well, with the senses as a string array), a warm
-    inverse is assembled by ``np.block``, and the pivots keep two masks of
-    the columns free to rise and to fall.  A solve through this class gives
-    the reference pivot path for the signed direction and the warm set-up
-    from the prefix.
+    inverse is assembled by ``np.block``, each column's placement is a code
+    (basic, at lower, at upper), and the pivots keep two masks of the
+    columns free to rise and to fall.  A solve through this class gives the
+    reference pivot path for the signed direction and the warm set-up from
+    the prefix.  Each pivot loop ends by writing the masks into ``dirn``,
+    which the inherited certificate and the corner read.
     """
 
     def __init__(self, model, prefix=None, max_iters=None):
@@ -409,12 +425,17 @@ class MaskedPivotSimplex(simplex._DualSimplex):
         else:
             self._extend(prefix)
 
+    def _slack_basis(self):
+        super()._slack_basis()
+        up = self.cost[: self.nstruct] < 0.0
+        self.where = np.concatenate([np.where(up, AT_UPPER, AT_LOWER), np.full(self.m, BASIC)])
+
     def _extend(self, old):
         k, n = old.m, self.nstruct
         new = np.arange(k, self.m)
         s = self.sign[new]
         self.basis = np.concatenate([old.basis, n + new])
-        self.where = np.concatenate([old.where, np.full(new.size, simplex._BASIC)])
+        self.where = np.concatenate([old.where, np.full(new.size, BASIC)])
         self.val = np.concatenate([old.val, s * (self.model.rhs[new] - self.model.rows[new] @ old.val[:n])])
         self.Binv = np.block([
             [old.Binv, np.zeros((k, new.size))],
@@ -426,8 +447,8 @@ class MaskedPivotSimplex(simplex._DualSimplex):
     def _iterate(self):
         m, basis = self.m, self.basis
         movable = self.lo != self.hi
-        rising = movable & (self.where == simplex._AT_LOWER)
-        falling = movable & (self.where == simplex._AT_UPPER)
+        rising = movable & (self.where == AT_LOWER)
+        falling = movable & (self.where == AT_UPPER)
         xb, lo_b, hi_b = self.val[basis], self.lo[basis], self.hi[basis]
         buf = np.empty((m, m))
         status = simplex.OPTIMAL
@@ -457,11 +478,11 @@ class MaskedPivotSimplex(simplex._DualSimplex):
             xb -= step * w
             xb[r], lo_b[r], hi_b[r] = entering, self.lo[q], self.hi[q]
             self.val[leaving] = bound
-            self.where[leaving] = simplex._AT_LOWER if up else simplex._AT_UPPER
+            self.where[leaving] = AT_LOWER if up else AT_UPPER
             rising[leaving] = up and movable[leaving]
             falling[leaving] = not up and movable[leaving]
             basis[r] = q
-            self.where[q] = simplex._BASIC
+            self.where[q] = BASIC
             rising[q] = falling[q] = False
             self.d -= (self.d[q] / alpha[q]) * alpha
             self.d[q] = 0.0
@@ -473,6 +494,7 @@ class MaskedPivotSimplex(simplex._DualSimplex):
                 self._refactor()
                 xb = self.val[basis]
         self.val[basis] = xb
+        self.dirn = rising.astype(float) - falling
         return status
 
 

@@ -500,20 +500,17 @@ class TestRootLoop:
         rep = root_loop(model, targets, lift, RunConfig(mode="split", validate_cuts="off", rounds=1))
         monkeypatch.undo()
         assert [m.nrows for m in solved] == [4, 5, 7]  # lean LP, + the cut, + y01 <= x0 and y01 <= x1
-        assert np.array_equal(solved[-1].rows[5:], model.rows[[0, 1]])
+        assert np.array_equal(solved[-1].rows[5:], lift.deferred.rows[[0, 1]])
         assert rep.d1 == pytest.approx(3.0, abs=1e-9) and not rep.failed
-        full = simplex.solve(model.with_extra_rows([coef], [">="], [-0.5]))
+        full = simplex.solve(ref.full_lp(model, lift).with_extra_rows([coef], [">="], [-0.5]))
         assert full.objective == pytest.approx(1.0, abs=1e-9)
         assert rep.d2 == pytest.approx(full.objective, abs=1e-9)
 
-    @pytest.mark.parametrize("bad", ["equality", "duplicate", "beyond", "negative"])
-    def test_deferred_rows_must_be_distinct_inequalities(self, bad):
+    def test_an_equality_deferred_row_is_rejected(self):
         # a cardinality row is the model's only = row, and its last
         model, targets, lift = build_model(BmpInstance(k3_instance().objective, cardinality=2))
         assert model.row_senses[-1] == "=" and model.row_senses.count("=") == 1
-        rows = {"equality": [0, model.nrows - 1], "duplicate": [0, 1, 0], "beyond": [0, model.nrows],
-                "negative": [-1]}[bad]
-        lift.deferred_rows = np.array(rows)
+        lift.deferred = lift.deferred.with_extra_rows(model.rows[-1:], ["="], model.rhs[-1:])
         with pytest.raises(ValueError, match="deferred rows"):
             root_loop(model, targets, lift, RunConfig(mode="split"))
 
@@ -722,6 +719,17 @@ class TestCli:
         rc = cli.main(["verify", str(path)])
         assert rc == 0
         assert capsys.readouterr().out.splitlines() == lines
+
+    def test_verify_fails_the_bound_on_an_lp_failure(self, tmp_path, capsys, monkeypatch):
+        path = self.write_k3(tmp_path)
+
+        def failing_solve(model, warm=None):
+            raise NumericError("singular basis")
+
+        monkeypatch.setattr(simplex, "solve", failing_solve)
+        rc = cli.main(["verify", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "FAIL bound_dominates_optimum LP failure"
 
     def test_bench_command(self, tmp_path, capsys):
         generate_instances("g05", 6, count=2, seed=0, out_dir=tmp_path)

@@ -94,11 +94,12 @@ def test_random_boxed_lps(degenerate):
 def test_benchmark_models_after_two_rounds(problem, mode, monkeypatch):
     """Every LP of a two-round root loop: the lean first solve, the top-ups and the cut re-solves.
 
-    The loop solves the full LP without its deferred rows and appends each
-    deferred row an optimum violates.  So every solve after the first is
-    warm from the one before it, and the last solve before each round's
-    cuts gives d1 or that round's bound: HiGHS must find the same value on
-    the full ``build_model`` LP plus the cut rows added so far.
+    The loop solves the lean ``build_model`` LP and appends each deferred
+    row an optimum violates.  So every solve after the first is warm from
+    the one before it, and the last solve before each round's cuts gives
+    d1 or that round's bound: HiGHS must find the same value on the full
+    LP, the lean one with every deferred row appended, plus the cut rows
+    added so far.
     """
     solved = []
     solve = simplex.solve
@@ -108,13 +109,13 @@ def test_benchmark_models_after_two_rounds(problem, mode, monkeypatch):
         return solved[-1][2]
 
     monkeypatch.setattr(simplex, "solve", recording_solve)
-    full, targets, lift = build_model(problem)
-    report = root_loop(full, targets, lift, RunConfig(mode=mode, rounds=2))
+    lean, targets, lift = build_model(problem)
+    report = root_loop(lean, targets, lift, RunConfig(mode=mode, rounds=2))
     monkeypatch.undo()
     assert report.rounds == 2 and not report.failed
 
-    lean = solved[0][0]
-    assert solved[0][1] is None and lean.nrows == full.nrows - lift.deferred_rows.size > 0
+    full = ref.full_lp(lean, lift)
+    assert solved[0][0] is lean and solved[0][1] is None and lift.deferred.nrows > 0
     known = {(r.tobytes(), s, b) for r, s, b in zip(full.rows, full.row_senses, full.rhs)}
     bounds = {}  # cut rows so far -> objective of the last solve with them
     for i, (model, warm, sol) in enumerate(solved):

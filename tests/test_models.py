@@ -59,7 +59,7 @@ class TestBuildMaxcut:
     def test_k3_shape(self):
         model, target, lift = k3_model()
         assert model.ncols == 7
-        assert model.nrows == 10  # 3 edges x 3 linearization rows + the link row
+        assert ref.full_lp(model, lift).nrows == 10  # 3 edges x 3 linearization rows + the link row
         assert lift.x_cols.tolist() == [0, 1, 2]
         assert lift.t_col == 6
         assert len(lift.y_cols) == 3
@@ -190,7 +190,7 @@ class TestBuildMubo:
         model, targets, lift = build_model(BmpInstance(toy_poly()))
         assert len(lift.y_cols) == 2
         assert model.ncols == 6
-        assert model.nrows == 8  # 3 + 4 linearization rows + the objective row
+        assert ref.full_lp(model, lift).nrows == 8  # 3 + 4 linearization rows + the objective row
         assert len(targets) == 1
         assert targets[0].level == 1
 
@@ -210,8 +210,8 @@ class TestBuildMubo:
 
     def test_objective_row(self):
         model, _, lift = build_model(BmpInstance(toy_poly()))
-        row = model.rows[7]
-        assert model.row_senses[7] == "<=" and model.rhs[7] == 0.0
+        row = model.rows[-1]
+        assert model.row_senses[-1] == "<=" and model.rhs[-1] == 0.0
         assert row[lift.t_col] == 1.0
         assert row[lift.y_cols[frozenset({0, 1})]] == -3.0
         assert row[lift.y_cols[frozenset({0, 1, 2})]] == 2.0
@@ -252,28 +252,52 @@ class TestBuildMubo:
 
 
 class TestDeferredRows:
-    """The linearization rows the objective can never make tight."""
+    """The linearization rows the objective can never make tight, held in ``LiftMap.deferred``."""
+
+    @staticmethod
+    def block(lift):
+        d = lift.deferred
+        return [(row.tolist(), sense, b) for row, sense, b in zip(d.rows, d.row_senses, d.rhs.tolist())]
+
+    @staticmethod
+    def upper_row(lift, support, j):
+        """y_S <= x_j as a row of the lift's columns."""
+        row = [0.0] * lift.ncols
+        row[lift.y_cols[frozenset(support)]] = 1.0
+        row[lift.x_cols[j]] = -1.0
+        return (row, "<=", 0.0)
+
+    @staticmethod
+    def lower_row(lift, support):
+        """y_S >= sum x_j - |S| + 1 as a row of the lift's columns."""
+        row = [0.0] * lift.ncols
+        row[lift.y_cols[frozenset(support)]] = 1.0
+        for j in support:
+            row[lift.x_cols[j]] = -1.0
+        return (row, ">=", 1.0 - len(support))
 
     def test_k3_defers_the_upper_rows_of_each_edge(self):
         model, _, lift = k3_model()
-        # each edge term is -2 x_i x_j: rows y <= x_i, y <= x_j, then the >= row
-        assert lift.deferred_rows.tolist() == [0, 1, 3, 4, 6, 7]
-        assert {model.row_senses[i] for i in lift.deferred_rows} == {"<="}
+        # each edge term is -2 x_i x_j, so its y <= x_i and y <= x_j rows never bind
+        want = [self.upper_row(lift, {i, j}, k) for i, j in ((0, 1), (0, 2), (1, 2)) for k in (i, j)]
+        assert self.block(lift) == want
+        assert lift.deferred.ncols == model.ncols
+        assert model.nrows == 4 and model.row_senses == [">=", ">=", ">=", "<="]
 
     def test_positive_term_defers_its_lower_row(self):
-        model, _, lift = build_model(BmpInstance(toy_poly()))
-        # rows 0-2 linearize +3 x0 x1 (row 2 is its >= row), rows 3-6 linearize -2 x0 x1 x2
-        assert lift.deferred_rows.tolist() == [2, 3, 4, 5]
-        assert [model.row_senses[i] for i in lift.deferred_rows] == [">=", "<=", "<=", "<="]
+        _, _, lift = build_model(BmpInstance(toy_poly()))
+        # +3 x0 x1 never binds its >= row, -2 x0 x1 x2 its three y <= x_j rows
+        upper = [self.upper_row(lift, {0, 1, 2}, j) for j in range(3)]
+        assert self.block(lift) == [self.lower_row(lift, {0, 1})] + upper
+        assert lift.deferred.row_senses == [">=", "<=", "<=", "<="]
 
-    @pytest.mark.parametrize("support, deferred", [
-        ({0, 1}, [3, 4, 5]),  # shared with the objective: only the cubic term's upper rows
-        ({1, 2}, [2, 6, 7, 8]),  # no objective term; rows of {0, 1}, {1, 2}, {0, 1, 2} in that order
-    ], ids=["shared", "constraint-only"])
-    def test_support_in_a_constraint_defers_nothing(self, support, deferred):
+    @pytest.mark.parametrize("support", [{0, 1}, {1, 2}], ids=["shared", "constraint-only"])
+    def test_support_in_a_constraint_defers_nothing(self, support):
         constraint = MultilinearFunction(3, [(1.0, {0}), (-1.0, support)])
         _, _, lift = build_model(BmpInstance(toy_poly(), constraints=[constraint]))
-        assert lift.deferred_rows.tolist() == deferred
+        # the constraint's support defers none of its rows; the others defer as without it
+        want = [] if support == {0, 1} else [self.lower_row(lift, {0, 1})]
+        assert self.block(lift) == want + [self.upper_row(lift, {0, 1, 2}, j) for j in range(3)]
 
 
 class TestMilpEquivalence:

@@ -167,10 +167,9 @@ class TestStartBasis:
         assert st.hi[4:].tolist() == [0.0, math.inf, math.inf, math.inf]
 
     def test_start_point_and_basis(self):
-        L, U, B = simplex._AT_LOWER, simplex._AT_UPPER, simplex._BASIC
         st = simplex._DualSimplex(self.mixed_lp())
         # minimized costs (-1, 0, 1, 0): x0 starts at its upper bound, the rest at their lower
-        assert st.where.tolist() == [U, L, L, L, B, B, B, B]
+        assert st.dirn.tolist() == [-1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
         assert st.basis.tolist() == [4, 5, 6, 7]
         # logical = sign * (rhs - a.z) with z = (1, -2, -1, -1)
         assert st.val.tolist() == [1.0, -2.0, -1.0, -1.0, 2.0, 4.0, -6.0, -2.0]
@@ -361,7 +360,6 @@ class TestCorner:
                     assert abs(float(rows[i] @ d)) <= 1e-9
 
     def test_block_matches_per_ray_loop(self):
-        codes = {"basic": simplex._BASIC, "at_lower": simplex._AT_LOWER}
         rng = np.random.default_rng(23)
         seen = {"lower": 0, "upper": 0, "slack": 0, "surplus": 0}
         compared = 0
@@ -377,7 +375,7 @@ class TestCorner:
             if sol.status != OPTIMAL:
                 continue
             cp = corner(sol)
-            rays = ref.corner_rays_loop(sol, codes)
+            rays = ref.corner_rays_loop(sol)
             assert cp.columns.tolist() == [j for j, _, _, _ in rays]
             k = len(rays)
             for got, want in (
@@ -522,6 +520,39 @@ class TestWarmStart:
             solve(model.with_extra_rows([[1.0]], ["<="], [0.5]), warm=sol)
 
 
+class TestPlacement:
+    """``dirn`` is the solver's one record of where each column sits."""
+
+    @staticmethod
+    def assert_placement(st):
+        fixed = st.lo == st.hi
+        assert not st.dirn[st.basis].any() and not st.dirn[fixed].any()
+        movable = ~fixed
+        movable[st.basis] = False
+        dirn = st.dirn[movable]
+        assert set(dirn.tolist()) <= {-1.0, 1.0}
+        assert np.array_equal(st.val[movable], np.where(dirn > 0.0, st.lo[movable], st.hi[movable]))
+
+    def test_after_cold_and_warm_solves(self):
+        rng = np.random.default_rng(37)
+        cold = warm = 0
+        for _ in range(40):
+            model = random_lp(rng)
+            model.upper[rng.random(model.ncols) < 0.2] = 0.0  # fixed columns
+            sol = solve(model)
+            if sol.status != OPTIMAL:
+                continue
+            self.assert_placement(sol._state)
+            cold += 1
+            rows = rng.integers(-3, 4, size=(2, model.ncols)).astype(float)
+            grown = model.with_extra_rows(rows, ["<=", ">="], rows @ sol.x + np.array([-0.2, 0.2]))
+            sol = solve(grown, warm=sol)
+            if sol.status == OPTIMAL:
+                self.assert_placement(sol._state)
+                warm += 1
+        assert cold >= 20 and warm >= 10
+
+
 class TestImplicitLogicals:
     """The solver without a formed logical block keeps the explicit matrix's bits.
 
@@ -572,7 +603,7 @@ class TestCertificate:
         st = sol._state
         st._verify()  # the genuine optimum passes
         d = st.cost - (st.cost[st.basis] @ st.Binv) @ st._columns(np.arange(st.N))
-        (j,) = np.flatnonzero((st.where == simplex._AT_LOWER) & (st.lo != st.hi))[:1]
+        (j,) = np.flatnonzero(st.dirn > 0.0)[:1]
         st.cost[j] -= d[j] + 1.0  # reduced cost -1 at a lower bound: not optimal
         with pytest.raises(NumericError, match="reduced cost"):
             st._verify()
@@ -580,7 +611,7 @@ class TestCertificate:
     def test_nonbasic_off_its_bound_is_caught(self):
         sol = solve(tent_lp())
         st = sol._state
-        assert st.where[2] == simplex._AT_LOWER  # the slack of t <= 2 x1
+        assert st.dirn[2] == 1.0  # the slack of t <= 2 x1, nonbasic at its lower bound
         st.val[2] = 0.1  # feasible, but 0.1 below the optimum
         st._basic_values()
         with pytest.raises(NumericError, match="objective"):
@@ -650,10 +681,11 @@ class TestFormerPivotPath:
     def models():
         graph = harness.pw_graph(20, 0.15, seed=1001, max_weight=1)
         poly = harness.autocorr_polynomial(12, max_lag=2, density=0.2, seed=1002)
-        return {
-            "g05": build_model(BmpInstance(cut_polynomial(graph)))[0],
-            "autocorr": build_model(BmpInstance(poly, cardinality=6))[0],
+        built = {
+            "g05": build_model(BmpInstance(cut_polynomial(graph))),
+            "autocorr": build_model(BmpInstance(poly, cardinality=6)),
         }
+        return {name: ref.full_lp(model, lift) for name, (model, _, lift) in built.items()}
 
     @pytest.mark.parametrize("refactor_every", [simplex.REFACTOR_EVERY, 8])
     @pytest.mark.parametrize("name", ["g05", "autocorr"])
