@@ -9,7 +9,7 @@ harness runs the root-node experiments.
 """
 
 from .cuts import IntersectionCut, gradient_cut, intersection_cut, newton_steps, step_length
-from .envelope import envelope_eval, greedy_vertex
+from .envelope import envelope_eval
 from .errors import CapacityError, ModelError, NumericError, SeparationBudget
 from .harness import RootNodeReport, RunConfig, root_loop, run_instance
 from .models import BmpInstance, LiftMap, build_model
@@ -42,7 +42,6 @@ __all__ = [
     "cut_polynomial",
     "envelope_eval",
     "gradient_cut",
-    "greedy_vertex",
     "intersection_cut",
     "newton_steps",
     "root_loop",

@@ -26,8 +26,9 @@ with exact products and any t in [lower_t, f(x)], lies in the first LP, so
 a valid cut keeps it, and the least residual over those points is the
 minimum of one multilinear polynomial on the cube.  That polynomial always
 lives on the lift's monomials, so a run builds one :class:`CutValidator`
-(their split-cube basis, the objective on them and the infeasible mask)
-and each cut costs one small matrix product, one mask and one argmin.
+(their :class:`CubeBasis`, the objective on them and the infeasible mask)
+and each cut costs one small matrix product, one mask and one argmin.  The
+table is flat and indexed by bitmask, so the argmin is the failing x.
 """
 
 from __future__ import annotations
@@ -250,7 +251,8 @@ class CutCheck:
     """Least residual coef . z - rhs of a cut over the points every valid cut keeps.
 
     True when the residual is at least -CUT_TOL.  ``mask`` is the binary x
-    where the least residual is reached, as a bitmask (bit i is x_i).
+    where the least residual is reached, as a bitmask (bit i is x_i); among
+    ties it is the least such bitmask.
     """
 
     residual: float
@@ -261,7 +263,7 @@ class CutCheck:
 
 
 class CutValidator:
-    """The cube one run's cuts are checked on, built at the first check.
+    """The cube one run's cuts are checked on; ``root_loop`` makes one per validating run.
 
     Its monomials are the lift's: the x singletons in ``x_cols`` order, the
     ``y_cols`` supports, then any other support of the objective.  ``cube``
@@ -308,7 +310,6 @@ def validate_cut_bruteforce(cut: IntersectionCut, validator: CutValidator) -> Cu
         coefs += a_t * objective
     table = basis.table(coefs)
     table[infeasible] = math.inf
-    i_a, i_b = np.unravel_index(np.argmin(table), table.shape)
+    mask = int(np.argmin(table))
     shift = a_t * validator.lower_t if a_t > 0.0 else 0.0
-    # bitmask order is the table's column-major order; no (slow) transposed copy
-    return CutCheck(float(table[i_a, i_b]) + shift - cut.rhs, int(i_a + i_b * table.shape[0]))
+    return CutCheck(float(table[mask]) + shift - cut.rhs, mask)

@@ -20,19 +20,6 @@ import numpy as np
 from .oracles import MultilinearFunction
 
 
-def greedy_vertex(oracle: MultilinearFunction, order) -> np.ndarray:
-    """Marginal-gain vector along the prefix chain of ``order``.
-
-    Component order[i] holds f(chain_{i+1}) - f(chain_i); for submodular f
-    this is a vertex of the extended polymatroid.
-    """
-    order = _check_order(oracle.n, order)
-    chain = oracle.chain_values(order)
-    sigma = np.empty(oracle.n)
-    sigma[order] = chain[1:] - chain[:-1]
-    return sigma
-
-
 @dataclass
 class EnvelopeEvaluation:
     """Envelope value at a point and the maximizing vertex (a subgradient).
@@ -62,10 +49,3 @@ def envelope_eval(oracle: MultilinearFunction, x) -> EnvelopeEvaluation:
     if x.ndim == 1:
         return EnvelopeEvaluation(float(value[0]), sigma[0])
     return EnvelopeEvaluation(value, sigma)
-
-
-def _check_order(n: int, order) -> np.ndarray:
-    order = np.asarray(order, dtype=int)
-    if order.shape != (n,) or sorted(order.tolist()) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {order}")
-    return order

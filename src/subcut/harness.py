@@ -27,6 +27,7 @@ from .models import BmpInstance, build_model, project_corner
 from .oracles import (
     Graph,
     MultilinearFunction,
+    cube_table,
     cut_polynomial,
     read_graph,
     read_polynomial,
@@ -74,7 +75,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        """The config of a JSON object; its benchmark-level "modes" list is checked, not kept."""
+        """The config of a JSON object; its benchmark-level "modes" list is checked, not kept.
+
+        A benchmark runs every entry of "modes" in place of "mode", so a
+        config that sets both raises.
+        """
         known = [f.name for f in dataclasses.fields(cls)]
         accepted = ", ".join(known + ["modes"])
         if not isinstance(data, dict):
@@ -82,6 +87,8 @@ class RunConfig:
         extra = set(data) - set(known) - {"modes"}
         if extra:
             raise ValueError(f"unknown config keys {sorted(extra)}; accepted keys: {accepted}")
+        if "mode" in data and "modes" in data:
+            raise ValueError("set mode or modes, not both")
         modes = data.get("modes", list(MODES))
         if not isinstance(modes, list) or not modes or any(m not in MODES for m in modes):
             raise ValueError(f"modes must be a non-empty list of entries from {MODES}, got {modes!r}")
@@ -241,8 +248,7 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
     rounds_run = 0
     sep_s = 0.0
     failed = False
-    check = _want_validation(config, lift.n)
-    validator = None  # built at the first cut this run checks
+    validator = CutValidator(lift, model.lower[lift.t_col]) if _want_validation(config, lift.n) else None
 
     def finish() -> RootNodeReport:
         return RootNodeReport(
@@ -277,7 +283,7 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
 
     for _ in range(config.rounds):
         x_bar = sol.x[lift.x_cols]
-        if np.all(np.abs(x_bar - np.round(x_bar)) <= BINARY_TOL):
+        if split_selector(x_bar) is None:
             break  # vertex already binary in x; nothing to separate
         rounds_run += 1
         s0 = time.perf_counter()
@@ -298,8 +304,7 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
         if not batch:
             break
 
-        if check:
-            validator = validator or CutValidator(lift, model.lower[lift.t_col])
+        if validator is not None:
             for cut in batch:
                 verdict = validate_cut_bruteforce(cut, validator)
                 if not verdict:
@@ -382,7 +387,9 @@ def brute_force_primal(instance: BmpInstance) -> float:
     """
     if not isinstance(instance, BmpInstance):
         raise ModelError(f"no brute force for {type(instance).__name__}")
-    best = float(instance.masked_table(instance.objective, -math.inf).max())
+    values = cube_table(instance.objective)
+    values[instance.infeasible()] = -math.inf
+    best = float(values.max())
     if best == -math.inf:
         raise ModelError("no feasible binary point")
     return best

@@ -61,21 +61,14 @@ class BmpInstance:
         return self.objective.n
 
     def infeasible(self) -> np.ndarray:
-        """Where a point breaks a constraint or the cardinality, in ``cube_table`` layout. Guarded."""
+        """The points that break a constraint or the cardinality: a (2^n,) mask, by bitmask. Guarded."""
         check_capacity("brute force", self.n)
-        a = self.n // 2
-        out = np.zeros((1 << a, 1 << (self.n - a)), dtype=bool)
+        out = np.zeros(1 << self.n, dtype=bool)
         for c in self.constraints:
             out |= cube_table(c) < 0.0
         if self.cardinality is not None:
-            out |= np.bitwise_count(np.arange(out.size)).reshape(out.shape, order="F") != self.cardinality
+            out |= np.bitwise_count(np.arange(1 << self.n)) != self.cardinality
         return out
-
-    def masked_table(self, poly: MultilinearFunction, fill: float) -> np.ndarray:
-        """``cube_table(poly)`` with ``fill`` at every :meth:`infeasible` point."""
-        values = cube_table(poly)
-        values[self.infeasible()] = fill
-        return values
 
 
 def linearize_term(support, y_col: int, x_cols, ncols: int):

@@ -2,7 +2,9 @@
 
 A :class:`MultilinearFunction` is the value oracle the cut machinery
 works with: it gives values at points, along prefix chains and on the
-whole cube.  Graph cut functions are the degree-2 case
+whole cube.  Every table over the cube is one flat (2^n,) vector whose
+entry m is the value at x_i = bit i of m; only :class:`CubeBasis`
+computes it in two halves.  Graph cut functions are the degree-2 case
 (:func:`cut_polynomial`), and :func:`ss_decompose` leaves them whole as
 the submodular part.  Supports are nonempty, so every function is 0 at
 the origin.
@@ -168,12 +170,13 @@ class MultilinearFunction:
 class CubeBasis:
     """Monomials over ``supports`` on {0,1}^n, split in halves for one product per table. Guarded.
 
-    With a = n // 2, the monomial of support S at bitmask iA | (iB << a) is
-    [S & A within iA] * [S & B within iB].  The basis keeps each support's A-half
-    indicator (2^a entries), its group among the distinct B halves (in order of
-    first appearance) and each group's B-half indicator (2^b entries), so that
-    ``table(coefs)`` is one product U @ V.T, U summing the coefficients' A
-    indicators group by group.
+    The split is this class's own: with a = n // 2, the monomial of support S at
+    bitmask iA | (iB << a) is [S & A within iA] * [S & B within iB].  The basis
+    keeps each support's A-half indicator (2^a entries), its group among the
+    distinct B halves (in order of first appearance) and each group's B-half
+    indicator (2^b entries), so that ``table(coefs)`` is one product V @ U.T, V
+    the groups' B indicators and U summing the coefficients' A indicators group
+    by group.
     """
 
     def __init__(self, n: int, supports):
@@ -188,19 +191,20 @@ class CubeBasis:
         self.a_ind = ((rows[:, None] & m_a) == m_a).astype(float)
         self.onehot = np.zeros((len(masks), len(groups)))
         self.onehot[np.arange(len(masks)), member] = 1.0
-        self.b_ind_t = ((cols[:, None] & m_b) == m_b).T.astype(float)
+        self.b_ind = ((cols[:, None] & m_b) == m_b).astype(float)
 
     def table(self, coefs) -> np.ndarray:
-        """sum_k coefs[k] * monomial_k on {0,1}^n as a (2^a, 2^b) table.
+        """sum_k coefs[k] * monomial_k on {0,1}^n as a flat (2^n,) vector.
 
-        Entry [iA, iB] is the value at bitmask iA | (iB << a), so ``ravel(order="F")``
-        is bitmask order; exact for integer coefficients.
+        Entry m is the value at x with x_i = bit i of m; exact for integer
+        coefficients.  The (2^b, 2^a) product is C-ordered, so its ravel is
+        that order and makes no copy.
         """
-        return (self.a_ind @ (self.onehot * coefs[:, None])) @ self.b_ind_t
+        return (self.b_ind @ (self.a_ind @ (self.onehot * coefs[:, None])).T).ravel()
 
 
 def cube_table(poly: MultilinearFunction) -> np.ndarray:
-    """The polynomial on {0,1}^n as a :class:`CubeBasis` table over its own supports. Guarded."""
+    """The polynomial's 2^n values, entry m at x_i = bit i of m, as a :class:`CubeBasis` table. Guarded."""
     basis = CubeBasis(poly.n, [s for _, s in poly.terms])
     return basis.table(np.array([a for a, _ in poly.terms]))
 

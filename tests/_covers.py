@@ -15,9 +15,8 @@ import itertools
 
 import numpy as np
 
-from _reference import chain_to_permutation, values_on_cube
+from _reference import chain_to_permutation, greedy_vertex, values_on_cube
 from subcut import simplex
-from subcut.envelope import greedy_vertex
 from subcut.oracles import MultilinearFunction, cube_points
 from subcut.sfree import SFreeSet
 

@@ -7,8 +7,10 @@ from the chunked cube walks, which pin the brute-force primal and the least
 cut residuals at n <= 20.  Three exceptions only build package objects:
 :func:`modular`, a polynomial for tests that need a modular function,
 :func:`cut_instance`, the instance a max-cut file loads as, and
-:func:`full_lp`, the lean LP with its deferred rows appended.  Two evaluate a
-package set at one point at a time: :func:`newton_step_length` along a ray,
+:func:`full_lp`, the lean LP with its deferred rows appended.
+:func:`greedy_vertex` differences a package polynomial's chain values, the
+greedy vertex of one given order.  Two evaluate a package set at one point
+at a time: :func:`newton_step_length` along a ray,
 and :func:`verify_free_bruteforce` at every binary point of its target.
 :class:`ExplicitLogicalSimplex` runs the package's dual simplex over an
 explicit constraint matrix, and :class:`MaskedPivotSimplex` with its former
@@ -67,6 +69,22 @@ def full_lp(model, lift):
     """The full lifted LP: the lean ``build_model`` LP with every row of ``lift.deferred`` appended."""
     d = lift.deferred
     return model.with_extra_rows(d.rows, d.row_senses, d.rhs)
+
+
+def greedy_vertex(oracle, order):
+    """Marginal-gain vector of a package polynomial along the prefix chain of ``order``.
+
+    Component order[i] holds f(chain_{i+1}) - f(chain_i), from one
+    ``chain_values`` call; for submodular f this is a vertex of the extended
+    polymatroid.  ``order`` must be a permutation of 0..n-1.
+    """
+    order = np.asarray(order, dtype=int)
+    if order.shape != (oracle.n,) or sorted(order.tolist()) != list(range(oracle.n)):
+        raise ValueError(f"not a permutation of 0..{oracle.n - 1}: {order}")
+    chain = oracle.chain_values(order)
+    sigma = np.empty(oracle.n)
+    sigma[order] = chain[1:] - chain[:-1]
+    return sigma
 
 
 def greedy_sigma(values, order):
@@ -240,7 +258,7 @@ SUBMODULARITY_TOL = 1e-9
 def values_on_cube(f):
     """All 2^n values of a package polynomial indexed by bitmask (bit i <-> variable i). Guarded."""
     check_capacity("cube enumeration", f.n)
-    return cube_table(f).ravel(order="F")
+    return cube_table(f)
 
 
 def is_submodular_bruteforce(f) -> bool:

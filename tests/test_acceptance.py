@@ -15,8 +15,8 @@ import pytest
 import _reference as ref
 from subcut.cuts import newton_steps, step_length, zeta_slope
 from _covers import containment_witness, is_minimal_cover, three_chain_relaxation
-from _reference import is_submodular_bruteforce, support_points, verify_free_bruteforce
-from subcut.envelope import envelope_eval, greedy_vertex
+from _reference import greedy_vertex, is_submodular_bruteforce, support_points, verify_free_bruteforce
+from subcut.envelope import envelope_eval
 from subcut.harness import (
     RunConfig,
     aggregate,

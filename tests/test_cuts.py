@@ -868,12 +868,21 @@ class TestCutValidator:
         whole = dataclasses.replace(lift, instance=BmpInstance(objective))
         assert np.any(ref.least_residuals(coefs, np.zeros(12), whole, lower_t)[0] < least - 1e-6)
 
+    def test_tie_reports_the_least_bitmask(self):
+        # every point with two of five bits ties; the least is 0b00011, not 0b11000
+        problem = BmpInstance(MultilinearFunction(5, [(1.0, {j}) for j in range(5)]), cardinality=2)
+        model, lift = models._lifted_lp(problem)
+        cut = IntersectionCut(coef=np.zeros(lift.ncols), rhs=1.0, kind="split", efficacy=1.0)
+        check = validate(cut, model, lift)
+        assert not check and check.mask == 0b00011 and check.residual == -1.0
+
     def test_root_loop_builds_one_per_validating_run(self, monkeypatch):
         built = []
         monkeypatch.setattr(harness, "CutValidator", lambda *args: built.append(args) or CutValidator(*args))
         model, targets, lift = build_model(BmpInstance(autocorr_polynomial(12, 2, 0.2, 1000)))
+        # a validating run builds its validator up front, even if it never checks a cut
         for mode, validate_cuts, runs in [("both", "on", 1), ("split", "auto", 1), ("both", "off", 0),
-                                          ("none", "on", 0)]:
+                                          ("none", "on", 1)]:
             built.clear()
             report = harness.root_loop(model, targets, lift, RunConfig(mode=mode, validate_cuts=validate_cuts))
             assert len(built) == runs

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import _reference as ref
-from _reference import chain_points, chain_to_permutation, support_points
-from subcut.envelope import envelope_eval, greedy_vertex
+from _reference import chain_points, chain_to_permutation, greedy_vertex, support_points
+from subcut.envelope import envelope_eval
 from subcut.oracles import Graph, MultilinearFunction, cut_polynomial
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import logging
 import math
@@ -93,6 +94,11 @@ class TestRunConfig:
     def test_from_dict_ignores_benchmark_modes_key(self):
         cfg = RunConfig.from_dict({"rounds": 4, "modes": ["none", "split"]})
         assert cfg.rounds == 4
+
+    def test_from_dict_rejects_mode_beside_modes(self):
+        # a benchmark runs every entry of modes, so a mode beside them would go unread
+        with pytest.raises(ValueError, match="set mode or modes, not both"):
+            RunConfig.from_dict({"mode": "split", "modes": ["none", "split"]})
 
 
 class TestMetrics:
@@ -731,6 +737,28 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().out.splitlines()[-1] == "FAIL bound_dominates_optimum LP failure"
 
+    def test_verify_fails_the_bound_on_roots_guard(self, tmp_path, capsys, monkeypatch):
+        # an optimum above d1 trips root's own guard, which verify reports as a FAIL line
+        path = self.write_k3(tmp_path)
+        monkeypatch.setattr(harness, "brute_force_primal", lambda instance: 4.0)
+        rc = cli.main(["verify", str(path)])
+        assert rc == 1
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line == ("FAIL bound_dominates_optimum reference optimum p = 4 of 'k3'"
+                        " exceeds the first LP bound d1 = 3")
+
+    def test_verify_without_a_feasible_point(self, tmp_path, capsys, monkeypatch):
+        # brute force finds no feasible binary point: an error, not a FAIL line
+        path = self.write_k3(tmp_path)
+        # -x_0 >= 0 and x_0 + x_1 + x_2 = 3 exclude each other
+        infeasible = BmpInstance(k3_instance().objective, [MultilinearFunction(3, [(-1.0, {0})])], 3)
+        monkeypatch.setattr(harness, "load_instance", lambda p: infeasible)
+        rc = cli.main(["verify", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "error: no feasible binary point"
+        assert "bound_dominates_optimum" not in captured.out
+
     def test_bench_command(self, tmp_path, capsys):
         generate_instances("g05", 6, count=2, seed=0, out_dir=tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -769,6 +797,17 @@ class TestCli:
         elif "modes" not in config:
             (key,) = config
             assert f"{key} must be an integer, got {config[key]!r}" in line
+
+    def test_bench_config_with_mode_and_modes(self, tmp_path, capsys):
+        generate_instances("g05", 6, count=1, seed=0, out_dir=tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "split", "modes": ["none"]}))
+        rc = cli.main(["bench", str(tmp_path), "--config", str(cfg)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().split("\n")
+        assert line.startswith("error: bad config") and "set mode or modes, not both" in line
 
     @pytest.mark.parametrize("failing, summary_runs", [
         (1, {"none": "1", "split": "2"}),  # the first run's first solve only
@@ -944,6 +983,22 @@ def test_every_capacity_limit_is_read():
     text = "\n".join(path.read_text() for path in modules)
     unread = [name for name in CAPACITY if f'"{name}"' not in text and f"'{name}'" not in text]
     assert not unread
+
+
+def test_every_public_name_is_used_in_the_package():
+    """Each name of ``subcut.__all__`` is read by some module of the package, not only exported."""
+    used = set()
+    for path in Path(subcut.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert sorted(set(subcut.__all__) - used) == []
 
 
 def test_every_public_name_resolves():

@@ -300,6 +300,27 @@ class TestDeferredRows:
         assert self.block(lift) == want + [self.upper_row(lift, {0, 1, 2}, j) for j in range(3)]
 
 
+class TestInfeasible:
+    @pytest.mark.parametrize("cardinality", [None, 3])
+    def test_flat_and_matches_each_point(self, cardinality):
+        # random sign constraints, with and without a cardinality, against a per-mask loop
+        rng = np.random.default_rng(23)
+        n = 7
+        constraints = []
+        for _ in range(2):
+            sizes = rng.integers(1, 4, size=5)
+            supports = [set(rng.choice(n, size=int(k), replace=False).tolist()) for k in sizes]
+            constraints.append(MultilinearFunction(n, [(float(rng.integers(-3, 4)), s) for s in supports]))
+        instance = BmpInstance(MultilinearFunction(n, [(1.0, {0})]), constraints, cardinality)
+        mask = instance.infeasible()
+        assert mask.shape == (1 << n,) and mask.dtype == bool
+        for m in range(1 << n):
+            x = [(m >> i) & 1 for i in range(n)]
+            broken = any(ref.multilinear_value(c.terms, x) < 0.0 for c in constraints)
+            assert mask[m] == (broken or cardinality not in (None, sum(x)))
+        assert mask.any() and not mask.all()
+
+
 class TestMilpEquivalence:
     def random_instance(self, rng, n):
         terms = []

@@ -174,7 +174,7 @@ def test_values_on_cube_matches_pointwise(family):
 
 class TestCubeTable:
     def test_matches_values_on_cube(self):
-        # pins the layout against a term-by-term loop: the low n // 2 variables index rows
+        # pins the layout against a term-by-term loop: entry m is the point x_i = bit i of m
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
@@ -189,24 +189,24 @@ class TestCubeTable:
         @hypothesis.given(polys())
         def check(poly):
             table = cube_table(poly)
-            assert table.shape == (1 << (poly.n // 2), 1 << (poly.n - poly.n // 2))
+            assert table.shape == (1 << poly.n,)
             masks = np.arange(1 << poly.n, dtype=np.int64)
-            assert np.array_equal(table.ravel(order="F"), ref.poly_values(poly.terms, masks))
+            assert np.array_equal(table, ref.poly_values(poly.terms, masks))
 
         check()
 
     def test_single_variable(self):
         table = cube_table(MultilinearFunction(1, [(2.5, {0})]))
-        assert table.shape == (1, 2) and table.tolist() == [[0.0, 2.5]]
+        assert table.shape == (2,) and table.tolist() == [0.0, 2.5]
 
     def test_edgeless_graph(self):
         table = cube_table(cut_polynomial(Graph(5, [])))
-        assert table.shape == (4, 8) and not table.any()
+        assert table.shape == (32,) and not table.any()
 
     def test_cut_values(self, k3):
         table = cube_table(cut_polynomial(k3))
         expected = [ref.cut_value(k3.edges, [(m >> i) & 1 for i in range(3)]) for m in range(8)]
-        assert table.ravel(order="F").tolist() == expected
+        assert table.tolist() == expected
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
