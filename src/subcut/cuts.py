@@ -11,15 +11,18 @@ Separation settings are module constants, read at call time:
 NEWTON_START, NEWTON_MAX_STEPS, ETA_INF and ROOT_TOL drive the step
 search; MIN_STEP is the step floor below which the apex counts as on the
 boundary; EFFICACY_MIN and DYNAMIC_RANGE_MAX filter assembled cuts; and
-CUT_TOL is the validation slack.  The apex margin is
-computed once per cut: the apex counts as strictly interior when it
-exceeds ``sfree.INTERIOR_TOL``, and it is zeta(0) on every ray.
+CUT_TOL is the validation slack.  The apex margin is zeta(0) on every
+ray, and the apex counts as strictly interior when it exceeds
+``sfree.INTERIOR_TOL``.
 
 One search, :func:`newton_steps`, decides the steps of all rays of a
 corner in lockstep, one block evaluation of the set per round: the first
-block holds every ray's ETA_INF and NEWTON_START probes, and each later
-round holds the next Newton or doubling step of every ray still
-searching.  ``step_length`` reads one ray's step out of its result.
+block holds the apex (so the margin costs no call of its own) and every
+ray's ETA_INF and NEWTON_START probes, and each later round holds the
+next Newton or doubling step of every ray still searching.  A ray whose
+eta repeats at a power-of-two evaluation count is periodic and stops
+there, without a root.  ``step_length`` reads one ray's step out of its
+result.
 
 Brute-force validation needs no corner: every feasible binary x, lifted
 with exact products and any t in [lower_t, f(x)], lies in the first LP, so
@@ -79,7 +82,7 @@ def zeta_slope(sfree: SFreeSet, apex_x, apex_t: float, eta, x_dir, t_dir):
 
 
 class StepSearch(NamedTuple):
-    """Every ray's step, its evaluation count and whether it ran out of budget, as lists."""
+    """Every ray's step, its evaluation count and whether its search ended without a root, as lists."""
 
     eta: list
     iterations: list
@@ -91,40 +94,64 @@ class StepResult(NamedTuple):
     iterations: int
 
 
-def newton_steps(sfree: SFreeSet, apex_x, apex_t: float, x_dir, t_dir) -> StepSearch:
+def newton_steps(sfree: SFreeSet, apex_x, apex_t: float, x_dir, t_dir) -> StepSearch | None:
     """Root of every ray's zeta on (0, +inf], by safeguarded discrete Newton in lockstep.
 
-    The apex must be strictly interior (zeta(0) > 0).  A ray that still sees
-    positive margin at ETA_INF gets an infinite step and 0 evaluations.
-    Every other ray starts at NEWTON_START; a negative slope estimate gives a
-    Newton step and a flat or rising stretch doubles eta, until
-    |zeta| <= ROOT_TOL.  A ray with no root after NEWTON_MAX_STEPS
-    evaluations is exhausted, and its eta is the last one evaluated.  The
-    first block holds every ray's ETA_INF and NEWTON_START probes; each later
-    round evaluates the rays still searching in one block.
+    The first block holds the apex, then every ray's ETA_INF and NEWTON_START
+    probes.  The apex row's zeta is the apex margin, zeta(0) on every ray:
+    unless it exceeds ``sfree.INTERIOR_TOL`` the apex is not strictly
+    interior, and the search returns None before any Newton round.  A ray
+    that still sees positive margin at ETA_INF gets an infinite step and 0
+    evaluations.  Every other ray starts at NEWTON_START; a negative slope
+    estimate gives a Newton step and a flat or rising stretch doubles eta,
+    until |zeta| <= ROOT_TOL.  Each later round evaluates the rays still
+    searching in one block.
+
+    A ray with no root is exhausted, and its eta is the last one evaluated:
+    after NEWTON_MAX_STEPS evaluations, or as soon as its eta after 2^k
+    evaluations (k >= 1) equals its eta after 2^(k-1).  That early stop loses
+    no root.  A block row is rounded as the ray's point alone would be, so
+    zeta and its slope, and with them the next eta, are functions of eta
+    alone; equal etas 2^(k-1) evaluations apart therefore repeat with that
+    period forever, and none of them was a root, or the ray would have
+    stopped.  The check costs one comparison per power of two and catches
+    every cycle whose period is a power of two once it has begun.
     """
     n = len(t_dir)
     steps = np.full(n, math.inf)
     iterations = np.zeros(n, dtype=int)
-    probes = np.full(2 * n, NEWTON_START)
-    probes[:n] = ETA_INF
-    zeta, slope = zeta_slope(sfree, apex_x, apex_t, probes, np.concatenate([x_dir, x_dir]),
-                             np.concatenate([t_dir, t_dir]))
-    rays = (~(zeta[:n] > 0.0)).nonzero()[0]  # a positive far probe means an infinite step
-    zeta, slope = zeta[n:][rays], slope[n:][rays]
+    exhausted = np.zeros(n, dtype=bool)
+    probes = np.full(2 * n + 1, NEWTON_START)
+    probes[: n + 1] = ETA_INF
+    probes[0] = 0.0
+    zeta, slope = zeta_slope(sfree, apex_x, apex_t, probes,
+                             np.concatenate([np.zeros((1, x_dir.shape[1])), x_dir, x_dir]),
+                             np.concatenate([[0.0], t_dir, t_dir]))
+    if not zeta[0] > INTERIOR_TOL:  # a NaN margin is not interior either
+        return None
+    rays = (~(zeta[1 : n + 1] > 0.0)).nonzero()[0]  # a positive far probe means an infinite step
+    zeta, slope = zeta[n + 1 :][rays], slope[n + 1 :][rays]
     eta = np.full(rays.size, NEWTON_START)
+    seen = np.full(n, math.nan)  # each ray's eta at the last power-of-two count; NaN equals nothing
     for it in range(1, NEWTON_MAX_STEPS + 1):
-        root = np.abs(zeta) <= ROOT_TOL
-        steps[rays[root]] = eta[root]
-        iterations[rays[root]] = it
-        left = ~root
+        done = np.abs(zeta) <= ROOT_TOL
+        steps[rays[done]] = eta[done]
+        iterations[rays[done]] = it
+        if not it & (it - 1):  # it is a power of two
+            cycle = eta == seen[rays]
+            seen[rays] = eta
+            if cycle.any():
+                exhausted[rays[cycle]] = True
+                steps[rays[cycle]] = eta[cycle]
+                iterations[rays[cycle]] = it
+                done |= cycle
+        left = ~done
         rays, eta, zeta, slope = rays[left], eta[left], zeta[left], slope[left]
         if not rays.size or it == NEWTON_MAX_STEPS:
             break
         newton = slope < 0.0
         eta = np.where(newton, eta - zeta / np.where(newton, slope, 1.0), 2.0 * eta)
         zeta, slope = zeta_slope(sfree, apex_x, apex_t, eta, x_dir[rays], t_dir[rays])
-    exhausted = np.zeros(n, dtype=bool)
     exhausted[rays] = True
     steps[rays] = eta
     iterations[rays] = NEWTON_MAX_STEPS
@@ -132,10 +159,10 @@ def newton_steps(sfree: SFreeSet, apex_x, apex_t: float, x_dir, t_dir) -> StepSe
 
 
 def step_length(search: StepSearch, k: int) -> StepResult:
-    """Ray k's step and evaluation count; raises SeparationBudget if its search ran out."""
+    """Ray k's step and evaluation count; raises SeparationBudget if its search found no root."""
     if search.exhausted[k]:
         raise SeparationBudget(
-            f"no root within {NEWTON_MAX_STEPS} steps (eta = {search.eta[k]:.6g})")
+            f"no root within {search.iterations[k]} steps (eta = {search.eta[k]:.6g})")
     return StepResult(search.eta[k], search.iterations[k])
 
 
@@ -166,38 +193,33 @@ def intersection_cut(corner, sfree: SFreeSet):
     """
     if corner.apex_x is None:
         raise ValueError("corner has no (x, t) projection; project it first")
-    margin = sfree.margin(corner.apex_x, corner.apex_t)
-    if not margin > INTERIOR_TOL:  # a NaN margin is not interior either
-        return None
-
     search = newton_steps(sfree, corner.apex_x, corner.apex_t, corner.x_dir, corner.t_dir)
-    steps = []
-    newton_total = 0
+    if search is None:
+        return None
+    # one step_length call per ray, up to the first failure: each reads and checks one ray's step
     for k in range(corner.nrays):
         try:
-            res = step_length(search, k)
+            if step_length(search, k).eta < MIN_STEP:
+                return None  # apex numerically on the boundary; skip the cut
         except SeparationBudget:
             return None
-        if math.isfinite(res.eta) and res.eta < MIN_STEP:
-            return None  # apex numerically on the boundary; skip the cut
-        steps.append(res.eta)
-        newton_total += res.iterations
 
-    finite = [k for k, e in enumerate(steps) if math.isfinite(e)]
-    if not finite:
+    steps = np.array(search.eta)
+    finite = np.isfinite(steps)
+    eta = steps[finite]
+    if not eta.size:
         return None
-    eta = np.array(steps)[finite]
     # row by row in ray order, as a loop would add them: numpy sums pairwise
-    # only along a contiguous axis, and the rows span the x and t columns
+    # only along a contiguous axis, and the rows span the x and t columns;
+    # subtract has no pairwise path, so its reduce is the left fold 1 - a - b - ...
     coef = np.add.reduce(corner.eta_coef[finite] / eta[:, None], axis=0)
-    rhs = 1.0
-    for k in finite:
-        rhs -= float(corner.eta_off[k]) / steps[k]
+    rhs = float(np.subtract.reduce(np.concatenate([[1.0], corner.eta_off[finite] / eta])))
 
-    norm = float(np.linalg.norm(coef))
+    norm = math.sqrt(coef @ coef)  # the doubles of np.linalg.norm, without its dispatch
     if norm <= 1e-12:
         return None
-    mags = np.abs(coef[np.abs(coef) > 1e-12])
+    mags = np.abs(coef)
+    mags = mags[mags > 1e-12]
     if mags.size and mags.max() / mags.min() > DYNAMIC_RANGE_MAX:
         return None
     efficacy = (rhs - float(coef @ corner.apex)) / norm
@@ -208,9 +230,9 @@ def intersection_cut(corner, sfree: SFreeSet):
         rhs=rhs,
         kind=sfree.kind,
         efficacy=efficacy,
-        steps=steps,
-        newton_iters=newton_total,
-        infinite_steps=len(steps) - len(finite),
+        steps=search.eta,
+        newton_iters=sum(search.iterations),
+        infinite_steps=corner.nrays - eta.size,
     ))
 
 

@@ -233,7 +233,9 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
     deferred row appended, with the same cuts (an = row among the
     deferred raises ValueError).  Each round re-solves warm from the
     previous round's optimal basis.  A reference optimum above d1 raises
-    ModelError: d1 bounds the true optimum, so that p is wrong data.  An
+    ModelError: d1 bounds the true optimum, so that p is wrong data.  So
+    does a p below the value of a feasible binary point, which the loop
+    checks at an LP optimum binary in x, where it stops.  An
     LP failure sets the failure flag on the report; a cut failing point
     validation, or a bound that rises across a round or falls below the
     reference optimum, raises, since that can only be a bug.
@@ -284,6 +286,7 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
     for _ in range(config.rounds):
         x_bar = sol.x[lift.x_cols]
         if split_selector(x_bar) is None:
+            _check_binary_point(lift.instance, np.round(x_bar), p, instance)
             break  # vertex already binary in x; nothing to separate
         rounds_run += 1
         s0 = time.perf_counter()
@@ -329,6 +332,19 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
             )
         d2 = bound
     return finish()
+
+
+def _check_binary_point(problem: BmpInstance, x, p: float, instance: str) -> None:
+    """Raise ModelError when the binary point x is feasible and its value beats p, the reference optimum."""
+    if problem.cardinality is not None and int(x.sum()) != problem.cardinality:
+        return
+    if any(c.value(x) < 0.0 for c in problem.constraints):
+        return
+    value = problem.objective.value(x)
+    if value > p + BOUND_TOL * (1.0 + abs(p)):
+        raise ModelError(
+            f"reference optimum p = {_fmt(p)} of {instance!r} is below the value {_fmt(value)}"
+            f" of the binary LP optimum x = {x.astype(int).tolist()}")
 
 
 # ---------------------------------------------------------------------------

@@ -126,16 +126,18 @@ class MultilinearFunction:
 
     @functools.cached_property
     def _padded_terms(self):
-        """Coefficients and a padded support matrix whose -1 entries point at a sentinel position.
+        """Coefficients and the padded supports, one column per term, -1 pointing at a sentinel position.
 
+        Row i holds each term's i-th variable, so the activation positions
+        are a max over the short first axis of a (k, width, terms) gather.
         Built on the first chain evaluation only: cut validation tables
         one residual polynomial per cut and never walks its chains.
         """
         supports = [sorted(s) for _, s in self.terms]
         width = max((len(s) for s in supports), default=1)
-        pad = np.full((max(len(supports), 1), width), -1, dtype=int)
+        pad = np.full((width, max(len(supports), 1)), -1, dtype=int)
         for k, s in enumerate(supports):
-            pad[k, : len(s)] = s
+            pad[: len(s), k] = s
         return np.array([a for a, _ in self.terms], dtype=float), pad
 
     def chain_values(self, order) -> np.ndarray:
@@ -155,7 +157,7 @@ class MultilinearFunction:
             pos[rows, orders] = np.arange(1, self.n + 1)
             # a term switches on once its whole support is in the prefix; bincount adds
             # the coefficients of each (row, position) bin in term order
-            activate = pos[:, pad].max(axis=2)
+            activate = pos[:, pad].max(axis=1)
             bins = (rows * (self.n + 1) + activate).ravel()
             weights = np.empty(activate.shape)
             weights[:] = coefs

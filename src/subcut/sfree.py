@@ -33,11 +33,6 @@ class SFreeSet:
         """G(x) and a subgradient; a (k, n) block of points gives (k,) values and (k, n) rows."""
         raise NotImplementedError
 
-    def margin(self, x, t) -> float:
-        """Positive inside, zero on the boundary, negative outside."""
-        value, _ = self.value_and_subgradient(x)
-        return self.level * float(t) - value
-
 
 class EnvelopeEpigraph(SFreeSet):
     """Epigraph of F - gamma . x, with F the extended envelope of a submodular function.

@@ -101,28 +101,16 @@ class LpModel:
         if self.sense not in ("max", "min"):
             raise ValueError(f"sense must be 'max' or 'min', got {self.sense!r}")
         self.objective = np.asarray(self.objective, dtype=float)
-        self.rows = np.asarray(self.rows, dtype=float)
-        if self.rows.size == 0:
-            self.rows = self.rows.reshape(0, self.objective.size)
-        self.rhs = np.asarray(self.rhs, dtype=float)
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
         n = self.objective.size
-        if self.rows.shape[1] != n:
-            raise ValueError(f"rows have {self.rows.shape[1]} columns, objective has {n}")
-        if len(self.row_senses) != self.rows.shape[0] or self.rhs.size != self.rows.shape[0]:
-            raise ValueError("row count mismatch between rows, senses and rhs")
-        for s in self.row_senses:
-            if s not in ROW_SENSES:
-                raise ValueError(f"unknown row sense {s!r}")
+        self.rows, self.rhs = _checked_rows(self.rows, self.row_senses, self.rhs, n)
         if self.lower.size != n or self.upper.size != n:
             raise ValueError("bound arrays must match the column count")
         if not np.all(np.isfinite(self.lower)) or not np.all(np.isfinite(self.upper)):
             raise ValueError("every column needs finite lower and upper bounds")
         if np.any(self.lower > self.upper):
             raise ValueError("some lower bound exceeds its upper bound")
-        if not np.all(np.isfinite(self.rows)) or not np.all(np.isfinite(self.rhs)):
-            raise ValueError("row data must be finite")
 
     @property
     def ncols(self) -> int:
@@ -133,13 +121,16 @@ class LpModel:
         return self.rows.shape[0]
 
     def with_extra_rows(self, rows, senses, rhs) -> "LpModel":
-        """Copy of the model with rows appended (used by the cut loop); only those rows are validated."""
-        extra = LpModel(self.sense, self.objective, np.atleast_2d(rows), list(senses), np.atleast_1d(rhs),
-                        self.lower, self.upper)
+        """Copy of the model with rows appended (used by the cut loop); only those rows are validated.
+
+        They pass the constructor's row checks, with its messages; zero rows give an equal copy.
+        """
+        senses = list(senses)
+        rows, rhs = _checked_rows(np.atleast_2d(rows), senses, np.atleast_1d(rhs), self.ncols)
         grown = copy.copy(self)
         grown.objective, grown.lower, grown.upper = self.objective.copy(), self.lower.copy(), self.upper.copy()
-        grown.rows, grown.rhs = np.vstack([self.rows, extra.rows]), np.concatenate([self.rhs, extra.rhs])
-        grown.row_senses = list(self.row_senses) + extra.row_senses
+        grown.rows, grown.rhs = np.vstack([self.rows, rows]), np.concatenate([self.rhs, rhs])
+        grown.row_senses = list(self.row_senses) + senses
         return grown
 
     def extends(self, prefix: "LpModel") -> bool:
@@ -154,6 +145,27 @@ class LpModel:
                 (self.upper, prefix.upper), (self.rows[:k], prefix.rows), (self.rhs[:k], prefix.rhs),
             ))
         )
+
+
+def _checked_rows(rows, senses, rhs, ncols):
+    """``rows`` and ``rhs`` as float arrays, once they fit ``ncols`` columns, the senses and each other.
+
+    The row checks of :class:`LpModel`, for its rows and for appended ones.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.size == 0:
+        rows = rows.reshape(0, ncols)
+    rhs = np.asarray(rhs, dtype=float)
+    if rows.shape[1] != ncols:
+        raise ValueError(f"rows have {rows.shape[1]} columns, objective has {ncols}")
+    if len(senses) != rows.shape[0] or rhs.size != rows.shape[0]:
+        raise ValueError("row count mismatch between rows, senses and rhs")
+    for s in senses:
+        if s not in ROW_SENSES:
+            raise ValueError(f"unknown row sense {s!r}")
+    if not np.isfinite(rows).all() or not np.isfinite(rhs).all():
+        raise ValueError("row data must be finite")
+    return rows, rhs
 
 
 @dataclass
@@ -223,6 +235,7 @@ class _DualSimplex:
         else:
             k, sign, lo, hi, cost = prefix.m, prefix.sign, prefix.lo, prefix.hi, prefix.cost
         senses = model.row_senses[k:]
+        zero = np.zeros(m - k)
         self.sign = np.concatenate([sign, [-1.0 if s == ">=" else 1.0 for s in senses]])  # each row's logical
         # zero-padded to a multiple of 16 columns, so that BLAS computes every
         # structural column of a product on its main path, as with the explicit matrix
@@ -230,9 +243,9 @@ class _DualSimplex:
         if prefix is not None:
             self.rows_pad[:k] = prefix.rows_pad
         self.rows_pad[k:, :n] = model.rows[k:]
-        self.lo = np.concatenate([lo, np.zeros(m - k)])
+        self.lo = np.concatenate([lo, zero])
         self.hi = np.concatenate([hi, [0.0 if s == "=" else math.inf for s in senses]])
-        self.cost = np.concatenate([cost, np.zeros(m - k)])
+        self.cost = np.concatenate([cost, zero])
         self.max_iters = max(5000, 50 * (m + self.N)) if max_iters is None else max_iters
         self.iterations = 0
         if prefix is None:
@@ -247,15 +260,17 @@ class _DualSimplex:
 
         Fortran order, the layout numpy gives ``A[first:][:, idx]``: a
         product with a C-order copy of the same values rounds differently.
+        A logical column's one entry is in the block only when its row is;
+        a warm start's block, the new rows under the old basis, has none.
         """
         n = self.nstruct
         block = np.zeros((self.m - first, idx.size), order="F")
         struct = idx < n
         block[:, struct] = self.model.rows[first:, idx[struct]]
-        k = np.flatnonzero(~struct)
-        i = idx[k] - n
-        below = i >= first
-        block[i[below] - first, k[below]] = self.sign[i[below]]
+        k = (idx >= n + first).nonzero()[0]
+        if k.size:
+            i = idx[k] - n
+            block[i - first, k] = self.sign[i]
         return block
 
     def _times_matrix(self, v):
@@ -306,10 +321,10 @@ class _DualSimplex:
         """
         k, n = old.m, self.nstruct
         new = np.arange(k, self.m)
-        s = self.sign[new]
+        s = self.sign[k:]
         self.basis = np.concatenate([old.basis, n + new])
         self.dirn = np.concatenate([old.dirn, np.zeros(new.size)])
-        self.val = np.concatenate([old.val, s * (self.model.rhs[new] - self.model.rows[new] @ old.val[:n])])
+        self.val = np.concatenate([old.val, s * (self.model.rhs[k:] - self.model.rows[new] @ old.val[:n])])
         self.Binv = np.zeros((self.m, self.m))
         self.Binv[:k, :k] = old.Binv
         self.Binv[k:, :k] = -s[:, None] * (self._columns(old.basis, first=k) @ old.Binv)
@@ -441,9 +456,7 @@ class _DualSimplex:
         resid = self._matrix_times(self.val) - self.model.rhs
         if self.m and np.max(np.abs(resid)) > 100 * FEAS_TOL:
             raise NumericError(f"row residual {np.max(np.abs(resid)):.3e} after optimization")
-        below = np.maximum(self.lo - self.val, 0.0)
-        above = np.maximum(self.val - self.hi, 0.0)
-        worst = max(below.max(initial=0.0), above.max(initial=0.0))
+        worst = np.maximum(self.lo - self.val, self.val - self.hi).max(initial=0.0)
         if worst > 100 * FEAS_TOL:
             raise NumericError(f"bound violation {worst:.3e} after optimization")
         y = self.cost[self.basis] @ self.Binv
@@ -455,7 +468,7 @@ class _DualSimplex:
         if gain.max(initial=0.0) > FEAS_TOL * (1.0 + np.abs(self.cost).max(initial=0.0)):
             raise NumericError(f"reduced cost {gain.max():.3e} of the wrong sign at the optimum")
         # read from dirn, not val, so a nonbasic value off its bound fails the objective check
-        at = np.where(self.dirn[nb] < 0.0, self.hi[nb], self.lo[nb])
+        at = np.where(self.dirn < 0.0, self.hi, self.lo)[nb]
         primal = float(self.cost @ self.val)
         dual = float(y @ self.model.rhs + d[nb] @ at)
         if abs(primal - dual) > FEAS_TOL * (1.0 + abs(primal)):

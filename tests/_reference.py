@@ -9,13 +9,15 @@ cut residuals at n <= 20.  Three exceptions only build package objects:
 :func:`cut_instance`, the instance a max-cut file loads as, and
 :func:`full_lp`, the lean LP with its deferred rows appended.
 :func:`greedy_vertex` differences a package polynomial's chain values, the
-greedy vertex of one given order.  Two evaluate a package set at one point
-at a time: :func:`newton_step_length` along a ray,
-and :func:`verify_free_bruteforce` at every binary point of its target.
+greedy vertex of one given order.  Three evaluate a package set at one point
+at a time: :func:`margin` at the point, :func:`newton_step_length` along a
+ray, and :func:`verify_free_bruteforce` at every binary point of its target.
 :class:`ExplicitLogicalSimplex` runs the package's dual simplex over an
 explicit constraint matrix, and :class:`MaskedPivotSimplex` with its former
 per-solve set-up and pivot masks; :func:`envelope_block_put_along` and
-:func:`newton_steps_tiled` are the former block envelope and step search.
+:func:`newton_steps_tiled` are the former block envelope and step search,
+and :func:`former_intersection_cut` and :func:`former_with_extra_rows` the
+former separation path and row append.
 :func:`values_on_cube` and :func:`is_submodular_bruteforce` are the
 former package cube table and vectorized 4^n lattice check, kept as the
 oracles of the sign certificate.  The chain-cover relaxations build on
@@ -152,6 +154,12 @@ def support_points(poly, order) -> list:
     The values come from :func:`multilinear_value` over ``poly.terms``.
     """
     return [(p, multilinear_value(poly.terms, p)) for p in chain_points(order)]
+
+
+def margin(sfree, x, t) -> float:
+    """level * t - G(x) of a free set at one point: positive inside, zero on the boundary, negative outside."""
+    value, _ = sfree.value_and_subgradient(x)
+    return sfree.level * float(t) - value
 
 
 def bisect_root(g, lo, hi, tol=1e-12, max_iter=200):
@@ -299,7 +307,7 @@ def verify_free_bruteforce(sfree, target) -> bool:
         fx = target.value(x)
         if level == 0 and fx < -1e-12:
             continue
-        if sfree.margin(x, fx) > INTERIOR_TOL:
+        if margin(sfree, x, fx) > INTERIOR_TOL:
             return False
     return True
 
@@ -525,7 +533,7 @@ def chain_values_tiled(poly, order):
         rows = np.arange(orders.shape[0])[:, None]
         pos = np.zeros((orders.shape[0], poly.n + 1), dtype=int)
         pos[rows, orders] = np.arange(1, poly.n + 1)
-        activate = pos[:, pad].max(axis=2)
+        activate = pos[:, pad.T].max(axis=2)
         bins = (rows * (poly.n + 1) + activate).ravel()
         out = np.bincount(bins, np.tile(coefs, orders.shape[0]), out.size).reshape(out.shape)
         np.add.accumulate(out, axis=1, out=out)
@@ -550,7 +558,8 @@ def newton_steps_tiled(sfree, apex_x, apex_t, x_dir, t_dir):
     """``cuts.newton_steps`` as it was before its first block was concatenated.
 
     The probe block gathers the rays through ``np.tile`` and repeats the two
-    probe steps, and the result holds arrays.  Returns (eta, iterations,
+    probe steps, it holds no apex row, every ray without a root runs to the
+    budget, and the result holds arrays.  Returns (eta, iterations,
     exhausted).
     """
     n = len(t_dir)
@@ -578,6 +587,46 @@ def newton_steps_tiled(sfree, apex_x, apex_t, x_dir, t_dir):
     steps[rays] = eta
     iterations[rays] = cuts.NEWTON_MAX_STEPS
     return steps, iterations, exhausted
+
+
+def former_intersection_cut(corner, sfree):
+    """``cuts.intersection_cut`` as it was before the apex joined the probe block.
+
+    The apex margin is a point evaluation of its own, the steps come from the
+    full-budget search of :func:`newton_steps_tiled`, and the rhs is a loop
+    over the finite rays.  Returns the cut, or None where the package skips.
+    """
+    if not margin(sfree, corner.apex_x, corner.apex_t) > INTERIOR_TOL:
+        return None
+    eta, iterations, exhausted = newton_steps_tiled(sfree, corner.apex_x, corner.apex_t, corner.x_dir,
+                                                    corner.t_dir)
+    if exhausted.any() or (eta < cuts.MIN_STEP).any():
+        return None
+    finite = np.isfinite(eta)
+    if not finite.any():
+        return None
+    coef = np.add.reduce(corner.eta_coef[finite] / eta[finite][:, None], axis=0)
+    rhs = 1.0
+    for k in finite.nonzero()[0]:
+        rhs -= float(corner.eta_off[k]) / float(eta[k])
+    norm = float(np.linalg.norm(coef))
+    mags = np.abs(coef[np.abs(coef) > 1e-12])
+    if norm <= 1e-12 or (mags.size and mags.max() / mags.min() > cuts.DYNAMIC_RANGE_MAX):
+        return None
+    efficacy = (rhs - float(coef @ corner.apex)) / norm
+    if efficacy < cuts.EFFICACY_MIN:
+        return None
+    return cuts.IntersectionCut(coef=coef, rhs=rhs, kind=sfree.kind, efficacy=efficacy, steps=eta.tolist(),
+                                newton_iters=int(iterations.sum()), infinite_steps=int((~finite).sum()))
+
+
+def former_with_extra_rows(model, rows, senses, rhs):
+    """``LpModel.with_extra_rows`` as it was: the appended rows checked by a throwaway model."""
+    extra = simplex.LpModel(model.sense, model.objective, np.atleast_2d(rows), list(senses),
+                            np.atleast_1d(rhs), model.lower, model.upper)
+    return simplex.LpModel(model.sense, model.objective.copy(), np.vstack([model.rows, extra.rows]),
+                           list(model.row_senses) + extra.row_senses,
+                           np.concatenate([model.rhs, extra.rhs]), model.lower.copy(), model.upper.copy())
 
 
 def poly_values(terms, masks):

@@ -228,7 +228,7 @@ def test_09_three_chain_counterexample():
         witness = containment_witness(relax)
         assert witness is not None
         x, t = witness
-        assert relax.margin(x, t) >= -1e-6
+        assert ref.margin(relax, x, t) >= -1e-6
         assert envelope_eval(f, x).value > t + 1e-9
         three = [[2, 1, 0], [1, 0, 2], [0, 2, 1]]
         assert is_minimal_cover(3, three)

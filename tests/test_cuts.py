@@ -170,7 +170,7 @@ class TestZetaEval:
         value, _ = ray.zeta(0.0)
         assert value == pytest.approx(1.5, abs=1e-12)
         # intersection_cut tests the apex margin as zeta(0) of every ray
-        assert value == sfree.margin(apex_x, 1.5)
+        assert value == ref.margin(sfree, apex_x, 1.5)
 
     def test_point_is_the_plain_formula(self):
         # a row of a block is the 1-D product of its ray
@@ -257,19 +257,26 @@ class TestStepLength:
         trace = record_search(monkeypatch)
         res = ray.step()
         assert res.eta == pytest.approx(0.7, abs=1e-9)
-        assert [eta for eta, _, _ in trace[:3]] == [cuts.ETA_INF, cuts.NEWTON_START, 2 * cuts.NEWTON_START]
-        slopes = [s for _, _, s in trace[1:]]
+        # the apex, the safeguard probe, then the search
+        assert [eta for eta, _, _ in trace[:4]] == [0.0, cuts.ETA_INF, cuts.NEWTON_START, 2 * cuts.NEWTON_START]
+        slopes = [s for _, _, s in trace[2:]]
         assert slopes[0] > 0  # the first move must be a doubling step
-        assert len(trace) == res.iterations + 1
+        assert len(trace) == res.iterations + 2
 
-    def test_boundary_apex_rejected(self, k3_cut):
-        # an apex on the boundary has no positive margin: no step search starts
+    def test_boundary_apex_rejected(self, k3_cut, monkeypatch):
+        # an apex on the boundary has no positive margin: the first block, which
+        # holds it, is the only evaluation, and no ray's step is read
         cp = make_corner([1.0, 0.0, 0.0, 2.0], [(e, e, 0.0) for e in np.eye(4)[:3]], 3)
         sfree = EnvelopeEpigraph(k3_cut)
-        assert sfree.margin(cp.apex_x, cp.apex_t) == 0.0
+        assert ref.margin(sfree, cp.apex_x, cp.apex_t) == 0.0
         shapes = recorded_shapes(sfree)
+        calls = []
+        read = cuts.step_length
+        monkeypatch.setattr(cuts, "step_length", lambda search, k: calls.append(k) or read(search, k))
         assert intersection_cut(cp, sfree) is None
-        assert shapes == [(3,)]
+        assert shapes == [(2 * 3 + 1, 3)]
+        assert calls == []
+        assert newton_steps(sfree, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir) is None
 
     def test_budget_exhausted(self, k3_cut, monkeypatch):
         monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", 1)
@@ -308,7 +315,7 @@ class TestStepLength:
             f = cut_polynomial(Graph(n, edges))
             apex_x = rng.uniform(0, 1, size=n)
             sfree = EnvelopeEpigraph(f)
-            margin = sfree.margin(apex_x, 0.0)
+            margin = ref.margin(sfree, apex_x, 0.0)
             apex_t = -margin + float(rng.uniform(0.2, 2.0))  # force strict interiority
             ray = Ray(sfree, apex_x, apex_t, rng.normal(size=n), float(rng.normal()))
             res = ray.step()
@@ -339,7 +346,7 @@ class TestStepLength:
             f = cut_polynomial(Graph(n, edges))
             sfree = EnvelopeEpigraph(f)
             apex_x = rng.uniform(0, 1, size=n)
-            apex_t = -sfree.margin(apex_x, 0.0) + 1.0
+            apex_t = -ref.margin(sfree, apex_x, 0.0) + 1.0
             ray = Ray(sfree, apex_x, apex_t, rng.normal(size=n), -abs(rng.normal()) - 0.1)
             trace.clear()
             try:
@@ -348,7 +355,7 @@ class TestStepLength:
                 continue
             if math.isinf(res.eta):
                 continue
-            loop = trace[1:]  # drop the safeguard probe
+            loop = trace[2:]  # drop the apex and the safeguard probe
             first = next((k for k, (_, v, s) in enumerate(loop) if s < 0 and abs(v) > 1e-9), None)
             if first is None:
                 continue
@@ -516,11 +523,11 @@ class TestIntersectionCut:
             cut = intersection_cut(cp, sfree)
             assert cut is not None
             finite = cut.nrays - cut.infinite_steps
-            # one apex margin, one block holding the ETA_INF and NEWTON_START probes of
+            # one block holding the apex and the ETA_INF and NEWTON_START probes of
             # every ray, then one block per round over the rays still searching
-            assert shapes[:2] == [(n,), (2 * cut.nrays, n)]
-            rounds = [rows for rows, _ in shapes[2:]]
-            assert shapes[2:] == [(rows, n) for rows in rounds]
+            assert shapes[:1] == [(2 * cut.nrays + 1, n)]
+            rounds = [rows for rows, _ in shapes[1:]]
+            assert shapes[1:] == [(rows, n) for rows in rounds]
             assert all(b <= a for a, b in zip(rounds, rounds[1:]))
             assert sum(rounds) == cut.newton_iters - finite
         assert len(rounds) > 1  # the split corner's rays stop in different rounds
@@ -539,8 +546,8 @@ class TestIntersectionCut:
             cut = intersection_cut(cp, split)
             assert (cut is not None) == found
             # the probe block is the first evaluation, and at most budget - 1 rounds follow it
-            assert len(shapes) - 2 <= budget - 1
-            assert all(len(shape) == 2 for shape in shapes[1:])
+            assert len(shapes) - 1 <= budget - 1
+            assert all(len(shape) == 2 for shape in shapes)
         # one evaluation short, the slowest ray has no root: its last evaluation is not one
         monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", most - 1)
         search = newton_steps(sfree, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
@@ -576,14 +583,28 @@ def non_integer_separations() -> list:
     poly = MultilinearFunction(base.n, [(a * rng.uniform(0.3, 1.7), s) for a, s in base.terms])
     graph = pw_graph(12, 0.4, seed=3, max_weight=1)
     graph = Graph(12, [(i, j, w * rng.uniform(0.3, 1.7)) for i, j, w in graph.edges])
+    calls = loop_separations(ref.cut_instance(graph), "submodular", 4)
+    calls += loop_separations(BmpInstance(poly), "both", 4)
+    assert {free.kind for _, free in calls} == {"env", "ss", "split"}
+    return calls
+
+
+def loop_separations(instance, mode: str, rounds: int) -> list:
+    """The (corner, free set) pairs a root loop on ``instance`` separates, in round order."""
     calls = []
     separate = harness.intersection_cut
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "intersection_cut", lambda cp, free: calls.append((cp, free)) or separate(cp, free))
-        for instance, mode in ((ref.cut_instance(graph), "submodular"), (BmpInstance(poly), "both")):
-            harness.root_loop(*build_model(instance), RunConfig(mode=mode, rounds=4, validate_cuts="off"))
-    assert {free.kind for _, free in calls} == {"env", "ss", "split"}
+        harness.root_loop(*build_model(instance), RunConfig(mode=mode, rounds=rounds, validate_cuts="off"))
     return calls
+
+
+def counted_searches(monkeypatch) -> list:
+    """A list that grows by one entry per ``zeta_slope`` block, in ``cuts`` and in the references."""
+    blocks = []
+    evaluate = cuts.zeta_slope
+    monkeypatch.setattr(cuts, "zeta_slope", lambda *args: blocks.append(len(args[3])) or evaluate(*args))
+    return blocks
 
 
 def former_envelope(oracle, x):
@@ -625,6 +646,24 @@ class TestFormerSeparationPath:
             exhausted += sum(search.exhausted)
         assert (exhausted > 0) == (budget < 3)
 
+    def test_cuts_match_the_former_path(self, separations, searches_without_root):
+        # the apex row, the rhs reduce and the early stop of periodic rays give the
+        # former margin check's, rhs loop's and full-budget search's cuts, byte for byte
+        pairs = separations + [(cp, free) for cp, free, _ in searches_without_root]
+        made = 0
+        for cp, free in pairs:
+            cut, former = intersection_cut(cp, free), ref.former_intersection_cut(cp, free)
+            assert (cut is None) == (former is None), free.kind
+            if cut is None:
+                continue
+            made += 1
+            assert cut.coef.tobytes() == former.coef.tobytes(), free.kind
+            assert np.array([cut.rhs, cut.efficacy]).tobytes() == np.array([former.rhs, former.efficacy]).tobytes()
+            assert np.array(cut.steps).tobytes() == np.array(former.steps).tobytes()
+            assert (cut.kind, cut.newton_iters, cut.infinite_steps) == (
+                former.kind, former.newton_iters, former.infinite_steps)
+        assert made == len(separations)
+
     @pytest.mark.parametrize("budget", [cuts.NEWTON_MAX_STEPS, 2, 1])
     def test_one_step_length_call_per_ray_up_to_the_first_failure(self, monkeypatch, separations, budget):
         monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", budget)
@@ -633,7 +672,7 @@ class TestFormerSeparationPath:
         monkeypatch.setattr(cuts, "step_length", lambda search, k: calls.append(k) or read(search, k))
         stops = []
         for cp, free in separations:
-            assert free.margin(cp.apex_x, cp.apex_t) > sfree.INTERIOR_TOL
+            assert ref.margin(free, cp.apex_x, cp.apex_t) > sfree.INTERIOR_TOL
             search = newton_steps(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
             fails = [k for k in range(cp.nrays) if search.exhausted[k] or search.eta[k] < cuts.MIN_STEP]
             calls.clear()
@@ -641,6 +680,86 @@ class TestFormerSeparationPath:
             assert calls == list(range(fails[0] + 1 if fails else cp.nrays)), free.kind
             stops.append(bool(fails))
         assert any(stops) == (budget < 3)
+
+
+# Searches without a root on the benchmark's instances: (instance, mode, round, set kind, the
+# period of the ray's eta, or None where eta doubles away below zero until the budget)
+ROOTLESS = [
+    # seed-1 maxcut-sparse: eta alternates between 4.27e16 and 0.0
+    (lambda: ref.cut_instance(pw_graph(20, 0.15, 1020, max_weight=1)), "both", 2, "env", 2),
+    # seed-2 mubo-validated: a Newton step lands on eta = 0.0, where doubling stays
+    (lambda: BmpInstance(autocorr_polynomial(12, 2, 0.2, 2047)), "both", 1, "ss", 1),
+    # seed-3 mubo-validated: a Newton step lands on eta = -32, and doubling runs away
+    (lambda: BmpInstance(autocorr_polynomial(12, 2, 0.2, 3019)), "submodular", 1, "ss", None),
+]
+
+
+@pytest.fixture(scope="module")
+def searches_without_root():
+    """(corner, free set, period) of every ROOTLESS separation."""
+    out = []
+    for make, mode, round_, kind, period in ROOTLESS:
+        corners = {}
+        for cp, free in loop_separations(make(), mode, round_):
+            corners.setdefault(id(cp), []).append((cp, free))
+        [(cp, free)] = [pair for pair in list(corners.values())[round_ - 1] if pair[1].kind == kind]
+        out.append((cp, free, period))
+    return out
+
+
+class TestRaysWithoutRoot:
+    def test_periodic_rays_stop_early(self, monkeypatch, searches_without_root):
+        blocks = counted_searches(monkeypatch)
+        for cp, free, period in searches_without_root:
+            blocks.clear()
+            search = newton_steps(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
+            evaluations = len(blocks)
+            blocks.clear()
+            eta, iterations, exhausted = ref.newton_steps_tiled(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
+            former_evaluations = len(blocks)
+            # the same rays have no root, and every other ray keeps its step and count
+            assert search.exhausted == exhausted.tolist()
+            [k] = exhausted.nonzero()[0]
+            rooted = ~exhausted
+            assert np.array(search.eta)[rooted].tobytes() == eta[rooted].tobytes()
+            assert np.array(search.iterations)[rooted].tolist() == iterations[rooted].tolist()
+            # ray k's eta repeats with the stated period, one ray at a time too
+            trail = [cuts.NEWTON_START]
+            for _ in range(40):
+                zeta, slope = zeta_slope(free, cp.apex_x, cp.apex_t, np.array(trail[-1:]), cp.x_dir[k][None],
+                                         cp.t_dir[k:k + 1])
+                trail.append(float(trail[-1] - zeta[0] / slope[0] if slope[0] < 0.0 else 2.0 * trail[-1]))
+            if period is None:
+                assert trail[-1] < trail[-2] < 0.0
+                # no eta repeats, so the search runs to the budget, as it did
+                assert search.iterations[k] == cuts.NEWTON_MAX_STEPS and search.eta[k] == eta[k]
+                assert evaluations == former_evaluations == cuts.NEWTON_MAX_STEPS
+            else:
+                assert trail[-1] == trail[-1 - period]
+                assert period == 1 or trail[-1] != trail[-2]
+                it = search.iterations[k]
+                assert it < cuts.NEWTON_MAX_STEPS and not it & (it - 1)
+                # the budget and every power of two past 1 are even, so both land on one phase
+                assert search.eta[k] == eta[k]
+                assert evaluations < former_evaluations == cuts.NEWTON_MAX_STEPS
+            with pytest.raises(SeparationBudget, match=f"no root within {search.iterations[k]} steps"):
+                step_length(search, k)
+            assert intersection_cut(cp, free) is None
+
+    def test_a_repeat_at_the_second_evaluation_stops_there(self, k3_cut, monkeypatch):
+        # the searching ray's row reads zeta 1 and slope -inf in every block, so its
+        # Newton step adds 1/inf = 0: eta_2 = eta_1, and the first power-of-two check ends it
+        ray = Ray(EnvelopeEpigraph(k3_cut), np.array([0.5, 0.5, 0.5]), 1.5, np.array([1.0, 0.0, 0.0]), 0.0)
+        evaluate = cuts.zeta_slope
+
+        def pinned(*args):
+            zeta, slope = evaluate(*args)
+            zeta[-1], slope[-1] = 1.0, -math.inf
+            return zeta, slope
+
+        monkeypatch.setattr(cuts, "zeta_slope", pinned)
+        search = newton_steps(ray.sfree, ray.apex_x, ray.apex_t, ray.ray_x[None], np.array([ray.ray_t]))
+        assert search == ([cuts.NEWTON_START], [2], [True])
 
 
 class TestGradientCut:

@@ -602,6 +602,21 @@ class TestRootLoop:
         rep = root_loop(model, targets, lift, RunConfig(mode="none"), primal=3.0 + 3e-7)
         assert rep.closed == 0.0 and not rep.failed
 
+    def test_primal_below_a_feasible_binary_point_raises(self):
+        # the LP optimum is binary in x, (1, 1, 0) of value 3; p = 3 is right
+        poly = MultilinearFunction(3, [(3.0, {0, 1}), (-2.0, {0, 1, 2})])
+        model, targets, lift = build_model(BmpInstance(poly))
+        with pytest.raises(ModelError, match=r"p = 2.9999 of 'tri' is below the value 3 of the binary LP"
+                                             r" optimum x = \[1, 1, 0\]$"):
+            root_loop(model, targets, lift, RunConfig(mode="none"), instance="tri", primal=2.9999)
+        # within the bound guards' slack of the point's value
+        assert not root_loop(model, targets, lift, RunConfig(mode="none"), primal=3.0 - 3e-7).failed
+        # an infeasible binary point proves nothing about p
+        capped = BmpInstance(poly, constraints=[MultilinearFunction(3, [(-1.0, {0, 1})])])
+        assert harness._check_binary_point(capped, np.array([1.0, 1.0, 0.0]), 2.0, "tri") is None
+        sized = BmpInstance(poly, cardinality=1)
+        assert harness._check_binary_point(sized, np.array([1.0, 1.0, 0.0]), 2.0, "tri") is None
+
     def test_requires_targets(self):
         model, _, lift = k3_setup()
         with pytest.raises(ModelError):
@@ -842,6 +857,26 @@ class TestCli:
     def test_bench_empty_directory(self, tmp_path, capsys):
         rc = cli.main(["bench", str(tmp_path)])
         assert rc == 1
+
+    @pytest.mark.parametrize("mode", ["split", "submodular", "both"])
+    def test_sidecar_below_a_binary_lp_optimum(self, tmp_path, capsys, mode):
+        # every mode's loop ends at an LP optimum binary in x with d2 = 8, the
+        # optimum: a sidecar of 5 is wrong data, not a closed gap of 0.25
+        rc = cli.main(["gen", "g05", "-n", "6", "--seed", "2", "--out", str(tmp_path)])
+        assert rc == 0 and (tmp_path / "g05_n6_s2.sol").read_text() == "8\n"
+        capsys.readouterr()
+        path = tmp_path / "g05_n6_s2.mc"
+        assert cli.main(["root", str(path), "--cuts", mode]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[3:6] == ["8", "8", "1"]  # d2, p, closed
+        path.with_suffix(".sol").write_text("5\n")
+        rc = cli.main(["root", str(path), "--cuts", mode])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().split("\n")
+        assert line == ("error: reference optimum p = 5 of 'g05_n6_s2' is below the value 8"
+                        " of the binary LP optimum x = [1, 0, 0, 1, 0, 1]")
 
     def test_capacity_exit_code(self, tmp_path, capsys):
         # a 21-variable graph with no sidecar cannot be brute forced

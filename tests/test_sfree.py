@@ -65,7 +65,7 @@ class TestBuildReverseLinearized:
         sfree = build_reverse_linearized(ss, x_ref)
         # membership of (x, t) reduces to -gamma . x <= level * t
         for t in (0.0, 1.0, -4.0):
-            got = sfree.margin(x_ref, t)
+            got = ref.margin(sfree, x_ref, t)
             want = 1.0 * t - (0.0 - float(sfree.gamma @ x_ref))
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -108,29 +108,29 @@ class TestBlockForm:
 
 class TestInteriority:
     def test_strict_interior(self, k3_cut):
-        margin = EnvelopeEpigraph(k3_cut).margin([0.5, 0.5, 0.5], 1.5)
+        margin = ref.margin(EnvelopeEpigraph(k3_cut), [0.5, 0.5, 0.5], 1.5)
         assert margin > INTERIOR_TOL
         assert margin == pytest.approx(1.5, abs=1e-12)
 
     def test_boundary_at_graph_point(self, k3_cut):
-        margin = EnvelopeEpigraph(k3_cut).margin([1.0, 0.0, 0.0], 2.0)
+        margin = ref.margin(EnvelopeEpigraph(k3_cut), [1.0, 0.0, 0.0], 2.0)
         assert abs(margin) <= INTERIOR_TOL
         assert margin == pytest.approx(0.0, abs=1e-12)
 
     def test_exterior(self, k3_cut):
-        margin = EnvelopeEpigraph(k3_cut).margin([1.0, 0.0, 0.0], 1.0)
+        margin = ref.margin(EnvelopeEpigraph(k3_cut), [1.0, 0.0, 0.0], 1.0)
         assert margin < -INTERIOR_TOL
         assert margin == pytest.approx(-1.0, abs=1e-12)
 
     def test_split_midpoint(self):
-        margin = LiftedSplit(0, 3).margin([0.5, 0.2, 0.9], 7.0)
+        margin = ref.margin(LiftedSplit(0, 3), [0.5, 0.2, 0.9], 7.0)
         assert margin > INTERIOR_TOL
         assert margin == pytest.approx(0.5, abs=1e-12)
 
     def test_split_t_is_inert(self):
         split = LiftedSplit(1, 2)
         for t in (-100.0, 0.0, 100.0):
-            assert split.margin([0.0, 0.3], t) == pytest.approx(0.3, abs=1e-12)
+            assert ref.margin(split, [0.0, 0.3], t) == pytest.approx(0.3, abs=1e-12)
 
     def test_split_index_range(self):
         with pytest.raises(ValueError):
@@ -233,7 +233,7 @@ class TestThreeChainRelaxation:
         assert witness is not None
         x, t = witness
         # inside the relaxation
-        assert relax.margin(x, t) >= -1e-6
+        assert ref.margin(relax, x, t) >= -1e-6
         # strictly outside the full epigraph
         assert envelope_eval(k3_cut, x).value > t + 1e-9
 
@@ -302,4 +302,4 @@ class TestCoverRelaxationBasics:
         relax = three_chain_relaxation(k3_cut)
         for mask in range(8):
             x = np.array([(mask >> i) & 1 for i in range(3)], dtype=float)
-            assert relax.margin(x, k3_cut.value(x)) <= 1e-12
+            assert ref.margin(relax, x, k3_cut.value(x)) <= 1e-12

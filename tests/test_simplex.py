@@ -230,6 +230,54 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="finite"):
             box_lp().with_extra_rows([[1.0, 0.0]], ["<="], [math.inf])
 
+    @pytest.mark.parametrize("rows, senses, rhs, message", [
+        ([[1.0, math.nan]], ["<="], [0.5], "row data must be finite"),
+        ([[-math.inf, 0.0]], [">="], [0.5], "row data must be finite"),
+        ([[1.0, 0.0]], ["<="], [math.nan], "row data must be finite"),
+        ([[1.0, 0.0]], ["="], [-math.inf], "row data must be finite"),
+        ([[1.0, 0.0, 0.0]], ["<="], [0.5], "rows have 3 columns, objective has 2"),
+        ([[1.0, 0.0], [0.0, 1.0]], ["<="], [0.5, 0.5], "row count mismatch between rows, senses and rhs"),
+        ([[1.0, 0.0]], ["<="], [0.5, 0.5], "row count mismatch between rows, senses and rhs"),
+        ([[1.0, 0.0]], ["=>"], [0.5], "unknown row sense '=>'"),
+    ])
+    def test_with_extra_rows_raises_the_constructor_error(self, rows, senses, rhs, message):
+        base = box_lp()
+        before = (base.rows.copy(), base.rhs.copy(), list(base.row_senses))
+        with pytest.raises(ValueError) as built:
+            LpModel("max", [1.0, 1.0], rows, senses, rhs, [0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError) as appended:
+            base.with_extra_rows(rows, senses, rhs)
+        assert str(appended.value) == str(built.value) == message
+        # the parent is unchanged
+        assert base.rows.tobytes() == before[0].tobytes() and base.rhs.tobytes() == before[1].tobytes()
+        assert base.row_senses == before[2]
+
+    def test_with_extra_rows_matches_the_former_append(self):
+        base = box_lp()
+        appends = [
+            ([[1.0, 0.0]], ["<="], [0.25]),
+            (np.array([[0.5, -1.0], [2.0, 1.0]]), (">=", "="), (0.0, 1.5)),
+            ([0.0, 3.0], [">="], 1.0),  # one row as a vector, its rhs a scalar
+        ]
+        for rows, senses, rhs in appends:
+            grown = base.with_extra_rows(rows, senses, rhs)
+            former = ref.former_with_extra_rows(base, rows, senses, rhs)
+            for field in ("objective", "rows", "rhs", "lower", "upper"):
+                assert getattr(grown, field).tobytes() == getattr(former, field).tobytes(), field
+                assert getattr(grown, field) is not getattr(base, field), field
+            assert grown.sense == former.sense and grown.row_senses == former.row_senses
+            assert grown.extends(base) and not base.extends(grown)
+            assert base.nrows == 1
+
+    def test_with_extra_rows_of_no_rows_is_an_equal_copy(self):
+        base = box_lp()
+        for rows in ([], np.zeros((0, 2))):
+            grown = base.with_extra_rows(rows, [], [])
+            assert grown.nrows == base.nrows and grown.rows.shape == (1, 2)
+            assert grown.extends(base) and base.extends(grown)
+            assert grown.rows is not base.rows and grown.row_senses is not base.row_senses
+            assert solve(grown).objective == solve(base).objective
+
 
 class TestCorner:
     def test_tent_rays(self):
