@@ -61,14 +61,6 @@ CUT_TOL = 1e-7
 logger = logging.getLogger(__name__)
 
 
-def _log_cut(cut: "IntersectionCut") -> "IntersectionCut":
-    logger.info(
-        "CUT kind=%s rays=%d inf_steps=%d efficacy=%.6g newton_iters=%d",
-        cut.kind, cut.nrays, cut.infinite_steps, cut.efficacy, cut.newton_iters,
-    )
-    return cut
-
-
 def zeta_slope(sfree: SFreeSet, apex_x, apex_t: float, eta, x_dir, t_dir):
     """zeta and its slope estimate at apex + eta * ray, one row per ray.
 
@@ -215,25 +207,12 @@ def intersection_cut(corner, sfree: SFreeSet):
     coef = np.add.reduce(corner.eta_coef[finite] / eta[:, None], axis=0)
     rhs = float(np.subtract.reduce(np.concatenate([[1.0], corner.eta_off[finite] / eta])))
 
-    norm = math.sqrt(coef @ coef)  # the doubles of np.linalg.norm, without its dispatch
-    if norm <= 1e-12:
-        return None
     mags = np.abs(coef)
     mags = mags[mags > 1e-12]
     if mags.size and mags.max() / mags.min() > DYNAMIC_RANGE_MAX:
         return None
-    efficacy = (rhs - float(coef @ corner.apex)) / norm
-    if efficacy < EFFICACY_MIN:
-        return None
-    return _log_cut(IntersectionCut(
-        coef=coef,
-        rhs=rhs,
-        kind=sfree.kind,
-        efficacy=efficacy,
-        steps=search.eta,
-        newton_iters=sum(search.iterations),
-        infinite_steps=corner.nrays - eta.size,
-    ))
+    return _filtered_cut(coef, rhs, rhs - float(coef @ corner.apex), sfree.kind, steps=search.eta,
+                         newton_iters=sum(search.iterations), infinite_steps=corner.nrays - eta.size)
 
 
 def gradient_cut(ss: SSFunction, x_ref, t_ref: float, lift):
@@ -255,13 +234,28 @@ def gradient_cut(ss: SSFunction, x_ref, t_ref: float, lift):
     coef = np.zeros(lift.ncols)
     coef[lift.x_cols] = -gamma
     coef[lift.t_col] = -float(ss.level)
-    norm = float(np.linalg.norm(coef))
+    return _filtered_cut(coef, 0.0, violation, "grad")
+
+
+def _filtered_cut(coef, rhs: float, violation: float, kind: str, **stats):
+    """The cut coef . z >= rhs, which the separated point violates by ``violation``, logged.
+
+    The one filter of both cut kinds: None when coef vanishes or the
+    efficacy, violation / ||coef||, is below EFFICACY_MIN.  ``stats`` are
+    an intersection cut's step statistics.
+    """
+    norm = math.sqrt(coef @ coef)  # the doubles of np.linalg.norm, without its dispatch
     if norm <= 1e-12:
         return None
     efficacy = violation / norm
     if efficacy < EFFICACY_MIN:
         return None
-    return _log_cut(IntersectionCut(coef=coef, rhs=0.0, kind="grad", efficacy=efficacy))
+    cut = IntersectionCut(coef=coef, rhs=rhs, kind=kind, efficacy=efficacy, **stats)
+    logger.info(
+        "CUT kind=%s rays=%d inf_steps=%d efficacy=%.6g newton_iters=%d",
+        cut.kind, cut.nrays, cut.infinite_steps, cut.efficacy, cut.newton_iters,
+    )
+    return cut
 
 
 # ---------------------------------------------------------------------------

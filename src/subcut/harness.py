@@ -101,13 +101,13 @@ class RootNodeReport:
 
     instance: str
     mode: str
-    d1: float
-    d2: float
-    p: float
-    closed: float
-    cuts: int
-    sep_time_ms: float
-    total_time_ms: float
+    d1: float = math.nan
+    d2: float = math.nan
+    p: float = math.nan
+    closed: float = math.nan
+    cuts: int = 0
+    sep_time_ms: float = 0.0
+    total_time_ms: float = math.nan
     rounds: int = 0
     skipped: int = 0
     failed: bool = False
@@ -152,36 +152,23 @@ def split_selector(x):
     return int(np.argmax(frac))
 
 
-def _target_route(ss, x_bar, use_gradient: bool):
-    """A target's candidate, or None when it has none.
+def _candidates(mode: str, targets, x_bar, split: int):
+    """Separation worklist for one round: (route, payload) pairs.
 
-    With no term of degree >= 2 in f1, the lifted LP already bounds t by
-    the concave envelope, so the apex margin of a set is <= 0 and no set
-    can cut the target.
+    ``split`` is ``split_selector(x_bar)``, the split cut's index under split
+    and both.  submodular separates the first target with a set; ss and both
+    separate every target, and take the gradient route for a target with a
+    zero submodular part.  A target with no term of degree >= 2 in f1 gets no
+    set: the lifted LP already bounds t by the concave envelope, so the apex
+    margin of a set is <= 0 and no set can cut it.
     """
-    if use_gradient and ss.f1.trivially_zero and not ss.f2.trivially_zero:
-        return ("grad", ss)
-    if ss.f1.degree <= 1:
-        return None
-    return ("set", build_reverse_linearized(ss, x_bar))
-
-
-def _candidates(mode: str, targets, lift, x_bar):
-    """Separation worklist for one round: (route, payload) pairs."""
-    out = []
-    if mode in ("split", "both"):
-        j = split_selector(x_bar)
-        if j is not None:
-            out.append(("set", LiftedSplit(j, lift.n)))
-    if mode == "submodular":
-        route = _target_route(targets[0], x_bar, use_gradient=False)
-        if route is not None:
-            out.append(route)
-    if mode in ("ss", "both"):
-        for ss in targets:
-            route = _target_route(ss, x_bar, use_gradient=True)
-            if route is not None:
-                out.append(route)
+    out = [("set", LiftedSplit(split, x_bar.size))] if mode in ("split", "both") else []
+    gradient = mode != "submodular"
+    for ss in {"submodular": targets[:1], "ss": targets, "both": targets}.get(mode, []):
+        if gradient and ss.f1.trivially_zero and not ss.f2.trivially_zero:
+            out.append(("grad", ss))
+        elif ss.f1.degree > 1:
+            out.append(("set", build_reverse_linearized(ss, x_bar)))
     return out
 
 
@@ -226,48 +213,27 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
     """Run up to config.rounds rounds of separation at the root node.
 
     Stops early when the LP optimum is binary in x or a round produces no
-    cut.  The loop solves the lean ``model`` that ``build_model`` returns,
-    and after every solve appends the rows of ``lift.deferred`` its
-    optimum violates and re-solves warm (``_solve_lazy``), so d1 and every
-    round's bound are those of the full model, the lean one with every
-    deferred row appended, with the same cuts (an = row among the
-    deferred raises ValueError).  Each round re-solves warm from the
-    previous round's optimal basis.  A reference optimum above d1 raises
-    ModelError: d1 bounds the true optimum, so that p is wrong data.  So
-    does a p below the value of a feasible binary point, which the loop
-    checks at an LP optimum binary in x, where it stops.  An
-    LP failure sets the failure flag on the report; a cut failing point
-    validation, or a bound that rises across a round or falls below the
-    reference optimum, raises, since that can only be a bug.
+    cut.  The report is the loop's only record: built first, its bounds and
+    counts are updated as the rounds run.  The loop solves the lean
+    ``model`` that ``build_model`` returns, and after every solve appends
+    the rows of ``lift.deferred`` its optimum violates and re-solves warm
+    (``_solve_lazy``), so d1 and every round's bound are those of the full
+    model, the lean one with every deferred row appended, with the same
+    cuts (an = row among the deferred raises ValueError).  Each round
+    re-solves warm from the previous round's optimal basis.  A reference
+    optimum above d1 raises ModelError: d1 bounds the true optimum, so that
+    p is wrong data.  So does a p below the value of a feasible binary
+    point, which the loop checks at an LP optimum binary in x, where it
+    stops.  An LP failure sets the failure flag on the report; a cut
+    failing point validation, or a bound that rises across a round or falls
+    below the reference optimum, raises, since that can only be a bug.
     """
     if not targets:
         raise ModelError("at least one separation target is required")
     t0 = time.perf_counter()
     p = math.nan if primal is None else float(primal)
-    d1 = d2 = math.nan
-    cuts_added = 0
-    skipped = 0
-    rounds_run = 0
-    sep_s = 0.0
-    failed = False
+    report = RootNodeReport(instance, config.mode, p=p)
     validator = CutValidator(lift, model.lower[lift.t_col]) if _want_validation(config, lift.n) else None
-
-    def finish() -> RootNodeReport:
-        return RootNodeReport(
-            instance=instance,
-            mode=config.mode,
-            d1=d1,
-            d2=d2,
-            p=p,
-            closed=closed_gap(d1, d2, p),
-            cuts=cuts_added,
-            sep_time_ms=sep_s * 1000.0,
-            total_time_ms=(time.perf_counter() - t0) * 1000.0,
-            rounds=rounds_run,
-            skipped=skipped,
-            failed=failed,
-        )
-
     deferred = lift.deferred
     senses = [] if deferred is None else deferred.row_senses
     if "=" in senses:
@@ -275,24 +241,23 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
     flip = np.array([-1.0 if s == ">=" else 1.0 for s in senses])
     pending = np.arange(len(senses))
     model, sol, pending = _solve_lazy(model, deferred, pending, flip)
-    if sol is None:
-        failed = True
-        return finish()
-    d1 = d2 = float(sol.objective)
-    if p > d1 + BOUND_TOL * (1.0 + abs(d1)):
-        raise ModelError(
-            f"reference optimum p = {_fmt(p)} of {instance!r} exceeds the first LP bound d1 = {_fmt(d1)}")
+    if sol is not None:
+        report.d1 = report.d2 = float(sol.objective)
+        if p > report.d1 + BOUND_TOL * (1.0 + abs(report.d1)):
+            raise ModelError(f"reference optimum p = {_fmt(p)} of {instance!r} exceeds the first"
+                             f" LP bound d1 = {_fmt(report.d1)}")
 
-    for _ in range(config.rounds):
+    while sol is not None and report.rounds < config.rounds:
         x_bar = sol.x[lift.x_cols]
-        if split_selector(x_bar) is None:
+        split = split_selector(x_bar)
+        if split is None:
             _check_binary_point(lift.instance, np.round(x_bar), p, instance)
             break  # vertex already binary in x; nothing to separate
-        rounds_run += 1
+        report.rounds += 1
         s0 = time.perf_counter()
         corner = project_corner(simplex.corner(sol), lift)
         batch = []
-        for route, payload in _candidates(config.mode, targets, lift, x_bar):
+        for route, payload in _candidates(config.mode, targets, x_bar, split):
             if len(batch) >= config.max_cuts_per_round:
                 break
             if route == "grad":
@@ -300,10 +265,10 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
             else:
                 cut = intersection_cut(corner, payload)
             if cut is None:
-                skipped += 1
+                report.skipped += 1
                 continue
             batch.append(cut)
-        sep_s += time.perf_counter() - s0
+        report.sep_time_ms += (time.perf_counter() - s0) * 1000.0
         if not batch:
             break
 
@@ -316,22 +281,24 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
                         f"{cut.kind} cut failed brute-force validation on {instance!r}: residual"
                         f" coef.z - rhs = {verdict.residual:.6g} at x = {x} (bitmask {verdict.mask})"
                     )
-        cuts_added += len(batch)
+        report.cuts += len(batch)
         model = model.with_extra_rows([c.coef for c in batch], [">="] * len(batch), [c.rhs for c in batch])
         model, sol, pending = _solve_lazy(model, deferred, pending, flip, warm=sol)
         if sol is None:
-            failed = True
             break
         # cuts can only lower the bound, and valid cuts never below the optimum
         bound = float(sol.objective)
         tol = BOUND_TOL * (1.0 + abs(bound))
-        if bound > d2 + tol or bound < p - tol:
+        if bound > report.d2 + tol or bound < p - tol:
             raise NumericError(
-                f"bound {bound!r} after round {rounds_run} on {instance!r} leaves [p, previous bound]"
-                f" = [{p!r}, {d2!r}]"
+                f"bound {bound!r} after round {report.rounds} on {instance!r} leaves [p, previous bound]"
+                f" = [{p!r}, {report.d2!r}]"
             )
-        d2 = bound
-    return finish()
+        report.d2 = bound
+    report.failed = sol is None
+    report.closed = closed_gap(report.d1, report.d2, p)
+    report.total_time_ms = (time.perf_counter() - t0) * 1000.0
+    return report
 
 
 def _check_binary_point(problem: BmpInstance, x, p: float, instance: str) -> None:
@@ -555,7 +522,7 @@ def load_instance(path) -> BmpInstance:
     raise ModelError(f"unrecognized instance extension {path.suffix!r} (want .mc or .pol)")
 
 
-def run_instance(path, config: RunConfig, name: str = None, primal=None) -> RootNodeReport:
+def run_instance(path, config: RunConfig, primal=None) -> RootNodeReport:
     """One root-node run; ``primal`` (a number or its text) overrides the reference optimum lookup."""
     path = Path(path)
     instance = load_instance(path)
@@ -564,8 +531,7 @@ def run_instance(path, config: RunConfig, name: str = None, primal=None) -> Root
     else:
         primal = _finite_primal(primal, "primal override")
     model, targets, lift = build_model(instance)
-    return root_loop(model, targets, lift, config,
-                     instance=name or path.stem, primal=primal)
+    return root_loop(model, targets, lift, config, instance=path.stem, primal=primal)
 
 
 def run_benchmark(paths, config: RunConfig, modes=None) -> list:

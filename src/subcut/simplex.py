@@ -452,12 +452,12 @@ class _DualSimplex:
         self.Binv[pos] = r
 
     def _verify(self):
-        """Optimality certificate: primal and dual feasibility, equal objectives."""
+        """Optimality certificate: primal and dual feasibility, equal objectives; NaN fails each check."""
         resid = self._matrix_times(self.val) - self.model.rhs
-        if self.m and np.max(np.abs(resid)) > 100 * FEAS_TOL:
+        if self.m and not np.max(np.abs(resid)) <= 100 * FEAS_TOL:
             raise NumericError(f"row residual {np.max(np.abs(resid)):.3e} after optimization")
         worst = np.maximum(self.lo - self.val, self.val - self.hi).max(initial=0.0)
-        if worst > 100 * FEAS_TOL:
+        if not worst <= 100 * FEAS_TOL:
             raise NumericError(f"bound violation {worst:.3e} after optimization")
         y = self.cost[self.basis] @ self.Binv
         d = self.cost - self._times_matrix(y)
@@ -465,13 +465,13 @@ class _DualSimplex:
         nb[self.basis] = False
         # moving a nonbasic column off its bound must not pay: d >= 0 at a lower bound, <= 0 at an upper
         gain = -(self.dirn * d)[self.dirn != 0.0]
-        if gain.max(initial=0.0) > FEAS_TOL * (1.0 + np.abs(self.cost).max(initial=0.0)):
+        if not gain.max(initial=0.0) <= FEAS_TOL * (1.0 + np.abs(self.cost).max(initial=0.0)):
             raise NumericError(f"reduced cost {gain.max():.3e} of the wrong sign at the optimum")
         # read from dirn, not val, so a nonbasic value off its bound fails the objective check
         at = np.where(self.dirn < 0.0, self.hi, self.lo)[nb]
         primal = float(self.cost @ self.val)
         dual = float(y @ self.model.rhs + d[nb] @ at)
-        if abs(primal - dual) > FEAS_TOL * (1.0 + abs(primal)):
+        if not abs(primal - dual) <= FEAS_TOL * (1.0 + abs(primal)):
             raise NumericError(f"primal objective {primal!r} and dual objective {dual!r} differ")
 
 

@@ -470,7 +470,8 @@ class TestRootLoop:
         x_bar = simplex.solve(model).x[lift.x_cols]
         # the LP bound 2.5 is already the concave envelope of f at x_bar, so no set
         # can cut the target and it gives no candidate; split cuts still come
-        kinds = [payload.kind for _, payload in harness._candidates(mode, targets, lift, x_bar)]
+        split = split_selector(x_bar)
+        kinds = [payload.kind for _, payload in harness._candidates(mode, targets, x_bar, split)]
         assert kinds == (["split"] if mode == "both" else [])
         with caplog.at_level(logging.INFO, logger="subcut.cuts"):
             rep = root_loop(model, targets, lift, RunConfig(mode=mode, validate_cuts="on"), primal=1.0)
@@ -536,6 +537,44 @@ class TestRootLoop:
         assert rep.failed
         assert math.isnan(rep.d1)
         assert math.isnan(rep.closed)
+
+    def test_failed_warm_resolve_keeps_the_round(self, monkeypatch):
+        model, targets, lift = k3_setup()
+        solve = simplex.solve
+
+        def failing_warm_solve(model, warm=None):
+            if warm is not None:
+                raise NumericError("warm re-solve failed")
+            return solve(model)
+
+        monkeypatch.setattr(simplex, "solve", failing_warm_solve)
+        rep = root_loop(model, targets, lift, RunConfig(mode="split"), primal=2.0)
+        assert rep.failed
+        assert rep.rounds == 1 and rep.cuts == 1 and rep.skipped == 0
+        assert rep.d1 == pytest.approx(3.0, abs=1e-9)
+        assert rep.d2 == rep.d1
+        assert rep.closed == 0.0
+
+    @pytest.mark.parametrize("split_emits, separated, skipped", [
+        (False, ["split", "env"], 1),  # a declined candidate does not use up the cap
+        (True, ["split"], 0),  # the emitted split cut fills it
+    ], ids=["split_declined", "split_emitted"])
+    def test_cut_cap_counts_emitted_cuts(self, monkeypatch, split_emits, separated, skipped):
+        model, targets, lift = k3_setup()
+        calls = []
+        separate = harness.intersection_cut
+
+        def recording_cut(corner, free_set):
+            calls.append(free_set.kind)
+            if free_set.kind == "split" and not split_emits:
+                return None
+            return separate(corner, free_set)
+
+        monkeypatch.setattr(harness, "intersection_cut", recording_cut)
+        config = RunConfig(mode="both", rounds=1, max_cuts_per_round=1)
+        rep = root_loop(model, targets, lift, config, primal=2.0)
+        assert calls == separated
+        assert rep.cuts == 1 and rep.skipped == skipped and rep.rounds == 1
 
     def test_bound_below_the_optimum_raises(self, monkeypatch):
         model, targets, lift = k3_setup()

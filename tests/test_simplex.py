@@ -666,6 +666,16 @@ class TestCertificate:
             st._verify()
 
 
+    @pytest.mark.parametrize("field, match", [("val", "row residual"), ("Binv", "reduced cost")])
+    def test_nan_state_is_caught(self, field, match):
+        sol = solve(box_lp())
+        st = sol._state
+        st._verify()
+        getattr(st, field)[:] = math.nan  # every check compares with NaN, which no > catches
+        with pytest.raises(NumericError, match=match):
+            st._verify()
+
+
 class TestCertificateRetry:
     """A certificate that fails after pivoting is retried once from a refactored inverse."""
 
