@@ -100,7 +100,7 @@ def _fits(name, capacity, n) -> bool:
     return n <= limit
 
 
-def _verify_graph(instance: BmpInstance, name: str) -> bool:
+def _verify_graph(instance: BmpInstance, path: Path) -> bool:
     """The checks of a max-cut instance, whose objective is its cut polynomial."""
     ok = True
     f, n = instance.objective, instance.n
@@ -110,7 +110,7 @@ def _verify_graph(instance: BmpInstance, name: str) -> bool:
         gap = envelope_eval(f, cube_points(n)).value - cube_table(f)
         worst = float(np.max(np.abs(gap)))
         ok &= _check("extension_identity", worst <= 1e-9, f"max |F(x)-f(x)| = {worst:.3g}")
-    ok &= _verify_bound(instance, name)
+    ok &= _verify_optimum(instance, path)
     return ok
 
 
@@ -125,7 +125,7 @@ def _residual(ss, func: MultilinearFunction) -> MultilinearFunction:
     return MultilinearFunction(func.n, ss.f1.terms + negated)
 
 
-def _verify_poly(instance: BmpInstance, name: str) -> bool:
+def _verify_poly(instance: BmpInstance, path: Path) -> bool:
     ok = True
     funcs = [("objective", instance.objective)]
     funcs += [(f"constraint{i + 1}", c) for i, c in enumerate(instance.constraints)]
@@ -135,27 +135,39 @@ def _verify_poly(instance: BmpInstance, name: str) -> bool:
         worst = max((abs(a) for a, _ in _residual(ss, func).terms), default=0.0)
         ok &= _check(f"{label}_decomposition_identity", worst == 0.0,
                      f"largest leftover coefficient {worst:.3g}")
-    ok &= _verify_bound(instance, name)
+    ok &= _verify_optimum(instance, path)
     return ok
 
 
-def _verify_bound(instance: BmpInstance, name: str) -> bool:
-    """``root``'s own guard, with no cut round: the brute-force optimum must not exceed d1."""
-    if not _fits("bound_dominates_optimum", "brute force", instance.n):
+def _verify_optimum(instance: BmpInstance, path: Path) -> bool:
+    """Checks against the brute-force optimum p: ``root``'s own guard with no cut round, then the sidecar.
+
+    The guard fails when p exceeds d1.  A ``.sol`` sidecar, when there is
+    one, must equal p within ``BOUND_TOL`` * (1 + |p|).
+    """
+    sidecar = harness.sidecar_primal(path)
+    names = ["bound_dominates_optimum"] + ([] if sidecar is None else ["sidecar_matches_optimum"])
+    if not all([_fits(name, "brute force", instance.n) for name in names]):  # a list: every SKIP prints
         return True
     best = harness.brute_force_primal(instance)
     try:
         report = harness.root_loop(*harness.build_model(instance), RunConfig(mode="none", rounds=0),
-                                   instance=name, primal=best)
+                                   instance=path.stem, primal=best)
     except ModelError as exc:  # the guard of root: p above d1
-        return _check("bound_dominates_optimum", False, str(exc))
-    return _check("bound_dominates_optimum", not report.failed, "LP failure")
+        ok = _check("bound_dominates_optimum", False, str(exc))
+    else:
+        ok = _check("bound_dominates_optimum", not report.failed, "LP failure")
+    if sidecar is not None:
+        ok &= _check("sidecar_matches_optimum", abs(sidecar - best) <= harness.BOUND_TOL * (1.0 + abs(best)),
+                     f"{path.with_suffix('.sol').name} holds {sidecar:.12g}, brute force gives {best:.12g}")
+    return ok
 
 
 def cmd_verify(args) -> int:
-    instance = harness.load_instance(args.instance)
-    verify = _verify_graph if Path(args.instance).suffix == ".mc" else _verify_poly
-    return 0 if verify(instance, Path(args.instance).stem) else 1
+    path = Path(args.instance)
+    instance = harness.load_instance(path)
+    verify = _verify_graph if path.suffix == ".mc" else _verify_poly
+    return 0 if verify(instance, path) else 1
 
 
 def cmd_gen(args) -> int:

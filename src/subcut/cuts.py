@@ -285,8 +285,8 @@ class CutValidator:
     ``y_cols`` supports, then any other support of the objective.  ``cube``
     holds their :class:`CubeBasis`, the objective's coefficients on them (so
     a_t * f folds into a cut's coefficient vector) and the mask of the points
-    that break a constraint or the cardinality.  Guarded by the brute-force
-    capacity before any table is built.
+    that break a constraint or the cardinality (None when the instance has
+    neither).  Guarded by the brute-force capacity before any table is built.
     """
 
     def __init__(self, lift, lower_t: float):
@@ -316,7 +316,8 @@ def validate_cut_bruteforce(cut: IntersectionCut, validator: CutValidator) -> Cu
     negative and lower_t when it is positive; the least residual over the cube is
     then the minimum of one multilinear polynomial, the cut's x and y
     coefficients (plus a_t * f) on the run's :class:`CutValidator` basis, with
-    infeasible points masked.
+    infeasible points skipped.  :meth:`CubeBasis.least` takes it block by block,
+    so the 2^n table is never held.
     """
     basis, objective, infeasible = validator.cube
     a_t = float(cut.coef[validator.lift.t_col])
@@ -324,8 +325,6 @@ def validate_cut_bruteforce(cut: IntersectionCut, validator: CutValidator) -> Cu
     coefs[: validator.cols.size] = cut.coef[validator.cols]
     if a_t < 0.0:
         coefs += a_t * objective
-    table = basis.table(coefs)
-    table[infeasible] = math.inf
-    mask = int(np.argmin(table))
+    least, mask = basis.least(coefs, infeasible)
     shift = a_t * validator.lower_t if a_t > 0.0 else 0.0
-    return CutCheck(float(table[mask]) + shift - cut.rhs, mask)
+    return CutCheck(least + shift - cut.rhs, mask)

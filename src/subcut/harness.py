@@ -25,9 +25,9 @@ from .cuts import CutValidator, gradient_cut, intersection_cut, validate_cut_bru
 from .errors import CAPACITY, ModelError, NumericError, check_capacity
 from .models import BmpInstance, build_model, project_corner
 from .oracles import (
+    CubeBasis,
     Graph,
     MultilinearFunction,
-    cube_table,
     cut_polynomial,
     read_graph,
     read_polynomial,
@@ -212,9 +212,10 @@ def _solve_lazy(model, deferred, pending, flip, warm=None):
 def root_loop(model, targets, lift, config: RunConfig, instance: str = "", primal=None) -> RootNodeReport:
     """Run up to config.rounds rounds of separation at the root node.
 
-    Stops early when the LP optimum is binary in x or a round produces no
-    cut.  The report is the loop's only record: built first, its bounds and
-    counts are updated as the rounds run.  The loop solves the lean
+    Stops early when the LP optimum is binary in x, a round has nothing to
+    separate (so mode none counts no round and builds no corner) or a round
+    produces no cut.  The report is the loop's only record: built first, its
+    bounds and counts are updated as the rounds run.  The loop solves the lean
     ``model`` that ``build_model`` returns, and after every solve appends
     the rows of ``lift.deferred`` its optimum violates and re-solves warm
     (``_solve_lazy``), so d1 and every round's bound are those of the full
@@ -253,11 +254,14 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
         if split is None:
             _check_binary_point(lift.instance, np.round(x_bar), p, instance)
             break  # vertex already binary in x; nothing to separate
-        report.rounds += 1
         s0 = time.perf_counter()
+        worklist = _candidates(config.mode, targets, x_bar, split)
+        if not worklist:
+            break  # mode none, or no target a set can cut: no corner is needed
+        report.rounds += 1
         corner = project_corner(simplex.corner(sol), lift)
         batch = []
-        for route, payload in _candidates(config.mode, targets, x_bar, split):
+        for route, payload in worklist:
             if len(batch) >= config.max_cuts_per_round:
                 break
             if route == "grad":
@@ -363,19 +367,21 @@ def write_report_csv(reports, path) -> None:
 
 
 def brute_force_primal(instance: BmpInstance) -> float:
-    """Exact optimum over {0,1}^n: the max of the objective's cube_table, infeasible points masked.
+    """Exact optimum over {0,1}^n: minus the least value of -f over the feasible points.
 
-    Holds that 8 MB table (n = 20) and one constraint table at a time; exact for
-    the integer coefficients every generator makes, else up to rounding. Guarded.
+    The least value is :meth:`CubeBasis.least`'s, by blocks of the cube, so no
+    2^n table of f is held; the infeasible mask is built only for an instance
+    with constraints or a cardinality.  Exact for the integer coefficients
+    every generator makes, else up to rounding. Guarded.
     """
     if not isinstance(instance, BmpInstance):
         raise ModelError(f"no brute force for {type(instance).__name__}")
-    values = cube_table(instance.objective)
-    values[instance.infeasible()] = -math.inf
-    best = float(values.max())
-    if best == -math.inf:
+    f = instance.objective
+    basis = CubeBasis(f.n, [s for _, s in f.terms])
+    least, _ = basis.least(np.array([-a for a, _ in f.terms]), instance.infeasible())
+    if least == math.inf:
         raise ModelError("no feasible binary point")
-    return best
+    return 0.0 - least  # +0.0, not -0.0, when the optimum is 0
 
 
 def sidecar_primal(instance_path):

@@ -60,9 +60,14 @@ class BmpInstance:
     def n(self) -> int:
         return self.objective.n
 
-    def infeasible(self) -> np.ndarray:
-        """The points that break a constraint or the cardinality: a (2^n,) mask, by bitmask. Guarded."""
+    def infeasible(self):
+        """The points that break a constraint or the cardinality: a (2^n,) mask, by bitmask. Guarded.
+
+        None when the instance has neither, so no point is excluded.
+        """
         check_capacity("brute force", self.n)
+        if not self.constraints and self.cardinality is None:
+            return None
         out = np.zeros(1 << self.n, dtype=bool)
         for c in self.constraints:
             out |= cube_table(c) < 0.0
@@ -76,15 +81,32 @@ def linearize_term(support, y_col: int, x_cols, ncols: int):
 
     One row y <= x_j per member, plus y >= sum x_j - |support| + 1.
     """
-    support = sorted(int(j) for j in support)
-    k = len(support)
+    x = [int(x_cols[j]) for j in sorted(support)]
+    k = len(x)
     if k < 2:
-        raise ValueError(f"degree-1 terms use x directly; got support {support}")
-    rows = np.zeros((k + 1, ncols))
-    rows[:, y_col] = 1.0
-    for i, j in enumerate(support):
-        rows[i, x_cols[j]] = rows[k, x_cols[j]] = -1.0
-    return rows, ["<="] * k + [">="], np.array([0.0] * k + [1.0 - k])
+        raise ValueError(f"degree-1 terms use x directly; got support {sorted(support)}")
+    rows, senses, rhs = np.zeros((k + 1, ncols)), [None] * (k + 1), np.zeros(k + 1)
+    _write_products(rows, senses, rhs, [(x, y_col, range(k), k)])
+    return rows, senses, rhs
+
+
+def _write_products(rows, senses, rhs, products):
+    """Write the rows of :func:`linearize_term` for each product, in place.
+
+    ``products`` holds (x, y, upper, lower): row upper[j] becomes y - x_j <= 0
+    and row ``lower`` y - sum_j x_j >= 1 - k, with x the k x columns of the
+    product and y its column.  Every other entry of those rows must be 0 already.
+    """
+    r, c, v = [], [], []
+    for x, y, upper, lower in products:
+        k = len(x)
+        r += [*upper, lower, *upper] + [lower] * k
+        c += [y] * (k + 1) + x + x
+        v += [1.0] * (k + 1) + [-1.0] * (2 * k)
+        for i in upper:
+            senses[i] = "<="
+        senses[lower], rhs[lower] = ">=", 1.0 - k
+    rows[r, c] = v
 
 
 def build_model(instance: BmpInstance):
@@ -123,10 +145,9 @@ def _lifted_lp(instance: BmpInstance):
     """
     n = instance.n
     all_funcs = [instance.objective] + list(instance.constraints)
-    supports = sorted(
-        {s for f in all_funcs for _, s in f.terms if len(s) >= 2},
-        key=lambda s: (len(s), sorted(s)),
-    )
+    unique = {s for f in all_funcs for _, s in f.terms if len(s) >= 2}
+    keyed = sorted((len(s), sorted(s), s) for s in unique)  # by size, then members; no two tie
+    supports = [s for _, _, s in keyed]
     ncols = n + len(supports) + 1
     x_cols = np.arange(n)
     t_col = ncols - 1
@@ -136,37 +157,43 @@ def _lifted_lp(instance: BmpInstance):
     weight = {s: a for a, s in instance.objective.terms}
     for c in instance.constraints:
         weight.update((s, 0.0) for _, s in c.terms)
-    lean, deferred = [], []  # (row, sense, rhs) of each block, in build order
-    for s in supports:
-        a = weight.get(s, 0.0)
-        rows = list(zip(*linearize_term(s, y_cols[s], x_cols, ncols)))
-        k = len(s)  # rows[:k] are the y <= x_j rows, rows[k] the >= row
+    weights = [weight.get(s, 0.0) for s in supports]
+    n_deferred = sum(len(s) if a < 0.0 else 1 if a > 0.0 else 0 for s, a in zip(supports, weights))
+    n_lean = sum(len(s) + 1 for s in supports) - n_deferred
+    n_lean += 1 + len(instance.constraints) + (instance.cardinality is not None)
+
+    # one block for both LPs: the lean rows, then the deferred ones, each in build order
+    rows = np.zeros((n_lean + n_deferred, ncols))
+    senses, rhs = [None] * rows.shape[0], np.zeros(rows.shape[0])
+    products, i, d = [], 0, n_lean  # (x, y, upper, lower) and the next lean and deferred row
+    for (k, x, s), a in zip(keyed, weights):
+        y = y_cols[s]  # and x_cols is the identity, so x holds the x columns
         if a < 0.0:  # pushed down: its y <= x_j rows never bind
-            deferred += rows[:k]
-            lean.append(rows[k])
+            products.append((x, y, range(d, d + k), i))
+            i, d = i + 1, d + k
         elif a > 0.0:  # pushed up: its >= row never binds
-            lean += rows[:k]
-            deferred.append(rows[k])
+            products.append((x, y, range(i, i + k), d))
+            i, d = i + k, d + 1
         else:
-            lean += rows
+            products.append((x, y, range(i, i + k), i + k))
+            i += k + 1
+    _write_products(rows, senses, rhs, products)
 
-    def term_row(func, sign):
+    def term_row(func, sign, sense):
         # sign -1 moves the terms to the left of "t <= f", +1 keeps "f >= 0"
-        row = np.zeros(ncols)
+        nonlocal i
         for a, s in func.terms:
-            col = x_cols[next(iter(s))] if len(s) == 1 else y_cols[s]
-            row[col] += sign * a
-        return row
+            rows[i, next(iter(s)) if len(s) == 1 else y_cols[s]] = sign * a
+        senses[i] = sense
+        i += 1
 
-    obj_row = term_row(instance.objective, -1.0)
-    obj_row[t_col] = 1.0
-
-    lean.append((obj_row, "<=", 0.0))
-    lean += [(term_row(func, 1.0), ">=", 0.0) for func in instance.constraints]
+    rows[i, t_col] = 1.0
+    term_row(instance.objective, -1.0, "<=")
+    for func in instance.constraints:
+        term_row(func, 1.0, ">=")
     if instance.cardinality is not None:
-        card = np.zeros(ncols)
-        card[x_cols] = 1.0
-        lean.append((card, "=", float(instance.cardinality)))
+        rows[i, x_cols] = 1.0
+        senses[i], rhs[i] = "=", float(instance.cardinality)
 
     coefs = [a for a, _ in instance.objective.terms]
     lower = np.zeros(ncols)
@@ -178,10 +205,10 @@ def _lifted_lp(instance: BmpInstance):
     objective[t_col] = 1.0
 
     def lp(block):
-        rows, senses, rhs = zip(*block) if block else ((), (), ())
-        return LpModel("max", objective, np.array(rows), list(senses), np.array(rhs), lower, upper)
+        return LpModel("max", objective, rows[block], senses[block], rhs[block], lower, upper)
 
-    return lp(lean), LiftMap(n, x_cols, t_col, y_cols, ncols, instance, lp(deferred))
+    lift = LiftMap(n, x_cols, t_col, y_cols, ncols, instance, lp(slice(n_lean, None)))
+    return lp(slice(n_lean)), lift
 
 
 def project_corner(corner: CornerPolyhedron, lift: LiftMap) -> CornerPolyhedron:

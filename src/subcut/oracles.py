@@ -4,10 +4,11 @@ A :class:`MultilinearFunction` is the value oracle the cut machinery
 works with: it gives values at points, along prefix chains and on the
 whole cube.  Every table over the cube is one flat (2^n,) vector whose
 entry m is the value at x_i = bit i of m; only :class:`CubeBasis`
-computes it in two halves.  Graph cut functions are the degree-2 case
-(:func:`cut_polynomial`), and :func:`ss_decompose` leaves them whole as
-the submodular part.  Supports are nonempty, so every function is 0 at
-the origin.
+computes it in two halves, and its ``least`` gives the least entry by
+blocks of the cube without holding the table.  Graph cut functions are
+the degree-2 case (:func:`cut_polynomial`), and :func:`ss_decompose`
+leaves them whole as the submodular part.  Supports are nonempty, so
+every function is 0 at the origin.
 
 Also holds the two instance file formats: a weighted edge list for graphs
 and a term list for multilinear polynomials.  :class:`Graph` exists only
@@ -24,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, check_capacity
+
+LEAST_BLOCK = 1 << 15  # table entries per block of CubeBasis.least
 
 
 # ---------------------------------------------------------------------------
@@ -58,17 +61,19 @@ class Graph:
 def cut_polynomial(graph: Graph) -> MultilinearFunction:
     """The cut function of a nonnegatively weighted graph as a multilinear polynomial.
 
-    Terms w x_i, w x_j and -2w x_i x_j per edge, in edge order, so each
-    degree-1 coefficient is its vertex's weighted degree summed in edge
-    order.  Edges of weight 0 leave no term; a negative weight raises
-    ModelError, since the cut function is submodular only for w >= 0.
+    The sum over edges of w x_i + w x_j - 2w x_i x_j: each degree-1
+    coefficient is its vertex's weighted degree summed in edge order.
+    Edges of weight 0 leave no term; a negative weight raises ModelError,
+    since the cut function is submodular only for w >= 0.
     """
-    terms = []
+    degree, pairs = [0.0] * graph.n, []
     for i, j, w in graph.edges:
         if w < 0:
             raise ModelError(f"negative cut weight {w} on edge ({i},{j})")
-        terms += [(w, {i}), (w, {j}), (-2.0 * w, {i, j})]
-    return MultilinearFunction(graph.n, terms)
+        degree[i] += w
+        degree[j] += w
+        pairs.append((-2.0 * w, (i, j)))
+    return MultilinearFunction(graph.n, [(d, (v,)) for v, d in enumerate(degree)] + pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +84,13 @@ class MultilinearFunction:
     """Multilinear polynomial f(x) = sum_k a_k prod_{j in A_k} x_j on {0,1}^n.
 
     Supports are nonempty subsets of {0..n-1}; duplicates are merged by
-    summing coefficients, and exact zero coefficients are dropped.  With
-    nonempty supports f(0) = 0, so no constant term can hide here.  A
-    polynomial need not be submodular; :func:`submodular_by_sign` can
-    certify that it is.  Chain and cube values are sums of coefficients,
-    so they are exact whenever the coefficients are integers.
+    summing coefficients, and exact zero coefficients are dropped.  A
+    frozenset support is kept as given, so its members must be ints; any
+    other support is converted with ``int``.  With nonempty supports
+    f(0) = 0, so no constant term can hide here.  A polynomial need not be
+    submodular; :func:`submodular_by_sign` can certify that it is.  Chain
+    and cube values are sums of coefficients, so they are exact whenever
+    the coefficients are integers.
     """
 
     def __init__(self, n: int, terms):
@@ -92,17 +99,16 @@ class MultilinearFunction:
         self.n = int(n)
         merged = {}
         for coef, support in terms:
-            support = frozenset(int(j) for j in support)
-            if not support:
-                raise ModelError("constant terms (empty supports) are not allowed")
-            if any(j < 0 or j >= n for j in support):
-                raise ModelError(f"support {sorted(support)} outside variable range 0..{n - 1}")
+            if type(support) is not frozenset:
+                support = frozenset(map(int, support))
             merged[support] = merged.get(support, 0.0) + float(coef)
-        self.terms = [
-            (a, s)
-            for s, a in sorted(merged.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-            if a != 0.0
-        ]
+        order = {s: (len(s), sorted(s)) for s in merged}  # by degree, then by sorted members
+        for size, members in order.values():
+            if not size:
+                raise ModelError("constant terms (empty supports) are not allowed")
+            if members[0] < 0 or members[-1] >= n:
+                raise ModelError(f"support {members} outside variable range 0..{n - 1}")
+        self.terms = [(merged[s], s) for s in sorted(merged, key=order.__getitem__) if merged[s] != 0.0]
 
     @property
     def degree(self) -> int:
@@ -173,27 +179,54 @@ class CubeBasis:
     """Monomials over ``supports`` on {0,1}^n, split in halves for one product per table. Guarded.
 
     The split is this class's own: with a = n // 2, the monomial of support S at
-    bitmask iA | (iB << a) is [S & A within iA] * [S & B within iB].  The basis
-    keeps each support's A-half indicator (2^a entries), its group among the
-    distinct B halves (in order of first appearance) and each group's B-half
-    indicator (2^b entries), so that ``table(coefs)`` is one product V @ U.T, V
-    the groups' B indicators and U summing the coefficients' A indicators group
-    by group.
+    bitmask iA | (iB << a) is [S & A within iA] * [S & B within iB].  A table is
+    one product V @ U, V (2^b, c) over the B halves and U (c, 2^a) over the A
+    halves.  Supports wholly in A sum to one row fA of U (V is 1 there),
+    supports wholly in B to one column fB of V (U is 1 there), and every other
+    support joins the group of its B half (in order of first appearance), whose
+    column in V is that B half's indicator and whose row in U sums its members'
+    A indicators.  So c = 2 + (distinct B halves of the mixed supports); U
+    is built from one indicator row per distinct A half.  The basis keeps V,
+    U and the block of :meth:`least` and rewrites them on every call, so it
+    serves one caller at a time.
     """
 
     def __init__(self, n: int, supports):
         check_capacity("brute force", n)
         a = n // 2
+        low = (1 << a) - 1
         masks = [sum(1 << j for j in s) for s in supports]
-        groups = {}  # B half -> group, in order of first appearance
-        member = [groups.setdefault(m >> a, len(groups)) for m in masks]
-        m_a = np.array([m & ((1 << a) - 1) for m in masks], dtype=int)
-        m_b = np.array(list(groups), dtype=int)
-        rows, cols = np.arange(1 << a), np.arange(1 << (n - a))
-        self.a_ind = ((rows[:, None] & m_a) == m_a).astype(float)
-        self.onehot = np.zeros((len(masks), len(groups)))
-        self.onehot[np.arange(len(masks)), member] = 1.0
-        self.b_ind = ((cols[:, None] & m_b) == m_b).astype(float)
+        mixed = [k for k, m in enumerate(masks) if m & low]  # the supports with an A part
+        # the coefficients are read in this order: those supports, then the B-only ones
+        self.order = np.array(mixed + [k for k, m in enumerate(masks) if not m & low], dtype=int)
+        # B halves (group 0 holds the A-only supports) and A halves, in order of first appearance
+        groups, parts = {0: 0}, {}
+        member = [groups.setdefault(masks[k] >> a, len(groups)) for k in mixed]
+        part = [parts.setdefault(masks[k] & low, len(parts)) for k in mixed]
+        g = len(groups)
+        # each mixed support's cell in the (A halves, groups) grid its coefficient spreads to
+        self.slot = np.array([p * g + q for p, q in zip(part, member)], dtype=int)
+        self.grid = (len(parts), g)
+        # half masks have at most n - a bits, so int32 holds them and halves the int64 work
+        rows, cols = np.arange(1 << a, dtype=np.int32), np.arange(1 << (n - a), dtype=np.int32)[:, None]
+        m_a = np.array(list(parts), dtype=np.int32)[:, None]
+        m_b = np.array(list(groups) + [m >> a for m in masks if not m & low], dtype=np.int32)
+        self.a_ind = ((m_a & rows) == m_a).astype(float)
+        b_ind = (cols & m_b) == m_b  # the groups' B indicators, then the B-only supports'
+        self.h_ind = b_ind[:, g:].astype(float)
+        # V and U with their fixed parts: the group indicators and the row of ones
+        self.v, self.u = np.empty((cols.size, g + 1)), np.ones((g + 1, rows.size))
+        self.v[:, :g] = b_ind[:, :g]
+        self.block = np.empty((min(cols.size, max(1, LEAST_BLOCK // rows.size)), rows.size))
+
+    def _halves(self, coefs):
+        """(V, U) of ``coefs``, V @ U its table as a (2^b, 2^a) block: the basis's own, rewritten by the next call."""
+        (parts, g), k = self.grid, self.slot.size
+        coefs = coefs[self.order]
+        spread = np.bincount(self.slot, coefs[:k], parts * g).reshape(self.grid)
+        np.matmul(self.h_ind, coefs[k:], out=self.v[:, g])
+        np.matmul(spread.T, self.a_ind, out=self.u[:g])
+        return self.v, self.u
 
     def table(self, coefs) -> np.ndarray:
         """sum_k coefs[k] * monomial_k on {0,1}^n as a flat (2^n,) vector.
@@ -202,7 +235,30 @@ class CubeBasis:
         coefficients.  The (2^b, 2^a) product is C-ordered, so its ravel is
         that order and makes no copy.
         """
-        return (self.b_ind @ (self.a_ind @ (self.onehot * coefs[:, None])).T).ravel()
+        v, u = self._halves(coefs)
+        return (v @ u).ravel()
+
+    def least(self, coefs, excluded=None):
+        """(least entry, its first bitmask) of ``table(coefs)``, skipping the ``excluded`` bitmasks.
+
+        Reduces V @ U by blocks of V rows, in bitmask order, into one buffer, so
+        the full table is never held and ties go to the least bitmask.
+        ``excluded`` is a (2^n,) mask or None; (inf, 0) when every entry is
+        excluded.  The block rows are a power of 2, so the blocks tile V.
+        """
+        v, u = self._halves(coefs)
+        block = self.block
+        step, width = block.shape
+        flat = block.reshape(-1)
+        best, where = math.inf, 0
+        for r in range(0, v.shape[0], step):
+            np.matmul(v[r : r + step], u, out=block)
+            if excluded is not None:
+                flat[excluded[r * width : (r + step) * width]] = math.inf
+            k = int(flat.argmin())
+            if flat[k] < best:
+                best, where = float(flat[k]), r * width + k
+        return best, where
 
 
 def cube_table(poly: MultilinearFunction) -> np.ndarray:
@@ -260,10 +316,12 @@ def ss_decompose(poly: MultilinearFunction, level: int = 1) -> SSFunction:
     does not change the reverse-linearized set: adding it to both parts
     moves f2's envelope subgradient gamma by l, and
     (F1 + l.x) - (gamma + l).x = F1 - gamma.x.  So a cut polynomial is
-    its own f1, with f2 empty.
+    its own f1 (the same object), with f2 empty.
     """
-    first = [(a, s) for a, s in poly.terms if a < 0 or len(s) == 1]
     second = [(-a, s) for a, s in poly.terms if a > 0 and len(s) >= 2]
+    if not second:  # every term is in f1, so f1 is the polynomial itself
+        return SSFunction(poly, MultilinearFunction(poly.n, []), level=level)
+    first = [(a, s) for a, s in poly.terms if a < 0 or len(s) == 1]
     return SSFunction(MultilinearFunction(poly.n, first), MultilinearFunction(poly.n, second), level=level)
 
 

@@ -498,14 +498,13 @@ def corner(solution: LpSolution) -> CornerPolyhedron:
         raise ValueError(f"corner extraction needs an optimal solution, got {solution.status}")
     st = solution._state
     n = st.nstruct
-    nb = np.flatnonzero(st.dirn)
-    k = nb.size
-    rows = np.arange(k)
+    nb = np.flatnonzero(st.dirn)  # ascending: the structural columns come first
+    k, ns = nb.size, int(np.searchsorted(nb, n))
     delta = st.dirn[nb]
-    struct = nb < n
-    sj = nb[struct]
+    sj, ds, li = nb[:ns], delta[:ns], nb[ns:] - n
+    bound_rays = np.arange(ns)
     directions = np.zeros((k, n))
-    directions[rows[struct], sj] = delta[struct]
+    directions[bound_rays, sj] = ds
     basic = np.flatnonzero(st.basis < n)
     # one product over the whole gathered block: splitting it moves bits at gemm tile edges
     moves = -delta[:, None] * (st.Binv @ st._columns(nb)).T
@@ -514,12 +513,12 @@ def corner(solution: LpSolution) -> CornerPolyhedron:
     # eta = delta (z_j - bound) for a structural column, the row's slack
     # rhs - a.z for a <= row and its surplus a.z - rhs for a >= row
     eta_coef = np.zeros((k, n))
-    eta_off = np.zeros(k)
-    eta_coef[rows[struct], sj] = delta[struct]
-    eta_off[struct] = -delta[struct] * np.where(delta[struct] > 0.0, st.lo[sj], st.hi[sj])
-    i = nb[~struct] - n
-    eta_coef[~struct] = -st.sign[i][:, None] * st.model.rows[i]
-    eta_off[~struct] = st.sign[i] * st.model.rhs[i]
+    eta_off = np.empty(k)
+    eta_coef[bound_rays, sj] = ds
+    eta_off[:ns] = -ds * np.where(ds > 0.0, st.lo[sj], st.hi[sj])
+    sign = st.sign[li]
+    eta_coef[ns:] = -sign[:, None] * st.model.rows[li]
+    eta_off[ns:] = sign * st.model.rhs[li]
     return CornerPolyhedron(
         apex=solution.x.copy(),
         columns=nb,

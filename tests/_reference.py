@@ -17,7 +17,10 @@ explicit constraint matrix, and :class:`MaskedPivotSimplex` with its former
 per-solve set-up and pivot masks; :func:`envelope_block_put_along` and
 :func:`newton_steps_tiled` are the former block envelope and step search,
 and :func:`former_intersection_cut` and :func:`former_with_extra_rows` the
-former separation path and row append.
+former separation path and row append.  :func:`former_corner` is the former
+corner extraction by boolean masks, :func:`former_brute_force_primal` the max
+of the full cube table and :func:`former_lifted_lp` the lifted LP built row by
+row and stacked.
 :func:`values_on_cube` and :func:`is_submodular_bruteforce` are the
 former package cube table and vectorized 4^n lattice check, kept as the
 oracles of the sign certificate.  The chain-cover relaxations build on
@@ -765,3 +768,100 @@ def _in_corner_hull(corner, z, t_col, t_val):
     probe[t_col] = t_val
     recon = corner.apex + (corner.eta_coef @ probe + corner.eta_off) @ corner.directions
     return bool(np.max(np.abs(recon - probe)) <= 1e-6 * (1.0 + np.max(np.abs(probe))))
+
+
+def former_corner(solution):
+    """``simplex.corner`` as it was: the bound and row rays picked by boolean masks of the nonbasics."""
+    st = solution._state
+    n = st.nstruct
+    nb = np.flatnonzero(st.dirn)
+    k = nb.size
+    rows = np.arange(k)
+    delta = st.dirn[nb]
+    struct = nb < n
+    sj = nb[struct]
+    directions = np.zeros((k, n))
+    directions[rows[struct], sj] = delta[struct]
+    basic = np.flatnonzero(st.basis < n)
+    moves = -delta[:, None] * (st.Binv @ st._columns(nb)).T
+    directions[:, st.basis[basic]] = moves[:, basic]
+    eta_coef = np.zeros((k, n))
+    eta_off = np.zeros(k)
+    eta_coef[rows[struct], sj] = delta[struct]
+    eta_off[struct] = -delta[struct] * np.where(delta[struct] > 0.0, st.lo[sj], st.hi[sj])
+    i = nb[~struct] - n
+    eta_coef[~struct] = -st.sign[i][:, None] * st.model.rows[i]
+    eta_off[~struct] = st.sign[i] * st.model.rhs[i]
+    return simplex.CornerPolyhedron(apex=solution.x.copy(), columns=nb, directions=directions,
+                                    eta_coef=eta_coef, eta_off=eta_off)
+
+
+def former_brute_force_primal(instance):
+    """The former brute-force primal: the max of the objective's full cube table, infeasible entries at -inf."""
+    values = cube_table(instance.objective)
+    for c in instance.constraints:
+        values[cube_table(c) < 0.0] = -math.inf
+    if instance.cardinality is not None:
+        values[np.bitwise_count(np.arange(1 << instance.n)) != instance.cardinality] = -math.inf
+    return float(values.max())
+
+
+def former_lifted_lp(instance):
+    """The former lean and deferred lifted LPs: each product's rows as their own arrays, stacked at the end.
+
+    Returns (lean, deferred) LpModels, built row by row as the package built
+    them before it wrote both blocks in place.
+    """
+    n = instance.n
+    funcs = [instance.objective] + list(instance.constraints)
+    supports = {s for f in funcs for _, s in f.terms if len(s) >= 2}
+    supports = sorted(supports, key=lambda s: (len(s), sorted(s)))
+    ncols = n + len(supports) + 1
+    t_col = ncols - 1
+    y_cols = {s: n + i for i, s in enumerate(supports)}
+    weight = {s: a for a, s in instance.objective.terms}
+    for c in instance.constraints:
+        weight.update((s, 0.0) for _, s in c.terms)
+    lean, deferred = [], []
+    for s in supports:
+        k = len(s)
+        rows = np.zeros((k + 1, ncols))
+        rows[:, y_cols[s]] = 1.0
+        for i, j in enumerate(sorted(s)):
+            rows[i, j] = rows[k, j] = -1.0
+        block = list(zip(rows, ["<="] * k + [">="], [0.0] * k + [1.0 - k]))
+        a = weight.get(s, 0.0)
+        if a < 0.0:
+            deferred += block[:k]
+            lean.append(block[k])
+        elif a > 0.0:
+            lean += block[:k]
+            deferred.append(block[k])
+        else:
+            lean += block
+
+    def term_row(func, sign):
+        row = np.zeros(ncols)
+        for a, s in func.terms:
+            row[next(iter(s)) if len(s) == 1 else y_cols[s]] += sign * a
+        return row
+
+    obj_row = term_row(instance.objective, -1.0)
+    obj_row[t_col] = 1.0
+    lean.append((obj_row, "<=", 0.0))
+    lean += [(term_row(c, 1.0), ">=", 0.0) for c in instance.constraints]
+    if instance.cardinality is not None:
+        card = np.zeros(ncols)
+        card[:n] = 1.0
+        lean.append((card, "=", float(instance.cardinality)))
+    coefs = [a for a, _ in instance.objective.terms]
+    lower, upper, objective = np.zeros(ncols), np.ones(ncols), np.zeros(ncols)
+    lower[t_col] = sum(min(a, 0.0) for a in coefs)
+    upper[t_col] = sum(max(a, 0.0) for a in coefs)
+    objective[t_col] = 1.0
+
+    def lp(block):
+        rows, senses, rhs = zip(*block) if block else ((), (), ())
+        return simplex.LpModel("max", objective, np.array(rows), list(senses), np.array(rhs), lower, upper)
+
+    return lp(lean), lp(deferred)

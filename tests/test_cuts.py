@@ -835,9 +835,11 @@ class TestValidateCut:
         n = 21
         tables = []
         monkeypatch.setattr(models, "cube_table", lambda poly: tables.append(poly) or oracles.cube_table(poly))
-        table = oracles.CubeBasis.table
+        table, least = oracles.CubeBasis.table, oracles.CubeBasis.least
         monkeypatch.setattr(oracles.CubeBasis, "table",
                             lambda self, coefs: tables.append(coefs) or table(self, coefs))
+        monkeypatch.setattr(oracles.CubeBasis, "least",
+                            lambda self, coefs, excluded=None: tables.append(coefs) or least(self, coefs, excluded))
         poly = MultilinearFunction(n, [(1.0, {0})])
         lift = plain_lift(n, BmpInstance(poly, constraints=[poly]))
         cut = IntersectionCut(coef=np.zeros(n + 1), rhs=0.0, kind="env", efficacy=1.0)

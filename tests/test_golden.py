@@ -11,8 +11,15 @@ at one thread, so the test does not depend on the machine's cores; another
 OpenBLAS build could still move bits, so a failure prints the numpy and
 BLAS configuration.  The dense and multilinear workloads do depend on the
 thread count and are not checked here.
+
+The inputs of all three seed-1 workloads are pinned too, by the input
+fingerprint ``perfbench/bench.py`` prints: each instance file and its
+``.sol`` sidecar hashed with their names, then the hashes of a workload's
+instances hashed in order.  A change to a generator, a file writer or a
+brute-force optimum moves it.
 """
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -58,3 +65,26 @@ def test_seed1_maxcut_sparse_runs_match_the_baseline(tmp_path, baseline):
                 if getattr(report, key) != want[key]:
                     moved.append((path.stem, mode, key, want[key], getattr(report, key)))
     assert not moved, f"runs moved from {BASELINE.name}: {moved}\n{blas_config()}"
+
+
+# (kind, n, density, max_lag, instances) of each workload, as perfbench/bench.py defines them
+WORKLOADS = {
+    "maxcut-dense": (("g05", 20, 0.5, 3, 8), "ef6e3b21a14cb412cb1aa56c7fc3497f8e9fbbbe456936a59894f9a7eb2a900b"),
+    "maxcut-sparse": (("g05", 20, 0.15, 3, 30), "78a2b7b6f8c4348b2b172e97253b9e2a18411e33cf0b9bc7ad41b122eff839d8"),
+    "mubo-validated": (("autocorr", 12, 0.2, 2, 48),
+                       "585474000abb5d8400f7900fd37fec587dacd2798ef8648134c7294385ea6d49"),
+}
+
+
+@pytest.mark.parametrize("workload", list(WORKLOADS))
+def test_seed1_input_fingerprints(tmp_path, workload):
+    (kind, n, density, max_lag, count), want = WORKLOADS[workload]
+    digests = []
+    for i in range(count):
+        [path] = harness.generate_instances(kind, n, count=1, seed=1000 + i, out_dir=tmp_path,
+                                            density=density, max_lag=max_lag)
+        digest = hashlib.sha256()
+        for f in (path, path.with_suffix(".sol")):
+            digest.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
+        digests.append(digest.hexdigest())
+    assert hashlib.sha256("".join(digests).encode()).hexdigest() == want

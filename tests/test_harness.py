@@ -391,6 +391,39 @@ class TestBruteForceDifferential:
         assert brute_force_primal(problem) == want
 
 
+class TestBruteForceFullTable:
+    """The blockwise primal against the max of the full cube table it replaced, exactly."""
+
+    @staticmethod
+    def random_poly(rng, n, count, high=9):
+        terms = []
+        for _ in range(count):
+            size = int(rng.integers(1, min(n, 4) + 1))
+            terms.append((float(rng.integers(-high, high + 1)), rng.choice(n, size=size, replace=False).tolist()))
+        return MultilinearFunction(n, terms)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 12, 16, 19, 20])
+    @pytest.mark.parametrize("constrained, cardinal", [(False, False), (True, False), (False, True), (True, True)],
+                             ids=["free", "constraint", "cardinality", "both"])
+    def test_same_optimum_as_the_full_table(self, n, constrained, cardinal):
+        rng = np.random.default_rng(1000 * n + 2 * constrained + cardinal)
+        objective = self.random_poly(rng, n, 3 * n)
+        constraints = [self.random_poly(rng, n, n, high=3)] if constrained else []
+        inst = BmpInstance(objective, constraints, int(rng.integers(0, n + 1)) if cardinal else None)
+        want = ref.former_brute_force_primal(inst)
+        if want == -math.inf:
+            with pytest.raises(ModelError, match="no feasible binary point"):
+                brute_force_primal(inst)
+        else:
+            got = brute_force_primal(inst)
+            assert got == want and f"{got:.12g}" == f"{want:.12g}"  # the .sol text, so no -0
+
+    def test_zero_optimum_is_positive_zero(self):
+        # every point is at most 0, so the optimum is the origin's 0, written "0" and not "-0"
+        value = brute_force_primal(BmpInstance(MultilinearFunction(4, [(-1.0, {j}) for j in range(4)])))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 class TestRootLoop:
     def test_none_mode_closes_nothing(self):
         model, targets, lift = k3_setup()
@@ -554,6 +587,19 @@ class TestRootLoop:
         assert rep.d1 == pytest.approx(3.0, abs=1e-9)
         assert rep.d2 == rep.d1
         assert rep.closed == 0.0
+
+    def test_none_builds_no_corner_and_counts_no_round(self, monkeypatch):
+        model, targets, lift = k3_setup()
+        corners = []
+        corner = simplex.corner
+        monkeypatch.setattr(simplex, "corner", lambda sol: corners.append(sol) or corner(sol))
+        rep = root_loop(model, targets, lift, RunConfig(mode="none"), primal=2.0)
+        assert corners == []
+        assert rep.rounds == 0 and rep.cuts == 0 and rep.skipped == 0 and rep.sep_time_ms == 0.0
+        assert rep.d1 == pytest.approx(3.0, abs=1e-9) and rep.d2 == rep.d1 and rep.closed == 0.0
+        # the other modes still build one corner per round
+        rep = root_loop(model, targets, lift, RunConfig(mode="split", rounds=1), primal=2.0)
+        assert len(corners) == rep.rounds == 1
 
     @pytest.mark.parametrize("split_emits, separated, skipped", [
         (False, ["split", "env"], 1),  # a declined candidate does not use up the cap
@@ -761,15 +807,16 @@ class TestCli:
             "PASS objective_parts_submodular",
             "PASS objective_decomposition_identity",
             "PASS bound_dominates_optimum",
+            "PASS sidecar_matches_optimum",
         ]
 
     @pytest.mark.parametrize("kind, n, density, lines", [
-        ("pw", 12, None, ["PASS normalized(f(0)=0)", "PASS submodular",
-                          "PASS extension_identity", "PASS bound_dominates_optimum"]),
-        ("g05", 16, None, ["PASS normalized(f(0)=0)", "PASS submodular",
-                           "SKIP extension_identity (n > 14)", "PASS bound_dominates_optimum"]),
-        ("autocorr", 14, 0.3, ["PASS objective_parts_submodular",
-                               "PASS objective_decomposition_identity", "PASS bound_dominates_optimum"]),
+        ("pw", 12, None, ["PASS normalized(f(0)=0)", "PASS submodular", "PASS extension_identity",
+                          "PASS bound_dominates_optimum", "PASS sidecar_matches_optimum"]),
+        ("g05", 16, None, ["PASS normalized(f(0)=0)", "PASS submodular", "SKIP extension_identity (n > 14)",
+                           "PASS bound_dominates_optimum", "PASS sidecar_matches_optimum"]),
+        ("autocorr", 14, 0.3, ["PASS objective_parts_submodular", "PASS objective_decomposition_identity",
+                               "PASS bound_dominates_optimum", "PASS sidecar_matches_optimum"]),
         ("autocorr", 21, 0.3, ["PASS objective_parts_submodular",
                                "PASS objective_decomposition_identity", "SKIP bound_dominates_optimum (n > 20)"]),
     ], ids=["pw-n12", "g05-n16", "autocorr-n14", "autocorr-n21"])
@@ -779,6 +826,33 @@ class TestCli:
         rc = cli.main(["verify", str(path)])
         assert rc == 0
         assert capsys.readouterr().out.splitlines() == lines
+
+    @pytest.mark.parametrize("sol, rc, line", [
+        ("12\n", 0, "PASS sidecar_matches_optimum"),
+        ("5\n", 1, "FAIL sidecar_matches_optimum g05_n8_s3.sol holds 5, brute force gives 12"),
+        (None, 0, "PASS bound_dominates_optimum"),
+    ], ids=["right", "wrong", "missing"])
+    def test_verify_checks_the_sidecar(self, tmp_path, capsys, sol, rc, line):
+        # g05 n=8 of seed 3 has optimum 12; a wrong .sol would make root report a wrong closed gap
+        (path,) = generate_instances("g05", 8, seed=3, out_dir=tmp_path)
+        assert path.with_suffix(".sol").read_text() == "12\n"
+        if sol is None:
+            path.with_suffix(".sol").unlink()
+        else:
+            path.with_suffix(".sol").write_text(sol)
+        capsys.readouterr()
+        assert cli.main(["verify", str(path)]) == rc
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == line
+        assert ("sidecar_matches_optimum" in "".join(out)) == (sol is not None)
+
+    def test_verify_skips_the_sidecar_past_brute_force(self, tmp_path, capsys):
+        (path,) = generate_instances("autocorr", 21, seed=1, out_dir=tmp_path, density=0.3)
+        path.with_suffix(".sol").write_text("5\n")
+        capsys.readouterr()
+        assert cli.main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "SKIP bound_dominates_optimum (n > 20)", "SKIP sidecar_matches_optimum (n > 20)"]
 
     def test_verify_fails_the_bound_on_an_lp_failure(self, tmp_path, capsys, monkeypatch):
         path = self.write_k3(tmp_path)

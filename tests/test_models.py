@@ -7,9 +7,11 @@ import pytest
 import _reference as ref
 from subcut.cuts import intersection_cut
 from subcut.errors import ModelError
+from subcut.harness import autocorr_polynomial, pw_graph
 from subcut.models import (
     BmpInstance,
     LiftMap,
+    _lifted_lp,
     build_model,
     linearize_term,
     project_corner,
@@ -298,6 +300,49 @@ class TestDeferredRows:
         # the constraint's support defers none of its rows; the others defer as without it
         want = [] if support == {0, 1} else [self.lower_row(lift, {0, 1})]
         assert self.block(lift) == want + [self.upper_row(lift, {0, 1, 2}, j) for j in range(3)]
+
+
+class TestFormerRowByRowBuild:
+    """The lean and deferred blocks, written in place, hold the bytes of the former row-by-row build."""
+
+    @staticmethod
+    def assert_same_lp(got, want):
+        assert got.row_senses == want.row_senses
+        for name in ("rows", "rhs", "objective", "lower", "upper"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    @staticmethod
+    def random_poly(rng, n, count):
+        terms = []
+        for _ in range(count):
+            size = int(rng.integers(1, min(n, 4) + 1))
+            terms.append((float(rng.integers(-4, 5)), rng.choice(n, size=size, replace=False).tolist()))
+        return MultilinearFunction(n, terms)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_constrained_instances(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 10))
+        constraints = [self.random_poly(rng, n, int(rng.integers(1, 6))) for _ in range(seed % 3)]
+        cardinality = int(rng.integers(0, n + 1)) if seed % 2 else None
+        instance = BmpInstance(self.random_poly(rng, n, 3 * n), constraints, cardinality)
+        model, lift = _lifted_lp(instance)
+        lean, deferred = ref.former_lifted_lp(instance)
+        self.assert_same_lp(model, lean)
+        self.assert_same_lp(lift.deferred, deferred)
+
+    @pytest.mark.parametrize("instance", [
+        lambda: BmpInstance(cut_polynomial(pw_graph(20, 0.5, seed=1000, max_weight=1))),
+        lambda: BmpInstance(autocorr_polynomial(12, 2, 0.2, seed=1000)),
+        lambda: BmpInstance(cut_polynomial(Graph(4, []))),
+    ], ids=["g05-n20", "autocorr-n12", "edgeless"])
+    def test_benchmark_instances(self, instance):
+        instance = instance()
+        model, lift = _lifted_lp(instance)
+        lean, deferred = ref.former_lifted_lp(instance)
+        self.assert_same_lp(model, lean)
+        self.assert_same_lp(lift.deferred, deferred)
 
 
 class TestInfeasible:

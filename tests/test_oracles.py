@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from subcut import cli
 from subcut.errors import CapacityError, ModelError
 from subcut.harness import autocorr_polynomial, pw_graph
 from subcut.oracles import (
+    CubeBasis,
     Graph,
     MultilinearFunction,
     SSFunction,
@@ -211,6 +214,66 @@ class TestCubeTable:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             cube_table(MultilinearFunction(21, [(1.0, {0, 20})]))
+
+
+class TestCubeLeast:
+    """``CubeBasis.least`` against the first argmin of the full table, excluded entries at inf."""
+
+    @staticmethod
+    def first_argmin(table, excluded):
+        table = table.copy()
+        if excluded is not None:
+            table[excluded] = math.inf
+        k = int(np.argmin(table))
+        return float(table[k]), k
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 11, 14, 17, 20])
+    @pytest.mark.parametrize("exclude", [False, True])
+    def test_first_argmin_of_the_table(self, n, exclude):
+        # coefficients in {-1, 0, 1} leave many ties, across the row blocks too
+        rng = np.random.default_rng(n + 100 * exclude)
+        supports = {frozenset(rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False).tolist())
+                    for _ in range(2 * n)}
+        basis = CubeBasis(n, list(supports))
+        for _ in range(3):
+            coefs = rng.integers(-1, 2, size=len(supports)).astype(float)
+            excluded = rng.random(1 << n) < 0.3 if exclude else None
+            assert basis.least(coefs, excluded) == self.first_argmin(basis.table(coefs), excluded)
+
+    def test_fractional_coefficients(self):
+        rng = np.random.default_rng(4)
+        supports = [frozenset(rng.choice(12, size=3, replace=False).tolist()) for _ in range(20)]
+        basis = CubeBasis(12, supports)
+        coefs = rng.normal(size=len(supports))
+        least, mask = basis.least(coefs)
+        assert mask == int(np.argmin(basis.table(coefs)))
+        assert least == pytest.approx(float(basis.table(coefs).min()), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 20])
+    def test_all_tied_gives_the_least_bitmask(self, n):
+        basis = CubeBasis(n, [frozenset({0}), frozenset({0, n - 1})])
+        assert basis.least(np.zeros(2)) == (0.0, 0)
+        excluded = np.zeros(1 << n, dtype=bool)
+        excluded[:5] = True
+        assert basis.least(np.zeros(2), excluded) == (0.0, 5)
+        assert CubeBasis(n, []).least(np.zeros(0)) == (0.0, 0)
+
+    def test_every_entry_excluded(self):
+        basis = CubeBasis(6, [frozenset({1, 4})])
+        assert basis.least(np.array([-2.0]), np.ones(64, dtype=bool)) == (math.inf, 0)
+
+    def test_least_in_the_last_block(self):
+        # -x_19: the first bitmask with bit 19 set is the least one, in a later block of rows
+        basis = CubeBasis(20, [frozenset({19}), frozenset({0, 10})])
+        assert basis.least(np.array([-1.0, 0.5])) == (-1.0, 1 << 19)
+
+    @pytest.mark.parametrize("density, columns", [(0.5, 12), (0.15, 10)])
+    def test_folded_halves(self, density, columns):
+        # g05 n=20: 29 (dense) and 15 (sparse) product columns with a group per B half, fewer
+        # with each half's own supports folded into one column
+        poly = cut_polynomial(pw_graph(20, density, seed=1000, max_weight=1))
+        v, u = CubeBasis(20, [s for _, s in poly.terms])._halves(np.array([a for a, _ in poly.terms]))
+        assert v.shape == (1 << 10, columns) and u.shape == (columns, 1 << 10)
 
 
 class TestMultilinearFunction:

@@ -280,6 +280,27 @@ class TestModelValidation:
 
 
 class TestCorner:
+    @pytest.mark.parametrize("instance", [
+        lambda: BmpInstance(cut_polynomial(harness.pw_graph(20, 0.15, seed=1003, max_weight=1))),
+        lambda: BmpInstance(harness.autocorr_polynomial(12, max_lag=2, density=0.2, seed=1004)),
+    ], ids=["g05", "autocorr"])
+    def test_same_bytes_as_the_former_masks(self, monkeypatch, instance):
+        # every corner of a seeded loop, sliced by the sorted nonbasics against the former masks
+        corners = []
+
+        def both(sol):
+            cp, rp = corner(sol), ref.former_corner(sol)
+            for name in ("apex", "columns", "directions", "eta_coef", "eta_off"):
+                a, b = getattr(cp, name), getattr(rp, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            corners.append(cp)
+            return cp
+
+        monkeypatch.setattr(simplex, "corner", both)
+        report = harness.root_loop(*build_model(instance()), harness.RunConfig(mode="both"))
+        assert not report.failed and len(corners) == report.rounds >= 2
+        assert any(cp.columns[0] < cp.apex.size <= cp.columns[-1] for cp in corners)  # bound and row rays
+
     def test_tent_rays(self):
         model = tent_lp()
         sol = solve(model)
