@@ -15,7 +15,7 @@ from .envelope import envelope_eval
 from .errors import CAPACITY, CapacityError, ModelError
 from .harness import RunConfig
 from .models import BmpInstance
-from .oracles import MultilinearFunction, cube_points, cube_table, ss_decompose, submodular_by_sign
+from .oracles import READERS, MultilinearFunction, cube_points, cube_table, ss_decompose, submodular_by_sign
 
 
 def _add_root(sub):
@@ -184,9 +184,9 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     directory = Path(args.directory)
-    paths = sorted(directory.glob("*.mc")) + sorted(directory.glob("*.pol"))
+    paths = [path for suffix in READERS for path in sorted(directory.glob("*" + suffix))]
     if not paths:
-        print(f"no .mc or .pol instances under {directory}", file=sys.stderr)
+        print(f"no {' or '.join(READERS)} instances under {directory}", file=sys.stderr)
         return 1
     config, modes = RunConfig(), None
     if args.config:

@@ -25,12 +25,13 @@ from .cuts import CutValidator, gradient_cut, intersection_cut, validate_cut_bru
 from .errors import CAPACITY, ModelError, NumericError, check_capacity
 from .models import BmpInstance, build_model, project_corner
 from .oracles import (
+    READERS,
     CubeBasis,
     Graph,
     MultilinearFunction,
     cut_polynomial,
-    read_graph,
-    read_polynomial,
+    finite_number,
+    number_text,
     write_graph,
     write_polynomial,
 )
@@ -385,25 +386,11 @@ def brute_force_primal(instance: BmpInstance) -> float:
 
 
 def sidecar_primal(instance_path):
-    """Reference optimum from '<instance stem>.sol': first token is the value."""
+    """Reference optimum from '<instance stem>.sol': its first whitespace token, a finite number."""
     side = Path(instance_path).with_suffix(".sol")
     if not side.exists():
         return None
-    tokens = side.read_text().split()
-    if not tokens:
-        raise ModelError(f"empty solution file {side}")
-    return _finite_primal(tokens[0], side)
-
-
-def _finite_primal(value, source) -> float:
-    """``value`` as a float; anything that is not a finite number raises ModelError."""
-    try:
-        primal = float(value)
-    except ValueError:
-        primal = math.nan
-    if not math.isfinite(primal):
-        raise ModelError(f"{source}: reference optimum must be a finite number, got {value!r}")
-    return primal
+    return finite_number((side.read_text().split(maxsplit=1) or [""])[0], side)
 
 
 def reference_primal(instance: BmpInstance, instance_path=None) -> float:
@@ -509,7 +496,7 @@ def generate_instances(
             write_polynomial(poly, path)
         if n <= CAPACITY["brute force"]:
             value = brute_force_primal(BmpInstance(poly))
-            path.with_suffix(".sol").write_text(f"{value:.12g}\n")
+            path.with_suffix(".sol").write_text(number_text(value) + "\n")
         paths.append(path)
     return paths
 
@@ -519,13 +506,11 @@ def generate_instances(
 
 
 def load_instance(path) -> BmpInstance:
-    """Read an instance file as a BmpInstance: a .mc edge list as its cut polynomial, a .pol as it is."""
+    """Read an instance file as a BmpInstance by the reader its suffix has in ``READERS``."""
     path = Path(path)
-    if path.suffix == ".mc":
-        return BmpInstance(cut_polynomial(read_graph(path)))
-    if path.suffix == ".pol":
-        return BmpInstance(read_polynomial(path))
-    raise ModelError(f"unrecognized instance extension {path.suffix!r} (want .mc or .pol)")
+    if path.suffix not in READERS:
+        raise ModelError(f"{path}: unrecognized instance extension {path.suffix!r} (want {' or '.join(READERS)})")
+    return BmpInstance(READERS[path.suffix](path))
 
 
 def run_instance(path, config: RunConfig, primal=None) -> RootNodeReport:
@@ -535,7 +520,7 @@ def run_instance(path, config: RunConfig, primal=None) -> RootNodeReport:
     if primal is None:
         primal = reference_primal(instance, path)
     else:
-        primal = _finite_primal(primal, "primal override")
+        primal = finite_number(primal, "primal override")
     model, targets, lift = build_model(instance)
     return root_loop(model, targets, lift, config, instance=path.stem, primal=primal)
 

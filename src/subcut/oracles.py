@@ -10,10 +10,12 @@ the degree-2 case (:func:`cut_polynomial`), and :func:`ss_decompose`
 leaves them whole as the submodular part.  Supports are nonempty, so
 every function is 0 at the origin.
 
-Also holds the two instance file formats: a weighted edge list for graphs
-and a term list for multilinear polynomials.  :class:`Graph` exists only
-for the edge-list files and the graph generators; a loaded graph is its
-cut polynomial from then on.
+Also holds the two instance file formats, a weighted edge list for graphs
+and a term list for multilinear polynomials: one reader and one writer for
+the grammar they share, one finite-number check for every number read from
+outside the program, and ``READERS``, the one table of instance suffixes.
+:class:`Graph` exists only for the edge-list files and the graph
+generators; a loaded graph is its cut polynomial from then on.
 """
 
 from __future__ import annotations
@@ -339,33 +341,71 @@ def submodular_by_sign(f: MultilinearFunction) -> bool:
 # ---------------------------------------------------------------------------
 # instance files
 #
-# Graph format: header "n m", then m lines "i j w" with 1-based endpoints
-# and w >= 0.
-# Polynomial format: header "n K", then K lines "a_k j1 j2 ... jd" with
-# 1-based variable indices.
+# Both formats are a header "n count" with n >= 1, then exactly count body
+# lines; "#" starts a comment and blank lines are skipped.  A graph (.mc)
+# body line is "i j w": two distinct 1-based endpoints and a weight w >= 0.
+# A polynomial (.pol) body line is "a j1 ... jd": a coefficient and one or
+# more 1-based variable indices.  Numbers are written by number_text, so
+# every double reads back bit-equal.
+
+
+def finite_number(token, source, kind=float):
+    """``token`` converted by ``kind`` (float or int) if that is finite; else ModelError naming ``source``.
+
+    Every number read from outside the program passes here: instance file
+    tokens, the ``.sol`` value and ``root --primal``.
+    """
+    try:
+        value = kind(token)
+    except ValueError:
+        value = math.nan
+    if value - value == 0:  # false for nan and +-inf; unlike math.isfinite, no overflow on a huge int
+        return value
+    raise ModelError(f"{source}: expected {'an integer' if kind is int else 'a finite number'}, got {token!r}")
+
+
+def number_text(x: float) -> str:
+    """``x`` with 17 significant digits: reads back bit-equal, and integer values print as integers."""
+    return f"{x:.17g}"
+
+
+def _read_counted(path, unit: str):
+    """(n, body lines as token lists) of a .mc or .pol file, checked against the grammar both share."""
+    lines = []
+    with open(path) as fh:
+        for raw in fh:
+            tokens = raw.split("#", 1)[0].split()
+            if tokens:
+                lines.append(tokens)
+    header = lines[0] if lines else []
+    if len(header) != 2:
+        raise ModelError(f"{path}: header must be 'n count', got {header}")
+    n, count = finite_number(header[0], path, int), finite_number(header[1], path, int)
+    if n < 1:
+        raise ModelError(f"{path}: n must be >= 1, got {n}")
+    if len(lines) - 1 != count:
+        raise ModelError(f"{path}: expected {count} {unit} lines, found {len(lines) - 1}")
+    return n, lines[1:]
+
+
+def _write_counted(path, n: int, body) -> None:
+    """Write the header 'n count' and the ``body`` lines of a .mc or .pol file."""
+    with open(path, "w") as fh:
+        fh.write("\n".join([f"{n} {len(body)}", *body]) + "\n")
 
 
 def read_graph(path) -> Graph:
-    tokens = _token_lines(path)
-    if not tokens:
-        raise ModelError(f"{path}: empty graph file")
-    header = tokens[0]
-    if len(header) != 2:
-        raise ModelError(f"{path}: graph header must be 'n m', got {header}")
-    n, m = _numbers(path, int, header)
-    if n < 1:
-        raise ModelError(f"{path}: a graph needs n >= 1 vertices, got {n}")
-    body = tokens[1:]
-    if len(body) != m:
-        raise ModelError(f"{path}: expected {m} edge lines, found {len(body)}")
+    n, body = _read_counted(path, "edge")
     edges = []
     for line in body:
         if len(line) != 3:
             raise ModelError(f"{path}: edge line must be 'i j w', got {line}")
-        i, j = _numbers(path, int, line[:2])
-        (w,) = _numbers(path, float, line[2:])
+        i, j = finite_number(line[0], path, int), finite_number(line[1], path, int)
+        w = finite_number(line[2], path)
         if not (1 <= i <= n and 1 <= j <= n):
             raise ModelError(f"{path}: edge ({i},{j}) outside 1..{n}")
+        if i == j:
+            raise ModelError(f"{path}: self-loop at vertex {i}")
         if w < 0:
             raise ModelError(f"{path}: negative cut weight {w} on edge ({i},{j})")
         edges.append((i - 1, j - 1, w))
@@ -373,63 +413,28 @@ def read_graph(path) -> Graph:
 
 
 def write_graph(graph: Graph, path) -> None:
-    lines = [f"{graph.n} {graph.m}"]
-    for i, j, w in graph.edges:
-        lines.append(f"{i + 1} {j + 1} {w:.12g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_counted(path, graph.n, [f"{i + 1} {j + 1} {number_text(w)}" for i, j, w in graph.edges])
 
 
 def read_polynomial(path) -> MultilinearFunction:
-    tokens = _token_lines(path)
-    if not tokens:
-        raise ModelError(f"{path}: empty polynomial file")
-    header = tokens[0]
-    if len(header) != 2:
-        raise ModelError(f"{path}: polynomial header must be 'n K', got {header}")
-    n, k = _numbers(path, int, header)
-    if n < 1:
-        raise ModelError(f"{path}: a polynomial needs n >= 1 variables, got {n}")
-    body = tokens[1:]
-    if len(body) != k:
-        raise ModelError(f"{path}: expected {k} term lines, found {len(body)}")
+    n, body = _read_counted(path, "term")
     terms = []
     for line in body:
         if len(line) < 2:
             raise ModelError(f"{path}: term line needs a coefficient and >= 1 index, got {line}")
-        (coef,) = _numbers(path, float, line[:1])
-        idx = _numbers(path, int, line[1:])
-        if any(j < 1 or j > n for j in idx):
+        coef = finite_number(line[0], path)
+        idx = [finite_number(tok, path, int) for tok in line[1:]]
+        if min(idx) < 1 or max(idx) > n:
             raise ModelError(f"{path}: term indices {idx} outside 1..{n}")
         terms.append((coef, [j - 1 for j in idx]))
     return MultilinearFunction(n, terms)
 
 
 def write_polynomial(poly: MultilinearFunction, path) -> None:
-    lines = [f"{poly.n} {len(poly.terms)}"]
-    for a, support in poly.terms:
-        idx = " ".join(str(j + 1) for j in sorted(support))
-        lines.append(f"{a:.12g} {idx}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    body = [" ".join([number_text(a), *(str(j + 1) for j in sorted(s))]) for a, s in poly.terms]
+    _write_counted(path, poly.n, body)
 
 
-def _numbers(path, kind, tokens) -> list:
-    """The tokens converted by ``kind``; a token that is not a finite number raises ModelError."""
-    try:
-        values = [kind(tok) for tok in tokens]
-        if all(math.isfinite(v) for v in values):
-            return values
-    except ValueError:
-        pass
-    raise ModelError(f"{path}: expected finite {kind.__name__} values, got {tokens}")
-
-
-def _token_lines(path) -> list:
-    out = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                out.append(line.split())
-    return out
+# Instance file suffixes and their readers, in the order `subcut bench` takes a
+# directory's files: a .mc edge list is read as its cut polynomial.
+READERS = {".mc": lambda path: cut_polynomial(read_graph(path)), ".pol": read_polynomial}

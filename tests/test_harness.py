@@ -1029,6 +1029,20 @@ class TestCli:
         ("empty.mc", "0 0\n"),  # no vertices
         ("empty.pol", "0 0\n"),  # no variables
         ("neg.mc", "2 1\n1 2 -1.0\n"),  # a negative weight
+        ("loop.mc", "2 1\n2 2 1.0\n"),  # a self-loop, named 1-based
+        ("blank.mc", "# no header\n\n"),  # nothing but a comment and a blank line
+        ("header.mc", "3\n"),  # a header of one token
+        ("header.pol", "2 1 1\n1.0 1\n"),  # a header of three tokens
+        ("count.mc", "2 1.5\n1 2 1.0\n"),  # a count that is not an integer
+        ("count.pol", "2 one\n1.0 1\n"),  # a count that is a word
+        ("long.pol", "2 1\n1.0 1\n1.0 2\n"),  # more term lines than the header says
+        ("arity.mc", "2 1\n1 2\n"),  # an edge line without its weight
+        ("arity.pol", "2 1\n1.0\n"),  # a term line without an index
+        ("range.mc", "2 1\n1 3 1.0\n"),  # an endpoint past n
+        ("range.pol", "2 1\n1.0 0 1\n"),  # an index below 1
+        ("index.mc", "2 1\n1 2.5 1.0\n"),  # an endpoint that is not an integer
+        ("inf.pol", "2 1\n-inf 1 2\n"),  # a coefficient that is not finite
+        ("huge.pol", "2 1\n1e400 1 2\n"),  # a coefficient that overflows to inf
     ])
     def test_malformed_instance(self, tmp_path, capsys, command, name, text):
         path = tmp_path / name

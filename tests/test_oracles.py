@@ -6,7 +6,7 @@ import pytest
 import _reference as ref
 from subcut import cli
 from subcut.errors import CapacityError, ModelError
-from subcut.harness import autocorr_polynomial, pw_graph
+from subcut.harness import autocorr_polynomial, pw_graph, sidecar_primal
 from subcut.oracles import (
     CubeBasis,
     Graph,
@@ -14,6 +14,7 @@ from subcut.oracles import (
     SSFunction,
     cube_table,
     cut_polynomial,
+    number_text,
     read_graph,
     read_polynomial,
     ss_decompose,
@@ -544,6 +545,32 @@ class TestFileFormats:
         again = read_polynomial(path)
         assert again.n == 4 and again.terms == p.terms
 
+    def test_every_double_round_trips(self, tmp_path):
+        """Every writer reads back bit-equal, and integer values still print as integers."""
+        rng = np.random.default_rng(11)
+        raw = rng.integers(0, 2**63, size=5000, dtype=np.int64).view(np.float64)  # positive bit patterns
+        values = np.concatenate([raw[np.isfinite(raw) & (raw != 0.0)], rng.standard_normal(2000) / 3.0,
+                                 [2 / 3, 1 / 3, 0.1, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]])
+        values = values[-4095:]
+        # one support per bitmask of 12 variables, so no two terms merge
+        supports = [[j for j in range(12) if m >> j & 1] for m in range(1, values.size + 1)]
+        signs = rng.choice([-1.0, 1.0], size=values.size)
+        poly = MultilinearFunction(12, list(zip(signs * values, supports)))
+        write_polynomial(poly, tmp_path / "p.pol")
+        again = read_polynomial(tmp_path / "p.pol")
+        assert [(a.hex(), s) for a, s in again.terms] == [(a.hex(), s) for a, s in poly.terms]
+        pairs = [(i, j) for i in range(64) for j in range(i + 1, 64)]
+        graph = Graph(64, [(i, j, float(w)) for (i, j), w in zip(pairs, values)])
+        write_graph(graph, tmp_path / "g.mc")
+        edges = read_graph(tmp_path / "g.mc").edges
+        assert [(i, j, w.hex()) for i, j, w in edges] == [(i, j, w.hex()) for i, j, w in graph.edges]
+        for value in signs[:40] * values[-40:]:  # the .sol sidecar, as generate_instances writes it
+            tmp_path.joinpath("g.sol").write_text(number_text(value) + "\n")
+            assert sidecar_primal(tmp_path / "g.mc").hex() == float(value).hex()
+        assert [number_text(x) for x in (1.0, -1.0, 100.0, -0.0)] == ["1", "-1", "100", "-0"]
+        write_polynomial(MultilinearFunction(2, [(2 / 3, {0, 1}), (-1.0, {0})]), tmp_path / "p.pol")
+        assert tmp_path.joinpath("p.pol").read_text() == "2 2\n-1 1\n0.66666666666666663 1 2\n"
+
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "g.mc"
         path.write_text("# a comment\n2 1\n\n1 2 4.0  # trailing\n")
@@ -571,6 +598,24 @@ class TestFileFormats:
         (read_polynomial, ".pol", "2 1\nhalf 1 2\n"),
         (read_polynomial, ".pol", "2 1\n1.0 1 x\n"),
         (read_polynomial, ".pol", "2 1\nnan 1 2\n"),
+        (read_graph, ".mc", ""),
+        (read_graph, ".mc", "2 1 3\n1 2 1.0\n"),
+        (read_graph, ".mc", "0 0\n"),
+        (read_graph, ".mc", "2 2\n1 2 1.0\n"),
+        (read_graph, ".mc", "2 1\n1 2 1.0 4\n"),
+        (read_graph, ".mc", "2 1\n0 2 1.0\n"),
+        (read_graph, ".mc", "2 1\n1 1 1.0\n"),
+        (read_graph, ".mc", "2 1\n1 2 -2\n"),
+        (read_graph, ".mc", "2 1\n1 2 1e999\n"),
+        (read_polynomial, ".pol", "# only a comment\n"),
+        (read_polynomial, ".pol", "2\n1.0 1\n"),
+        (read_polynomial, ".pol", "-1 1\n1.0 1\n"),
+        (read_polynomial, ".pol", "2 0\n1.0 1\n"),
+        (read_polynomial, ".pol", "2 1\n1.0\n"),
+        (read_polynomial, ".pol", "2 1\n1.0 1 3\n"),
+        (read_polynomial, ".pol", "2 1\n1.0 1.0\n"),
+        (read_polynomial, ".pol", "2 1\n-inf 2\n"),
+        pytest.param(read_polynomial, ".pol", "1 1\n1.0 1" + "0" * 400 + "\n", id="read_polynomial-huge-index"),
     ])
     def test_unparsable_token(self, tmp_path, reader, suffix, text):
         path = tmp_path / f"bad{suffix}"
