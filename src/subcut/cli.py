@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .envelope import envelope_eval
 from .errors import CAPACITY, CapacityError, ModelError
 from .harness import RunConfig
 from .models import BmpInstance
-from .oracles import READERS, MultilinearFunction, cube_points, cube_table, ss_decompose, submodular_by_sign
+from .oracles import (READERS, MultilinearFunction, cube_points, cube_table, envelope_eval, ss_decompose,
+                      submodular_by_sign)
 
 
 def _add_root(sub):
@@ -163,11 +163,14 @@ def _verify_optimum(instance: BmpInstance, path: Path) -> bool:
     return ok
 
 
+# The checks of each instance suffix, one entry per key of oracles.READERS.
+VERIFIERS = {".mc": _verify_graph, ".pol": _verify_poly}
+
+
 def cmd_verify(args) -> int:
     path = Path(args.instance)
     instance = harness.load_instance(path)
-    verify = _verify_graph if path.suffix == ".mc" else _verify_poly
-    return 0 if verify(instance, path) else 1
+    return 0 if VERIFIERS[path.suffix](instance, path) else 1
 
 
 def cmd_gen(args) -> int:

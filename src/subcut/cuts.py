@@ -2,10 +2,12 @@
 
 Along each corner ray the distance-to-boundary profile
 zeta(eta) = level * (t + eta r_t) - G(x + eta r_x) is concave piecewise
-linear and positive at the apex.  A hybrid discrete Newton search finds
-its root (the step length); the reciprocal step lengths then define a
-valid inequality in the ray multipliers that is mapped back to the
-original variables through the affine forms carried by the rays.
+linear and positive at the apex; for an envelope set its kinks are where
+two members of one term cross, since G's terms are c_T min_{i in T} x_i.
+A hybrid discrete Newton search finds its root (the step length); the
+reciprocal step lengths then define a valid inequality in the ray
+multipliers that is mapped back to the original variables through the
+affine forms carried by the rays.
 
 Separation settings are module constants, read at call time:
 NEWTON_START, NEWTON_MAX_STEPS, ETA_INF and ROOT_TOL drive the step
@@ -44,9 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .envelope import envelope_eval
 from .errors import SeparationBudget
-from .oracles import CubeBasis, SSFunction
+from .oracles import CubeBasis, SSFunction, envelope_eval
 from .sfree import INTERIOR_TOL, SFreeSet
 
 NEWTON_START = 0.2

@@ -1,9 +1,10 @@
 """Set functions on the Boolean cube, all of them multilinear polynomials.
 
 A :class:`MultilinearFunction` is the value oracle the cut machinery
-works with: it gives values at points, along prefix chains and on the
-whole cube.  Every table over the cube is one flat (2^n,) vector whose
-entry m is the value at x_i = bit i of m; only :class:`CubeBasis`
+works with: it gives values at points and on the whole cube, and
+:func:`envelope_eval` gives its convex extension, the envelope, in closed
+form at any point of R^n.  Every table over the cube is one flat (2^n,)
+vector whose entry m is the value at x_i = bit i of m; only :class:`CubeBasis`
 computes it in two halves, and its ``least`` gives the least entry by
 blocks of the cube without holding the table.  Graph cut functions are
 the degree-2 case (:func:`cut_polynomial`), and :func:`ss_decompose`
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, check_capacity
+from .errors import CAPACITY, CapacityError, ModelError, check_capacity
 
 LEAST_BLOCK = 1 << 15  # table entries per block of CubeBasis.least
 
@@ -90,9 +91,9 @@ class MultilinearFunction:
     frozenset support is kept as given, so its members must be ints; any
     other support is converted with ``int``.  With nonempty supports
     f(0) = 0, so no constant term can hide here.  A polynomial need not be
-    submodular; :func:`submodular_by_sign` can certify that it is.  Chain
-    and cube values are sums of coefficients, so they are exact whenever
-    the coefficients are integers.
+    submodular; :func:`submodular_by_sign` can certify that it is.  Cube
+    values and envelope subgradients are sums of coefficients, so they are
+    exact whenever the coefficients are integers.
     """
 
     def __init__(self, n: int, terms):
@@ -133,48 +134,65 @@ class MultilinearFunction:
         return total
 
     @functools.cached_property
-    def _padded_terms(self):
-        """Coefficients and the padded supports, one column per term, -1 pointing at a sentinel position.
+    def _term_layout(self):
+        """Coefficients, and each term's members in descending index order as one column, padded with the first.
 
-        Row i holds each term's i-th variable, so the activation positions
-        are a max over the short first axis of a (k, width, terms) gather.
-        Built on the first chain evaluation only: cut validation tables
-        one residual polynomial per cut and never walks its chains.
+        Built on the first envelope evaluation only: cut validation tables
+        one residual polynomial per cut and never takes its envelope.
         """
-        supports = [sorted(s) for _, s in self.terms]
-        width = max((len(s) for s in supports), default=1)
-        pad = np.full((width, max(len(supports), 1)), -1, dtype=int)
-        for k, s in enumerate(supports):
-            pad[: len(s), k] = s
-        return np.array([a for a, _ in self.terms], dtype=float), pad
-
-    def chain_values(self, order) -> np.ndarray:
-        """Values along the prefix chain of ``order``: f(0), f(e_{o0}), ..., f(1).
-
-        ``order`` may also be a (k, n) block of orders, which gives one such
-        row of n + 1 values per order.
-        """
-        order = np.asarray(order, dtype=int)
-        orders = order.reshape(-1, self.n)
-        out = np.zeros((orders.shape[0], self.n + 1))
-        if self.terms:
-            coefs, pad = self._padded_terms
-            rows = np.arange(orders.shape[0])[:, None]
-            # position of each variable in its order; the last column (0) is the padding sentinel
-            pos = np.zeros((orders.shape[0], self.n + 1), dtype=int)
-            pos[rows, orders] = np.arange(1, self.n + 1)
-            # a term switches on once its whole support is in the prefix; bincount adds
-            # the coefficients of each (row, position) bin in term order
-            activate = pos[:, pad].max(axis=1)
-            bins = (rows * (self.n + 1) + activate).ravel()
-            weights = np.empty(activate.shape)
-            weights[:] = coefs
-            out = np.bincount(bins, weights.ravel(), out.size).reshape(out.shape)
-            np.add.accumulate(out, axis=1, out=out)
-        return out.reshape(order.shape[:-1] + (self.n + 1,))
+        width = max((len(s) for _, s in self.terms), default=1)
+        members = np.empty((width, len(self.terms)), dtype=np.intp)
+        for k, (_, s) in enumerate(self.terms):
+            desc = sorted(s, reverse=True)
+            members[:, k] = desc + desc[:1] * (width - len(desc))
+        return np.array([a for a, _ in self.terms], dtype=float), members
 
     def __repr__(self):
         return f"<MultilinearFunction n={self.n} terms={len(self.terms)} degree={self.degree}>"
+
+
+@dataclass
+class EnvelopeEvaluation:
+    """Envelope value at a point and a subgradient; for a (k, n) block, ``value`` is (k,) and ``subgradient`` (k, n)."""
+
+    value: float | np.ndarray
+    subgradient: np.ndarray
+
+
+def envelope_eval(f: MultilinearFunction, x) -> EnvelopeEvaluation:
+    """The envelope F of ``f`` and a subgradient at a point of R^n, or at each row of a (k, n) block.
+
+    F is linear in f, and for a monomial x_T it is min_{i in T} x_i on all
+    of R^n, so F(x) = sum_T c_T min_{i in T} x_i.  The subgradient sigma
+    puts each c_T on the argmin of T, ties going to the highest index
+    (-0.0 ties +0.0): the member the greedy chain, which takes coordinates
+    in nonincreasing order and ties by index, adds last.  So sigma is the
+    chain's greedy vertex, each entry the same coefficients summed in the
+    same order, and F(x) = sigma . x.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != f.n:
+        raise ValueError(f"expected point or rows of dimension {f.n}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("point contains NaN or infinite coordinates")
+    block = np.atleast_2d(x)
+    coefs, members = f._term_layout
+    cols = np.ascontiguousarray(block.T)  # so each gather below copies whole rows: (terms, k) blocks
+    least, argmin = cols[members[0]], members[0][:, None]
+    for row in members[1:]:  # a strict < keeps the higher index on ties
+        entry = cols[row]
+        lower = entry < least
+        # arithmetic selects: np.where branches per entry and is several times slower here
+        least, argmin = np.minimum(least, entry), argmin + lower * (row[:, None] - argmin)
+    k = block.shape[0]
+    bins = argmin + np.arange(0, k * f.n, f.n)
+    # bincount adds each bin's coefficients in term order
+    sigma = np.bincount(bins.ravel(), np.repeat(coefs, k), k * f.n).reshape(block.shape)
+    # vecdot rounds each row as a 1-D dot product does; einsum and sum(axis=1) do not
+    value = np.vecdot(sigma, block)
+    if x.ndim == 1:
+        return EnvelopeEvaluation(float(value[0]), sigma[0])
+    return EnvelopeEvaluation(value, sigma)
 
 
 class CubeBasis:
@@ -383,6 +401,8 @@ def _read_counted(path, unit: str):
     n, count = finite_number(header[0], path, int), finite_number(header[1], path, int)
     if n < 1:
         raise ModelError(f"{path}: n must be >= 1, got {n}")
+    if n > CAPACITY["instance file"]:
+        raise CapacityError(f"{path}: instance file limited to n <= {CAPACITY['instance file']}, got n = {n}")
     if len(lines) - 1 != count:
         raise ModelError(f"{path}: expected {count} {unit} lines, found {len(lines) - 1}")
     return n, lines[1:]

@@ -6,9 +6,11 @@ piecewise-linear function G through "G(x) <= level * t".  Points of the
 target never lie strictly inside, which is exactly what intersection
 cuts need.
 
-Variants: the epigraph of an extended envelope, optionally minus a
-linear term (the reverse-linearized set of a submodular-supermodular
-difference), and a lifted 0/1 split on a single variable.  The paper's
+Variants: the epigraph of an extended envelope
+F(x) = sum_T c_T min_{i in T} x_i (:func:`oracles.envelope_eval`), convex
+for submodular f and optionally minus a linear term (the
+reverse-linearized set of a submodular-supermodular difference), and a
+lifted 0/1 split on a single variable.  The paper's
 chain-cover relaxations and the brute-force freeness check are test
 oracles and live with the tests.
 """
@@ -17,8 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .envelope import envelope_eval
-from .oracles import MultilinearFunction, SSFunction
+from .oracles import MultilinearFunction, SSFunction, envelope_eval
 
 INTERIOR_TOL = 1e-7
 

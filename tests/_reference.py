@@ -8,19 +8,21 @@ cut residuals at n <= 20.  Three exceptions only build package objects:
 :func:`modular`, a polynomial for tests that need a modular function,
 :func:`cut_instance`, the instance a max-cut file loads as, and
 :func:`full_lp`, the lean LP with its deferred rows appended.
-:func:`greedy_vertex` differences a package polynomial's chain values, the
-greedy vertex of one given order.  Three evaluate a package set at one point
-at a time: :func:`margin` at the point, :func:`newton_step_length` along a
-ray, and :func:`verify_free_bruteforce` at every binary point of its target.
+:func:`chain_values` sums a package polynomial's coefficients along the
+prefix chain of an order, :func:`greedy_vertex` differences them into the
+greedy vertex of that order, and :func:`greedy_envelope` takes the order of
+a point: the paper's definition of the envelope, which the package computes
+in closed form.  Three evaluate a package set at one point at a time:
+:func:`margin` at the point, :func:`newton_step_length` along a ray, and
+:func:`verify_free_bruteforce` at every binary point of its target.
 :class:`ExplicitLogicalSimplex` runs the package's dual simplex over an
 explicit constraint matrix, and :class:`MaskedPivotSimplex` with its former
-per-solve set-up and pivot masks; :func:`envelope_block_put_along` and
-:func:`newton_steps_tiled` are the former block envelope and step search,
-and :func:`former_intersection_cut` and :func:`former_with_extra_rows` the
-former separation path and row append.  :func:`former_corner` is the former
-corner extraction by boolean masks, :func:`former_brute_force_primal` the max
-of the full cube table and :func:`former_lifted_lp` the lifted LP built row by
-row and stacked.
+per-solve set-up and pivot masks; :func:`newton_steps_tiled` is the former
+step search, and :func:`former_intersection_cut` and
+:func:`former_with_extra_rows` the former separation path and row append.
+:func:`former_corner` is the former corner extraction by boolean masks,
+:func:`former_brute_force_primal` the max of the full cube table and
+:func:`former_lifted_lp` the lifted LP built row by row and stacked.
 :func:`values_on_cube` and :func:`is_submodular_bruteforce` are the
 former package cube table and vectorized 4^n lattice check, kept as the
 oracles of the sign certificate.  The chain-cover relaxations build on
@@ -76,20 +78,52 @@ def full_lp(model, lift):
     return model.with_extra_rows(d.rows, d.row_senses, d.rhs)
 
 
+def chain_values(poly, order):
+    """Values of a package polynomial along the prefix chain of ``order``: f(0), f(e_{o0}), ..., f(1).
+
+    A term switches on at the chain position where the last of its members
+    enters.  The coefficients are added at those positions in term order and
+    then summed along the chain, so the values are exact for integer
+    coefficients.  A (k, n) block of orders gives one row of n + 1 values
+    per order.
+    """
+    order = np.asarray(order, dtype=int)
+    orders = order.reshape(-1, poly.n)
+    out = np.zeros((orders.shape[0], poly.n + 1))
+    for row, o in zip(out, orders):
+        position = {v: p for p, v in enumerate(o.tolist(), start=1)}
+        for a, support in poly.terms:
+            row[max(position[j] for j in support)] += a
+        np.add.accumulate(row, out=row)
+    return out.reshape(order.shape[:-1] + (poly.n + 1,))
+
+
 def greedy_vertex(oracle, order):
     """Marginal-gain vector of a package polynomial along the prefix chain of ``order``.
 
     Component order[i] holds f(chain_{i+1}) - f(chain_i), from one
-    ``chain_values`` call; for submodular f this is a vertex of the extended
-    polymatroid.  ``order`` must be a permutation of 0..n-1.
+    :func:`chain_values` call; for submodular f this is a vertex of the
+    extended polymatroid.  ``order`` must be a permutation of 0..n-1.
     """
     order = np.asarray(order, dtype=int)
     if order.shape != (oracle.n,) or sorted(order.tolist()) != list(range(oracle.n)):
         raise ValueError(f"not a permutation of 0..{oracle.n - 1}: {order}")
-    chain = oracle.chain_values(order)
+    chain = chain_values(oracle, order)
     sigma = np.empty(oracle.n)
     sigma[order] = chain[1:] - chain[:-1]
     return sigma
+
+
+def greedy_envelope(oracle, x):
+    """(value, subgradient) of the envelope at a point by the paper's greedy definition.
+
+    The chain takes the coordinates of x in nonincreasing order, ties by
+    index (Python's sort is stable, and -0.0 ties +0.0); the subgradient is
+    that order's :func:`greedy_vertex` and the value its product with x.
+    """
+    x = np.asarray(x, dtype=float)
+    sigma = greedy_vertex(oracle, sorted(range(oracle.n), key=lambda i: -x[i]))
+    return float(sigma @ x), sigma
 
 
 def greedy_sigma(values, order):
@@ -525,36 +559,6 @@ class MaskedPivotSimplex(simplex._DualSimplex):
         self.val[basis] = xb
         self.dirn = rising.astype(float) - falling
         return status
-
-
-def chain_values_tiled(poly, order):
-    """``poly.chain_values`` of a (k, n) block of orders, the coefficients laid out by ``np.tile``."""
-    orders = np.asarray(order, dtype=int)
-    out = np.zeros((orders.shape[0], poly.n + 1))
-    if poly.terms:
-        coefs, pad = poly._padded_terms
-        rows = np.arange(orders.shape[0])[:, None]
-        pos = np.zeros((orders.shape[0], poly.n + 1), dtype=int)
-        pos[rows, orders] = np.arange(1, poly.n + 1)
-        activate = pos[:, pad.T].max(axis=2)
-        bins = (rows * (poly.n + 1) + activate).ravel()
-        out = np.bincount(bins, np.tile(coefs, orders.shape[0]), out.size).reshape(out.shape)
-        np.add.accumulate(out, axis=1, out=out)
-    return out
-
-
-def envelope_block_put_along(oracle, x):
-    """The envelope of each row of a (k, n) block, scattered by ``np.put_along_axis``.
-
-    Returns (values, subgradients) as ``envelope_eval`` did before its block
-    path used fancy assignment.
-    """
-    x = np.asarray(x, dtype=float)
-    order = (-x).argsort(axis=-1, kind="stable")
-    chain = chain_values_tiled(oracle, order)
-    sigma = np.empty(x.shape)
-    np.put_along_axis(sigma, order, chain[:, 1:] - chain[:, :-1], axis=1)
-    return np.vecdot(sigma, x), sigma
 
 
 def newton_steps_tiled(sfree, apex_x, apex_t, x_dir, t_dir):

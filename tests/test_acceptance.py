@@ -16,7 +16,6 @@ import _reference as ref
 from subcut.cuts import newton_steps, step_length, zeta_slope
 from _covers import containment_witness, is_minimal_cover, three_chain_relaxation
 from _reference import greedy_vertex, is_submodular_bruteforce, support_points, verify_free_bruteforce
-from subcut.envelope import envelope_eval
 from subcut.harness import (
     RunConfig,
     aggregate,
@@ -31,6 +30,7 @@ from subcut.oracles import (
     Graph,
     MultilinearFunction,
     cut_polynomial,
+    envelope_eval,
     ss_decompose,
 )
 from subcut.sfree import EnvelopeEpigraph, build_reverse_linearized

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import _reference as ref
-from subcut import cuts, envelope, harness, models, oracles, sfree
+from subcut import cuts, harness, models, oracles, sfree
 from subcut.cuts import (
     EFFICACY_MIN,
     CutValidator,
@@ -607,30 +607,13 @@ def counted_searches(monkeypatch) -> list:
     return blocks
 
 
-def former_envelope(oracle, x):
-    """``envelope_eval`` with the former block path of ``ref.envelope_block_put_along``."""
-    if np.ndim(x) == 1:
-        return envelope.envelope_eval(oracle, x)
-    return envelope.EnvelopeEvaluation(*ref.envelope_block_put_along(oracle, x))
-
-
 class TestFormerSeparationPath:
-    """Fancy assignment, broadcast coefficients, a concatenated probe block and list
-    results keep the former block envelope's and step search's bits."""
+    """A concatenated probe block, list results and the apex row keep the former
+    step search's and separation path's bits."""
 
     @pytest.fixture(scope="class")
     def separations(self):
         return non_integer_separations()
-
-    def test_values_and_subgradients(self, monkeypatch, separations):
-        for cp, free in separations:
-            block = cp.apex_x + np.linspace(0.05, 4.0, cp.nrays)[:, None] * cp.x_dir
-            value, grad = free.value_and_subgradient(block)
-            with monkeypatch.context() as mp:
-                mp.setattr(sfree, "envelope_eval", former_envelope)
-                old_value, old_grad = free.value_and_subgradient(block)
-            assert value.tobytes() == old_value.tobytes(), free.kind
-            assert grad.tobytes() == old_grad.tobytes(), free.kind
 
     @pytest.mark.parametrize("budget", [cuts.NEWTON_MAX_STEPS, 2, 1])
     def test_step_search(self, monkeypatch, separations, budget):
@@ -638,9 +621,7 @@ class TestFormerSeparationPath:
         exhausted = 0
         for cp, free in separations:
             search = newton_steps(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
-            with monkeypatch.context() as mp:
-                mp.setattr(sfree, "envelope_eval", former_envelope)
-                eta, iterations, out = ref.newton_steps_tiled(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
+            eta, iterations, out = ref.newton_steps_tiled(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
             assert np.array(search.eta).tobytes() == eta.tobytes(), free.kind
             assert search.iterations == iterations.tolist() and search.exhausted == out.tolist(), free.kind
             exhausted += sum(search.exhausted)

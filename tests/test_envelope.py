@@ -6,8 +6,8 @@ import pytest
 
 import _reference as ref
 from _reference import chain_points, chain_to_permutation, greedy_vertex, support_points
-from subcut.envelope import envelope_eval
-from subcut.oracles import Graph, MultilinearFunction, cut_polynomial
+from subcut.harness import autocorr_polynomial
+from subcut.oracles import Graph, MultilinearFunction, cut_polynomial, envelope_eval
 
 
 def all_greedy_vertices(f):
@@ -292,6 +292,80 @@ class TestEnvelopeProperties:
                 point = envelope_eval(f, x)
                 assert float(value).hex() == point.value.hex()
                 assert sub.tobytes() == point.subgradient.tobytes()
+
+        check()
+
+
+def signed_polynomial(rng, n, integer=True):
+    """Signed terms on random supports of size 1..4, integer or non-integer coefficients."""
+    terms = []
+    for _ in range(int(rng.integers(1, 3 * n + 1))):
+        support = rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False)
+        coef = float(rng.integers(-9, 10)) if integer else float(rng.normal(scale=3.0))
+        terms.append((coef, support.tolist()))
+    return MultilinearFunction(n, terms)
+
+
+INTEGER_FAMILIES = {
+    "cut": random_cut_oracle,
+    "autocorr": lambda rng, n: autocorr_polynomial(n, 3, 0.7, int(rng.integers(1 << 31))),
+    "signed": signed_polynomial,
+}
+
+
+def _chain_cases(st, make):
+    """(polynomial, rows) on 2 <= n <= 7: rows with tied coordinates, -0.0 entries and entries outside [0, 1]."""
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(2, 7))
+        f = make(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+        coords = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.0]) | st.floats(-4.0, 4.0, width=16)
+        rows = draw(st.lists(st.lists(coords, min_size=n, max_size=n), min_size=1, max_size=6))
+        tie = draw(coords)
+        return f, np.array(rows + [[tie] * n, [0.0, -0.0] * (n // 2) + [-0.0] * (n % 2)])
+
+    return cases()
+
+
+class TestGreedyChain:
+    """The closed form against the paper's definition, ``ref.greedy_envelope``, row by row."""
+
+    @pytest.mark.parametrize("family", sorted(INTEGER_FAMILIES))
+    def test_integer_coefficients_bit_equal(self, family):
+        # each subgradient entry sums the same coefficients in the same term order as
+        # the chain's bin, and the chain difference of exact integer sums is exact
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(_chain_cases(hypothesis.strategies, INTEGER_FAMILIES[family]))
+        def check(case):
+            f, rows = case
+            ev = envelope_eval(f, rows)
+            for x, value, sub in zip(rows, ev.value, ev.subgradient):
+                want_value, want_sub = ref.greedy_envelope(f, x)
+                assert sub.tobytes() == want_sub.tobytes()
+                assert float(value).hex() == want_value.hex()
+
+        check()
+
+    def test_non_integer_coefficients_close(self):
+        # a chain difference rounds its sum's last addition and itself, each within
+        # eps * sum |c_T|; the values are then two dot products of length n
+        hypothesis = pytest.importorskip("hypothesis")
+        eps = np.finfo(float).eps
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(_chain_cases(hypothesis.strategies, lambda rng, n: signed_polynomial(rng, n, False)))
+        def check(case):
+            f, rows = case
+            tol = 4 * eps * sum(abs(a) for a, _ in f.terms)
+            ev = envelope_eval(f, rows)
+            for x, value, sub in zip(rows, ev.value, ev.subgradient):
+                want_value, want_sub = ref.greedy_envelope(f, x)
+                assert np.all(np.abs(sub - want_sub) <= tol)
+                dots = 2 * f.n * eps * float(np.abs(want_sub) @ np.abs(x))
+                assert abs(value - want_value) <= tol * np.abs(x).sum() + dots
 
         check()
 

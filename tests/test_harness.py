@@ -37,6 +37,7 @@ from subcut.models import BmpInstance, LiftMap
 from subcut.oracles import (
     Graph,
     MultilinearFunction,
+    READERS,
     SSFunction,
     cut_polynomial,
     read_graph,
@@ -1052,6 +1053,25 @@ class TestCli:
         captured = capsys.readouterr()
         (line,) = captured.err.strip().split("\n")
         assert line.startswith("error: ") and str(path) in line
+
+    @pytest.mark.parametrize("command", ["root", "verify", "bench"])
+    @pytest.mark.parametrize("name, header", [
+        ("digits.mc", "1" + "0" * 400),  # past any index-sized integer
+        ("billion.mc", "1000000000"),  # gigabytes of set-up arrays
+        ("billion.pol", "1000000000"),
+    ])
+    def test_instance_size_capacity(self, tmp_path, capsys, command, name, header):
+        path = tmp_path / name
+        path.write_text(f"{header} 1\n" + ("1 2 1.0\n" if name.endswith(".mc") else "1.0 1 2\n"))
+        rc = cli.main([command, str(tmp_path if command == "bench" else path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().split("\n")
+        assert line == f"error: {path}: instance file limited to n <= {CAPACITY['instance file']}, got n = {header}"
+
+    def test_verify_has_checks_for_every_instance_suffix(self):
+        assert list(cli.VERIFIERS) == list(READERS)
 
     @pytest.mark.parametrize("name, text, sidecar", [
         ("zz_short.mc", "3 2\n1 2 1.0\n", False),  # fewer edge lines than the header says

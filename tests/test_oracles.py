@@ -5,7 +5,7 @@ import pytest
 
 import _reference as ref
 from subcut import cli
-from subcut.errors import CapacityError, ModelError
+from subcut.errors import CAPACITY, CapacityError, ModelError
 from subcut.harness import autocorr_polynomial, pw_graph, sidecar_primal
 from subcut.oracles import (
     CubeBasis,
@@ -114,8 +114,9 @@ def naive_chain(edges, order):
 
 
 class TestCutChainExactness:
-    # with integer weights every chain sum is exact, so the polynomial oracle's
-    # chains equal a vertex-by-vertex walk bit for bit
+    # the chains of the envelope's greedy reference, ref.chain_values: with integer
+    # weights every chain sum is exact, so a cut polynomial's chains equal a
+    # vertex-by-vertex walk of cut values bit for bit
     @pytest.mark.parametrize("max_weight", [1, 100], ids=["g05", "pw"])
     def test_integer_weights_bit_for_bit(self, max_weight):
         rng = np.random.default_rng(41)
@@ -126,8 +127,8 @@ class TestCutChainExactness:
                 orders = np.array([rng.permutation(n) for _ in range(6)])
                 expected = np.array([naive_chain(g.edges, o) for o in orders])
                 for order, row in zip(orders, expected):
-                    assert f.chain_values(order).tobytes() == row.tobytes()
-                assert f.chain_values(orders).tobytes() == expected.tobytes()
+                    assert ref.chain_values(f, order).tobytes() == row.tobytes()
+                assert ref.chain_values(f, orders).tobytes() == expected.tobytes()
 
     def test_fractional_weights_close(self):
         rng = np.random.default_rng(43)
@@ -136,10 +137,10 @@ class TestCutChainExactness:
             f = cut_polynomial(g)
             orders = np.array([rng.permutation(n) for _ in range(8)])
             expected = np.array([naive_chain(g.edges, o) for o in orders])
-            got = f.chain_values(orders)
+            got = ref.chain_values(f, orders)
             assert np.all(np.abs(got - expected) <= 1e-12 * (1.0 + np.abs(expected)))
             for order, row in zip(orders, got):
-                assert f.chain_values(order).tobytes() == row.tobytes()
+                assert ref.chain_values(f, order).tobytes() == row.tobytes()
 
 
 
@@ -159,11 +160,11 @@ def test_chain_values_block_matches_rows(family):
     f = CUBE_ORACLES[family]()
     rng = np.random.default_rng(7)
     orders = np.array([rng.permutation(f.n) for _ in range(12)])
-    block = f.chain_values(orders)
+    block = ref.chain_values(f, orders)
     assert block.shape == (12, f.n + 1)
     for order, row in zip(orders, block):
-        assert row.tobytes() == f.chain_values(order).tobytes()
-    assert f.chain_values(orders[:0]).shape == (0, f.n + 1)
+        assert row.tobytes() == ref.chain_values(f, order).tobytes()
+    assert ref.chain_values(f, orders[:0]).shape == (0, f.n + 1)
 
 
 @pytest.mark.parametrize("family", sorted(CUBE_ORACLES))
@@ -622,3 +623,15 @@ class TestFileFormats:
         path.write_text(text)
         with pytest.raises(ModelError, match=str(path)):
             reader(path)
+
+    @pytest.mark.parametrize("reader, suffix, body", [(read_graph, ".mc", "1 2 1.0"),
+                                                      (read_polynomial, ".pol", "1.0 1 2")])
+    def test_header_n_within_the_instance_capacity(self, tmp_path, reader, suffix, body):
+        limit = CAPACITY["instance file"]
+        path = tmp_path / f"edge{suffix}"
+        path.write_text(f"{limit} 1\n{body}\n")
+        assert reader(path).n == limit
+        for n in (limit + 1, 10**9, 10**400):
+            path.write_text(f"{n} 1\n{body}\n")
+            with pytest.raises(CapacityError, match=f"{path}: instance file limited to n <= {limit}, got n = {n}$"):
+                reader(path)

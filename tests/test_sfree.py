@@ -14,8 +14,7 @@ from _covers import (
     three_chain_relaxation,
 )
 from _reference import verify_free_bruteforce
-from subcut.envelope import envelope_eval
-from subcut.oracles import Graph, MultilinearFunction, SSFunction, cut_polynomial, ss_decompose
+from subcut.oracles import Graph, MultilinearFunction, SSFunction, cut_polynomial, envelope_eval, ss_decompose
 from subcut.sfree import INTERIOR_TOL, EnvelopeEpigraph, LiftedSplit, build_reverse_linearized
 
 
