@@ -9,7 +9,7 @@ harness runs the root-node experiments.
 """
 
 from .cuts import IntersectionCut, gradient_cut, intersection_cut, newton_steps, step_length
-from .errors import CapacityError, ModelError, NumericError, SeparationBudget
+from .errors import CapacityError, ModelError, NumericError
 from .harness import RootNodeReport, RunConfig, root_loop, run_instance
 from .models import BmpInstance, LiftMap, build_model
 from .oracles import Graph, MultilinearFunction, SSFunction, cut_polynomial, envelope_eval, ss_decompose
@@ -34,7 +34,6 @@ __all__ = [
     "RootNodeReport",
     "RunConfig",
     "SSFunction",
-    "SeparationBudget",
     "build_model",
     "build_reverse_linearized",
     "corner",

@@ -21,10 +21,11 @@ One search, :func:`newton_steps`, decides the steps of all rays of a
 corner in lockstep, one block evaluation of the set per round: the first
 block holds the apex (so the margin costs no call of its own) and every
 ray's ETA_INF and NEWTON_START probes, and each later round holds the
-next Newton or doubling step of every ray still searching.  A ray whose
-eta repeats at a power-of-two evaluation count is periodic and stops
-there, without a root.  ``step_length`` reads one ray's step out of its
-result.
+next Newton or doubling step of every ray still searching.  Each ray keeps
+its root in a bracket and bisects it when a step does not land above the
+bracket's inner end; a ray that reaches NEWTON_MAX_STEPS without a root
+takes that inner end, so every ray ends with a step that gives a valid cut.
+``step_length`` reads one ray's step out of its result.
 
 Brute-force validation needs no corner: every feasible binary x, lifted
 with exact products and any t in [lower_t, f(x)], lies in the first LP, so
@@ -46,7 +47,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SeparationBudget
 from .oracles import CubeBasis, SSFunction, envelope_eval
 from .sfree import INTERIOR_TOL, SFreeSet
 
@@ -75,11 +75,10 @@ def zeta_slope(sfree: SFreeSet, apex_x, apex_t: float, eta, x_dir, t_dir):
 
 
 class StepSearch(NamedTuple):
-    """Every ray's step, its evaluation count and whether its search ended without a root, as lists."""
+    """Every ray's step and its evaluation count, as lists."""
 
     eta: list
     iterations: list
-    exhausted: list
 
 
 class StepResult(NamedTuple):
@@ -88,7 +87,7 @@ class StepResult(NamedTuple):
 
 
 def newton_steps(sfree: SFreeSet, apex_x, apex_t: float, x_dir, t_dir) -> StepSearch | None:
-    """Root of every ray's zeta on (0, +inf], by safeguarded discrete Newton in lockstep.
+    """Root of every ray's zeta on (0, +inf], by bracketed discrete Newton in lockstep.
 
     The first block holds the apex, then every ray's ETA_INF and NEWTON_START
     probes.  The apex row's zeta is the apex margin, zeta(0) on every ray:
@@ -100,20 +99,18 @@ def newton_steps(sfree: SFreeSet, apex_x, apex_t: float, x_dir, t_dir) -> StepSe
     until |zeta| <= ROOT_TOL.  Each later round evaluates the rays still
     searching in one block.
 
-    A ray with no root is exhausted, and its eta is the last one evaluated:
-    after NEWTON_MAX_STEPS evaluations, or as soon as its eta after 2^k
-    evaluations (k >= 1) equals its eta after 2^(k-1).  That early stop loses
-    no root.  A block row is rounded as the ray's point alone would be, so
-    zeta and its slope, and with them the next eta, are functions of eta
-    alone; equal etas 2^(k-1) evaluations apart therefore repeat with that
-    period forever, and none of them was a root, or the ray would have
-    stopped.  The check costs one comparison per power of two and catches
-    every cycle whose period is a power of two once it has begun.
+    Each searching ray keeps a bracket: lo, the largest eta evaluated with
+    zeta > 0 (from 0, the apex), and hi, the least evaluated without (from
+    ETA_INF).  A step that does not land above lo, which only rounding or a
+    non-finite zeta or slope can cause, is replaced by the midpoint of the
+    bracket (Press et al., *Numerical Recipes*, 9.4, ``rtsafe``), so no
+    point with zeta > 0 is evaluated twice.  A ray with no root after
+    NEWTON_MAX_STEPS evaluations takes lo as its step: a point strictly
+    inside the set, so its cut stays valid, only weaker.
     """
     n = len(t_dir)
     steps = np.full(n, math.inf)
     iterations = np.zeros(n, dtype=int)
-    exhausted = np.zeros(n, dtype=bool)
     probes = np.full(2 * n + 1, NEWTON_START)
     probes[: n + 1] = ETA_INF
     probes[0] = 0.0
@@ -125,37 +122,31 @@ def newton_steps(sfree: SFreeSet, apex_x, apex_t: float, x_dir, t_dir) -> StepSe
     rays = (~(zeta[1 : n + 1] > 0.0)).nonzero()[0]  # a positive far probe means an infinite step
     zeta, slope = zeta[n + 1 :][rays], slope[n + 1 :][rays]
     eta = np.full(rays.size, NEWTON_START)
-    seen = np.full(n, math.nan)  # each ray's eta at the last power-of-two count; NaN equals nothing
+    lo, hi = np.zeros(rays.size), np.full(rays.size, ETA_INF)
     for it in range(1, NEWTON_MAX_STEPS + 1):
         done = np.abs(zeta) <= ROOT_TOL
         steps[rays[done]] = eta[done]
         iterations[rays[done]] = it
-        if not it & (it - 1):  # it is a power of two
-            cycle = eta == seen[rays]
-            seen[rays] = eta
-            if cycle.any():
-                exhausted[rays[cycle]] = True
-                steps[rays[cycle]] = eta[cycle]
-                iterations[rays[cycle]] = it
-                done |= cycle
-        left = ~done
-        rays, eta, zeta, slope = rays[left], eta[left], zeta[left], slope[left]
+        left = (~done).nonzero()[0]  # integer indices gather faster than a mask
+        rays, eta, zeta, slope, lo, hi = rays[left], eta[left], zeta[left], slope[left], lo[left], hi[left]
         if not rays.size or it == NEWTON_MAX_STEPS:
             break
+        inside = zeta > 0.0
+        np.copyto(lo, eta, where=inside)  # every evaluated eta lies above lo
+        np.copyto(hi, np.minimum(hi, eta), where=~inside)
         newton = slope < 0.0
         eta = np.where(newton, eta - zeta / np.where(newton, slope, 1.0), 2.0 * eta)
+        low = ~(eta > lo)  # a NaN step is not above lo either
+        if low.any():
+            eta[low] = 0.5 * (lo[low] + hi[low])
         zeta, slope = zeta_slope(sfree, apex_x, apex_t, eta, x_dir[rays], t_dir[rays])
-    exhausted[rays] = True
-    steps[rays] = eta
+    steps[rays] = np.where(zeta > 0.0, eta, lo)  # an eta evaluated inside lies above lo
     iterations[rays] = NEWTON_MAX_STEPS
-    return StepSearch(steps.tolist(), iterations.tolist(), exhausted.tolist())
+    return StepSearch(steps.tolist(), iterations.tolist())
 
 
 def step_length(search: StepSearch, k: int) -> StepResult:
-    """Ray k's step and evaluation count; raises SeparationBudget if its search found no root."""
-    if search.exhausted[k]:
-        raise SeparationBudget(
-            f"no root within {search.iterations[k]} steps (eta = {search.eta[k]:.6g})")
+    """Ray k's step and evaluation count."""
     return StepResult(search.eta[k], search.iterations[k])
 
 
@@ -180,22 +171,18 @@ def intersection_cut(corner, sfree: SFreeSet):
     """Build the intersection cut of a projected corner with an S-free set.
 
     Returns None when no usable cut exists: apex not strictly interior,
-    all steps infinite, a step below the near-boundary floor, the step
-    search out of budget, or the assembled cut failing the efficacy or
-    dynamic-range filters.
+    all steps infinite, a step below the near-boundary floor, or the
+    assembled cut failing the efficacy or dynamic-range filters.
     """
     if corner.apex_x is None:
         raise ValueError("corner has no (x, t) projection; project it first")
     search = newton_steps(sfree, corner.apex_x, corner.apex_t, corner.x_dir, corner.t_dir)
     if search is None:
         return None
-    # one step_length call per ray, up to the first failure: each reads and checks one ray's step
+    # one step_length call per ray, up to the first step below the floor
     for k in range(corner.nrays):
-        try:
-            if step_length(search, k).eta < MIN_STEP:
-                return None  # apex numerically on the boundary; skip the cut
-        except SeparationBudget:
-            return None
+        if step_length(search, k).eta < MIN_STEP:
+            return None  # apex numerically on the boundary; skip the cut
 
     steps = np.array(search.eta)
     finite = np.isfinite(steps)

@@ -50,9 +50,9 @@ CSV_HEADER = "instance,mode,d1,d2,p,closed,cuts,sep_time_ms,total_time_ms"
 class RunConfig:
     """Settings of one root-node run; mirrors the JSON config files.
 
-    The separation tolerances and budgets are not run settings: they are
-    the constants of ``subcut.cuts`` (and ``sfree.INTERIOR_TOL``,
-    ``BINARY_TOL``).
+    The separation tolerances, the step search's evaluation cap among
+    them, are not run settings: they are the constants of ``subcut.cuts``
+    (and ``sfree.INTERIOR_TOL``, ``BINARY_TOL``).
     """
 
     mode: str = "submodular"
@@ -473,6 +473,7 @@ def generate_instances(
         raise ValueError(f"unknown generator {kind!r}; expected one of {GENERATORS}")
     if n < 2:
         raise ValueError(f"need n >= 2, got n = {n}")
+    check_capacity("instance file", n)  # before pw_graph sizes anything by n, and before any file
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if density is not None and not 0.0 <= density <= 1.0:

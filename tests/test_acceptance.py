@@ -142,7 +142,7 @@ def test_05_newton_root_finding():
             def zeta(eta):  # on a one-row block, as the search evaluates it
                 return float(zeta_slope(sfree, apex_x, apex_t, np.array([eta]), x_dir, t_dir)[0][0])
 
-            # a budget overrun would raise and fail the test
+            # a ray cut short by the cap would end where zeta > ROOT_TOL and fail the root check
             res = step_length(newton_steps(sfree, apex_x, apex_t, x_dir, t_dir), 0)
             iteration_counts.append(res.iterations)
             assert res.iterations <= 500

@@ -18,7 +18,7 @@ from subcut.cuts import (
     validate_cut_bruteforce,
     zeta_slope,
 )
-from subcut.errors import CapacityError, SeparationBudget
+from subcut.errors import CapacityError
 from subcut.harness import RunConfig, autocorr_polynomial, build_model, pw_graph, split_selector
 from subcut.models import BmpInstance, LiftMap, project_corner
 from subcut.oracles import Graph, MultilinearFunction, SSFunction, cut_polynomial, ss_decompose
@@ -278,14 +278,22 @@ class TestStepLength:
         assert calls == []
         assert newton_steps(sfree, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir) is None
 
-    def test_budget_exhausted(self, k3_cut, monkeypatch):
-        monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", 1)
+    def test_cap_takes_the_last_point_inside(self, monkeypatch):
+        # cut short, the ray's step is the largest eta it evaluated with zeta > 0
+        k4 = cut_polynomial(Graph(4, [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)]))
         ray = Ray(
-            EnvelopeEpigraph(k3_cut), np.array([0.5, 0.5, 0.5]), 1.5,
-            np.array([1.0, 0.0, 0.0]), 0.0,
+            EnvelopeEpigraph(k4), np.array([0.3, 0.5, 0.5, 0.6]), 6.0,
+            np.array([1.0, 0.5, 0.25, 0.125]), 0.0,
         )
-        with pytest.raises(SeparationBudget):
-            ray.step()
+        assert ray.step().iterations == 4
+        trace = record_search(monkeypatch)
+        for cap in (1, 2, 3):
+            monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", cap)
+            trace.clear()
+            res = ray.step()
+            assert res.iterations == cap and len(trace) == cap + 2  # the apex and the ETA_INF probe
+            assert res.eta == max(eta for eta, zeta, _ in trace[2:] if zeta > 0.0)
+            assert ray.zeta(res.eta)[0] > cuts.ROOT_TOL
 
     def test_root_uniqueness_on_examples(self, k3_cut):
         cases = [
@@ -349,10 +357,7 @@ class TestStepLength:
             apex_t = -ref.margin(sfree, apex_x, 0.0) + 1.0
             ray = Ray(sfree, apex_x, apex_t, rng.normal(size=n), -abs(rng.normal()) - 0.1)
             trace.clear()
-            try:
-                res = ray.step()
-            except SeparationBudget:
-                continue
+            res = ray.step()
             if math.isinf(res.eta):
                 continue
             loop = trace[2:]  # drop the apex and the safeguard probe
@@ -516,7 +521,7 @@ class TestIntersectionCut:
         assert lines[0].startswith("CUT kind=ss rays=4 inf_steps=0 efficacy=")
 
     def test_apex_evaluated_once(self, k3_cut):
-        split_cp, split = multi_round_split()
+        split_cp, split, _ = multi_round_split()
         for cp, sfree in ((k3_corner()[0], EnvelopeEpigraph(k3_cut)), (split_cp, split)):
             n = cp.apex_x.size
             shapes = recorded_shapes(sfree)
@@ -532,28 +537,27 @@ class TestIntersectionCut:
             assert sum(rounds) == cut.newton_iters - finite
         assert len(rounds) > 1  # the split corner's rays stop in different rounds
 
-    def test_budget_exhausted_in_rounds(self, monkeypatch):
-        cp, sfree = multi_round_split()
-        iterations = [
-            ref.newton_step_length(sfree, cp.apex_x, cp.apex_t, cp.x_dir[k], float(cp.t_dir[k]))[1]
-            for k in range(cp.nrays)
-        ]
-        most = max(iterations)
-        for budget, found in ((most - 2, False), (most - 1, False), (most, True)):
-            monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", budget)
-            split = LiftedSplit(sfree.j, sfree.n)
-            shapes = recorded_shapes(split)
-            cut = intersection_cut(cp, split)
-            assert (cut is not None) == found
-            # the probe block is the first evaluation, and at most budget - 1 rounds follow it
-            assert len(shapes) - 1 <= budget - 1
-            assert all(len(shape) == 2 for shape in shapes)
-        # one evaluation short, the slowest ray has no root: its last evaluation is not one
-        monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", most - 1)
-        search = newton_steps(sfree, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
-        with pytest.raises(SeparationBudget):
-            step_length(search, iterations.index(most))
-        assert list(search.exhausted) == [it == most for it in iterations]
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_cap_leaves_every_unfinished_ray_inside(self, monkeypatch, searches_without_root, cap):
+        # a ray cut short by the cap takes a point where zeta > 0, so every cut stays valid
+        monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", cap)
+        unfinished = emitted = 0
+        for cp, free, validator in [multi_round_split(), *searches_without_root]:
+            shapes = recorded_shapes(free)
+            search = newton_steps(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
+            # the probe block is the first evaluation, and at most cap - 1 rounds follow it
+            assert len(shapes) <= cap
+            eta = np.array(search.eta)
+            finite = np.isfinite(eta)
+            zeta, _ = zeta_slope(free, cp.apex_x, cp.apex_t, eta[finite], cp.x_dir[finite], cp.t_dir[finite])
+            short = (np.array(search.iterations)[finite] == cap) & (np.abs(zeta) > cuts.ROOT_TOL)
+            assert (zeta[short] > 0.0).all(), free.kind
+            unfinished += short.sum()
+            cut = intersection_cut(cp, free)
+            if cut is not None:
+                emitted += 1
+                assert validate_cut_bruteforce(cut, validator), free.kind
+        assert unfinished and emitted
 
 
 def recorded_shapes(sfree) -> list:
@@ -565,10 +569,11 @@ def recorded_shapes(sfree) -> list:
 
 
 def multi_round_split():
-    """First LP corner of an autocorr n=10 instance and a split whose rays take up to seven steps."""
+    """First LP corner of an autocorr n=10 instance, a split whose rays take up to seven steps,
+    and the instance's cut validator."""
     model, _, lift = build_model(BmpInstance(autocorr_polynomial(10, 3, 0.5, 1001)))
     cp = project_corner(corner(solve(model)), lift)
-    return cp, LiftedSplit(split_selector(cp.apex_x), lift.n)
+    return cp, LiftedSplit(split_selector(cp.apex_x), lift.n), CutValidator(lift, model.lower[lift.t_col])
 
 
 def non_integer_separations() -> list:
@@ -615,39 +620,38 @@ class TestFormerSeparationPath:
     def separations(self):
         return non_integer_separations()
 
-    @pytest.mark.parametrize("budget", [cuts.NEWTON_MAX_STEPS, 2, 1])
-    def test_step_search(self, monkeypatch, separations, budget):
-        monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", budget)
-        exhausted = 0
+    @pytest.mark.parametrize("cap", [cuts.NEWTON_MAX_STEPS, 2, 1])
+    def test_step_search(self, monkeypatch, separations, cap):
+        # every ray the former search roots keeps its step and count; a ray it
+        # leaves without a root within the cap is counted to the cap here too
+        monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", cap)
+        unrooted = 0
         for cp, free in separations:
             search = newton_steps(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
-            eta, iterations, out = ref.newton_steps_tiled(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
-            assert np.array(search.eta).tobytes() == eta.tobytes(), free.kind
-            assert search.iterations == iterations.tolist() and search.exhausted == out.tolist(), free.kind
-            exhausted += sum(search.exhausted)
-        assert (exhausted > 0) == (budget < 3)
+            eta, iterations, exhausted = ref.newton_steps_tiled(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
+            rooted = ~exhausted
+            assert np.array(search.eta)[rooted].tobytes() == eta[rooted].tobytes(), free.kind
+            assert search.iterations == iterations.tolist(), free.kind
+            unrooted += exhausted.sum()
+        assert (unrooted > 0) == (cap < 3)
 
-    def test_cuts_match_the_former_path(self, separations, searches_without_root):
-        # the apex row, the rhs reduce and the early stop of periodic rays give the
-        # former margin check's, rhs loop's and full-budget search's cuts, byte for byte
-        pairs = separations + [(cp, free) for cp, free, _ in searches_without_root]
-        made = 0
-        for cp, free in pairs:
+    def test_cuts_match_the_former_path(self, separations):
+        # the apex row and the rhs reduce give the former margin check's, rhs loop's
+        # and full-budget search's cuts, byte for byte
+        for cp, free in separations:
             cut, former = intersection_cut(cp, free), ref.former_intersection_cut(cp, free)
-            assert (cut is None) == (former is None), free.kind
-            if cut is None:
-                continue
-            made += 1
+            assert cut is not None and former is not None, free.kind
             assert cut.coef.tobytes() == former.coef.tobytes(), free.kind
             assert np.array([cut.rhs, cut.efficacy]).tobytes() == np.array([former.rhs, former.efficacy]).tobytes()
             assert np.array(cut.steps).tobytes() == np.array(former.steps).tobytes()
             assert (cut.kind, cut.newton_iters, cut.infinite_steps) == (
                 former.kind, former.newton_iters, former.infinite_steps)
-        assert made == len(separations)
 
     @pytest.mark.parametrize("budget", [cuts.NEWTON_MAX_STEPS, 2, 1])
     def test_one_step_length_call_per_ray_up_to_the_first_failure(self, monkeypatch, separations, budget):
+        # no search ends without a step, so rays fail only below the floor, raised here to 1
         monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", budget)
+        monkeypatch.setattr(cuts, "MIN_STEP", 1.0)
         calls = []
         read = cuts.step_length
         monkeypatch.setattr(cuts, "step_length", lambda search, k: calls.append(k) or read(search, k))
@@ -655,92 +659,86 @@ class TestFormerSeparationPath:
         for cp, free in separations:
             assert ref.margin(free, cp.apex_x, cp.apex_t) > sfree.INTERIOR_TOL
             search = newton_steps(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
-            fails = [k for k in range(cp.nrays) if search.exhausted[k] or search.eta[k] < cuts.MIN_STEP]
+            fails = [k for k in range(cp.nrays) if search.eta[k] < cuts.MIN_STEP]
             calls.clear()
             intersection_cut(cp, free)
             assert calls == list(range(fails[0] + 1 if fails else cp.nrays)), free.kind
-            stops.append(bool(fails))
-        assert any(stops) == (budget < 3)
+            stops.append(fails[0] if fails else None)
+        assert any(k is not None for k in stops)
 
 
-# Searches without a root on the benchmark's instances: (instance, mode, round, set kind, the
-# period of the ray's eta, or None where eta doubles away below zero until the budget)
+# Separations with one ray on which plain discrete Newton finds no root, from the benchmark's
+# instances: (instance, mode, round, set kind)
 ROOTLESS = [
-    # seed-1 maxcut-sparse: eta alternates between 4.27e16 and 0.0
-    (lambda: ref.cut_instance(pw_graph(20, 0.15, 1020, max_weight=1)), "both", 2, "env", 2),
+    # seed-1 maxcut-sparse: zeta is flat at NEWTON_START, and eta alternates between 4.27e16 and 0.0
+    (lambda: ref.cut_instance(pw_graph(20, 0.15, 1020, max_weight=1)), "both", 2, "env"),
     # seed-2 mubo-validated: a Newton step lands on eta = 0.0, where doubling stays
-    (lambda: BmpInstance(autocorr_polynomial(12, 2, 0.2, 2047)), "both", 1, "ss", 1),
+    (lambda: BmpInstance(autocorr_polynomial(12, 2, 0.2, 2047)), "both", 1, "ss"),
     # seed-3 mubo-validated: a Newton step lands on eta = -32, and doubling runs away
-    (lambda: BmpInstance(autocorr_polynomial(12, 2, 0.2, 3019)), "submodular", 1, "ss", None),
+    (lambda: BmpInstance(autocorr_polynomial(12, 2, 0.2, 3019)), "submodular", 1, "ss"),
 ]
 
 
 @pytest.fixture(scope="module")
 def searches_without_root():
-    """(corner, free set, period) of every ROOTLESS separation."""
+    """(corner, free set, cut validator) of every ROOTLESS separation."""
     out = []
-    for make, mode, round_, kind, period in ROOTLESS:
+    for make, mode, round_, kind in ROOTLESS:
+        instance = make()
         corners = {}
-        for cp, free in loop_separations(make(), mode, round_):
+        for cp, free in loop_separations(instance, mode, round_):
             corners.setdefault(id(cp), []).append((cp, free))
         [(cp, free)] = [pair for pair in list(corners.values())[round_ - 1] if pair[1].kind == kind]
-        out.append((cp, free, period))
+        model, _, lift = build_model(instance)
+        out.append((cp, free, CutValidator(lift, model.lower[lift.t_col])))
     return out
 
 
 class TestRaysWithoutRoot:
-    def test_periodic_rays_stop_early(self, monkeypatch, searches_without_root):
+    def test_every_ray_gets_a_root(self, monkeypatch, searches_without_root):
         blocks = counted_searches(monkeypatch)
-        for cp, free, period in searches_without_root:
+        for cp, free, validator in searches_without_root:
+            eta, iterations, exhausted = ref.newton_steps_tiled(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
+            [k] = exhausted.nonzero()[0]
             blocks.clear()
             search = newton_steps(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
-            evaluations = len(blocks)
-            blocks.clear()
-            eta, iterations, exhausted = ref.newton_steps_tiled(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
-            former_evaluations = len(blocks)
-            # the same rays have no root, and every other ray keeps its step and count
-            assert search.exhausted == exhausted.tolist()
-            [k] = exhausted.nonzero()[0]
+            assert len(blocks) == max(search.iterations) <= 20
+            # every other ray keeps its step and count
             rooted = ~exhausted
             assert np.array(search.eta)[rooted].tobytes() == eta[rooted].tobytes()
             assert np.array(search.iterations)[rooted].tolist() == iterations[rooted].tolist()
-            # ray k's eta repeats with the stated period, one ray at a time too
-            trail = [cuts.NEWTON_START]
-            for _ in range(40):
-                zeta, slope = zeta_slope(free, cp.apex_x, cp.apex_t, np.array(trail[-1:]), cp.x_dir[k][None],
-                                         cp.t_dir[k:k + 1])
-                trail.append(float(trail[-1] - zeta[0] / slope[0] if slope[0] < 0.0 else 2.0 * trail[-1]))
-            if period is None:
-                assert trail[-1] < trail[-2] < 0.0
-                # no eta repeats, so the search runs to the budget, as it did
-                assert search.iterations[k] == cuts.NEWTON_MAX_STEPS and search.eta[k] == eta[k]
-                assert evaluations == former_evaluations == cuts.NEWTON_MAX_STEPS
-            else:
-                assert trail[-1] == trail[-1 - period]
-                assert period == 1 or trail[-1] != trail[-2]
-                it = search.iterations[k]
-                assert it < cuts.NEWTON_MAX_STEPS and not it & (it - 1)
-                # the budget and every power of two past 1 are even, so both land on one phase
-                assert search.eta[k] == eta[k]
-                assert evaluations < former_evaluations == cuts.NEWTON_MAX_STEPS
-            with pytest.raises(SeparationBudget, match=f"no root within {search.iterations[k]} steps"):
-                step_length(search, k)
-            assert intersection_cut(cp, free) is None
+            # and ray k ends at a root, so the cut is made and valid
+            zeta, _ = zeta_slope(free, cp.apex_x, cp.apex_t, np.array(search.eta[k : k + 1]), cp.x_dir[k][None],
+                                 cp.t_dir[k : k + 1])
+            assert math.isfinite(search.eta[k]) and abs(zeta[0]) <= cuts.ROOT_TOL
+            assert ref.former_intersection_cut(cp, free) is None
+            cut = intersection_cut(cp, free)
+            assert cut is not None and validate_cut_bruteforce(cut, validator)
 
-    def test_a_repeat_at_the_second_evaluation_stops_there(self, k3_cut, monkeypatch):
-        # the searching ray's row reads zeta 1 and slope -inf in every block, so its
-        # Newton step adds 1/inf = 0: eta_2 = eta_1, and the first power-of-two check ends it
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+    @pytest.mark.parametrize("pin", [1.0, math.inf])
+    def test_a_step_not_above_the_bracket_takes_its_midpoint(self, k3_cut, monkeypatch, pin):
+        # the searching ray's row reads slope -inf in every block: with zeta 1 its Newton
+        # step adds 1/inf = 0 and lands on eta, which is lo; with zeta inf the step is
+        # NaN.  Either way the ray bisects (lo, ETA_INF), and the cap leaves it at lo
         ray = Ray(EnvelopeEpigraph(k3_cut), np.array([0.5, 0.5, 0.5]), 1.5, np.array([1.0, 0.0, 0.0]), 0.0)
         evaluate = cuts.zeta_slope
+        etas = []
 
         def pinned(*args):
             zeta, slope = evaluate(*args)
-            zeta[-1], slope[-1] = 1.0, -math.inf
+            zeta[-1], slope[-1] = pin, -math.inf
+            etas.append(float(args[3][-1]))
             return zeta, slope
 
         monkeypatch.setattr(cuts, "zeta_slope", pinned)
+        monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", 4)
         search = newton_steps(ray.sfree, ray.apex_x, ray.apex_t, ray.ray_x[None], np.array([ray.ray_t]))
-        assert search == ([cuts.NEWTON_START], [2], [True])
+        want = [cuts.NEWTON_START]
+        for _ in range(3):
+            want.append(0.5 * (want[-1] + cuts.ETA_INF))
+        assert etas == want
+        assert search == ([want[-1]], [4])
 
 
 class TestGradientCut:

@@ -757,6 +757,7 @@ class TestCli:
         (["gen", "autocorr", "-n", "6", "--max-lag", "0"], "max_lag must be >= 1"),
         (["root", "K3", "--rounds", "-1"], "rounds must be >= 0"),
         (["root", "K3", "--max-cuts", "0"], "max_cuts_per_round must be >= 1"),
+        (["gen", "g05", "-n", "2049", "--density", "0.0005"], "instance file limited to n <= 2048, got n = 2049"),
     ])
     def test_out_of_range_setting(self, tmp_path, capsys, args, phrase):
         path = self.write_k3(tmp_path)
