@@ -29,6 +29,7 @@ from .oracles import (
     CubeBasis,
     Graph,
     MultilinearFunction,
+    complement_symmetric,
     cut_polynomial,
     finite_number,
     number_text,
@@ -225,10 +226,11 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
     re-solves warm from the previous round's optimal basis.  A reference
     optimum above d1 raises ModelError: d1 bounds the true optimum, so that
     p is wrong data.  So does a p below the value of a feasible binary
-    point, which the loop checks at an LP optimum binary in x, where it
-    stops.  An LP failure sets the failure flag on the report; a cut
-    failing point validation, or a bound that rises across a round or falls
-    below the reference optimum, raises, since that can only be a bug.
+    point, which the loop checks at the first LP optimum rounded, and at an
+    LP optimum binary in x, where it stops.  An LP failure sets the failure
+    flag on the report; a cut failing point validation, or a bound that
+    rises across a round or falls below the reference optimum, raises, since
+    that can only be a bug.
     """
     if not targets:
         raise ModelError("at least one separation target is required")
@@ -248,12 +250,13 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
         if p > report.d1 + BOUND_TOL * (1.0 + abs(report.d1)):
             raise ModelError(f"reference optimum p = {_fmt(p)} of {instance!r} exceeds the first"
                              f" LP bound d1 = {_fmt(report.d1)}")
+        _check_binary_point(lift.instance, np.round(sol.x[lift.x_cols]), p, instance, "rounded first LP optimum")
 
     while sol is not None and report.rounds < config.rounds:
         x_bar = sol.x[lift.x_cols]
         split = split_selector(x_bar)
         if split is None:
-            _check_binary_point(lift.instance, np.round(x_bar), p, instance)
+            _check_binary_point(lift.instance, np.round(x_bar), p, instance, "binary LP optimum")
             break  # vertex already binary in x; nothing to separate
         s0 = time.perf_counter()
         worklist = _candidates(config.mode, targets, x_bar, split)
@@ -306,8 +309,8 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
     return report
 
 
-def _check_binary_point(problem: BmpInstance, x, p: float, instance: str) -> None:
-    """Raise ModelError when the binary point x is feasible and its value beats p, the reference optimum."""
+def _check_binary_point(problem: BmpInstance, x, p: float, instance: str, what: str) -> None:
+    """Raise ModelError when the binary point x, named ``what`` in the message, is feasible and its value beats p."""
     if problem.cardinality is not None and int(x.sum()) != problem.cardinality:
         return
     if any(c.value(x) < 0.0 for c in problem.constraints):
@@ -316,7 +319,7 @@ def _check_binary_point(problem: BmpInstance, x, p: float, instance: str) -> Non
     if value > p + BOUND_TOL * (1.0 + abs(p)):
         raise ModelError(
             f"reference optimum p = {_fmt(p)} of {instance!r} is below the value {_fmt(value)}"
-            f" of the binary LP optimum x = {x.astype(int).tolist()}")
+            f" of the {what} x = {x.astype(int).tolist()}")
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +375,31 @@ def brute_force_primal(instance: BmpInstance) -> float:
 
     The least value is :meth:`CubeBasis.least`'s, by blocks of the cube, so no
     2^n table of f is held; the infeasible mask is built only for an instance
-    with constraints or a cardinality.  Exact for the integer coefficients
-    every generator makes, else up to rounding. Guarded.
+    with constraints or a cardinality.  An instance with neither has its cube
+    cut down first, with f's values on it unchanged: a variable no term holds
+    (an isolated vertex) drops out, and when f(1 - x) = f(x)
+    (:func:`complement_symmetric`, every cut polynomial) the last variable
+    left is fixed at 0, since that half of the cube holds every value.  When
+    nothing drops, as for every autocorr objective, the basis is f's own.
+    Exact for the integer coefficients every generator makes, else up to
+    rounding.  Guarded at the instance's own n, by ``instance.infeasible``,
+    before any reduction.
     """
     if not isinstance(instance, BmpInstance):
         raise ModelError(f"no brute force for {type(instance).__name__}")
     f = instance.objective
-    basis = CubeBasis(f.n, [s for _, s in f.terms])
-    least, _ = basis.least(np.array([-a for a, _ in f.terms]), instance.infeasible())
+    n, terms, excluded = f.n, f.terms, instance.infeasible()
+    supports = [s for _, s in terms]
+    if excluded is None:
+        held = set().union(*supports)
+        symmetric = complement_symmetric(f)
+        if symmetric or len(held) < n:
+            kept = sorted(held)[:-1] if symmetric else sorted(held)
+            index = {j: k for k, j in enumerate(kept)}
+            terms = [(a, [index[j] for j in s]) for a, s in terms if s.issubset(index)]
+            n, supports = len(kept), [s for _, s in terms]
+    basis = CubeBasis(n, supports)
+    least, _ = basis.least(np.array([-a for a, _ in terms]), excluded)
     if least == math.inf:
         raise ModelError("no feasible binary point")
     return 0.0 - least  # +0.0, not -0.0, when the optimum is 0

@@ -21,7 +21,9 @@ generators; a loaded graph is its cut polynomial from then on.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -285,6 +287,44 @@ def cube_table(poly: MultilinearFunction) -> np.ndarray:
     """The polynomial's 2^n values, entry m at x_i = bit i of m, as a :class:`CubeBasis` table. Guarded."""
     basis = CubeBasis(poly.n, [s for _, s in poly.terms])
     return basis.table(np.array([a for a, _ in poly.terms]))
+
+
+def complement_symmetric(poly: MultilinearFunction) -> bool:
+    """Whether f(1 - x) = f(x) on {0,1}^n, as every cut polynomial is; decided exactly from the coefficients.
+
+    The coefficient of x_S in f(1 - x) is (-1)^|S| times the sum of c_T over
+    T containing S, so f is symmetric iff that equals c_S for every S: for
+    S empty the coefficients sum to 0, and at degree 2 it asks
+    2 c_i + sum_j c_ij = 0 for each i.  Each condition is one sum of c_T
+    over T containing S, less (-1)^|S| c_S: a term of odd size adds its
+    own coefficient twice, one of even size not at all.  The S of one
+    member are summed first, since they settle most asymmetric f, and the
+    larger ones only from terms of degree 3 or more.  Each sum is a
+    ``math.fsum``, so a nonzero one is never rounded to 0, and one whose
+    partial sums overflow a double counts as nonzero: a wrong False costs
+    only the whole cube, a wrong True a wrong optimum.
+    """
+    try:
+        if math.fsum(a for a, _ in poly.terms) != 0.0:
+            return False
+        singles = collections.defaultdict(list)
+        for a, t in poly.terms:
+            for i in t:
+                singles[i] += (a, a) if len(t) == 1 else (a,)
+        if any(math.fsum(addends) != 0.0 for addends in singles.values()):
+            return False
+        larger = collections.defaultdict(list)  # keyed by the sorted members of S
+        for a, t in poly.terms:
+            if len(t) > 2:
+                members = tuple(sorted(t))
+                if len(members) % 2:
+                    larger[members] += (a, a)
+                for k in range(2, len(members)):
+                    for s in itertools.combinations(members, k):
+                        larger[s].append(a)
+        return all(math.fsum(addends) == 0.0 for addends in larger.values())
+    except OverflowError:
+        return False
 
 
 def cube_points(n: int) -> np.ndarray:

@@ -4,8 +4,9 @@ Everything here is deliberately naive and independent of the package:
 direct loops over edges and terms, itertools permutations, pure bisection,
 and exhaustive enumeration.  Slow is fine; these run on tiny inputs, apart
 from the chunked cube walks, which pin the brute-force primal and the least
-cut residuals at n <= 20.  Three exceptions only build package objects:
+cut residuals at n <= 20.  Four exceptions only build package objects:
 :func:`modular`, a polynomial for tests that need a modular function,
+:func:`with_complement`, one that is complement-symmetric,
 :func:`cut_instance`, the instance a max-cut file loads as, and
 :func:`full_lp`, the lean LP with its deferred rows appended.
 :func:`chain_values` sums a package polynomial's coefficients along the
@@ -65,6 +66,16 @@ def multilinear_value(terms, x):
 def modular(c):
     """The modular function x -> c . x as a degree-1 polynomial (zero entries leave no term)."""
     return MultilinearFunction(len(c), [(cj, {j}) for j, cj in enumerate(c)])
+
+
+def with_complement(n, terms):
+    """g(x) + g(1 - x) less its constant, for g the polynomial of ``terms``: a complement-symmetric polynomial."""
+    out = list(terms)
+    for a, support in terms:
+        members = sorted(support)
+        for k in range(1, len(members) + 1):
+            out += [((-1) ** k * a, s) for s in itertools.combinations(members, k)]
+    return MultilinearFunction(n, out)
 
 
 def cut_instance(graph):

@@ -35,6 +35,7 @@ from subcut.harness import (
 )
 from subcut.models import BmpInstance, LiftMap
 from subcut.oracles import (
+    CubeBasis,
     Graph,
     MultilinearFunction,
     READERS,
@@ -425,6 +426,108 @@ class TestBruteForceFullTable:
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
+def full_cube_primal(inst):
+    """The optimum by ``CubeBasis.least`` over the instance's whole cube, with nothing dropped."""
+    f = inst.objective
+    basis = CubeBasis(f.n, [s for _, s in f.terms])
+    least, _ = basis.least(np.array([-a for a, _ in f.terms], dtype=float), inst.infeasible())
+    return -math.inf if least == math.inf else 0.0 - least
+
+
+class TestBruteForceReduced:
+    """The primal over the cube that changes f against the whole cube's, exactly."""
+
+    @staticmethod
+    def check(inst, monkeypatch, basis_n):
+        """The primal equals the whole cube's, from one CubeBasis over ``basis_n`` variables."""
+        want, sizes = full_cube_primal(inst), []
+
+        def recording(n, supports):
+            sizes.append(n)
+            return CubeBasis(n, supports)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "CubeBasis", recording)
+            got = brute_force_primal(inst)
+        assert sizes == [basis_n]
+        assert got == want and f"{got:.12g}" == f"{want:.12g}"  # the .sol text, so no -0
+
+    def test_equals_the_whole_cube(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(1, 10))
+            support = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 3))
+            terms = draw(st.lists(st.tuples(st.integers(-9, 9).map(float), support), max_size=12))
+            family = draw(st.sampled_from(["graph", "complemented", "zero sum", "constrained", "cardinality"]))
+            if family == "graph":
+                # edges among the first few vertices only, so the rest are isolated
+                n = max(n, 2)
+                used = draw(st.integers(2, n))
+                pairs = [(i, j) for i in range(used) for j in range(i + 1, used)]
+                edges = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 9)), max_size=15))
+                return ref.cut_instance(Graph(n, [(i, j, float(w)) for (i, j), w in edges]))
+            if family == "complemented":
+                return BmpInstance(ref.with_complement(n, terms))
+            if family == "zero sum" and terms:
+                terms.append((-sum(a for a, _ in terms), terms[-1][1]))
+            objective = MultilinearFunction(n, terms)
+            if family == "constrained":
+                return BmpInstance(objective, [MultilinearFunction(n, draw(st.lists(st.tuples(
+                    st.integers(-3, 3).map(float), support), max_size=6)))])
+            if family == "cardinality":
+                return BmpInstance(objective, cardinality=draw(st.integers(0, n)))
+            return BmpInstance(objective)
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(cases())
+        def same(inst):
+            want = full_cube_primal(inst)
+            if want == -math.inf:
+                with pytest.raises(ModelError, match="no feasible binary point"):
+                    brute_force_primal(inst)
+            else:
+                got = brute_force_primal(inst)
+                assert got == want and f"{got:.12g}" == f"{want:.12g}"  # the .sol text, so no -0
+
+        same()
+
+    def test_isolated_vertices_and_symmetry(self, monkeypatch):
+        # 5 of the 8 vertices hold an edge; the cut function's symmetry fixes one more
+        graph = Graph(8, [(1, 4, 2.0), (4, 6, 3.0), (2, 6, 1.0), (1, 7, 5.0)])
+        self.check(ref.cut_instance(graph), monkeypatch, 4)
+
+    def test_symmetric_but_not_a_cut(self, monkeypatch):
+        # g(x) + g(1 - x) for a g of degree 4: symmetric, of degree 4, and every variable held
+        g = [(4.0, {0, 1, 2, 3}), (-3.0, {1, 3}), (2.0, {2, 4})]
+        self.check(BmpInstance(ref.with_complement(5, g)), monkeypatch, 4)
+
+    @pytest.mark.parametrize("terms, want", [
+        ([(1.0, {0}), (-1.0, {1})], 1.0),  # x0 - x1
+        ([(1.0, {0, 1}), (-1.0, {0})], 0.0),  # x0 x1 - x0
+    ], ids=["x0-x1", "x0x1-x0"])
+    def test_asymmetric_with_zero_sum(self, monkeypatch, terms, want):
+        inst = BmpInstance(MultilinearFunction(2, terms))
+        assert brute_force_primal(inst) == want
+        self.check(inst, monkeypatch, 2)
+
+    def test_zero_and_single_variable(self, monkeypatch):
+        self.check(BmpInstance(MultilinearFunction(5, [])), monkeypatch, 0)
+        self.check(BmpInstance(MultilinearFunction(1, [])), monkeypatch, 0)
+        self.check(BmpInstance(MultilinearFunction(1, [(3.0, {0})])), monkeypatch, 1)
+        self.check(BmpInstance(MultilinearFunction(1, [(-3.0, {0})])), monkeypatch, 1)
+
+    def test_constraints_and_cardinality_keep_the_whole_cube(self, monkeypatch):
+        cut = cut_polynomial(Graph(6, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 4.0)]))  # vertices 3-5 isolated
+        self.check(BmpInstance(cut, cardinality=1), monkeypatch, 6)
+        self.check(BmpInstance(cut, [MultilinearFunction(6, [(1.0, {3}), (-1.0, {0})])]), monkeypatch, 6)
+
+    def test_autocorr_keeps_its_own_basis(self, monkeypatch):
+        self.check(BmpInstance(autocorr_polynomial(12, 2, 0.2, seed=1000)), monkeypatch, 12)
+
+
 class TestRootLoop:
     def test_none_mode_closes_nothing(self):
         model, targets, lift = k3_setup()
@@ -689,19 +792,20 @@ class TestRootLoop:
         assert rep.closed == 0.0 and not rep.failed
 
     def test_primal_below_a_feasible_binary_point_raises(self):
-        # the LP optimum is binary in x, (1, 1, 0) of value 3; p = 3 is right
+        # the LP optimum is binary in x, (1, 1, 0) of value 3; p = 3 is right, and
+        # the guard on the first LP optimum, rounded, catches p = 2.9999 before the loop's own
         poly = MultilinearFunction(3, [(3.0, {0, 1}), (-2.0, {0, 1, 2})])
         model, targets, lift = build_model(BmpInstance(poly))
-        with pytest.raises(ModelError, match=r"p = 2.9999 of 'tri' is below the value 3 of the binary LP"
-                                             r" optimum x = \[1, 1, 0\]$"):
+        with pytest.raises(ModelError, match=r"p = 2.9999 of 'tri' is below the value 3 of the rounded first"
+                                             r" LP optimum x = \[1, 1, 0\]$"):
             root_loop(model, targets, lift, RunConfig(mode="none"), instance="tri", primal=2.9999)
         # within the bound guards' slack of the point's value
         assert not root_loop(model, targets, lift, RunConfig(mode="none"), primal=3.0 - 3e-7).failed
         # an infeasible binary point proves nothing about p
         capped = BmpInstance(poly, constraints=[MultilinearFunction(3, [(-1.0, {0, 1})])])
-        assert harness._check_binary_point(capped, np.array([1.0, 1.0, 0.0]), 2.0, "tri") is None
+        assert harness._check_binary_point(capped, np.array([1.0, 1.0, 0.0]), 2.0, "tri", "point") is None
         sized = BmpInstance(poly, cardinality=1)
-        assert harness._check_binary_point(sized, np.array([1.0, 1.0, 0.0]), 2.0, "tri") is None
+        assert harness._check_binary_point(sized, np.array([1.0, 1.0, 0.0]), 2.0, "tri", "point") is None
 
     def test_requires_targets(self):
         model, _, lift = k3_setup()
@@ -976,7 +1080,9 @@ class TestCli:
     @pytest.mark.parametrize("mode", ["split", "submodular", "both"])
     def test_sidecar_below_a_binary_lp_optimum(self, tmp_path, capsys, mode):
         # every mode's loop ends at an LP optimum binary in x with d2 = 8, the
-        # optimum: a sidecar of 5 is wrong data, not a closed gap of 0.25
+        # optimum: a sidecar of 5 or 7 is wrong data, not a closed gap.  The
+        # first LP optimum, rounded, is worth 6, so it catches 5 before any
+        # round, and the binary optimum the loop ends at catches 7
         rc = cli.main(["gen", "g05", "-n", "6", "--seed", "2", "--out", str(tmp_path)])
         assert rc == 0 and (tmp_path / "g05_n6_s2.sol").read_text() == "8\n"
         capsys.readouterr()
@@ -984,14 +1090,15 @@ class TestCli:
         assert cli.main(["root", str(path), "--cuts", mode]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[3:6] == ["8", "8", "1"]  # d2, p, closed
-        path.with_suffix(".sol").write_text("5\n")
-        rc = cli.main(["root", str(path), "--cuts", mode])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.strip().split("\n")
-        assert line == ("error: reference optimum p = 5 of 'g05_n6_s2' is below the value 8"
-                        " of the binary LP optimum x = [1, 0, 0, 1, 0, 1]")
+        for sidecar, point in [("5", "6 of the rounded first LP optimum x = [1, 0, 0, 1, 1, 1]"),
+                               ("7", "8 of the binary LP optimum x = [1, 0, 0, 1, 0, 1]")]:
+            path.with_suffix(".sol").write_text(sidecar + "\n")
+            rc = cli.main(["root", str(path), "--cuts", mode])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.strip().split("\n")
+            assert line == f"error: reference optimum p = {sidecar} of 'g05_n6_s2' is below the value {point}"
 
     def test_capacity_exit_code(self, tmp_path, capsys):
         # a 21-variable graph with no sidecar cannot be brute forced

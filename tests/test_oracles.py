@@ -12,6 +12,7 @@ from subcut.oracles import (
     Graph,
     MultilinearFunction,
     SSFunction,
+    complement_symmetric,
     cube_table,
     cut_polynomial,
     number_text,
@@ -175,6 +176,53 @@ def test_values_on_cube_matches_pointwise(family):
     for mask in range(1 << f.n):
         x = [(mask >> i) & 1 for i in range(f.n)]
         assert vals[mask] == f.value(x)
+
+
+class TestComplementSymmetric:
+    def test_matches_the_reversed_table(self):
+        # entry 2^n - 1 - m of the table is the complement of point m, so f is
+        # symmetric iff its table reads the same reversed; integer coefficients keep both exact
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def polys(draw):
+            n = draw(st.integers(1, 8))
+            support = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 4))
+            terms = draw(st.lists(st.tuples(st.integers(-9, 9).map(float), support), max_size=12))
+            family = draw(st.sampled_from(["any", "zero sum", "complemented"]))
+            if family == "zero sum" and terms:
+                terms.append((-sum(a for a, _ in terms), terms[0][1]))
+            return ref.with_complement(n, terms) if family == "complemented" else MultilinearFunction(n, terms)
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(polys())
+        def check(poly):
+            table = cube_table(poly)
+            assert complement_symmetric(poly) == np.array_equal(table, table[::-1])
+
+        check()
+
+    def test_cases(self, k3):
+        assert complement_symmetric(cut_polynomial(k3))
+        assert complement_symmetric(cut_polynomial(Graph(6, [(1, 4, 2.0)])))  # isolated vertices too
+        assert complement_symmetric(MultilinearFunction(3, []))
+        assert complement_symmetric(ref.with_complement(4, [(3.0, {0, 1, 2}), (-1.0, {3})]))
+        # coefficients summing to 0, so only the conditions past S = {} reject them
+        assert not complement_symmetric(MultilinearFunction(2, [(1.0, {0}), (-1.0, {1})]))
+        assert not complement_symmetric(MultilinearFunction(2, [(1.0, {0, 1}), (-1.0, {0})]))
+        assert not complement_symmetric(MultilinearFunction(1, [(2.0, {0})]))
+        # -x0 x3 (1 - x1)(1 - x2): every sum over S of at most one member is 0, and a pair's is not
+        corner = [(-1.0, {0, 3}), (1.0, {0, 1, 3}), (1.0, {0, 2, 3}), (-1.0, {0, 1, 2, 3})]
+        assert not complement_symmetric(MultilinearFunction(4, corner))
+
+    def test_exact_sums(self):
+        # the three doubles sum to 2^-55 exactly, so the coefficients do not sum to 0
+        poly = MultilinearFunction(3, [(0.1, {0}), (0.2, {1}), (-0.3, {2})])
+        assert math.fsum([0.1, 0.2, -0.3]) == 2.0**-55 and not complement_symmetric(poly)
+        # a sum whose partial sums overflow the doubles counts as nonzero, and raises nothing
+        huge = MultilinearFunction(2, [(1e308, {0}), (1e308, {1}), (-1e308, {0, 1})])
+        assert not complement_symmetric(huge)
 
 
 class TestCubeTable:
