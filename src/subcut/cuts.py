@@ -7,7 +7,8 @@ two members of one term cross, since G's terms are c_T min_{i in T} x_i.
 A hybrid discrete Newton search finds its root (the step length); the
 reciprocal step lengths then define a valid inequality in the ray
 multipliers that is mapped back to the original variables through the
-affine forms carried by the rays.
+affine forms carried by the rays.  The lifted LP implies the cut of
+:func:`gradient_cut`, the set's closed form at f1 = 0, so no loop calls it.
 
 Separation settings are module constants, read at call time:
 NEWTON_START, NEWTON_MAX_STEPS, ETA_INF and ROOT_TOL drive the step
@@ -209,8 +210,12 @@ def gradient_cut(ss: SSFunction, x_ref, t_ref: float, lift):
     With gamma an envelope subgradient of f2 at the reference point, every
     target point satisfies gamma . x + level * t <= 0.  Returns None when
     the reference point does not violate that inequality by more than
-    1e-9 (nothing to cut), the subgradient vanishes, or the cut's
-    efficacy is below EFFICACY_MIN.
+    1e-9 (nothing to cut), the subgradient vanishes, or the cut's efficacy
+    is below EFFICACY_MIN.  It returns None at every LP optimum, so
+    ``root_loop`` never calls it: each a_S > 0, and -gamma . x = sum_S a_S
+    min_{i in S} x_i (F2 is linear with slope gamma at x; Lovasz 1983), which
+    is >= 0 at level 0 and, by the LP rows y_S <= x_i, >= sum_S a_S y_S >= t
+    at level 1, up to the LP's row residual.
     """
     if not ss.f1.trivially_zero:
         raise ValueError("gradient cut requires the submodular part to be identically zero")

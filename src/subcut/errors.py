@@ -21,7 +21,7 @@ class CapacityError(ValueError):
 CAPACITY = {
     "cut validation": 12,  # largest n that validate_cuts="auto" checks; "on" is bounded by "brute force"
     "cube enumeration": 14,  # oracles.cube_points (the extension identity of `subcut verify`)
-    "brute force": 20,  # oracles.cube_table (brute_force_primal, validate_cut_bruteforce)
+    "brute force": 20,  # oracles.CubeBasis (brute_force_primal, validate_cut_bruteforce, BmpInstance.infeasible)
     # the header's n, checked before set-up allocates O(n): a corner then holds two
     # (rays x columns) blocks of about n^2 doubles each, 64 MiB in all at this n
     "instance file": 2048,

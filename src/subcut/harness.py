@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import simplex
-from .cuts import CutValidator, gradient_cut, intersection_cut, validate_cut_bruteforce
+# root_loop never calls gradient_cut; it is imported only for perfbench/layers.py, which wraps it here
+from .cuts import CutValidator, gradient_cut, intersection_cut, validate_cut_bruteforce  # noqa: F401
 from .errors import CAPACITY, ModelError, NumericError, check_capacity
 from .models import BmpInstance, build_model, project_corner
 from .oracles import (
@@ -155,22 +156,18 @@ def split_selector(x):
 
 
 def _candidates(mode: str, targets, x_bar, split: int):
-    """Separation worklist for one round: (route, payload) pairs.
+    """Separation worklist for one round: the S-free sets to cut with, in order.
 
     ``split`` is ``split_selector(x_bar)``, the split cut's index under split
-    and both.  submodular separates the first target with a set; ss and both
-    separate every target, and take the gradient route for a target with a
-    zero submodular part.  A target with no term of degree >= 2 in f1 gets no
-    set: the lifted LP already bounds t by the concave envelope, so the apex
-    margin of a set is <= 0 and no set can cut it.
+    and both.  submodular separates the first target, ss and both every target,
+    by one rule: a reverse-linearized set when f1 has a term of degree >= 2, and
+    nothing otherwise.  Without one (f1 = 0 too) the lifted LP already bounds t
+    by the concave envelope, so no set, nor ``gradient_cut``'s halfspace, can cut.
     """
-    out = [("set", LiftedSplit(split, x_bar.size))] if mode in ("split", "both") else []
-    gradient = mode != "submodular"
+    out = [LiftedSplit(split, x_bar.size)] if mode in ("split", "both") else []
     for ss in {"submodular": targets[:1], "ss": targets, "both": targets}.get(mode, []):
-        if gradient and ss.f1.trivially_zero and not ss.f2.trivially_zero:
-            out.append(("grad", ss))
-        elif ss.f1.degree > 1:
-            out.append(("set", build_reverse_linearized(ss, x_bar)))
+        if ss.f1.degree > 1:
+            out.append(build_reverse_linearized(ss, x_bar))
     return out
 
 
@@ -265,13 +262,10 @@ def root_loop(model, targets, lift, config: RunConfig, instance: str = "", prima
         report.rounds += 1
         corner = project_corner(simplex.corner(sol), lift)
         batch = []
-        for route, payload in worklist:
+        for free in worklist:
             if len(batch) >= config.max_cuts_per_round:
                 break
-            if route == "grad":
-                cut = gradient_cut(payload, x_bar, corner.apex_t, lift)
-            else:
-                cut = intersection_cut(corner, payload)
+            cut = intersection_cut(corner, free)
             if cut is None:
                 report.skipped += 1
                 continue

@@ -475,17 +475,17 @@ class _DualSimplex:
             raise NumericError(f"primal objective {primal!r} and dual objective {dual!r} differ")
 
 
-def solve(model: LpModel, warm: LpSolution = None, max_iters=None) -> LpSolution:
+def solve(model: LpModel, warm: LpSolution = None) -> LpSolution:
     """Solve the LP; status is optimal or infeasible.
 
     ``warm``, an optimal solution of a model that ``model`` extends by
     appended rows, starts the dual simplex from its basis.
     """
     if warm is None:
-        return _DualSimplex(model, max_iters=max_iters).solve()
+        return _DualSimplex(model).solve()
     if warm.status != OPTIMAL or not model.extends(warm._state.model):
         raise ValueError("a warm start needs an optimal solution of a row prefix of the model")
-    return _DualSimplex(model, warm._state, max_iters=max_iters).solve()
+    return _DualSimplex(model, warm._state).solve()
 
 
 def corner(solution: LpSolution) -> CornerPolyhedron:

@@ -23,7 +23,8 @@ step search, and :func:`former_intersection_cut` and
 :func:`former_with_extra_rows` the former separation path and row append.
 :func:`former_corner` is the former corner extraction by boolean masks,
 :func:`former_brute_force_primal` the max of the full cube table and
-:func:`former_lifted_lp` the lifted LP built row by row and stacked.
+:func:`former_lifted_lp` the lifted LP built row by row and stacked, and
+:func:`former_cube_basis` the cube basis with its bitmasks summed by shifts.
 :func:`values_on_cube` and :func:`is_submodular_bruteforce` are the
 former package cube table and vectorized 4^n lattice check, kept as the
 oracles of the sign certificate.  The chain-cover relaxations build on
@@ -880,3 +881,24 @@ def former_lifted_lp(instance):
         return simplex.LpModel("max", objective, np.array(rows), list(senses), np.array(rhs), lower, upper)
 
     return lp(lean), lp(deferred)
+
+
+def former_cube_basis(n, supports):
+    """The (order, slot, grid, a_ind, h_ind) of ``CubeBasis(n, supports)``, with each support's
+    bitmask summed by shifts, as the package built them before its bit table."""
+    a = n // 2
+    low = (1 << a) - 1
+    masks = [sum(1 << j for j in s) for s in supports]
+    mixed = [k for k, m in enumerate(masks) if m & low]
+    order = np.array(mixed + [k for k, m in enumerate(masks) if not m & low], dtype=int)
+    groups, parts = {0: 0}, {}
+    member = [groups.setdefault(masks[k] >> a, len(groups)) for k in mixed]
+    part = [parts.setdefault(masks[k] & low, len(parts)) for k in mixed]
+    g = len(groups)
+    slot = np.array([p * g + q for p, q in zip(part, member)], dtype=int)
+    rows, cols = np.arange(1 << a, dtype=np.int32), np.arange(1 << (n - a), dtype=np.int32)[:, None]
+    m_a = np.array(list(parts), dtype=np.int32)[:, None]
+    m_b = np.array(list(groups) + [m >> a for m in masks if not m & low], dtype=np.int32)
+    a_ind = ((m_a & rows) == m_a).astype(float)
+    h_ind = ((cols & m_b) == m_b)[:, g:].astype(float)
+    return order, slot, (len(parts), g), a_ind, h_ind

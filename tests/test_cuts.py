@@ -881,7 +881,6 @@ class TestValidateCut:
                     [c.coef for c, _ in seen], [c.rhs for c, _ in seen], lift, float(model.lower[lift.t_col])
                 )
                 for (cut, cp), low in zip(seen, least):
-                    cp = None if cut.kind == "grad" else cp
                     check = validate(cut, model, lift)
                     assert check.residual == pytest.approx(low, abs=1e-9 * (1.0 + abs(cut.rhs)))
                     assert check and in_corner(cut, cp)

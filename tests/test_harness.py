@@ -10,7 +10,7 @@ import pytest
 import _reference as ref
 import subcut
 from subcut import cli, harness, simplex
-from subcut.cuts import IntersectionCut
+from subcut.cuts import IntersectionCut, gradient_cut
 from subcut.errors import CAPACITY, CapacityError, ModelError, NumericError
 from subcut.harness import (
     CSV_HEADER,
@@ -41,10 +41,12 @@ from subcut.oracles import (
     READERS,
     SSFunction,
     cut_polynomial,
+    envelope_eval,
     read_graph,
     write_graph,
     write_polynomial,
 )
+from subcut.sfree import SFreeSet
 from subcut.simplex import LpModel
 
 
@@ -59,6 +61,20 @@ def k3_instance():
 def k3_setup():
     model, targets, lift = build_model(k3_instance())
     return model, targets, lift
+
+
+def positive_instance(seed: int, constrained: bool, cardinal: bool) -> BmpInstance:
+    """A seeded instance on 4-8 variables whose every term is a positive product, so every target has f1 = 0."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 9))
+
+    def poly():
+        supports = dict.fromkeys(frozenset(rng.choice(n, size=int(rng.integers(2, 4)), replace=False).tolist())
+                                 for _ in range(2 * n))
+        return MultilinearFunction(n, [(float(rng.integers(1, 6)), s) for s in supports])
+
+    constraints = [poly()] if constrained else []
+    return BmpInstance(poly(), constraints=constraints, cardinality=n // 2 if cardinal else None)
 
 
 class TestRunConfig:
@@ -599,24 +615,37 @@ class TestRootLoop:
 
     @pytest.mark.parametrize("mode", ["ss", "both"])
     def test_positive_linear_terms_give_no_candidate(self, caplog, mode):
-        # no negative term: f1 holds only the linear terms and f2 the negated product
-        poly = MultilinearFunction(2, [(1.0, {0}), (1.0, {1}), (3.0, {0, 1})])
-        model, targets, lift = build_model(BmpInstance(poly, cardinality=1))
-        assert targets[0].f1.terms == [(1.0, frozenset({0})), (1.0, frozenset({1}))]
-        assert targets[0].f2.terms == [(-3.0, frozenset({0, 1}))]
-        x_bar = simplex.solve(model).x[lift.x_cols]
-        # the LP bound 2.5 is already the concave envelope of f at x_bar, so no set
-        # can cut the target and it gives no candidate; split cuts still come
-        split = split_selector(x_bar)
-        kinds = [payload.kind for _, payload in harness._candidates(mode, targets, x_bar, split)]
-        assert kinds == (["split"] if mode == "both" else [])
-        with caplog.at_level(logging.INFO, logger="subcut.cuts"):
-            rep = root_loop(model, targets, lift, RunConfig(mode=mode, validate_cuts="on"), primal=1.0)
-        kinds = {r.getMessage().split()[1] for r in caplog.records if r.getMessage().startswith("CUT ")}
-        assert rep.d1 == pytest.approx(2.5, abs=1e-9)
-        assert kinds == ({"kind=split"} if mode == "both" else set())
-        if mode == "ss":
-            assert rep.cuts == rep.skipped == 0
+        # each instance with its first LP bound, which is already the concave envelope
+        # of f at the LP optimum; autocorr's terms are all products, made positive here
+        autocorr = autocorr_polynomial(6, 2, 1.0, 7)
+        cases = [
+            # no negative term: f1 holds only the linear terms and f2 the negated product
+            (BmpInstance(MultilinearFunction(2, [(1.0, {0}), (1.0, {1}), (3.0, {0, 1})]), cardinality=1), 2.5),
+            # f1 = 0 from here on: an objective, then one with an all-positive constraint
+            (BmpInstance(MultilinearFunction(2, [(3.0, {0, 1})]), cardinality=1), 1.5),
+            (BmpInstance(MultilinearFunction(6, [(abs(a), s) for a, s in autocorr.terms]), cardinality=3), 8.0),
+            (BmpInstance(MultilinearFunction(3, [(3.0, {0, 1}), (2.0, {1, 2})]), cardinality=1,
+                         constraints=[MultilinearFunction(3, [(1.0, {0, 2}), (2.0, {0, 1, 2})])]), 5.0 / 3.0),
+        ]
+        for instance, d1 in cases:
+            model, targets, lift = build_model(instance)
+            for ss in targets:
+                assert ss.f1.degree <= 1 and all(len(s) >= 2 for _, s in ss.f2.terms)
+            x_bar = simplex.solve(model).x[lift.x_cols]
+            # so no set can cut a target and none gives a candidate; split cuts still come
+            split = split_selector(x_bar)
+            assert split is not None
+            kinds = [free.kind for free in harness._candidates(mode, targets, x_bar, split)]
+            assert kinds == (["split"] if mode == "both" else [])
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="subcut.cuts"):
+                rep = root_loop(model, targets, lift, RunConfig(mode=mode, validate_cuts="on"),
+                                primal=brute_force_primal(instance))
+            kinds = {r.getMessage().split()[1] for r in caplog.records if r.getMessage().startswith("CUT ")}
+            assert rep.d1 == pytest.approx(d1, abs=1e-9)
+            assert kinds == ({"kind=split"} if mode == "both" else set())
+            if mode == "ss":
+                assert rep.rounds == rep.cuts == rep.skipped == 0
 
     def test_deterministic(self, tmp_path):
         (path,) = generate_instances("g05", 8, seed=2, out_dir=tmp_path)
@@ -816,6 +845,59 @@ class TestRootLoop:
         model, targets, lift = k3_setup()
         rep = root_loop(model, targets, lift, RunConfig(mode="submodular", rounds=0), primal=2.0)
         assert rep.cuts == 0 and rep.d2 == rep.d1
+
+
+@pytest.mark.parametrize("cardinal", [False, True], ids=["free", "cardinality"])
+@pytest.mark.parametrize("constrained", [False, True], ids=["objective", "constraint"])
+class TestPositiveProducts:
+    """Targets with f1 = 0, whose reverse-linearized set is the halfspace of ``gradient_cut``."""
+
+    SEEDS = range(8)
+
+    def test_no_candidate_and_no_gradient_cut(self, monkeypatch, constrained, cardinal):
+        worklists = []
+        candidates = harness._candidates
+        monkeypatch.setattr(harness, "_candidates",
+                            lambda mode, *args: worklists.append((mode, candidates(mode, *args))) or worklists[-1][1])
+
+        def forbidden(*args):
+            raise AssertionError("root_loop called gradient_cut")
+
+        monkeypatch.setattr(harness, "gradient_cut", forbidden)
+        for seed in self.SEEDS:
+            instance = positive_instance(seed, constrained, cardinal)
+            model, targets, lift = build_model(instance)
+            assert all(ss.f1.trivially_zero for ss in targets)
+            p = brute_force_primal(instance)
+            for mode in ("ss", "both"):
+                rep = root_loop(model, targets, lift, RunConfig(mode=mode, validate_cuts="on"), primal=p)
+                assert not rep.failed
+                if mode == "ss":
+                    assert rep.rounds == rep.cuts == rep.skipped == 0
+        # without a cardinality every optimum is x = 1, binary, and no round starts
+        assert bool(worklists) == cardinal
+        for mode, worklist in worklists:
+            assert all(isinstance(free, SFreeSet) for free in worklist)
+            assert [free.kind for free in worklist] == (["split"] if mode == "both" else [])
+
+    def test_the_lift_implies_the_gradient_cut(self, monkeypatch, constrained, cardinal):
+        # level * t <= sum a_S y_S <= sum a_S min_{i in S} x_i = -gamma . x at every LP optimum
+        solved = []
+        solve = simplex.solve
+        monkeypatch.setattr(simplex, "solve", lambda model, warm=None: solved.append(solve(model, warm)) or solved[-1])
+        for seed in self.SEEDS:
+            instance = positive_instance(seed, constrained, cardinal)
+            model, targets, lift = build_model(instance)
+            solved.clear()
+            root_loop(model, targets, lift, RunConfig(mode="both", validate_cuts="off"))
+            optima = [sol for sol in solved if sol.status == simplex.OPTIMAL]
+            assert optima
+            for sol in optima:
+                x_bar, t_bar = sol.x[lift.x_cols], float(sol.x[lift.t_col])
+                for ss in targets:
+                    assert gradient_cut(ss, x_bar, t_bar, lift) is None
+                    gamma = envelope_eval(ss.f2, x_bar).subgradient
+                    assert float(gamma @ x_bar) + ss.level * t_bar <= 1e-9
 
 
 class TestBenchmarkAndCsv:

@@ -325,6 +325,22 @@ class TestCubeLeast:
         v, u = CubeBasis(20, [s for _, s in poly.terms])._halves(np.array([a for a, _ in poly.terms]))
         assert v.shape == (1 << 10, columns) and u.shape == (columns, 1 << 10)
 
+    @pytest.mark.parametrize("poly", [
+        cut_polynomial(pw_graph(20, 0.5, 1000, max_weight=1)),
+        cut_polynomial(pw_graph(20, 0.15, 1000, max_weight=1)),
+        autocorr_polynomial(12, 2, 0.2, 1000),
+        autocorr_polynomial(12, 3, 1.0, 1001),
+    ], ids=["g05-dense", "g05-sparse", "autocorr-lag2", "autocorr-lag3"])
+    def test_bit_table_builds_the_former_basis(self, poly):
+        # each support's bitmask comes from a table of bits, not from shifts
+        supports = [s for _, s in poly.terms]
+        supports += [frozenset({j}) for j in range(poly.n)]  # the singletons of a validator's basis
+        basis = CubeBasis(poly.n, supports)
+        order, slot, grid, a_ind, h_ind = ref.former_cube_basis(poly.n, supports)
+        assert basis.grid == grid
+        for got, want in [(basis.order, order), (basis.slot, slot), (basis.a_ind, a_ind), (basis.h_ind, h_ind)]:
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestMultilinearFunction:
     def test_examples(self):

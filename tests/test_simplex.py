@@ -127,8 +127,8 @@ class TestSolve:
         assert solve(model).status == INFEASIBLE
 
     def test_iteration_cap(self):
-        with pytest.raises(NumericError):
-            solve(tent_lp(), max_iters=1)
+        with pytest.raises(NumericError, match="iteration cap 1 reached"):
+            simplex._DualSimplex(tent_lp(), max_iters=1).solve()
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
