@@ -4,29 +4,35 @@ Along each corner ray the distance-to-boundary profile
 zeta(eta) = level * (t + eta r_t) - G(x + eta r_x) is concave piecewise
 linear and positive at the apex; for an envelope set its kinks are where
 two members of one term cross, since G's terms are c_T min_{i in T} x_i.
-A hybrid discrete Newton search finds its root (the step length); the
+Its root is the ray's step length, and :func:`ray_steps` picks how to find
+it from the set: closed form for a lifted split, one scan of the known
+kinks for an envelope set whose oracle has degree <= 2 (every max-cut
+set), and a hybrid discrete Newton search for any other set.  The
 reciprocal step lengths then define a valid inequality in the ray
 multipliers that is mapped back to the original variables through the
 affine forms carried by the rays.  The lifted LP implies the cut of
 :func:`gradient_cut`, the set's closed form at f1 = 0, so no loop calls it.
 
 Separation settings are module constants, read at call time:
-NEWTON_START, NEWTON_MAX_STEPS, ETA_INF and ROOT_TOL drive the step
-search; MIN_STEP is the step floor below which the apex counts as on the
+ETA_INF bounds every step (a root past it makes the step infinite);
+NEWTON_START, NEWTON_MAX_STEPS and ROOT_TOL drive the Newton search;
+MIN_STEP is the step floor below which the apex counts as on the
 boundary; EFFICACY_MIN and DYNAMIC_RANGE_MAX filter assembled cuts; and
 CUT_TOL is the validation slack.  The apex margin is zeta(0) on every
 ray, and the apex counts as strictly interior when it exceeds
 ``sfree.INTERIOR_TOL``.
 
-One search, :func:`newton_steps`, decides the steps of all rays of a
-corner in lockstep, one block evaluation of the set per round: the first
-block holds the apex (so the margin costs no call of its own) and every
-ray's ETA_INF and NEWTON_START probes, and each later round holds the
-next Newton or doubling step of every ray still searching.  Each ray keeps
-its root in a bracket and bisects it when a step does not land above the
-bracket's inner end; a ray that reaches NEWTON_MAX_STEPS without a root
-takes that inner end, so every ray ends with a step that gives a valid cut.
-``step_length`` reads one ray's step out of its result.
+The Newton search, :func:`newton_steps`, decides the steps of all rays of
+a corner in lockstep, one block evaluation of the set per round: the
+first block holds the apex (so the margin costs no call of its own) and
+every ray's ETA_INF and NEWTON_START probes, and each later round holds
+the next Newton or doubling step of every ray still searching.  Each ray
+keeps its root in a bracket and bisects it when a step does not land
+above the bracket's inner end; a ray that reaches NEWTON_MAX_STEPS
+without a root takes that inner end, so every ray ends with a step that
+gives a valid cut.  The computed steps evaluate the set once, at the
+apex, and count 0 evaluations per ray.  ``step_length`` reads one ray's
+step out of either result.
 
 Brute-force validation needs no corner: every feasible binary x, lifted
 with exact products and any t in [lower_t, f(x)], lies in the first LP, so
@@ -49,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .oracles import CubeBasis, SSFunction, envelope_eval
-from .sfree import INTERIOR_TOL, SFreeSet
+from .sfree import INTERIOR_TOL, EnvelopeEpigraph, LiftedSplit, SFreeSet
 
 NEWTON_START = 0.2
 NEWTON_MAX_STEPS = 500
@@ -146,6 +152,96 @@ def newton_steps(sfree: SFreeSet, apex_x, apex_t: float, x_dir, t_dir) -> StepSe
     return StepSearch(steps.tolist(), iterations.tolist())
 
 
+def ray_steps(sfree: SFreeSet, apex_x, apex_t: float, x_dir, t_dir) -> StepSearch | None:
+    """Every ray's step: computed where zeta's kinks are known, searched where they are not.
+
+    A split's zeta is min(x_j, 1 - x_j) along the ray, so its root is closed
+    form (:func:`_split_steps`).  An envelope set whose oracle has degree <= 2
+    has its kinks where the two members of a term cross, and
+    :func:`_kink_steps` scans them.  Both take the apex margin, zeta(0) on
+    every ray, from one ``value_and_subgradient`` call at the apex and return
+    None unless it exceeds ``sfree.INTERIOR_TOL``; a step whose root lies
+    past ETA_INF is infinite, and a computed ray reports 0 evaluations.
+    Every other set, one with a term of degree 3 or more, goes to
+    :func:`newton_steps`.
+    """
+    if isinstance(sfree, LiftedSplit):
+        computed = _split_steps
+    elif isinstance(sfree, EnvelopeEpigraph) and sfree.oracle.degree <= 2:
+        computed = _kink_steps
+    else:
+        return newton_steps(sfree, apex_x, apex_t, x_dir, t_dir)
+    value, _ = sfree.value_and_subgradient(apex_x)
+    margin = sfree.level * apex_t - value
+    if not margin > INTERIOR_TOL:  # a NaN margin is not interior either
+        return None
+    eta = computed(sfree, apex_x, margin, x_dir, t_dir)
+    return StepSearch(eta.tolist(), [0] * eta.size)
+
+
+def _split_steps(split: LiftedSplit, apex_x, margin: float, x_dir, t_dir) -> np.ndarray:
+    """Roots of zeta = min(x_j, 1 - x_j) along the rays: x_j / -r_j for r_j < 0, (1 - x_j) / r_j for r_j > 0."""
+    xj, r = apex_x[split.j], x_dir[:, split.j]
+    with np.errstate(divide="ignore", over="ignore"):  # r_j = 0 never leaves the slab: an infinite step
+        eta = np.where(r < 0.0, xj, 1.0 - xj) / np.abs(r)
+    eta[eta > ETA_INF] = math.inf
+    return eta
+
+
+def _kink_steps(env: EnvelopeEpigraph, apex_x, margin: float, x_dir, t_dir) -> np.ndarray:
+    """First roots of zeta along the rays, by one scan of each ray's kinks; the oracle has degree <= 2.
+
+    Along apex + eta r a term c_T min(x_u, x_v) follows its lower member u at
+    the apex (on a tie, the one with the lower slope) until the two cross at
+    eta = (x_v - x_u) / (r_u - r_v) > 0, and then the other one, so zeta's
+    slope moves there by c_T (r_u - r_v).  Degree-1 terms and gamma only
+    tilt the slope.  Each ray's crossings are sorted, those past ETA_INF
+    moved to it, and zeta summed from the margin over the segments between
+    them; the root is the affine solve on the first segment that ends with
+    zeta <= 0, so the step is exact for coefficients of either sign.  A ray
+    whose zeta is still positive at ETA_INF gets an infinite step.
+    """
+    coefs, members = env.oracle._term_layout
+    first, last = members[0], members[-1]
+    pair = first != last
+    linear = np.zeros(apex_x.size) if env.gamma is None else -env.gamma
+    linear[first[~pair]] += coefs[~pair]  # a variable has at most one degree-1 term
+    coefs, first, last = coefs[pair], first[pair], last[pair]
+    gap = apex_x[last] - apex_x[first]
+    below = gap >= 0.0
+    lead = x_dir[:, np.where(below, first, last)]  # the lower member's slope
+    spread = lead - x_dir[:, np.where(below, last, first)]
+    tie = gap == 0.0
+    # G's slope at the apex, summed before t's so that parts cancelling in G cancel exactly;
+    # on a tie a term starts on the member with the lower slope, lead - max(spread, 0)
+    slope = env.level * t_dir - (x_dir @ linear + lead @ coefs - np.maximum(spread, 0.0) @ (coefs * tie))
+    k, m = spread.shape
+    kink = np.full((k, m), ETA_INF)
+    # the members cross only where the lower one rises faster, and not from a tie
+    np.divide(np.where(tie, math.inf, np.abs(gap)), spread, out=kink, where=spread > 0.0)
+    np.minimum(kink, ETA_INF, out=kink)
+    order = np.argsort(kink, axis=1) + m * np.arange(k)[:, None]  # flat indices, row by row
+    # bounds[:, p] to bounds[:, p + 1] is segment p, of slope slopes[:, p]; values is zeta at the bounds
+    bounds = np.zeros((k, m + 2))
+    bounds[:, 1:-1] = kink.take(order)
+    bounds[:, -1] = ETA_INF
+    slopes = np.empty((k, m + 1))
+    slopes[:, 0] = slope
+    slopes[:, 1:] = (coefs * spread).take(order)  # the turns of terms that do not cross sit at ETA_INF
+    np.cumsum(slopes, axis=1, out=slopes)
+    values = np.empty((k, m + 2))
+    values[:, 0] = margin
+    np.multiply(slopes, bounds[:, 1:] - bounds[:, :-1], out=values[:, 1:])
+    np.cumsum(values, axis=1, out=values)
+    hit = values[:, 1:] <= 0.0
+    rows = hit.any(axis=1).nonzero()[0]
+    seg = hit[rows].argmax(axis=1)
+    eta = np.full(k, math.inf)
+    # zeta > 0 at the segment's start and <= 0 at its end, so its slope is negative
+    eta[rows] = bounds[rows, seg] - values[rows, seg] / slopes[rows, seg]
+    return eta
+
+
 def step_length(search: StepSearch, k: int) -> StepResult:
     """Ray k's step and evaluation count."""
     return StepResult(search.eta[k], search.iterations[k])
@@ -177,7 +273,7 @@ def intersection_cut(corner, sfree: SFreeSet):
     """
     if corner.apex_x is None:
         raise ValueError("corner has no (x, t) projection; project it first")
-    search = newton_steps(sfree, corner.apex_x, corner.apex_t, corner.x_dir, corner.t_dir)
+    search = ray_steps(sfree, corner.apex_x, corner.apex_t, corner.x_dir, corner.t_dir)
     if search is None:
         return None
     # one step_length call per ray, up to the first step below the floor

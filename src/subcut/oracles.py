@@ -117,7 +117,7 @@ class MultilinearFunction:
 
     @property
     def degree(self) -> int:
-        return max((len(s) for _, s in self.terms), default=0)
+        return len(self.terms[-1][1]) if self.terms else 0  # the terms are sorted by degree
 
     @property
     def trivially_zero(self) -> bool:
@@ -139,8 +139,10 @@ class MultilinearFunction:
     def _term_layout(self):
         """Coefficients, and each term's members in descending index order as one column, padded with the first.
 
-        Built on the first envelope evaluation only: cut validation tables
-        one residual polynomial per cut and never takes its envelope.
+        Built on the first envelope evaluation or kink scan (``cuts``, which
+        reads a term's two members as its first and last rows) only: cut
+        validation tables one residual polynomial per cut and never takes
+        its envelope.
         """
         width = max((len(s) for _, s in self.terms), default=1)
         members = np.empty((width, len(self.terms)), dtype=np.intp)

@@ -58,9 +58,9 @@ x = 0 and sign -1, so the scaled logical columns add 0.0 to turn -0 into
 The pivot path also depends on the number of BLAS threads, since
 OpenBLAS need not round a product on several threads as it does on one.
 With ``OPENBLAS_NUM_THREADS=1`` the seed-1 benchmark reads ``closed_gap``
-0.2681 on ``maxcut-dense``, 0.8525 on ``maxcut-sparse`` and 0.58468 on
-``mubo-validated``, against 0.2736, 0.8525 and 0.58474 with the default
-threads on a 2-vCPU machine (11, 0 and 4 of the 16, 90 and 48 runs
+0.2677 on ``maxcut-dense``, 0.8446 on ``maxcut-sparse`` and 0.58793 on
+``mubo-validated``, against 0.2716, 0.8446 and 0.58742 with the default
+threads on a 2-vCPU machine (10, 0 and 5 of the 16, 90 and 48 runs
 differ).  The code sets no thread count, so outputs are reproducible for
 a fixed seed and a fixed BLAS thread setting.
 """

@@ -15,7 +15,9 @@ greedy vertex of that order, and :func:`greedy_envelope` takes the order of
 a point: the paper's definition of the envelope, which the package computes
 in closed form.  Three evaluate a package set at one point at a time:
 :func:`margin` at the point, :func:`newton_step_length` along a ray, and
-:func:`verify_free_bruteforce` at every binary point of its target.
+:func:`verify_free_bruteforce` at every binary point of its target;
+:func:`first_root` bisects a function given pointwise, such as a ray's
+zeta, on the first bracket of its kinks where it turns nonpositive.
 :class:`ExplicitLogicalSimplex` runs the package's dual simplex over an
 explicit constraint matrix, and :class:`MaskedPivotSimplex` with its former
 per-solve set-up and pivot masks; :func:`newton_steps_tiled` is the former
@@ -226,6 +228,22 @@ def bisect_root(g, lo, hi, tol=1e-12, max_iter=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def first_root(g, kinks):
+    """Least eta >= 0 with g(eta) <= 0, for g positive at 0 and affine between its sorted ``kinks``.
+
+    g is evaluated at the kinks in order, and the first bracket whose right
+    end has g <= 0 is halved 100 times: from a width of at most 1e9 that
+    leaves 8e-22, within 1e-9 relative of any root above 1e-12.  inf when g
+    is positive at every kink.
+    """
+    lo = 0.0
+    for eta in sorted(kinks):
+        if g(eta) <= 0.0:
+            return bisect_root(g, lo, eta, tol=0.0, max_iter=100)
+        lo = eta
+    return math.inf
 
 
 def newton_step_length(sfree, apex_x, apex_t, ray_x, ray_t):

@@ -264,8 +264,9 @@ class TestStepLength:
         assert len(trace) == res.iterations + 2
 
     def test_boundary_apex_rejected(self, k3_cut, monkeypatch):
-        # an apex on the boundary has no positive margin: the first block, which
-        # holds it, is the only evaluation, and no ray's step is read
+        # an apex on the boundary has no positive margin: the apex is the only
+        # evaluation, and no ray's step is read; the Newton search evaluates it
+        # in its first block and stops there
         cp = make_corner([1.0, 0.0, 0.0, 2.0], [(e, e, 0.0) for e in np.eye(4)[:3]], 3)
         sfree = EnvelopeEpigraph(k3_cut)
         assert ref.margin(sfree, cp.apex_x, cp.apex_t) == 0.0
@@ -274,9 +275,11 @@ class TestStepLength:
         read = cuts.step_length
         monkeypatch.setattr(cuts, "step_length", lambda search, k: calls.append(k) or read(search, k))
         assert intersection_cut(cp, sfree) is None
-        assert shapes == [(2 * 3 + 1, 3)]
+        assert shapes == [(3,)]
         assert calls == []
+        shapes.clear()
         assert newton_steps(sfree, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir) is None
+        assert shapes == [(2 * 3 + 1, 3)]
 
     def test_cap_takes_the_last_point_inside(self, monkeypatch):
         # cut short, the ray's step is the largest eta it evaluated with zeta > 0
@@ -485,16 +488,17 @@ class TestIntersectionCut:
                 cp = project_corner(corner(solve(model)), lift)
                 for sfree in (build_reverse_linearized(targets[0], cp.apex_x),
                               LiftedSplit(split_selector(cp.apex_x), lift.n)):
-                    cut = intersection_cut(cp, sfree)
-                    assert cut is not None
-                    kinds.add(cut.kind)
+                    search = newton_steps(sfree, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
                     fresh = [
                         ref.newton_step_length(
                             sfree, cp.apex_x, cp.apex_t, cp.directions[k, lift.x_cols], float(cp.t_dir[k]))
                         for k in range(cp.nrays)
                     ]
-                    assert np.array(cut.steps).tobytes() == np.array([eta for eta, _ in fresh]).tobytes()
-                    assert cut.newton_iters == sum(it for _, it in fresh)
+                    assert np.array(search.eta).tobytes() == np.array([eta for eta, _ in fresh]).tobytes()
+                    assert search.iterations == [it for _, it in fresh]
+                    cut = intersection_cut(cp, sfree)
+                    assert cut is not None
+                    kinds.add(cut.kind)
                     # the block reduction adds the rays' terms in the loop's order
                     coef, rhs = ref.cut_from_steps_loop(cp, cut.steps)
                     assert cut.coef.tobytes() == coef.tobytes() and cut.rhs == rhs
@@ -525,16 +529,20 @@ class TestIntersectionCut:
         for cp, sfree in ((k3_corner()[0], EnvelopeEpigraph(k3_cut)), (split_cp, split)):
             n = cp.apex_x.size
             shapes = recorded_shapes(sfree)
+            # a computed step evaluates the set at the apex alone
             cut = intersection_cut(cp, sfree)
-            assert cut is not None
-            finite = cut.nrays - cut.infinite_steps
+            assert cut is not None and cut.newton_iters == 0
+            assert shapes == [(n,)]
+            shapes.clear()
+            search = newton_steps(sfree, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
+            finite = int(np.isfinite(search.eta).sum())
             # one block holding the apex and the ETA_INF and NEWTON_START probes of
             # every ray, then one block per round over the rays still searching
-            assert shapes[:1] == [(2 * cut.nrays + 1, n)]
+            assert shapes[:1] == [(2 * cp.nrays + 1, n)]
             rounds = [rows for rows, _ in shapes[1:]]
             assert shapes[1:] == [(rows, n) for rows in rounds]
             assert all(b <= a for a, b in zip(rounds, rounds[1:]))
-            assert sum(rounds) == cut.newton_iters - finite
+            assert sum(rounds) == sum(search.iterations) - finite
         assert len(rounds) > 1  # the split corner's rays stop in different rounds
 
     @pytest.mark.parametrize("cap", [1, 2, 3])
@@ -635,9 +643,10 @@ class TestFormerSeparationPath:
             unrooted += exhausted.sum()
         assert (unrooted > 0) == (cap < 3)
 
-    def test_cuts_match_the_former_path(self, separations):
-        # the apex row and the rhs reduce give the former margin check's, rhs loop's
-        # and full-budget search's cuts, byte for byte
+    def test_cuts_match_the_former_path(self, monkeypatch, separations):
+        # on the Newton steps, the apex row and the rhs reduce give the former margin
+        # check's, rhs loop's and full-budget search's cuts, byte for byte
+        monkeypatch.setattr(cuts, "ray_steps", newton_steps)
         for cp, free in separations:
             cut, former = intersection_cut(cp, free), ref.former_intersection_cut(cp, free)
             assert cut is not None and former is not None, free.kind
@@ -658,7 +667,7 @@ class TestFormerSeparationPath:
         stops = []
         for cp, free in separations:
             assert ref.margin(free, cp.apex_x, cp.apex_t) > sfree.INTERIOR_TOL
-            search = newton_steps(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
+            search = cuts.ray_steps(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
             fails = [k for k in range(cp.nrays) if search.eta[k] < cuts.MIN_STEP]
             calls.clear()
             intersection_cut(cp, free)
@@ -681,12 +690,16 @@ ROOTLESS = [
 
 @pytest.fixture(scope="module")
 def searches_without_root():
-    """(corner, free set, cut validator) of every ROOTLESS separation."""
+    """(corner, free set, cut validator) of every ROOTLESS separation, on the corners of a loop
+    that steps every ray by Newton."""
     out = []
     for make, mode, round_, kind in ROOTLESS:
         instance = make()
         corners = {}
-        for cp, free in loop_separations(instance, mode, round_):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cuts, "ray_steps", newton_steps)
+            separations = loop_separations(instance, mode, round_)
+        for cp, free in separations:
             corners.setdefault(id(cp), []).append((cp, free))
         [(cp, free)] = [pair for pair in list(corners.values())[round_ - 1] if pair[1].kind == kind]
         model, _, lift = build_model(instance)
@@ -711,6 +724,8 @@ class TestRaysWithoutRoot:
             zeta, _ = zeta_slope(free, cp.apex_x, cp.apex_t, np.array(search.eta[k : k + 1]), cp.x_dir[k][None],
                                  cp.t_dir[k : k + 1])
             assert math.isfinite(search.eta[k]) and abs(zeta[0]) <= cuts.ROOT_TOL
+            assert cuts.ray_steps(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir).eta[k] == pytest.approx(
+                search.eta[k], rel=1e-9)
             assert ref.former_intersection_cut(cp, free) is None
             cut = intersection_cut(cp, free)
             assert cut is not None and validate_cut_bruteforce(cut, validator)
@@ -987,3 +1002,100 @@ class TestCutValidator:
             assert len(built) == runs
             if mode != "none":
                 assert report.rounds >= 2 and report.cuts >= 2
+
+
+def _computed_step_cases(st):
+    """(free set, apex x, apex t, ray x block, ray t, whether zeta is concave) of a corner the
+    steps are computed on: a split, or an envelope set of degree <= 2 with or without gamma, at
+    level 0 or 1, with coefficients of both signs; apex and ray entries mix a grid, which makes
+    ties and parallel members, with floats.  No ray entry is below 1e-3 in size but 0, so a slope
+    is 0 or well above rounding, and a root is no worse conditioned than 1e-9 relative asks."""
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(2, 6))
+        k = draw(st.integers(1, 4))
+        grid = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+        apex_x = np.array(draw(st.lists(grid | st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        size = st.floats(-3.0, 3.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
+        entry = st.sampled_from([0.0, 1.0, -1.0, 0.5]) | size
+        x_dir = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k)))
+        t_dir = np.array(draw(st.lists(size, min_size=k, max_size=k)))
+        if draw(st.booleans()):
+            j = draw(st.integers(0, n - 1))
+            apex_x[j] = draw(st.floats(0.01, 0.99))
+            return LiftedSplit(j, n), apex_x, 0.0, x_dir, t_dir, True
+        index = st.integers(0, n - 1)
+        terms = draw(st.lists(st.tuples(st.integers(-4, 4).filter(bool), index, index), min_size=1, max_size=8))
+        poly = MultilinearFunction(n, [(a, {i, j}) for a, i, j in terms])
+        gamma = draw(st.none() | st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+        free = EnvelopeEpigraph(poly, level=draw(st.sampled_from([0, 1])), gamma=gamma)
+        apex_t = draw(st.floats(0.01, 3.0)) - ref.margin(free, apex_x, 0.0)
+        concave = all(a <= 0.0 for a, s in poly.terms if len(s) == 2)
+        return free, apex_x, apex_t, x_dir, t_dir, concave
+
+    return cases()
+
+
+class TestComputedSteps:
+    def test_steps_match_the_first_root(self):
+        # each ray's computed step is its first root, within 1e-9 relative, where
+        # zeta is evaluated at the points of the ray; for concave zeta the step is
+        # infinite exactly when zeta(ETA_INF) > 0
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(_computed_step_cases(hypothesis.strategies))
+        def check(case):
+            free, apex_x, apex_t, x_dir, t_dir, concave = case
+            margin = ref.margin(free, apex_x, apex_t)
+            search = cuts.ray_steps(free, apex_x, apex_t, x_dir, t_dir)
+            assert (search is None) == (not margin > sfree.INTERIOR_TOL)
+            if search is None:
+                return
+            assert search.iterations == [0] * len(t_dir)
+            for step, ray_x, ray_t in zip(search.eta, x_dir, t_dir):
+                def zeta(eta):
+                    return ref.margin(free, apex_x + eta * ray_x, apex_t + eta * ray_t)
+
+                kinks = [cuts.ETA_INF]
+                if free.kind != "split":  # where the members of a pair term cross
+                    for _, s in free.oracle.terms:
+                        u, v = (*s, *s)[:2]
+                        if ray_x[u] != ray_x[v]:
+                            kinks.append((apex_x[v] - apex_x[u]) / (ray_x[u] - ray_x[v]))
+                want = ref.first_root(zeta, [eta for eta in kinks if 0.0 < eta <= cuts.ETA_INF])
+                if concave:
+                    assert math.isinf(step) == (zeta(cuts.ETA_INF) > 0.0)
+                if math.isinf(want):
+                    assert math.isinf(step)
+                else:
+                    assert step == pytest.approx(want, rel=1e-9)
+
+        check()
+
+    def test_newton_steps_only_for_degree_three(self, monkeypatch):
+        # a set with a term of degree 3 is searched, every other set computed
+        searched = []
+        search = cuts.newton_steps
+        monkeypatch.setattr(cuts, "newton_steps", lambda *args: searched.append(args[0].kind) or search(*args))
+        apex_x, x_dir, t_dir = np.full(3, 0.5), -np.eye(3), np.zeros(3)
+        cubic = MultilinearFunction(3, [(1.0, {0}), (-1.0, {0, 1, 2})])
+        for free in (LiftedSplit(0, 3), EnvelopeEpigraph(cut_polynomial(Graph(3, ref.K3_EDGES))),
+                     EnvelopeEpigraph(cubic, gamma=[0.5, 0.0, 0.0]), EnvelopeEpigraph(cubic)):
+            assert cuts.ray_steps(free, apex_x, 1.0, x_dir, t_dir) is not None
+        assert searched == ["ss", "env"]
+
+
+def test_every_cut_of_sparse_n20_runs_is_valid(tmp_path):
+    # steps computed at n = 20, where "auto" never validates: three seed-1 maxcut-sparse
+    # instances under every cutting mode, each cut checked against the cube
+    paths = harness.generate_instances("g05", 20, count=3, seed=1000, out_dir=tmp_path, density=0.15, max_lag=3)
+    cut_count = 0
+    for path in paths:
+        model, targets, lift = build_model(harness.load_instance(path))
+        for mode in ("split", "submodular", "both"):
+            report = harness.root_loop(model, targets, lift, RunConfig(mode=mode, validate_cuts="on"))
+            assert not report.failed
+            cut_count += report.cuts
+    assert cut_count >= 50

@@ -1,12 +1,14 @@
 """The output contract in tier-1: seed-1 ``maxcut-sparse`` runs against their committed baseline.
 
-``BENCH_26.json`` holds the runs lists of the seed-1 benchmark passes
-(``traced.<threads>.<workload>.change_runs``).  This test regenerates the
-first ten ``maxcut-sparse`` instances, g05 n=20 at density 0.15 with
-instance seeds 1000-1009 as the benchmark makes them, runs each under the
-modes split, submodular and both with the default ``RunConfig``, and holds
-d1, d2 and the closed gap to 1e-7 and the cut, round and skip counts
-exactly.  These 30 runs read the same at the default BLAS thread count and
+``BENCH_40.json`` holds the runs lists of the seed-1 benchmark passes at
+one BLAS thread (``outputs.workloads.<workload>.change_runs``) and at the
+default thread count (``outputs_default_threads.<workload>.change_runs``).
+This test regenerates the first ten ``maxcut-sparse`` instances, g05 n=20
+at density 0.15 with instance seeds 1000-1009 as the benchmark makes them,
+runs each under the modes split, submodular and both with the default
+``RunConfig``, and holds d1, d2 and the closed gap to 1e-7 and the cut,
+round and skip counts exactly, against the list of the thread setting it
+runs at.  These 30 runs read the same at the default BLAS thread count and
 at one thread, so the test does not depend on the machine's cores; another
 OpenBLAS build could still move bits, so a failure prints the numpy and
 BLAS configuration.  The dense and multilinear workloads do depend on the
@@ -29,7 +31,7 @@ import pytest
 
 from subcut import harness
 
-BASELINE = Path(__file__).resolve().parent.parent / "BENCH_26.json"
+BASELINE = Path(__file__).resolve().parent.parent / "BENCH_40.json"
 INSTANCES = 10
 MODES = ("split", "submodular", "both")
 TOL = 1e-7
@@ -43,7 +45,11 @@ def blas_config() -> str:
 
 @pytest.fixture(scope="module")
 def baseline():
-    runs = json.loads(BASELINE.read_text())["traced"]["default"]["maxcut-sparse"]["change_runs"]
+    record = json.loads(BASELINE.read_text())
+    if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+        runs = record["outputs"]["workloads"]["maxcut-sparse"]["change_runs"]
+    else:
+        runs = record["outputs_default_threads"]["maxcut-sparse"]["change_runs"]
     return {(r["instance"], r["mode"]): r for r in runs}
 
 

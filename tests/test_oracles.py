@@ -368,6 +368,10 @@ class TestMultilinearFunction:
     def test_degree(self):
         p = MultilinearFunction(4, [(1.0, {0}), (1.0, {1, 2, 3})])
         assert p.degree == 3
+        # the highest degree given first, a cancelled term, and no terms
+        p = MultilinearFunction(4, [(1.0, {1, 2, 3}), (2.0, {0, 1}), (1.0, {0, 1, 2, 3}), (-1.0, {0, 1, 2, 3})])
+        assert p.degree == 3
+        assert MultilinearFunction(2, []).degree == 0
 
     def test_matches_reference(self):
         rng = np.random.default_rng(3)
