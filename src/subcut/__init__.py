@@ -8,7 +8,7 @@ free set into valid inequalities, models builds the lifted LPs, and
 harness runs the root-node experiments.
 """
 
-from .cuts import IntersectionCut, intersection_cut, newton_steps, step_length
+from .cuts import IntersectionCut, intersection_cut, step_length
 from .errors import CapacityError, ModelError, NumericError
 from .harness import RootNodeReport, RunConfig, root_loop, run_instance
 from .models import BmpInstance, LiftMap, build_model
@@ -40,7 +40,6 @@ __all__ = [
     "cut_polynomial",
     "envelope_eval",
     "intersection_cut",
-    "newton_steps",
     "root_loop",
     "run_instance",
     "solve",

@@ -1,38 +1,27 @@
 """Intersection cuts from corner relaxations and level-free sets.
 
 Along each corner ray the distance-to-boundary profile
-zeta(eta) = level * (t + eta r_t) - G(x + eta r_x) is concave piecewise
-linear and positive at the apex; for an envelope set its kinks are where
-two members of one term cross, since G's terms are c_T min_{i in T} x_i.
-Its root is the ray's step length, and :func:`ray_steps` picks how to find
-it from the set: closed form for a lifted split, one scan of the known
-kinks for an envelope set whose oracle has degree <= 2 (every max-cut
-set), and a hybrid discrete Newton search for any other set.  The
-reciprocal step lengths then define a valid inequality in the ray
-multipliers that is mapped back to the original variables through the
-affine forms carried by the rays.  The lifted LP implies the cut of
-:func:`gradient_cut`, the set's closed form at f1 = 0, so no loop calls it.
+zeta(eta) = level * (t + eta r_t) - G(x + eta r_x) is piecewise linear
+and positive at the apex; for an envelope set its kinks are where the
+minimum of one of G's terms c_T min_{i in T} x_i turns from one member to
+another.  Its root is the ray's step length, and :func:`ray_steps`
+computes it from the set: in closed form for a lifted split, and by one
+scan of the known kinks for an envelope set.  The reciprocal step lengths
+then define a valid inequality in the ray multipliers that is mapped back
+to the original variables through the affine forms carried by the rays.
+The lifted LP implies the cut of :func:`gradient_cut`, the set's closed
+form at f1 = 0, so no loop calls it.
 
 Separation settings are module constants, read at call time:
 ETA_INF bounds every step (a root past it makes the step infinite);
-NEWTON_START, NEWTON_MAX_STEPS and ROOT_TOL drive the Newton search;
 MIN_STEP is the step floor below which the apex counts as on the
 boundary; EFFICACY_MIN and DYNAMIC_RANGE_MAX filter assembled cuts; and
 CUT_TOL is the validation slack.  The apex margin is zeta(0) on every
 ray, and the apex counts as strictly interior when it exceeds
-``sfree.INTERIOR_TOL``.
-
-The Newton search, :func:`newton_steps`, decides the steps of all rays of
-a corner in lockstep, one block evaluation of the set per round: the
-first block holds the apex (so the margin costs no call of its own) and
-every ray's ETA_INF and NEWTON_START probes, and each later round holds
-the next Newton or doubling step of every ray still searching.  Each ray
-keeps its root in a bracket and bisects it when a step does not land
-above the bracket's inner end; a ray that reaches NEWTON_MAX_STEPS
-without a root takes that inner end, so every ray ends with a step that
-gives a valid cut.  The computed steps evaluate the set once, at the
-apex, and count 0 evaluations per ray.  ``step_length`` reads one ray's
-step out of either result.
+``sfree.INTERIOR_TOL``.  The steps evaluate the set once, at the apex,
+and count 0 evaluations per ray; ``step_length`` reads one ray's step.
+The paper's step search, a hybrid discrete Newton method, lives with the
+tests as the reference these steps are held to.
 
 Brute-force validation needs no corner: every feasible binary x, lifted
 with exact products and any t in [lower_t, f(x)], lies in the first LP, so
@@ -57,28 +46,13 @@ import numpy as np
 from .oracles import CubeBasis, SSFunction, envelope_eval
 from .sfree import INTERIOR_TOL, EnvelopeEpigraph, LiftedSplit, SFreeSet
 
-NEWTON_START = 0.2
-NEWTON_MAX_STEPS = 500
 ETA_INF = 1e9
-ROOT_TOL = 1e-9
 MIN_STEP = 1e-6
 EFFICACY_MIN = 1e-4
 DYNAMIC_RANGE_MAX = 1e8
 CUT_TOL = 1e-7
 
 logger = logging.getLogger(__name__)
-
-
-def zeta_slope(sfree: SFreeSet, apex_x, apex_t: float, eta, x_dir, t_dir):
-    """zeta and its slope estimate at apex + eta * ray, one row per ray.
-
-    ``eta`` and ``t_dir`` are (k,) and ``x_dir`` is (k, n).  vecdot rounds
-    each row as the 1-D product does, so every row is bit-identical to the
-    point evaluation of its ray.
-    """
-    value, grad = sfree.value_and_subgradient(apex_x + eta[:, None] * x_dir)
-    lvl = sfree.level
-    return lvl * (apex_t + eta * t_dir) - value, lvl * t_dir - np.vecdot(grad, x_dir)
 
 
 class StepSearch(NamedTuple):
@@ -93,84 +67,24 @@ class StepResult(NamedTuple):
     iterations: int
 
 
-def newton_steps(sfree: SFreeSet, apex_x, apex_t: float, x_dir, t_dir) -> StepSearch | None:
-    """Root of every ray's zeta on (0, +inf], by bracketed discrete Newton in lockstep.
-
-    The first block holds the apex, then every ray's ETA_INF and NEWTON_START
-    probes.  The apex row's zeta is the apex margin, zeta(0) on every ray:
-    unless it exceeds ``sfree.INTERIOR_TOL`` the apex is not strictly
-    interior, and the search returns None before any Newton round.  A ray
-    that still sees positive margin at ETA_INF gets an infinite step and 0
-    evaluations.  Every other ray starts at NEWTON_START; a negative slope
-    estimate gives a Newton step and a flat or rising stretch doubles eta,
-    until |zeta| <= ROOT_TOL.  Each later round evaluates the rays still
-    searching in one block.
-
-    Each searching ray keeps a bracket: lo, the largest eta evaluated with
-    zeta > 0 (from 0, the apex), and hi, the least evaluated without (from
-    ETA_INF).  A step that does not land above lo, which only rounding or a
-    non-finite zeta or slope can cause, is replaced by the midpoint of the
-    bracket (Press et al., *Numerical Recipes*, 9.4, ``rtsafe``), so no
-    point with zeta > 0 is evaluated twice.  A ray with no root after
-    NEWTON_MAX_STEPS evaluations takes lo as its step: a point strictly
-    inside the set, so its cut stays valid, only weaker.
-    """
-    n = len(t_dir)
-    steps = np.full(n, math.inf)
-    iterations = np.zeros(n, dtype=int)
-    probes = np.full(2 * n + 1, NEWTON_START)
-    probes[: n + 1] = ETA_INF
-    probes[0] = 0.0
-    zeta, slope = zeta_slope(sfree, apex_x, apex_t, probes,
-                             np.concatenate([np.zeros((1, x_dir.shape[1])), x_dir, x_dir]),
-                             np.concatenate([[0.0], t_dir, t_dir]))
-    if not zeta[0] > INTERIOR_TOL:  # a NaN margin is not interior either
-        return None
-    rays = (~(zeta[1 : n + 1] > 0.0)).nonzero()[0]  # a positive far probe means an infinite step
-    zeta, slope = zeta[n + 1 :][rays], slope[n + 1 :][rays]
-    eta = np.full(rays.size, NEWTON_START)
-    lo, hi = np.zeros(rays.size), np.full(rays.size, ETA_INF)
-    for it in range(1, NEWTON_MAX_STEPS + 1):
-        done = np.abs(zeta) <= ROOT_TOL
-        steps[rays[done]] = eta[done]
-        iterations[rays[done]] = it
-        left = (~done).nonzero()[0]  # integer indices gather faster than a mask
-        rays, eta, zeta, slope, lo, hi = rays[left], eta[left], zeta[left], slope[left], lo[left], hi[left]
-        if not rays.size or it == NEWTON_MAX_STEPS:
-            break
-        inside = zeta > 0.0
-        np.copyto(lo, eta, where=inside)  # every evaluated eta lies above lo
-        np.copyto(hi, np.minimum(hi, eta), where=~inside)
-        newton = slope < 0.0
-        eta = np.where(newton, eta - zeta / np.where(newton, slope, 1.0), 2.0 * eta)
-        low = ~(eta > lo)  # a NaN step is not above lo either
-        if low.any():
-            eta[low] = 0.5 * (lo[low] + hi[low])
-        zeta, slope = zeta_slope(sfree, apex_x, apex_t, eta, x_dir[rays], t_dir[rays])
-    steps[rays] = np.where(zeta > 0.0, eta, lo)  # an eta evaluated inside lies above lo
-    iterations[rays] = NEWTON_MAX_STEPS
-    return StepSearch(steps.tolist(), iterations.tolist())
-
-
 def ray_steps(sfree: SFreeSet, apex_x, apex_t: float, x_dir, t_dir) -> StepSearch | None:
-    """Every ray's step: computed where zeta's kinks are known, searched where they are not.
+    """Every ray's step, computed where zeta's kinks are known: on every split and envelope set.
 
     A split's zeta is min(x_j, 1 - x_j) along the ray, so its root is closed
-    form (:func:`_split_steps`).  An envelope set whose oracle has degree <= 2
-    has its kinks where the two members of a term cross, and
-    :func:`_kink_steps` scans them.  Both take the apex margin, zeta(0) on
-    every ray, from one ``value_and_subgradient`` call at the apex and return
-    None unless it exceeds ``sfree.INTERIOR_TOL``; a step whose root lies
-    past ETA_INF is infinite, and a computed ray reports 0 evaluations.
-    Every other set, one with a term of degree 3 or more, goes to
-    :func:`newton_steps`.
+    form (:func:`_split_steps`).  An envelope set's zeta turns where the
+    minimum of one of its terms changes member, and :func:`_kink_steps`
+    scans those kinks.  Both take the apex margin, zeta(0) on every ray,
+    from one ``value_and_subgradient`` call at the apex and return None
+    unless it exceeds ``sfree.INTERIOR_TOL``; a step whose root lies past
+    ETA_INF is infinite, and every ray reports 0 evaluations.  Any other
+    set raises TypeError.
     """
     if isinstance(sfree, LiftedSplit):
         computed = _split_steps
-    elif isinstance(sfree, EnvelopeEpigraph) and sfree.oracle.degree <= 2:
+    elif isinstance(sfree, EnvelopeEpigraph):
         computed = _kink_steps
     else:
-        return newton_steps(sfree, apex_x, apex_t, x_dir, t_dir)
+        raise TypeError(f"no step method for {type(sfree).__name__}")
     value, _ = sfree.value_and_subgradient(apex_x)
     margin = sfree.level * apex_t - value
     if not margin > INTERIOR_TOL:  # a NaN margin is not interior either
@@ -189,24 +103,26 @@ def _split_steps(split: LiftedSplit, apex_x, margin: float, x_dir, t_dir) -> np.
 
 
 def _kink_steps(env: EnvelopeEpigraph, apex_x, margin: float, x_dir, t_dir) -> np.ndarray:
-    """First roots of zeta along the rays, by one scan of each ray's kinks; the oracle has degree <= 2.
+    """First roots of zeta along the rays, by one scan of each ray's kinks.
 
-    Along apex + eta r a term c_T min(x_u, x_v) follows its lower member u at
-    the apex (on a tie, the one with the lower slope) until the two cross at
-    eta = (x_v - x_u) / (r_u - r_v) > 0, and then the other one, so zeta's
-    slope moves there by c_T (r_u - r_v).  Degree-1 terms and gamma only
-    tilt the slope.  Each ray's crossings are sorted, those past ETA_INF
-    moved to it, and zeta summed from the margin over the segments between
-    them; the root is the affine solve on the first segment that ends with
-    zeta <= 0, so the step is exact for coefficients of either sign.  A ray
-    whose zeta is still positive at ETA_INF gets an infinite step.
+    Along apex + eta r a term c_T min_{i in T} x_i follows the lower
+    envelope of its member lines x_i + eta r_i, and zeta's slope moves by
+    c_T (r_u - r_v) where the term turns from member u to member v.  A term
+    of two members follows its lower member u at the apex (on a tie, the one
+    with the lower slope) until the two cross at
+    eta = (x_v - x_u) / (r_u - r_v) > 0; a longer term's turns come from
+    :func:`_envelope_walk`.  Degree-1 terms and gamma only tilt the slope.
+    Each ray's kinks are sorted, those past ETA_INF moved to it, and zeta
+    summed from the margin over the segments between them; the root is the
+    affine solve on the first segment that ends with zeta <= 0, so the step
+    is exact for coefficients of either sign.  A ray whose zeta is still
+    positive at ETA_INF gets an infinite step.
     """
-    coefs, members = env.oracle._term_layout
-    first, last = members[0], members[-1]
-    pair = first != last
+    coefs, members, (ones, pairs) = env.oracle._term_layout
     linear = np.zeros(apex_x.size) if env.gamma is None else -env.gamma
-    linear[first[~pair]] += coefs[~pair]  # a variable has at most one degree-1 term
-    coefs, first, last = coefs[pair], first[pair], last[pair]
+    linear[members[0, :ones]] += coefs[:ones]  # a variable has at most one degree-1 term
+    ends = members[:2, ones:pairs]  # one row when every term has degree 1
+    first, last, pair_coefs = ends[0], ends[-1], coefs[ones:pairs]
     gap = apex_x[last] - apex_x[first]
     below = gap >= 0.0
     lead = x_dir[:, np.where(below, first, last)]  # the lower member's slope
@@ -214,12 +130,18 @@ def _kink_steps(env: EnvelopeEpigraph, apex_x, margin: float, x_dir, t_dir) -> n
     tie = gap == 0.0
     # G's slope at the apex, summed before t's so that parts cancelling in G cancel exactly;
     # on a tie a term starts on the member with the lower slope, lead - max(spread, 0)
-    slope = env.level * t_dir - (x_dir @ linear + lead @ coefs - np.maximum(spread, 0.0) @ (coefs * tie))
-    k, m = spread.shape
-    kink = np.full((k, m), ETA_INF)
+    grad = x_dir @ linear + lead @ pair_coefs - np.maximum(spread, 0.0) @ (pair_coefs * tie)
+    kink = np.full(spread.shape, ETA_INF)
     # the members cross only where the lower one rises faster, and not from a tie
     np.divide(np.where(tie, math.inf, np.abs(gap)), spread, out=kink, where=spread > 0.0)
+    turn = pair_coefs * spread  # the turns of terms that do not cross sit at ETA_INF
+    if pairs < coefs.size:
+        start, walked, turned = _envelope_walk(apex_x, x_dir, members[:, pairs:], coefs[pairs:])
+        grad += start
+        kink, turn = np.concatenate([kink, walked], axis=1), np.concatenate([turn, turned], axis=1)
+    slope = env.level * t_dir - grad
     np.minimum(kink, ETA_INF, out=kink)
+    k, m = kink.shape
     order = np.argsort(kink, axis=1) + m * np.arange(k)[:, None]  # flat indices, row by row
     # bounds[:, p] to bounds[:, p + 1] is segment p, of slope slopes[:, p]; values is zeta at the bounds
     bounds = np.zeros((k, m + 2))
@@ -227,7 +149,7 @@ def _kink_steps(env: EnvelopeEpigraph, apex_x, margin: float, x_dir, t_dir) -> n
     bounds[:, -1] = ETA_INF
     slopes = np.empty((k, m + 1))
     slopes[:, 0] = slope
-    slopes[:, 1:] = (coefs * spread).take(order)  # the turns of terms that do not cross sit at ETA_INF
+    slopes[:, 1:] = turn.take(order)
     np.cumsum(slopes, axis=1, out=slopes)
     values = np.empty((k, m + 2))
     values[:, 0] = margin
@@ -240,6 +162,47 @@ def _kink_steps(env: EnvelopeEpigraph, apex_x, margin: float, x_dir, t_dir) -> n
     # zeta > 0 at the segment's start and <= 0 at its end, so its slope is negative
     eta[rows] = bounds[rows, seg] - values[rows, seg] / slopes[rows, seg]
     return eta
+
+
+def _envelope_walk(apex_x, x_dir, members, coefs):
+    """G's slope at the apex, and zeta's kinks and slope turns, from terms of three or more members.
+
+    ``members`` holds one term per column, padded with its first member,
+    whose line the padding repeats.  Each term walks the lower envelope of
+    its member lines x_i + eta r_i: it starts on the lowest member at the
+    apex (on a tie, the one with the lowest slope), and each step turns from
+    member u to the member v of lower slope that it meets first, at
+    (x_v - x_u) / (r_u - r_v); a crossing that rounds below the last kink is
+    raised to it.  Every step lowers the slope, so a term of d members turns
+    at most d - 1 times.  Once a step finds no lower slope the walk's kinks
+    are infinite, so its turns sit at ETA_INF, where they move no root.
+    Returns the (k,) slope and two (k, terms * (width - 1)) blocks.
+    """
+    width, m = members.shape
+    k = len(x_dir)
+    level = apex_x[members]
+    rise = x_dir.T[members]  # (width, m, k): the slope of every member on every ray
+    cur = np.where((level == level.min(axis=0))[:, :, None], rise, math.inf).argmin(axis=0).ravel()
+    # one column per (term, ray), term-major
+    rise, level, cols = rise.reshape(width, m * k), np.repeat(level, k, axis=1), np.arange(m * k)
+    rise_u, level_u = rise[cur, cols], level[cur, cols]
+    start = coefs @ rise_u.reshape(m, k)
+    reached = np.zeros(m * k)
+    kinks, turns = [], []
+    for _ in range(width - 1):
+        spread = rise_u - rise
+        cross = np.full(rise.shape, math.inf)
+        np.divide(level - level_u, spread, out=cross, where=spread > 0.0)
+        np.maximum(cross, reached, out=cross)
+        nxt = cross.argmin(axis=0)
+        reached, rise_v, level_u = cross[nxt, cols], rise[nxt, cols], level[nxt, cols]
+        kinks.append(reached)
+        turns.append(rise_u - rise_v)
+        rise_u = rise_v
+    steps = width - 1
+    kinks = np.concatenate(kinks).reshape(steps * m, k).T
+    turns = (np.concatenate(turns).reshape(steps, m, k) * coefs[:, None]).reshape(steps * m, k).T
+    return start, kinks, turns
 
 
 def step_length(search: StepSearch, k: int) -> StepResult:

@@ -52,9 +52,9 @@ CSV_HEADER = "instance,mode,d1,d2,p,closed,cuts,sep_time_ms,total_time_ms"
 class RunConfig:
     """Settings of one root-node run; mirrors the JSON config files.
 
-    The separation tolerances, the step search's evaluation cap among
-    them, are not run settings: they are the constants of ``subcut.cuts``
-    (and ``sfree.INTERIOR_TOL``, ``BINARY_TOL``).
+    The separation tolerances are not run settings: they are the
+    constants of ``subcut.cuts`` (and ``sfree.INTERIOR_TOL``,
+    ``BINARY_TOL``).
     """
 
     mode: str = "submodular"

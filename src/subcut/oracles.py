@@ -137,19 +137,22 @@ class MultilinearFunction:
 
     @functools.cached_property
     def _term_layout(self):
-        """Coefficients, and each term's members in descending index order as one column, padded with the first.
+        """Coefficients, each term's members in descending index order as one column, padded with the first,
+        and the number of terms of degree 1 and of degree <= 2 (the terms are sorted by degree).
 
         Built on the first envelope evaluation or kink scan (``cuts``, which
-        reads a term's two members as its first and last rows) only: cut
-        validation tables one residual polynomial per cut and never takes
-        its envelope.
+        takes the degree-2 terms by their first two rows and walks the longer
+        ones) only: cut validation tables one residual polynomial per cut and
+        never takes its envelope.
         """
-        width = max((len(s) for _, s in self.terms), default=1)
+        sizes = [len(s) for _, s in self.terms]
+        width = max(sizes, default=1)
         members = np.empty((width, len(self.terms)), dtype=np.intp)
         for k, (_, s) in enumerate(self.terms):
             desc = sorted(s, reverse=True)
             members[:, k] = desc + desc[:1] * (width - len(desc))
-        return np.array([a for a, _ in self.terms], dtype=float), members
+        ones = sizes.count(1)
+        return np.array([a for a, _ in self.terms], dtype=float), members, (ones, ones + sizes.count(2))
 
     def __repr__(self):
         return f"<MultilinearFunction n={self.n} terms={len(self.terms)} degree={self.degree}>"
@@ -180,7 +183,7 @@ def envelope_eval(f: MultilinearFunction, x) -> EnvelopeEvaluation:
     if not np.isfinite(x).all():
         raise ValueError("point contains NaN or infinite coordinates")
     block = np.atleast_2d(x)
-    coefs, members = f._term_layout
+    coefs, members, _ = f._term_layout
     cols = np.ascontiguousarray(block.T)  # so each gather below copies whole rows: (terms, k) blocks
     least, argmin = cols[members[0]], members[0][:, None]
     for row in members[1:]:  # a strict < keeps the higher index on ties

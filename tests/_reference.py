@@ -18,11 +18,17 @@ in closed form.  Three evaluate a package set at one point at a time:
 :func:`verify_free_bruteforce` at every binary point of its target;
 :func:`first_root` bisects a function given pointwise, such as a ray's
 zeta, on the first bracket of its kinks where it turns nonpositive.
+:func:`newton_steps` is the paper's step search, a bracketed discrete
+Newton method over all rays of a corner in lockstep, with its settings
+``NEWTON_START``, ``NEWTON_MAX_STEPS`` and ``ROOT_TOL`` and its block
+evaluation :func:`zeta_slope`: the reference the package's computed steps
+are held to.
 :class:`ExplicitLogicalSimplex` runs the package's dual simplex over an
 explicit constraint matrix, and :class:`MaskedPivotSimplex` with its former
-per-solve set-up and pivot masks; :func:`newton_steps_tiled` is the former
-step search, and :func:`former_intersection_cut` and
-:func:`former_with_extra_rows` the former separation path and row append.
+per-solve set-up and pivot masks; :func:`newton_steps_tiled` is that
+search as it was before its first block was concatenated, and
+:func:`former_intersection_cut` and :func:`former_with_extra_rows` the
+former separation path and row append.
 :func:`former_corner` is the former corner extraction by boolean masks,
 :func:`former_brute_force_primal` the max of the full cube table and
 :func:`former_lifted_lp` the lifted LP built row by row and stacked, and
@@ -246,11 +252,90 @@ def first_root(g, kinks):
     return math.inf
 
 
+# The paper's step search: a hybrid discrete Newton method on each ray's zeta,
+# the reference the package's computed steps are held to.  Its settings are read
+# at call time, so a test can cap the search.
+NEWTON_START = 0.2
+NEWTON_MAX_STEPS = 500
+ROOT_TOL = 1e-9
+
+
+def zeta_slope(sfree, apex_x, apex_t: float, eta, x_dir, t_dir):
+    """zeta and its slope estimate at apex + eta * ray, one row per ray.
+
+    ``eta`` and ``t_dir`` are (k,) and ``x_dir`` is (k, n).  vecdot rounds
+    each row as the 1-D product does, so every row is bit-identical to the
+    point evaluation of its ray.
+    """
+    value, grad = sfree.value_and_subgradient(apex_x + eta[:, None] * x_dir)
+    lvl = sfree.level
+    return lvl * (apex_t + eta * t_dir) - value, lvl * t_dir - np.vecdot(grad, x_dir)
+
+
+def newton_steps(sfree, apex_x, apex_t: float, x_dir, t_dir) -> cuts.StepSearch | None:
+    """Root of every ray's zeta on (0, +inf], by bracketed discrete Newton in lockstep.
+
+    The first block holds the apex, then every ray's ETA_INF and NEWTON_START
+    probes.  The apex row's zeta is the apex margin, zeta(0) on every ray:
+    unless it exceeds ``sfree.INTERIOR_TOL`` the apex is not strictly
+    interior, and the search returns None before any Newton round.  A ray
+    that still sees positive margin at ETA_INF gets an infinite step and 0
+    evaluations.  Every other ray starts at NEWTON_START; a negative slope
+    estimate gives a Newton step and a flat or rising stretch doubles eta,
+    until |zeta| <= ROOT_TOL.  Each later round evaluates the rays still
+    searching in one block.
+
+    Each searching ray keeps a bracket: lo, the largest eta evaluated with
+    zeta > 0 (from 0, the apex), and hi, the least evaluated without (from
+    ETA_INF).  A step that does not land above lo, which only rounding or a
+    non-finite zeta or slope can cause, is replaced by the midpoint of the
+    bracket (Press et al., *Numerical Recipes*, 9.4, ``rtsafe``), so no
+    point with zeta > 0 is evaluated twice.  A ray with no root after
+    NEWTON_MAX_STEPS evaluations takes lo as its step: a point strictly
+    inside the set, so its cut stays valid, only weaker.
+    """
+    n = len(t_dir)
+    steps = np.full(n, math.inf)
+    iterations = np.zeros(n, dtype=int)
+    probes = np.full(2 * n + 1, NEWTON_START)
+    probes[: n + 1] = cuts.ETA_INF
+    probes[0] = 0.0
+    zeta, slope = zeta_slope(sfree, apex_x, apex_t, probes,
+                             np.concatenate([np.zeros((1, x_dir.shape[1])), x_dir, x_dir]),
+                             np.concatenate([[0.0], t_dir, t_dir]))
+    if not zeta[0] > INTERIOR_TOL:  # a NaN margin is not interior either
+        return None
+    rays = (~(zeta[1 : n + 1] > 0.0)).nonzero()[0]  # a positive far probe means an infinite step
+    zeta, slope = zeta[n + 1 :][rays], slope[n + 1 :][rays]
+    eta = np.full(rays.size, NEWTON_START)
+    lo, hi = np.zeros(rays.size), np.full(rays.size, cuts.ETA_INF)
+    for it in range(1, NEWTON_MAX_STEPS + 1):
+        done = np.abs(zeta) <= ROOT_TOL
+        steps[rays[done]] = eta[done]
+        iterations[rays[done]] = it
+        left = (~done).nonzero()[0]  # integer indices gather faster than a mask
+        rays, eta, zeta, slope, lo, hi = rays[left], eta[left], zeta[left], slope[left], lo[left], hi[left]
+        if not rays.size or it == NEWTON_MAX_STEPS:
+            break
+        inside = zeta > 0.0
+        np.copyto(lo, eta, where=inside)  # every evaluated eta lies above lo
+        np.copyto(hi, np.minimum(hi, eta), where=~inside)
+        newton = slope < 0.0
+        eta = np.where(newton, eta - zeta / np.where(newton, slope, 1.0), 2.0 * eta)
+        low = ~(eta > lo)  # a NaN step is not above lo either
+        if low.any():
+            eta[low] = 0.5 * (lo[low] + hi[low])
+        zeta, slope = zeta_slope(sfree, apex_x, apex_t, eta, x_dir[rays], t_dir[rays])
+    steps[rays] = np.where(zeta > 0.0, eta, lo)  # an eta evaluated inside lies above lo
+    iterations[rays] = NEWTON_MAX_STEPS
+    return cuts.StepSearch(steps.tolist(), iterations.tolist())
+
+
 def newton_step_length(sfree, apex_x, apex_t, ray_x, ray_t):
     """(step, evaluations) of one ray by scalar safeguarded discrete Newton.
 
-    The rule ``cuts.newton_steps`` applies to every ray in lockstep, run on
-    one ray with one point per evaluation and the ``cuts`` settings read at
+    The rule :func:`newton_steps` applies to every ray in lockstep, run on
+    one ray with one point per evaluation and the settings above read at
     call time: an infinite step when zeta(ETA_INF) > 0, else Newton steps on
     negative slopes and doubling otherwise from NEWTON_START, until
     |zeta| <= ROOT_TOL.  Raises SeparationBudget after NEWTON_MAX_STEPS
@@ -264,13 +349,13 @@ def newton_step_length(sfree, apex_x, apex_t, ray_x, ray_t):
 
     if zeta(cuts.ETA_INF)[0] > 0.0:
         return math.inf, 0
-    eta = cuts.NEWTON_START
-    for it in range(1, cuts.NEWTON_MAX_STEPS + 1):
+    eta = NEWTON_START
+    for it in range(1, NEWTON_MAX_STEPS + 1):
         value, slope = zeta(eta)
-        if abs(value) <= cuts.ROOT_TOL:
+        if abs(value) <= ROOT_TOL:
             return eta, it
         eta = eta - value / slope if slope < 0.0 else 2.0 * eta
-    raise SeparationBudget(f"no root within {cuts.NEWTON_MAX_STEPS} steps")
+    raise SeparationBudget(f"no root within {NEWTON_MAX_STEPS} steps")
 
 
 def point_feasible(x, rows, senses, rhs, lo, hi, tol=1e-8):
@@ -592,7 +677,7 @@ class MaskedPivotSimplex(simplex._DualSimplex):
 
 
 def newton_steps_tiled(sfree, apex_x, apex_t, x_dir, t_dir):
-    """``cuts.newton_steps`` as it was before its first block was concatenated.
+    """``newton_steps`` as it was before its first block was concatenated.
 
     The probe block gathers the rays through ``np.tile`` and repeats the two
     probe steps, it holds no apex row, every ray without a root runs to the
@@ -604,25 +689,25 @@ def newton_steps_tiled(sfree, apex_x, apex_t, x_dir, t_dir):
     iterations = np.zeros(n, dtype=int)
     rays = np.arange(n)
     probes = np.tile(rays, 2)
-    zeta, slope = cuts.zeta_slope(sfree, apex_x, apex_t, np.repeat([cuts.ETA_INF, cuts.NEWTON_START], n),
+    zeta, slope = zeta_slope(sfree, apex_x, apex_t, np.repeat([cuts.ETA_INF, NEWTON_START], n),
                                   x_dir[probes], t_dir[probes])
     searching = ~(zeta[:n] > 0.0)
     rays, zeta, slope = rays[searching], zeta[n:][searching], slope[n:][searching]
-    eta = np.full(rays.size, cuts.NEWTON_START)
-    for it in range(1, cuts.NEWTON_MAX_STEPS + 1):
-        root = np.abs(zeta) <= cuts.ROOT_TOL
+    eta = np.full(rays.size, NEWTON_START)
+    for it in range(1, NEWTON_MAX_STEPS + 1):
+        root = np.abs(zeta) <= ROOT_TOL
         steps[rays[root]] = eta[root]
         iterations[rays[root]] = it
         rays, eta, zeta, slope = rays[~root], eta[~root], zeta[~root], slope[~root]
-        if not rays.size or it == cuts.NEWTON_MAX_STEPS:
+        if not rays.size or it == NEWTON_MAX_STEPS:
             break
         newton = slope < 0.0
         eta = np.where(newton, eta - zeta / np.where(newton, slope, 1.0), 2.0 * eta)
-        zeta, slope = cuts.zeta_slope(sfree, apex_x, apex_t, eta, x_dir[rays], t_dir[rays])
+        zeta, slope = zeta_slope(sfree, apex_x, apex_t, eta, x_dir[rays], t_dir[rays])
     exhausted = np.zeros(n, dtype=bool)
     exhausted[rays] = True
     steps[rays] = eta
-    iterations[rays] = cuts.NEWTON_MAX_STEPS
+    iterations[rays] = NEWTON_MAX_STEPS
     return steps, iterations, exhausted
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import _reference as ref
-from subcut.cuts import ray_steps, step_length, zeta_slope
+from subcut.cuts import ray_steps, step_length
 from _covers import containment_witness, is_minimal_cover, three_chain_relaxation
 from _reference import greedy_vertex, is_submodular_bruteforce, support_points, verify_free_bruteforce
 from subcut.harness import (
@@ -121,10 +121,10 @@ def test_04_ray_linearity():
 
 
 def test_05_newton_root_finding():
-    with criterion("05 step roots, computed or by discrete Newton, match bisection (1000 rays)"):
+    with criterion("05 computed step roots match bisection and the paper's discrete Newton search (1000 rays)"):
         rng = np.random.default_rng(105)
         iteration_counts = []
-        finite = computed = 0
+        finite = walked = 0
         for trial in range(1000):
             n = int(rng.integers(2, 11))
             if trial % 2 == 0:
@@ -139,26 +139,28 @@ def test_05_newton_root_finding():
             apex_t = value + float(rng.uniform(0.1, 2.0))
             x_dir, t_dir = rng.normal(size=(1, n)), np.array([rng.normal()])
 
-            def zeta(eta):  # on a one-row block, as the search evaluates it
-                return float(zeta_slope(sfree, apex_x, apex_t, np.array([eta]), x_dir, t_dir)[0][0])
+            def zeta(eta):  # on a one-row block, as the Newton search evaluates it
+                return float(ref.zeta_slope(sfree, apex_x, apex_t, np.array([eta]), x_dir, t_dir)[0][0])
 
-            # a ray cut short by the cap would end where zeta > ROOT_TOL and fail the root check;
-            # a computed step is the root of its segment, an even trial's always
+            # a computed step is the root of its segment; a Newton ray cut short by the cap
+            # would end where zeta > ROOT_TOL and fail the root check
             res = step_length(ray_steps(sfree, apex_x, apex_t, x_dir, t_dir), 0)
-            iteration_counts.append(res.iterations)
-            computed += sfree.oracle.degree <= 2
-            assert res.iterations <= 500
+            newton = step_length(ref.newton_steps(sfree, apex_x, apex_t, x_dir, t_dir), 0)
+            iteration_counts.append(newton.iterations)
+            walked += sfree.oracle.degree >= 3
+            assert res.iterations == 0 and newton.iterations <= ref.NEWTON_MAX_STEPS
+            assert math.isinf(res.eta) == math.isinf(newton.eta)
             if math.isinf(res.eta):
                 continue
             finite += 1
-            assert abs(zeta(res.eta)) <= 1e-9
+            assert abs(zeta(res.eta)) <= ref.ROOT_TOL and abs(zeta(newton.eta)) <= ref.ROOT_TOL
             want = ref.bisect_root(zeta, 0.0, 1e9, tol=1e-12)
             assert abs(res.eta - want) <= 1e-9
         counts = np.array(iteration_counts)
         share_fast = float((counts <= 50).mean())
-        assert share_fast >= 0.99, f"only {share_fast:.1%} of runs took <= 50 steps"
+        assert share_fast >= 0.99, f"only {share_fast:.1%} of Newton runs took <= 50 steps"
         assert finite >= 200, f"too few finite steps ({finite}) to be meaningful"
-        assert 500 <= computed < 1000
+        assert walked >= 100, f"too few sets with a term of degree 3 or more ({walked})"
 
 
 def test_06_every_emitted_cut_is_valid():

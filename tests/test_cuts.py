@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import logging
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import _reference as ref
+from _covers import three_chain_relaxation
 from subcut import cuts, harness, models, oracles, sfree
 from subcut.cuts import (
     EFFICACY_MIN,
@@ -13,10 +15,8 @@ from subcut.cuts import (
     IntersectionCut,
     gradient_cut,
     intersection_cut,
-    newton_steps,
     step_length,
     validate_cut_bruteforce,
-    zeta_slope,
 )
 from subcut.errors import CapacityError
 from subcut.harness import RunConfig, autocorr_polynomial, build_model, pw_graph, split_selector
@@ -121,7 +121,7 @@ def assert_matches_least_residuals(found, lift, lower_t):
 
 @dataclasses.dataclass
 class Ray:
-    """One ray against one set, through the shipped zeta and step search on one-row blocks."""
+    """One ray against one set, through the reference zeta and Newton search on one-row blocks."""
 
     sfree: object
     apex_x: np.ndarray
@@ -130,26 +130,26 @@ class Ray:
     ray_t: float
 
     def zeta(self, eta):
-        zeta, slope = zeta_slope(self.sfree, self.apex_x, self.apex_t, np.array([eta]), self.ray_x[None],
-                                 np.array([self.ray_t]))
+        zeta, slope = ref.zeta_slope(self.sfree, self.apex_x, self.apex_t, np.array([eta]), self.ray_x[None],
+                                     np.array([self.ray_t]))
         return float(zeta[0]), float(slope[0])
 
     def step(self):
-        return step_length(newton_steps(self.sfree, self.apex_x, self.apex_t, self.ray_x[None],
-                                        np.array([self.ray_t])), 0)
+        return step_length(ref.newton_steps(self.sfree, self.apex_x, self.apex_t, self.ray_x[None],
+                                            np.array([self.ray_t])), 0)
 
 
 def record_search(monkeypatch) -> list:
-    """The (eta, zeta, slope) of every ray the step search evaluates, in order."""
+    """The (eta, zeta, slope) of every ray the reference Newton search evaluates, in order."""
     trace = []
-    evaluate = cuts.zeta_slope
+    evaluate = ref.zeta_slope
 
     def recorded(sfree, apex_x, apex_t, eta, x_dir, t_dir):
         zeta, slope = evaluate(sfree, apex_x, apex_t, eta, x_dir, t_dir)
         trace.extend(zip(eta.tolist(), zeta.tolist(), slope.tolist()))
         return zeta, slope
 
-    monkeypatch.setattr(cuts, "zeta_slope", recorded)
+    monkeypatch.setattr(ref, "zeta_slope", recorded)
     return trace
 
 
@@ -258,15 +258,15 @@ class TestStepLength:
         res = ray.step()
         assert res.eta == pytest.approx(0.7, abs=1e-9)
         # the apex, the safeguard probe, then the search
-        assert [eta for eta, _, _ in trace[:4]] == [0.0, cuts.ETA_INF, cuts.NEWTON_START, 2 * cuts.NEWTON_START]
+        assert [eta for eta, _, _ in trace[:4]] == [0.0, cuts.ETA_INF, ref.NEWTON_START, 2 * ref.NEWTON_START]
         slopes = [s for _, _, s in trace[2:]]
         assert slopes[0] > 0  # the first move must be a doubling step
         assert len(trace) == res.iterations + 2
 
     def test_boundary_apex_rejected(self, k3_cut, monkeypatch):
         # an apex on the boundary has no positive margin: the apex is the only
-        # evaluation, and no ray's step is read; the Newton search evaluates it
-        # in its first block and stops there
+        # evaluation, and no ray's step is read; the reference Newton search
+        # evaluates it in its first block and stops there
         cp = make_corner([1.0, 0.0, 0.0, 2.0], [(e, e, 0.0) for e in np.eye(4)[:3]], 3)
         sfree = EnvelopeEpigraph(k3_cut)
         assert ref.margin(sfree, cp.apex_x, cp.apex_t) == 0.0
@@ -278,7 +278,7 @@ class TestStepLength:
         assert shapes == [(3,)]
         assert calls == []
         shapes.clear()
-        assert newton_steps(sfree, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir) is None
+        assert ref.newton_steps(sfree, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir) is None
         assert shapes == [(2 * 3 + 1, 3)]
 
     def test_cap_takes_the_last_point_inside(self, monkeypatch):
@@ -291,12 +291,12 @@ class TestStepLength:
         assert ray.step().iterations == 4
         trace = record_search(monkeypatch)
         for cap in (1, 2, 3):
-            monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", cap)
+            monkeypatch.setattr(ref, "NEWTON_MAX_STEPS", cap)
             trace.clear()
             res = ray.step()
             assert res.iterations == cap and len(trace) == cap + 2  # the apex and the ETA_INF probe
             assert res.eta == max(eta for eta, zeta, _ in trace[2:] if zeta > 0.0)
-            assert ray.zeta(res.eta)[0] > cuts.ROOT_TOL
+            assert ray.zeta(res.eta)[0] > ref.ROOT_TOL
 
     def test_root_uniqueness_on_examples(self, k3_cut):
         cases = [
@@ -488,7 +488,7 @@ class TestIntersectionCut:
                 cp = project_corner(corner(solve(model)), lift)
                 for sfree in (build_reverse_linearized(targets[0], cp.apex_x),
                               LiftedSplit(split_selector(cp.apex_x), lift.n)):
-                    search = newton_steps(sfree, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
+                    search = ref.newton_steps(sfree, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
                     fresh = [
                         ref.newton_step_length(
                             sfree, cp.apex_x, cp.apex_t, cp.directions[k, lift.x_cols], float(cp.t_dir[k]))
@@ -534,7 +534,7 @@ class TestIntersectionCut:
             assert cut is not None and cut.newton_iters == 0
             assert shapes == [(n,)]
             shapes.clear()
-            search = newton_steps(sfree, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
+            search = ref.newton_steps(sfree, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
             finite = int(np.isfinite(search.eta).sum())
             # one block holding the apex and the ETA_INF and NEWTON_START probes of
             # every ray, then one block per round over the rays still searching
@@ -548,17 +548,17 @@ class TestIntersectionCut:
     @pytest.mark.parametrize("cap", [1, 2, 3])
     def test_cap_leaves_every_unfinished_ray_inside(self, monkeypatch, searches_without_root, cap):
         # a ray cut short by the cap takes a point where zeta > 0, so every cut stays valid
-        monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", cap)
+        monkeypatch.setattr(ref, "NEWTON_MAX_STEPS", cap)
         unfinished = emitted = 0
         for cp, free, validator in [multi_round_split(), *searches_without_root]:
             shapes = recorded_shapes(free)
-            search = newton_steps(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
+            search = ref.newton_steps(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
             # the probe block is the first evaluation, and at most cap - 1 rounds follow it
             assert len(shapes) <= cap
             eta = np.array(search.eta)
             finite = np.isfinite(eta)
-            zeta, _ = zeta_slope(free, cp.apex_x, cp.apex_t, eta[finite], cp.x_dir[finite], cp.t_dir[finite])
-            short = (np.array(search.iterations)[finite] == cap) & (np.abs(zeta) > cuts.ROOT_TOL)
+            zeta, _ = ref.zeta_slope(free, cp.apex_x, cp.apex_t, eta[finite], cp.x_dir[finite], cp.t_dir[finite])
+            short = (np.array(search.iterations)[finite] == cap) & (np.abs(zeta) > ref.ROOT_TOL)
             assert (zeta[short] > 0.0).all(), free.kind
             unfinished += short.sum()
             cut = intersection_cut(cp, free)
@@ -613,10 +613,10 @@ def loop_separations(instance, mode: str, rounds: int) -> list:
 
 
 def counted_searches(monkeypatch) -> list:
-    """A list that grows by one entry per ``zeta_slope`` block, in ``cuts`` and in the references."""
+    """A list that grows by one entry per ``zeta_slope`` block of the reference Newton searches."""
     blocks = []
-    evaluate = cuts.zeta_slope
-    monkeypatch.setattr(cuts, "zeta_slope", lambda *args: blocks.append(len(args[3])) or evaluate(*args))
+    evaluate = ref.zeta_slope
+    monkeypatch.setattr(ref, "zeta_slope", lambda *args: blocks.append(len(args[3])) or evaluate(*args))
     return blocks
 
 
@@ -628,14 +628,14 @@ class TestFormerSeparationPath:
     def separations(self):
         return non_integer_separations()
 
-    @pytest.mark.parametrize("cap", [cuts.NEWTON_MAX_STEPS, 2, 1])
+    @pytest.mark.parametrize("cap", [ref.NEWTON_MAX_STEPS, 2, 1])
     def test_step_search(self, monkeypatch, separations, cap):
         # every ray the former search roots keeps its step and count; a ray it
         # leaves without a root within the cap is counted to the cap here too
-        monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", cap)
+        monkeypatch.setattr(ref, "NEWTON_MAX_STEPS", cap)
         unrooted = 0
         for cp, free in separations:
-            search = newton_steps(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
+            search = ref.newton_steps(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
             eta, iterations, exhausted = ref.newton_steps_tiled(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
             rooted = ~exhausted
             assert np.array(search.eta)[rooted].tobytes() == eta[rooted].tobytes(), free.kind
@@ -646,7 +646,7 @@ class TestFormerSeparationPath:
     def test_cuts_match_the_former_path(self, monkeypatch, separations):
         # on the Newton steps, the apex row and the rhs reduce give the former margin
         # check's, rhs loop's and full-budget search's cuts, byte for byte
-        monkeypatch.setattr(cuts, "ray_steps", newton_steps)
+        monkeypatch.setattr(cuts, "ray_steps", ref.newton_steps)
         for cp, free in separations:
             cut, former = intersection_cut(cp, free), ref.former_intersection_cut(cp, free)
             assert cut is not None and former is not None, free.kind
@@ -656,10 +656,12 @@ class TestFormerSeparationPath:
             assert (cut.kind, cut.newton_iters, cut.infinite_steps) == (
                 former.kind, former.newton_iters, former.infinite_steps)
 
-    @pytest.mark.parametrize("budget", [cuts.NEWTON_MAX_STEPS, 2, 1])
+    @pytest.mark.parametrize("budget", [ref.NEWTON_MAX_STEPS, 2, 1])
     def test_one_step_length_call_per_ray_up_to_the_first_failure(self, monkeypatch, separations, budget):
-        # no search ends without a step, so rays fail only below the floor, raised here to 1
-        monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", budget)
+        # on the reference Newton steps: no search ends without a step, so rays fail
+        # only below the floor, raised here to 1
+        monkeypatch.setattr(ref, "NEWTON_MAX_STEPS", budget)
+        monkeypatch.setattr(cuts, "ray_steps", ref.newton_steps)
         monkeypatch.setattr(cuts, "MIN_STEP", 1.0)
         calls = []
         read = cuts.step_length
@@ -697,7 +699,7 @@ def searches_without_root():
         instance = make()
         corners = {}
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cuts, "ray_steps", newton_steps)
+            mp.setattr(cuts, "ray_steps", ref.newton_steps)
             separations = loop_separations(instance, mode, round_)
         for cp, free in separations:
             corners.setdefault(id(cp), []).append((cp, free))
@@ -714,16 +716,16 @@ class TestRaysWithoutRoot:
             eta, iterations, exhausted = ref.newton_steps_tiled(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
             [k] = exhausted.nonzero()[0]
             blocks.clear()
-            search = newton_steps(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
+            search = ref.newton_steps(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir)
             assert len(blocks) == max(search.iterations) <= 20
             # every other ray keeps its step and count
             rooted = ~exhausted
             assert np.array(search.eta)[rooted].tobytes() == eta[rooted].tobytes()
             assert np.array(search.iterations)[rooted].tolist() == iterations[rooted].tolist()
             # and ray k ends at a root, so the cut is made and valid
-            zeta, _ = zeta_slope(free, cp.apex_x, cp.apex_t, np.array(search.eta[k : k + 1]), cp.x_dir[k][None],
+            zeta, _ = ref.zeta_slope(free, cp.apex_x, cp.apex_t, np.array(search.eta[k : k + 1]), cp.x_dir[k][None],
                                  cp.t_dir[k : k + 1])
-            assert math.isfinite(search.eta[k]) and abs(zeta[0]) <= cuts.ROOT_TOL
+            assert math.isfinite(search.eta[k]) and abs(zeta[0]) <= ref.ROOT_TOL
             assert cuts.ray_steps(free, cp.apex_x, cp.apex_t, cp.x_dir, cp.t_dir).eta[k] == pytest.approx(
                 search.eta[k], rel=1e-9)
             assert ref.former_intersection_cut(cp, free) is None
@@ -737,7 +739,7 @@ class TestRaysWithoutRoot:
         # step adds 1/inf = 0 and lands on eta, which is lo; with zeta inf the step is
         # NaN.  Either way the ray bisects (lo, ETA_INF), and the cap leaves it at lo
         ray = Ray(EnvelopeEpigraph(k3_cut), np.array([0.5, 0.5, 0.5]), 1.5, np.array([1.0, 0.0, 0.0]), 0.0)
-        evaluate = cuts.zeta_slope
+        evaluate = ref.zeta_slope
         etas = []
 
         def pinned(*args):
@@ -746,10 +748,10 @@ class TestRaysWithoutRoot:
             etas.append(float(args[3][-1]))
             return zeta, slope
 
-        monkeypatch.setattr(cuts, "zeta_slope", pinned)
-        monkeypatch.setattr(cuts, "NEWTON_MAX_STEPS", 4)
-        search = newton_steps(ray.sfree, ray.apex_x, ray.apex_t, ray.ray_x[None], np.array([ray.ray_t]))
-        want = [cuts.NEWTON_START]
+        monkeypatch.setattr(ref, "zeta_slope", pinned)
+        monkeypatch.setattr(ref, "NEWTON_MAX_STEPS", 4)
+        search = ref.newton_steps(ray.sfree, ray.apex_x, ray.apex_t, ray.ray_x[None], np.array([ray.ray_t]))
+        want = [ref.NEWTON_START]
         for _ in range(3):
             want.append(0.5 * (want[-1] + cuts.ETA_INF))
         assert etas == want
@@ -1006,10 +1008,11 @@ class TestCutValidator:
 
 def _computed_step_cases(st):
     """(free set, apex x, apex t, ray x block, ray t, whether zeta is concave) of a corner the
-    steps are computed on: a split, or an envelope set of degree <= 2 with or without gamma, at
-    level 0 or 1, with coefficients of both signs; apex and ray entries mix a grid, which makes
-    ties and parallel members, with floats.  No ray entry is below 1e-3 in size but 0, so a slope
-    is 0 or well above rounding, and a root is no worse conditioned than 1e-9 relative asks."""
+    steps are computed on: a split, or an envelope set with terms of degree 1 to 4 (all of degree
+    1 in some), with or without gamma, at level 0 or 1, with coefficients of both signs; apex and
+    ray entries mix a grid, which makes ties at the apex, parallel members and member lines
+    through one point, with floats.  No ray entry is below 1e-3 in size but 0, so a slope is 0 or
+    well above rounding, and a root is no worse conditioned than 1e-9 relative asks."""
 
     @st.composite
     def cases(draw):
@@ -1025,66 +1028,102 @@ def _computed_step_cases(st):
             j = draw(st.integers(0, n - 1))
             apex_x[j] = draw(st.floats(0.01, 0.99))
             return LiftedSplit(j, n), apex_x, 0.0, x_dir, t_dir, True
-        index = st.integers(0, n - 1)
-        terms = draw(st.lists(st.tuples(st.integers(-4, 4).filter(bool), index, index), min_size=1, max_size=8))
-        poly = MultilinearFunction(n, [(a, {i, j}) for a, i, j in terms])
+        support = st.sets(st.integers(0, n - 1), min_size=1, max_size=draw(st.integers(1, 4)))
+        terms = draw(st.lists(st.tuples(st.integers(-4, 4).filter(bool), support), min_size=1, max_size=8))
+        poly = MultilinearFunction(n, terms)
         gamma = draw(st.none() | st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
         free = EnvelopeEpigraph(poly, level=draw(st.sampled_from([0, 1])), gamma=gamma)
         apex_t = draw(st.floats(0.01, 3.0)) - ref.margin(free, apex_x, 0.0)
-        concave = all(a <= 0.0 for a, s in poly.terms if len(s) == 2)
+        concave = all(a <= 0.0 for a, s in poly.terms if len(s) >= 2)
         return free, apex_x, apex_t, x_dir, t_dir, concave
 
     return cases()
 
 
+def walk_cases() -> list:
+    """Corners, as :func:`_computed_step_cases` gives them, whose members meet where a walk
+    must choose: three and four members tied at the apex, three member lines through one
+    point, reached from either end of the member order, and an oracle of degree-1 terms only,
+    whose layout has one row."""
+    def case(terms, apex_x, x_dir, t_dir):
+        free = EnvelopeEpigraph(MultilinearFunction(len(apex_x), terms))
+        apex_x = np.array(apex_x, dtype=float)
+        concave = all(a <= 0.0 for a, s in free.oracle.terms if len(s) >= 2)
+        return free, apex_x, 0.5 - ref.margin(free, apex_x, 0.0), np.array(x_dir, dtype=float), np.array(t_dir), concave
+
+    return [
+        # members 0-2 tie at the apex: the walk starts on member 1, the flattest, and member 3 meets it at 0.25
+        case([(-2.0, {0, 1, 2, 3}), (1.0, {0})], [0.5, 0.5, 0.5, 0.75],
+             [[1.0, 0.0, 0.5, -1.0], [1.0, 0.5, 0.25, 0.0], [0.0, 0.0, 0.0, 0.0]], [-0.5, -1.0, -1.0]),
+        # all four tie at the apex
+        case([(-3.0, {0, 1, 2, 3})], [0.25] * 4, [[1.0, -1.0, 0.5, -0.5], [-1.0, 0.0, 0.0, 1.0]], [-2.0, 0.5]),
+        # the lines of members 0, 1 and 2 meet at 0.5: the walk turns to member 1 and on to the flattest
+        case([(-1.0, {0, 1, 2})], [0.5, 0.25, 0.0], [[0.0, 0.5, 1.0], [-1.0, -0.5, 0.0]], [-1.5, 0.5]),
+        # the same from the other end of the member order: the walk turns to the flattest at once
+        case([(-1.0, {0, 1, 2})], [0.0, 0.25, 0.5], [[1.0, 0.5, 0.0], [0.0, -0.5, -1.0]], [-1.5, 0.5]),
+        case([(-1.0, {0}), (2.0, {1}), (0.5, {2})], [0.5, 0.25, 0.75], [[1.0, 0.5, 0.0], [-1.0, -1.0, 1.0]],
+             [0.5, -2.0]),
+    ]
+
+
+def assert_first_roots(free, apex_x, apex_t, x_dir, t_dir, concave):
+    """Each ray's computed step is its first root, within 1e-9 relative, where zeta is evaluated
+    at the points of the ray and affine between the crossings of any two members of a term; for
+    concave zeta the step is infinite exactly when zeta(ETA_INF) > 0."""
+    margin = ref.margin(free, apex_x, apex_t)
+    search = cuts.ray_steps(free, apex_x, apex_t, x_dir, t_dir)
+    assert (search is None) == (not margin > sfree.INTERIOR_TOL)
+    if search is None:
+        return
+    assert search.iterations == [0] * len(t_dir)
+    for step, ray_x, ray_t in zip(search.eta, x_dir, t_dir):
+        def zeta(eta):
+            return ref.margin(free, apex_x + eta * ray_x, apex_t + eta * ray_t)
+
+        kinks = [cuts.ETA_INF]
+        if free.kind != "split":
+            for _, s in free.oracle.terms:
+                for u, v in itertools.combinations(sorted(s), 2):
+                    if ray_x[u] != ray_x[v]:
+                        kinks.append((apex_x[v] - apex_x[u]) / (ray_x[u] - ray_x[v]))
+        want = ref.first_root(zeta, [eta for eta in kinks if 0.0 < eta <= cuts.ETA_INF])
+        if concave:
+            assert math.isinf(step) == (zeta(cuts.ETA_INF) > 0.0)
+        if math.isinf(want):
+            assert math.isinf(step)
+        else:
+            assert step == pytest.approx(want, rel=1e-9)
+
+
 class TestComputedSteps:
     def test_steps_match_the_first_root(self):
-        # each ray's computed step is its first root, within 1e-9 relative, where
-        # zeta is evaluated at the points of the ray; for concave zeta the step is
-        # infinite exactly when zeta(ETA_INF) > 0
         hypothesis = pytest.importorskip("hypothesis")
+        cases = walk_cases()
+        assert [len(free.oracle._term_layout[1]) for free, *_ in cases] == [4, 4, 3, 3, 1]
+        for case in cases:
+            assert_first_roots(*case)
 
-        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.settings(max_examples=300, deadline=None)
         @hypothesis.given(_computed_step_cases(hypothesis.strategies))
         def check(case):
-            free, apex_x, apex_t, x_dir, t_dir, concave = case
-            margin = ref.margin(free, apex_x, apex_t)
-            search = cuts.ray_steps(free, apex_x, apex_t, x_dir, t_dir)
-            assert (search is None) == (not margin > sfree.INTERIOR_TOL)
-            if search is None:
-                return
-            assert search.iterations == [0] * len(t_dir)
-            for step, ray_x, ray_t in zip(search.eta, x_dir, t_dir):
-                def zeta(eta):
-                    return ref.margin(free, apex_x + eta * ray_x, apex_t + eta * ray_t)
-
-                kinks = [cuts.ETA_INF]
-                if free.kind != "split":  # where the members of a pair term cross
-                    for _, s in free.oracle.terms:
-                        u, v = (*s, *s)[:2]
-                        if ray_x[u] != ray_x[v]:
-                            kinks.append((apex_x[v] - apex_x[u]) / (ray_x[u] - ray_x[v]))
-                want = ref.first_root(zeta, [eta for eta in kinks if 0.0 < eta <= cuts.ETA_INF])
-                if concave:
-                    assert math.isinf(step) == (zeta(cuts.ETA_INF) > 0.0)
-                if math.isinf(want):
-                    assert math.isinf(step)
-                else:
-                    assert step == pytest.approx(want, rel=1e-9)
+            assert_first_roots(*case)
 
         check()
 
-    def test_newton_steps_only_for_degree_three(self, monkeypatch):
-        # a set with a term of degree 3 is searched, every other set computed
-        searched = []
-        search = cuts.newton_steps
-        monkeypatch.setattr(cuts, "newton_steps", lambda *args: searched.append(args[0].kind) or search(*args))
+    def test_every_split_and_envelope_set_is_computed(self):
+        # splits and envelope sets of any degree take one apex evaluation and no more; a set
+        # of any other kind has no step method
         apex_x, x_dir, t_dir = np.full(3, 0.5), -np.eye(3), np.zeros(3)
         cubic = MultilinearFunction(3, [(1.0, {0}), (-1.0, {0, 1, 2})])
-        for free in (LiftedSplit(0, 3), EnvelopeEpigraph(cut_polynomial(Graph(3, ref.K3_EDGES))),
-                     EnvelopeEpigraph(cubic, gamma=[0.5, 0.0, 0.0]), EnvelopeEpigraph(cubic)):
-            assert cuts.ray_steps(free, apex_x, 1.0, x_dir, t_dir) is not None
-        assert searched == ["ss", "env"]
+        k3 = cut_polynomial(Graph(3, ref.K3_EDGES))
+        for free in (LiftedSplit(0, 3), EnvelopeEpigraph(k3), EnvelopeEpigraph(cubic, gamma=[0.5, 0.0, 0.0]),
+                     EnvelopeEpigraph(cubic), EnvelopeEpigraph(MultilinearFunction(3, [(1.0, {2})]))):
+            shapes = recorded_shapes(free)
+            search = cuts.ray_steps(free, apex_x, 1.0, x_dir, t_dir)
+            assert search is not None and search.iterations == [0, 0, 0]
+            assert shapes == [(3,)]
+        with pytest.raises(TypeError, match="CoverRelaxation"):
+            cuts.ray_steps(three_chain_relaxation(k3), apex_x, 2.0, x_dir, t_dir)
 
 
 def test_every_cut_of_sparse_n20_runs_is_valid(tmp_path):

@@ -1,6 +1,6 @@
 """The output contract in tier-1: seed-1 ``maxcut-sparse`` runs against their committed baseline.
 
-``BENCH_40.json`` holds the runs lists of the seed-1 benchmark passes at
+``BENCH_41.json`` holds the runs lists of the seed-1 benchmark passes at
 one BLAS thread (``outputs.workloads.<workload>.change_runs``) and at the
 default thread count (``outputs_default_threads.<workload>.change_runs``).
 This test regenerates the first ten ``maxcut-sparse`` instances, g05 n=20
@@ -31,7 +31,7 @@ import pytest
 
 from subcut import harness
 
-BASELINE = Path(__file__).resolve().parent.parent / "BENCH_40.json"
+BASELINE = Path(__file__).resolve().parent.parent / "BENCH_41.json"
 INSTANCES = 10
 MODES = ("split", "submodular", "both")
 TOL = 1e-7
